@@ -24,6 +24,7 @@ from .calibration import (
 from .core import (
     ConfigError,
     ScenarioConfig,
+    SimulationError,
     config_from_dict,
     default_config,
     validate_config,
@@ -504,6 +505,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except SimulationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 3

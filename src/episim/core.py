@@ -73,6 +73,9 @@ class Constant:
     def mean(self) -> float:
         return float(self.value)
 
+    def lower_bound(self) -> float:
+        return self.value
+
     def param_errors(self) -> list[str]:
         if not np.isfinite(self.value):
             return ["value must be finite"]
@@ -97,6 +100,9 @@ class Uniform:
 
     def mean(self) -> float:
         return 0.5 * (self.low + self.high)
+
+    def lower_bound(self) -> float:
+        return self.low
 
     def param_errors(self) -> list[str]:
         if not (np.isfinite(self.low) and np.isfinite(self.high)):
@@ -132,6 +138,10 @@ class GammaShifted:
 
     def mean(self) -> float:
         return self.shape * self.scale + self.shift
+
+    def lower_bound(self) -> float:
+        # a gamma draw can underflow to 0, so the shift itself is attainable
+        return self.shift
 
     def param_errors(self) -> list[str]:
         errs = []
@@ -178,6 +188,9 @@ class NormalClipped:
 
     def mean(self) -> float:
         raise ConfigError("normal_clipped has no closed-form mean")
+
+    def lower_bound(self) -> float:
+        return self.low
 
     def param_errors(self) -> list[str]:
         errs = []
@@ -305,6 +318,9 @@ class ScenarioConfig:
 
 
 DISTRIBUTION_FIELDS = ("t0", "V0", "tP", "VP", "tS", "tF", "VF")
+# Loads are interpolated in log10, so every sampled load must be positive;
+# the other fields are times along the trajectory and must not run backwards.
+LOAD_FIELDS = ("V0", "VP", "VF")
 
 _INT_FIELDS = {
     "popSize", "timeHorizon", "initialInfected", "baseSeed",
@@ -409,8 +425,18 @@ def validate_config(config: ScenarioConfig) -> ValidationReport:
     ):
         check(getattr(c, fld) >= 0, fld, "must be >= 0")
     for fld in DISTRIBUTION_FIELDS:
-        for msg in getattr(c, fld).param_errors():
+        dist = getattr(c, fld)
+        errors = dist.param_errors()
+        for msg in errors:
             bad.append(Violation(fld, msg))
+        if errors:
+            continue
+        low = dist.lower_bound()
+        if fld in LOAD_FIELDS:
+            if not low > 0:
+                bad.append(Violation(fld, f"loads must be > 0, but samples can reach {low:g}"))
+        elif not low >= 0:
+            bad.append(Violation(fld, f"times must be >= 0, but samples can reach {low:g}"))
     return ValidationReport(bad)
 
 

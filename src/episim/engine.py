@@ -6,6 +6,10 @@ result delivery, isolation exits, exposed-to-infectious crossings, loss of
 immunity), (3) self-isolation, (4) testing, (5) internal propagation,
 (6) vaccination. Random draws follow this order with a fixed within-stage
 ordering by agent id, so a run is fully determined by (config, runIndex).
+A testing day draws one permutation of the eligible ids into pools, then one
+vector of stage-1 pool tests in pool order, then one vector of stage-2 member
+tests of the positive pools in pool order. Delivered positive results are
+applied in ascending agent id and draw nothing.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from .interventions import (
     self_isolation_step,
     vaccination_step,
 )
-from .testing import PendingTestResult, TestLedger, deliver_results, run_testing_day
+from .testing import TestLedger, deliver_results, run_testing_day
 from .transmission import (
     PopulationCounts,
     expose_agent,
@@ -94,7 +98,8 @@ class RunState:
 
     config: ScenarioConfig
     population: Population
-    pending: list[PendingTestResult] = field(default_factory=list)
+    # delivery day -> arrays of agent ids whose positive result is due then
+    pending: dict[int, list[np.ndarray]] = field(default_factory=dict)
     ledger: TestLedger = field(default_factory=TestLedger)
     cumulative_infections: int = 0
     seeded_infections: int = 0
@@ -184,10 +189,8 @@ def _advance_infections(state: RunState, day: int) -> None:
 
 def _deliver_and_apply_results(state: RunState, day: int) -> None:
     population = state.population
-    for result in deliver_results(state.pending, day):
-        if not result.positive:
-            continue
-        agent = population.agent(result.agent_id)
+    for agent_id in deliver_results(state.pending, day).tolist():
+        agent = population.agent(agent_id)
         if agent.is_isolated:
             # a positive delivered to an already isolated agent is moot
             continue

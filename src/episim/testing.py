@@ -1,14 +1,35 @@
 """Population testing: single-sample tests and two-stage pooled (Dorfman)
-testing, with delayed result delivery and test-count/cost accounting."""
+testing, with delayed result delivery and test-count/cost accounting.
+
+A testing day works on whole arrays: the eligible ids, their viral loads,
+one permutation into pools and one Bernoulli vector per test stage. Only
+positive results change an agent's state, so only positive ids are queued,
+bucketed by delivery day.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
+from math import nan
+from operator import attrgetter
+from typing import Sequence
 
 import numpy as np
 
-from .core import Compartment, Population, ScenarioConfig
-from .viral_load import load_at
+from .core import ISOLATED_COMPARTMENTS, Compartment, Population, ScenarioConfig
+from .viral_load import load_array, profile_params
+
+# Compartments whose agents carry a viral trajectory; everyone else has load 0.
+TRAJECTORY_COMPARTMENTS = (
+    Compartment.EXPOSED,
+    Compartment.INFECTIOUS_SYMPTOMATIC,
+    Compartment.INFECTIOUS_ASYMPTOMATIC,
+    Compartment.RECOVERED,
+)
+_exit_day = attrgetter("isolation_exit_day")
+_exposure_day = attrgetter("exposure_day")
+_viral_profile = attrgetter("viral_profile")
 
 
 @dataclass(frozen=True)
@@ -32,42 +53,20 @@ class TestSpec:
         )
 
 
-@dataclass(frozen=True)
-class Pool:
-    """A group of samples tested together on one sampling day."""
-
-    member_ids: tuple[int, ...]
-    loads: tuple[float, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.member_ids)
-
-
-@dataclass(frozen=True)
-class PendingTestResult:
-    """An outcome fixed at sampling time, waiting for its delivery day."""
-
-    agent_id: int
-    sampled_day: int
-    delivery_day: int
-    positive: bool
-    # fraction of tests this result accounts for (pool share + own follow-up)
-    tests_consumed_attributed: float = 1.0
-
-
 @dataclass
 class TestLedger:
     """Running totals of tests administered and their cost."""
 
     tests_total: int = 0
     cost_total: float = 0.0
-    tests_by_day: dict[int, int] = field(default_factory=dict)
 
-    def record(self, day: int, tests: int, cost_per_test: float) -> None:
+    def record(self, tests: int, cost_per_test: float) -> None:
         self.tests_total += tests
         self.cost_total += tests * cost_per_test
-        self.tests_by_day[day] = self.tests_by_day.get(day, 0) + tests
+
+
+# Scalar rules for one test. They are the reference the vectorised testing
+# day is checked against; the simulation itself uses the array forms below.
 
 
 def single_test(viral_load: float, spec: TestSpec, rng: np.random.Generator) -> bool:
@@ -81,20 +80,23 @@ def single_test(viral_load: float, spec: TestSpec, rng: np.random.Generator) -> 
     return bool(rng.random() < 1.0 - spec.fnrSingle)
 
 
-def pool_test_average(pool: Pool, spec: TestSpec, rng: np.random.Generator) -> bool:
+def pool_test_average(
+    loads: Sequence[float], spec: TestSpec, rng: np.random.Generator
+) -> bool:
     """Stage-1 pool test where the pool's load is the mean of its samples."""
-    pooled_load = sum(pool.loads) / pool.size
-    return single_test(pooled_load, spec, rng)
+    return single_test(sum(loads) / len(loads), spec, rng)
 
 
-def pool_test_exponential(pool: Pool, spec: TestSpec, rng: np.random.Generator) -> bool:
+def pool_test_exponential(
+    loads: Sequence[float], spec: TestSpec, rng: np.random.Generator
+) -> bool:
     """Stage-1 pool test driven by the number of detectable samples k.
 
     With no detectable sample the pool false-positives at the single-test
     rate; otherwise each detectable sample independently contributes, so the
     pool is positive with probability 1 - fnr**k.
     """
-    k = sum(1 for v in pool.loads if v > spec.detectionCut)
+    k = sum(1 for v in loads if v > spec.detectionCut)
     if k == 0:
         p_positive = spec.fprSingle
     else:
@@ -102,117 +104,132 @@ def pool_test_exponential(pool: Pool, spec: TestSpec, rng: np.random.Generator) 
     return bool(rng.random() < p_positive)
 
 
-POOL_TESTS = {
-    "average": pool_test_average,
-    "exponential": pool_test_exponential,
-}
+# Array forms
+
+
+def single_positive_prob(loads: np.ndarray, spec: TestSpec) -> np.ndarray:
+    """Per-sample probability that a single test comes back positive."""
+    return np.where(loads > spec.detectionCut, 1.0 - spec.fnrSingle, spec.fprSingle)
+
+
+def pool_positive_prob(
+    loads: np.ndarray, starts: np.ndarray, pooling_type: str, spec: TestSpec
+) -> np.ndarray:
+    """Stage-1 positive probability of each pool.
+
+    Pool j holds ``loads[starts[j]:starts[j+1]]`` (the last pool runs to the
+    end). A pool of one gets the single-test probability under either rule.
+    """
+    sizes = np.diff(starts, append=len(loads))
+    if pooling_type == "average":
+        return single_positive_prob(np.add.reduceat(loads, starts) / sizes, spec)
+    if pooling_type == "exponential":
+        k = np.add.reduceat(loads > spec.detectionCut, starts, dtype=np.int64)
+        return np.where(k == 0, spec.fprSingle, 1.0 - spec.fnrSingle ** k)
+    raise ValueError(f"unknown pooling type {pooling_type!r}")
 
 
 def partition_into_pools(
-    eligible_ids: list[int],
-    loads: list[float],
-    pool_size: int,
-    rng: np.random.Generator,
-) -> list[Pool]:
-    """Randomly permute the eligible ids and chunk them into pools.
+    n_samples: int, pool_size: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """A random order of the samples and the start of each pool within it.
 
-    The final pool keeps the remainder and may be smaller; pool_size 1 yields
-    singletons.
+    Pools are contiguous runs of ``pool_size`` in the permuted order; the
+    final pool keeps the remainder and may be smaller.
     """
     if pool_size < 1:
         raise ValueError("pool_size must be >= 1")
-    order = rng.permutation(len(eligible_ids))
-    pools = []
-    for start in range(0, len(eligible_ids), pool_size):
-        chunk = order[start : start + pool_size]
-        pools.append(
-            Pool(
-                member_ids=tuple(eligible_ids[i] for i in chunk),
-                loads=tuple(loads[i] for i in chunk),
-            )
+    return rng.permutation(n_samples), np.arange(0, n_samples, pool_size)
+
+
+def _ids_in(population: Population, compartments) -> np.ndarray:
+    members = population.members
+    return np.fromiter(
+        chain.from_iterable(members[c] for c in compartments), dtype=np.int64
+    )
+
+
+def eligible_ids(population: Population, day: int, config: ScenarioConfig) -> np.ndarray:
+    """Sorted ids in the population and past any post-isolation holdback."""
+    eligible = np.ones(len(population), dtype=bool)
+    eligible[_ids_in(population, ISOLATED_COMPARTMENTS)] = False
+    holdback = config.noTestingPostIsolationDays
+    if holdback > 0:
+        # never released -> NaN, which no comparison holds back
+        exit_day = np.array(
+            [nan if d is None else d for d in map(_exit_day, population.agents)],
+            dtype=float,
         )
-    return pools
+        eligible &= ~(day - exit_day < holdback)
+    return np.flatnonzero(eligible)
 
 
-def current_load(population: Population, agent_id: int, day: int) -> float:
-    """Viral load of an agent on a given day; 0 without an active trajectory."""
-    agent = population.agent(agent_id)
-    if agent.viral_profile is None or agent.exposure_day is None:
-        return 0.0
-    return load_at(agent.viral_profile, day - agent.exposure_day)
-
-
-def eligible_for_testing(population: Population, agent_id: int, day: int,
-                         config: ScenarioConfig) -> bool:
-    """In the population and past any post-isolation testing holdback."""
-    agent = population.agent(agent_id)
-    if agent.is_isolated:
-        return False
-    if agent.isolation_exit_day is not None:
-        if day - agent.isolation_exit_day < config.noTestingPostIsolationDays:
-            return False
-    return True
+def current_loads(population: Population, ids: np.ndarray, day: int) -> np.ndarray:
+    """Viral load on ``day`` of each agent in the sorted ``ids``; 0 for
+    agents without a trajectory."""
+    position = np.full(len(population), -1, dtype=np.int64)
+    position[ids] = np.arange(len(ids))
+    infected = _ids_in(population, TRAJECTORY_COMPARTMENTS)
+    infected = infected[position[infected] >= 0]
+    loads = np.zeros(len(ids))
+    if infected.size:
+        agents = [population.agents[i] for i in infected.tolist()]
+        params = np.fromiter(
+            chain.from_iterable(map(profile_params, map(_viral_profile, agents))),
+            dtype=float, count=7 * len(agents),
+        )
+        tau = day - np.fromiter(map(_exposure_day, agents), dtype=float, count=len(agents))
+        loads[position[infected]] = load_array(params, tau)
+    return loads
 
 
 def run_testing_day(
     population: Population,
     config: ScenarioConfig,
     day: int,
-    pending: list[PendingTestResult],
+    pending: dict[int, list[np.ndarray]],
     ledger: TestLedger,
     rng: np.random.Generator,
 ) -> int:
     """Sample and test every eligible agent; returns tests used today.
 
-    Pools of one get a single test. Larger pools get a stage-1 pool test and,
-    if positive, stage-2 single tests on every member. All outcomes use the
-    sampling-day loads and share one delivery delay; results are appended to
-    the pending queue. The ledger accrues one test per pool plus one per
-    stage-2 member test.
+    Draw order: one permutation of the eligible ids, which cuts them into
+    pools; one uniform per pool for the stage-1 tests, in pool order; then
+    one uniform per member of each positive pool of two or more for the
+    stage-2 single tests, in pool order. A pool of one is a single test with
+    no stage 2. All outcomes use the sampling-day loads. The positive ids are
+    queued under ``pending[day + daysDelayTestResults]``. The ledger accrues
+    one test per pool plus one per stage-2 member test.
     """
     spec = TestSpec.from_config(config)
-    eligible = [
-        i for i in population.in_population_ids()
-        if eligible_for_testing(population, i, day, config)
-    ]
-    loads = [current_load(population, i, day) for i in eligible]
-    pools = partition_into_pools(eligible, loads, config.poolSize, rng)
-    pool_test = POOL_TESTS[config.poolingType]
+    ids = eligible_ids(population, day, config)
+    if ids.size == 0:
+        return 0
+    loads = current_loads(population, ids, day)
+    order, starts = partition_into_pools(len(ids), config.poolSize, rng)
+    ids, loads = ids[order], loads[order]
+    sizes = np.diff(starts, append=len(ids))
 
-    delivery_day = day + config.daysDelayTestResults
-    tests_used = 0
-    for pool in pools:
-        if pool.size == 1:
-            tests_used += 1
-            outcome = single_test(pool.loads[0], spec, rng)
-            pending.append(
-                PendingTestResult(pool.member_ids[0], day, delivery_day, outcome, 1.0)
-            )
-            continue
-        tests_used += 1
-        share = 1.0 / pool.size
-        if not pool_test(pool, spec, rng):
-            for member in pool.member_ids:
-                pending.append(
-                    PendingTestResult(member, day, delivery_day, False, share)
-                )
-            continue
-        for member, load in zip(pool.member_ids, pool.loads):
-            tests_used += 1
-            outcome = single_test(load, spec, rng)
-            pending.append(
-                PendingTestResult(member, day, delivery_day, outcome, share + 1.0)
-            )
+    pool_positive = rng.random(len(starts)) < pool_positive_prob(
+        loads, starts, config.poolingType, spec
+    )
+    single_positive = np.repeat(pool_positive & (sizes == 1), sizes)
+    retest = np.repeat(pool_positive & (sizes > 1), sizes)
+    retest_positive = rng.random(np.count_nonzero(retest)) < single_positive_prob(
+        loads[retest], spec
+    )
+    positives = np.concatenate([ids[single_positive], ids[retest][retest_positive]])
+    if positives.size:
+        pending.setdefault(day + spec.daysDelayTestResults, []).append(positives)
 
-    ledger.record(day, tests_used, spec.costPerTest)
+    tests_used = len(starts) + int(retest_positive.size)
+    ledger.record(tests_used, spec.costPerTest)
     return tests_used
 
 
-def deliver_results(
-    pending: list[PendingTestResult], day: int
-) -> list[PendingTestResult]:
-    """Remove and return every result due today."""
-    due = [r for r in pending if r.delivery_day == day]
-    if due:
-        pending[:] = [r for r in pending if r.delivery_day != day]
-    return due
+def deliver_results(pending: dict[int, list[np.ndarray]], day: int) -> np.ndarray:
+    """Remove today's positive results; returns their ids in ascending order."""
+    due = pending.pop(day, None)
+    if not due:
+        return np.empty(0, dtype=np.int64)
+    return np.sort(np.concatenate(due))

@@ -10,13 +10,14 @@ trajectory the load is 0 (undetectable).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
 import numpy as np
 
-from .core import ScenarioConfig, sample
+from .core import DISTRIBUTION_FIELDS, ScenarioConfig, sample
 
 
 class InfectionStage(Enum):
@@ -105,6 +106,37 @@ def load_at(profile: ViralLoadProfile, tau: float) -> float:
             math.log10(profile.VF) - math.log10(profile.VP)
         )
     return 10.0 ** log_v
+
+
+# (t0, V0, tP, VP, tS, tF, VF) of a profile, the row layout load_array reads
+profile_params = operator.attrgetter(*DISTRIBUTION_FIELDS)
+
+
+def load_array(params: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """Vectorised :func:`load_at`: the load of profile ``params[i]`` (a row
+    of :data:`profile_params`) at ``tau[i]`` days since exposure.
+
+    Equal to ``load_at`` entry by entry: exact at the control points, 0
+    outside the trajectory, and log-linear in between. Logarithms and powers
+    are taken only on entries strictly inside a segment.
+    """
+    t0, v0, tp, vp, ts, tf, vf = np.asarray(params, dtype=float).reshape(-1, 7).T
+    tau = np.asarray(tau, dtype=float)
+    peak = t0 + tp
+    end = peak + ts + tf
+    load = np.zeros(len(tau))
+    for seg, (start, stop, v_start, v_stop) in (
+        ((tau > t0) & (tau < peak), (t0, peak, v0, vp)),
+        ((tau > peak) & (tau < end), (peak, end, vp, vf)),
+    ):
+        start, stop = start[seg], stop[seg]
+        log_start = np.log10(v_start[seg])
+        frac = (tau[seg] - start) / (stop - start)
+        load[seg] = 10.0 ** (log_start + frac * (np.log10(v_stop[seg]) - log_start))
+    # control points, lowest precedence first so that t0 wins ties as in load_at
+    for point, value in ((end, vf), (peak, vp), (t0, v0)):
+        np.copyto(load, value, where=tau == point)
+    return load
 
 
 def symptomatic_now(profile: ViralLoadProfile, tau: float) -> bool:

@@ -50,6 +50,26 @@ def test_validate_flags_seed_overflow_and_bad_distribution():
     assert "t0" in fields
 
 
+@pytest.mark.parametrize("field,dist", [
+    ("V0", Constant(0.0)),
+    ("VF", Constant(-1.0)),
+    ("VP", Uniform(0.0, 1e7)),
+    ("VP", GammaShifted(2.0, 1e5)),
+    ("tP", GammaShifted(1.0, 0.1, shift=-5.0)),
+    ("t0", NormalClipped(3.0, 1.0, -1.0, 6.0)),
+])
+def test_validate_flags_distributions_outside_their_domain(field, dist):
+    # loads are interpolated in log10 and must be > 0; times must be >= 0
+    report = validate_config(default_config(**{field: dist}))
+    assert [v.field for v in report.violations] == [field]
+
+
+def test_validate_accepts_zero_times():
+    cfg = default_config(t0=Constant(0.0), tP=Constant(0.0), tS=Constant(0.0),
+                         tF=Uniform(0.0, 1.0))
+    assert validate_config(cfg).ok
+
+
 def test_validate_flags_bad_pooling_type():
     report = validate_config(default_config(poolingType="median"))
     assert any(v.field == "poolingType" for v in report.violations)

@@ -5,19 +5,18 @@ import pytest
 
 from episim.core import Agent, Compartment, Population, default_config, make_rng
 from episim.testing import (
-    PendingTestResult,
-    Pool,
     TestLedger,
     TestSpec,
     deliver_results,
-    eligible_for_testing,
+    eligible_ids,
     partition_into_pools,
+    pool_positive_prob,
     pool_test_average,
     pool_test_exponential,
     run_testing_day,
     single_test,
 )
-from episim.viral_load import ViralLoadProfile
+from episim.viral_load import ViralLoadProfile, load_at
 
 # operating points for the two test types compared in the experiments
 TEST_A = TestSpec(detectionCut=100.0, fprSingle=0.014, fnrSingle=0.06,
@@ -49,25 +48,26 @@ def test_single_test_below_cut_only_false_positives():
     assert abs(freq - 0.007) < 0.001
 
 
+def pool_sizes(n, pool_size, seed=1):
+    order, starts = partition_into_pools(n, pool_size, make_rng(seed))
+    assert sorted(order) == list(range(n))
+    return np.diff(starts, append=n).tolist()
+
+
 def test_partition_exact_division():
-    pools = partition_into_pools(list(range(10)), [0.0] * 10, 5, make_rng(1))
-    assert [p.size for p in pools] == [5, 5]
-    assert sorted(i for p in pools for i in p.member_ids) == list(range(10))
+    assert pool_sizes(10, 5) == [5, 5]
 
 
 def test_partition_remainder_pool_is_smaller():
-    pools = partition_into_pools(list(range(12)), [0.0] * 12, 5, make_rng(1))
-    assert [p.size for p in pools] == [5, 5, 2]
+    assert pool_sizes(12, 5) == [5, 5, 2]
 
 
 def test_partition_pool_size_one_gives_singletons():
-    pools = partition_into_pools(list(range(7)), [0.0] * 7, 1, make_rng(1))
-    assert [p.size for p in pools] == [1] * 7
+    assert pool_sizes(7, 1) == [1] * 7
 
 
 def test_pool_average_deterministic_threshold_paths():
-    loads = (1e6, 0.0, 0.0, 0.0, 0.0)  # mean 2e5
-    pool = Pool(tuple(range(5)), loads)
+    pool = (1e6, 0.0, 0.0, 0.0, 0.0)  # mean 2e5
     sure_a = TestSpec(100.0, 0.0, 0.0, 0, 0.0)    # 2e5 > cut: always positive
     sure_b = TestSpec(1e6, 0.0, 0.0, 0, 0.0)      # 2e5 <= cut: never positive
     rng = make_rng(1)
@@ -76,8 +76,7 @@ def test_pool_average_deterministic_threshold_paths():
 
 
 def test_pool_average_rates():
-    loads = (1e6, 0.0, 0.0, 0.0, 0.0)
-    pool = Pool(tuple(range(5)), loads)
+    pool = (1e6, 0.0, 0.0, 0.0, 0.0)
     rng = make_rng(104)
     freq_b = frequency(lambda: pool_test_average(pool, TEST_B, rng))
     assert abs(freq_b - 0.007) < 0.001
@@ -86,14 +85,14 @@ def test_pool_average_rates():
 
 
 def test_pool_average_all_zero_loads_false_positive_rate():
-    pool = Pool(tuple(range(5)), (0.0,) * 5)
+    pool = (0.0,) * 5
     rng = make_rng(105)
     freq = frequency(lambda: pool_test_average(pool, TEST_A, rng), n=50_000)
     assert abs(freq - 0.014) < 0.003
 
 
 def test_pool_exponential_no_detectable_sample():
-    pool = Pool(tuple(range(5)), (0.0,) * 5)
+    pool = (0.0,) * 5
     spec = TestSpec(100.0, 0.014, 0.15, 0, 0.0)
     rng = make_rng(106)
     freq = frequency(lambda: pool_test_exponential(pool, spec, rng), n=50_000)
@@ -102,7 +101,7 @@ def test_pool_exponential_no_detectable_sample():
 
 def test_pool_exponential_two_detectable_samples():
     # positive probability 1 - 0.15^2 = 0.9775
-    pool = Pool(tuple(range(5)), (1e4, 1e4, 0.0, 0.0, 0.0))
+    pool = (1e4, 1e4, 0.0, 0.0, 0.0)
     spec = TestSpec(100.0, 0.014, 0.15, 0, 0.0)
     rng = make_rng(107)
     freq = frequency(lambda: pool_test_exponential(pool, spec, rng))
@@ -110,11 +109,35 @@ def test_pool_exponential_two_detectable_samples():
 
 
 def test_pool_exponential_single_detectable_matches_single_test():
-    pool = Pool(tuple(range(5)), (1e4, 0.0, 0.0, 0.0, 0.0))
+    pool = (1e4, 0.0, 0.0, 0.0, 0.0)
     spec = TestSpec(100.0, 0.014, 0.15, 0, 0.0)
     rng = make_rng(108)
     freq = frequency(lambda: pool_test_exponential(pool, spec, rng), n=50_000)
     assert abs(freq - 0.85) < 0.006
+
+
+def test_pool_positive_prob_matches_scalar_rules():
+    # the stage-1 vector, drawn against the same uniforms as the scalar rules
+    # applied pool by pool, must give the same outcome for every pool
+    rng = make_rng(109)
+    spec = TestSpec(100.0, 0.2, 0.3, 0, 0.0)
+    n = 4000
+    loads = np.where(rng.random(n) < 0.3, 10 ** rng.uniform(0.0, 4.0, n), 0.0)
+    for pooling_type, scalar_rule in (
+        ("average", pool_test_average), ("exponential", pool_test_exponential),
+    ):
+        for pool_size in (1, 3, 10):
+            starts = np.arange(0, n - 1, pool_size)  # n - 1: a short last pool
+            vector_rng, scalar_rng = make_rng(110), make_rng(110)
+            prob = pool_positive_prob(loads[:n - 1], starts, pooling_type, spec)
+            vector = vector_rng.random(len(starts)) < prob
+            bounds = np.append(starts, n - 1)
+            scalar = [
+                scalar_rule(loads[a:b].tolist(), spec, scalar_rng)
+                for a, b in zip(bounds[:-1], bounds[1:])
+            ]
+            assert vector.tolist() == scalar, (pooling_type, pool_size)
+            assert 0 < vector.sum() < len(vector)
 
 
 def hot_population(n=100, hot_ids=(), load=1e8):
@@ -131,13 +154,19 @@ def hot_population(n=100, hot_ids=(), load=1e8):
     return pop
 
 
+def queued_ids(pending):
+    return sorted(int(i) for arrays in pending.values() for ids in arrays for i in ids)
+
+
 def test_run_testing_day_singletons():
+    # every sample false-positives, so the queue shows who was sampled
     pop = hot_population(100)
-    cfg = default_config(daysBetweenTesting=1, firstDayOfTesting=0, poolSize=1)
-    pending, ledger = [], TestLedger()
+    cfg = default_config(daysBetweenTesting=1, firstDayOfTesting=0, poolSize=1,
+                         fprSingle=1.0)
+    pending, ledger = {}, TestLedger()
     used = run_testing_day(pop, cfg, 7, pending, ledger, make_rng(1))
     assert used == 100
-    assert len(pending) == 100
+    assert queued_ids(pending) == list(range(100))
     assert ledger.tests_total == 100
     assert ledger.cost_total == 100 * cfg.costPerTest
 
@@ -147,11 +176,10 @@ def test_run_testing_day_no_positive_pools():
     cfg = default_config(
         daysBetweenTesting=1, firstDayOfTesting=0, poolSize=5, fprSingle=0.0
     )
-    pending, ledger = [], TestLedger()
+    pending, ledger = {}, TestLedger()
     used = run_testing_day(pop, cfg, 7, pending, ledger, make_rng(2))
     assert used == 20
-    assert len(pending) == 100
-    assert all(not r.positive for r in pending)
+    assert pending == {}  # negative results are not queued
 
 
 def test_run_testing_day_dorfman_count_three_positive_pools():
@@ -163,13 +191,11 @@ def test_run_testing_day_dorfman_count_three_positive_pools():
         daysBetweenTesting=1, firstDayOfTesting=0, poolSize=5,
         fprSingle=0.0, fnrSingle=0.0, detectionCut=100.0,
     )
-    pending, ledger = [], TestLedger()
+    pending, ledger = {}, TestLedger()
     used = run_testing_day(pop, cfg, 3, pending, ledger, make_rng(0))
-    positives = [r for r in pending if r.positive]
-    assert sorted(r.agent_id for r in positives) == [10, 40, 70]
+    assert deliver_results(pending, 3).tolist() == [10, 40, 70]
     assert used == 35
-    attributed = sum(r.tests_consumed_attributed for r in pending)
-    assert attributed == pytest.approx(used)
+    assert ledger.tests_total == 35
 
 
 def test_member_of_negative_pool_never_positive():
@@ -180,58 +206,139 @@ def test_member_of_negative_pool_never_positive():
         daysBetweenTesting=1, firstDayOfTesting=0, poolSize=5,
         fprSingle=0.0, fnrSingle=1.0,
     )
-    pending, ledger = [], TestLedger()
+    pending, ledger = {}, TestLedger()
     used = run_testing_day(pop, cfg, 3, pending, ledger, make_rng(3))
     assert used == 20
-    assert all(not r.positive for r in pending)
+    assert pending == {}
+
+
+def reference_testing_day(pop, cfg, day, rng):
+    """The testing day one sample at a time with the scalar rules, drawing
+    in the documented order; returns (sorted positive ids, tests used)."""
+    spec = TestSpec.from_config(cfg)
+    ids = []
+    for agent in pop.agents:
+        exit_day = agent.isolation_exit_day
+        held = exit_day is not None and day - exit_day < cfg.noTestingPostIsolationDays
+        if not agent.is_isolated and not held:
+            ids.append(agent.id)
+    loads = [
+        0.0 if pop.agent(i).viral_profile is None
+        else load_at(pop.agent(i).viral_profile, day - pop.agent(i).exposure_day)
+        for i in ids
+    ]
+    order = rng.permutation(len(ids))
+    pools = [order[a:a + cfg.poolSize] for a in range(0, len(ids), cfg.poolSize)]
+    rule = {"average": pool_test_average, "exponential": pool_test_exponential}
+    stage1 = [rule[cfg.poolingType]([loads[j] for j in pool], spec, rng) for pool in pools]
+    positives, tests = [], len(pools)
+    for pool, pool_positive in zip(pools, stage1):
+        if pool_positive and len(pool) == 1:
+            positives.append(ids[pool[0]])
+        elif pool_positive:
+            for j in pool:
+                tests += 1
+                if single_test(loads[j], spec, rng):
+                    positives.append(ids[j])
+    return sorted(positives), tests
+
+
+@pytest.mark.parametrize("pooling_type,pool_size", [
+    ("average", 1), ("average", 4), ("exponential", 4), ("exponential", 10),
+])
+def test_run_testing_day_matches_scalar_reference(pooling_type, pool_size):
+    # a mixed population: trajectories at every stage, isolated agents, and
+    # agents inside and past the post-isolation holdback
+    rng = make_rng(111)
+    n = 400
+    pop = Population([Agent(i, Compartment.SUSCEPTIBLE_UNVACCINATED) for i in range(n)])
+    infected_comps = (
+        Compartment.EXPOSED, Compartment.INFECTIOUS_SYMPTOMATIC,
+        Compartment.INFECTIOUS_ASYMPTOMATIC, Compartment.RECOVERED,
+    )
+    for i in range(0, n, 3):
+        agent = pop.agent(i)
+        agent.viral_profile = ViralLoadProfile(
+            t0=float(rng.uniform(0, 4)), V0=10 ** float(rng.uniform(0, 3)),
+            tP=float(rng.uniform(0, 3)), VP=10 ** float(rng.uniform(3, 8)),
+            tS=0.0, tF=float(rng.uniform(0, 9)), VF=10 ** float(rng.uniform(0, 3)),
+            symptomatic=False,
+        )
+        agent.exposure_day = int(rng.integers(0, 16))
+        pop.move(agent, infected_comps[i % 4])
+    for i in range(1, n, 11):
+        pop.move(pop.agent(i), Compartment.ISOLATED_HEALTHY)
+    for i in range(2, n, 5):
+        pop.agent(i).isolation_exit_day = int(rng.integers(0, 16))
+    cfg = default_config(
+        daysBetweenTesting=1, firstDayOfTesting=0, poolSize=pool_size,
+        poolingType=pooling_type, fprSingle=0.05, fnrSingle=0.3,
+        noTestingPostIsolationDays=5, daysDelayTestResults=2,
+    )
+    n_pools = -(-len(eligible_ids(pop, 15, cfg)) // pool_size)
+    for seed in range(5):
+        pending, ledger = {}, TestLedger()
+        used = run_testing_day(pop, cfg, 15, pending, ledger, make_rng(seed))
+        expected, expected_tests = reference_testing_day(pop, cfg, 15, make_rng(seed))
+        assert used == expected_tests
+        assert deliver_results(pending, 17).tolist() == expected
+        assert pending == {}
+        # the case is not vacuous: results come back and stage 2 runs
+        assert expected
+        assert pool_size == 1 or used > n_pools
 
 
 def test_delivery_delay():
-    pending = [PendingTestResult(1, 7, 10, True)]
-    assert deliver_results(pending, 9) == []
-    due = deliver_results(pending, 10)
-    assert [r.agent_id for r in due] == [1]
-    assert pending == []
+    pop = hot_population(10)
+    cfg = default_config(daysBetweenTesting=1, firstDayOfTesting=0, poolSize=1,
+                         fprSingle=1.0, daysDelayTestResults=3)
+    pending, ledger = {}, TestLedger()
+    run_testing_day(pop, cfg, 7, pending, ledger, make_rng(8))
+    assert deliver_results(pending, 9).tolist() == []
+    assert deliver_results(pending, 10).tolist() == list(range(10))
+    assert pending == {}
 
 
 def test_delivery_immediate_when_no_delay():
     pop = hot_population(10)
     cfg = default_config(daysBetweenTesting=1, firstDayOfTesting=0, poolSize=1,
-                         daysDelayTestResults=0)
-    pending, ledger = [], TestLedger()
+                         fprSingle=1.0, daysDelayTestResults=0)
+    pending, ledger = {}, TestLedger()
     run_testing_day(pop, cfg, 4, pending, ledger, make_rng(4))
     assert len(deliver_results(pending, 4)) == 10
 
 
 def test_delivery_empty_queue():
-    assert deliver_results([], 5) == []
+    assert deliver_results({}, 5).tolist() == []
 
 
 def test_agents_with_pending_results_are_retested():
     pop = hot_population(10)
     cfg = default_config(daysBetweenTesting=1, firstDayOfTesting=0, poolSize=1,
-                         daysDelayTestResults=3)
-    pending, ledger = [], TestLedger()
+                         fprSingle=1.0, daysDelayTestResults=3)
+    pending, ledger = {}, TestLedger()
     run_testing_day(pop, cfg, 0, pending, ledger, make_rng(5))
     run_testing_day(pop, cfg, 1, pending, ledger, make_rng(6))
-    assert len(pending) == 20
+    assert len(queued_ids(pending)) == 20
+    assert deliver_results(pending, 3).tolist() == list(range(10))
+    assert deliver_results(pending, 4).tolist() == list(range(10))
 
 
 def test_post_isolation_holdback():
     pop = hot_population(3)
     pop.agent(1).isolation_exit_day = 10
     cfg = default_config(noTestingPostIsolationDays=4)
-    assert eligible_for_testing(pop, 1, 12, cfg) is False
-    assert eligible_for_testing(pop, 1, 14, cfg) is True
-    assert eligible_for_testing(pop, 0, 12, cfg) is True
+    assert eligible_ids(pop, 12, cfg).tolist() == [0, 2]
+    assert eligible_ids(pop, 14, cfg).tolist() == [0, 1, 2]
 
 
 def test_isolated_agents_are_not_tested():
     pop = hot_population(10)
     pop.move(pop.agent(0), Compartment.ISOLATED_SICK)
     pop.move(pop.agent(1), Compartment.ISOLATED_HEALTHY)
-    cfg = default_config(daysBetweenTesting=1, firstDayOfTesting=0, poolSize=1)
-    pending, ledger = [], TestLedger()
+    cfg = default_config(daysBetweenTesting=1, firstDayOfTesting=0, poolSize=1,
+                         fprSingle=1.0)
+    pending, ledger = {}, TestLedger()
     used = run_testing_day(pop, cfg, 0, pending, ledger, make_rng(7))
     assert used == 8
-    assert {r.agent_id for r in pending} == set(range(2, 10))
+    assert queued_ids(pending) == list(range(2, 10))

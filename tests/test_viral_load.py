@@ -9,7 +9,9 @@ from episim.core import Constant, default_config, make_rng
 from episim.viral_load import (
     InfectionStage,
     ViralLoadProfile,
+    load_array,
     load_at,
+    profile_params,
     sample_profile,
     status_at,
 )
@@ -136,3 +138,33 @@ def test_infectious_days_match_open_closed_window():
         sum(status_at(FLAT, tau, cut)[0] is InfectionStage.INFECTIOUS for tau in range(15))
         == 8  # integer days in (3, 11.5]
     )
+
+
+def test_load_array_matches_load_at():
+    rng = make_rng(29)
+    profiles = [
+        ViralLoadProfile(
+            t0=float(rng.uniform(0, 4)), V0=10 ** float(rng.uniform(-2, 4)),
+            tP=float(rng.choice([0.0, rng.uniform(0, 4)])), VP=10 ** float(rng.uniform(2, 9)),
+            tS=float(rng.uniform(0, 3)), tF=float(rng.choice([0.0, rng.uniform(0, 10)])),
+            VF=10 ** float(rng.uniform(-2, 4)), symptomatic=bool(rng.random() < 0.5),
+        )
+        for _ in range(300)
+    ]
+    cases = []  # (profile, tau, tau is a control point)
+    for prof in profiles:
+        points = [prof.t0, prof.peak_time, prof.end_time]
+        for tau in [*points, prof.t0 - 1.0, prof.end_time + 0.5,
+                    *rng.uniform(prof.t0, prof.end_time, 5), *range(0, 20)]:
+            cases.append((prof, tau, tau in points))
+    got = load_array(np.array([profile_params(p) for p, _, _ in cases]),
+                     np.array([tau for _, tau, _ in cases]))
+    want = np.array([load_at(p, tau) for p, tau, _ in cases])
+    control = np.array([c for _, _, c in cases])
+    assert np.array_equal(got[control], want[control])
+    assert np.array_equal(got == 0.0, want == 0.0)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def test_load_array_of_no_profiles_is_empty():
+    assert load_array(np.empty((0, 7)), np.empty(0)).shape == (0,)
