@@ -8,7 +8,6 @@ from .calibration import (
     expected_infectious_duration,
 )
 from .core import (
-    Agent,
     Compartment,
     ConfigError,
     Constant,
@@ -21,7 +20,6 @@ from .core import (
     config_from_dict,
     default_config,
     make_rng,
-    sample,
     validate_config,
 )
 from .engine import (
@@ -38,7 +36,6 @@ from .viral_load import InfectionStage, ViralLoadProfile, load_at, sample_profil
 __version__ = "0.1.0"
 
 __all__ = [
-    "Agent",
     "Compartment",
     "ConfigError",
     "Constant",
@@ -64,7 +61,6 @@ __all__ = [
     "make_rng",
     "run",
     "run_replicates",
-    "sample",
     "sample_profile",
     "status_at",
     "step",

@@ -1,18 +1,15 @@
-"""Core domain types: disease compartments, agents, parameter distributions,
-the scenario configuration, and the deterministic per-run random stream."""
+"""Core domain types: disease compartments, the array-backed population,
+parameter distributions, the scenario configuration, and the deterministic
+per-run random stream."""
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from enum import Enum
-from typing import TYPE_CHECKING, Any, Iterable, Optional, Union
+from enum import IntEnum
+from typing import Any, Union
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from .interventions import IsolationRecord
-    from .viral_load import ViralLoadProfile
 
 
 class ConfigError(ValueError):
@@ -23,35 +20,28 @@ class SimulationError(RuntimeError):
     """A run reached an internally inconsistent state."""
 
 
-class Compartment(Enum):
-    """Disease states. The two isolation states are outside the population."""
+class Compartment(IntEnum):
+    """Disease states, numbered as stored in :attr:`Population.comp`.
 
-    SUSCEPTIBLE_UNVACCINATED = "s_u"
-    SUSCEPTIBLE_VACCINATED = "s_v"
-    EXPOSED = "e"
-    INFECTIOUS_SYMPTOMATIC = "i_s"
-    INFECTIOUS_ASYMPTOMATIC = "i_a"
-    RECOVERED = "r"
-    ISOLATED_HEALTHY = "iso_healthy"
-    ISOLATED_SICK = "iso_sick"
+    The order is part of the storage format: the two susceptible states come
+    first, the four states of an infection episode (E, I_s, I_a, R) next, and
+    the two isolation states, which are outside the population, last.
+    """
+
+    SUSCEPTIBLE_UNVACCINATED = 0
+    SUSCEPTIBLE_VACCINATED = 1
+    EXPOSED = 2
+    INFECTIOUS_SYMPTOMATIC = 3
+    INFECTIOUS_ASYMPTOMATIC = 4
+    RECOVERED = 5
+    ISOLATED_HEALTHY = 6
+    ISOLATED_SICK = 7
 
 
-SUSCEPTIBLE_COMPARTMENTS = (
-    Compartment.SUSCEPTIBLE_UNVACCINATED,
-    Compartment.SUSCEPTIBLE_VACCINATED,
-)
-INFECTIOUS_COMPARTMENTS = (
-    Compartment.INFECTIOUS_SYMPTOMATIC,
-    Compartment.INFECTIOUS_ASYMPTOMATIC,
-)
-ISOLATED_COMPARTMENTS = (
-    Compartment.ISOLATED_HEALTHY,
-    Compartment.ISOLATED_SICK,
-)
-# Everything outside the two isolation states counts toward the population P.
-IN_POPULATION_COMPARTMENTS = tuple(
-    c for c in Compartment if c not in ISOLATED_COMPARTMENTS
-)
+N_COMPARTMENTS = len(Compartment)
+# The codes as plain ints for array arithmetic: NumPy compares an int8 array
+# with an IntEnum member several times slower than with an int.
+S_U, S_V, E, I_S, I_A, R, ISO_HEALTHY, ISO_SICK = map(int, Compartment)
 
 
 # ---------------------------------------------------------------------------
@@ -218,38 +208,38 @@ class NormalClipped:
 DistributionSpec = Union[Constant, Uniform, GammaShifted, NormalClipped]
 
 
-def sample(dist: DistributionSpec, rng: np.random.Generator) -> float:
-    """Draw one value from a distribution spec."""
-    return dist.sample(rng)
-
-
 def dist_from_dict(obj: Any, path: str = "distribution") -> DistributionSpec:
     """Parse a distribution spec from its JSON form.
 
     A bare number is shorthand for a constant.
     """
-    if isinstance(obj, (int, float)) and not isinstance(obj, bool):
+    if _is_number(obj):
         return Constant(float(obj))
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: expected a number or an object, got {obj!r}")
     kind = obj.get("type")
-    try:
-        if kind == "constant":
-            return Constant(float(obj["value"]))
-        if kind == "uniform":
-            return Uniform(float(obj["low"]), float(obj["high"]))
-        if kind == "gamma_shifted":
-            return GammaShifted(
-                float(obj["shape"]), float(obj["scale"]), float(obj.get("shift", 0.0))
-            )
-        if kind == "normal_clipped":
-            return NormalClipped(
-                float(obj["mean"]), float(obj["std"]),
-                float(obj["low"]), float(obj["high"]),
-            )
-    except KeyError as exc:
-        raise ConfigError(f"{path}: missing field {exc.args[0]!r} for type {kind!r}") from None
+
+    def num(key: str, default: Any = None) -> float:
+        value = obj.get(key, default)
+        if value is None and key not in obj:
+            raise ConfigError(f"{path}: missing field {key!r} for type {kind!r}")
+        if not _is_number(value):
+            raise ConfigError(f"{path}.{key}: expected a number, got {value!r}")
+        return float(value)
+
+    if kind == "constant":
+        return Constant(num("value"))
+    if kind == "uniform":
+        return Uniform(num("low"), num("high"))
+    if kind == "gamma_shifted":
+        return GammaShifted(num("shape"), num("scale"), num("shift", 0.0))
+    if kind == "normal_clipped":
+        return NormalClipped(num("mean"), num("std"), num("low"), num("high"))
     raise ConfigError(f"{path}: unknown distribution type {kind!r}")
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +337,7 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
         elif name == "poolingType":
             kwargs[name] = str(value)
         else:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
+            if not _is_number(value):
                 raise ConfigError(f"{name}: expected a number, got {value!r}")
             kwargs[name] = float(value)
     return ScenarioConfig(**kwargs)
@@ -457,77 +447,51 @@ def make_rng(base_seed: int, run_index: int = 0) -> np.random.Generator:
 
 
 # ---------------------------------------------------------------------------
-# Agents and population state
-
-
-@dataclass(slots=True)
-class Agent:
-    id: int
-    compartment: Compartment
-    willingness_to_vaccinate: float = 0.0
-    vaccinated: bool = False
-    will_self_isolate_on_symptoms: bool = False
-    viral_profile: Optional["ViralLoadProfile"] = None
-    exposure_day: Optional[int] = None
-    recovery_day: Optional[int] = None
-    isolation_entry_day: Optional[int] = None
-    isolation_exit_day: Optional[int] = None
-    symptomatic_assignment: bool = False
-    self_isolation_triggered: bool = False
-
-    @property
-    def is_isolated(self) -> bool:
-        return self.compartment in ISOLATED_COMPARTMENTS
-
-    @property
-    def is_susceptible(self) -> bool:
-        return self.compartment in SUSCEPTIBLE_COMPARTMENTS
+# Population state
 
 
 class Population:
-    """All agents of one run plus compartment membership bookkeeping.
+    """Every agent of one run, one array per field, indexed by agent id.
+
+    A day is NaN where it is unset. ``params`` holds the episode's trajectory
+    (t0, V0, tP, VP, tS, tF, VF) in the order of ``DISTRIBUTION_FIELDS``, and
+    ``exposure_day``/``params`` are set exactly for agents in E, I_s, I_a, R
+    and sick isolation. ``iso_entry_day``/``iso_exit_day`` (the scheduled
+    release) are set exactly for isolated agents. ``last_exit_day`` is the
+    day of the latest release and is never cleared.
 
     Mutable and confined to a single run; never shared across runs.
     """
 
-    def __init__(self, agents: Iterable[Agent]):
-        self.agents: list[Agent] = list(agents)
-        if [a.id for a in self.agents] != list(range(len(self.agents))):
-            raise SimulationError("agent ids must be 0..n-1 in order")
-        self.members: dict[Compartment, set[int]] = {c: set() for c in Compartment}
-        for a in self.agents:
-            self.members[a.compartment].add(a.id)
-        # agent id -> active IsolationRecord
-        self.isolation: dict[int, "IsolationRecord"] = {}
-        # ids that may still decide to self-isolate this infection episode
-        self.selfiso_candidates: set[int] = set()
-        # recovery-return schedule: day -> [(agent id, recovery_day), ...]
-        self.return_schedule: dict[int, list[tuple[int, int]]] = {}
-        self.vaccinated_count = sum(a.vaccinated for a in self.agents)
+    def __init__(self, n: int):
+        self.comp = np.zeros(n, dtype=np.int8)
+        self.vaccinated = np.zeros(n, dtype=bool)
+        self.willingness = np.zeros(n)
+        self.exposure_day = np.full(n, np.nan)
+        self.recovery_day = np.full(n, np.nan)
+        self.iso_entry_day = np.full(n, np.nan)
+        self.iso_exit_day = np.full(n, np.nan)
+        self.last_exit_day = np.full(n, np.nan)
+        self.symptomatic = np.zeros(n, dtype=bool)
+        # willing to self-isolate and has not yet decided this episode
+        self.selfiso_candidate = np.zeros(n, dtype=bool)
+        self.params = np.full((n, len(DISTRIBUTION_FIELDS)), np.nan)
 
     def __len__(self) -> int:
-        return len(self.agents)
+        return len(self.comp)
 
-    def agent(self, agent_id: int) -> Agent:
-        return self.agents[agent_id]
+    def counts(self) -> np.ndarray:
+        """Agents per compartment, indexed by :class:`Compartment`."""
+        return np.bincount(self.comp, minlength=N_COMPARTMENTS)
 
-    def move(self, agent: Agent, new_compartment: Compartment) -> None:
-        self.members[agent.compartment].discard(agent.id)
-        self.members[new_compartment].add(agent.id)
-        agent.compartment = new_compartment
+    def ids(self, compartment: int) -> np.ndarray:
+        """Ascending ids of the agents in ``compartment``."""
+        return np.flatnonzero(self.comp == compartment)
 
-    def count(self, compartment: Compartment) -> int:
-        return len(self.members[compartment])
+    def in_population(self) -> np.ndarray:
+        """Mask of the agents outside isolation."""
+        return self.comp < ISO_HEALTHY
 
-    def sorted_ids(self, compartment: Compartment) -> list[int]:
-        return sorted(self.members[compartment])
-
-    def in_population_ids(self) -> list[int]:
-        ids: list[int] = []
-        for comp in IN_POPULATION_COMPARTMENTS:
-            ids.extend(self.members[comp])
-        ids.sort()
-        return ids
-
-    def compartment_counts(self) -> dict[Compartment, int]:
-        return {c: len(self.members[c]) for c in Compartment}
+    def susceptible_compartment(self, ids: np.ndarray) -> np.ndarray:
+        """S_v for the vaccinated among ``ids``, S_u for the others."""
+        return np.where(self.vaccinated[ids], S_V, S_U)

@@ -1,15 +1,22 @@
 """Simulation engine: population initialization, the six-stage daily loop,
 replicate execution, and metric accumulation.
 
-Daily stage order: (1) external exposure, (2) status updates (viral clocks,
-result delivery, isolation exits, exposed-to-infectious crossings, loss of
-immunity), (3) self-isolation, (4) testing, (5) internal propagation,
-(6) vaccination. Random draws follow this order with a fixed within-stage
-ordering by agent id, so a run is fully determined by (config, runIndex).
-A testing day draws one permutation of the eligible ids into pools, then one
-vector of stage-1 pool tests in pool order, then one vector of stage-2 member
-tests of the positive pools in pool order. Delivered positive results are
-applied in ascending agent id and draw nothing.
+Daily stage order: (1) external exposure, (2) status updates (result
+delivery, isolation exits, exposed-to-infectious crossings, recoveries, loss
+of immunity), (3) self-isolation, (4) testing, (5) internal propagation,
+(6) vaccination. Each stage works on whole arrays of agent ids in ascending
+order, so a run is fully determined by (config, runIndex).
+
+Only the exposure, testing and vaccination stages draw. An exposure stage
+draws one uniform per S_u agent, then one per S_v agent. Over its newly
+exposed ids in ascending order it then draws one vector each for: the
+symptomatic assignment; t0, V0, tP and VP; tS, for the symptomatic subset
+only; tF and VF; and the self-isolation propensity. A testing day draws one permutation of the
+eligible ids into pools, then one vector of stage-1 pool tests in pool order,
+then one vector of stage-2 member tests of the positive pools in pool order.
+Vaccination draws one uniform per eligible agent, then one choice of the
+recipients when the willing outnumber the doses. Delivered positive results
+are applied together and draw nothing.
 """
 
 from __future__ import annotations
@@ -22,8 +29,11 @@ from typing import Optional
 import numpy as np
 
 from .core import (
-    Agent,
-    Compartment,
+    E,
+    I_A,
+    I_S,
+    N_COMPARTMENTS,
+    S_V,
     ConfigError,
     Population,
     ScenarioConfig,
@@ -31,8 +41,7 @@ from .core import (
     make_rng,
 )
 from .interventions import (
-    VaccineSupply,
-    apply_positive_result,
+    apply_positive_results,
     isolation_exit_step,
     mark_recovered,
     recovered_to_susceptible_step,
@@ -40,14 +49,8 @@ from .interventions import (
     vaccination_step,
 )
 from .testing import TestLedger, deliver_results, run_testing_day
-from .transmission import (
-    PopulationCounts,
-    expose_agent,
-    external_exposure_step,
-    internal_propagation_step,
-    snapshot_counts,
-)
-from .viral_load import InfectionStage, status_at
+from .transmission import expose, external_exposure_step, internal_propagation_step
+from .viral_load import status_array
 
 
 @dataclass(frozen=True)
@@ -104,57 +107,47 @@ class RunState:
     cumulative_infections: int = 0
     seeded_infections: int = 0
     cumulative_false_isolations: int = 0
-    # previous end-of-day counts; mass action reads I/P from here
-    prev_counts: Optional[PopulationCounts] = None
+    # previous end-of-day Population.counts(); mass action reads I/P from here
+    prev_counts: Optional[np.ndarray] = None
 
 
 def initialize(config: ScenarioConfig, rng: np.random.Generator) -> RunState:
     """Create the day-0 population: seeds exposed, initial vaccinations set.
 
     Draw order: acceptance probabilities for all agents, seed selection,
-    initial-vaccination selection, then per-seed exposure draws in id order.
-    The initially vaccinated count is taken as a share of the uninfected.
+    initial-vaccination selection, then the seeds' exposure draws as one
+    vector per episode draw over the seed ids in ascending order, exactly as
+    an exposure stage draws them. The initially vaccinated count is taken as
+    a share of the uninfected.
     """
     if config.initialInfected > config.popSize:
         raise ConfigError("initialInfected exceeds popSize")
     n = config.popSize
-    acceptance = np.clip(
+    population = Population(n)
+    population.willingness = np.clip(
         rng.normal(config.vaccineAcceptProbMean, config.vaccineAcceptProbStd, n),
         0.0, 1.0,
     )
-    agents = [
-        Agent(
-            id=i,
-            compartment=Compartment.SUSCEPTIBLE_UNVACCINATED,
-            willingness_to_vaccinate=float(acceptance[i]),
-        )
-        for i in range(n)
-    ]
-    population = Population(agents)
 
-    seed_ids: list[int] = []
+    seed_ids = np.empty(0, dtype=np.int64)
     if config.initialInfected > 0:
-        seed_ids = sorted(
-            int(i) for i in rng.choice(n, size=config.initialInfected, replace=False)
-        )
-    non_seeds = sorted(set(range(n)) - set(seed_ids))
+        seed_ids = np.sort(rng.choice(n, size=config.initialInfected, replace=False))
+    non_seed = np.ones(n, dtype=bool)
+    non_seed[seed_ids] = False
+    non_seeds = np.flatnonzero(non_seed)
     n_vaccinated = int(config.initProportionVaccinated * len(non_seeds) + 0.5)
     if n_vaccinated > 0:
-        picked = rng.choice(len(non_seeds), size=n_vaccinated, replace=False)
-        for idx in sorted(int(i) for i in picked):
-            agent = population.agent(non_seeds[idx])
-            agent.vaccinated = True
-            population.vaccinated_count += 1
-            population.move(agent, Compartment.SUSCEPTIBLE_VACCINATED)
-    for agent_id in seed_ids:
-        expose_agent(population, population.agent(agent_id), 0, config, rng)
+        picked = non_seeds[rng.choice(len(non_seeds), size=n_vaccinated, replace=False)]
+        population.vaccinated[picked] = True
+        population.comp[picked] = S_V
+    expose(population, seed_ids, 0, config, rng)
 
     return RunState(
         config=config,
         population=population,
         cumulative_infections=len(seed_ids),
         seeded_infections=len(seed_ids),
-        prev_counts=snapshot_counts(population),
+        prev_counts=population.counts(),
     )
 
 
@@ -162,41 +155,23 @@ def _advance_infections(state: RunState, day: int) -> None:
     # exposed -> infectious once the load crosses the cut; either infected
     # state -> recovered when the trajectory says so
     population = state.population
-    config = state.config
-    cut = config.infectiousViralLoadCut
-    for agent_id in population.sorted_ids(Compartment.EXPOSED):
-        agent = population.agent(agent_id)
-        stage, _ = status_at(agent.viral_profile, day - agent.exposure_day, cut)
-        if stage is InfectionStage.INFECTIOUS:
-            dest = (
-                Compartment.INFECTIOUS_SYMPTOMATIC
-                if agent.symptomatic_assignment
-                else Compartment.INFECTIOUS_ASYMPTOMATIC
-            )
-            population.move(agent, dest)
-        elif stage is InfectionStage.RECOVERED:
-            mark_recovered(population, agent, day, config)
-    for comp in (
-        Compartment.INFECTIOUS_SYMPTOMATIC,
-        Compartment.INFECTIOUS_ASYMPTOMATIC,
-    ):
-        for agent_id in population.sorted_ids(comp):
-            agent = population.agent(agent_id)
-            stage, _ = status_at(agent.viral_profile, day - agent.exposure_day, cut)
-            if stage is InfectionStage.RECOVERED:
-                mark_recovered(population, agent, day, config)
+    ids = np.flatnonzero((population.comp >= E) & (population.comp <= I_A))
+    infectious, recovered = status_array(
+        population.params[ids], day - population.exposure_day[ids],
+        state.config.infectiousViralLoadCut,
+    )
+    onset = ids[infectious & (population.comp[ids] == E)]
+    population.comp[onset] = np.where(population.symptomatic[onset], I_S, I_A)
+    mark_recovered(population, ids[recovered], day)
 
 
 def _deliver_and_apply_results(state: RunState, day: int) -> None:
     population = state.population
-    for agent_id in deliver_results(state.pending, day).tolist():
-        agent = population.agent(agent_id)
-        if agent.is_isolated:
-            # a positive delivered to an already isolated agent is moot
-            continue
-        moved_to = apply_positive_result(population, agent, day, state.config)
-        if moved_to is Compartment.ISOLATED_HEALTHY:
-            state.cumulative_false_isolations += 1
+    ids = deliver_results(state.pending, day)
+    # a positive delivered to an already isolated agent is moot
+    ids = ids[population.in_population()[ids]]
+    false_isolations = apply_positive_results(population, ids, day, state.config)
+    state.cumulative_false_isolations += len(false_isolations)
 
 
 def step(
@@ -228,34 +203,27 @@ def step(
     )
     state.cumulative_infections += len(new_internal)
 
-    supply = VaccineSupply(config.vaccinesAvailablePerDay)
-    vaccination_step(population, supply, day, config, rng)
+    vaccination_step(population, day, config, rng)
 
-    counts = population.compartment_counts()
+    counts = population.counts()
     record = DailyRecord(
-        day=day,
-        s_u=counts[Compartment.SUSCEPTIBLE_UNVACCINATED],
-        s_v=counts[Compartment.SUSCEPTIBLE_VACCINATED],
-        e=counts[Compartment.EXPOSED],
-        i_s=counts[Compartment.INFECTIOUS_SYMPTOMATIC],
-        i_a=counts[Compartment.INFECTIOUS_ASYMPTOMATIC],
-        r=counts[Compartment.RECOVERED],
-        iso_healthy=counts[Compartment.ISOLATED_HEALTHY],
-        iso_sick=counts[Compartment.ISOLATED_SICK],
+        day,
+        # s_u ... iso_sick, declared in Compartment order
+        *counts[:N_COMPARTMENTS].tolist(),
         new_exposures_external=len(new_external),
         new_exposures_internal=len(new_internal),
         cumulative_total_infections=state.cumulative_infections,
         cumulative_false_isolations=state.cumulative_false_isolations,
         tests_used_today=tests_today,
         cumulative_cost=state.ledger.cost_total,
-        vaccinated_total=population.vaccinated_count,
+        vaccinated_total=int(np.count_nonzero(population.vaccinated)),
     )
     if record.population_total != config.popSize:
         raise SimulationError(
             f"conservation violated on day {day}: "
             f"{record.population_total} != {config.popSize}"
         )
-    state.prev_counts = snapshot_counts(population)
+    state.prev_counts = counts
     return record
 
 

@@ -1,116 +1,85 @@
-"""Isolation (test-driven and symptom-driven) and daily vaccine rollout."""
+"""Isolation (test-driven and symptom-driven) and daily vaccine rollout.
+
+Each stage returns the ascending ids of the agents it moved. Only
+vaccination draws; its draws are documented on :func:`vaccination_step`.
+"""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from enum import Enum
-from typing import Optional
 
 import numpy as np
 
 from .core import (
-    Agent,
-    Compartment,
+    E,
+    ISO_HEALTHY,
+    ISO_SICK,
+    R,
+    S_U,
+    S_V,
     Population,
     ScenarioConfig,
     SimulationError,
 )
-from .viral_load import symptomatic_now
-
-
-class IsolationKind(Enum):
-    HEALTHY = "healthy"
-    SICK = "sick"
-
-
-@dataclass(frozen=True)
-class IsolationRecord:
-    agent_id: int
-    entry_day: int
-    scheduled_exit_day: int
-    kind: IsolationKind
-
-
-@dataclass
-class VaccineSupply:
-    """Doses available on one simulation day."""
-
-    vaccines_available: int
-    administered_today: int = 0
+from .viral_load import key_times, symptoms_array
 
 
 def _isolate(
     population: Population,
-    agent: Agent,
+    ids: np.ndarray,
     day: int,
     config: ScenarioConfig,
-    kind: IsolationKind,
+    compartment: int,
 ) -> None:
-    record = IsolationRecord(
-        agent_id=agent.id,
-        entry_day=day,
-        scheduled_exit_day=day + config.isolationLength,
-        kind=kind,
-    )
-    population.isolation[agent.id] = record
-    agent.isolation_entry_day = day
-    if kind is IsolationKind.HEALTHY:
-        population.move(agent, Compartment.ISOLATED_HEALTHY)
-    else:
-        population.move(agent, Compartment.ISOLATED_SICK)
+    population.comp[ids] = compartment
+    population.iso_entry_day[ids] = day
+    population.iso_exit_day[ids] = day + config.isolationLength
 
 
-def apply_positive_result(
+def apply_positive_results(
     population: Population,
-    agent: Agent,
+    ids: np.ndarray,
     day: int,
     config: ScenarioConfig,
-) -> Optional[Compartment]:
-    """Isolate an agent on a positive result, classified by today's state.
+) -> np.ndarray:
+    """Isolate agents on a positive result, classified by today's state.
 
     Susceptible agents were false positives and isolate as healthy; exposed
     and infectious agents isolate as sick; recovered agents stay put. Returns
-    the destination compartment, or None when nothing moves.
+    the ids isolated as healthy. An isolated agent among ``ids`` is an error.
     """
-    if agent.is_isolated:
-        raise SimulationError(f"agent {agent.id} is already isolated")
-    if agent.is_susceptible:
-        _isolate(population, agent, day, config, IsolationKind.HEALTHY)
-        return Compartment.ISOLATED_HEALTHY
-    if agent.compartment is Compartment.RECOVERED:
-        return None
-    _isolate(population, agent, day, config, IsolationKind.SICK)
-    return Compartment.ISOLATED_SICK
+    ids = np.asarray(ids, dtype=np.int64)
+    comp = population.comp[ids]
+    isolated = ids[comp >= ISO_HEALTHY]
+    if isolated.size:
+        raise SimulationError(f"agents {isolated.tolist()} are already isolated")
+    healthy = ids[comp <= S_V]
+    _isolate(population, healthy, day, config, ISO_HEALTHY)
+    sick = ids[(comp >= E) & (comp < R)]
+    _isolate(population, sick, day, config, ISO_SICK)
+    return healthy
 
 
 def self_isolation_step(
     population: Population,
     day: int,
     config: ScenarioConfig,
-) -> list[int]:
-    """Move willing, currently symptomatic agents into sick isolation.
+) -> np.ndarray:
+    """Move willing, currently symptomatic agents into sick isolation; returns
+    their ids.
 
-    Each infection episode gets at most one self-isolation decision; the
-    candidate set holds agents whose propensity draw came up willing and who
-    have not triggered yet.
+    Each infection episode gets at most one self-isolation decision: the
+    candidates are the agents whose propensity draw came up willing and who
+    have not triggered yet. A candidate whose symptom window has passed (for
+    example while in test-driven isolation) stops being one.
     """
-    moved: list[int] = []
-    for agent_id in sorted(population.selfiso_candidates):
-        agent = population.agent(agent_id)
-        if agent.viral_profile is None:
-            population.selfiso_candidates.discard(agent_id)
-            continue
-        tau = day - agent.exposure_day
-        if tau > agent.viral_profile.end_time:
-            # symptom window missed (e.g. spent in test-driven isolation)
-            population.selfiso_candidates.discard(agent_id)
-            continue
-        if agent.is_isolated or not symptomatic_now(agent.viral_profile, tau):
-            continue
-        agent.self_isolation_triggered = True
-        population.selfiso_candidates.discard(agent_id)
-        _isolate(population, agent, day, config, IsolationKind.SICK)
-        moved.append(agent_id)
+    candidates = np.flatnonzero(population.selfiso_candidate)
+    tau = day - population.exposure_day[candidates]
+    params = population.params[candidates]
+    showing = symptoms_array(params, population.symptomatic[candidates], tau)
+    passed = tau > key_times(params)[2]
+    moved = candidates[showing & (population.comp[candidates] < ISO_HEALTHY)]
+    population.selfiso_candidate[candidates[passed]] = False
+    population.selfiso_candidate[moved] = False
+    _isolate(population, moved, day, config, ISO_SICK)
     return moved
 
 
@@ -118,132 +87,81 @@ def isolation_exit_step(
     population: Population,
     day: int,
     config: ScenarioConfig,
-) -> list[tuple[int, Compartment]]:
-    """Release agents whose isolation period is over.
+) -> np.ndarray:
+    """Release agents whose isolation period is over; returns their ids.
 
     Sick isolation always exits to recovered; healthy isolation returns to the
     susceptible compartment matching the vaccination flag. Agents who entered
     isolation today are not examined, so a zero-length isolation still lasts
     until the next day.
     """
-    released: list[tuple[int, Compartment]] = []
-    due = [
-        rec for rec in population.isolation.values()
-        if day >= rec.scheduled_exit_day and rec.entry_day < day
-    ]
-    for rec in sorted(due, key=lambda r: r.agent_id):
-        agent = population.agent(rec.agent_id)
-        del population.isolation[rec.agent_id]
-        agent.isolation_exit_day = day
-        agent.isolation_entry_day = None
-        if rec.kind is IsolationKind.SICK:
-            mark_recovered(population, agent, day, config)
-            released.append((agent.id, Compartment.RECOVERED))
-        else:
-            dest = (
-                Compartment.SUSCEPTIBLE_VACCINATED
-                if agent.vaccinated
-                else Compartment.SUSCEPTIBLE_UNVACCINATED
-            )
-            population.move(agent, dest)
-            released.append((agent.id, dest))
+    released = np.flatnonzero(
+        (population.iso_exit_day <= day) & (population.iso_entry_day < day)
+    )
+    sick = released[population.comp[released] == ISO_SICK]
+    healthy = released[population.comp[released] == ISO_HEALTHY]
+    population.iso_entry_day[released] = np.nan
+    population.iso_exit_day[released] = np.nan
+    population.last_exit_day[released] = day
+    mark_recovered(population, sick, day)
+    population.comp[healthy] = population.susceptible_compartment(healthy)
     return released
 
 
-def _schedule_return(
-    population: Population, agent: Agent, recovery_day: int, config: ScenarioConfig
-) -> None:
-    due_day = recovery_day + config.daysTilSusceptible
-    population.return_schedule.setdefault(due_day, []).append((agent.id, recovery_day))
-
-
-def mark_recovered(
-    population: Population, agent: Agent, day: int, config: ScenarioConfig
-) -> None:
-    """Move an agent to recovered and schedule its return to susceptibility."""
-    agent.recovery_day = day
-    _schedule_return(population, agent, day, config)
-    population.move(agent, Compartment.RECOVERED)
+def mark_recovered(population: Population, ids: np.ndarray, day: int) -> None:
+    """Move agents to recovered as of ``day``; immunity lapses
+    ``daysTilSusceptible`` days later."""
+    population.comp[ids] = R
+    population.recovery_day[ids] = day
 
 
 def recovered_to_susceptible_step(
     population: Population,
     day: int,
     config: ScenarioConfig,
-) -> list[int]:
-    """Return recovered agents to susceptibility once immunity has lapsed.
+) -> np.ndarray:
+    """Return recovered agents to susceptibility once immunity has lapsed;
+    returns their ids.
 
     Clears the infection bookkeeping so the agent can be re-infected with a
     fresh trajectory.
     """
-    due = population.return_schedule.pop(day, None)
-    if not due:
-        return []
-    returned: list[int] = []
-    for agent_id, recovery_day in sorted(due):
-        agent = population.agent(agent_id)
-        # stale entry: the agent was re-isolated and rescheduled
-        if agent.compartment is not Compartment.RECOVERED:
-            continue
-        if agent.recovery_day != recovery_day:
-            continue
-        agent.viral_profile = None
-        agent.exposure_day = None
-        agent.recovery_day = None
-        agent.symptomatic_assignment = False
-        agent.will_self_isolate_on_symptoms = False
-        agent.self_isolation_triggered = False
-        population.selfiso_candidates.discard(agent_id)
-        dest = (
-            Compartment.SUSCEPTIBLE_VACCINATED
-            if agent.vaccinated
-            else Compartment.SUSCEPTIBLE_UNVACCINATED
-        )
-        population.move(agent, dest)
-        returned.append(agent_id)
+    returned = np.flatnonzero(
+        (population.comp == R)
+        & (population.recovery_day + config.daysTilSusceptible == day)
+    )
+    population.params[returned] = np.nan
+    population.exposure_day[returned] = np.nan
+    population.recovery_day[returned] = np.nan
+    population.symptomatic[returned] = False
+    population.selfiso_candidate[returned] = False
+    population.comp[returned] = population.susceptible_compartment(returned)
     return returned
 
 
 def vaccination_step(
     population: Population,
-    supply: VaccineSupply,
     day: int,
     config: ScenarioConfig,
     rng: np.random.Generator,
-) -> list[int]:
-    """Distribute today's doses among willing, unvaccinated population members.
+) -> np.ndarray:
+    """Distribute today's doses among willing, unvaccinated population members;
+    returns the ids vaccinated.
 
     Every eligible agent is willing today with their personal acceptance
-    probability; doses go to a uniform draw (without replacement) from the
-    willing set when demand exceeds supply.
+    probability: one uniform per eligible agent in ascending id order. When
+    demand exceeds the ``vaccinesAvailablePerDay`` doses, one ``rng.choice``
+    without replacement picks the recipients among the willing.
     """
-    if supply.vaccines_available <= 0:
-        return []
-    eligible = [
-        i for i in population.in_population_ids()
-        if not population.agent(i).vaccinated
-    ]
-    if not eligible:
-        return []
-    acceptance = np.array(
-        [population.agent(i).willingness_to_vaccinate for i in eligible]
-    )
-    willing_idx = np.flatnonzero(rng.random(len(eligible)) < acceptance)
-    if len(willing_idx) == 0:
-        return []
-    if len(willing_idx) > supply.vaccines_available:
-        chosen_idx = rng.choice(
-            willing_idx, size=supply.vaccines_available, replace=False
-        )
-    else:
-        chosen_idx = willing_idx
-    vaccinated: list[int] = []
-    for idx in sorted(int(i) for i in chosen_idx):
-        agent = population.agent(eligible[idx])
-        agent.vaccinated = True
-        population.vaccinated_count += 1
-        if agent.compartment is Compartment.SUSCEPTIBLE_UNVACCINATED:
-            population.move(agent, Compartment.SUSCEPTIBLE_VACCINATED)
-        vaccinated.append(agent.id)
-    supply.administered_today = len(vaccinated)
-    return vaccinated
+    doses = config.vaccinesAvailablePerDay
+    eligible = np.flatnonzero(population.in_population() & ~population.vaccinated)
+    if doses <= 0 or eligible.size == 0:
+        return eligible[:0]  # no draw
+    willing_idx = np.flatnonzero(rng.random(eligible.size) < population.willingness[eligible])
+    if willing_idx.size > doses:
+        willing_idx = np.sort(rng.choice(willing_idx, size=doses, replace=False))
+    chosen = eligible[willing_idx]
+    population.vaccinated[chosen] = True
+    unvaccinated = chosen[population.comp[chosen] == S_U]
+    population.comp[unvaccinated] = S_V
+    return chosen

@@ -10,26 +10,12 @@ bucketed by delivery day.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-from math import nan
-from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
 
-from .core import ISOLATED_COMPARTMENTS, Compartment, Population, ScenarioConfig
-from .viral_load import load_array, profile_params
-
-# Compartments whose agents carry a viral trajectory; everyone else has load 0.
-TRAJECTORY_COMPARTMENTS = (
-    Compartment.EXPOSED,
-    Compartment.INFECTIOUS_SYMPTOMATIC,
-    Compartment.INFECTIOUS_ASYMPTOMATIC,
-    Compartment.RECOVERED,
-)
-_exit_day = attrgetter("isolation_exit_day")
-_exposure_day = attrgetter("exposure_day")
-_viral_profile = attrgetter("viral_profile")
+from .core import E, R, Population, ScenarioConfig
+from .viral_load import load_array
 
 
 @dataclass(frozen=True)
@@ -142,44 +128,26 @@ def partition_into_pools(
     return rng.permutation(n_samples), np.arange(0, n_samples, pool_size)
 
 
-def _ids_in(population: Population, compartments) -> np.ndarray:
-    members = population.members
-    return np.fromiter(
-        chain.from_iterable(members[c] for c in compartments), dtype=np.int64
-    )
-
-
 def eligible_ids(population: Population, day: int, config: ScenarioConfig) -> np.ndarray:
     """Sorted ids in the population and past any post-isolation holdback."""
-    eligible = np.ones(len(population), dtype=bool)
-    eligible[_ids_in(population, ISOLATED_COMPARTMENTS)] = False
+    eligible = population.in_population()
     holdback = config.noTestingPostIsolationDays
     if holdback > 0:
         # never released -> NaN, which no comparison holds back
-        exit_day = np.array(
-            [nan if d is None else d for d in map(_exit_day, population.agents)],
-            dtype=float,
-        )
-        eligible &= ~(day - exit_day < holdback)
+        eligible &= ~(day - population.last_exit_day < holdback)
     return np.flatnonzero(eligible)
 
 
 def current_loads(population: Population, ids: np.ndarray, day: int) -> np.ndarray:
-    """Viral load on ``day`` of each agent in the sorted ``ids``; 0 for
-    agents without a trajectory."""
-    position = np.full(len(population), -1, dtype=np.int64)
-    position[ids] = np.arange(len(ids))
-    infected = _ids_in(population, TRAJECTORY_COMPARTMENTS)
-    infected = infected[position[infected] >= 0]
+    """Viral load on ``day`` of each agent in ``ids``; 0 for agents outside
+    E, I_s, I_a and R, who carry no trajectory."""
+    comp = population.comp[ids]
+    has_trajectory = (comp >= E) & (comp <= R)
+    infected = ids[has_trajectory]
     loads = np.zeros(len(ids))
-    if infected.size:
-        agents = [population.agents[i] for i in infected.tolist()]
-        params = np.fromiter(
-            chain.from_iterable(map(profile_params, map(_viral_profile, agents))),
-            dtype=float, count=7 * len(agents),
-        )
-        tau = day - np.fromiter(map(_exposure_day, agents), dtype=float, count=len(agents))
-        loads[position[infected]] = load_array(params, tau)
+    loads[has_trajectory] = load_array(
+        population.params[infected], day - population.exposure_day[infected]
+    )
     return loads
 
 

@@ -1,60 +1,32 @@
 """Daily exposure processes: importation from outside the population and
-mass-action spread within it."""
+mass-action spread within it.
+
+Both stages draw the same way. One uniform per S_u agent in ascending id
+order decides who is exposed, then one per S_v agent. The newly exposed ids
+of the stage, in ascending order, then get one vector per episode draw (see
+:func:`expose`).
+"""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
-    Agent,
-    Compartment,
+    E,
+    I_A,
+    I_S,
+    ISO_HEALTHY,
+    S_U,
+    S_V,
     Population,
     ScenarioConfig,
     SimulationError,
-    sample,
 )
-from .viral_load import sample_profile
-
-
-@dataclass(frozen=True)
-class PopulationCounts:
-    """Compartment sizes for the in-population agents only."""
-
-    s_u: int
-    s_v: int
-    e: int
-    i_s: int
-    i_a: int
-    r: int
-
-    @property
-    def s(self) -> int:
-        return self.s_u + self.s_v
-
-    @property
-    def i(self) -> int:
-        return self.i_s + self.i_a
-
-    @property
-    def p(self) -> int:
-        return self.s + self.e + self.i + self.r
-
-
-def snapshot_counts(population: Population) -> PopulationCounts:
-    return PopulationCounts(
-        s_u=population.count(Compartment.SUSCEPTIBLE_UNVACCINATED),
-        s_v=population.count(Compartment.SUSCEPTIBLE_VACCINATED),
-        e=population.count(Compartment.EXPOSED),
-        i_s=population.count(Compartment.INFECTIOUS_SYMPTOMATIC),
-        i_a=population.count(Compartment.INFECTIOUS_ASYMPTOMATIC),
-        r=population.count(Compartment.RECOVERED),
-    )
+from .viral_load import sample_params
 
 
 def exposure_probability(
-    counts: PopulationCounts,
+    counts: np.ndarray | None,
     beta: float,
     gamma: float,
     alpha: float,
@@ -66,64 +38,68 @@ def exposure_probability(
 
     gamma covers contacts outside the population, beta*I/P the mass-action
     term inside it; vaccinated agents get the whole sum discounted by alpha.
-    The result is clamped into [0, 1].
+    The result is clamped into [0, 1]. ``counts`` holds the agents per
+    compartment, indexed by :class:`Compartment`, and is read only for the
+    internal term; the two isolated states are not in P.
     """
     p = 0.0
     if include_external:
         p += gamma
     if include_internal:
-        if counts.p <= 0:
+        in_population = int(counts[:ISO_HEALTHY].sum())
+        if in_population <= 0:
             raise SimulationError("internal exposure with empty population")
-        p += beta * counts.i / counts.p
+        infectious = int(counts[I_S] + counts[I_A])
+        p += beta * infectious / in_population
     if vaccinated:
         p *= alpha
     return min(max(p, 0.0), 1.0)
 
 
-def expose_agent(
+def expose(
     population: Population,
-    agent: Agent,
+    ids: np.ndarray,
     day: int,
     config: ScenarioConfig,
     rng: np.random.Generator,
 ) -> None:
-    """Move a susceptible agent to exposed and start a fresh infection episode.
+    """Move the susceptible agents ``ids`` (ascending) to exposed, each with a
+    fresh infection episode.
 
-    Per-episode draws happen here, in fixed order: symptomatic assignment,
-    trajectory parameters, then the self-isolation propensity.
+    One vector each, in order: symptomatic assignment, the trajectory
+    parameters (:func:`~episim.viral_load.sample_params`), then the
+    self-isolation propensity.
     """
-    symptomatic = bool(rng.random() < config.fractionSymptomatic)
-    profile = sample_profile(config, symptomatic, rng)
-    will_isolate = bool(rng.random() < config.selfIsolationOnSymptomsProb)
-    agent.symptomatic_assignment = symptomatic
-    agent.viral_profile = profile
-    agent.will_self_isolate_on_symptoms = will_isolate
-    agent.exposure_day = day
-    agent.recovery_day = None
-    agent.self_isolation_triggered = False
-    population.move(agent, Compartment.EXPOSED)
-    if symptomatic and will_isolate:
-        population.selfiso_candidates.add(agent.id)
+    if ids.size == 0:
+        return
+    symptomatic = rng.random(ids.size) < config.fractionSymptomatic
+    population.params[ids] = sample_params(config, symptomatic, rng)
+    will_isolate = rng.random(ids.size) < config.selfIsolationOnSymptomsProb
+    population.comp[ids] = E
+    population.exposure_day[ids] = day
+    population.recovery_day[ids] = np.nan
+    population.symptomatic[ids] = symptomatic
+    population.selfiso_candidate[ids] = symptomatic & will_isolate
 
 
 def _bernoulli_expose(
     population: Population,
-    candidate_ids: list[int],
-    probability: float,
+    p_unvaccinated: float,
+    p_vaccinated: float,
     day: int,
     config: ScenarioConfig,
     rng: np.random.Generator,
-) -> list[int]:
-    # One vectorized draw per candidate keeps stream consumption fixed.
-    if not candidate_ids or probability <= 0.0:
-        return []
-    draws = rng.random(len(candidate_ids))
-    exposed: list[int] = []
-    for idx in np.flatnonzero(draws < probability):
-        agent = population.agent(candidate_ids[idx])
-        expose_agent(population, agent, day, config, rng)
-        exposed.append(agent.id)
-    return exposed
+) -> np.ndarray:
+    # One draw per candidate keeps stream consumption fixed; a block with
+    # no candidates or a zero probability draws nothing.
+    exposed = []
+    for comp, p in ((S_U, p_unvaccinated), (S_V, p_vaccinated)):
+        candidates = population.ids(comp)
+        if candidates.size and p > 0.0:
+            exposed.append(candidates[rng.random(candidates.size) < p])
+    ids = np.sort(np.concatenate(exposed)) if exposed else np.empty(0, dtype=np.int64)
+    expose(population, ids, day, config, rng)
+    return ids
 
 
 def external_exposure_step(
@@ -131,31 +107,17 @@ def external_exposure_step(
     config: ScenarioConfig,
     day: int,
     rng: np.random.Generator,
-) -> list[int]:
-    """Expose in-population susceptibles from outside contacts.
-
-    Unvaccinated candidates are drawn before vaccinated ones, each block in
-    ascending id order.
-    """
-    counts = snapshot_counts(population)
-    newly_exposed: list[int] = []
-    for comp, vaccinated in (
-        (Compartment.SUSCEPTIBLE_UNVACCINATED, False),
-        (Compartment.SUSCEPTIBLE_VACCINATED, True),
-    ):
-        p = exposure_probability(
-            counts,
-            beta=config.betaDaily,
-            gamma=config.externalExposureProbDaily,
-            alpha=config.vaccineInfectionProb,
-            vaccinated=vaccinated,
-            include_external=True,
-            include_internal=False,
+) -> np.ndarray:
+    """Expose in-population susceptibles from outside contacts; returns the
+    newly exposed ids."""
+    p_u, p_v = (
+        exposure_probability(
+            None, config.betaDaily, config.externalExposureProbDaily,
+            config.vaccineInfectionProb, vaccinated, include_internal=False,
         )
-        newly_exposed.extend(
-            _bernoulli_expose(population, population.sorted_ids(comp), p, day, config, rng)
-        )
-    return newly_exposed
+        for vaccinated in (False, True)
+    )
+    return _bernoulli_expose(population, p_u, p_v, day, config, rng)
 
 
 def internal_propagation_step(
@@ -163,35 +125,26 @@ def internal_propagation_step(
     config: ScenarioConfig,
     day: int,
     rng: np.random.Generator,
-    counts: PopulationCounts | None = None,
-) -> list[int]:
-    """Expose in-population susceptibles via mass action.
+    counts: np.ndarray | None = None,
+) -> np.ndarray:
+    """Expose in-population susceptibles via mass action; returns the newly
+    exposed ids.
 
     The infectious pressure I/P comes from ``counts`` (the engine passes the
     previous day's end-of-day counts, matching the discrete update
     new_exposures(t) = beta * I(t-1)/P(t-1) * S(t-1)); by default the current
-    population is snapshotted. Either way the counts are fixed before any
+    population is counted. Either way the counts are fixed before any
     exposure happens, so new cases cannot cascade within the same day.
     """
     if counts is None:
-        counts = snapshot_counts(population)
-    if counts.i == 0:
-        return []
-    newly_exposed: list[int] = []
-    for comp, vaccinated in (
-        (Compartment.SUSCEPTIBLE_UNVACCINATED, False),
-        (Compartment.SUSCEPTIBLE_VACCINATED, True),
-    ):
-        p = exposure_probability(
-            counts,
-            beta=config.betaDaily,
-            gamma=config.externalExposureProbDaily,
-            alpha=config.vaccineInfectionProb,
-            vaccinated=vaccinated,
-            include_external=False,
-            include_internal=True,
+        counts = population.counts()
+    if counts[I_S] + counts[I_A] == 0:
+        return np.empty(0, dtype=np.int64)
+    p_u, p_v = (
+        exposure_probability(
+            counts, config.betaDaily, config.externalExposureProbDaily,
+            config.vaccineInfectionProb, vaccinated, include_external=False,
         )
-        newly_exposed.extend(
-            _bernoulli_expose(population, population.sorted_ids(comp), p, day, config, rng)
-        )
-    return newly_exposed
+        for vaccinated in (False, True)
+    )
+    return _bernoulli_expose(population, p_u, p_v, day, config, rng)

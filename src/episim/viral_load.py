@@ -5,6 +5,12 @@ points: rise from (t0, V0) to (t0+tP, VP), then decline to the final point
 (t0+tP+tF, VF), stretched by tS for symptomatic cases whose symptoms start
 tS days after the peak. Interpolation is linear in log10(load); outside the
 trajectory the load is 0 (undetectable).
+
+The simulation evaluates whole populations with the array forms
+(:func:`sample_params`, :func:`load_array`, :func:`status_array`,
+:func:`symptoms_array`) over rows of :data:`profile_params`. The scalar
+functions on a :class:`ViralLoadProfile` are the reference they are tested
+against.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import DISTRIBUTION_FIELDS, ScenarioConfig, sample
+from .core import DISTRIBUTION_FIELDS, ScenarioConfig
 
 
 class InfectionStage(Enum):
@@ -58,24 +64,32 @@ class ViralLoadProfile:
         return self.t0 + self.tP + self.tS
 
 
+def sample_params(
+    config: ScenarioConfig, symptomatic: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """Draw one trajectory per entry of the boolean ``symptomatic`` vector,
+    as rows of :data:`profile_params`.
+
+    One vector per parameter, in the fixed order t0, V0, tP, VP, then tS for
+    the symptomatic entries only (asymptomatic ones get 0), then tF, VF.
+    """
+    n = len(symptomatic)
+    params = np.zeros((n, len(DISTRIBUTION_FIELDS)))
+    for col, name in enumerate(DISTRIBUTION_FIELDS):
+        dist = getattr(config, name)
+        if name == "tS":
+            params[symptomatic, col] = dist.sample_array(rng, int(np.count_nonzero(symptomatic)))
+        else:
+            params[:, col] = dist.sample_array(rng, n)
+    return params
+
+
 def sample_profile(
     config: ScenarioConfig, symptomatic: bool, rng: np.random.Generator
 ) -> ViralLoadProfile:
-    """Draw a trajectory from the configured parameter distributions.
-
-    Draw order is fixed (t0, V0, tP, VP, tS if symptomatic, tF, VF) so runs
-    are reproducible.
-    """
-    t0 = sample(config.t0, rng)
-    v0 = sample(config.V0, rng)
-    tp = sample(config.tP, rng)
-    vp = sample(config.VP, rng)
-    ts = sample(config.tS, rng) if symptomatic else 0.0
-    tf = sample(config.tF, rng)
-    vf = sample(config.VF, rng)
-    return ViralLoadProfile(
-        t0=t0, V0=v0, tP=tp, VP=vp, tS=ts, tF=tf, VF=vf, symptomatic=symptomatic
-    )
+    """Draw one trajectory; :func:`sample_params` for a single agent."""
+    row = sample_params(config, np.array([symptomatic]), rng)[0]
+    return ViralLoadProfile(*row.tolist(), symptomatic=symptomatic)
 
 
 def load_at(profile: ViralLoadProfile, tau: float) -> float:
@@ -165,3 +179,31 @@ def status_at(
     if tau > profile.peak_time and load < infectious_cut:
         return InfectionStage.RECOVERED, showing
     return InfectionStage.LATENT, showing
+
+
+def key_times(params: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Peak, symptom-onset and end time of each row of :data:`profile_params`,
+    summed in the same order as the :class:`ViralLoadProfile` properties."""
+    t0, _, tp, _, ts, tf, _ = np.asarray(params, dtype=float).reshape(-1, 7).T
+    peak = t0 + tp
+    onset = peak + ts
+    return peak, onset, onset + tf
+
+
+def status_array(
+    params: np.ndarray, tau: np.ndarray, infectious_cut: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorised :func:`status_at`: the (infectious, recovered) masks of
+    profiles ``params`` at ``tau``; an entry in neither is latent."""
+    peak, _, end = key_times(params)
+    load = load_array(params, tau)
+    over = tau > end
+    return ~over & (load > infectious_cut), over | ((tau > peak) & (load < infectious_cut))
+
+
+def symptoms_array(
+    params: np.ndarray, symptomatic: np.ndarray, tau: np.ndarray
+) -> np.ndarray:
+    """Vectorised :func:`symptomatic_now`: inside the symptom window."""
+    _, onset, end = key_times(params)
+    return symptomatic & (onset <= tau) & (tau <= end)

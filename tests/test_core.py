@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from episim.core import (
-    Agent,
     Compartment,
     ConfigError,
     Constant,
@@ -20,7 +19,6 @@ from episim.core import (
     default_config,
     dist_from_dict,
     make_rng,
-    sample,
     validate_config,
 )
 
@@ -77,7 +75,7 @@ def test_validate_flags_bad_pooling_type():
 
 def test_constant_sampling_is_degenerate():
     rng = make_rng(1)
-    assert sample(Constant(1000.0), rng) == 1000.0
+    assert Constant(1000.0).sample(rng) == 1000.0
 
 
 def test_uniform_moment_matches_analytic_mean():
@@ -106,9 +104,9 @@ def test_normal_clipped_stays_in_bounds():
 def test_invalid_distribution_parameters_raise():
     rng = make_rng(0)
     with pytest.raises(ConfigError):
-        sample(Uniform(3.0, 1.0), rng)
+        Uniform(3.0, 1.0).sample(rng)
     with pytest.raises(ConfigError):
-        sample(GammaShifted(-1.0, 1.0), rng)
+        GammaShifted(-1.0, 1.0).sample(rng)
 
 
 def test_config_round_trips_through_json():
@@ -148,13 +146,9 @@ def test_rng_streams_are_deterministic():
 
 
 def test_population_bookkeeping_moves():
-    agents = [
-        Agent(i, Compartment.SUSCEPTIBLE_UNVACCINATED, willingness_to_vaccinate=0.5)
-        for i in range(4)
-    ]
-    pop = Population(agents)
-    assert pop.count(Compartment.SUSCEPTIBLE_UNVACCINATED) == 4
-    pop.move(pop.agent(2), Compartment.EXPOSED)
-    assert pop.count(Compartment.EXPOSED) == 1
-    assert pop.sorted_ids(Compartment.SUSCEPTIBLE_UNVACCINATED) == [0, 1, 3]
-    assert pop.in_population_ids() == [0, 1, 2, 3]
+    pop = Population(4)
+    assert pop.counts()[Compartment.SUSCEPTIBLE_UNVACCINATED] == 4
+    pop.comp[2] = Compartment.EXPOSED
+    assert pop.counts()[Compartment.EXPOSED] == 1
+    assert pop.ids(Compartment.SUSCEPTIBLE_UNVACCINATED).tolist() == [0, 1, 3]
+    assert np.flatnonzero(pop.in_population()).tolist() == [0, 1, 2, 3]

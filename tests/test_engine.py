@@ -16,13 +16,12 @@ def test_initialize_seeds_only():
     cfg = default_config(popSize=10_000, initialInfected=200)
     state = initialize(cfg, make_rng(cfg.baseSeed, 0))
     pop = state.population
-    assert pop.count(Compartment.SUSCEPTIBLE_UNVACCINATED) == 9800
-    assert pop.count(Compartment.EXPOSED) == 200
+    assert pop.counts()[Compartment.SUSCEPTIBLE_UNVACCINATED] == 9800
+    assert pop.counts()[Compartment.EXPOSED] == 200
     assert state.cumulative_infections == 200
-    for agent_id in pop.sorted_ids(Compartment.EXPOSED):
-        agent = pop.agent(agent_id)
-        assert agent.exposure_day == 0
-        assert agent.viral_profile is not None
+    exposed = pop.ids(Compartment.EXPOSED)
+    assert np.all(pop.exposure_day[exposed] == 0)
+    assert not np.isnan(pop.params[exposed]).any()
 
 
 def test_initialize_half_vaccinated():
@@ -30,16 +29,16 @@ def test_initialize_half_vaccinated():
     cfg = default_config(initProportionVaccinated=0.5)
     state = initialize(cfg, make_rng(1, 0))
     pop = state.population
-    assert pop.count(Compartment.SUSCEPTIBLE_VACCINATED) == 4900
-    assert pop.count(Compartment.SUSCEPTIBLE_UNVACCINATED) == 4900
-    assert pop.count(Compartment.EXPOSED) == 200
-    assert pop.vaccinated_count == 4900
+    assert pop.counts()[Compartment.SUSCEPTIBLE_VACCINATED] == 4900
+    assert pop.counts()[Compartment.SUSCEPTIBLE_UNVACCINATED] == 4900
+    assert pop.counts()[Compartment.EXPOSED] == 200
+    assert np.count_nonzero(pop.vaccinated) == 4900
 
 
 def test_initialize_no_seeds():
     cfg = default_config(initialInfected=0)
     state = initialize(cfg, make_rng(1, 0))
-    assert state.population.count(Compartment.SUSCEPTIBLE_UNVACCINATED) == 10_000
+    assert state.population.counts()[Compartment.SUSCEPTIBLE_UNVACCINATED] == 10_000
 
 
 def test_initialize_rejects_too_many_seeds():
@@ -51,7 +50,7 @@ def test_initialize_rejects_too_many_seeds():
 def test_initialize_acceptance_probabilities_in_unit_interval():
     cfg = default_config(popSize=2000)
     state = initialize(cfg, make_rng(2, 0))
-    willingness = [a.willingness_to_vaccinate for a in state.population.agents]
+    willingness = state.population.willingness
     assert min(willingness) >= 0.0 and max(willingness) <= 1.0
     assert abs(np.mean(willingness) - 0.7) < 0.01
 

@@ -1,12 +1,15 @@
 """Statistical equivalence of whole runs against a stored reference sample.
 
-The reference file holds per-replicate totals of two small pooled-testing
-scenarios, recorded at commit d550a3f, before the testing stage was
-vectorised and its random draws reordered. A change that reorders draws on
-purpose must leave these totals distributed as before: for each scenario and
-each total, a two-sided Mann-Whitney U test of the current replicates against
-the stored ones must not reject at a family-wise level of 0.01 (Bonferroni
-over the six comparisons).
+The reference file holds per-replicate totals of three small scenarios. The
+two pooled-testing ones were recorded at commit d550a3f, before the testing
+stage was vectorised and its random draws reordered. The third, without
+testing but with vaccination, fast loss of immunity and self-isolation, was
+recorded at commit eb36f66, before the agents moved into arrays and the
+per-exposure draws were reordered. A change that reorders draws on purpose
+must leave these totals distributed as before: for each scenario and each
+total, a two-sided Mann-Whitney U test of the current replicates against the
+stored ones must not reject at a family-wise level of 0.01 (Bonferroni over
+the nine comparisons).
 
 Print a fresh reference with ``python tests/test_equivalence.py``; replace the
 stored one only when the model itself changes, never for a stream change.
@@ -26,9 +29,13 @@ from episim.engine import run
 REFERENCE_PATH = Path(__file__).parent / "data" / "equivalence_reference.json"
 REPLICATES = 16
 TOTALS = ("total_infections", "total_tests", "total_false_isolations")
+POOLED = dict(daysBetweenTesting=2, firstDayOfTesting=5, daysDelayTestResults=2)
 SCENARIOS = {
-    "average-5": dict(poolingType="average", poolSize=5),
-    "exponential-10": dict(poolingType="exponential", poolSize=10),
+    "average-5": dict(POOLED, poolingType="average", poolSize=5),
+    "exponential-10": dict(POOLED, poolingType="exponential", poolSize=10),
+    "no-testing-vaccination": dict(
+        initProportionVaccinated=0.2, vaccinesAvailablePerDay=15, daysTilSusceptible=10,
+    ),
 }
 FAMILY_ALPHA = 0.01
 ALPHA = FAMILY_ALPHA / (len(SCENARIOS) * len(TOTALS))
@@ -37,7 +44,6 @@ ALPHA = FAMILY_ALPHA / (len(SCENARIOS) * len(TOTALS))
 def scenario_config(name):
     return default_config(
         popSize=1000, timeHorizon=60, initialInfected=20, baseSeed=2308,
-        daysBetweenTesting=2, firstDayOfTesting=5, daysDelayTestResults=2,
         **SCENARIOS[name],
     )
 

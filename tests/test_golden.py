@@ -42,11 +42,11 @@ CONFIGS = {
     ),
 }
 GOLDEN = {
-    "average-5-delay-2": "50ee1ddf844dbc699d22173f203f25fbb2e887fd74ebb233e1208ebf43fa0480",
-    "exponential-10-no-isolation": "16826c92c1b67e5a8c52aaae58b34f8f7aabea4fbe783f85b245cc28f29d623f",
-    "exponential-4-vaccination": "e6ca48e44ba8f10b26e055d60d259115bf15a7099020ef51fd16a3cb2229964d",
-    "no-testing-vaccination": "1094dc17fab711e468e06dfee97b3758ef9731b8849cebde3b42ae44b72cd130",
-    "single-fast-reinfection": "eb16d15fd6cdfde3a7429636a726b0aa3b0db3ebf93eb6a93a2c4616490b5fe0",
+    "average-5-delay-2": "cfecf1c1ae997d6f3d04102cc8d1dfc395a2d41646c13b23fa81753b97abcc58",
+    "exponential-10-no-isolation": "2f194a417e25dd0460436703e4e5bd54ad097da8860220b1941695e699424c93",
+    "exponential-4-vaccination": "85d5bb08c5cde5a3c4d8b3b19ff9234258b5f2683472485d09190074183f685d",
+    "no-testing-vaccination": "ebe9d8f29c7ce310d85a94168ed0ad51b3b91a62426de8565e8ef3e69309ad9f",
+    "single-fast-reinfection": "d137a092213f7bb917b9930aa595f0b92c61b19bc70a2217778b13d28d165c2c",
 }
 
 

@@ -1,9 +1,9 @@
 """Isolation entry/exit, self-isolation, loss of immunity, vaccination."""
 
+import numpy as np
 import pytest
 
 from episim.core import (
-    Agent,
     Compartment,
     Population,
     SimulationError,
@@ -11,16 +11,14 @@ from episim.core import (
     make_rng,
 )
 from episim.interventions import (
-    IsolationKind,
-    VaccineSupply,
-    apply_positive_result,
+    apply_positive_results,
     isolation_exit_step,
     mark_recovered,
     recovered_to_susceptible_step,
     self_isolation_step,
     vaccination_step,
 )
-from episim.viral_load import ViralLoadProfile
+from episim.viral_load import ViralLoadProfile, profile_params
 
 SYMPTOMATIC_PROFILE = ViralLoadProfile(
     t0=3.0, V0=1e3, tP=2.0, VP=1e5, tS=1.5, tF=6.5, VF=1e3, symptomatic=True
@@ -28,57 +26,53 @@ SYMPTOMATIC_PROFILE = ViralLoadProfile(
 
 
 def fresh_population(n=6):
-    return Population(
-        [Agent(i, Compartment.SUSCEPTIBLE_UNVACCINATED) for i in range(n)]
-    )
+    return Population(n)
 
 
 def infect(pop, agent_id, day=0, profile=SYMPTOMATIC_PROFILE,
            compartment=Compartment.INFECTIOUS_SYMPTOMATIC, will_isolate=False):
-    agent = pop.agent(agent_id)
-    agent.viral_profile = profile
-    agent.exposure_day = day
-    agent.symptomatic_assignment = profile.symptomatic
-    agent.will_self_isolate_on_symptoms = will_isolate
-    pop.move(agent, compartment)
-    if will_isolate and profile.symptomatic:
-        pop.selfiso_candidates.add(agent_id)
-    return agent
+    pop.params[agent_id] = profile_params(profile)
+    pop.exposure_day[agent_id] = day
+    pop.symptomatic[agent_id] = profile.symptomatic
+    pop.comp[agent_id] = compartment
+    pop.selfiso_candidate[agent_id] = will_isolate and profile.symptomatic
+    return agent_id
+
+
+def vaccination_config(doses):
+    return default_config(vaccinesAvailablePerDay=doses)
 
 
 def test_positive_result_isolates_infectious_as_sick():
     pop = fresh_population()
     cfg = default_config()  # isolationLength 10
-    agent = infect(pop, 0)
-    dest = apply_positive_result(pop, agent, 5, cfg)
-    assert dest is Compartment.ISOLATED_SICK
-    assert pop.isolation[0].scheduled_exit_day == 15
-    assert pop.isolation[0].kind is IsolationKind.SICK
+    infect(pop, 0)
+    healthy = apply_positive_results(pop, [0], 5, cfg)
+    assert pop.comp[0] == Compartment.ISOLATED_SICK
+    assert pop.iso_exit_day[0] == 15
+    assert healthy.tolist() == []
 
 
 def test_positive_result_isolates_susceptible_as_healthy():
     pop = fresh_population()
-    agent = pop.agent(1)
-    dest = apply_positive_result(pop, agent, 5, default_config())
-    assert dest is Compartment.ISOLATED_HEALTHY
-    assert pop.isolation[1].kind is IsolationKind.HEALTHY
+    healthy = apply_positive_results(pop, [1], 5, default_config())
+    assert pop.comp[1] == Compartment.ISOLATED_HEALTHY
+    assert healthy.tolist() == [1]
 
 
 def test_positive_result_leaves_recovered_alone():
     pop = fresh_population()
-    agent = pop.agent(2)
-    pop.move(agent, Compartment.RECOVERED)
-    assert apply_positive_result(pop, agent, 5, default_config()) is None
-    assert agent.compartment is Compartment.RECOVERED
-    assert 2 not in pop.isolation
+    pop.comp[2] = Compartment.RECOVERED
+    assert apply_positive_results(pop, [2], 5, default_config()).tolist() == []
+    assert pop.comp[2] == Compartment.RECOVERED
+    assert np.isnan(pop.iso_entry_day[2])
 
 
 def test_positive_result_on_isolated_agent_is_an_error():
     pop = fresh_population()
-    agent = pop.agent(0)
-    apply_positive_result(pop, agent, 5, default_config())
+    apply_positive_results(pop, [0], 5, default_config())
     with pytest.raises(SimulationError):
-        apply_positive_result(pop, agent, 6, default_config())
+        apply_positive_results(pop, [0], 6, default_config())
 
 
 def test_self_isolation_on_first_symptomatic_day():
@@ -86,10 +80,10 @@ def test_self_isolation_on_first_symptomatic_day():
     cfg = default_config()
     infect(pop, 0, day=0, will_isolate=True)
     # symptom onset at 6.5 days: nothing on day 6, isolation on day 7
-    assert self_isolation_step(pop, 6, cfg) == []
-    assert self_isolation_step(pop, 7, cfg) == [0]
-    assert pop.agent(0).compartment is Compartment.ISOLATED_SICK
-    assert pop.agent(0).self_isolation_triggered
+    assert self_isolation_step(pop, 6, cfg).tolist() == []
+    assert self_isolation_step(pop, 7, cfg).tolist() == [0]
+    assert pop.comp[0] == Compartment.ISOLATED_SICK
+    assert not pop.selfiso_candidate[0]  # the episode's decision is taken
 
 
 def test_unwilling_agent_never_self_isolates():
@@ -97,7 +91,7 @@ def test_unwilling_agent_never_self_isolates():
     cfg = default_config()
     infect(pop, 0, day=0, will_isolate=False)
     for day in range(20):
-        assert self_isolation_step(pop, day, cfg) == []
+        assert self_isolation_step(pop, day, cfg).tolist() == []
 
 
 def test_asymptomatic_agent_never_self_isolates():
@@ -109,129 +103,119 @@ def test_asymptomatic_agent_never_self_isolates():
     infect(pop, 0, profile=profile,
            compartment=Compartment.INFECTIOUS_ASYMPTOMATIC, will_isolate=True)
     for day in range(20):
-        assert self_isolation_step(pop, day, cfg) == []
+        assert self_isolation_step(pop, day, cfg).tolist() == []
 
 
 def test_self_isolation_happens_once_per_episode():
     pop = fresh_population()
     cfg = default_config(isolationLength=1)
     infect(pop, 0, day=0, will_isolate=True)
-    assert self_isolation_step(pop, 7, cfg) == [0]
+    assert self_isolation_step(pop, 7, cfg).tolist() == [0]
     isolation_exit_step(pop, 9, cfg)  # back out, still in symptom window
-    assert pop.agent(0).compartment is Compartment.RECOVERED
-    assert self_isolation_step(pop, 9, cfg) == []
+    assert pop.comp[0] == Compartment.RECOVERED
+    assert self_isolation_step(pop, 9, cfg).tolist() == []
 
 
 def test_isolation_exit_timing_and_destinations():
     pop = fresh_population()
     cfg = default_config()  # length 10
-    sick = infect(pop, 0)
-    apply_positive_result(pop, sick, 5, cfg)
-    healthy = pop.agent(1)
-    healthy.vaccinated = True
-    pop.move(healthy, Compartment.SUSCEPTIBLE_VACCINATED)
-    apply_positive_result(pop, healthy, 5, cfg)
+    infect(pop, 0)
+    apply_positive_results(pop, [0], 5, cfg)
+    pop.vaccinated[1] = True
+    pop.comp[1] = Compartment.SUSCEPTIBLE_VACCINATED
+    apply_positive_results(pop, [1], 5, cfg)
 
-    assert isolation_exit_step(pop, 14, cfg) == []
+    assert isolation_exit_step(pop, 14, cfg).tolist() == []
     released = isolation_exit_step(pop, 15, cfg)
-    assert (0, Compartment.RECOVERED) in released
-    assert (1, Compartment.SUSCEPTIBLE_VACCINATED) in released
-    assert pop.agent(0).recovery_day == 15
-    assert pop.agent(0).isolation_exit_day == 15
-    assert pop.agent(1).isolation_exit_day == 15
+    assert released.tolist() == [0, 1]
+    assert pop.comp[0] == Compartment.RECOVERED
+    assert pop.comp[1] == Compartment.SUSCEPTIBLE_VACCINATED
+    assert pop.recovery_day[0] == 15
+    assert pop.last_exit_day[0] == 15
+    assert pop.last_exit_day[1] == 15
 
 
 def test_zero_length_isolation_exits_the_next_day():
     pop = fresh_population()
     cfg = default_config(isolationLength=0)
-    agent = infect(pop, 0)
-    apply_positive_result(pop, agent, 5, cfg)
-    assert isolation_exit_step(pop, 5, cfg) == []
-    assert isolation_exit_step(pop, 6, cfg) == [(0, Compartment.RECOVERED)]
+    infect(pop, 0)
+    apply_positive_results(pop, [0], 5, cfg)
+    assert isolation_exit_step(pop, 5, cfg).tolist() == []
+    assert isolation_exit_step(pop, 6, cfg).tolist() == [0]
+    assert pop.comp[0] == Compartment.RECOVERED
 
 
 def test_recovered_returns_to_susceptible_after_immunity_lapses():
     pop = fresh_population()
     cfg = default_config()  # daysTilSusceptible 30
-    agent = infect(pop, 0)
-    mark_recovered(pop, agent, 20, cfg)
-    assert recovered_to_susceptible_step(pop, 49, cfg) == []
-    assert recovered_to_susceptible_step(pop, 50, cfg) == [0]
-    assert agent.compartment is Compartment.SUSCEPTIBLE_UNVACCINATED
-    assert agent.viral_profile is None
-    assert agent.exposure_day is None
-    assert agent.recovery_day is None
+    infect(pop, 0)
+    mark_recovered(pop, [0], 20)
+    assert recovered_to_susceptible_step(pop, 49, cfg).tolist() == []
+    assert recovered_to_susceptible_step(pop, 50, cfg).tolist() == [0]
+    assert pop.comp[0] == Compartment.SUSCEPTIBLE_UNVACCINATED
+    assert np.isnan(pop.params[0]).all()
+    assert np.isnan(pop.exposure_day[0])
+    assert np.isnan(pop.recovery_day[0])
 
 
 def test_vaccinated_recovered_returns_to_vaccinated_susceptible():
     pop = fresh_population()
     cfg = default_config()
-    agent = infect(pop, 0)
-    agent.vaccinated = True
-    mark_recovered(pop, agent, 0, cfg)
+    infect(pop, 0)
+    pop.vaccinated[0] = True
+    mark_recovered(pop, [0], 0)
     recovered_to_susceptible_step(pop, 30, cfg)
-    assert agent.compartment is Compartment.SUSCEPTIBLE_VACCINATED
+    assert pop.comp[0] == Compartment.SUSCEPTIBLE_VACCINATED
 
 
 def test_return_beyond_horizon_never_fires():
     pop = fresh_population()
     cfg = default_config(daysTilSusceptible=500, timeHorizon=120)
-    agent = infect(pop, 0)
-    mark_recovered(pop, agent, 20, cfg)
+    infect(pop, 0)
+    mark_recovered(pop, [0], 20)
     for day in range(cfg.timeHorizon):
-        assert recovered_to_susceptible_step(pop, day, cfg) == []
-    assert agent.compartment is Compartment.RECOVERED
+        assert recovered_to_susceptible_step(pop, day, cfg).tolist() == []
+    assert pop.comp[0] == Compartment.RECOVERED
 
 
 def test_vaccination_with_no_supply():
     pop = fresh_population()
-    moved = vaccination_step(pop, VaccineSupply(0), 0, default_config(), make_rng(1))
-    assert moved == []
+    moved = vaccination_step(pop, 0, vaccination_config(0), make_rng(1))
+    assert moved.tolist() == []
 
 
 def test_vaccination_supply_limited():
-    pop = Population(
-        [Agent(i, Compartment.SUSCEPTIBLE_UNVACCINATED, willingness_to_vaccinate=0.7)
-         for i in range(5000)]
-    )
-    supply = VaccineSupply(50)
-    moved = vaccination_step(pop, supply, 0, default_config(), make_rng(2))
+    pop = Population(5000)
+    pop.willingness[:] = 0.7
+    moved = vaccination_step(pop, 0, vaccination_config(50), make_rng(2))
     assert len(moved) == 50
-    assert supply.administered_today == 50
-    assert pop.count(Compartment.SUSCEPTIBLE_VACCINATED) == 50
-    assert pop.vaccinated_count == 50
+    assert len(np.unique(moved)) == 50
+    assert pop.counts()[Compartment.SUSCEPTIBLE_VACCINATED] == 50
+    assert np.count_nonzero(pop.vaccinated) == 50
 
 
 def test_vaccination_demand_limited():
-    agents = [
-        Agent(i, Compartment.SUSCEPTIBLE_UNVACCINATED,
-              willingness_to_vaccinate=1.0 if i < 10 else 0.0)
-        for i in range(100)
-    ]
-    pop = Population(agents)
-    moved = vaccination_step(pop, VaccineSupply(50), 0, default_config(), make_rng(3))
+    pop = Population(100)
+    pop.willingness[:10] = 1.0
+    moved = vaccination_step(pop, 0, vaccination_config(50), make_rng(3))
     assert sorted(moved) == list(range(10))
 
 
 def test_vaccination_flags_infected_without_moving_them():
     pop = fresh_population(3)
-    agent = infect(pop, 0)
-    agent.willingness_to_vaccinate = 1.0
-    pop.agent(1).willingness_to_vaccinate = 1.0
-    pop.agent(2).willingness_to_vaccinate = 1.0
-    vaccination_step(pop, VaccineSupply(10), 0, default_config(), make_rng(4))
-    assert agent.vaccinated
-    assert agent.compartment is Compartment.INFECTIOUS_SYMPTOMATIC
-    assert pop.agent(1).compartment is Compartment.SUSCEPTIBLE_VACCINATED
+    infect(pop, 0)
+    pop.willingness[:] = 1.0
+    vaccination_step(pop, 0, vaccination_config(10), make_rng(4))
+    assert pop.vaccinated[0]
+    assert pop.comp[0] == Compartment.INFECTIOUS_SYMPTOMATIC
+    assert pop.comp[1] == Compartment.SUSCEPTIBLE_VACCINATED
 
 
 def test_vaccination_skips_isolated_and_already_vaccinated():
     pop = fresh_population(4)
-    for i in range(4):
-        pop.agent(i).willingness_to_vaccinate = 1.0
-    pop.move(pop.agent(0), Compartment.ISOLATED_SICK)
-    pop.agent(1).vaccinated = True
-    pop.vaccinated_count += 1
-    pop.move(pop.agent(1), Compartment.SUSCEPTIBLE_VACCINATED)
-    moved = vaccination_step(pop, VaccineSupply(10), 0, default_config(), make_rng(5))
+    pop.willingness[:] = 1.0
+    pop.comp[0] = Compartment.ISOLATED_SICK
+    pop.vaccinated[1] = True
+    pop.comp[1] = Compartment.SUSCEPTIBLE_VACCINATED
+    moved = vaccination_step(pop, 0, vaccination_config(10), make_rng(5))
     assert sorted(moved) == [2, 3]

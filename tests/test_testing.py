@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from episim.core import Agent, Compartment, Population, default_config, make_rng
+from episim.core import Compartment, Population, default_config, make_rng
 from episim.testing import (
     TestLedger,
     TestSpec,
@@ -16,7 +16,7 @@ from episim.testing import (
     run_testing_day,
     single_test,
 )
-from episim.viral_load import ViralLoadProfile, load_at
+from episim.viral_load import ViralLoadProfile, load_at, profile_params
 
 # operating points for the two test types compared in the experiments
 TEST_A = TestSpec(detectionCut=100.0, fprSingle=0.014, fnrSingle=0.06,
@@ -142,15 +142,14 @@ def test_pool_positive_prob_matches_scalar_rules():
 
 def hot_population(n=100, hot_ids=(), load=1e8):
     """All-susceptible population; hot agents carry a flat high trajectory."""
-    agents = [Agent(i, Compartment.SUSCEPTIBLE_UNVACCINATED) for i in range(n)]
-    pop = Population(agents)
+    pop = Population(n)
     profile = ViralLoadProfile(
         t0=0.5, V0=load, tP=1.0, VP=load, tS=0.0, tF=50.0, VF=load, symptomatic=False
     )
-    for i in hot_ids:
-        pop.agent(i).viral_profile = profile
-        pop.agent(i).exposure_day = 0
-        pop.move(pop.agent(i), Compartment.INFECTIOUS_ASYMPTOMATIC)
+    hot = list(hot_ids)
+    pop.params[hot] = profile_params(profile)
+    pop.exposure_day[hot] = 0
+    pop.comp[hot] = Compartment.INFECTIOUS_ASYMPTOMATIC
     return pop
 
 
@@ -216,15 +215,17 @@ def reference_testing_day(pop, cfg, day, rng):
     """The testing day one sample at a time with the scalar rules, drawing
     in the documented order; returns (sorted positive ids, tests used)."""
     spec = TestSpec.from_config(cfg)
+    isolated = (Compartment.ISOLATED_HEALTHY, Compartment.ISOLATED_SICK)
     ids = []
-    for agent in pop.agents:
-        exit_day = agent.isolation_exit_day
-        held = exit_day is not None and day - exit_day < cfg.noTestingPostIsolationDays
-        if not agent.is_isolated and not held:
-            ids.append(agent.id)
+    for i in range(len(pop)):
+        exit_day = pop.last_exit_day[i]
+        held = not np.isnan(exit_day) and day - exit_day < cfg.noTestingPostIsolationDays
+        if pop.comp[i] not in isolated and not held:
+            ids.append(i)
     loads = [
-        0.0 if pop.agent(i).viral_profile is None
-        else load_at(pop.agent(i).viral_profile, day - pop.agent(i).exposure_day)
+        0.0 if np.isnan(pop.exposure_day[i])
+        else load_at(ViralLoadProfile(*pop.params[i], symptomatic=False),
+                     day - pop.exposure_day[i])
         for i in ids
     ]
     order = rng.permutation(len(ids))
@@ -251,25 +252,24 @@ def test_run_testing_day_matches_scalar_reference(pooling_type, pool_size):
     # agents inside and past the post-isolation holdback
     rng = make_rng(111)
     n = 400
-    pop = Population([Agent(i, Compartment.SUSCEPTIBLE_UNVACCINATED) for i in range(n)])
+    pop = Population(n)
     infected_comps = (
         Compartment.EXPOSED, Compartment.INFECTIOUS_SYMPTOMATIC,
         Compartment.INFECTIOUS_ASYMPTOMATIC, Compartment.RECOVERED,
     )
     for i in range(0, n, 3):
-        agent = pop.agent(i)
-        agent.viral_profile = ViralLoadProfile(
+        pop.params[i] = profile_params(ViralLoadProfile(
             t0=float(rng.uniform(0, 4)), V0=10 ** float(rng.uniform(0, 3)),
             tP=float(rng.uniform(0, 3)), VP=10 ** float(rng.uniform(3, 8)),
             tS=0.0, tF=float(rng.uniform(0, 9)), VF=10 ** float(rng.uniform(0, 3)),
             symptomatic=False,
-        )
-        agent.exposure_day = int(rng.integers(0, 16))
-        pop.move(agent, infected_comps[i % 4])
+        ))
+        pop.exposure_day[i] = int(rng.integers(0, 16))
+        pop.comp[i] = infected_comps[i % 4]
     for i in range(1, n, 11):
-        pop.move(pop.agent(i), Compartment.ISOLATED_HEALTHY)
+        pop.comp[i] = Compartment.ISOLATED_HEALTHY
     for i in range(2, n, 5):
-        pop.agent(i).isolation_exit_day = int(rng.integers(0, 16))
+        pop.last_exit_day[i] = int(rng.integers(0, 16))
     cfg = default_config(
         daysBetweenTesting=1, firstDayOfTesting=0, poolSize=pool_size,
         poolingType=pooling_type, fprSingle=0.05, fnrSingle=0.3,
@@ -326,7 +326,7 @@ def test_agents_with_pending_results_are_retested():
 
 def test_post_isolation_holdback():
     pop = hot_population(3)
-    pop.agent(1).isolation_exit_day = 10
+    pop.last_exit_day[1] = 10
     cfg = default_config(noTestingPostIsolationDays=4)
     assert eligible_ids(pop, 12, cfg).tolist() == [0, 2]
     assert eligible_ids(pop, 14, cfg).tolist() == [0, 1, 2]
@@ -334,8 +334,8 @@ def test_post_isolation_holdback():
 
 def test_isolated_agents_are_not_tested():
     pop = hot_population(10)
-    pop.move(pop.agent(0), Compartment.ISOLATED_SICK)
-    pop.move(pop.agent(1), Compartment.ISOLATED_HEALTHY)
+    pop.comp[0] = Compartment.ISOLATED_SICK
+    pop.comp[1] = Compartment.ISOLATED_HEALTHY
     cfg = default_config(daysBetweenTesting=1, firstDayOfTesting=0, poolSize=1,
                          fprSingle=1.0)
     pending, ledger = {}, TestLedger()

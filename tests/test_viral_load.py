@@ -13,7 +13,10 @@ from episim.viral_load import (
     load_at,
     profile_params,
     sample_profile,
+    status_array,
     status_at,
+    symptomatic_now,
+    symptoms_array,
 )
 
 # all-constant trajectory used by the worked examples
@@ -168,3 +171,40 @@ def test_load_array_matches_load_at():
 
 def test_load_array_of_no_profiles_is_empty():
     assert load_array(np.empty((0, 7)), np.empty(0)).shape == (0,)
+
+
+def test_status_array_matches_status_at():
+    # the vectorised status stage against the scalar classification, on
+    # random valid profiles at every control point, at symptom onset, before
+    # t0, after the end and at random integer taus
+    rng = make_rng(31)
+    cut = 1e3
+    profiles = [
+        ViralLoadProfile(
+            t0=float(rng.uniform(0, 4)), V0=10 ** float(rng.uniform(0, 4)),
+            tP=float(rng.choice([0.0, rng.uniform(0, 4)])), VP=10 ** float(rng.uniform(2, 8)),
+            tS=float(rng.uniform(0, 3)) if symptomatic else 0.0,
+            tF=float(rng.choice([0.0, rng.uniform(0, 10)])), VF=10 ** float(rng.uniform(0, 4)),
+            symptomatic=symptomatic,
+        )
+        for symptomatic in rng.random(300) < 0.5
+    ]
+    cases = []
+    for prof in profiles:
+        onset = prof.peak_time + prof.tS
+        for tau in [prof.t0, prof.peak_time, prof.end_time, onset, prof.t0 - 1.0,
+                    prof.end_time + 0.5, *rng.integers(0, 20, 6).tolist()]:
+            cases.append((prof, float(tau)))
+    params = np.array([profile_params(p) for p, _ in cases])
+    tau = np.array([t for _, t in cases])
+    symptomatic = np.array([p.symptomatic for p, _ in cases])
+    infectious, recovered = status_array(params, tau, cut)
+    showing = symptoms_array(params, symptomatic, tau)
+    want = [status_at(p, t, cut) for p, t in cases]
+    assert infectious.tolist() == [s is InfectionStage.INFECTIOUS for s, _ in want]
+    assert recovered.tolist() == [s is InfectionStage.RECOVERED for s, _ in want]
+    assert showing.tolist() == [symptomatic_now(p, t) for p, t in cases]
+    # every outcome occurs, so no branch is left untested
+    assert infectious.any() and recovered.any() and (~infectious & ~recovered).any()
+    assert showing.any() and (symptomatic & ~showing).any()
+
