@@ -23,7 +23,7 @@ from .core import (
     validate_config,
 )
 from .engine import (
-    DailyRecord,
+    RECORD_DTYPE,
     ReplicateResult,
     RunSummary,
     initialize,
@@ -39,11 +39,11 @@ __all__ = [
     "Compartment",
     "ConfigError",
     "Constant",
-    "DailyRecord",
     "GammaShifted",
     "InfectionStage",
     "NormalClipped",
     "Population",
+    "RECORD_DTYPE",
     "ReplicateResult",
     "ReproductionSeries",
     "RunSummary",

@@ -9,7 +9,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ConfigError, ScenarioConfig
-from .engine import DailyRecord
 
 # Defaults for the window where the reproduction-number estimate is trusted:
 # the unvaccinated-susceptible share must still be near 1 and the infectious
@@ -68,29 +67,26 @@ class ReproductionSeries:
 
 
 def effective_r_series(
-    records: list[DailyRecord],
+    records: np.ndarray,
     tau_i: float,
     su_fraction_min: float = EARLY_WINDOW_SU_FRACTION,
     min_infectious: int = EARLY_WINDOW_MIN_INFECTIOUS,
 ) -> ReproductionSeries:
-    """Estimate R_t = (new internal exposures / previous-day infectious) * tau_i."""
+    """Estimate R_t = (new internal exposures / previous-day infectious) * tau_i
+    from a run's records (an array of :data:`~episim.engine.RECORD_DTYPE`)."""
     n = len(records)
-    days = np.arange(n)
     values = np.full(n, np.nan)
     window = np.zeros(n, dtype=bool)
-    for t in range(1, n):
-        prev = records[t - 1]
-        infectious_prev = prev.i_s + prev.i_a
-        if infectious_prev <= 0:
-            continue
-        values[t] = records[t].new_exposures_internal / infectious_prev * tau_i
-        p_prev = prev.s_u + prev.s_v + prev.e + prev.i_s + prev.i_a + prev.r
-        if p_prev <= 0:
-            continue
-        window[t] = (
-            prev.s_u / p_prev > su_fraction_min
-            and infectious_prev >= min_infectious
-        )
+    prev = records[:-1]
+    infectious = prev["i_s"] + prev["i_a"]
+    in_population = prev["s_u"] + prev["s_v"] + prev["e"] + infectious + prev["r"]
+    # R_t is defined on the day after each day with infectious agents
+    before = np.flatnonzero(infectious > 0)
+    values[before + 1] = records["new_int"][before + 1] / infectious[before] * tau_i
+    window[before + 1] = (
+        (prev["s_u"][before] / in_population[before] > su_fraction_min)
+        & (infectious[before] >= min_infectious)
+    )
     return ReproductionSeries(
-        tau_i=tau_i, days=days, values=values, early_window=window
+        tau_i=tau_i, days=np.arange(n), values=values, early_window=window
     )

@@ -12,7 +12,7 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Optional, TextIO
 
 import numpy as np
 
@@ -30,37 +30,12 @@ from .core import (
     validate_config,
 )
 from .engine import (
-    AGGREGATE_COLUMNS,
-    DailyRecord,
+    RECORD_DTYPE,
     ReplicateResult,
     RunSummary,
     default_jobs,
     run_replicates,
 )
-
-# Stable run-CSV schema: column -> DailyRecord attribute.
-RECORD_COLUMNS = [
-    ("day", "day"),
-    ("s_u", "s_u"),
-    ("s_v", "s_v"),
-    ("e", "e"),
-    ("i_s", "i_s"),
-    ("i_a", "i_a"),
-    ("r", "r"),
-    ("iso_healthy", "iso_healthy"),
-    ("iso_sick", "iso_sick"),
-    ("new_ext", "new_exposures_external"),
-    ("new_int", "new_exposures_internal"),
-    ("cum_infections", "cumulative_total_infections"),
-    ("cum_false_iso", "cumulative_false_isolations"),
-    ("tests_today", "tests_used_today"),
-    ("cum_cost", "cumulative_cost"),
-    ("vaccinated_total", "vaccinated_total"),
-]
-RECORD_HEADER = [name for name, _ in RECORD_COLUMNS]
-
-_SHORT_NAME = {attr: name for name, attr in RECORD_COLUMNS}
-
 
 def compute_cost_metrics(total_cost: float, config: ScenarioConfig) -> float:
     """Total testing cost normalized per person per simulated day."""
@@ -73,45 +48,36 @@ def compute_cost_metrics(total_cost: float, config: ScenarioConfig) -> float:
 # File emission
 
 
-def write_run_csv(path: Path, records: list[DailyRecord]) -> None:
+def write_run_csv(path: Path, records: np.ndarray) -> None:
+    """One row per entry of a run's records, under the RECORD_DTYPE names."""
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(RECORD_HEADER)
-        for rec in records:
-            writer.writerow([getattr(rec, attr) for _, attr in RECORD_COLUMNS])
+        writer.writerow(RECORD_DTYPE.names)
+        writer.writerows(records.tolist())
 
 
 def read_run_csv(path: Path) -> list[dict[str, float]]:
     with path.open(newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames != RECORD_HEADER:
+        if reader.fieldnames != list(RECORD_DTYPE.names):
             raise ConfigError(f"{path}: unexpected run CSV columns")
         return [{k: float(v) for k, v in row.items()} for row in reader]
 
 
-def write_aggregate_csv(path: Path, aggregate: dict[str, dict[str, np.ndarray]],
-                        n_days: int) -> None:
-    header = ["day"]
-    for col in AGGREGATE_COLUMNS:
-        short = _SHORT_NAME[col]
-        header += [f"mean_{short}", f"min_{short}", f"max_{short}"]
+def write_aggregate_csv(path: Path, records: list[np.ndarray]) -> None:
+    """Per-day mean, min and max over the replicates of every record field
+    but the day."""
+    runs = np.stack(records)
+    columns = RECORD_DTYPE.names[1:]
+    header = ["day"] + [f"{band}_{col}" for col in columns for band in ("mean", "min", "max")]
+    bands = np.column_stack([
+        band(runs[col], axis=0) for col in columns for band in (np.mean, np.min, np.max)
+    ])
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for day in range(n_days):
-            row: list[Any] = [day]
-            for col in AGGREGATE_COLUMNS:
-                bands = aggregate[col]
-                row += [
-                    float(bands["mean"][day]),
-                    float(bands["min"][day]),
-                    float(bands["max"][day]),
-                ]
-            writer.writerow(row)
-
-
-def summary_to_dict(summary: RunSummary) -> dict:
-    return dataclasses.asdict(summary)
+        for day, row in enumerate(bands.tolist()):
+            writer.writerow([day, *row])
 
 
 def write_json(path: Path, payload: Any) -> None:
@@ -127,11 +93,9 @@ def write_replicates(out_dir: Path, config: ScenarioConfig,
     for summary, records in zip(result.summaries, result.records):
         idx = summary.run_index
         write_run_csv(out_dir / f"run_{idx:03d}.csv", records)
-        write_json(out_dir / f"summary_{idx:03d}.json", summary_to_dict(summary))
-    if result.aggregate:
-        write_aggregate_csv(
-            out_dir / "aggregate.csv", result.aggregate, config.timeHorizon
-        )
+        write_json(out_dir / f"summary_{idx:03d}.json", dataclasses.asdict(summary))
+    if config.timeHorizon > 0:
+        write_aggregate_csv(out_dir / "aggregate.csv", result.records)
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +153,11 @@ class SweepSpec:
             label = "/".join(value_label for value_label, _ in combo) or "base"
             config = config_from_dict(doc)
             require_valid(config)
+            if config.timeHorizon <= 0 or config.popSize <= 0:
+                raise ConfigError(
+                    f"sweep cell {label!r}: the cost metric requires "
+                    "timeHorizon > 0 and popSize > 0"
+                )
             out.append(SweepCell(idx, label, overrides, config))
         labels = [c.label for c in out]
         if len(set(labels)) != len(labels):
@@ -210,6 +179,13 @@ def _axis_value_label(field_name: str, value: Any) -> str:
     return f"{field_name}={value}"
 
 
+def _positive_int(doc: dict, key: str, default: int) -> int:
+    value = doc.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError(f"sweep spec '{key}' must be an integer >= 1, got {value!r}")
+    return value
+
+
 def sweep_from_dict(doc: dict) -> SweepSpec:
     if not isinstance(doc, dict):
         raise ConfigError("sweep spec must be an object")
@@ -220,20 +196,25 @@ def sweep_from_dict(doc: dict) -> SweepSpec:
     if not isinstance(base, dict):
         raise ConfigError("sweep spec 'base' must be a config object")
     config_from_dict(base)  # reject unknown fields early
-    replicates = doc.get("replicates", 1)
-    if not isinstance(replicates, int) or replicates < 1:
-        raise ConfigError("sweep spec 'replicates' must be an integer >= 1")
-    max_runs = doc.get("maxRuns", 100_000)
+    replicates = _positive_int(doc, "replicates", 1)
+    max_runs = _positive_int(doc, "maxRuns", 100_000)
+    axis_docs = doc.get("axes", [])
+    if not isinstance(axis_docs, list):
+        raise ConfigError("sweep spec 'axes' must be a list")
 
     axes: list[tuple[str, list[tuple[str, dict[str, Any]]]]] = []
-    for pos, axis in enumerate(doc.get("axes", [])):
+    for pos, axis in enumerate(axis_docs):
         if not isinstance(axis, dict) or "name" not in axis or "values" not in axis:
             raise ConfigError(f"axes[{pos}]: expected an object with 'name' and 'values'")
         name = axis["name"]
+        if not isinstance(name, str):
+            raise ConfigError(f"axes[{pos}]: 'name' must be a string")
+        if not isinstance(axis["values"], list) or not axis["values"]:
+            raise ConfigError(f"axes[{pos}] ({name}): 'values' must be a non-empty list")
         values: list[tuple[str, dict[str, Any]]] = []
         for value in axis["values"]:
             if isinstance(value, dict):
-                if "overrides" not in value:
+                if not isinstance(value.get("overrides"), dict):
                     raise ConfigError(
                         f"axes[{pos}] ({name}): object values need an 'overrides' map"
                     )
@@ -249,8 +230,6 @@ def sweep_from_dict(doc: dict) -> SweepSpec:
                         f"axes[{pos}] ({name}): unknown config field {field_name!r}"
                     )
             values.append((label, overrides))
-        if not values:
-            raise ConfigError(f"axes[{pos}] ({name}): needs at least one value")
         axes.append((name, values))
     return SweepSpec(base=base, axes=axes, replicates=replicates, max_runs=max_runs)
 
@@ -299,29 +278,25 @@ def report_row(label: str, infections: list[float], false_isolations: list[float
     }
 
 
-def rows_from_summaries(label: str, config: ScenarioConfig,
-                        summaries: list[RunSummary]) -> dict[str, Any]:
+def rows_from_summaries(label: str, summaries: list[RunSummary]) -> dict[str, Any]:
     return report_row(
         label,
         [s.total_infections for s in summaries],
         [s.total_false_isolations for s in summaries],
-        [compute_cost_metrics(s.total_cost, config) for s in summaries],
+        [s.cost_per_person_per_day for s in summaries],
     )
+
+
+def write_report_csv(fh: TextIO, rows: list[dict[str, Any]]) -> None:
+    writer = csv.DictWriter(fh, fieldnames=REPORT_HEADER)
+    writer.writeheader()
+    writer.writerows(rows)
 
 
 def write_report(out_dir: Path, rows: list[dict[str, Any]]) -> None:
     with (out_dir / "report.csv").open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=REPORT_HEADER)
-        writer.writeheader()
-        writer.writerows(rows)
+        write_report_csv(fh, rows)
     write_json(out_dir / "report.json", rows)
-
-
-def format_report(rows: list[dict[str, Any]]) -> str:
-    lines = [",".join(REPORT_HEADER)]
-    for row in rows:
-        lines.append(",".join(str(row[col]) for col in REPORT_HEADER))
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +308,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.seed is not None:
         config = dataclasses.replace(config, baseSeed=args.seed)
     require_valid(config)
-    result = run_replicates(config, args.runs, jobs=args.jobs)
+    [result] = run_replicates([config], args.runs, jobs=args.jobs)
     write_replicates(Path(args.out), config, result)
     print(f"wrote {args.runs} run(s) to {args.out}")
     return 0
@@ -342,11 +317,11 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     spec = load_sweep_spec(args.spec)
     cells = spec.cells()
+    results = run_replicates([cell.config for cell in cells], spec.replicates, jobs=args.jobs)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
-    for cell in cells:
-        result = run_replicates(cell.config, spec.replicates, jobs=args.jobs)
+    for cell, result in zip(cells, results):
         cell_dir = out_dir / cell.dirname
         write_replicates(cell_dir, cell.config, result)
         write_json(
@@ -357,7 +332,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 "replicates": spec.replicates,
             },
         )
-        rows.append(rows_from_summaries(cell.label, cell.config, result.summaries))
+        rows.append(rows_from_summaries(cell.label, result.summaries))
         print(f"{cell.label}: done ({spec.replicates} runs)")
     write_report(out_dir, rows)
     print(f"wrote report for {len(cells)} scenario(s) to {out_dir / 'report.csv'}")
@@ -385,22 +360,18 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
             vaccinesAvailablePerDay=0,
             initProportionVaccinated=0.0,
         )
-        result = run_replicates(baseline, args.runs, jobs=args.jobs)
-        means = []
-        series = []
-        for records in result.records:
-            rs = effective_r_series(records, tau)
-            series.append(rs)
-            means.append(rs.early_mean())
-        early_mean = float(np.nanmean(means))
+        [result] = run_replicates([baseline], args.runs, jobs=args.jobs)
+        series = [effective_r_series(records, tau) for records in result.records]
+        means = np.array([rs.early_mean() for rs in series])
+        # null, not NaN, when no run has an early window: JSON has no NaN
+        early_mean = None if np.isnan(means).all() else float(np.nanmean(means))
         payload["validation"] = {
             "runs": args.runs,
             "early_window_mean_r": early_mean,
         }
-        print(
-            f"validation over {args.runs} baseline run(s): "
-            f"early-window mean R_t = {early_mean:.4g}"
-        )
+        shown = ("undefined (no run has an early window)" if early_mean is None
+                 else f"{early_mean:.4g}")
+        print(f"validation over {args.runs} baseline run(s): early-window mean R_t = {shown}")
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -447,12 +418,10 @@ def cmd_report(args: argparse.Namespace) -> int:
         if not infections:
             raise ConfigError(f"{cell_dir}: no run CSVs")
         rows.append(report_row(meta["label"], infections, false_iso, costs))
-    sys.stdout.write(format_report(rows))
+    write_report_csv(sys.stdout, rows)
     if args.out:
         with open(args.out, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=REPORT_HEADER)
-            writer.writeheader()
-            writer.writerows(rows)
+            write_report_csv(fh, rows)
     return 0
 
 

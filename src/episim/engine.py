@@ -1,6 +1,13 @@
 """Simulation engine: population initialization, the six-stage daily loop,
 replicate execution, and metric accumulation.
 
+A day's output is one record of :data:`RECORD_DTYPE`, a NumPy structured
+dtype whose field names are the run-CSV columns: the day, the eight
+compartment counts in :class:`~episim.core.Compartment` order, the day's
+external and internal exposures, the cumulative infections and false
+isolations, the day's tests, the cumulative cost and the vaccinated total.
+A run's output is one array of that dtype with one entry per day.
+
 Daily stage order: (1) external exposure, (2) status updates (result
 delivery, isolation exits, exposed-to-infectious crossings, recoveries, loss
 of immunity), (3) self-isolation, (4) testing, (5) internal propagation,
@@ -24,7 +31,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -32,7 +39,6 @@ from .core import (
     E,
     I_A,
     I_S,
-    N_COMPARTMENTS,
     S_V,
     ConfigError,
     Population,
@@ -53,33 +59,14 @@ from .transmission import expose, external_exposure_step, internal_propagation_s
 from .viral_load import status_array
 
 
-@dataclass(frozen=True)
-class DailyRecord:
-    """End-of-day compartment counts and cumulative metrics."""
-
-    day: int
-    s_u: int
-    s_v: int
-    e: int
-    i_s: int
-    i_a: int
-    r: int
-    iso_healthy: int
-    iso_sick: int
-    new_exposures_external: int
-    new_exposures_internal: int
-    cumulative_total_infections: int
-    cumulative_false_isolations: int
-    tests_used_today: int
-    cumulative_cost: float
-    vaccinated_total: int
-
-    @property
-    def population_total(self) -> int:
-        return (
-            self.s_u + self.s_v + self.e + self.i_s + self.i_a + self.r
-            + self.iso_healthy + self.iso_sick
-        )
+# One daily record; the field names are the run-CSV column names.
+RECORD_DTYPE = np.dtype(
+    [(name, np.int64) for name in (
+        "day", "s_u", "s_v", "e", "i_s", "i_a", "r", "iso_healthy", "iso_sick",
+        "new_ext", "new_int", "cum_infections", "cum_false_iso", "tests_today",
+    )]
+    + [("cum_cost", np.float64), ("vaccinated_total", np.int64)]
+)
 
 
 @dataclass(frozen=True)
@@ -174,10 +161,9 @@ def _deliver_and_apply_results(state: RunState, day: int) -> None:
     state.cumulative_false_isolations += len(false_isolations)
 
 
-def step(
-    state: RunState, day: int, rng: np.random.Generator
-) -> DailyRecord:
-    """Advance one day through the six stages and emit the day's record."""
+def step(state: RunState, day: int, rng: np.random.Generator) -> np.void:
+    """Advance one day through the six stages and emit the day's record, one
+    entry of :data:`RECORD_DTYPE`."""
     config = state.config
     population = state.population
 
@@ -206,34 +192,40 @@ def step(
     vaccination_step(population, day, config, rng)
 
     counts = population.counts()
-    record = DailyRecord(
-        day,
-        # s_u ... iso_sick, declared in Compartment order
-        *counts[:N_COMPARTMENTS].tolist(),
-        new_exposures_external=len(new_external),
-        new_exposures_internal=len(new_internal),
-        cumulative_total_infections=state.cumulative_infections,
-        cumulative_false_isolations=state.cumulative_false_isolations,
-        tests_used_today=tests_today,
-        cumulative_cost=state.ledger.cost_total,
-        vaccinated_total=int(np.count_nonzero(population.vaccinated)),
-    )
-    if record.population_total != config.popSize:
+    if counts.sum() != config.popSize:
         raise SimulationError(
-            f"conservation violated on day {day}: "
-            f"{record.population_total} != {config.popSize}"
+            f"conservation violated on day {day}: {counts.sum()} != {config.popSize}"
         )
+    record = np.array(
+        (
+            day,
+            # s_u ... iso_sick, declared in Compartment order
+            *counts.tolist(),
+            len(new_external),
+            len(new_internal),
+            state.cumulative_infections,
+            state.cumulative_false_isolations,
+            tests_today,
+            state.ledger.cost_total,
+            np.count_nonzero(population.vaccinated),
+        ),
+        dtype=RECORD_DTYPE,
+    )[()]
     state.prev_counts = counts
     return record
 
 
-def run(
-    config: ScenarioConfig, run_index: int = 0
-) -> tuple[RunSummary, list[DailyRecord]]:
-    """Run one replicate; fully deterministic given (config, run_index)."""
+def run(config: ScenarioConfig, run_index: int = 0) -> tuple[RunSummary, np.ndarray]:
+    """Run one replicate; fully deterministic given (config, run_index).
+
+    Returns the summary and the run's records, one entry of
+    :data:`RECORD_DTYPE` per day.
+    """
     rng = make_rng(config.baseSeed, run_index)
     state = initialize(config, rng)
-    records = [step(state, day, rng) for day in range(config.timeHorizon)]
+    records = np.empty(config.timeHorizon, dtype=RECORD_DTYPE)
+    for day in range(config.timeHorizon):
+        records[day] = step(state, day, rng)
     person_days = config.timeHorizon * config.popSize
     summary = RunSummary(
         run_index=run_index,
@@ -251,61 +243,42 @@ def run(
     return summary, records
 
 
-# Per-day mean and min/max envelope of every record column, over replicates.
-AGGREGATE_COLUMNS = (
-    "s_u", "s_v", "e", "i_s", "i_a", "r", "iso_healthy", "iso_sick",
-    "new_exposures_external", "new_exposures_internal",
-    "cumulative_total_infections", "cumulative_false_isolations",
-    "tests_used_today", "cumulative_cost", "vaccinated_total",
-)
-
-
 @dataclass
 class ReplicateResult:
+    """The replicates of one config, in run-index order."""
+
     summaries: list[RunSummary]
-    records: list[list[DailyRecord]]
-    # column -> {"mean"|"min"|"max" -> array over days}
-    aggregate: dict[str, dict[str, np.ndarray]]
+    records: list[np.ndarray]
 
 
-def aggregate_records(records: list[list[DailyRecord]]) -> dict[str, dict[str, np.ndarray]]:
-    out: dict[str, dict[str, np.ndarray]] = {}
-    for col in AGGREGATE_COLUMNS:
-        matrix = np.array([[getattr(rec, col) for rec in run_recs] for run_recs in records])
-        out[col] = {
-            "mean": matrix.mean(axis=0),
-            "min": matrix.min(axis=0),
-            "max": matrix.max(axis=0),
-        }
-    return out
-
-
-def _run_indexed(args: tuple[ScenarioConfig, int]) -> tuple[RunSummary, list[DailyRecord]]:
-    return run(args[0], args[1])
+def _run_indexed(task: tuple[ScenarioConfig, int]) -> tuple[RunSummary, np.ndarray]:
+    return run(*task)
 
 
 def run_replicates(
-    config: ScenarioConfig,
+    configs: Sequence[ScenarioConfig],
     n_runs: int,
     jobs: Optional[int] = None,
-) -> ReplicateResult:
-    """Run replicates 0..n_runs-1; results are identical for any job count."""
+) -> list[ReplicateResult]:
+    """Run replicates 0..n_runs-1 of every config on one process pool.
+
+    Returns one result per config, in order; results are identical for any
+    job count.
+    """
     if n_runs < 1:
         raise ConfigError("n_runs must be >= 1")
     jobs = jobs or 1
-    tasks = [(config, i) for i in range(n_runs)]
-    if jobs > 1 and n_runs > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, n_runs)) as pool:
+    tasks = [(config, i) for config in configs for i in range(n_runs)]
+    if jobs > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             results = list(pool.map(_run_indexed, tasks))
     else:
         results = [_run_indexed(t) for t in tasks]
-    summaries = [r[0] for r in results]
-    records = [r[1] for r in results]
-    return ReplicateResult(
-        summaries=summaries,
-        records=records,
-        aggregate=aggregate_records(records) if config.timeHorizon > 0 else {},
-    )
+    out = []
+    for k in range(0, len(results), n_runs):
+        summaries, records = zip(*results[k:k + n_runs])
+        out.append(ReplicateResult(list(summaries), list(records)))
+    return out
 
 
 def default_jobs() -> int:

@@ -11,17 +11,16 @@ from episim.calibration import (
     expected_infectious_duration,
 )
 from episim.core import Constant, ConfigError, NormalClipped, default_config
-from episim.engine import DailyRecord, run
+from episim.engine import RECORD_DTYPE, run
 
 
 def make_record(day, i=0, new_int=0, s_u=9800, s_v=0, e=0, r=0):
-    return DailyRecord(
-        day=day, s_u=s_u, s_v=s_v, e=e, i_s=i, i_a=0, r=r,
-        iso_healthy=0, iso_sick=0,
-        new_exposures_external=0, new_exposures_internal=new_int,
-        cumulative_total_infections=0, cumulative_false_isolations=0,
-        tests_used_today=0, cumulative_cost=0.0, vaccinated_total=0,
-    )
+    """One record; the fields not named here are 0."""
+    record = np.zeros((), dtype=RECORD_DTYPE)
+    for name, value in dict(day=day, s_u=s_u, s_v=s_v, e=e, i_s=i, r=r,
+                            new_int=new_int).items():
+        record[name] = value
+    return record
 
 
 def test_expected_duration_on_defaults():
@@ -68,13 +67,13 @@ def test_estimate_beta_rejects_nonpositive_target():
 
 
 def test_r_series_hand_value():
-    records = [make_record(0, i=200), make_record(1, i=210, new_int=78)]
+    records = np.stack([make_record(0, i=200), make_record(1, i=210, new_int=78)])
     series = effective_r_series(records, 12.25)
     assert series.values[1] == pytest.approx(4.7775)
 
 
 def test_r_series_undefined_without_previous_infectious():
-    records = [make_record(0, i=0), make_record(1, i=0, new_int=3)]
+    records = np.stack([make_record(0, i=0), make_record(1, i=0, new_int=3)])
     series = effective_r_series(records, 12.25)
     assert math.isnan(series.values[0])
     assert math.isnan(series.values[1])
@@ -83,12 +82,12 @@ def test_r_series_undefined_without_previous_infectious():
 
 
 def test_r_series_window_requires_susceptible_share_and_floor():
-    records = [
+    records = np.stack([
         make_record(0, i=100, s_u=9000, r=800),   # s_u/p > 0.9
         make_record(1, i=100, new_int=40, s_u=8000, r=1800),  # s_u/p < 0.9
         make_record(2, i=10, new_int=4, s_u=8000, r=1800),
         make_record(3, i=10, new_int=4, s_u=8000, r=1800),   # floor fails
-    ]
+    ])
     series = effective_r_series(records, 12.25)
     assert series.early_window[1]
     assert not series.early_window[2]

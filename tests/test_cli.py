@@ -1,5 +1,7 @@
 """Command-line error reporting: user input never ends in a traceback."""
 
+import csv
+import io
 import json
 
 import pytest
@@ -56,3 +58,92 @@ def test_simulation_error_is_reported_without_traceback(tmp_path, capsys, monkey
     err = capsys.readouterr().err
     assert status == 1
     assert err == "error: conservation violated on day 3: 99 != 100\n"
+
+
+SMALL_BASE = {"popSize": 60, "timeHorizon": 8, "initialInfected": 3}
+
+
+def write_spec(tmp_path, spec):
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(spec))
+    return str(path)
+
+
+def test_report_stdout_matches_report_csv_with_a_comma_label(tmp_path, capsys):
+    spec = write_spec(tmp_path, {
+        "base": dict(SMALL_BASE, daysBetweenTesting=2),
+        "axes": [{"name": "pooling", "values": [
+            {"label": "pool 5, 2 days", "overrides": {"poolSize": 5}},
+            {"label": "single", "overrides": {"poolSize": 1}},
+        ]}],
+        "replicates": 2,
+    })
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--spec", spec, "--out", str(out), "--jobs", "1"]) == 0
+    capsys.readouterr()
+    assert cli.main(["report", str(out), "--out", str(tmp_path / "rebuilt.csv")]) == 0
+    stdout = capsys.readouterr().out
+    written = (out / "report.csv").read_bytes()
+    assert stdout.encode() == written == (tmp_path / "rebuilt.csv").read_bytes()
+    rows = list(csv.reader(io.StringIO(stdout)))
+    assert [len(row) for row in rows] == [len(cli.REPORT_HEADER)] * 3
+    assert rows[1][0] == "pool 5, 2 days"
+
+
+@pytest.mark.parametrize("field,value", [
+    ("maxRuns", "x"),
+    ("maxRuns", 0),
+    ("replicates", True),
+    ("replicates", 1.5),
+    ("axes", 5),
+    ("values", 3),
+    ("values", []),
+    ("overrides", 7),
+    ("name", ["poolSize"]),
+])
+def test_sweep_rejects_malformed_spec(tmp_path, capsys, field, value):
+    axis = {"name": "pooling", "values": [{"label": "single", "overrides": {"poolSize": 1}}]}
+    spec = {"base": SMALL_BASE, "axes": [axis], "replicates": 1}
+    if field in ("maxRuns", "replicates", "axes"):
+        spec[field] = value
+    elif field == "overrides":
+        axis["values"][0]["overrides"] = value
+    else:
+        axis[field] = value
+    out = tmp_path / "out"
+    status = cli.main(["sweep", "--spec", write_spec(tmp_path, spec), "--out", str(out),
+                       "--jobs", "1"])
+    err = capsys.readouterr().err
+    assert status == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field", ["timeHorizon", "popSize"])
+def test_sweep_rejects_empty_cells_before_writing(tmp_path, capsys, field):
+    base = dict(SMALL_BASE, initialInfected=0, **{field: 0})
+    spec = write_spec(tmp_path, {"base": base, "axes": [{"name": "poolSize", "values": [1, 5]}]})
+    out = tmp_path / "out"
+    status = cli.main(["sweep", "--spec", spec, "--out", str(out), "--jobs", "1"])
+    err = capsys.readouterr().err
+    assert status == 2
+    assert "requires timeHorizon > 0 and popSize > 0" in err
+    assert not out.exists()
+
+
+def test_calibrate_without_early_window_writes_null(tmp_path, capsys):
+    # with 100 agents, 20 infectious leave under 80% of them susceptible
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"popSize": 100, "timeHorizon": 20, "initialInfected": 5}))
+    out = tmp_path / "out"
+    status = cli.main(["calibrate", "--config", str(config), "--validate", "--runs", "2",
+                       "--jobs", "1", "--out", str(out)])
+    assert status == 0
+    assert "no run has an early window" in capsys.readouterr().out
+
+    def reject(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    payload = json.loads((out / "calibration.json").read_text(), parse_constant=reject)
+    assert payload["validation"] == {"runs": 2, "early_window_mean_r": None}

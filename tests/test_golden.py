@@ -98,7 +98,7 @@ def tree_sha256(root):
             for p in sorted(root.rglob("*")) if p.is_file()}
 
 
-def write_outputs(root, sweep_jobs=2):
+def write_outputs(root):
     """Run every subcommand into ``root``; returns the SHA-256 of each file."""
     root.mkdir()
     run_config = root.parent / "run_config.json"
@@ -110,7 +110,7 @@ def write_outputs(root, sweep_jobs=2):
     commands = [
         ["run", "--config", str(run_config), "--runs", "3", "--jobs", "2",
          "--out", str(root / "run")],
-        ["sweep", "--spec", str(spec), "--jobs", str(sweep_jobs), "--out", str(root / "sweep")],
+        ["sweep", "--spec", str(spec), "--jobs", "2", "--out", str(root / "sweep")],
         ["report", str(root / "sweep"), "--out", str(root / "report_rebuilt.csv")],
         ["calibrate", "--config", str(cal_config), "--validate", "--runs", "3",
          "--jobs", "2", "--out", str(root / "calibrate")],
