@@ -59,9 +59,13 @@ def write_run_csv(path: Path, records: np.ndarray) -> None:
 def read_run_csv(path: Path) -> list[dict[str, float]]:
     with path.open(newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames != list(RECORD_DTYPE.names):
-            raise ConfigError(f"{path}: unexpected run CSV columns")
-        return [{k: float(v) for k, v in row.items()} for row in reader]
+        try:
+            if reader.fieldnames == list(RECORD_DTYPE.names):
+                # a missing field reads as None and an extra one as a list
+                return [{k: float(v) for k, v in row.items()} for row in reader]
+        except (csv.Error, TypeError, ValueError) as exc:
+            raise ConfigError(f"{path}: line {reader.line_num}: {exc}") from None
+    raise ConfigError(f"{path}: unexpected run CSV columns")
 
 
 def write_aggregate_csv(path: Path, records: list[np.ndarray]) -> None:
@@ -102,16 +106,23 @@ def write_replicates(out_dir: Path, config: ScenarioConfig,
 # Config and sweep-spec loading
 
 
+def read_json(path: Path) -> Any:
+    """The JSON document in ``path``; a ConfigError naming the file if it is
+    not valid JSON."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+            raise ConfigError(f"{path}: not valid JSON ({exc})") from None
+
+
 def load_config(path: Optional[str]) -> ScenarioConfig:
     if path is None:
         return default_config()
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
+        doc = read_json(path)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON ({exc})") from None
     return config_from_dict(doc)
 
 
@@ -236,12 +247,9 @@ def sweep_from_dict(doc: dict) -> SweepSpec:
 
 def load_sweep_spec(path: str) -> SweepSpec:
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
+        doc = read_json(path)
     except FileNotFoundError:
         raise ConfigError(f"sweep spec not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON ({exc})") from None
     return sweep_from_dict(doc)
 
 
@@ -317,8 +325,15 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     spec = load_sweep_spec(args.spec)
     cells = spec.cells()
-    results = run_replicates([cell.config for cell in cells], spec.replicates, jobs=args.jobs)
     out_dir = Path(args.out)
+    # a reused --out would mix the old cells into what `episim report` reads
+    stale = sorted(d.name for d in out_dir.glob("cell_*") if d.is_dir())
+    if stale:
+        raise ConfigError(
+            f"{out_dir} already holds sweep cells ({', '.join(stale)}); "
+            "choose a new --out"
+        )
+    results = run_replicates([cell.config for cell in cells], spec.replicates, jobs=args.jobs)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for cell, result in zip(cells, results):
@@ -402,10 +417,15 @@ def cmd_report(args: argparse.Namespace) -> int:
         raise ConfigError(f"no sweep cells found under {out_dir}")
     rows = []
     for cell_dir in cell_dirs:
-        with (cell_dir / "cell.json").open() as fh:
-            meta = json.load(fh)
-        with (cell_dir / "config.json").open() as fh:
-            config = config_from_dict(json.load(fh))
+        meta = read_json(cell_dir / "cell.json")
+        if not isinstance(meta, dict) or "label" not in meta:
+            raise ConfigError(f"{cell_dir / 'cell.json'}: expected an object with a 'label'")
+        config_path = cell_dir / "config.json"
+        doc = read_json(config_path)
+        try:
+            config = config_from_dict(doc)
+        except ConfigError as exc:
+            raise ConfigError(f"{config_path}: {exc}") from None
         infections, false_iso, costs = [], [], []
         for run_csv in sorted(cell_dir.glob("run_*.csv")):
             rows_csv = read_run_csv(run_csv)

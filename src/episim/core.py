@@ -5,6 +5,7 @@ per-run random stream."""
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Any, Union
@@ -67,7 +68,7 @@ class Constant:
         return self.value
 
     def param_errors(self) -> list[str]:
-        if not np.isfinite(self.value):
+        if not math.isfinite(self.value):
             return ["value must be finite"]
         return []
 
@@ -95,7 +96,7 @@ class Uniform:
         return self.low
 
     def param_errors(self) -> list[str]:
-        if not (np.isfinite(self.low) and np.isfinite(self.high)):
+        if not (math.isfinite(self.low) and math.isfinite(self.high)):
             return ["bounds must be finite"]
         if self.low > self.high:
             return ["requires low <= high"]
@@ -454,11 +455,15 @@ class Population:
     """Every agent of one run, one array per field, indexed by agent id.
 
     A day is NaN where it is unset. ``params`` holds the episode's trajectory
-    (t0, V0, tP, VP, tS, tF, VF) in the order of ``DISTRIBUTION_FIELDS``, and
-    ``exposure_day``/``params`` are set exactly for agents in E, I_s, I_a, R
-    and sick isolation. ``iso_entry_day``/``iso_exit_day`` (the scheduled
-    release) are set exactly for isolated agents. ``last_exit_day`` is the
-    day of the latest release and is never cleared.
+    (t0, V0, tP, VP, tS, tF, VF) in the order of ``DISTRIBUTION_FIELDS``;
+    it is stored column by column, so that :meth:`trajectories` hands the
+    load kernel contiguous columns. ``exposure_day``, ``params`` and the
+    episode's key days (``first_load_day``, ``past_peak_day``,
+    ``last_load_day`` and, for symptomatic episodes, ``onset_day``; see
+    :func:`episim.viral_load.key_days`) are set exactly for agents in E, I_s,
+    I_a, R and sick isolation. ``iso_entry_day``/``iso_exit_day`` (the
+    scheduled release) are set exactly for isolated agents. ``last_exit_day``
+    is the day of the latest release and is never cleared.
 
     Mutable and confined to a single run; never shared across runs.
     """
@@ -468,6 +473,11 @@ class Population:
         self.vaccinated = np.zeros(n, dtype=bool)
         self.willingness = np.zeros(n)
         self.exposure_day = np.full(n, np.nan)
+        # key days are only compared with day numbers, and float32 holds every
+        # whole day below 2**24 exactly
+        self.first_load_day, self.past_peak_day, self.last_load_day, self.onset_day = (
+            np.full((4, n), np.nan, dtype=np.float32)
+        )
         self.recovery_day = np.full(n, np.nan)
         self.iso_entry_day = np.full(n, np.nan)
         self.iso_exit_day = np.full(n, np.nan)
@@ -475,7 +485,7 @@ class Population:
         self.symptomatic = np.zeros(n, dtype=bool)
         # willing to self-isolate and has not yet decided this episode
         self.selfiso_candidate = np.zeros(n, dtype=bool)
-        self.params = np.full((n, len(DISTRIBUTION_FIELDS)), np.nan)
+        self.params = np.full((n, len(DISTRIBUTION_FIELDS)), np.nan, order="F")
 
     def __len__(self) -> int:
         return len(self.comp)
@@ -486,7 +496,7 @@ class Population:
 
     def ids(self, compartment: int) -> np.ndarray:
         """Ascending ids of the agents in ``compartment``."""
-        return np.flatnonzero(self.comp == compartment)
+        return (self.comp == compartment).nonzero()[0]
 
     def in_population(self) -> np.ndarray:
         """Mask of the agents outside isolation."""
@@ -495,3 +505,9 @@ class Population:
     def susceptible_compartment(self, ids: np.ndarray) -> np.ndarray:
         """S_v for the vaccinated among ``ids``, S_u for the others."""
         return np.where(self.vaccinated[ids], S_V, S_U)
+
+    def trajectories(self, ids: np.ndarray) -> np.ndarray:
+        """The trajectory parameters of ``ids`` as one contiguous row per
+        field of ``DISTRIBUTION_FIELDS``, the layout
+        :func:`episim.viral_load.load_array` reads."""
+        return np.take(self.params.T, ids, axis=1)

@@ -14,6 +14,15 @@ of immunity), (3) self-isolation, (4) testing, (5) internal propagation,
 (6) vaccination. Each stage works on whole arrays of agent ids in ascending
 order, so a run is fully determined by (config, runIndex).
 
+A viral load is evaluated only where it can change something. When an
+episode starts, :func:`~episim.transmission.start_episodes` stores its key
+days (:func:`~episim.viral_load.key_days`): the first and last load day, the
+first day past the peak and the first symptomatic day. The status update
+recovers agents past their last load day without a load and evaluates loads
+only for exposed agents from their first load day and infectious agents past
+their peak; self-isolation reads the symptom window from the key days alone;
+the testing day evaluates loads only inside the load window.
+
 Only the exposure, testing and vaccination stages draw. An exposure stage
 draws one uniform per S_u agent, then one per S_v agent. Over its newly
 exposed ids in ascending order it then draws one vector each for: the
@@ -56,7 +65,7 @@ from .interventions import (
 )
 from .testing import TestLedger, deliver_results, run_testing_day
 from .transmission import expose, external_exposure_step, internal_propagation_step
-from .viral_load import status_array
+from .viral_load import load_array
 
 
 # One daily record; the field names are the run-CSV column names.
@@ -111,9 +120,9 @@ def initialize(config: ScenarioConfig, rng: np.random.Generator) -> RunState:
         raise ConfigError("initialInfected exceeds popSize")
     n = config.popSize
     population = Population(n)
-    population.willingness = np.clip(
+    np.clip(
         rng.normal(config.vaccineAcceptProbMean, config.vaccineAcceptProbStd, n),
-        0.0, 1.0,
+        0.0, 1.0, out=population.willingness,
     )
 
     seed_ids = np.empty(0, dtype=np.int64)
@@ -121,7 +130,7 @@ def initialize(config: ScenarioConfig, rng: np.random.Generator) -> RunState:
         seed_ids = np.sort(rng.choice(n, size=config.initialInfected, replace=False))
     non_seed = np.ones(n, dtype=bool)
     non_seed[seed_ids] = False
-    non_seeds = np.flatnonzero(non_seed)
+    non_seeds = non_seed.nonzero()[0]
     n_vaccinated = int(config.initProportionVaccinated * len(non_seeds) + 0.5)
     if n_vaccinated > 0:
         picked = non_seeds[rng.choice(len(non_seeds), size=n_vaccinated, replace=False)]
@@ -140,16 +149,26 @@ def initialize(config: ScenarioConfig, rng: np.random.Generator) -> RunState:
 
 def _advance_infections(state: RunState, day: int) -> None:
     # exposed -> infectious once the load crosses the cut; either infected
-    # state -> recovered when the trajectory says so
+    # state -> recovered when the trajectory says so (status_at). Agents past
+    # their last load day recover without a load. An exposed agent cannot
+    # change before its first load day, nor an infectious one up to its peak,
+    # so loads are evaluated only from that day on.
     population = state.population
-    ids = np.flatnonzero((population.comp >= E) & (population.comp <= I_A))
-    infectious, recovered = status_array(
-        population.params[ids], day - population.exposure_day[ids],
-        state.config.infectiousViralLoadCut,
+    ids = ((population.comp >= E) & (population.comp <= I_A)).nonzero()[0]
+    exposed = population.comp[ids] == E
+    over = population.last_load_day[ids] < day
+    check_day = np.where(exposed, population.first_load_day[ids], population.past_peak_day[ids])
+    changing = (check_day <= day) & ~over
+    evaluated = ids[changing]
+    load = load_array(
+        population.trajectories(evaluated), day - population.exposure_day[evaluated]
     )
-    onset = ids[infectious & (population.comp[ids] == E)]
+    cut = state.config.infectiousViralLoadCut
+    onset = evaluated[exposed[changing] & (load > cut)]
     population.comp[onset] = np.where(population.symptomatic[onset], I_S, I_A)
-    mark_recovered(population, ids[recovered], day)
+    below_cut = evaluated[load < cut]
+    past_peak = below_cut[population.past_peak_day[below_cut] <= day]
+    mark_recovered(population, np.concatenate([ids[over], past_peak]), day)
 
 
 def _deliver_and_apply_results(state: RunState, day: int) -> None:
@@ -282,4 +301,8 @@ def run_replicates(
 
 
 def default_jobs() -> int:
+    """The CPUs this process may run on (its affinity mask, where the platform
+    has one), so that a restricted process does not oversubscribe them."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1

@@ -19,7 +19,6 @@ from .core import (
     ScenarioConfig,
     SimulationError,
 )
-from .viral_load import key_times, symptoms_array
 
 
 def _isolate(
@@ -69,15 +68,15 @@ def self_isolation_step(
     Each infection episode gets at most one self-isolation decision: the
     candidates are the agents whose propensity draw came up willing and who
     have not triggered yet. A candidate whose symptom window has passed (for
-    example while in test-driven isolation) stops being one.
+    example while in test-driven isolation) stops being one. The symptom
+    window is [first symptomatic day, last load day], read from the episode's
+    key days without evaluating its trajectory.
     """
-    candidates = np.flatnonzero(population.selfiso_candidate)
-    tau = day - population.exposure_day[candidates]
-    params = population.params[candidates]
-    showing = symptoms_array(params, population.symptomatic[candidates], tau)
-    passed = tau > key_times(params)[2]
+    candidates = population.selfiso_candidate.nonzero()[0]
+    last_day = population.last_load_day[candidates]
+    showing = (population.onset_day[candidates] <= day) & (day <= last_day)
     moved = candidates[showing & (population.comp[candidates] < ISO_HEALTHY)]
-    population.selfiso_candidate[candidates[passed]] = False
+    population.selfiso_candidate[candidates[day > last_day]] = False
     population.selfiso_candidate[moved] = False
     _isolate(population, moved, day, config, ISO_SICK)
     return moved
@@ -95,9 +94,8 @@ def isolation_exit_step(
     isolation today are not examined, so a zero-length isolation still lasts
     until the next day.
     """
-    released = np.flatnonzero(
-        (population.iso_exit_day <= day) & (population.iso_entry_day < day)
-    )
+    released = (population.iso_exit_day <= day).nonzero()[0]
+    released = released[population.iso_entry_day[released] < day]
     sick = released[population.comp[released] == ISO_SICK]
     healthy = released[population.comp[released] == ISO_HEALTHY]
     population.iso_entry_day[released] = np.nan
@@ -126,13 +124,16 @@ def recovered_to_susceptible_step(
     Clears the infection bookkeeping so the agent can be re-infected with a
     fresh trajectory.
     """
-    returned = np.flatnonzero(
-        (population.comp == R)
-        & (population.recovery_day + config.daysTilSusceptible == day)
-    )
+    # an agent isolated from R keeps its recovery day, so the compartment is
+    # checked too
+    returned = (population.recovery_day == day - config.daysTilSusceptible).nonzero()[0]
+    returned = returned[population.comp[returned] == R]
     population.params[returned] = np.nan
-    population.exposure_day[returned] = np.nan
-    population.recovery_day[returned] = np.nan
+    for days in (
+        population.exposure_day, population.first_load_day, population.past_peak_day,
+        population.last_load_day, population.onset_day, population.recovery_day,
+    ):
+        days[returned] = np.nan
     population.symptomatic[returned] = False
     population.selfiso_candidate[returned] = False
     population.comp[returned] = population.susceptible_compartment(returned)
@@ -154,10 +155,10 @@ def vaccination_step(
     without replacement picks the recipients among the willing.
     """
     doses = config.vaccinesAvailablePerDay
-    eligible = np.flatnonzero(population.in_population() & ~population.vaccinated)
+    eligible = (population.in_population() & ~population.vaccinated).nonzero()[0]
     if doses <= 0 or eligible.size == 0:
         return eligible[:0]  # no draw
-    willing_idx = np.flatnonzero(rng.random(eligible.size) < population.willingness[eligible])
+    willing_idx = (rng.random(eligible.size) < population.willingness[eligible]).nonzero()[0]
     if willing_idx.size > doses:
         willing_idx = np.sort(rng.choice(willing_idx, size=doses, replace=False))
     chosen = eligible[willing_idx]

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import E, R, Population, ScenarioConfig
+from .core import Population, ScenarioConfig
 from .viral_load import load_array
 
 
@@ -135,18 +135,21 @@ def eligible_ids(population: Population, day: int, config: ScenarioConfig) -> np
     if holdback > 0:
         # never released -> NaN, which no comparison holds back
         eligible &= ~(day - population.last_exit_day < holdback)
-    return np.flatnonzero(eligible)
+    return eligible.nonzero()[0]
 
 
 def current_loads(population: Population, ids: np.ndarray, day: int) -> np.ndarray:
-    """Viral load on ``day`` of each agent in ``ids``; 0 for agents outside
-    E, I_s, I_a and R, who carry no trajectory."""
-    comp = population.comp[ids]
-    has_trajectory = (comp >= E) & (comp <= R)
-    infected = ids[has_trajectory]
+    """Viral load on ``day`` of each agent in ``ids``.
+
+    Loads are evaluated only inside an episode's load window, [first load
+    day, last load day]; outside it, and for agents with no episode (whose
+    key days are NaN), the load is exactly 0.
+    """
+    in_window = (population.first_load_day[ids] <= day) & (day <= population.last_load_day[ids])
+    carriers = ids[in_window]
     loads = np.zeros(len(ids))
-    loads[has_trajectory] = load_array(
-        population.params[infected], day - population.exposure_day[infected]
+    loads[in_window] = load_array(
+        population.trajectories(carriers), day - population.exposure_day[carriers]
     )
     return loads
 

@@ -22,7 +22,7 @@ from .core import (
     ScenarioConfig,
     SimulationError,
 )
-from .viral_load import sample_params
+from .viral_load import key_days, sample_params
 
 
 def exposure_probability(
@@ -73,10 +73,31 @@ def expose(
     if ids.size == 0:
         return
     symptomatic = rng.random(ids.size) < config.fractionSymptomatic
-    population.params[ids] = sample_params(config, symptomatic, rng)
+    params = sample_params(config, symptomatic, rng)
     will_isolate = rng.random(ids.size) < config.selfIsolationOnSymptomsProb
+    start_episodes(population, ids, day, params, symptomatic, will_isolate)
+
+
+def start_episodes(
+    population: Population,
+    ids: np.ndarray,
+    day: int,
+    params: np.ndarray,
+    symptomatic: np.ndarray,
+    will_isolate: np.ndarray,
+) -> None:
+    """Put agents ``ids`` in E with the episodes ``params`` (rows of
+    :data:`~episim.viral_load.profile_params`) exposed on ``day``, and store
+    each episode's key days (:func:`~episim.viral_load.key_days`)."""
+    population.params[ids] = params
     population.comp[ids] = E
     population.exposure_day[ids] = day
+    (
+        population.first_load_day[ids],
+        population.past_peak_day[ids],
+        population.last_load_day[ids],
+        population.onset_day[ids],
+    ) = key_days(params, day, symptomatic)
     population.recovery_day[ids] = np.nan
     population.symptomatic[ids] = symptomatic
     population.selfiso_candidate[ids] = symptomatic & will_isolate

@@ -4,13 +4,31 @@ Each infected agent gets a piecewise trajectory through sampled control
 points: rise from (t0, V0) to (t0+tP, VP), then decline to the final point
 (t0+tP+tF, VF), stretched by tS for symptomatic cases whose symptoms start
 tS days after the peak. Interpolation is linear in log10(load); outside the
-trajectory the load is 0 (undetectable).
+trajectory the load is 0 (undetectable). This is the control-point family of
+Larremore et al., Sci Adv 7:eabd5393 (2021).
 
 The simulation evaluates whole populations with the array forms
-(:func:`sample_params`, :func:`load_array`, :func:`status_array`,
-:func:`symptoms_array`) over rows of :data:`profile_params`. The scalar
+(:func:`sample_params`, :func:`key_days`, :func:`load_array`). The scalar
 functions on a :class:`ViralLoadProfile` are the reference they are tested
 against.
+
+The engine steps in whole days, so for each episode the integer days on which
+a comparison with a key time changes are fixed when the episode is sampled.
+:func:`key_days` returns them, and the daily stages compare days with them
+instead of evaluating loads:
+
+* the first load day, exposure day + ceil(t0): the load is 0 before it
+  (``tau >= t0``);
+* the first day past the peak, exposure day + floor(peak) + 1
+  (``tau > peak``); up to it an infectious agent stays infectious;
+* the last load day, exposure day + floor(end): the load is 0 after it and
+  the episode is over (``tau <= end``);
+* the first symptomatic day, exposure day + ceil(onset), NaN for an
+  asymptomatic episode (``onset <= tau``).
+
+They are read by the status update (``engine._advance_infections``),
+self-isolation (``interventions.self_isolation_step``) and the testing day
+(``testing.current_loads``).
 """
 
 from __future__ import annotations
@@ -122,31 +140,34 @@ def load_at(profile: ViralLoadProfile, tau: float) -> float:
     return 10.0 ** log_v
 
 
-# (t0, V0, tP, VP, tS, tF, VF) of a profile, the row layout load_array reads
+# (t0, V0, tP, VP, tS, tF, VF) of a profile, one row of sample_params
 profile_params = operator.attrgetter(*DISTRIBUTION_FIELDS)
 
 
-def load_array(params: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """Vectorised :func:`load_at`: the load of profile ``params[i]`` (a row
-    of :data:`profile_params`) at ``tau[i]`` days since exposure.
+def load_array(columns: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """Vectorised :func:`load_at`: the load of profile ``i`` at ``tau[i]``
+    days since exposure, where ``columns`` holds one row per field of
+    :data:`profile_params` and one column per profile (``rows.T``).
 
     Equal to ``load_at`` entry by entry: exact at the control points, 0
-    outside the trajectory, and log-linear in between. Logarithms and powers
-    are taken only on entries strictly inside a segment.
+    outside the trajectory, and log-linear in between. Every entry takes the
+    same pass over contiguous columns: one ``log10`` per load column and one
+    power. Entries outside a segment get a zero-guarded span and a ``frac``
+    clipped into [0, 1], so they stay finite until they are overwritten.
     """
-    t0, v0, tp, vp, ts, tf, vf = np.asarray(params, dtype=float).reshape(-1, 7).T
+    columns = np.ascontiguousarray(columns, dtype=float)
+    t0, v0, _, vp, _, _, vf = columns
     tau = np.asarray(tau, dtype=float)
-    peak = t0 + tp
-    end = peak + ts + tf
-    load = np.zeros(len(tau))
-    for seg, (start, stop, v_start, v_stop) in (
-        ((tau > t0) & (tau < peak), (t0, peak, v0, vp)),
-        ((tau > peak) & (tau < end), (peak, end, vp, vf)),
-    ):
-        start, stop = start[seg], stop[seg]
-        log_start = np.log10(v_start[seg])
-        frac = (tau[seg] - start) / (stop - start)
-        load[seg] = 10.0 ** (log_start + frac * (np.log10(v_stop[seg]) - log_start))
+    peak, _, end = key_times(columns)
+    log_v0, log_vp, log_vf = np.log10(v0), np.log10(vp), np.log10(vf)
+    rising = tau < peak
+    start = np.where(rising, t0, peak)
+    span = np.where(rising, peak, end) - start
+    log_start = np.where(rising, log_v0, log_vp)
+    frac = (tau - start) / np.where(span > 0.0, span, 1.0)
+    np.clip(frac, 0.0, 1.0, out=frac)
+    load = 10.0 ** (log_start + frac * (np.where(rising, log_vp, log_vf) - log_start))
+    load[(tau < t0) | (tau > end)] = 0.0
     # control points, lowest precedence first so that t0 wins ties as in load_at
     for point, value in ((end, vf), (peak, vp), (t0, v0)):
         np.copyto(load, value, where=tau == point)
@@ -181,29 +202,32 @@ def status_at(
     return InfectionStage.LATENT, showing
 
 
-def key_times(params: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Peak, symptom-onset and end time of each row of :data:`profile_params`,
-    summed in the same order as the :class:`ViralLoadProfile` properties."""
-    t0, _, tp, _, ts, tf, _ = np.asarray(params, dtype=float).reshape(-1, 7).T
+def key_times(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Peak, symptom-onset and end time of each profile of ``columns`` (one
+    row per field of :data:`profile_params`), summed in the same order as
+    the :class:`ViralLoadProfile` properties."""
+    t0, _, tp, _, ts, tf, _ = columns
     peak = t0 + tp
     onset = peak + ts
     return peak, onset, onset + tf
 
 
-def status_array(
-    params: np.ndarray, tau: np.ndarray, infectious_cut: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorised :func:`status_at`: the (infectious, recovered) masks of
-    profiles ``params`` at ``tau``; an entry in neither is latent."""
-    peak, _, end = key_times(params)
-    load = load_array(params, tau)
-    over = tau > end
-    return ~over & (load > infectious_cut), over | ((tau > peak) & (load < infectious_cut))
+def key_days(
+    params: np.ndarray, exposure_day: float | np.ndarray, symptomatic: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The key days of episodes ``params`` (rows of :data:`profile_params`)
+    exposed on ``exposure_day``: the first load day, the first day past the
+    peak, the last load day and the first symptomatic day (NaN where
+    ``symptomatic`` is False).
 
-
-def symptoms_array(
-    params: np.ndarray, symptomatic: np.ndarray, tau: np.ndarray
-) -> np.ndarray:
-    """Vectorised :func:`symptomatic_now`: inside the symptom window."""
-    _, onset, end = key_times(params)
-    return symptomatic & (onset <= tau) & (tau <= end)
+    For an integer ``tau = day - exposure_day`` they restate ``tau >= t0``,
+    ``tau > peak``, ``tau <= end`` and ``onset <= tau`` exactly.
+    """
+    columns = np.asarray(params, dtype=float).reshape(-1, 7).T
+    peak, onset, end = key_times(columns)
+    return (
+        exposure_day + np.ceil(columns[0]),
+        exposure_day + np.floor(peak) + 1.0,
+        exposure_day + np.floor(end),
+        np.where(symptomatic, exposure_day + np.ceil(onset), np.nan),
+    )

@@ -147,3 +147,47 @@ def test_calibrate_without_early_window_writes_null(tmp_path, capsys):
 
     payload = json.loads((out / "calibration.json").read_text(), parse_constant=reject)
     assert payload["validation"] == {"runs": 2, "early_window_mean_r": None}
+
+
+def small_sweep(tmp_path, out, cells=1):
+    values = [{"label": f"pool {k}", "overrides": {"poolSize": k}} for k in range(1, cells + 1)]
+    spec = write_spec(tmp_path, {"base": dict(SMALL_BASE, daysBetweenTesting=2),
+                                 "axes": [{"name": "pooling", "values": values}]})
+    return cli.main(["sweep", "--spec", spec, "--out", str(out), "--jobs", "1"])
+
+
+def replace_first_value(path):
+    header, first, *rest = path.read_text().splitlines()
+    path.write_text("\n".join([header, "abc" + first[first.index(","):], *rest]) + "\n")
+
+
+@pytest.mark.parametrize("name,damage", [
+    ("cell.json", lambda path: path.write_text("{not json")),
+    ("cell.json", lambda path: path.write_text("{}")),
+    ("config.json", lambda path: path.write_text("{not json")),
+    ("run_000.csv", replace_first_value),
+], ids=["cell-not-json", "cell-without-label", "config-not-json", "csv-non-numeric"])
+def test_report_on_a_damaged_sweep_names_the_file(tmp_path, capsys, name, damage):
+    out = tmp_path / "out"
+    assert small_sweep(tmp_path, out) == 0
+    damage(out / "cell_000" / name)
+    capsys.readouterr()
+    status = cli.main(["report", str(out)])
+    err = capsys.readouterr().err
+    assert status == 2
+    assert err.startswith("error: ")
+    assert str(out / "cell_000" / name) in err
+    assert "Traceback" not in err
+
+
+def test_sweep_rejects_an_out_holding_cells(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert small_sweep(tmp_path, out, cells=3) == 0
+    before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    capsys.readouterr()
+    status = small_sweep(tmp_path, out, cells=1)
+    err = capsys.readouterr().err
+    assert status == 2
+    assert err.startswith("error: ") and "cell_000" in err
+    # nothing was written or deleted
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before

@@ -5,6 +5,7 @@ import csv
 import numpy as np
 import pytest
 
+from episim import engine
 from episim.cli import write_replicates
 from episim.core import Compartment, ConfigError, default_config, make_rng
 from episim.engine import RECORD_DTYPE, initialize, run, run_replicates, step
@@ -210,3 +211,11 @@ def test_peak_size_stable_across_base_seeds():
         curves = np.array([recs["i_s"] + recs["i_a"] for recs in result.records])
         peaks.append(curves.mean(axis=0).max())
     assert abs(peaks[0] - peaks[1]) / max(peaks) < 0.10
+
+
+def test_default_jobs_counts_the_cpus_the_process_may_use(monkeypatch):
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+    assert engine.default_jobs() == 2
+    monkeypatch.delattr(engine.os, "sched_getaffinity")
+    assert engine.default_jobs() == 8

@@ -18,6 +18,7 @@ from episim.interventions import (
     self_isolation_step,
     vaccination_step,
 )
+from episim.transmission import start_episodes
 from episim.viral_load import ViralLoadProfile, profile_params
 
 SYMPTOMATIC_PROFILE = ViralLoadProfile(
@@ -31,11 +32,11 @@ def fresh_population(n=6):
 
 def infect(pop, agent_id, day=0, profile=SYMPTOMATIC_PROFILE,
            compartment=Compartment.INFECTIOUS_SYMPTOMATIC, will_isolate=False):
-    pop.params[agent_id] = profile_params(profile)
-    pop.exposure_day[agent_id] = day
-    pop.symptomatic[agent_id] = profile.symptomatic
+    """Start an episode the way an exposure does, then move it to
+    ``compartment``."""
+    start_episodes(pop, np.array([agent_id]), day, np.array([profile_params(profile)]),
+                   np.array([profile.symptomatic]), np.array([will_isolate]))
     pop.comp[agent_id] = compartment
-    pop.selfiso_candidate[agent_id] = will_isolate and profile.symptomatic
     return agent_id
 
 
@@ -154,8 +155,9 @@ def test_recovered_returns_to_susceptible_after_immunity_lapses():
     assert recovered_to_susceptible_step(pop, 50, cfg).tolist() == [0]
     assert pop.comp[0] == Compartment.SUSCEPTIBLE_UNVACCINATED
     assert np.isnan(pop.params[0]).all()
-    assert np.isnan(pop.exposure_day[0])
-    assert np.isnan(pop.recovery_day[0])
+    for days in (pop.exposure_day, pop.first_load_day, pop.past_peak_day,
+                 pop.last_load_day, pop.onset_day, pop.recovery_day):
+        assert np.isnan(days[0])
 
 
 def test_vaccinated_recovered_returns_to_vaccinated_susceptible():

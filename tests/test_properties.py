@@ -20,6 +20,7 @@ from episim.core import (
     validate_config,
 )
 from episim.engine import initialize, run_replicates, step
+from episim.viral_load import key_days
 
 C = Compartment
 COUNT_COLUMNS = ("s_u", "s_v", "e", "i_s", "i_a", "r", "iso_healthy", "iso_sick")
@@ -80,6 +81,19 @@ def check_population(pop, day):
     episode = infected | (pop.comp == C.ISOLATED_SICK)
     assert np.isnan(pop.exposure_day[~episode]).all(), day
     assert np.isnan(pop.params[~episode]).all(), day
+    # the key days are those of the episode's trajectory, and NaN outside one
+    stored = (pop.first_load_day, pop.past_peak_day, pop.last_load_day, pop.onset_day)
+    want = key_days(pop.params[episode], pop.exposure_day[episode], pop.symptomatic[episode])
+    for days, expected in zip(stored, want):
+        assert np.array_equal(days[episode], expected, equal_nan=True), day
+        assert np.isnan(days[~episode]).all(), day
+    assert np.array_equal(np.isfinite(pop.onset_day[episode]), pop.symptomatic[episode]), day
+    # the status update leaves no E or I agent past its last load day, and no
+    # I agent before its first load day
+    active = (pop.comp >= C.EXPOSED) & (pop.comp <= C.INFECTIOUS_ASYMPTOMATIC)
+    assert np.all(day <= pop.last_load_day[active]), day
+    infectious = (pop.comp == C.INFECTIOUS_SYMPTOMATIC) | (pop.comp == C.INFECTIOUS_ASYMPTOMATIC)
+    assert np.all(pop.first_load_day[infectious] <= day), day
     assert np.all(pop.vaccinated[pop.comp == C.SUSCEPTIBLE_VACCINATED]), day
     assert not np.any(pop.vaccinated[pop.comp == C.SUSCEPTIBLE_UNVACCINATED]), day
 

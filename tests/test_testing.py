@@ -16,6 +16,7 @@ from episim.testing import (
     run_testing_day,
     single_test,
 )
+from episim.transmission import start_episodes
 from episim.viral_load import ViralLoadProfile, load_at, profile_params
 
 # operating points for the two test types compared in the experiments
@@ -146,9 +147,9 @@ def hot_population(n=100, hot_ids=(), load=1e8):
     profile = ViralLoadProfile(
         t0=0.5, V0=load, tP=1.0, VP=load, tS=0.0, tF=50.0, VF=load, symptomatic=False
     )
-    hot = list(hot_ids)
-    pop.params[hot] = profile_params(profile)
-    pop.exposure_day[hot] = 0
+    hot = np.array(hot_ids, dtype=np.int64)
+    start_episodes(pop, hot, 0, np.tile(profile_params(profile), (len(hot), 1)),
+                   np.zeros(len(hot), bool), np.zeros(len(hot), bool))
     pop.comp[hot] = Compartment.INFECTIOUS_ASYMPTOMATIC
     return pop
 
@@ -258,13 +259,14 @@ def test_run_testing_day_matches_scalar_reference(pooling_type, pool_size):
         Compartment.INFECTIOUS_ASYMPTOMATIC, Compartment.RECOVERED,
     )
     for i in range(0, n, 3):
-        pop.params[i] = profile_params(ViralLoadProfile(
+        params = profile_params(ViralLoadProfile(
             t0=float(rng.uniform(0, 4)), V0=10 ** float(rng.uniform(0, 3)),
             tP=float(rng.uniform(0, 3)), VP=10 ** float(rng.uniform(3, 8)),
             tS=0.0, tF=float(rng.uniform(0, 9)), VF=10 ** float(rng.uniform(0, 3)),
             symptomatic=False,
         ))
-        pop.exposure_day[i] = int(rng.integers(0, 16))
+        start_episodes(pop, np.array([i]), int(rng.integers(0, 16)), np.array([params]),
+                       np.array([False]), np.array([False]))
         pop.comp[i] = infected_comps[i % 4]
     for i in range(1, n, 11):
         pop.comp[i] = Compartment.ISOLATED_HEALTHY

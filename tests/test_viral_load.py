@@ -5,19 +5,24 @@ import math
 import numpy as np
 import pytest
 
-from episim.core import Constant, default_config, make_rng
+from episim.core import Compartment, Constant, Population, default_config, make_rng
+from episim.engine import RunState, _advance_infections
+from episim.interventions import self_isolation_step
+from episim.testing import current_loads
+from episim.transmission import start_episodes
 from episim.viral_load import (
     InfectionStage,
     ViralLoadProfile,
+    key_days,
     load_array,
     load_at,
     profile_params,
     sample_profile,
-    status_array,
     status_at,
     symptomatic_now,
-    symptoms_array,
 )
+
+C = Compartment
 
 # all-constant trajectory used by the worked examples
 FLAT = ViralLoadProfile(
@@ -157,10 +162,11 @@ def test_load_array_matches_load_at():
     cases = []  # (profile, tau, tau is a control point)
     for prof in profiles:
         points = [prof.t0, prof.peak_time, prof.end_time]
-        for tau in [*points, prof.t0 - 1.0, prof.end_time + 0.5,
+        # far outside the trajectory a segment's slope must not overflow
+        for tau in [*points, prof.t0 - 1.0, prof.end_time + 0.5, -1e6, 1e6,
                     *rng.uniform(prof.t0, prof.end_time, 5), *range(0, 20)]:
             cases.append((prof, tau, tau in points))
-    got = load_array(np.array([profile_params(p) for p, _, _ in cases]),
+    got = load_array(np.array([profile_params(p) for p, _, _ in cases]).T,
                      np.array([tau for _, tau, _ in cases]))
     want = np.array([load_at(p, tau) for p, tau, _ in cases])
     control = np.array([c for _, _, c in cases])
@@ -170,15 +176,13 @@ def test_load_array_matches_load_at():
 
 
 def test_load_array_of_no_profiles_is_empty():
-    assert load_array(np.empty((0, 7)), np.empty(0)).shape == (0,)
+    assert load_array(np.empty((7, 0)), np.empty(0)).shape == (0,)
 
 
-def test_status_array_matches_status_at():
-    # the vectorised status stage against the scalar classification, on
-    # random valid profiles at every control point, at symptom onset, before
-    # t0, after the end and at random integer taus
+def stage_profiles():
+    """The 300 random valid profiles of the status checks, then edge cases
+    with integer key times, so that key times fall on whole days."""
     rng = make_rng(31)
-    cut = 1e3
     profiles = [
         ViralLoadProfile(
             t0=float(rng.uniform(0, 4)), V0=10 ** float(rng.uniform(0, 4)),
@@ -189,22 +193,104 @@ def test_status_array_matches_status_at():
         )
         for symptomatic in rng.random(300) < 0.5
     ]
-    cases = []
-    for prof in profiles:
-        onset = prof.peak_time + prof.tS
-        for tau in [prof.t0, prof.peak_time, prof.end_time, onset, prof.t0 - 1.0,
-                    prof.end_time + 0.5, *rng.integers(0, 20, 6).tolist()]:
-            cases.append((prof, float(tau)))
-    params = np.array([profile_params(p) for p, _ in cases])
-    tau = np.array([t for _, t in cases])
-    symptomatic = np.array([p.symptomatic for p, _ in cases])
-    infectious, recovered = status_array(params, tau, cut)
-    showing = symptoms_array(params, symptomatic, tau)
-    want = [status_at(p, t, cut) for p, t in cases]
-    assert infectious.tolist() == [s is InfectionStage.INFECTIOUS for s, _ in want]
-    assert recovered.tolist() == [s is InfectionStage.RECOVERED for s, _ in want]
-    assert showing.tolist() == [symptomatic_now(p, t) for p, t in cases]
-    # every outcome occurs, so no branch is left untested
-    assert infectious.any() and recovered.any() and (~infectious & ~recovered).any()
-    assert showing.any() and (symptomatic & ~showing).any()
+    cut = 1e3
+    edges = [
+        dict(tP=0.0),  # peak on t0
+        dict(tF=0.0),  # end on the peak or on symptom onset
+        dict(VF=cut),  # never below the cut on the way down
+        dict(VF=1e6),  # VF > VP: the load rises again after the peak
+        dict(V0=1e4),  # above the cut from the first load day
+        dict(VP=cut),  # never above the cut: straight from E to R
+        dict(t0=0.0),  # a load on the exposure day itself
+        dict(t0=0.0, tP=0.0, tF=0.0),  # t0 and peak on the exposure day, no decline
+    ]
+    for symptomatic in (False, True):
+        for edge in edges:
+            fields = dict(t0=2.0, V0=1e2, tP=2.0, VP=1e5, tS=1.0 if symptomatic else 0.0,
+                          tF=3.0, VF=1e2, symptomatic=symptomatic)
+            profiles.append(ViralLoadProfile(**{**fields, **edge}))
+    return profiles
 
+
+def test_key_days_restate_the_key_time_comparisons():
+    # on every whole day, each key day answers its comparison exactly
+    profiles = stage_profiles()
+    params = np.array([profile_params(p) for p in profiles])
+    exposure = np.arange(len(profiles)) % 7
+    first_load, past_peak, last_load, onset = key_days(
+        params, exposure, np.array([p.symptomatic for p in profiles])
+    )
+    for i, prof in enumerate(profiles):
+        for tau in range(-1, 30):
+            day = exposure[i] + tau
+            assert (first_load[i] <= day) == (tau >= prof.t0), (i, tau)
+            assert (past_peak[i] <= day) == (tau > prof.peak_time), (i, tau)
+            assert (day <= last_load[i]) == (tau <= prof.end_time), (i, tau)
+            showing_from = prof.symptomatic and prof.symptom_onset_time <= tau
+            assert (onset[i] <= day) == showing_from, (i, tau)
+
+
+def test_daily_stages_match_scalar_reference():
+    # The status update, the self-isolation symptom window and the testing
+    # loads, day by day, against status_at, symptomatic_now and load_at.
+    # Each episode starts through start_episodes on day i % 7: even ones
+    # before the day's status update (an external exposure, first seen at
+    # tau 0), odd ones at the end of the day (an internal exposure, first
+    # seen at tau 1).
+    cut = 1e3
+    profiles = stage_profiles()
+    n = len(profiles)
+    exposure = np.arange(n) % 7
+    external = np.arange(n) % 2 == 0
+    params = np.array([profile_params(p) for p in profiles])
+    symptomatic = np.array([p.symptomatic for p in profiles])
+    config = default_config(infectiousViralLoadCut=cut)
+    state = RunState(config, Population(n))  # the status update
+    windows = Population(n)  # the symptom window, every symptomatic agent willing
+    comp = np.full(n, int(C.SUSCEPTIBLE_UNVACCINATED))  # the scalar reference
+    transitions = set()
+
+    def start(ids, day):
+        for pop in (state.population, windows):
+            start_episodes(pop, ids, day, params[ids], symptomatic[ids], np.ones(len(ids), bool))
+        comp[ids] = C.EXPOSED
+
+    for day in range(30):
+        start((external & (exposure == day)).nonzero()[0], day)
+        started = np.isfinite(state.population.exposure_day)
+        tau = day - exposure
+
+        before = comp.copy()
+        for i in np.flatnonzero((comp >= C.EXPOSED) & (comp <= C.INFECTIOUS_ASYMPTOMATIC)):
+            stage, _ = status_at(profiles[i], tau[i], cut)
+            if stage is InfectionStage.INFECTIOUS and comp[i] == C.EXPOSED:
+                comp[i] = C.INFECTIOUS_SYMPTOMATIC if symptomatic[i] else C.INFECTIOUS_ASYMPTOMATIC
+            elif stage is InfectionStage.RECOVERED:
+                comp[i] = C.RECOVERED
+        _advance_infections(state, day)
+        assert state.population.comp.tolist() == comp.tolist(), day
+        transitions |= set(zip(before[before != comp].tolist(), comp[before != comp].tolist()))
+
+        showing = [i for i in np.flatnonzero(started) if symptomatic_now(profiles[i], tau[i])]
+        moved = self_isolation_step(windows, day, config)
+        assert moved.tolist() == showing, day
+        # undo the isolation, so that every day of the window is checked
+        windows.comp[moved] = C.EXPOSED
+        windows.selfiso_candidate[moved] = True
+        still_candidate = [bool(started[i] and symptomatic[i]
+                                and tau[i] <= profiles[i].end_time) for i in range(n)]
+        assert (windows.selfiso_candidate & started).tolist() == still_candidate, day
+
+        ids = np.arange(n)
+        got = current_loads(state.population, ids, day)
+        want = np.array([load_at(profiles[i], tau[i]) if started[i] else 0.0 for i in ids])
+        assert np.array_equal(got == 0.0, want == 0.0), day
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+        start((~external & (exposure == day)).nonzero()[0], day)
+
+    # every transition occurs, and every episode has ended
+    E, I_S, I_A, R = (int(c) for c in (C.EXPOSED, C.INFECTIOUS_SYMPTOMATIC,
+                                       C.INFECTIOUS_ASYMPTOMATIC, C.RECOVERED))
+    assert transitions == {(E, I_S), (E, I_A), (E, R), (I_S, R), (I_A, R)}
+    assert (comp == C.RECOVERED).all()
