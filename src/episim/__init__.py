@@ -31,7 +31,6 @@ from .engine import (
     run_replicates,
     step,
 )
-from .viral_load import InfectionStage, ViralLoadProfile, load_at, sample_profile, status_at
 
 __version__ = "0.1.0"
 
@@ -40,7 +39,6 @@ __all__ = [
     "ConfigError",
     "Constant",
     "GammaShifted",
-    "InfectionStage",
     "NormalClipped",
     "Population",
     "RECORD_DTYPE",
@@ -50,19 +48,15 @@ __all__ = [
     "ScenarioConfig",
     "SimulationError",
     "Uniform",
-    "ViralLoadProfile",
     "config_from_dict",
     "default_config",
     "effective_r_series",
     "estimate_beta",
     "expected_infectious_duration",
     "initialize",
-    "load_at",
     "make_rng",
     "run",
     "run_replicates",
-    "sample_profile",
-    "status_at",
     "step",
     "validate_config",
 ]

@@ -4,6 +4,7 @@ needed to hit a target basic reproduction number."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,8 +40,8 @@ def expected_infectious_duration(config: ScenarioConfig) -> float:
 def estimate_beta(target_r0: float, config: ScenarioConfig) -> float:
     """Daily contact rate that yields ``target_r0`` in a fully susceptible
     population: beta = R0 / expected infectious duration."""
-    if target_r0 <= 0:
-        raise ConfigError("target R0 must be positive")
+    if not (math.isfinite(target_r0) and target_r0 > 0):
+        raise ConfigError(f"target R0 must be a positive finite number, got {target_r0!r}")
     tau = expected_infectious_duration(config)
     if tau <= 0:
         raise ConfigError("expected infectious duration is not positive")

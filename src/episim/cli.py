@@ -32,17 +32,10 @@ from .core import (
 from .engine import (
     RECORD_DTYPE,
     ReplicateResult,
-    RunSummary,
+    cost_per_person_day,
     default_jobs,
     run_replicates,
 )
-
-def compute_cost_metrics(total_cost: float, config: ScenarioConfig) -> float:
-    """Total testing cost normalized per person per simulated day."""
-    if config.timeHorizon <= 0 or config.popSize <= 0:
-        raise ConfigError("cost metric requires timeHorizon > 0 and popSize > 0")
-    return total_cost / (config.timeHorizon * config.popSize)
-
 
 # ---------------------------------------------------------------------------
 # File emission
@@ -56,16 +49,24 @@ def write_run_csv(path: Path, records: np.ndarray) -> None:
         writer.writerows(records.tolist())
 
 
-def read_run_csv(path: Path) -> list[dict[str, float]]:
+def read_run_csv(path: Path) -> np.ndarray:
+    """The records of a run CSV as :func:`write_run_csv` wrote them; a
+    ConfigError naming the file if it holds anything else."""
     with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.reader(fh)
         try:
-            if reader.fieldnames == list(RECORD_DTYPE.names):
-                # a missing field reads as None and an extra one as a list
-                return [{k: float(v) for k, v in row.items()} for row in reader]
-        except (csv.Error, TypeError, ValueError) as exc:
-            raise ConfigError(f"{path}: line {reader.line_num}: {exc}") from None
-    raise ConfigError(f"{path}: unexpected run CSV columns")
+            header = next(reader, None)
+            rows = [tuple(row) for row in reader if row]
+        except (csv.Error, ValueError) as exc:  # ValueError: bytes that are not UTF-8
+            raise ConfigError(f"{path}: {exc}") from None
+    if header != list(RECORD_DTYPE.names):
+        raise ConfigError(f"{path}: unexpected run CSV columns")
+    try:
+        # a missing or extra field, or a value that does not parse as its
+        # column's type, is a ValueError
+        return np.array(rows, dtype=RECORD_DTYPE)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def write_aggregate_csv(path: Path, records: list[np.ndarray]) -> None:
@@ -264,35 +265,27 @@ REPORT_HEADER = [
 ]
 
 
-def _mean_std(values: list[float]) -> tuple[float, float]:
+def _mean_std(values: np.ndarray) -> tuple[float, float]:
     arr = np.asarray(values, dtype=float)
     std = float(arr.std(ddof=1)) if len(arr) > 1 else 0.0
     return float(arr.mean()), std
 
 
-def report_row(label: str, infections: list[float], false_isolations: list[float],
-               costs_ppd: list[float]) -> dict[str, Any]:
-    mean_inf, std_inf = _mean_std(infections)
-    mean_fi, std_fi = _mean_std(false_isolations)
-    mean_cost, _ = _mean_std(costs_ppd)
+def report_row(label: str, finals: np.ndarray, config: ScenarioConfig) -> dict[str, Any]:
+    """One report row from ``finals``, the last record of each of a cell's
+    runs."""
+    mean_inf, std_inf = _mean_std(finals["cum_infections"])
+    mean_fi, std_fi = _mean_std(finals["cum_false_iso"])
+    costs = cost_per_person_day(finals["cum_cost"], config)
     return {
         "label": label,
-        "runs": len(infections),
+        "runs": len(finals),
         "mean_total_infections": mean_inf,
         "std_total_infections": std_inf,
         "mean_false_isolations": mean_fi,
         "std_false_isolations": std_fi,
-        "mean_cost_per_person_per_day": mean_cost,
+        "mean_cost_per_person_per_day": float(costs.mean()),
     }
-
-
-def rows_from_summaries(label: str, summaries: list[RunSummary]) -> dict[str, Any]:
-    return report_row(
-        label,
-        [s.total_infections for s in summaries],
-        [s.total_false_isolations for s in summaries],
-        [s.cost_per_person_per_day for s in summaries],
-    )
 
 
 def write_report_csv(fh: TextIO, rows: list[dict[str, Any]]) -> None:
@@ -347,7 +340,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 "replicates": spec.replicates,
             },
         )
-        rows.append(rows_from_summaries(cell.label, result.summaries))
+        finals = np.concatenate([records[-1:] for records in result.records])
+        rows.append(report_row(cell.label, finals, cell.config))
         print(f"{cell.label}: done ({spec.replicates} runs)")
     write_report(out_dir, rows)
     print(f"wrote report for {len(cells)} scenario(s) to {out_dir / 'report.csv'}")
@@ -426,18 +420,19 @@ def cmd_report(args: argparse.Namespace) -> int:
             config = config_from_dict(doc)
         except ConfigError as exc:
             raise ConfigError(f"{config_path}: {exc}") from None
-        infections, false_iso, costs = [], [], []
+        if config.timeHorizon <= 0 or config.popSize <= 0:
+            raise ConfigError(
+                f"{config_path}: the cost metric requires timeHorizon > 0 and popSize > 0"
+            )
+        finals = []
         for run_csv in sorted(cell_dir.glob("run_*.csv")):
-            rows_csv = read_run_csv(run_csv)
-            if not rows_csv:
+            records = read_run_csv(run_csv)
+            if not len(records):
                 raise ConfigError(f"{run_csv}: empty run CSV")
-            final = rows_csv[-1]
-            infections.append(final["cum_infections"])
-            false_iso.append(final["cum_false_iso"])
-            costs.append(compute_cost_metrics(final["cum_cost"], config))
-        if not infections:
+            finals.append(records[-1:])
+        if not finals:
             raise ConfigError(f"{cell_dir}: no run CSVs")
-        rows.append(report_row(meta["label"], infections, false_iso, costs))
+        rows.append(report_row(meta["label"], np.concatenate(finals), config))
     write_report_csv(sys.stdout, rows)
     if args.out:
         with open(args.out, "w", newline="") as fh:

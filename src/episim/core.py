@@ -55,9 +55,6 @@ class Constant:
 
     value: float
 
-    def sample(self, rng: np.random.Generator) -> float:
-        return float(self.value)
-
     def sample_array(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return np.full(n, float(self.value))
 
@@ -80,10 +77,6 @@ class Constant:
 class Uniform:
     low: float
     high: float
-
-    def sample(self, rng: np.random.Generator) -> float:
-        self._check()
-        return float(rng.uniform(self.low, self.high))
 
     def sample_array(self, rng: np.random.Generator, n: int) -> np.ndarray:
         self._check()
@@ -118,10 +111,6 @@ class GammaShifted:
     shape: float
     scale: float
     shift: float = 0.0
-
-    def sample(self, rng: np.random.Generator) -> float:
-        self._check()
-        return float(rng.gamma(self.shape, self.scale) + self.shift)
 
     def sample_array(self, rng: np.random.Generator, n: int) -> np.ndarray:
         self._check()
@@ -168,10 +157,6 @@ class NormalClipped:
     std: float
     low: float
     high: float
-
-    def sample(self, rng: np.random.Generator) -> float:
-        self._check()
-        return float(np.clip(rng.normal(self.mean_, self.std), self.low, self.high))
 
     def sample_array(self, rng: np.random.Generator, n: int) -> np.ndarray:
         self._check()
@@ -459,11 +444,13 @@ class Population:
     it is stored column by column, so that :meth:`trajectories` hands the
     load kernel contiguous columns. ``exposure_day``, ``params`` and the
     episode's key days (``first_load_day``, ``past_peak_day``,
-    ``last_load_day`` and, for symptomatic episodes, ``onset_day``; see
+    ``last_load_day`` and ``onset_day``; see
     :func:`episim.viral_load.key_days`) are set exactly for agents in E, I_s,
-    I_a, R and sick isolation. ``iso_entry_day``/``iso_exit_day`` (the
-    scheduled release) are set exactly for isolated agents. ``last_exit_day``
-    is the day of the latest release and is never cleared.
+    I_a, R and sick isolation, except that ``onset_day`` is NaN for an
+    asymptomatic episode; that is what marks an episode as symptomatic.
+    ``iso_exit_day``, the scheduled release, is set exactly for isolated
+    agents. ``last_exit_day`` is the day of the latest release and is never
+    cleared.
 
     Mutable and confined to a single run; never shared across runs.
     """
@@ -479,10 +466,8 @@ class Population:
             np.full((4, n), np.nan, dtype=np.float32)
         )
         self.recovery_day = np.full(n, np.nan)
-        self.iso_entry_day = np.full(n, np.nan)
         self.iso_exit_day = np.full(n, np.nan)
         self.last_exit_day = np.full(n, np.nan)
-        self.symptomatic = np.zeros(n, dtype=bool)
         # willing to self-isolate and has not yet decided this episode
         self.selfiso_candidate = np.zeros(n, dtype=bool)
         self.params = np.full((n, len(DISTRIBUTION_FIELDS)), np.nan, order="F")

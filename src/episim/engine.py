@@ -63,7 +63,7 @@ from .interventions import (
     self_isolation_step,
     vaccination_step,
 )
-from .testing import TestLedger, deliver_results, run_testing_day
+from .testing import deliver_results, run_testing_day
 from .transmission import expose, external_exposure_step, internal_propagation_step
 from .viral_load import load_array
 
@@ -99,7 +99,8 @@ class RunState:
     population: Population
     # delivery day -> arrays of agent ids whose positive result is due then
     pending: dict[int, list[np.ndarray]] = field(default_factory=dict)
-    ledger: TestLedger = field(default_factory=TestLedger)
+    tests_total: int = 0
+    cost_total: float = 0.0
     cumulative_infections: int = 0
     seeded_infections: int = 0
     cumulative_false_isolations: int = 0
@@ -148,11 +149,12 @@ def initialize(config: ScenarioConfig, rng: np.random.Generator) -> RunState:
 
 
 def _advance_infections(state: RunState, day: int) -> None:
-    # exposed -> infectious once the load crosses the cut; either infected
-    # state -> recovered when the trajectory says so (status_at). Agents past
-    # their last load day recover without a load. An exposed agent cannot
-    # change before its first load day, nor an infectious one up to its peak,
-    # so loads are evaluated only from that day on.
+    # exposed -> infectious once the load crosses the cut, symptomatic when
+    # the episode has an onset day; either infected state -> recovered once
+    # the load has fallen below the cut after the peak. Agents past their
+    # last load day recover without a load. An exposed agent cannot change
+    # before its first load day, nor an infectious one up to its peak, so
+    # loads are evaluated only from that day on.
     population = state.population
     ids = ((population.comp >= E) & (population.comp <= I_A)).nonzero()[0]
     exposed = population.comp[ids] == E
@@ -165,7 +167,7 @@ def _advance_infections(state: RunState, day: int) -> None:
     )
     cut = state.config.infectiousViralLoadCut
     onset = evaluated[exposed[changing] & (load > cut)]
-    population.comp[onset] = np.where(population.symptomatic[onset], I_S, I_A)
+    population.comp[onset] = np.where(np.isnan(population.onset_day[onset]), I_A, I_S)
     below_cut = evaluated[load < cut]
     past_peak = below_cut[population.past_peak_day[below_cut] <= day]
     mark_recovered(population, np.concatenate([ids[over], past_peak]), day)
@@ -199,13 +201,11 @@ def step(state: RunState, day: int, rng: np.random.Generator) -> np.void:
 
     tests_today = 0
     if config.is_testing_day(day):
-        tests_today = run_testing_day(
-            population, config, day, state.pending, state.ledger, rng
-        )
+        tests_today = run_testing_day(population, config, day, state.pending, rng)
+        state.tests_total += tests_today
+        state.cost_total += tests_today * config.costPerTest
 
-    new_internal = internal_propagation_step(
-        population, config, day, rng, counts=state.prev_counts
-    )
+    new_internal = internal_propagation_step(population, config, day, rng, state.prev_counts)
     state.cumulative_infections += len(new_internal)
 
     vaccination_step(population, day, config, rng)
@@ -225,13 +225,19 @@ def step(state: RunState, day: int, rng: np.random.Generator) -> np.void:
             state.cumulative_infections,
             state.cumulative_false_isolations,
             tests_today,
-            state.ledger.cost_total,
+            state.cost_total,
             np.count_nonzero(population.vaccinated),
         ),
         dtype=RECORD_DTYPE,
     )[()]
     state.prev_counts = counts
     return record
+
+
+def cost_per_person_day(cost: float | np.ndarray, config: ScenarioConfig) -> float | np.ndarray:
+    """Testing cost per person per simulated day; 0 without person-days."""
+    person_days = config.timeHorizon * config.popSize
+    return cost / person_days if person_days > 0 else 0.0
 
 
 def run(config: ScenarioConfig, run_index: int = 0) -> tuple[RunSummary, np.ndarray]:
@@ -245,7 +251,6 @@ def run(config: ScenarioConfig, run_index: int = 0) -> tuple[RunSummary, np.ndar
     records = np.empty(config.timeHorizon, dtype=RECORD_DTYPE)
     for day in range(config.timeHorizon):
         records[day] = step(state, day, rng)
-    person_days = config.timeHorizon * config.popSize
     summary = RunSummary(
         run_index=run_index,
         seed=config.baseSeed,
@@ -253,11 +258,9 @@ def run(config: ScenarioConfig, run_index: int = 0) -> tuple[RunSummary, np.ndar
         seeded_infections=state.seeded_infections,
         acquired_infections=state.cumulative_infections - state.seeded_infections,
         total_false_isolations=state.cumulative_false_isolations,
-        total_tests=state.ledger.tests_total,
-        total_cost=state.ledger.cost_total,
-        cost_per_person_per_day=(
-            state.ledger.cost_total / person_days if person_days > 0 else 0.0
-        ),
+        total_tests=state.tests_total,
+        total_cost=state.cost_total,
+        cost_per_person_per_day=cost_per_person_day(state.cost_total, config),
     )
     return summary, records
 

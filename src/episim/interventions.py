@@ -29,8 +29,8 @@ def _isolate(
     compartment: int,
 ) -> None:
     population.comp[ids] = compartment
-    population.iso_entry_day[ids] = day
-    population.iso_exit_day[ids] = day + config.isolationLength
+    # a zero-length isolation still lasts until the next day
+    population.iso_exit_day[ids] = day + max(config.isolationLength, 1)
 
 
 def apply_positive_results(
@@ -90,15 +90,11 @@ def isolation_exit_step(
     """Release agents whose isolation period is over; returns their ids.
 
     Sick isolation always exits to recovered; healthy isolation returns to the
-    susceptible compartment matching the vaccination flag. Agents who entered
-    isolation today are not examined, so a zero-length isolation still lasts
-    until the next day.
+    susceptible compartment matching the vaccination flag.
     """
     released = (population.iso_exit_day <= day).nonzero()[0]
-    released = released[population.iso_entry_day[released] < day]
     sick = released[population.comp[released] == ISO_SICK]
     healthy = released[population.comp[released] == ISO_HEALTHY]
-    population.iso_entry_day[released] = np.nan
     population.iso_exit_day[released] = np.nan
     population.last_exit_day[released] = day
     mark_recovered(population, sick, day)
@@ -134,7 +130,6 @@ def recovered_to_susceptible_step(
         population.last_load_day, population.onset_day, population.recovery_day,
     ):
         days[returned] = np.nan
-    population.symptomatic[returned] = False
     population.selfiso_candidate[returned] = False
     population.comp[returned] = population.susceptible_compartment(returned)
     return returned

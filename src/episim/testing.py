@@ -1,5 +1,5 @@
 """Population testing: single-sample tests and two-stage pooled (Dorfman)
-testing, with delayed result delivery and test-count/cost accounting.
+testing, with delayed result delivery.
 
 A testing day works on whole arrays: the eligible ids, their viral loads,
 one permutation into pools and one Bernoulli vector per test stage. Only
@@ -9,110 +9,32 @@ bucketed by delivery day.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
 from .core import Population, ScenarioConfig
 from .viral_load import load_array
 
 
-@dataclass(frozen=True)
-class TestSpec:
-    """Operating characteristics of one test type."""
-
-    detectionCut: float
-    fprSingle: float
-    fnrSingle: float
-    daysDelayTestResults: int
-    costPerTest: float
-
-    @classmethod
-    def from_config(cls, config: ScenarioConfig) -> "TestSpec":
-        return cls(
-            detectionCut=config.detectionCut,
-            fprSingle=config.fprSingle,
-            fnrSingle=config.fnrSingle,
-            daysDelayTestResults=config.daysDelayTestResults,
-            costPerTest=config.costPerTest,
-        )
-
-
-@dataclass
-class TestLedger:
-    """Running totals of tests administered and their cost."""
-
-    tests_total: int = 0
-    cost_total: float = 0.0
-
-    def record(self, tests: int, cost_per_test: float) -> None:
-        self.tests_total += tests
-        self.cost_total += tests * cost_per_test
-
-
-# Scalar rules for one test. They are the reference the vectorised testing
-# day is checked against; the simulation itself uses the array forms below.
-
-
-def single_test(viral_load: float, spec: TestSpec, rng: np.random.Generator) -> bool:
-    """One test on one sample; True means positive.
-
-    Samples at or below the detection cut can only false-positive; detectable
-    samples miss at the false-negative rate.
-    """
-    if viral_load <= spec.detectionCut:
-        return bool(rng.random() < spec.fprSingle)
-    return bool(rng.random() < 1.0 - spec.fnrSingle)
-
-
-def pool_test_average(
-    loads: Sequence[float], spec: TestSpec, rng: np.random.Generator
-) -> bool:
-    """Stage-1 pool test where the pool's load is the mean of its samples."""
-    return single_test(sum(loads) / len(loads), spec, rng)
-
-
-def pool_test_exponential(
-    loads: Sequence[float], spec: TestSpec, rng: np.random.Generator
-) -> bool:
-    """Stage-1 pool test driven by the number of detectable samples k.
-
-    With no detectable sample the pool false-positives at the single-test
-    rate; otherwise each detectable sample independently contributes, so the
-    pool is positive with probability 1 - fnr**k.
-    """
-    k = sum(1 for v in loads if v > spec.detectionCut)
-    if k == 0:
-        p_positive = spec.fprSingle
-    else:
-        p_positive = 1.0 - spec.fnrSingle ** k
-    return bool(rng.random() < p_positive)
-
-
-# Array forms
-
-
-def single_positive_prob(loads: np.ndarray, spec: TestSpec) -> np.ndarray:
+def single_positive_prob(loads: np.ndarray, config: ScenarioConfig) -> np.ndarray:
     """Per-sample probability that a single test comes back positive."""
-    return np.where(loads > spec.detectionCut, 1.0 - spec.fnrSingle, spec.fprSingle)
+    return np.where(loads > config.detectionCut, 1.0 - config.fnrSingle, config.fprSingle)
 
 
 def pool_positive_prob(
-    loads: np.ndarray, starts: np.ndarray, pooling_type: str, spec: TestSpec
+    loads: np.ndarray, starts: np.ndarray, config: ScenarioConfig
 ) -> np.ndarray:
-    """Stage-1 positive probability of each pool.
+    """Stage-1 positive probability of each pool under ``config.poolingType``.
 
     Pool j holds ``loads[starts[j]:starts[j+1]]`` (the last pool runs to the
     end). A pool of one gets the single-test probability under either rule.
     """
     sizes = np.diff(starts, append=len(loads))
-    if pooling_type == "average":
-        return single_positive_prob(np.add.reduceat(loads, starts) / sizes, spec)
-    if pooling_type == "exponential":
-        k = np.add.reduceat(loads > spec.detectionCut, starts, dtype=np.int64)
-        return np.where(k == 0, spec.fprSingle, 1.0 - spec.fnrSingle ** k)
-    raise ValueError(f"unknown pooling type {pooling_type!r}")
+    if config.poolingType == "average":
+        return single_positive_prob(np.add.reduceat(loads, starts) / sizes, config)
+    if config.poolingType == "exponential":
+        k = np.add.reduceat(loads > config.detectionCut, starts, dtype=np.int64)
+        return np.where(k == 0, config.fprSingle, 1.0 - config.fnrSingle ** k)
+    raise ValueError(f"unknown pooling type {config.poolingType!r}")
 
 
 def partition_into_pools(
@@ -159,7 +81,6 @@ def run_testing_day(
     config: ScenarioConfig,
     day: int,
     pending: dict[int, list[np.ndarray]],
-    ledger: TestLedger,
     rng: np.random.Generator,
 ) -> int:
     """Sample and test every eligible agent; returns tests used today.
@@ -169,10 +90,9 @@ def run_testing_day(
     one uniform per member of each positive pool of two or more for the
     stage-2 single tests, in pool order. A pool of one is a single test with
     no stage 2. All outcomes use the sampling-day loads. The positive ids are
-    queued under ``pending[day + daysDelayTestResults]``. The ledger accrues
-    one test per pool plus one per stage-2 member test.
+    queued under ``pending[day + daysDelayTestResults]``. The tests used are
+    one per pool plus one per stage-2 member test.
     """
-    spec = TestSpec.from_config(config)
     ids = eligible_ids(population, day, config)
     if ids.size == 0:
         return 0
@@ -181,21 +101,16 @@ def run_testing_day(
     ids, loads = ids[order], loads[order]
     sizes = np.diff(starts, append=len(ids))
 
-    pool_positive = rng.random(len(starts)) < pool_positive_prob(
-        loads, starts, config.poolingType, spec
-    )
+    pool_positive = rng.random(len(starts)) < pool_positive_prob(loads, starts, config)
     single_positive = np.repeat(pool_positive & (sizes == 1), sizes)
     retest = np.repeat(pool_positive & (sizes > 1), sizes)
     retest_positive = rng.random(np.count_nonzero(retest)) < single_positive_prob(
-        loads[retest], spec
+        loads[retest], config
     )
     positives = np.concatenate([ids[single_positive], ids[retest][retest_positive]])
     if positives.size:
-        pending.setdefault(day + spec.daysDelayTestResults, []).append(positives)
-
-    tests_used = len(starts) + int(retest_positive.size)
-    ledger.record(tests_used, spec.costPerTest)
-    return tests_used
+        pending.setdefault(day + config.daysDelayTestResults, []).append(positives)
+    return len(starts) + int(retest_positive.size)
 
 
 def deliver_results(pending: dict[int, list[np.ndarray]], day: int) -> np.ndarray:

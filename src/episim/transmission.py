@@ -1,6 +1,12 @@
 """Daily exposure processes: importation from outside the population and
 mass-action spread within it.
 
+External exposure has the daily probability gamma
+(``externalExposureProbDaily``), internal propagation the mass-action term
+beta*I/P, where I counts the infectious and P the agents outside isolation.
+A vaccinated susceptible is exposed with alpha (``vaccineInfectionProb``)
+times that probability. Either is clamped into [0, 1].
+
 Both stages draw the same way. One uniform per S_u agent in ascending id
 order decides who is exposed, then one per S_v agent. The newly exposed ids
 of the stage, in ascending order, then get one vector per episode draw (see
@@ -20,40 +26,8 @@ from .core import (
     S_V,
     Population,
     ScenarioConfig,
-    SimulationError,
 )
 from .viral_load import key_days, sample_params
-
-
-def exposure_probability(
-    counts: np.ndarray | None,
-    beta: float,
-    gamma: float,
-    alpha: float,
-    vaccinated: bool,
-    include_external: bool = True,
-    include_internal: bool = True,
-) -> float:
-    """Daily exposure probability for one susceptible agent.
-
-    gamma covers contacts outside the population, beta*I/P the mass-action
-    term inside it; vaccinated agents get the whole sum discounted by alpha.
-    The result is clamped into [0, 1]. ``counts`` holds the agents per
-    compartment, indexed by :class:`Compartment`, and is read only for the
-    internal term; the two isolated states are not in P.
-    """
-    p = 0.0
-    if include_external:
-        p += gamma
-    if include_internal:
-        in_population = int(counts[:ISO_HEALTHY].sum())
-        if in_population <= 0:
-            raise SimulationError("internal exposure with empty population")
-        infectious = int(counts[I_S] + counts[I_A])
-        p += beta * infectious / in_population
-    if vaccinated:
-        p *= alpha
-    return min(max(p, 0.0), 1.0)
 
 
 def expose(
@@ -87,7 +61,7 @@ def start_episodes(
     will_isolate: np.ndarray,
 ) -> None:
     """Put agents ``ids`` in E with the episodes ``params`` (rows of
-    :data:`~episim.viral_load.profile_params`) exposed on ``day``, and store
+    :func:`~episim.viral_load.sample_params`) exposed on ``day``, and store
     each episode's key days (:func:`~episim.viral_load.key_days`)."""
     population.params[ids] = params
     population.comp[ids] = E
@@ -99,14 +73,12 @@ def start_episodes(
         population.onset_day[ids],
     ) = key_days(params, day, symptomatic)
     population.recovery_day[ids] = np.nan
-    population.symptomatic[ids] = symptomatic
     population.selfiso_candidate[ids] = symptomatic & will_isolate
 
 
 def _bernoulli_expose(
     population: Population,
-    p_unvaccinated: float,
-    p_vaccinated: float,
+    p: float,
     day: int,
     config: ScenarioConfig,
     rng: np.random.Generator,
@@ -114,10 +86,11 @@ def _bernoulli_expose(
     # One draw per candidate keeps stream consumption fixed; a block with
     # no candidates or a zero probability draws nothing.
     exposed = []
-    for comp, p in ((S_U, p_unvaccinated), (S_V, p_vaccinated)):
+    for comp, prob in ((S_U, p), (S_V, p * config.vaccineInfectionProb)):
+        prob = min(max(prob, 0.0), 1.0)
         candidates = population.ids(comp)
-        if candidates.size and p > 0.0:
-            exposed.append(candidates[rng.random(candidates.size) < p])
+        if candidates.size and prob > 0.0:
+            exposed.append(candidates[rng.random(candidates.size) < prob])
     ids = np.sort(np.concatenate(exposed)) if exposed else np.empty(0, dtype=np.int64)
     expose(population, ids, day, config, rng)
     return ids
@@ -131,14 +104,7 @@ def external_exposure_step(
 ) -> np.ndarray:
     """Expose in-population susceptibles from outside contacts; returns the
     newly exposed ids."""
-    p_u, p_v = (
-        exposure_probability(
-            None, config.betaDaily, config.externalExposureProbDaily,
-            config.vaccineInfectionProb, vaccinated, include_internal=False,
-        )
-        for vaccinated in (False, True)
-    )
-    return _bernoulli_expose(population, p_u, p_v, day, config, rng)
+    return _bernoulli_expose(population, config.externalExposureProbDaily, day, config, rng)
 
 
 def internal_propagation_step(
@@ -146,26 +112,21 @@ def internal_propagation_step(
     config: ScenarioConfig,
     day: int,
     rng: np.random.Generator,
-    counts: np.ndarray | None = None,
+    counts: np.ndarray,
 ) -> np.ndarray:
     """Expose in-population susceptibles via mass action; returns the newly
     exposed ids.
 
-    The infectious pressure I/P comes from ``counts`` (the engine passes the
-    previous day's end-of-day counts, matching the discrete update
-    new_exposures(t) = beta * I(t-1)/P(t-1) * S(t-1)); by default the current
-    population is counted. Either way the counts are fixed before any
-    exposure happens, so new cases cannot cascade within the same day.
+    The infectious pressure I/P comes from ``counts``, the agents per
+    compartment indexed by :class:`~episim.core.Compartment`. The engine
+    passes the previous day's end-of-day counts, matching the discrete update
+    new_exposures(t) = beta * I(t-1)/P(t-1) * S(t-1). The counts are fixed
+    before any exposure happens, so new cases cannot cascade within the same
+    day.
     """
-    if counts is None:
-        counts = population.counts()
-    if counts[I_S] + counts[I_A] == 0:
+    infectious = int(counts[I_S] + counts[I_A])
+    if infectious == 0:
         return np.empty(0, dtype=np.int64)
-    p_u, p_v = (
-        exposure_probability(
-            counts, config.betaDaily, config.externalExposureProbDaily,
-            config.vaccineInfectionProb, vaccinated, include_external=False,
-        )
-        for vaccinated in (False, True)
-    )
-    return _bernoulli_expose(population, p_u, p_v, day, config, rng)
+    # I is counted in P, so P > 0 here
+    p = config.betaDaily * infectious / int(counts[:ISO_HEALTHY].sum())
+    return _bernoulli_expose(population, p, day, config, rng)

@@ -149,6 +149,19 @@ def test_calibrate_without_early_window_writes_null(tmp_path, capsys):
     assert payload["validation"] == {"runs": 2, "early_window_mean_r": None}
 
 
+@pytest.mark.parametrize("target", ["nan", "inf", "-inf", "0", "-1"])
+def test_calibrate_rejects_a_target_r0_that_is_not_positive_and_finite(
+    tmp_path, capsys, target
+):
+    out = tmp_path / "out"
+    status = cli.main(["calibrate", f"--target-r0={target}", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert status == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert not (out / "calibration.json").exists()
+
+
 def small_sweep(tmp_path, out, cells=1):
     values = [{"label": f"pool {k}", "overrides": {"poolSize": k}} for k in range(1, cells + 1)]
     spec = write_spec(tmp_path, {"base": dict(SMALL_BASE, daysBetweenTesting=2),
@@ -156,17 +169,26 @@ def small_sweep(tmp_path, out, cells=1):
     return cli.main(["sweep", "--spec", spec, "--out", str(out), "--jobs", "1"])
 
 
-def replace_first_value(path):
-    header, first, *rest = path.read_text().splitlines()
-    path.write_text("\n".join([header, "abc" + first[first.index(","):], *rest]) + "\n")
+def edit_csv(edit):
+    """A damage that rewrites the lines of a run CSV with ``edit``."""
+    def damage(path):
+        path.write_text("\n".join(edit(*path.read_text().splitlines())) + "\n")
+    return damage
 
 
 @pytest.mark.parametrize("name,damage", [
     ("cell.json", lambda path: path.write_text("{not json")),
     ("cell.json", lambda path: path.write_text("{}")),
     ("config.json", lambda path: path.write_text("{not json")),
-    ("run_000.csv", replace_first_value),
-], ids=["cell-not-json", "cell-without-label", "config-not-json", "csv-non-numeric"])
+    ("run_000.csv", edit_csv(lambda head, first, *rest: [head, "abc" + first[1:], *rest])),
+    ("run_000.csv", edit_csv(lambda head, *rows: [head.replace("day", "date"), *rows])),
+    ("run_000.csv", edit_csv(lambda head, *rows: [head])),
+    ("run_000.csv", edit_csv(lambda head, first, *rest: [head, first[:first.rindex(",")], *rest])),
+    ("run_000.csv", edit_csv(lambda head, first, *rest: [head, first + ",1", *rest])),
+    ("run_000.csv", lambda path: path.write_bytes(b"\xff\xfe" + path.read_bytes())),
+], ids=["cell-not-json", "cell-without-label", "config-not-json", "csv-non-numeric",
+        "csv-wrong-header", "csv-header-only", "csv-missing-field", "csv-extra-field",
+        "csv-not-utf8"])
 def test_report_on_a_damaged_sweep_names_the_file(tmp_path, capsys, name, damage):
     out = tmp_path / "out"
     assert small_sweep(tmp_path, out) == 0

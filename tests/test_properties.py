@@ -6,6 +6,11 @@ per-agent arrays consistent with the compartments. Examples are derandomized
 so that the suite is reproducible.
 """
 
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +24,7 @@ from episim.core import (
     make_rng,
     validate_config,
 )
-from episim.engine import initialize, run_replicates, step
+from episim.engine import RECORD_DTYPE, initialize, run, run_replicates, step
 from episim.viral_load import key_days
 
 C = Compartment
@@ -68,11 +73,12 @@ def configs(draw):
     return config
 
 
-def check_population(pop, day):
+def check_population(pop, day, config):
+    # an isolation ends on a later day, at most max(isolationLength, 1) after
+    # the day it began
     isolated = pop.comp >= C.ISOLATED_HEALTHY
-    entry, exit_ = pop.iso_entry_day[isolated], pop.iso_exit_day[isolated]
-    assert np.all((entry <= day) & (day < exit_ + 1)), day
-    assert np.isnan(pop.iso_entry_day[~isolated]).all(), day
+    exit_day = pop.iso_exit_day[isolated]
+    assert np.all((day < exit_day) & (exit_day <= day + max(config.isolationLength, 1))), day
     assert np.isnan(pop.iso_exit_day[~isolated]).all(), day
     infected = (pop.comp >= C.EXPOSED) & (pop.comp <= C.RECOVERED)
     assert np.isfinite(pop.exposure_day[infected]).all(), day
@@ -81,13 +87,17 @@ def check_population(pop, day):
     episode = infected | (pop.comp == C.ISOLATED_SICK)
     assert np.isnan(pop.exposure_day[~episode]).all(), day
     assert np.isnan(pop.params[~episode]).all(), day
-    # the key days are those of the episode's trajectory, and NaN outside one
+    # the key days are those of the episode's trajectory, and NaN outside one;
+    # an episode with no onset day is asymptomatic, so it has no symptom delay
+    # and no self-isolation to come
     stored = (pop.first_load_day, pop.past_peak_day, pop.last_load_day, pop.onset_day)
-    want = key_days(pop.params[episode], pop.exposure_day[episode], pop.symptomatic[episode])
+    symptomatic = np.isfinite(pop.onset_day)
+    want = key_days(pop.params[episode], pop.exposure_day[episode], symptomatic[episode])
     for days, expected in zip(stored, want):
         assert np.array_equal(days[episode], expected, equal_nan=True), day
         assert np.isnan(days[~episode]).all(), day
-    assert np.array_equal(np.isfinite(pop.onset_day[episode]), pop.symptomatic[episode]), day
+    assert np.all(pop.params[episode & ~symptomatic, 4] == 0), day
+    assert not np.any(pop.selfiso_candidate & ~symptomatic), day
     # the status update leaves no E or I agent past its last load day, and no
     # I agent before its first load day
     active = (pop.comp >= C.EXPOSED) & (pop.comp <= C.INFECTIOUS_ASYMPTOMATIC)
@@ -103,21 +113,31 @@ def check_population(pop, day):
 def test_daily_invariants(config):
     rng = make_rng(config.baseSeed, 0)
     state = initialize(config, rng)
-    check_population(state.population, 0)
+    check_population(state.population, 0, config)
     previous = None
+    stepped = np.empty(config.timeHorizon, dtype=RECORD_DTYPE)
+    cost = 0.0
     for day in range(config.timeHorizon):
         record = step(state, day, rng)
+        stepped[day] = record
         counts = [record[col] for col in COUNT_COLUMNS]
         assert sum(counts) == config.popSize, day
         assert counts == state.population.counts().tolist(), day
         assert min(counts) >= 0 and record["tests_today"] >= 0, day
         assert record["new_ext"] >= 0 and record["new_int"] >= 0, day
         assert record["vaccinated_total"] == np.count_nonzero(state.population.vaccinated), day
+        # the cost grows by exactly the day's tests at their price
+        cost += record["tests_today"] * config.costPerTest
+        assert record["cum_cost"] == cost, day
         if previous is not None:
             for col in CUMULATIVE_COLUMNS:
                 assert record[col] >= previous[col], (day, col)
-        check_population(state.population, day)
+        check_population(state.population, day, config)
         previous = record
+    summary, records = run(config, 0)
+    assert np.array_equal(records, stepped)
+    assert summary.total_tests == records["tests_today"].sum()
+    assert summary.total_cost == (records[-1]["cum_cost"] if len(records) else 0.0)
 
 
 @settings(PROPERTY_SETTINGS, max_examples=5)
@@ -127,3 +147,28 @@ def test_replicates_identical_for_any_job_count(config):
     [parallel] = run_replicates([config], 2, jobs=2)
     assert serial.summaries == parallel.summaries
     assert np.array_equal(np.stack(serial.records), np.stack(parallel.records))
+
+
+def test_failing_example_does_not_abort_the_session(tmp_path):
+    # Hypothesis imports libcst to report a failing example, and libcst warns
+    # of a deprecation; the warning filters must not turn that into an
+    # INTERNALERROR that ends the session before the later tests run
+    (tmp_path / "test_two.py").write_text(textwrap.dedent("""
+        from hypothesis import given, settings, strategies as st
+
+        @settings(database=None)
+        @given(st.integers())
+        def test_fails(x):
+            assert x < 0
+
+        def test_passes():
+            pass
+    """))
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(pyproject), "--rootdir", str(tmp_path),
+         "-p", "no:cacheprovider", "test_two.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert "INTERNALERROR" not in result.stdout + result.stderr
+    assert "1 failed, 1 passed" in result.stdout

@@ -1,29 +1,37 @@
-"""Single and pooled testing, result delays, and test accounting."""
+"""Single and pooled testing and result delays."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from episim.core import Compartment, Population, default_config, make_rng
 from episim.testing import (
-    TestLedger,
-    TestSpec,
     deliver_results,
     eligible_ids,
     partition_into_pools,
     pool_positive_prob,
-    pool_test_average,
-    pool_test_exponential,
     run_testing_day,
-    single_test,
 )
 from episim.transmission import start_episodes
-from episim.viral_load import ViralLoadProfile, load_at, profile_params
+
+from reference import (
+    ViralLoadProfile,
+    load_at,
+    pool_test_average,
+    pool_test_exponential,
+    profile_params,
+    single_test,
+)
+
+
+def operating_point(cut, fpr, fnr):
+    return default_config(detectionCut=cut, fprSingle=fpr, fnrSingle=fnr)
+
 
 # operating points for the two test types compared in the experiments
-TEST_A = TestSpec(detectionCut=100.0, fprSingle=0.014, fnrSingle=0.06,
-                  daysDelayTestResults=3, costPerTest=100.0)
-TEST_B = TestSpec(detectionCut=1e6, fprSingle=0.007, fnrSingle=0.15,
-                  daysDelayTestResults=0, costPerTest=50.0)
+TEST_A = operating_point(100.0, 0.014, 0.06)
+TEST_B = operating_point(1e6, 0.007, 0.15)
 
 
 def frequency(fn, n=100_000):
@@ -69,8 +77,8 @@ def test_partition_pool_size_one_gives_singletons():
 
 def test_pool_average_deterministic_threshold_paths():
     pool = (1e6, 0.0, 0.0, 0.0, 0.0)  # mean 2e5
-    sure_a = TestSpec(100.0, 0.0, 0.0, 0, 0.0)    # 2e5 > cut: always positive
-    sure_b = TestSpec(1e6, 0.0, 0.0, 0, 0.0)      # 2e5 <= cut: never positive
+    sure_a = operating_point(100.0, 0.0, 0.0)  # 2e5 > cut: always positive
+    sure_b = operating_point(1e6, 0.0, 0.0)    # 2e5 <= cut: never positive
     rng = make_rng(1)
     assert pool_test_average(pool, sure_a, rng) is True
     assert pool_test_average(pool, sure_b, rng) is False
@@ -94,7 +102,7 @@ def test_pool_average_all_zero_loads_false_positive_rate():
 
 def test_pool_exponential_no_detectable_sample():
     pool = (0.0,) * 5
-    spec = TestSpec(100.0, 0.014, 0.15, 0, 0.0)
+    spec = operating_point(100.0, 0.014, 0.15)
     rng = make_rng(106)
     freq = frequency(lambda: pool_test_exponential(pool, spec, rng), n=50_000)
     assert abs(freq - 0.014) < 0.003
@@ -103,7 +111,7 @@ def test_pool_exponential_no_detectable_sample():
 def test_pool_exponential_two_detectable_samples():
     # positive probability 1 - 0.15^2 = 0.9775
     pool = (1e4, 1e4, 0.0, 0.0, 0.0)
-    spec = TestSpec(100.0, 0.014, 0.15, 0, 0.0)
+    spec = operating_point(100.0, 0.014, 0.15)
     rng = make_rng(107)
     freq = frequency(lambda: pool_test_exponential(pool, spec, rng))
     assert abs(freq - 0.9775) < 0.002
@@ -111,7 +119,7 @@ def test_pool_exponential_two_detectable_samples():
 
 def test_pool_exponential_single_detectable_matches_single_test():
     pool = (1e4, 0.0, 0.0, 0.0, 0.0)
-    spec = TestSpec(100.0, 0.014, 0.15, 0, 0.0)
+    spec = operating_point(100.0, 0.014, 0.15)
     rng = make_rng(108)
     freq = frequency(lambda: pool_test_exponential(pool, spec, rng), n=50_000)
     assert abs(freq - 0.85) < 0.006
@@ -121,7 +129,7 @@ def test_pool_positive_prob_matches_scalar_rules():
     # the stage-1 vector, drawn against the same uniforms as the scalar rules
     # applied pool by pool, must give the same outcome for every pool
     rng = make_rng(109)
-    spec = TestSpec(100.0, 0.2, 0.3, 0, 0.0)
+    spec = operating_point(100.0, 0.2, 0.3)
     n = 4000
     loads = np.where(rng.random(n) < 0.3, 10 ** rng.uniform(0.0, 4.0, n), 0.0)
     for pooling_type, scalar_rule in (
@@ -130,7 +138,8 @@ def test_pool_positive_prob_matches_scalar_rules():
         for pool_size in (1, 3, 10):
             starts = np.arange(0, n - 1, pool_size)  # n - 1: a short last pool
             vector_rng, scalar_rng = make_rng(110), make_rng(110)
-            prob = pool_positive_prob(loads[:n - 1], starts, pooling_type, spec)
+            config = dataclasses.replace(spec, poolingType=pooling_type)
+            prob = pool_positive_prob(loads[:n - 1], starts, config)
             vector = vector_rng.random(len(starts)) < prob
             bounds = np.append(starts, n - 1)
             scalar = [
@@ -163,12 +172,10 @@ def test_run_testing_day_singletons():
     pop = hot_population(100)
     cfg = default_config(daysBetweenTesting=1, firstDayOfTesting=0, poolSize=1,
                          fprSingle=1.0)
-    pending, ledger = {}, TestLedger()
-    used = run_testing_day(pop, cfg, 7, pending, ledger, make_rng(1))
+    pending = {}
+    used = run_testing_day(pop, cfg, 7, pending, make_rng(1))
     assert used == 100
     assert queued_ids(pending) == list(range(100))
-    assert ledger.tests_total == 100
-    assert ledger.cost_total == 100 * cfg.costPerTest
 
 
 def test_run_testing_day_no_positive_pools():
@@ -176,8 +183,8 @@ def test_run_testing_day_no_positive_pools():
     cfg = default_config(
         daysBetweenTesting=1, firstDayOfTesting=0, poolSize=5, fprSingle=0.0
     )
-    pending, ledger = {}, TestLedger()
-    used = run_testing_day(pop, cfg, 7, pending, ledger, make_rng(2))
+    pending = {}
+    used = run_testing_day(pop, cfg, 7, pending, make_rng(2))
     assert used == 20
     assert pending == {}  # negative results are not queued
 
@@ -185,17 +192,16 @@ def test_run_testing_day_no_positive_pools():
 def test_run_testing_day_dorfman_count_three_positive_pools():
     # 3 detectable agents, fnr 0, fpr 0: positive pools = pools holding them.
     # seed 0 scatters them into 3 distinct pools (asserted below), so the
-    # ledger must read 20 stage-1 tests + 3*5 follow-ups.
+    # day must use 20 stage-1 tests + 3*5 follow-ups.
     pop = hot_population(100, hot_ids=(10, 40, 70))
     cfg = default_config(
         daysBetweenTesting=1, firstDayOfTesting=0, poolSize=5,
         fprSingle=0.0, fnrSingle=0.0, detectionCut=100.0,
     )
-    pending, ledger = {}, TestLedger()
-    used = run_testing_day(pop, cfg, 3, pending, ledger, make_rng(0))
+    pending = {}
+    used = run_testing_day(pop, cfg, 3, pending, make_rng(0))
     assert deliver_results(pending, 3).tolist() == [10, 40, 70]
     assert used == 35
-    assert ledger.tests_total == 35
 
 
 def test_member_of_negative_pool_never_positive():
@@ -206,8 +212,8 @@ def test_member_of_negative_pool_never_positive():
         daysBetweenTesting=1, firstDayOfTesting=0, poolSize=5,
         fprSingle=0.0, fnrSingle=1.0,
     )
-    pending, ledger = {}, TestLedger()
-    used = run_testing_day(pop, cfg, 3, pending, ledger, make_rng(3))
+    pending = {}
+    used = run_testing_day(pop, cfg, 3, pending, make_rng(3))
     assert used == 20
     assert pending == {}
 
@@ -215,7 +221,6 @@ def test_member_of_negative_pool_never_positive():
 def reference_testing_day(pop, cfg, day, rng):
     """The testing day one sample at a time with the scalar rules, drawing
     in the documented order; returns (sorted positive ids, tests used)."""
-    spec = TestSpec.from_config(cfg)
     isolated = (Compartment.ISOLATED_HEALTHY, Compartment.ISOLATED_SICK)
     ids = []
     for i in range(len(pop)):
@@ -232,7 +237,7 @@ def reference_testing_day(pop, cfg, day, rng):
     order = rng.permutation(len(ids))
     pools = [order[a:a + cfg.poolSize] for a in range(0, len(ids), cfg.poolSize)]
     rule = {"average": pool_test_average, "exponential": pool_test_exponential}
-    stage1 = [rule[cfg.poolingType]([loads[j] for j in pool], spec, rng) for pool in pools]
+    stage1 = [rule[cfg.poolingType]([loads[j] for j in pool], cfg, rng) for pool in pools]
     positives, tests = [], len(pools)
     for pool, pool_positive in zip(pools, stage1):
         if pool_positive and len(pool) == 1:
@@ -240,7 +245,7 @@ def reference_testing_day(pop, cfg, day, rng):
         elif pool_positive:
             for j in pool:
                 tests += 1
-                if single_test(loads[j], spec, rng):
+                if single_test(loads[j], cfg, rng):
                     positives.append(ids[j])
     return sorted(positives), tests
 
@@ -279,8 +284,8 @@ def test_run_testing_day_matches_scalar_reference(pooling_type, pool_size):
     )
     n_pools = -(-len(eligible_ids(pop, 15, cfg)) // pool_size)
     for seed in range(5):
-        pending, ledger = {}, TestLedger()
-        used = run_testing_day(pop, cfg, 15, pending, ledger, make_rng(seed))
+        pending = {}
+        used = run_testing_day(pop, cfg, 15, pending, make_rng(seed))
         expected, expected_tests = reference_testing_day(pop, cfg, 15, make_rng(seed))
         assert used == expected_tests
         assert deliver_results(pending, 17).tolist() == expected
@@ -294,8 +299,8 @@ def test_delivery_delay():
     pop = hot_population(10)
     cfg = default_config(daysBetweenTesting=1, firstDayOfTesting=0, poolSize=1,
                          fprSingle=1.0, daysDelayTestResults=3)
-    pending, ledger = {}, TestLedger()
-    run_testing_day(pop, cfg, 7, pending, ledger, make_rng(8))
+    pending = {}
+    run_testing_day(pop, cfg, 7, pending, make_rng(8))
     assert deliver_results(pending, 9).tolist() == []
     assert deliver_results(pending, 10).tolist() == list(range(10))
     assert pending == {}
@@ -305,8 +310,8 @@ def test_delivery_immediate_when_no_delay():
     pop = hot_population(10)
     cfg = default_config(daysBetweenTesting=1, firstDayOfTesting=0, poolSize=1,
                          fprSingle=1.0, daysDelayTestResults=0)
-    pending, ledger = {}, TestLedger()
-    run_testing_day(pop, cfg, 4, pending, ledger, make_rng(4))
+    pending = {}
+    run_testing_day(pop, cfg, 4, pending, make_rng(4))
     assert len(deliver_results(pending, 4)) == 10
 
 
@@ -318,9 +323,9 @@ def test_agents_with_pending_results_are_retested():
     pop = hot_population(10)
     cfg = default_config(daysBetweenTesting=1, firstDayOfTesting=0, poolSize=1,
                          fprSingle=1.0, daysDelayTestResults=3)
-    pending, ledger = {}, TestLedger()
-    run_testing_day(pop, cfg, 0, pending, ledger, make_rng(5))
-    run_testing_day(pop, cfg, 1, pending, ledger, make_rng(6))
+    pending = {}
+    run_testing_day(pop, cfg, 0, pending, make_rng(5))
+    run_testing_day(pop, cfg, 1, pending, make_rng(6))
     assert len(queued_ids(pending)) == 20
     assert deliver_results(pending, 3).tolist() == list(range(10))
     assert deliver_results(pending, 4).tolist() == list(range(10))
@@ -340,7 +345,7 @@ def test_isolated_agents_are_not_tested():
     pop.comp[1] = Compartment.ISOLATED_HEALTHY
     cfg = default_config(daysBetweenTesting=1, firstDayOfTesting=0, poolSize=1,
                          fprSingle=1.0)
-    pending, ledger = {}, TestLedger()
-    used = run_testing_day(pop, cfg, 0, pending, ledger, make_rng(7))
+    pending = {}
+    used = run_testing_day(pop, cfg, 0, pending, make_rng(7))
     assert used == 8
     assert queued_ids(pending) == list(range(2, 10))

@@ -1,18 +1,13 @@
-"""Exposure probability arithmetic and the two exposure stages."""
+"""The exposure probability of each exposure stage, and the two stages."""
+
+from unittest.mock import MagicMock
 
 import numpy as np
 import pytest
 
-from episim.core import (
-    Compartment,
-    Population,
-    SimulationError,
-    default_config,
-    make_rng,
-)
+from episim.core import Compartment, Population, default_config, make_rng
 from episim.transmission import (
     expose,
-    exposure_probability,
     external_exposure_step,
     internal_propagation_step,
 )
@@ -45,49 +40,62 @@ def reset_exposed(population, compartment):
     population.selfiso_candidate[:] = False
 
 
+def stage_probabilities(stage, config, *counts):
+    """The probabilities with which ``stage`` exposes an S_u and an S_v
+    agent, read from the comparisons with its uniforms; a block with a zero
+    probability draws nothing and is left out."""
+    rng = MagicMock()
+    uniforms = rng.random.return_value
+    uniforms.__lt__.return_value = np.zeros(1, dtype=bool)  # nobody is exposed
+    assert stage(build_population(n_su=1, n_sv=1), config, 0, rng, *counts).size == 0
+    return tuple(call.args[0] for call in uniforms.__lt__.call_args_list)
+
+
+def external_probabilities(gamma, alpha=0.3):
+    config = default_config(externalExposureProbDaily=gamma, vaccineInfectionProb=alpha)
+    return stage_probabilities(external_exposure_step, config)
+
+
+def internal_probabilities(counts, beta=0.4, alpha=0.3):
+    config = default_config(betaDaily=beta, vaccineInfectionProb=alpha)
+    return stage_probabilities(internal_propagation_step, config, counts)
+
+
 def test_probability_hand_value_unvaccinated():
-    p = exposure_probability(BASE_COUNTS, beta=0.4, gamma=0.005, alpha=0.3,
-                             vaccinated=False)
-    assert p == pytest.approx(0.013, rel=1e-12)
+    assert external_probabilities(0.005)[0] == 0.005
+    # beta I/P = 0.4 * 200/10000
+    assert internal_probabilities(BASE_COUNTS)[0] == pytest.approx(0.008, rel=1e-12)
 
 
 def test_probability_hand_value_vaccinated():
-    p = exposure_probability(BASE_COUNTS, beta=0.4, gamma=0.005, alpha=0.3,
-                             vaccinated=True)
-    assert p == pytest.approx(0.0039, rel=1e-12)
+    assert external_probabilities(0.005)[1] == pytest.approx(0.0015, rel=1e-12)
+    assert internal_probabilities(BASE_COUNTS)[1] == pytest.approx(0.0024, rel=1e-12)
 
 
 def test_probability_zero_without_sources():
-    counts = make_counts(s_u=100, s_v=0, e=0, i_s=0, i_a=0, r=0)
-    assert exposure_probability(counts, 0.4, 0.0, 0.3, False) == 0.0
+    assert external_probabilities(0.0) == ()
+    assert internal_probabilities(BASE_COUNTS, beta=0.0) == ()
+    assert internal_probabilities(make_counts(s_u=100)) == ()
 
 
 def test_probability_is_clamped():
     counts = make_counts(s_u=0, s_v=0, e=0, i_s=50, i_a=50, r=0)
-    assert exposure_probability(counts, 5.0, 0.9, 0.3, False) == 1.0
+    assert internal_probabilities(counts, beta=5.0) == (1.0, 1.0)
 
 
 def test_probability_mass_action_scale_invariance():
     doubled = make_counts(s_u=2 * 9800, s_v=0, e=0, i_s=200, i_a=200, r=0)
-    p1 = exposure_probability(BASE_COUNTS, 0.4, 0.005, 0.3, False)
-    p2 = exposure_probability(doubled, 0.4, 0.005, 0.3, False)
-    assert p1 == pytest.approx(p2)
+    assert internal_probabilities(BASE_COUNTS) == pytest.approx(internal_probabilities(doubled))
 
 
 def test_probability_monotone_in_inputs():
-    base = exposure_probability(BASE_COUNTS, 0.4, 0.005, 0.3, False)
-    assert exposure_probability(BASE_COUNTS, 0.5, 0.005, 0.3, False) > base
-    assert exposure_probability(BASE_COUNTS, 0.4, 0.008, 0.3, False) > base
+    assert external_probabilities(0.008)[0] > external_probabilities(0.005)[0]
+    base = internal_probabilities(BASE_COUNTS)[0]
+    assert internal_probabilities(BASE_COUNTS, beta=0.5)[0] > base
     more_inf = make_counts(s_u=9600, s_v=0, e=0, i_s=200, i_a=200, r=0)
-    assert exposure_probability(more_inf, 0.4, 0.005, 0.3, False) > base
+    assert internal_probabilities(more_inf)[0] > base
     bigger_p = make_counts(s_u=19800, s_v=0, e=0, i_s=100, i_a=100, r=0)
-    assert exposure_probability(bigger_p, 0.4, 0.005, 0.3, False) < base
-
-
-def test_probability_empty_population_is_an_error():
-    counts = make_counts(s_u=0, s_v=0, e=0, i_s=0, i_a=0, r=0)
-    with pytest.raises(SimulationError):
-        exposure_probability(counts, 0.4, 0.005, 0.3, False, include_internal=True)
+    assert internal_probabilities(bigger_p)[0] < base
 
 
 def test_external_step_zero_rate_exposes_nobody():
@@ -123,7 +131,7 @@ def test_external_step_binomial_moment():
 def test_internal_step_empty_without_infectious():
     pop = build_population(n_su=100)
     cfg = default_config()
-    assert internal_propagation_step(pop, cfg, 0, make_rng(1)).tolist() == []
+    assert internal_propagation_step(pop, cfg, 0, make_rng(1), pop.counts()).tolist() == []
 
 
 def test_internal_step_binomial_moment():
@@ -133,7 +141,7 @@ def test_internal_step_binomial_moment():
     rng = make_rng(37)
     counts = []
     for _ in range(1000):
-        exposed = internal_propagation_step(pop, cfg, 0, rng)
+        exposed = internal_propagation_step(pop, cfg, 0, rng, pop.counts())
         counts.append(len(exposed))
         reset_exposed(pop, Compartment.SUSCEPTIBLE_UNVACCINATED)
     assert abs(np.mean(counts) - 78.4) < 3.0
@@ -146,7 +154,7 @@ def test_internal_step_vaccinated_moment():
     rng = make_rng(41)
     counts = []
     for _ in range(1000):
-        exposed = internal_propagation_step(pop, cfg, 0, rng)
+        exposed = internal_propagation_step(pop, cfg, 0, rng, pop.counts())
         counts.append(len(exposed))
         reset_exposed(pop, Compartment.SUSCEPTIBLE_VACCINATED)
     assert abs(np.mean(counts) - 2.4) < 0.5
@@ -169,7 +177,7 @@ def test_exposure_never_touches_non_susceptibles():
     before_rec = pop.ids(Compartment.RECOVERED).tolist()
     rng = make_rng(43)
     external_exposure_step(pop, cfg, 0, rng)
-    internal_propagation_step(pop, cfg, 0, rng)
+    internal_propagation_step(pop, cfg, 0, rng, pop.counts())
     assert pop.ids(Compartment.INFECTIOUS_ASYMPTOMATIC).tolist() == before_inf
     assert pop.ids(Compartment.RECOVERED).tolist() == before_rec
 
@@ -184,7 +192,7 @@ def test_snapshot_counts_excludes_isolated():
     assert infectious == 4
     assert counts[:Compartment.ISOLATED_HEALTHY].sum() == 13
     # P excludes the isolated: beta * 4/13 with beta 13/4 is exactly 1
-    assert exposure_probability(counts, 13 / 4, 0.0, 0.3, False) == 1.0
+    assert internal_probabilities(counts, beta=13 / 4)[0] == 1.0
 
 
 def test_expose_draws_one_vector_per_episode_draw():
@@ -203,7 +211,7 @@ def test_expose_draws_one_vector_per_episode_draw():
     tf, vf = cfg.tF.sample_array(rng, ids.size), cfg.VF.sample_array(rng, ids.size)
     willing = rng.random(ids.size) < cfg.selfIsolationOnSymptomsProb
     assert np.array_equal(pop.params[ids], np.column_stack([t0, v0, tp, vp, ts, tf, vf]))
-    assert np.array_equal(pop.symptomatic[ids], symptomatic)
+    assert np.array_equal(np.isfinite(pop.onset_day[ids]), symptomatic)
     assert np.array_equal(pop.selfiso_candidate[ids], symptomatic & willing)
     assert pop.ids(Compartment.EXPOSED).tolist() == ids.tolist()
     assert np.all(pop.exposure_day[ids] == 4)

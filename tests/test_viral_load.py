@@ -10,11 +10,11 @@ from episim.engine import RunState, _advance_infections
 from episim.interventions import self_isolation_step
 from episim.testing import current_loads
 from episim.transmission import start_episodes
-from episim.viral_load import (
+from episim.viral_load import key_days, load_array
+
+from reference import (
     InfectionStage,
     ViralLoadProfile,
-    key_days,
-    load_array,
     load_at,
     profile_params,
     sample_profile,
