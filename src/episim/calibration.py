@@ -11,7 +11,7 @@ import numpy as np
 
 from .core import ConfigError, ScenarioConfig
 
-# Defaults for the window where the reproduction-number estimate is trusted:
+# The window where the reproduction-number estimate is trusted:
 # the unvaccinated-susceptible share must still be near 1 and the infectious
 # count large enough to keep the ratio estimator stable.
 EARLY_WINDOW_SU_FRACTION = 0.9
@@ -56,8 +56,6 @@ class ReproductionSeries:
     before). early_window flags days where the estimate approximates R0.
     """
 
-    tau_i: float
-    days: np.ndarray
     values: np.ndarray
     early_window: np.ndarray
 
@@ -67,12 +65,7 @@ class ReproductionSeries:
         return float(np.nanmean(self.values[self.early_window]))
 
 
-def effective_r_series(
-    records: np.ndarray,
-    tau_i: float,
-    su_fraction_min: float = EARLY_WINDOW_SU_FRACTION,
-    min_infectious: int = EARLY_WINDOW_MIN_INFECTIOUS,
-) -> ReproductionSeries:
+def effective_r_series(records: np.ndarray, tau_i: float) -> ReproductionSeries:
     """Estimate R_t = (new internal exposures / previous-day infectious) * tau_i
     from a run's records (an array of :data:`~episim.engine.RECORD_DTYPE`)."""
     n = len(records)
@@ -85,9 +78,7 @@ def effective_r_series(
     before = np.flatnonzero(infectious > 0)
     values[before + 1] = records["new_int"][before + 1] / infectious[before] * tau_i
     window[before + 1] = (
-        (prev["s_u"][before] / in_population[before] > su_fraction_min)
-        & (infectious[before] >= min_infectious)
+        (prev["s_u"][before] / in_population[before] > EARLY_WINDOW_SU_FRACTION)
+        & (infectious[before] >= EARLY_WINDOW_MIN_INFECTIOUS)
     )
-    return ReproductionSeries(
-        tau_i=tau_i, days=np.arange(n), values=values, early_window=window
-    )
+    return ReproductionSeries(values=values, early_window=window)

@@ -127,10 +127,11 @@ def load_config(path: Optional[str]) -> ScenarioConfig:
     return config_from_dict(doc)
 
 
-def require_valid(config: ScenarioConfig) -> None:
-    report = validate_config(config)
-    if not report.ok:
-        raise ConfigError("invalid config:\n" + str(report))
+def require_person_days(config: ScenarioConfig, where: str) -> None:
+    """Reject a config whose cost metric would divide by zero person-days;
+    ``where`` names the sweep cell or the config file."""
+    if config.timeHorizon <= 0 or config.popSize <= 0:
+        raise ConfigError(f"{where}: the cost metric requires timeHorizon > 0 and popSize > 0")
 
 
 @dataclass(frozen=True)
@@ -164,12 +165,8 @@ class SweepSpec:
             doc.update(overrides)
             label = "/".join(value_label for value_label, _ in combo) or "base"
             config = config_from_dict(doc)
-            require_valid(config)
-            if config.timeHorizon <= 0 or config.popSize <= 0:
-                raise ConfigError(
-                    f"sweep cell {label!r}: the cost metric requires "
-                    "timeHorizon > 0 and popSize > 0"
-                )
+            validate_config(config)
+            require_person_days(config, f"sweep cell {label!r}")
             out.append(SweepCell(idx, label, overrides, config))
         labels = [c.label for c in out]
         if len(set(labels)) != len(labels):
@@ -308,7 +305,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, baseSeed=args.seed)
-    require_valid(config)
     [result] = run_replicates([config], args.runs, jobs=args.jobs)
     write_replicates(Path(args.out), config, result)
     print(f"wrote {args.runs} run(s) to {args.out}")
@@ -350,7 +346,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    require_valid(config)
+    validate_config(config)
     tau = expected_infectious_duration(config)
     beta = estimate_beta(args.target_r0, config)
     print(f"expected infectious duration: {tau:.6g} days")
@@ -390,11 +386,10 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
                 writer = csv.writer(fh)
                 writer.writerow(["run", "day", "r_t", "early_window"])
                 for run_idx, rs in enumerate(series):
-                    for day in rs.days:
-                        value = rs.values[day]
+                    for day, value in enumerate(rs.values):
                         writer.writerow([
                             run_idx,
-                            int(day),
+                            day,
                             "" if math.isnan(value) else float(value),
                             int(bool(rs.early_window[day])),
                         ])
@@ -420,10 +415,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             config = config_from_dict(doc)
         except ConfigError as exc:
             raise ConfigError(f"{config_path}: {exc}") from None
-        if config.timeHorizon <= 0 or config.popSize <= 0:
-            raise ConfigError(
-                f"{config_path}: the cost metric requires timeHorizon > 0 and popSize > 0"
-            )
+        require_person_days(config, str(config_path))
         finals = []
         for run_csv in sorted(cell_dir.glob("run_*.csv")):
             records = read_run_csv(run_csv)

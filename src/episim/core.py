@@ -1,6 +1,11 @@
 """Core domain types: disease compartments, the array-backed population,
 parameter distributions, the scenario configuration, and the deterministic
-per-run random stream."""
+per-run random stream.
+
+:func:`validate_config` is the one check of a config. Every run starts in
+:func:`episim.engine.initialize`, which calls it before any draw, so a run
+raises :class:`ConfigError` for any config that ``validate_config`` rejects.
+"""
 
 from __future__ import annotations
 
@@ -79,7 +84,6 @@ class Uniform:
     high: float
 
     def sample_array(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        self._check()
         return rng.uniform(self.low, self.high, n)
 
     def mean(self) -> float:
@@ -95,11 +99,6 @@ class Uniform:
             return ["requires low <= high"]
         return []
 
-    def _check(self) -> None:
-        errs = self.param_errors()
-        if errs:
-            raise ConfigError(f"uniform distribution: {errs[0]}")
-
     def to_dict(self) -> dict:
         return {"type": "uniform", "low": self.low, "high": self.high}
 
@@ -113,7 +112,6 @@ class GammaShifted:
     shift: float = 0.0
 
     def sample_array(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        self._check()
         return rng.gamma(self.shape, self.scale, n) + self.shift
 
     def mean(self) -> float:
@@ -124,17 +122,14 @@ class GammaShifted:
         return self.shift
 
     def param_errors(self) -> list[str]:
+        if not all(map(math.isfinite, (self.shape, self.scale, self.shift))):
+            return ["parameters must be finite"]
         errs = []
         if not self.shape > 0:
             errs.append("requires shape > 0")
         if not self.scale > 0:
             errs.append("requires scale > 0")
         return errs
-
-    def _check(self) -> None:
-        errs = self.param_errors()
-        if errs:
-            raise ConfigError(f"gamma distribution: {errs[0]}")
 
     def to_dict(self) -> dict:
         return {
@@ -159,7 +154,6 @@ class NormalClipped:
     high: float
 
     def sample_array(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        self._check()
         return np.clip(rng.normal(self.mean_, self.std, n), self.low, self.high)
 
     def mean(self) -> float:
@@ -169,17 +163,14 @@ class NormalClipped:
         return self.low
 
     def param_errors(self) -> list[str]:
+        if not all(map(math.isfinite, (self.mean_, self.std, self.low, self.high))):
+            return ["parameters must be finite"]
         errs = []
         if self.std < 0:
             errs.append("requires std >= 0")
         if self.low > self.high:
             errs.append("requires low <= high")
         return errs
-
-    def _check(self) -> None:
-        errs = self.param_errors()
-        if errs:
-            raise ConfigError(f"normal_clipped distribution: {errs[0]}")
 
     def to_dict(self) -> dict:
         return {
@@ -277,11 +268,8 @@ class ScenarioConfig:
     vaccinesAvailablePerDay: int = 0
     vaccineInfectionProb: float = 0.3
 
-    def testing_enabled(self) -> bool:
-        return self.daysBetweenTesting > 0
-
     def is_testing_day(self, day: int) -> bool:
-        if not self.testing_enabled() or day < self.firstDayOfTesting:
+        if self.daysBetweenTesting == 0 or day < self.firstDayOfTesting:
             return False
         return (day - self.firstDayOfTesting) % self.daysBetweenTesting == 0
 
@@ -298,38 +286,8 @@ DISTRIBUTION_FIELDS = ("t0", "V0", "tP", "VP", "tS", "tF", "VF")
 # the other fields are times along the trajectory and must not run backwards.
 LOAD_FIELDS = ("V0", "VP", "VF")
 
-_INT_FIELDS = {
-    "popSize", "timeHorizon", "initialInfected", "baseSeed",
-    "daysTilSusceptible", "daysBetweenTesting", "daysDelayTestResults",
-    "firstDayOfTesting", "poolSize", "noTestingPostIsolationDays",
-    "isolationLength", "vaccinesAvailablePerDay",
-}
 
-
-def config_from_dict(doc: dict) -> ScenarioConfig:
-    """Build a config from a flat key-value document; unknown keys are errors."""
-    if not isinstance(doc, dict):
-        raise ConfigError(f"config document must be an object, got {type(doc).__name__}")
-    known = {f.name for f in dataclasses.fields(ScenarioConfig)}
-    unknown = sorted(set(doc) - known)
-    if unknown:
-        raise ConfigError(f"unknown config field(s): {', '.join(unknown)}")
-    kwargs: dict[str, Any] = {}
-    for name, value in doc.items():
-        if name in DISTRIBUTION_FIELDS:
-            kwargs[name] = dist_from_dict(value, path=name)
-        elif name in _INT_FIELDS:
-            kwargs[name] = _as_int(name, value)
-        elif name == "poolingType":
-            kwargs[name] = str(value)
-        else:
-            if not _is_number(value):
-                raise ConfigError(f"{name}: expected a number, got {value!r}")
-            kwargs[name] = float(value)
-    return ScenarioConfig(**kwargs)
-
-
-def _as_int(name: str, value: Any) -> int:
+def _as_int(value: Any, name: str) -> int:
     if isinstance(value, bool):
         raise ConfigError(f"{name}: expected an integer, got {value!r}")
     if isinstance(value, int):
@@ -339,36 +297,47 @@ def _as_int(name: str, value: Any) -> int:
     raise ConfigError(f"{name}: expected an integer, got {value!r}")
 
 
-@dataclass(frozen=True)
-class Violation:
-    field: str
-    message: str
-
-    def __str__(self) -> str:
-        return f"{self.field}: {self.message}"
+def _as_float(value: Any, name: str) -> float:
+    if not _is_number(value):
+        raise ConfigError(f"{name}: expected a number, got {value!r}")
+    return float(value)
 
 
-@dataclass
-class ValidationReport:
-    violations: list[Violation] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def __str__(self) -> str:
-        if self.ok:
-            return "ok"
-        return "\n".join(str(v) for v in self.violations)
+# field name -> parser(value, name), chosen by the field's annotation, which
+# is a string under ``from __future__ import annotations``
+_PARSERS = {
+    "int": _as_int,
+    "float": _as_float,
+    "str": lambda value, name: str(value),
+    "DistributionSpec": dist_from_dict,
+}
+_FIELD_PARSERS = {f.name: _PARSERS[f.type] for f in dataclasses.fields(ScenarioConfig)}
 
 
-def validate_config(config: ScenarioConfig) -> ValidationReport:
-    """Check every config invariant; returns all violations, never raises."""
-    bad: list[Violation] = []
+def config_from_dict(doc: dict) -> ScenarioConfig:
+    """Build a config from a flat key-value document; unknown keys are errors.
+
+    Each value is parsed by its field's declared type.
+    """
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config document must be an object, got {type(doc).__name__}")
+    unknown = sorted(set(doc) - _FIELD_PARSERS.keys())
+    if unknown:
+        raise ConfigError(f"unknown config field(s): {', '.join(unknown)}")
+    return ScenarioConfig(
+        **{name: _FIELD_PARSERS[name](value, name) for name, value in doc.items()}
+    )
+
+
+def validate_config(config: ScenarioConfig) -> None:
+    """Raise one :class:`ConfigError` that lists every violated invariant:
+    an ``invalid config:`` line, then one ``field: message`` line each. Any
+    config that passes runs to completion."""
+    bad: list[str] = []
 
     def check(cond: bool, fld: str, msg: str) -> None:
         if not cond:
-            bad.append(Violation(fld, msg))
+            bad.append(f"{fld}: {msg}")
 
     c = config
     check(c.popSize >= 0, "popSize", "must be >= 0")
@@ -376,13 +345,17 @@ def validate_config(config: ScenarioConfig) -> ValidationReport:
     check(c.initialInfected >= 0, "initialInfected", "must be >= 0")
     check(c.initialInfected <= c.popSize, "initialInfected", "must be <= popSize")
     check(c.baseSeed >= 0, "baseSeed", "must be >= 0")
-    check(c.betaDaily >= 0, "betaDaily", "must be >= 0")
-    check(c.infectiousViralLoadCut > 0, "infectiousViralLoadCut", "must be > 0")
-    check(c.detectionCut > 0, "detectionCut", "must be > 0")
-    check(c.costPerTest >= 0, "costPerTest", "must be >= 0")
+    # a JSON config may hold Infinity, so the floats with no upper bound are
+    # bounded by it; NaN fails every comparison
+    check(0 <= c.betaDaily < math.inf, "betaDaily", "must be finite and >= 0")
+    check(0 < c.infectiousViralLoadCut < math.inf, "infectiousViralLoadCut",
+          "must be finite and > 0")
+    check(0 < c.detectionCut < math.inf, "detectionCut", "must be finite and > 0")
+    check(0 <= c.costPerTest < math.inf, "costPerTest", "must be finite and >= 0")
     check(c.poolSize >= 1, "poolSize", "must be >= 1")
     check(c.vaccinesAvailablePerDay >= 0, "vaccinesAvailablePerDay", "must be >= 0")
-    check(c.vaccineAcceptProbStd >= 0, "vaccineAcceptProbStd", "must be >= 0")
+    check(0 <= c.vaccineAcceptProbStd < math.inf, "vaccineAcceptProbStd",
+          "must be finite and >= 0")
     check(
         c.poolingType in ("average", "exponential"),
         "poolingType", "must be 'average' or 'exponential'",
@@ -404,16 +377,17 @@ def validate_config(config: ScenarioConfig) -> ValidationReport:
         dist = getattr(c, fld)
         errors = dist.param_errors()
         for msg in errors:
-            bad.append(Violation(fld, msg))
+            bad.append(f"{fld}: {msg}")
         if errors:
             continue
         low = dist.lower_bound()
         if fld in LOAD_FIELDS:
             if not low > 0:
-                bad.append(Violation(fld, f"loads must be > 0, but samples can reach {low:g}"))
+                bad.append(f"{fld}: loads must be > 0, but samples can reach {low:g}")
         elif not low >= 0:
-            bad.append(Violation(fld, f"times must be >= 0, but samples can reach {low:g}"))
-    return ValidationReport(bad)
+            bad.append(f"{fld}: times must be >= 0, but samples can reach {low:g}")
+    if bad:
+        raise ConfigError("invalid config:\n" + "\n".join(bad))
 
 
 def default_config(**overrides: Any) -> ScenarioConfig:

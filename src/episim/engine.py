@@ -54,6 +54,7 @@ from .core import (
     ScenarioConfig,
     SimulationError,
     make_rng,
+    validate_config,
 )
 from .interventions import (
     apply_positive_results,
@@ -111,14 +112,16 @@ class RunState:
 def initialize(config: ScenarioConfig, rng: np.random.Generator) -> RunState:
     """Create the day-0 population: seeds exposed, initial vaccinations set.
 
+    Raises :class:`ConfigError`, before any draw, for any config that
+    :func:`~episim.core.validate_config` rejects; no later stage checks it.
+
     Draw order: acceptance probabilities for all agents, seed selection,
     initial-vaccination selection, then the seeds' exposure draws as one
     vector per episode draw over the seed ids in ascending order, exactly as
     an exposure stage draws them. The initially vaccinated count is taken as
     a share of the uninfected.
     """
-    if config.initialInfected > config.popSize:
-        raise ConfigError("initialInfected exceeds popSize")
+    validate_config(config)
     n = config.popSize
     population = Population(n)
     np.clip(

@@ -31,10 +31,9 @@ def pool_positive_prob(
     sizes = np.diff(starts, append=len(loads))
     if config.poolingType == "average":
         return single_positive_prob(np.add.reduceat(loads, starts) / sizes, config)
-    if config.poolingType == "exponential":
-        k = np.add.reduceat(loads > config.detectionCut, starts, dtype=np.int64)
-        return np.where(k == 0, config.fprSingle, 1.0 - config.fnrSingle ** k)
-    raise ValueError(f"unknown pooling type {config.poolingType!r}")
+    # exponential, the one other type validate_config admits
+    k = np.add.reduceat(loads > config.detectionCut, starts, dtype=np.int64)
+    return np.where(k == 0, config.fprSingle, 1.0 - config.fnrSingle ** k)
 
 
 def partition_into_pools(
@@ -43,10 +42,9 @@ def partition_into_pools(
     """A random order of the samples and the start of each pool within it.
 
     Pools are contiguous runs of ``pool_size`` in the permuted order; the
-    final pool keeps the remainder and may be smaller.
+    final pool keeps the remainder and may be smaller. ``pool_size >= 1`` is
+    the caller's guarantee (a run's ``poolSize`` passed ``validate_config``).
     """
-    if pool_size < 1:
-        raise ValueError("pool_size must be >= 1")
     return rng.permutation(n_samples), np.arange(0, n_samples, pool_size)
 
 

@@ -28,6 +28,32 @@ def test_run_rejects_trajectory_outside_its_domain(tmp_path, capsys, field, valu
     assert not (tmp_path / "out").exists()
 
 
+INF = float("inf")
+
+
+@pytest.mark.parametrize("field,value", [
+    ("costPerTest", INF),
+    ("betaDaily", INF),
+    ("vaccineAcceptProbStd", INF),
+    ("tP", {"type": "gamma_shifted", "shape": INF, "scale": 1.0, "shift": 0.5}),
+    ("VP", {"type": "gamma_shifted", "shape": 2.0, "scale": INF, "shift": 1e4}),
+], ids=["costPerTest", "betaDaily", "vaccineAcceptProbStd", "tP-shape", "VP-scale"])
+def test_run_rejects_a_value_that_is_not_finite(tmp_path, capsys, field, value):
+    # JSON configs may hold Infinity
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"popSize": 50, "timeHorizon": 5, "initialInfected": 3,
+                                  "daysBetweenTesting": 1, "firstDayOfTesting": 0,
+                                  field: value}))
+    status = cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out"),
+                       "--jobs", "1"])
+    err = capsys.readouterr().err
+    assert status == 2
+    assert err.startswith("error: invalid config")
+    assert f"{field}:" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("bad,dist", [
     ("low", {"type": "uniform", "low": "a", "high": 2}),
     ("low", {"type": "uniform", "low": None, "high": 2}),

@@ -7,7 +7,7 @@ import pytest
 
 from episim import engine
 from episim.cli import write_replicates
-from episim.core import Compartment, ConfigError, default_config, make_rng
+from episim.core import Compartment, ConfigError, Uniform, default_config, make_rng
 from episim.engine import RECORD_DTYPE, initialize, run, run_replicates, step
 
 
@@ -53,10 +53,32 @@ def test_initialize_no_seeds():
     assert state.population.counts()[Compartment.SUSCEPTIBLE_UNVACCINATED] == 10_000
 
 
-def test_initialize_rejects_too_many_seeds():
-    cfg = default_config(popSize=100, initialInfected=200)
-    with pytest.raises(ConfigError):
-        initialize(cfg, make_rng(1, 0))
+TESTING = {"daysBetweenTesting": 1, "firstDayOfTesting": 0}
+NO_EXPOSURE = {"initialInfected": 0, "externalExposureProbDaily": 0.0}
+
+
+@pytest.mark.parametrize("field,overrides", [
+    ("fprSingle", dict(TESTING, fprSingle=1.5)),
+    ("betaDaily", {"betaDaily": -1.0}),
+    ("t0", dict(NO_EXPOSURE, t0=Uniform(5.0, 1.0))),
+    ("costPerTest", dict(TESTING, costPerTest=float("inf"))),
+    ("poolSize", dict(TESTING, poolSize=0)),
+    ("poolingType", dict(TESTING, poolingType="median")),
+    ("t0", {"initialInfected": 5, "t0": Uniform(5.0, 1.0)}),
+    ("initialInfected", {"initialInfected": 60}),
+], ids=["fpr", "beta", "t0-unseeded", "cost", "pool-size", "pooling-type", "t0-seeded",
+        "too-many-seeds"])
+def test_initialize_rejects_an_invalid_config_before_any_draw(field, overrides):
+    # every run starts in initialize, so no invalid config reaches a stage
+    cfg = default_config(**{"popSize": 50, "timeHorizon": 4, "initialInfected": 3, **overrides})
+    rng = make_rng(cfg.baseSeed, 0)
+    before = rng.bit_generator.state
+    with pytest.raises(ConfigError) as exc:
+        initialize(cfg, rng)
+    assert field in str(exc.value)
+    assert rng.bit_generator.state == before
+    with pytest.raises(ConfigError, match=field):
+        run(cfg, 0)
 
 
 def test_initialize_acceptance_probabilities_in_unit_interval():
