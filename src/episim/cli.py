@@ -127,11 +127,10 @@ def load_config(path: Optional[str]) -> ScenarioConfig:
     return config_from_dict(doc)
 
 
-def require_person_days(config: ScenarioConfig, where: str) -> None:
-    """Reject a config whose cost metric would divide by zero person-days;
-    ``where`` names the sweep cell or the config file."""
+def require_person_days(config: ScenarioConfig) -> None:
+    """Reject a config whose cost metric would divide by zero person-days."""
     if config.timeHorizon <= 0 or config.popSize <= 0:
-        raise ConfigError(f"{where}: the cost metric requires timeHorizon > 0 and popSize > 0")
+        raise ConfigError("the cost metric requires timeHorizon > 0 and popSize > 0")
 
 
 @dataclass(frozen=True)
@@ -149,33 +148,37 @@ class SweepCell:
 @dataclass
 class SweepSpec:
     base: dict[str, Any]
-    axes: list[tuple[str, list[tuple[str, dict[str, Any]]]]]
+    # each axis is its list of (label, overrides) values
+    axes: list[list[tuple[str, dict[str, Any]]]]
     replicates: int
     max_runs: int
 
     def cells(self) -> list[SweepCell]:
-        """Cartesian product of the axes, applied over the base config."""
+        """Cartesian product of the axes, applied over the base config.
+
+        The run count is checked against the cap before any cell is built.
+        Each cell is then parsed and validated once; an error in it is
+        raised as ``sweep cell '<label>': <message>``.
+        """
+        runs = math.prod(len(values) for values in self.axes) * self.replicates
+        if runs > self.max_runs:
+            raise ConfigError(f"sweep needs {runs} runs, over the cap of {self.max_runs}")
         out: list[SweepCell] = []
-        choice_lists = [axis_values for _, axis_values in self.axes]
-        for idx, combo in enumerate(itertools.product(*choice_lists)):
-            doc = dict(self.base)
+        for idx, combo in enumerate(itertools.product(*self.axes)):
             overrides: dict[str, Any] = {}
             for _, value_overrides in combo:
                 overrides.update(value_overrides)
-            doc.update(overrides)
             label = "/".join(value_label for value_label, _ in combo) or "base"
-            config = config_from_dict(doc)
-            validate_config(config)
-            require_person_days(config, f"sweep cell {label!r}")
+            try:
+                config = config_from_dict({**self.base, **overrides})
+                validate_config(config)
+                require_person_days(config)
+            except ConfigError as exc:
+                raise ConfigError(f"sweep cell {label!r}: {exc}") from None
             out.append(SweepCell(idx, label, overrides, config))
         labels = [c.label for c in out]
         if len(set(labels)) != len(labels):
             raise ConfigError("sweep produces duplicate scenario labels")
-        if len(out) * self.replicates > self.max_runs:
-            raise ConfigError(
-                f"sweep needs {len(out) * self.replicates} runs, "
-                f"over the cap of {self.max_runs}"
-            )
         return out
 
 
@@ -204,14 +207,13 @@ def sweep_from_dict(doc: dict) -> SweepSpec:
     base = doc.get("base", {})
     if not isinstance(base, dict):
         raise ConfigError("sweep spec 'base' must be a config object")
-    config_from_dict(base)  # reject unknown fields early
     replicates = _positive_int(doc, "replicates", 1)
     max_runs = _positive_int(doc, "maxRuns", 100_000)
     axis_docs = doc.get("axes", [])
     if not isinstance(axis_docs, list):
         raise ConfigError("sweep spec 'axes' must be a list")
 
-    axes: list[tuple[str, list[tuple[str, dict[str, Any]]]]] = []
+    axes: list[list[tuple[str, dict[str, Any]]]] = []
     for pos, axis in enumerate(axis_docs):
         if not isinstance(axis, dict) or "name" not in axis or "values" not in axis:
             raise ConfigError(f"axes[{pos}]: expected an object with 'name' and 'values'")
@@ -233,13 +235,8 @@ def sweep_from_dict(doc: dict) -> SweepSpec:
                 # scalar shorthand: the axis name is the config field
                 overrides = {name: value}
                 label = _axis_value_label(name, value)
-            for field_name in overrides:
-                if field_name not in {f.name for f in dataclasses.fields(ScenarioConfig)}:
-                    raise ConfigError(
-                        f"axes[{pos}] ({name}): unknown config field {field_name!r}"
-                    )
             values.append((label, overrides))
-        axes.append((name, values))
+        axes.append(values)
     return SweepSpec(base=base, axes=axes, replicates=replicates, max_runs=max_runs)
 
 
@@ -413,9 +410,9 @@ def cmd_report(args: argparse.Namespace) -> int:
         doc = read_json(config_path)
         try:
             config = config_from_dict(doc)
+            require_person_days(config)
         except ConfigError as exc:
             raise ConfigError(f"{config_path}: {exc}") from None
-        require_person_days(config, str(config_path))
         finals = []
         for run_csv in sorted(cell_dir.glob("run_*.csv")):
             records = read_run_csv(run_csv)
@@ -481,8 +478,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except SimulationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (SimulationError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)

@@ -10,10 +10,11 @@ raises :class:`ConfigError` for any config that ``validate_config`` rejects.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Any, Union
+from typing import Any, ClassVar, Union, get_args
 
 import numpy as np
 
@@ -54,10 +55,27 @@ S_U, S_V, E, I_S, I_A, R, ISO_HEALTHY, ISO_SICK = map(int, Compartment)
 # Parameter distributions
 
 
+class _JsonSpec:
+    """A distribution spec's JSON form: ``type`` is the class's ``kind``, and
+    each dataclass field is one key, its name without a trailing underscore
+    (``NormalClipped.mean_`` is ``"mean"``, because ``mean()`` is a method)."""
+
+    kind: ClassVar[str]
+
+    @classmethod
+    @functools.cache
+    def _json_fields(cls) -> tuple[tuple[str, dataclasses.Field], ...]:
+        return tuple((f.name.rstrip("_"), f) for f in dataclasses.fields(cls))
+
+    def to_dict(self) -> dict:
+        return {"type": self.kind, **{key: getattr(self, f.name) for key, f in self._json_fields()}}
+
+
 @dataclass(frozen=True)
-class Constant:
+class Constant(_JsonSpec):
     """Degenerate distribution: always returns ``value``."""
 
+    kind = "constant"
     value: float
 
     def sample_array(self, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -70,16 +88,12 @@ class Constant:
         return self.value
 
     def param_errors(self) -> list[str]:
-        if not math.isfinite(self.value):
-            return ["value must be finite"]
         return []
-
-    def to_dict(self) -> dict:
-        return {"type": "constant", "value": self.value}
 
 
 @dataclass(frozen=True)
-class Uniform:
+class Uniform(_JsonSpec):
+    kind = "uniform"
     low: float
     high: float
 
@@ -93,20 +107,16 @@ class Uniform:
         return self.low
 
     def param_errors(self) -> list[str]:
-        if not (math.isfinite(self.low) and math.isfinite(self.high)):
-            return ["bounds must be finite"]
         if self.low > self.high:
             return ["requires low <= high"]
         return []
 
-    def to_dict(self) -> dict:
-        return {"type": "uniform", "low": self.low, "high": self.high}
-
 
 @dataclass(frozen=True)
-class GammaShifted:
+class GammaShifted(_JsonSpec):
     """Gamma(shape, scale) translated by ``shift``."""
 
+    kind = "gamma_shifted"
     shape: float
     scale: float
     shift: float = 0.0
@@ -122,8 +132,6 @@ class GammaShifted:
         return self.shift
 
     def param_errors(self) -> list[str]:
-        if not all(map(math.isfinite, (self.shape, self.scale, self.shift))):
-            return ["parameters must be finite"]
         errs = []
         if not self.shape > 0:
             errs.append("requires shape > 0")
@@ -131,23 +139,16 @@ class GammaShifted:
             errs.append("requires scale > 0")
         return errs
 
-    def to_dict(self) -> dict:
-        return {
-            "type": "gamma_shifted",
-            "shape": self.shape,
-            "scale": self.scale,
-            "shift": self.shift,
-        }
-
 
 @dataclass(frozen=True)
-class NormalClipped:
+class NormalClipped(_JsonSpec):
     """Normal(mean, std) with samples clipped into [low, high].
 
     Clipping has no closed-form mean, so this spec is not usable where an
     analytic mean is required (see :mod:`episim.calibration`).
     """
 
+    kind = "normal_clipped"
     mean_: float
     std: float
     low: float
@@ -163,8 +164,6 @@ class NormalClipped:
         return self.low
 
     def param_errors(self) -> list[str]:
-        if not all(map(math.isfinite, (self.mean_, self.std, self.low, self.high))):
-            return ["parameters must be finite"]
         errs = []
         if self.std < 0:
             errs.append("requires std >= 0")
@@ -172,47 +171,34 @@ class NormalClipped:
             errs.append("requires low <= high")
         return errs
 
-    def to_dict(self) -> dict:
-        return {
-            "type": "normal_clipped",
-            "mean": self.mean_,
-            "std": self.std,
-            "low": self.low,
-            "high": self.high,
-        }
-
 
 DistributionSpec = Union[Constant, Uniform, GammaShifted, NormalClipped]
+_DIST_TYPES = {cls.kind: cls for cls in get_args(DistributionSpec)}
 
 
 def dist_from_dict(obj: Any, path: str = "distribution") -> DistributionSpec:
-    """Parse a distribution spec from its JSON form.
-
-    A bare number is shorthand for a constant.
+    """Parse a distribution spec from its JSON form: ``type``, then one number
+    per field of the class it names, keyed by the field's name without a
+    trailing underscore (``mean_`` as ``mean``). A field with a default, such
+    as ``GammaShifted.shift``, may be left out. A bare number is a constant.
     """
     if _is_number(obj):
         return Constant(float(obj))
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: expected a number or an object, got {obj!r}")
     kind = obj.get("type")
-
-    def num(key: str, default: Any = None) -> float:
-        value = obj.get(key, default)
-        if value is None and key not in obj:
+    cls = _DIST_TYPES.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ConfigError(f"{path}: unknown distribution type {kind!r}")
+    params = []
+    for key, f in cls._json_fields():
+        value = obj.get(key, f.default)
+        if value is dataclasses.MISSING:
             raise ConfigError(f"{path}: missing field {key!r} for type {kind!r}")
         if not _is_number(value):
             raise ConfigError(f"{path}.{key}: expected a number, got {value!r}")
-        return float(value)
-
-    if kind == "constant":
-        return Constant(num("value"))
-    if kind == "uniform":
-        return Uniform(num("low"), num("high"))
-    if kind == "gamma_shifted":
-        return GammaShifted(num("shape"), num("scale"), num("shift", 0.0))
-    if kind == "normal_clipped":
-        return NormalClipped(num("mean"), num("std"), num("low"), num("high"))
-    raise ConfigError(f"{path}: unknown distribution type {kind!r}")
+        params.append(float(value))
+    return cls(*params)
 
 
 def _is_number(value: Any) -> bool:
@@ -312,6 +298,9 @@ _PARSERS = {
     "DistributionSpec": dist_from_dict,
 }
 _FIELD_PARSERS = {f.name: _PARSERS[f.type] for f in dataclasses.fields(ScenarioConfig)}
+# every integer field is a count, a day or a seed, and sizes and days reach
+# NumPy as int64, so each is held to [0, 2**63 - 1]
+_INT_FIELDS = tuple(f.name for f in dataclasses.fields(ScenarioConfig) if f.type == "int")
 
 
 def config_from_dict(doc: dict) -> ScenarioConfig:
@@ -340,11 +329,9 @@ def validate_config(config: ScenarioConfig) -> None:
             bad.append(f"{fld}: {msg}")
 
     c = config
-    check(c.popSize >= 0, "popSize", "must be >= 0")
-    check(c.timeHorizon >= 0, "timeHorizon", "must be >= 0")
-    check(c.initialInfected >= 0, "initialInfected", "must be >= 0")
+    for fld in _INT_FIELDS:
+        check(0 <= getattr(c, fld) <= 2**63 - 1, fld, "must be in [0, 2**63 - 1]")
     check(c.initialInfected <= c.popSize, "initialInfected", "must be <= popSize")
-    check(c.baseSeed >= 0, "baseSeed", "must be >= 0")
     # a JSON config may hold Infinity, so the floats with no upper bound are
     # bounded by it; NaN fails every comparison
     check(0 <= c.betaDaily < math.inf, "betaDaily", "must be finite and >= 0")
@@ -353,7 +340,6 @@ def validate_config(config: ScenarioConfig) -> None:
     check(0 < c.detectionCut < math.inf, "detectionCut", "must be finite and > 0")
     check(0 <= c.costPerTest < math.inf, "costPerTest", "must be finite and >= 0")
     check(c.poolSize >= 1, "poolSize", "must be >= 1")
-    check(c.vaccinesAvailablePerDay >= 0, "vaccinesAvailablePerDay", "must be >= 0")
     check(0 <= c.vaccineAcceptProbStd < math.inf, "vaccineAcceptProbStd",
           "must be finite and >= 0")
     check(
@@ -368,14 +354,12 @@ def validate_config(config: ScenarioConfig) -> None:
     ):
         value = getattr(c, fld)
         check(0.0 <= value <= 1.0, fld, "not in [0, 1]")
-    for fld in (
-        "daysTilSusceptible", "daysBetweenTesting", "daysDelayTestResults",
-        "firstDayOfTesting", "noTestingPostIsolationDays", "isolationLength",
-    ):
-        check(getattr(c, fld) >= 0, fld, "must be >= 0")
     for fld in DISTRIBUTION_FIELDS:
         dist = getattr(c, fld)
-        errors = dist.param_errors()
+        if all(map(math.isfinite, vars(dist).values())):
+            errors = dist.param_errors()
+        else:
+            errors = ["parameters must be finite"]
         for msg in errors:
             bad.append(f"{fld}: {msg}")
         if errors:

@@ -177,11 +177,8 @@ def _advance_infections(state: RunState, day: int) -> None:
 
 
 def _deliver_and_apply_results(state: RunState, day: int) -> None:
-    population = state.population
     ids = deliver_results(state.pending, day)
-    # a positive delivered to an already isolated agent is moot
-    ids = ids[population.in_population()[ids]]
-    false_isolations = apply_positive_results(population, ids, day, state.config)
+    false_isolations = apply_positive_results(state.population, ids, day, state.config)
     state.cumulative_false_isolations += len(false_isolations)
 
 

@@ -17,7 +17,6 @@ from .core import (
     S_V,
     Population,
     ScenarioConfig,
-    SimulationError,
 )
 
 
@@ -42,14 +41,11 @@ def apply_positive_results(
     """Isolate agents on a positive result, classified by today's state.
 
     Susceptible agents were false positives and isolate as healthy; exposed
-    and infectious agents isolate as sick; recovered agents stay put. Returns
-    the ids isolated as healthy. An isolated agent among ``ids`` is an error.
+    and infectious agents isolate as sick; recovered and isolated agents stay
+    put. Returns the ids isolated as healthy.
     """
     ids = np.asarray(ids, dtype=np.int64)
     comp = population.comp[ids]
-    isolated = ids[comp >= ISO_HEALTHY]
-    if isolated.size:
-        raise SimulationError(f"agents {isolated.tolist()} are already isolated")
     healthy = ids[comp <= S_V]
     _isolate(population, healthy, day, config, ISO_HEALTHY)
     sick = ids[(comp >= E) & (comp < R)]

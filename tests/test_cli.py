@@ -7,7 +7,7 @@ import json
 import pytest
 
 from episim import cli
-from episim.core import SimulationError
+from episim.core import ConfigError, SimulationError
 
 
 @pytest.mark.parametrize("field,value", [
@@ -86,6 +86,39 @@ def test_simulation_error_is_reported_without_traceback(tmp_path, capsys, monkey
     assert err == "error: conservation violated on day 3: 99 != 100\n"
 
 
+@pytest.mark.parametrize("field,value", [
+    ("popSize", 1e30),
+    ("timeHorizon", 1e30),
+    ("poolSize", 2**63),
+    ("poolSize", 1e30),
+], ids=["popSize-1e30", "timeHorizon-1e30", "poolSize-2**63", "poolSize-1e30"])
+def test_run_rejects_an_integer_beyond_int64(tmp_path, capsys, field, value):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"popSize": 50, "timeHorizon": 5, "initialInfected": 3,
+                                  "daysBetweenTesting": 1, "firstDayOfTesting": 0,
+                                  field: value}))
+    status = cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out"),
+                       "--jobs", "1"])
+    err = capsys.readouterr().err
+    assert status == 2
+    assert err.startswith("error: invalid config")
+    assert f"{field}: must be in [0, 2**63 - 1]" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_memory_error_is_reported_without_traceback(tmp_path, capsys, monkeypatch):
+    # a popSize that fits in int64 can still be more than memory holds
+    def failing_run(*args, **kwargs):
+        raise MemoryError("Unable to allocate 8.00 EiB for an array")
+
+    monkeypatch.setattr(cli, "run_replicates", failing_run)
+    status = cli.main(["run", "--out", str(tmp_path / "out"), "--jobs", "1"])
+    err = capsys.readouterr().err
+    assert status == 1
+    assert err == "error: Unable to allocate 8.00 EiB for an array\n"
+
+
 SMALL_BASE = {"popSize": 60, "timeHorizon": 8, "initialInfected": 3}
 
 
@@ -155,6 +188,41 @@ def test_sweep_rejects_empty_cells_before_writing(tmp_path, capsys, field):
     err = capsys.readouterr().err
     assert status == 2
     assert "requires timeHorizon > 0 and popSize > 0" in err
+    assert not out.exists()
+
+
+def test_sweep_checks_the_cap_before_building_any_cell(tmp_path, monkeypatch):
+    calls = 0
+    parse = cli.config_from_dict
+
+    def counting_parse(doc):
+        nonlocal calls
+        calls += 1
+        return parse(doc)
+
+    monkeypatch.setattr(cli, "config_from_dict", counting_parse)
+    axes = [{"name": name, "values": list(range(1, 51))}
+            for name in ("poolSize", "daysBetweenTesting")]
+    spec = cli.load_sweep_spec(write_spec(tmp_path, {
+        "base": SMALL_BASE, "axes": axes, "replicates": 1, "maxRuns": 10,
+    }))
+    with pytest.raises(ConfigError, match="^sweep needs 2500 runs, over the cap of 10$"):
+        spec.cells()
+    assert calls == 0
+
+
+def test_sweep_names_the_cell_with_an_unknown_field(tmp_path, capsys):
+    spec = write_spec(tmp_path, {"base": SMALL_BASE, "axes": [
+        {"name": "pooling", "values": [
+            {"label": "single", "overrides": {"poolSize": 1}},
+            {"label": "typo", "overrides": {"popsize": 5}},
+        ]},
+    ]})
+    out = tmp_path / "out"
+    status = cli.main(["sweep", "--spec", spec, "--out", str(out), "--jobs", "1"])
+    err = capsys.readouterr().err
+    assert status == 2
+    assert err == "error: sweep cell 'typo': unknown config field(s): popsize\n"
     assert not out.exists()
 
 

@@ -23,16 +23,20 @@ from episim.core import (
 )
 
 
-def violated_fields(config):
-    """The fields that validate_config's error names, one per violation, in
-    order; [] when the config is valid."""
+def violations(config):
+    """The ``field: message`` lines of validate_config's error, one per
+    violation, in order; [] when the config is valid."""
     try:
         validate_config(config)
     except ConfigError as exc:
         header, *lines = str(exc).split("\n")
         assert header == "invalid config:"
-        return [line.split(":", 1)[0] for line in lines]
+        return lines
     return []
+
+
+def violated_fields(config):
+    return [line.split(":", 1)[0] for line in violations(config)]
 
 
 def test_default_config_is_valid():
@@ -136,6 +140,59 @@ def test_config_rejects_unknown_keys():
 
 def test_bare_number_is_constant_distribution():
     assert dist_from_dict(1000) == Constant(1000.0)
+
+
+@pytest.mark.parametrize("dist,doc", [
+    (Constant(3.0), {"type": "constant", "value": 3.0}),
+    (Uniform(1.0, 2.0), {"type": "uniform", "low": 1.0, "high": 2.0}),
+    (GammaShifted(2.0, 0.5, 1.0),
+     {"type": "gamma_shifted", "shape": 2.0, "scale": 0.5, "shift": 1.0}),
+    (NormalClipped(1.0, 0.3, 0.0, 3.0),
+     {"type": "normal_clipped", "mean": 1.0, "std": 0.3, "low": 0.0, "high": 3.0}),
+])
+def test_distribution_json_form(dist, doc):
+    assert dist.to_dict() == doc
+    assert dist_from_dict(doc) == dist
+
+
+def test_gamma_shifted_shift_defaults_to_zero():
+    doc = {"type": "gamma_shifted", "shape": 2.0, "scale": 0.5}
+    assert dist_from_dict(doc) == GammaShifted(2.0, 0.5, 0.0)
+
+
+@pytest.mark.parametrize("doc,message", [
+    ({"type": "uniform", "low": 1.0},
+     "tP: missing field 'high' for type 'uniform'"),
+    ({"type": "normal_clipped", "std": 1.0, "low": 0.0, "high": 2.0},
+     "tP: missing field 'mean' for type 'normal_clipped'"),
+    ({"type": "normal_clipped", "mean": "1", "std": 1.0, "low": 0.0, "high": 2.0},
+     "tP.mean: expected a number, got '1'"),
+    ({"type": "lognormal", "mu": 1.0}, "tP: unknown distribution type 'lognormal'"),
+    ({"value": 1.0}, "tP: unknown distribution type None"),
+    ({"type": ["uniform"]}, "tP: unknown distribution type ['uniform']"),
+])
+def test_dist_from_dict_errors(doc, message):
+    with pytest.raises(ConfigError) as info:
+        dist_from_dict(doc, "tP")
+    assert str(info.value) == message
+
+
+def test_validate_flags_non_finite_distribution_parameters():
+    nan, inf = float("nan"), float("inf")
+    cfg = default_config(t0=Constant(nan), tS=Uniform(0.0, inf),
+                         tP=GammaShifted(1.0, 1.0, -inf), VP=NormalClipped(1e5, inf, 1.0, 1e7))
+    assert violations(cfg) == [
+        f"{field}: parameters must be finite" for field in ("t0", "tP", "VP", "tS")
+    ]
+
+
+@pytest.mark.parametrize("field", [
+    f.name for f in dataclasses.fields(ScenarioConfig) if f.type == "int"
+])
+def test_validate_flags_integers_beyond_int64(field):
+    bound = f"{field}: must be in [0, 2**63 - 1]"
+    assert bound in violations(default_config(**{field: 2**63}))
+    assert bound not in violations(default_config(**{field: 2**63 - 1}))
 
 
 def test_rng_streams_are_deterministic():

@@ -1,12 +1,10 @@
 """Isolation entry/exit, self-isolation, loss of immunity, vaccination."""
 
 import numpy as np
-import pytest
 
 from episim.core import (
     Compartment,
     Population,
-    SimulationError,
     default_config,
     make_rng,
 )
@@ -70,11 +68,14 @@ def test_positive_result_leaves_recovered_alone():
     assert np.isnan(pop.iso_exit_day[2])
 
 
-def test_positive_result_on_isolated_agent_is_an_error():
+def test_positive_result_on_isolated_agent_is_moot():
     pop = fresh_population()
-    apply_positive_results(pop, [0], 5, default_config())
-    with pytest.raises(SimulationError):
-        apply_positive_results(pop, [0], 6, default_config())
+    infect(pop, 1)
+    apply_positive_results(pop, [0, 1], 5, default_config())
+    assert apply_positive_results(pop, [0, 1], 6, default_config()).tolist() == []
+    assert pop.comp[0] == Compartment.ISOLATED_HEALTHY
+    assert pop.comp[1] == Compartment.ISOLATED_SICK
+    assert pop.iso_exit_day[[0, 1]].tolist() == [15, 15]
 
 
 def test_self_isolation_on_first_symptomatic_day():
