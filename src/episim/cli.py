@@ -25,6 +25,7 @@ from .core import (
     ConfigError,
     ScenarioConfig,
     SimulationError,
+    _as_int,
     config_from_dict,
     default_config,
     validate_config,
@@ -192,8 +193,8 @@ def _axis_value_label(field_name: str, value: Any) -> str:
 
 
 def _positive_int(doc: dict, key: str, default: int) -> int:
-    value = doc.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+    value = _as_int(doc.get(key, default), f"sweep spec '{key}'")
+    if value < 1:
         raise ConfigError(f"sweep spec '{key}' must be an integer >= 1, got {value!r}")
     return value
 

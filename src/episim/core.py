@@ -180,24 +180,26 @@ def dist_from_dict(obj: Any, path: str = "distribution") -> DistributionSpec:
     """Parse a distribution spec from its JSON form: ``type``, then one number
     per field of the class it names, keyed by the field's name without a
     trailing underscore (``mean_`` as ``mean``). A field with a default, such
-    as ``GammaShifted.shift``, may be left out. A bare number is a constant.
+    as ``GammaShifted.shift``, may be left out; any other key is an error. A
+    bare number is a constant.
     """
     if _is_number(obj):
-        return Constant(float(obj))
+        return Constant(_as_float(obj, path))
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: expected a number or an object, got {obj!r}")
     kind = obj.get("type")
     cls = _DIST_TYPES.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ConfigError(f"{path}: unknown distribution type {kind!r}")
+    unknown = sorted(set(obj) - {"type"} - {key for key, _ in cls._json_fields()})
+    if unknown:
+        raise ConfigError(f"{path}: unknown field(s) for type {kind!r}: {', '.join(unknown)}")
     params = []
     for key, f in cls._json_fields():
         value = obj.get(key, f.default)
         if value is dataclasses.MISSING:
             raise ConfigError(f"{path}: missing field {key!r} for type {kind!r}")
-        if not _is_number(value):
-            raise ConfigError(f"{path}.{key}: expected a number, got {value!r}")
-        params.append(float(value))
+        params.append(_as_float(value, f"{path}.{key}"))
     return cls(*params)
 
 
@@ -286,7 +288,10 @@ def _as_int(value: Any, name: str) -> int:
 def _as_float(value: Any, name: str) -> float:
     if not _is_number(value):
         raise ConfigError(f"{name}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer literal beyond float range
+        raise ConfigError(f"{name}: number too large for a float") from None
 
 
 # field name -> parser(value, name), chosen by the field's annotation, which
@@ -429,9 +434,6 @@ class Population:
         # willing to self-isolate and has not yet decided this episode
         self.selfiso_candidate = np.zeros(n, dtype=bool)
         self.params = np.full((n, len(DISTRIBUTION_FIELDS)), np.nan, order="F")
-
-    def __len__(self) -> int:
-        return len(self.comp)
 
     def counts(self) -> np.ndarray:
         """Agents per compartment, indexed by :class:`Compartment`."""

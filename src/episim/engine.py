@@ -1,12 +1,14 @@
-"""Simulation engine: population initialization, the six-stage daily loop,
-replicate execution, and metric accumulation.
+"""Simulation engine: population initialization, the six-stage daily loop
+and replicate execution.
 
 A day's output is one record of :data:`RECORD_DTYPE`, a NumPy structured
 dtype whose field names are the run-CSV columns: the day, the eight
 compartment counts in :class:`~episim.core.Compartment` order, the day's
 external and internal exposures, the cumulative infections and false
 isolations, the day's tests, the cumulative cost and the vaccinated total.
-A run's output is one array of that dtype with one entry per day.
+The records are a run's only accumulator: entry 0 is the state after
+:func:`initialize`, each day's entry adds its events to the one before, and
+:func:`run` returns the entries of days 0 to ``timeHorizon - 1``.
 
 Daily stage order: (1) external exposure, (2) status updates (result
 delivery, isolation exits, exposed-to-infectious crossings, recoveries, loss
@@ -94,17 +96,16 @@ class RunSummary:
 
 @dataclass
 class RunState:
-    """Everything one run mutates while stepping through days."""
+    """Everything one run mutates while stepping through days. ``records[0]``
+    is the state after :func:`initialize`: day -1, the seeds as
+    ``cum_infections``, the initially vaccinated as ``vaccinated_total`` and
+    no events; ``records[d + 1]`` is day ``d``."""
 
     config: ScenarioConfig
     population: Population
+    records: np.ndarray
     # delivery day -> arrays of agent ids whose positive result is due then
     pending: dict[int, list[np.ndarray]] = field(default_factory=dict)
-    tests_total: int = 0
-    cost_total: float = 0.0
-    cumulative_infections: int = 0
-    seeded_infections: int = 0
-    cumulative_false_isolations: int = 0
     # previous end-of-day Population.counts(); mass action reads I/P from here
     prev_counts: Optional[np.ndarray] = None
 
@@ -142,13 +143,10 @@ def initialize(config: ScenarioConfig, rng: np.random.Generator) -> RunState:
         population.comp[picked] = S_V
     expose(population, seed_ids, 0, config, rng)
 
-    return RunState(
-        config=config,
-        population=population,
-        cumulative_infections=len(seed_ids),
-        seeded_infections=len(seed_ids),
-        prev_counts=population.counts(),
-    )
+    counts = population.counts()
+    records = np.empty(config.timeHorizon + 1, dtype=RECORD_DTYPE)
+    records[0] = (-1, *counts.tolist(), 0, 0, len(seed_ids), 0, 0, 0.0, n_vaccinated)
+    return RunState(config, population, records, prev_counts=counts)
 
 
 def _advance_infections(state: RunState, day: int) -> None:
@@ -176,23 +174,17 @@ def _advance_infections(state: RunState, day: int) -> None:
     mark_recovered(population, np.concatenate([ids[over], past_peak]), day)
 
 
-def _deliver_and_apply_results(state: RunState, day: int) -> None:
-    ids = deliver_results(state.pending, day)
-    false_isolations = apply_positive_results(state.population, ids, day, state.config)
-    state.cumulative_false_isolations += len(false_isolations)
-
-
 def step(state: RunState, day: int, rng: np.random.Generator) -> np.void:
-    """Advance one day through the six stages and emit the day's record, one
-    entry of :data:`RECORD_DTYPE`."""
+    """Advance day ``day``, in ``[0, timeHorizon)``, through the six stages;
+    write its record into ``state.records[day + 1]`` and return that entry."""
     config = state.config
     population = state.population
 
     new_external = external_exposure_step(population, config, day, rng)
-    state.cumulative_infections += len(new_external)
 
     # stage 2: viral clocks advance implicitly via (day - exposure_day)
-    _deliver_and_apply_results(state, day)
+    delivered = deliver_results(state.pending, day)
+    false_isolations = apply_positive_results(population, delivered, day, config)
     isolation_exit_step(population, day, config)
     _advance_infections(state, day)
     recovered_to_susceptible_step(population, day, config)
@@ -202,36 +194,31 @@ def step(state: RunState, day: int, rng: np.random.Generator) -> np.void:
     tests_today = 0
     if config.is_testing_day(day):
         tests_today = run_testing_day(population, config, day, state.pending, rng)
-        state.tests_total += tests_today
-        state.cost_total += tests_today * config.costPerTest
 
     new_internal = internal_propagation_step(population, config, day, rng, state.prev_counts)
-    state.cumulative_infections += len(new_internal)
 
-    vaccination_step(population, day, config, rng)
+    vaccinated = vaccination_step(population, day, config, rng)
 
     counts = population.counts()
     if counts.sum() != config.popSize:
         raise SimulationError(
             f"conservation violated on day {day}: {counts.sum()} != {config.popSize}"
         )
-    record = np.array(
-        (
-            day,
-            # s_u ... iso_sick, declared in Compartment order
-            *counts.tolist(),
-            len(new_external),
-            len(new_internal),
-            state.cumulative_infections,
-            state.cumulative_false_isolations,
-            tests_today,
-            state.cost_total,
-            np.count_nonzero(population.vaccinated),
-        ),
-        dtype=RECORD_DTYPE,
-    )[()]
+    prev = state.records[day]
+    state.records[day + 1] = (
+        day,
+        # s_u ... iso_sick, declared in Compartment order
+        *counts.tolist(),
+        len(new_external),
+        len(new_internal),
+        prev["cum_infections"] + len(new_external) + len(new_internal),
+        prev["cum_false_iso"] + len(false_isolations),
+        tests_today,
+        prev["cum_cost"] + tests_today * config.costPerTest,
+        prev["vaccinated_total"] + len(vaccinated),
+    )
     state.prev_counts = counts
-    return record
+    return state.records[day + 1]
 
 
 def cost_per_person_day(cost: float | np.ndarray, config: ScenarioConfig) -> float | np.ndarray:
@@ -248,21 +235,21 @@ def run(config: ScenarioConfig, run_index: int = 0) -> tuple[RunSummary, np.ndar
     """
     rng = make_rng(config.baseSeed, run_index)
     state = initialize(config, rng)
-    records = np.empty(config.timeHorizon, dtype=RECORD_DTYPE)
     for day in range(config.timeHorizon):
-        records[day] = step(state, day, rng)
+        step(state, day, rng)
+    first, last = state.records[0], state.records[-1]
     summary = RunSummary(
         run_index=run_index,
         seed=config.baseSeed,
-        total_infections=state.cumulative_infections,
-        seeded_infections=state.seeded_infections,
-        acquired_infections=state.cumulative_infections - state.seeded_infections,
-        total_false_isolations=state.cumulative_false_isolations,
-        total_tests=state.tests_total,
-        total_cost=state.cost_total,
-        cost_per_person_per_day=cost_per_person_day(state.cost_total, config),
+        total_infections=int(last["cum_infections"]),
+        seeded_infections=int(first["cum_infections"]),
+        acquired_infections=int(last["cum_infections"] - first["cum_infections"]),
+        total_false_isolations=int(last["cum_false_iso"]),
+        total_tests=int(state.records["tests_today"].sum()),
+        total_cost=float(last["cum_cost"]),
+        cost_per_person_per_day=cost_per_person_day(float(last["cum_cost"]), config),
     )
-    return summary, records
+    return summary, state.records[1:]
 
 
 @dataclass
@@ -271,10 +258,6 @@ class ReplicateResult:
 
     summaries: list[RunSummary]
     records: list[np.ndarray]
-
-
-def _run_indexed(task: tuple[ScenarioConfig, int]) -> tuple[RunSummary, np.ndarray]:
-    return run(*task)
 
 
 def run_replicates(
@@ -290,12 +273,13 @@ def run_replicates(
     if n_runs < 1:
         raise ConfigError("n_runs must be >= 1")
     jobs = jobs or 1
-    tasks = [(config, i) for config in configs for i in range(n_runs)]
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            results = list(pool.map(_run_indexed, tasks))
+    task_configs = [config for config in configs for _ in range(n_runs)]
+    indices = list(range(n_runs)) * len(configs)
+    if jobs > 1 and len(indices) > 1:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(indices))) as pool:
+            results = list(pool.map(run, task_configs, indices))
     else:
-        results = [_run_indexed(t) for t in tasks]
+        results = list(map(run, task_configs, indices))
     out = []
     for k in range(0, len(results), n_runs):
         summaries, records = zip(*results[k:k + n_runs])

@@ -72,7 +72,6 @@ def start_episodes(
         population.last_load_day[ids],
         population.onset_day[ids],
     ) = key_days(params, day, symptomatic)
-    population.recovery_day[ids] = np.nan
     population.selfiso_candidate[ids] = symptomatic & will_isolate
 
 

@@ -107,13 +107,15 @@ def key_days(
     ``symptomatic`` is False).
 
     For an integer ``tau = day - exposure_day`` they restate ``tau >= t0``,
-    ``tau > peak``, ``tau <= end`` and ``onset <= tau`` exactly.
+    ``tau > peak``, ``tau <= end`` and ``onset <= tau`` exactly. Each is clipped
+    to the largest float32, its storage type, which no day of a run reaches.
     """
     columns = np.asarray(params, dtype=float).reshape(-1, 7).T
     peak, onset, end = key_times(columns)
-    return (
+    days = np.array([
         exposure_day + np.ceil(columns[0]),
         exposure_day + np.floor(peak) + 1.0,
         exposure_day + np.floor(end),
         np.where(symptomatic, exposure_day + np.ceil(onset), np.nan),
-    )
+    ])
+    return tuple(np.minimum(days, np.finfo(np.float32).max, out=days))

@@ -75,6 +75,24 @@ def test_run_rejects_non_numeric_distribution_parameter(tmp_path, capsys, bad, d
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("field,value", [
+    ("betaDaily", 10**400),
+    ("tP.value", {"type": "constant", "value": 10**400}),
+], ids=["betaDaily", "tP-value"])
+def test_run_rejects_an_integer_too_large_for_a_float(tmp_path, capsys, field, value):
+    # JSON has no limit on an integer literal, but a float field must hold it
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"popSize": 50, "timeHorizon": 5, "initialInfected": 3,
+                                  field.split(".")[0]: value}))
+    status = cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out"),
+                       "--jobs", "1"])
+    err = capsys.readouterr().err
+    assert status == 2
+    assert err.startswith(f"error: {field}: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_simulation_error_is_reported_without_traceback(tmp_path, capsys, monkeypatch):
     def failing_run(*args, **kwargs):
         raise SimulationError("conservation violated on day 3: 99 != 100")
@@ -177,6 +195,13 @@ def test_sweep_rejects_malformed_spec(tmp_path, capsys, field, value):
     assert err.startswith("error: ")
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_sweep_counts_follow_the_integer_rule_of_config_fields():
+    # an integral float is an integer, as it is for popSize
+    spec = cli.sweep_from_dict({"base": SMALL_BASE, "replicates": 2.0, "maxRuns": 10.0})
+    assert (spec.replicates, spec.max_runs) == (2, 10)
+    assert type(spec.replicates) is int
 
 
 @pytest.mark.parametrize("field", ["timeHorizon", "popSize"])

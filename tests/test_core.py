@@ -170,6 +170,8 @@ def test_gamma_shifted_shift_defaults_to_zero():
     ({"type": "lognormal", "mu": 1.0}, "tP: unknown distribution type 'lognormal'"),
     ({"value": 1.0}, "tP: unknown distribution type None"),
     ({"type": ["uniform"]}, "tP: unknown distribution type ['uniform']"),
+    ({"type": "gamma_shifted", "shape": 1.5, "scale": 1.0, "shfit": 0.5},
+     "tP: unknown field(s) for type 'gamma_shifted': shfit"),
 ])
 def test_dist_from_dict_errors(doc, message):
     with pytest.raises(ConfigError) as info:

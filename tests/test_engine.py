@@ -1,6 +1,7 @@
 """Initialization, the daily loop, determinism, and replicate aggregation."""
 
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -30,10 +31,36 @@ def test_initialize_seeds_only():
     pop = state.population
     assert pop.counts()[Compartment.SUSCEPTIBLE_UNVACCINATED] == 9800
     assert pop.counts()[Compartment.EXPOSED] == 200
-    assert state.cumulative_infections == 200
+    assert state.records[0]["cum_infections"] == 200
     exposed = pop.ids(Compartment.EXPOSED)
     assert np.all(pop.exposure_day[exposed] == 0)
     assert not np.isnan(pop.params[exposed]).any()
+
+
+def test_records_start_after_initialize_and_step_writes_the_next_entry():
+    cfg = default_config(popSize=1000, initialInfected=20, timeHorizon=3,
+                         initProportionVaccinated=0.5, daysBetweenTesting=1,
+                         firstDayOfTesting=0)
+    rng = make_rng(cfg.baseSeed, 0)
+    state = initialize(cfg, rng)
+    assert len(state.records) == 4
+    first = state.records[0]
+    assert first["day"] == -1
+    assert list(counts_of(first)) == state.population.counts().tolist()
+    assert first["cum_infections"] == 20
+    assert first["vaccinated_total"] == 490
+    for column in ("new_ext", "new_int", "cum_false_iso", "tests_today", "cum_cost"):
+        assert first[column] == 0, column
+    for day in range(3):
+        record = step(state, day, rng)
+        assert record["day"] == day
+        assert record == state.records[day + 1]
+        # each cumulative column adds the day's events to the entry before
+        prev = state.records[day]
+        assert record["cum_infections"] == (prev["cum_infections"] + record["new_ext"]
+                                            + record["new_int"])
+        assert record["cum_cost"] == prev["cum_cost"] + record["tests_today"] * cfg.costPerTest
+        assert record["vaccinated_total"] == np.count_nonzero(state.population.vaccinated)
 
 
 def test_initialize_half_vaccinated():
@@ -177,6 +204,8 @@ def test_summary_splits_seeded_and_acquired():
     assert summary.seeded_infections == 25
     assert summary.total_infections == 25 + summary.acquired_infections
     assert summary.total_infections == records[-1]["cum_infections"]
+    # plain Python numbers, so that the summary JSON is written as before
+    assert {type(v) for v in dataclasses.asdict(summary).values()} == {int, float}
 
 
 def test_replicates_match_serial_and_parallel():

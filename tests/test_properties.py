@@ -87,6 +87,9 @@ def check_population(pop, day, config):
     episode = infected | (pop.comp == C.ISOLATED_SICK)
     assert np.isnan(pop.exposure_day[~episode]).all(), day
     assert np.isnan(pop.params[~episode]).all(), day
+    # a recovery day is set only from recovery on, and cleared when immunity
+    # is lost
+    assert np.isnan(pop.recovery_day[pop.comp <= C.INFECTIOUS_ASYMPTOMATIC]).all(), day
     # the key days are those of the episode's trajectory, and NaN outside one;
     # an episode with no onset day is asymptomatic, so it has no symptom delay
     # and no self-isolation to come
@@ -136,8 +139,16 @@ def test_daily_invariants(config):
         previous = record
     summary, records = run(config, 0)
     assert np.array_equal(records, stepped)
+    # the summary is read from the records; without a day, from the seeds
+    final = records[-1] if len(records) else {
+        "cum_infections": config.initialInfected, "cum_false_iso": 0, "cum_cost": 0.0,
+    }
+    assert summary.total_infections == final["cum_infections"]
+    assert summary.seeded_infections == config.initialInfected
+    assert summary.acquired_infections == summary.total_infections - config.initialInfected
+    assert summary.total_false_isolations == final["cum_false_iso"]
     assert summary.total_tests == records["tests_today"].sum()
-    assert summary.total_cost == (records[-1]["cum_cost"] if len(records) else 0.0)
+    assert summary.total_cost == final["cum_cost"]
 
 
 @settings(PROPERTY_SETTINGS, max_examples=5)

@@ -223,7 +223,7 @@ def reference_testing_day(pop, cfg, day, rng):
     in the documented order; returns (sorted positive ids, tests used)."""
     isolated = (Compartment.ISOLATED_HEALTHY, Compartment.ISOLATED_SICK)
     ids = []
-    for i in range(len(pop)):
+    for i in range(len(pop.comp)):
         exit_day = pop.last_exit_day[i]
         held = not np.isnan(exit_day) and day - exit_day < cfg.noTestingPostIsolationDays
         if pop.comp[i] not in isolated and not held:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from episim.core import Compartment, Constant, Population, default_config, make_rng
-from episim.engine import RunState, _advance_infections
+from episim.engine import RECORD_DTYPE, RunState, _advance_infections, initialize, step
 from episim.interventions import self_isolation_step
 from episim.testing import current_loads
 from episim.transmission import start_episodes
@@ -245,7 +245,7 @@ def test_daily_stages_match_scalar_reference():
     params = np.array([profile_params(p) for p in profiles])
     symptomatic = np.array([p.symptomatic for p in profiles])
     config = default_config(infectiousViralLoadCut=cut)
-    state = RunState(config, Population(n))  # the status update
+    state = RunState(config, Population(n), np.empty(0, RECORD_DTYPE))  # the status update
     windows = Population(n)  # the symptom window, every symptomatic agent willing
     comp = np.full(n, int(C.SUSCEPTIBLE_UNVACCINATED))  # the scalar reference
     transitions = set()
@@ -294,3 +294,21 @@ def test_daily_stages_match_scalar_reference():
                                        C.INFECTIOUS_ASYMPTOMATIC, C.RECOVERED))
     assert transitions == {(E, I_S), (E, I_A), (E, R), (I_S, R), (I_A, R)}
     assert (comp == C.RECOVERED).all()
+
+
+@pytest.mark.parametrize("field,dist", [
+    ("t0", Constant(1e300)),
+    ("tF", Constant(1e300)),
+    ("tP", Constant(1e39)),
+])
+def test_trajectory_times_beyond_float32_range_run_without_overflow(field, dist):
+    # the key days are stored as float32; a day beyond its range is never
+    # reached, so it is held at the largest float32 instead of overflowing
+    cfg = default_config(popSize=200, timeHorizon=20, initialInfected=10, **{field: dist})
+    rng = make_rng(cfg.baseSeed, 0)
+    state = initialize(cfg, rng)
+    for day in range(cfg.timeHorizon):
+        step(state, day, rng)
+    stored = (state.population.first_load_day, state.population.past_peak_day,
+              state.population.last_load_day, state.population.onset_day)
+    assert not any(np.isinf(days).any() for days in stored)
