@@ -337,6 +337,8 @@ def validate_config(config: ScenarioConfig) -> None:
     for fld in _INT_FIELDS:
         check(0 <= getattr(c, fld) <= 2**63 - 1, fld, "must be in [0, 2**63 - 1]")
     check(c.initialInfected <= c.popSize, "initialInfected", "must be <= popSize")
+    # days are stored as float32 (see Population)
+    check(c.timeHorizon <= 2**24, "timeHorizon", "must be <= 2**24")
     # a JSON config may hold Infinity, so the floats with no upper bound are
     # bounded by it; NaN fails every comparison
     check(0 <= c.betaDaily < math.inf, "betaDaily", "must be finite and >= 0")
@@ -398,19 +400,31 @@ def make_rng(base_seed: int, run_index: int = 0) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 # Population state
 
+# The rows of Population.days. An episode's days come first, so that ending
+# one clears days[EPISODE_DAYS]; its key days are days[KEY_DAYS].
+DAY_ROWS = ("exposure_day", "first_load_day", "past_peak_day", "last_load_day",
+            "onset_day", "recovery_day", "iso_exit_day", "last_exit_day")
+KEY_DAYS = slice(1, 5)
+EPISODE_DAYS = slice(0, 6)
+
 
 class Population:
     """Every agent of one run, one array per field, indexed by agent id.
 
-    A day is NaN where it is unset. ``params`` holds the episode's trajectory
-    (t0, V0, tP, VP, tS, tF, VF) in the order of ``DISTRIBUTION_FIELDS``;
-    it is stored column by column, so that :meth:`trajectories` hands the
-    load kernel contiguous columns. ``exposure_day``, ``params`` and the
-    episode's key days (``first_load_day``, ``past_peak_day``,
-    ``last_load_day`` and ``onset_day``; see
-    :func:`episim.viral_load.key_days`) are set exactly for agents in E, I_s,
-    I_a, R and sick isolation, except that ``onset_day`` is NaN for an
-    asymptomatic episode; that is what marks an episode as symptomatic.
+    Every per-agent day is a row of one float32 block, ``days``, in the order
+    of ``DAY_ROWS``, and the attribute of the same name views that row. A day
+    is NaN where it is unset. Days are only compared with day numbers and
+    subtracted from them, and float32 holds every whole day below 2**24
+    exactly, so ``validate_config`` holds ``timeHorizon`` to at most 2**24; a
+    later day rounds to one that is still beyond every day of a run.
+
+    ``params`` holds the episode's trajectory (t0, V0, tP, VP, tS, tF, VF) in
+    the order of ``DISTRIBUTION_FIELDS``, column by column, so that the load
+    kernel reads contiguous columns. ``params``, ``exposure_day`` and the key
+    days (see :func:`episim.viral_load.key_days`) are set exactly for agents
+    in E, I_s, I_a, R and sick isolation, except that ``onset_day`` is NaN
+    for an asymptomatic episode; that is what marks an episode as
+    symptomatic. ``recovery_day`` is set from recovery until immunity lapses.
     ``iso_exit_day``, the scheduled release, is set exactly for isolated
     agents. ``last_exit_day`` is the day of the latest release and is never
     cleared.
@@ -422,15 +436,9 @@ class Population:
         self.comp = np.zeros(n, dtype=np.int8)
         self.vaccinated = np.zeros(n, dtype=bool)
         self.willingness = np.zeros(n)
-        self.exposure_day = np.full(n, np.nan)
-        # key days are only compared with day numbers, and float32 holds every
-        # whole day below 2**24 exactly
-        self.first_load_day, self.past_peak_day, self.last_load_day, self.onset_day = (
-            np.full((4, n), np.nan, dtype=np.float32)
-        )
-        self.recovery_day = np.full(n, np.nan)
-        self.iso_exit_day = np.full(n, np.nan)
-        self.last_exit_day = np.full(n, np.nan)
+        self.days = np.full((len(DAY_ROWS), n), np.nan, dtype=np.float32)
+        for name, row in zip(DAY_ROWS, self.days):
+            setattr(self, name, row)
         # willing to self-isolate and has not yet decided this episode
         self.selfiso_candidate = np.zeros(n, dtype=bool)
         self.params = np.full((n, len(DISTRIBUTION_FIELDS)), np.nan, order="F")
@@ -450,9 +458,3 @@ class Population:
     def susceptible_compartment(self, ids: np.ndarray) -> np.ndarray:
         """S_v for the vaccinated among ``ids``, S_u for the others."""
         return np.where(self.vaccinated[ids], S_V, S_U)
-
-    def trajectories(self, ids: np.ndarray) -> np.ndarray:
-        """The trajectory parameters of ``ids`` as one contiguous row per
-        field of ``DISTRIBUTION_FIELDS``, the layout
-        :func:`episim.viral_load.load_array` reads."""
-        return np.take(self.params.T, ids, axis=1)

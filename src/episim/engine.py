@@ -16,14 +16,11 @@ of immunity), (3) self-isolation, (4) testing, (5) internal propagation,
 (6) vaccination. Each stage works on whole arrays of agent ids in ascending
 order, so a run is fully determined by (config, runIndex).
 
-A viral load is evaluated only where it can change something. When an
-episode starts, :func:`~episim.transmission.start_episodes` stores its key
-days (:func:`~episim.viral_load.key_days`): the first and last load day, the
-first day past the peak and the first symptomatic day. The status update
-recovers agents past their last load day without a load and evaluates loads
-only for exposed agents from their first load day and infectious agents past
-their peak; self-isolation reads the symptom window from the key days alone;
-the testing day evaluates loads only inside the load window.
+A viral load is evaluated only where it can change something, as
+:mod:`episim.viral_load` sets out: each episode's key days are stored when it
+starts. The status update recovers agents past their last load day without a
+load, and evaluates loads only for exposed agents from their first load day
+and infectious agents past their peak.
 
 Only the exposure, testing and vaccination stages draw. An exposure stage
 draws one uniform per S_u agent, then one per S_v agent. Over its newly
@@ -50,6 +47,7 @@ from .core import (
     E,
     I_A,
     I_S,
+    N_COMPARTMENTS,
     S_V,
     ConfigError,
     Population,
@@ -68,7 +66,7 @@ from .interventions import (
 )
 from .testing import deliver_results, run_testing_day
 from .transmission import expose, external_exposure_step, internal_propagation_step
-from .viral_load import load_array
+from .viral_load import current_loads
 
 
 # One daily record; the field names are the run-CSV column names.
@@ -163,9 +161,7 @@ def _advance_infections(state: RunState, day: int) -> None:
     check_day = np.where(exposed, population.first_load_day[ids], population.past_peak_day[ids])
     changing = (check_day <= day) & ~over
     evaluated = ids[changing]
-    load = load_array(
-        population.trajectories(evaluated), day - population.exposure_day[evaluated]
-    )
+    load = current_loads(population, evaluated, day)
     cut = state.config.infectiousViralLoadCut
     onset = evaluated[exposed[changing] & (load > cut)]
     population.comp[onset] = np.where(np.isnan(population.onset_day[onset]), I_A, I_S)
@@ -200,10 +196,8 @@ def step(state: RunState, day: int, rng: np.random.Generator) -> np.void:
     vaccinated = vaccination_step(population, day, config, rng)
 
     counts = population.counts()
-    if counts.sum() != config.popSize:
-        raise SimulationError(
-            f"conservation violated on day {day}: {counts.sum()} != {config.popSize}"
-        )
+    if len(counts) != N_COMPARTMENTS:
+        raise SimulationError(f"day {day}: an agent's compartment code is out of range")
     prev = state.records[day]
     state.records[day + 1] = (
         day,

@@ -10,6 +10,7 @@ import numpy as np
 
 from .core import (
     E,
+    EPISODE_DAYS,
     ISO_HEALTHY,
     ISO_SICK,
     R,
@@ -121,11 +122,7 @@ def recovered_to_susceptible_step(
     returned = (population.recovery_day == day - config.daysTilSusceptible).nonzero()[0]
     returned = returned[population.comp[returned] == R]
     population.params[returned] = np.nan
-    for days in (
-        population.exposure_day, population.first_load_day, population.past_peak_day,
-        population.last_load_day, population.onset_day, population.recovery_day,
-    ):
-        days[returned] = np.nan
+    population.days[EPISODE_DAYS, returned] = np.nan
     population.selfiso_candidate[returned] = False
     population.comp[returned] = population.susceptible_compartment(returned)
     return returned

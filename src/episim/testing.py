@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import Population, ScenarioConfig
-from .viral_load import load_array
+from .viral_load import current_loads
 
 
 def single_positive_prob(loads: np.ndarray, config: ScenarioConfig) -> np.ndarray:
@@ -56,22 +56,6 @@ def eligible_ids(population: Population, day: int, config: ScenarioConfig) -> np
         # never released -> NaN, which no comparison holds back
         eligible &= ~(day - population.last_exit_day < holdback)
     return eligible.nonzero()[0]
-
-
-def current_loads(population: Population, ids: np.ndarray, day: int) -> np.ndarray:
-    """Viral load on ``day`` of each agent in ``ids``.
-
-    Loads are evaluated only inside an episode's load window, [first load
-    day, last load day]; outside it, and for agents with no episode (whose
-    key days are NaN), the load is exactly 0.
-    """
-    in_window = (population.first_load_day[ids] <= day) & (day <= population.last_load_day[ids])
-    carriers = ids[in_window]
-    loads = np.zeros(len(ids))
-    loads[in_window] = load_array(
-        population.trajectories(carriers), day - population.exposure_day[carriers]
-    )
-    return loads
 
 
 def run_testing_day(

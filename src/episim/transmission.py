@@ -22,6 +22,7 @@ from .core import (
     I_A,
     I_S,
     ISO_HEALTHY,
+    KEY_DAYS,
     S_U,
     S_V,
     Population,
@@ -66,12 +67,7 @@ def start_episodes(
     population.params[ids] = params
     population.comp[ids] = E
     population.exposure_day[ids] = day
-    (
-        population.first_load_day[ids],
-        population.past_peak_day[ids],
-        population.last_load_day[ids],
-        population.onset_day[ids],
-    ) = key_days(params, day, symptomatic)
+    population.days[KEY_DAYS, ids] = key_days(params, day, symptomatic)
     population.selfiso_candidate[ids] = symptomatic & will_isolate
 
 

@@ -25,16 +25,16 @@ instead of evaluating loads:
 * the first symptomatic day, exposure day + ceil(onset), NaN for an
   asymptomatic episode (``onset <= tau``).
 
-They are read by the status update (``engine._advance_infections``),
-self-isolation (``interventions.self_isolation_step``) and the testing day
-(``testing.current_loads``).
+Self-isolation (``interventions.self_isolation_step``) reads them alone. The
+status update (``engine._advance_infections``) and the testing day both
+evaluate loads through :func:`current_loads`, only inside the load window.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import DISTRIBUTION_FIELDS, ScenarioConfig
+from .core import DISTRIBUTION_FIELDS, Population, ScenarioConfig
 
 
 def sample_params(
@@ -100,9 +100,10 @@ def key_times(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def key_days(
     params: np.ndarray, exposure_day: float | np.ndarray, symptomatic: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """The key days of episodes ``params`` (rows of :func:`sample_params`)
-    exposed on ``exposure_day``: the first load day, the first day past the
+    exposed on ``exposure_day``, as a ``(4, k)`` array in the order of
+    ``Population.days[KEY_DAYS]``: the first load day, the first day past the
     peak, the last load day and the first symptomatic day (NaN where
     ``symptomatic`` is False).
 
@@ -118,4 +119,20 @@ def key_days(
         exposure_day + np.floor(end),
         np.where(symptomatic, exposure_day + np.ceil(onset), np.nan),
     ])
-    return tuple(np.minimum(days, np.finfo(np.float32).max, out=days))
+    return np.minimum(days, np.finfo(np.float32).max, out=days)
+
+
+def current_loads(population: Population, ids: np.ndarray, day: int) -> np.ndarray:
+    """Viral load on ``day`` of each agent in ``ids``.
+
+    Loads are evaluated only inside an episode's load window, [first load
+    day, last load day]; outside it, and for agents with no episode (whose
+    key days are NaN), the load is exactly 0.
+    """
+    in_window = (population.first_load_day[ids] <= day) & (day <= population.last_load_day[ids])
+    carriers = ids[in_window]
+    loads = np.zeros(len(ids))
+    loads[in_window] = load_array(
+        np.take(population.params.T, carriers, axis=1), day - population.exposure_day[carriers]
+    )
+    return loads

@@ -95,13 +95,13 @@ def test_run_rejects_an_integer_too_large_for_a_float(tmp_path, capsys, field, v
 
 def test_simulation_error_is_reported_without_traceback(tmp_path, capsys, monkeypatch):
     def failing_run(*args, **kwargs):
-        raise SimulationError("conservation violated on day 3: 99 != 100")
+        raise SimulationError("day 3: an agent's compartment code is out of range")
 
     monkeypatch.setattr(cli, "run_replicates", failing_run)
     status = cli.main(["run", "--out", str(tmp_path / "out"), "--jobs", "1"])
     err = capsys.readouterr().err
     assert status == 1
-    assert err == "error: conservation violated on day 3: 99 != 100\n"
+    assert err == "error: day 3: an agent's compartment code is out of range\n"
 
 
 @pytest.mark.parametrize("field,value", [
@@ -121,6 +121,20 @@ def test_run_rejects_an_integer_beyond_int64(tmp_path, capsys, field, value):
     assert status == 2
     assert err.startswith("error: invalid config")
     assert f"{field}: must be in [0, 2**63 - 1]" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_rejects_a_time_horizon_beyond_exact_float32_days(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"popSize": 50, "timeHorizon": 2**24 + 1,
+                                  "initialInfected": 3}))
+    status = cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out"),
+                       "--jobs", "1"])
+    err = capsys.readouterr().err
+    assert status == 2
+    assert err.startswith("error: invalid config")
+    assert "timeHorizon: must be <= 2**24" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 

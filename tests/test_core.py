@@ -197,6 +197,12 @@ def test_validate_flags_integers_beyond_int64(field):
     assert bound not in violations(default_config(**{field: 2**63 - 1}))
 
 
+def test_validate_holds_time_horizon_to_whole_days_float32_holds_exactly():
+    # every per-agent day is stored as float32
+    assert violations(default_config(timeHorizon=2**24 + 1)) == ["timeHorizon: must be <= 2**24"]
+    assert violations(default_config(timeHorizon=2**24)) == []
+
+
 def test_rng_streams_are_deterministic():
     a = make_rng(42, 3).random(1_000_000)
     b = make_rng(42, 3).random(1_000_000)

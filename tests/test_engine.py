@@ -8,7 +8,14 @@ import pytest
 
 from episim import engine
 from episim.cli import write_replicates
-from episim.core import Compartment, ConfigError, Uniform, default_config, make_rng
+from episim.core import (
+    Compartment,
+    ConfigError,
+    SimulationError,
+    Uniform,
+    default_config,
+    make_rng,
+)
 from episim.engine import RECORD_DTYPE, initialize, run, run_replicates, step
 
 
@@ -139,6 +146,16 @@ def test_conservation_every_day():
     assert len(records) == 80
     for record in records:
         assert sum(counts_of(record)) == 800
+
+
+def test_step_rejects_a_compartment_code_out_of_range():
+    # a code past the last compartment has no count column to go to
+    cfg = default_config(popSize=50, initialInfected=5, timeHorizon=3)
+    rng = make_rng(cfg.baseSeed, 0)
+    state = initialize(cfg, rng)
+    state.population.comp[0] = len(Compartment)
+    with pytest.raises(SimulationError, match="day 0"):
+        step(state, 0, rng)
 
 
 def test_results_move_compartments_only_after_delay():

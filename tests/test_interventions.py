@@ -3,6 +3,7 @@
 import numpy as np
 
 from episim.core import (
+    EPISODE_DAYS,
     Compartment,
     Population,
     default_config,
@@ -160,6 +161,22 @@ def test_recovered_returns_to_susceptible_after_immunity_lapses():
     for days in (pop.exposure_day, pop.first_load_day, pop.past_peak_day,
                  pop.last_load_day, pop.onset_day, pop.recovery_day):
         assert np.isnan(days[0])
+
+
+def test_return_to_susceptible_keeps_the_isolation_days():
+    # only the episode's days are cleared: the latest release stays on record,
+    # and so does a scheduled release (set here by hand, since no R agent
+    # has one)
+    pop = fresh_population()
+    cfg = default_config()  # isolationLength 10, daysTilSusceptible 30
+    infect(pop, 0)
+    apply_positive_results(pop, [0], 5, cfg)
+    isolation_exit_step(pop, 15, cfg)
+    pop.iso_exit_day[0] = 99
+    assert recovered_to_susceptible_step(pop, 45, cfg).tolist() == [0]
+    assert np.isnan(pop.days[EPISODE_DAYS, 0]).all()
+    assert pop.last_exit_day[0] == 15
+    assert pop.iso_exit_day[0] == 99
 
 
 def test_vaccinated_recovered_returns_to_vaccinated_susceptible():

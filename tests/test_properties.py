@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from episim.core import (
+    DAY_ROWS,
     Compartment,
     Constant,
     GammaShifted,
@@ -74,6 +75,11 @@ def configs(draw):
 
 
 def check_population(pop, day, config):
+    # every per-agent day is a row of one float32 block; assigning a new array
+    # to a named day would detach it from the block
+    assert pop.days.dtype == np.float32 and pop.days.shape == (len(DAY_ROWS), len(pop.comp))
+    for name, row in zip(DAY_ROWS, pop.days):
+        assert np.shares_memory(getattr(pop, name), row), name
     # an isolation ends on a later day, at most max(isolationLength, 1) after
     # the day it began
     isolated = pop.comp >= C.ISOLATED_HEALTHY

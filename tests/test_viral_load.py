@@ -1,16 +1,13 @@
 """Trajectory sampling, load interpolation, and status classification."""
 
-import math
-
 import numpy as np
 import pytest
 
 from episim.core import Compartment, Constant, Population, default_config, make_rng
 from episim.engine import RECORD_DTYPE, RunState, _advance_infections, initialize, step
 from episim.interventions import self_isolation_step
-from episim.testing import current_loads
 from episim.transmission import start_episodes
-from episim.viral_load import key_days, load_array
+from episim.viral_load import current_loads, key_days, load_array
 
 from reference import (
     InfectionStage,
