@@ -401,10 +401,10 @@ def make_rng(base_seed: int, run_index: int = 0) -> np.random.Generator:
 # Population state
 
 # The rows of Population.days. An episode's days come first, so that ending
-# one clears days[EPISODE_DAYS]; its key days are days[KEY_DAYS].
-DAY_ROWS = ("exposure_day", "first_load_day", "past_peak_day", "last_load_day",
-            "onset_day", "recovery_day", "iso_exit_day", "last_exit_day")
-KEY_DAYS = slice(1, 5)
+# one clears days[EPISODE_DAYS]; its first status update sets days[KEY_DAYS].
+DAY_ROWS = ("exposure_day", "onset_day", "first_load_day", "last_load_day",
+            "infectious_day", "recovery_day", "iso_exit_day", "last_exit_day")
+KEY_DAYS = slice(2, 6)
 EPISODE_DAYS = slice(0, 6)
 
 
@@ -420,11 +420,13 @@ class Population:
 
     ``params`` holds the episode's trajectory (t0, V0, tP, VP, tS, tF, VF) in
     the order of ``DISTRIBUTION_FIELDS``, column by column, so that the load
-    kernel reads contiguous columns. ``params``, ``exposure_day`` and the key
-    days (see :func:`episim.viral_load.key_days`) are set exactly for agents
-    in E, I_s, I_a, R and sick isolation, except that ``onset_day`` is NaN
-    for an asymptomatic episode; that is what marks an episode as
-    symptomatic. ``recovery_day`` is set from recovery until immunity lapses.
+    kernel reads contiguous columns. ``params``, ``exposure_day``,
+    ``onset_day`` and, once :func:`episim.transmission.schedule_episodes` has
+    set them, the key days are set exactly for agents in E, I_s, I_a, R and
+    sick isolation, except that ``onset_day`` is NaN for an asymptomatic
+    episode, which is what marks it, and ``infectious_day`` for one that never
+    becomes infectious. A release from sick isolation rewrites
+    ``recovery_day``; it stays until immunity lapses.
     ``iso_exit_day``, the scheduled release, is set exactly for isolated
     agents. ``last_exit_day`` is the day of the latest release and is never
     cleared.

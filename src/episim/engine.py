@@ -11,16 +11,15 @@ The records are a run's only accumulator: entry 0 is the state after
 :func:`run` returns the entries of days 0 to ``timeHorizon - 1``.
 
 Daily stage order: (1) external exposure, (2) status updates (result
-delivery, isolation exits, exposed-to-infectious crossings, recoveries, loss
-of immunity), (3) self-isolation, (4) testing, (5) internal propagation,
-(6) vaccination. Each stage works on whole arrays of agent ids in ascending
-order, so a run is fully determined by (config, runIndex).
+delivery, isolation exits, key days, status transitions, loss of immunity),
+(3) self-isolation, (4) testing, (5) internal propagation, (6) vaccination.
+Each stage works on whole arrays of agent ids in ascending order, so a run is
+fully determined by (config, runIndex).
 
-A viral load is evaluated only where it can change something, as
-:mod:`episim.viral_load` sets out: each episode's key days are stored when it
-starts. The status update recovers agents past their last load day without a
-load, and evaluates loads only for exposed agents from their first load day
-and infectious agents past their peak.
+The status update only compares days. Before it, the episodes that reach
+their first load day or leave E get their key days
+(:func:`~episim.transmission.schedule_episodes`), among them the days on which
+each becomes infectious and recovers.
 
 Only the exposure, testing and vaccination stages draw. An exposure stage
 draws one uniform per S_u agent, then one per S_v agent. Over its newly
@@ -48,6 +47,7 @@ from .core import (
     I_A,
     I_S,
     N_COMPARTMENTS,
+    R,
     S_V,
     ConfigError,
     Population,
@@ -59,14 +59,13 @@ from .core import (
 from .interventions import (
     apply_positive_results,
     isolation_exit_step,
-    mark_recovered,
     recovered_to_susceptible_step,
     self_isolation_step,
     vaccination_step,
 )
 from .testing import deliver_results, run_testing_day
-from .transmission import expose, external_exposure_step, internal_propagation_step
-from .viral_load import current_loads
+from .transmission import (expose, external_exposure_step, internal_propagation_step,
+                           schedule_episodes)
 
 
 # One daily record; the field names are the run-CSV column names.
@@ -104,8 +103,6 @@ class RunState:
     records: np.ndarray
     # delivery day -> arrays of agent ids whose positive result is due then
     pending: dict[int, list[np.ndarray]] = field(default_factory=dict)
-    # previous end-of-day Population.counts(); mass action reads I/P from here
-    prev_counts: Optional[np.ndarray] = None
 
 
 def initialize(config: ScenarioConfig, rng: np.random.Generator) -> RunState:
@@ -141,33 +138,20 @@ def initialize(config: ScenarioConfig, rng: np.random.Generator) -> RunState:
         population.comp[picked] = S_V
     expose(population, seed_ids, 0, config, rng)
 
-    counts = population.counts()
     records = np.empty(config.timeHorizon + 1, dtype=RECORD_DTYPE)
-    records[0] = (-1, *counts.tolist(), 0, 0, len(seed_ids), 0, 0, 0.0, n_vaccinated)
-    return RunState(config, population, records, prev_counts=counts)
+    records[0] = (-1, *population.counts().tolist(), 0, 0, len(seed_ids), 0, 0, 0.0, n_vaccinated)
+    return RunState(config, population, records)
 
 
-def _advance_infections(state: RunState, day: int) -> None:
-    # exposed -> infectious once the load crosses the cut, symptomatic when
-    # the episode has an onset day; either infected state -> recovered once
-    # the load has fallen below the cut after the peak. Agents past their
-    # last load day recover without a load. An exposed agent cannot change
-    # before its first load day, nor an infectious one up to its peak, so
-    # loads are evaluated only from that day on.
-    population = state.population
-    ids = ((population.comp >= E) & (population.comp <= I_A)).nonzero()[0]
-    exposed = population.comp[ids] == E
-    over = population.last_load_day[ids] < day
-    check_day = np.where(exposed, population.first_load_day[ids], population.past_peak_day[ids])
-    changing = (check_day <= day) & ~over
-    evaluated = ids[changing]
-    load = current_loads(population, evaluated, day)
-    cut = state.config.infectiousViralLoadCut
-    onset = evaluated[exposed[changing] & (load > cut)]
+def _advance_infections(population: Population, day: int) -> None:
+    # E -> I (I_s with an onset day) and E or I -> R on the scheduled days; an
+    # isolated agent keeps its compartment until its release
+    onset = (population.infectious_day == day).nonzero()[0]
+    onset = onset[population.comp[onset] == E]
     population.comp[onset] = np.where(np.isnan(population.onset_day[onset]), I_A, I_S)
-    below_cut = evaluated[load < cut]
-    past_peak = below_cut[population.past_peak_day[below_cut] <= day]
-    mark_recovered(population, np.concatenate([ids[over], past_peak]), day)
+    due = (population.recovery_day == day).nonzero()[0]
+    comp = population.comp[due]
+    population.comp[due[(comp >= E) & (comp <= I_A)]] = R
 
 
 def step(state: RunState, day: int, rng: np.random.Generator) -> np.void:
@@ -182,7 +166,8 @@ def step(state: RunState, day: int, rng: np.random.Generator) -> np.void:
     delivered = deliver_results(state.pending, day)
     false_isolations = apply_positive_results(population, delivered, day, config)
     isolation_exit_step(population, day, config)
-    _advance_infections(state, day)
+    schedule_episodes(population, day, config.infectiousViralLoadCut)
+    _advance_infections(population, day)
     recovered_to_susceptible_step(population, day, config)
 
     self_isolation_step(population, day, config)
@@ -191,14 +176,16 @@ def step(state: RunState, day: int, rng: np.random.Generator) -> np.void:
     if config.is_testing_day(day):
         tests_today = run_testing_day(population, config, day, state.pending, rng)
 
-    new_internal = internal_propagation_step(population, config, day, rng, state.prev_counts)
+    prev = state.records[day]
+    # the day before's s_u ... iso_sick, declared in Compartment order
+    prev_counts = np.array(prev.tolist()[1:1 + N_COMPARTMENTS])
+    new_internal = internal_propagation_step(population, config, day, rng, prev_counts)
 
     vaccinated = vaccination_step(population, day, config, rng)
 
     counts = population.counts()
     if len(counts) != N_COMPARTMENTS:
         raise SimulationError(f"day {day}: an agent's compartment code is out of range")
-    prev = state.records[day]
     state.records[day + 1] = (
         day,
         # s_u ... iso_sick, declared in Compartment order
@@ -211,7 +198,6 @@ def step(state: RunState, day: int, rng: np.random.Generator) -> np.void:
         prev["cum_cost"] + tests_today * config.costPerTest,
         prev["vaccinated_total"] + len(vaccinated),
     )
-    state.prev_counts = counts
     return state.records[day + 1]
 
 

@@ -86,24 +86,18 @@ def isolation_exit_step(
 ) -> np.ndarray:
     """Release agents whose isolation period is over; returns their ids.
 
-    Sick isolation always exits to recovered; healthy isolation returns to the
-    susceptible compartment matching the vaccination flag.
+    Sick isolation always exits to recovered as of today; healthy isolation
+    returns to the susceptible compartment matching the vaccination flag.
     """
     released = (population.iso_exit_day <= day).nonzero()[0]
     sick = released[population.comp[released] == ISO_SICK]
     healthy = released[population.comp[released] == ISO_HEALTHY]
     population.iso_exit_day[released] = np.nan
     population.last_exit_day[released] = day
-    mark_recovered(population, sick, day)
+    population.comp[sick] = R
+    population.recovery_day[sick] = day
     population.comp[healthy] = population.susceptible_compartment(healthy)
     return released
-
-
-def mark_recovered(population: Population, ids: np.ndarray, day: int) -> None:
-    """Move agents to recovered as of ``day``; immunity lapses
-    ``daysTilSusceptible`` days later."""
-    population.comp[ids] = R
-    population.recovery_day[ids] = day
 
 
 def recovered_to_susceptible_step(

@@ -17,18 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import (
-    E,
-    I_A,
-    I_S,
-    ISO_HEALTHY,
-    KEY_DAYS,
-    S_U,
-    S_V,
-    Population,
-    ScenarioConfig,
-)
-from .viral_load import key_days, sample_params
+from .core import E, I_A, I_S, ISO_HEALTHY, KEY_DAYS, S_U, S_V, Population, ScenarioConfig
+from .viral_load import key_days, onset_days, sample_params
 
 
 def expose(
@@ -62,13 +52,29 @@ def start_episodes(
     will_isolate: np.ndarray,
 ) -> None:
     """Put agents ``ids`` in E with the episodes ``params`` (rows of
-    :func:`~episim.viral_load.sample_params`) exposed on ``day``, and store
-    each episode's key days (:func:`~episim.viral_load.key_days`)."""
+    :func:`~episim.viral_load.sample_params`) exposed on ``day``; the status
+    update sets their key days (:func:`schedule_episodes`)."""
     population.params[ids] = params
     population.comp[ids] = E
     population.exposure_day[ids] = day
-    population.days[KEY_DAYS, ids] = key_days(params, day, symptomatic)
+    population.onset_day[ids] = onset_days(params, day, symptomatic)
     population.selfiso_candidate[ids] = symptomatic & will_isolate
+
+
+def schedule_episodes(population: Population, day: int, cut: float) -> None:
+    """Store the key days (:func:`~episim.viral_load.key_days`) under the load
+    cut ``cut`` of the episodes that have none yet, in a status update on
+    ``day``. An episode's first status update is on its exposure day (a seed
+    or an external exposure) or the next day, but its status and its load
+    cannot change before its first load day, so from any day up to that one
+    its key days are the same. They are set once one of the waiting episodes
+    reaches its first load day or leaves E, for all of them."""
+    ids = (np.isfinite(population.exposure_day) & np.isnan(population.last_load_day)).nonzero()[0]
+    exposure_day = population.exposure_day[ids]
+    first_load_day = exposure_day + np.ceil(population.params[ids, 0])
+    if np.any(first_load_day <= day) or np.any(population.comp[ids] != E):
+        columns = np.take(population.params.T, ids, axis=1)
+        population.days[KEY_DAYS, ids] = key_days(columns, exposure_day, cut, day)
 
 
 def _bernoulli_expose(

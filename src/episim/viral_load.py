@@ -11,30 +11,22 @@ The simulation evaluates whole populations at once: :func:`sample_params`
 draws trajectories as rows of (t0, V0, tP, VP, tS, tF, VF), the order of
 ``DISTRIBUTION_FIELDS``, and :func:`load_array` evaluates them.
 
-The engine steps in whole days, so for each episode the integer days on which
-a comparison with a key time changes are fixed when the episode is sampled.
-:func:`key_days` returns them, and the daily stages compare days with them
-instead of evaluating loads:
-
-* the first load day, exposure day + ceil(t0): the load is 0 before it
-  (``tau >= t0``);
-* the first day past the peak, exposure day + floor(peak) + 1
-  (``tau > peak``); up to it an infectious agent stays infectious;
-* the last load day, exposure day + floor(end): the load is 0 after it and
-  the episode is over (``tau <= end``);
-* the first symptomatic day, exposure day + ceil(onset), NaN for an
-  asymptomatic episode (``onset <= tau``).
-
-Self-isolation (``interventions.self_isolation_step``) reads them alone. The
-status update (``engine._advance_infections``) and the testing day both
-evaluate loads through :func:`current_loads`, only inside the load window.
+The engine steps in whole days, so the days on which a comparison with an
+episode's trajectory changes are fixed when it is sampled: the first
+symptomatic day (:func:`onset_days`), the first and last load day and the days
+the status update moves it to I and to R (:func:`key_days`). The daily stages
+compare days with them; only testing evaluates loads (:func:`current_loads`).
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .core import DISTRIBUTION_FIELDS, Population, ScenarioConfig
+from .core import DISTRIBUTION_FIELDS, LOAD_FIELDS, Population, ScenarioConfig
+
+LOAD_ROWS = np.array([DISTRIBUTION_FIELDS.index(name) for name in LOAD_FIELDS])  # V0, VP, VF
 
 
 def sample_params(
@@ -58,10 +50,10 @@ def sample_params(
 
 
 def load_array(columns: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """The viral load (cp/ml) of profile ``i`` at ``tau[i]`` days since
+    """The viral load (cp/ml) of profile ``i`` at ``tau[..., i]`` days since
     exposure, where ``columns`` holds one row per field of
     ``DISTRIBUTION_FIELDS`` and one column per profile (the transpose of
-    :func:`sample_params` rows).
+    :func:`sample_params` rows); ``tau`` may hold several rows of times.
 
     Exactly V0/VP/VF at the control points, 0 before t0 and after the end of
     the trajectory, and log-linear in between. Every entry takes the
@@ -98,27 +90,46 @@ def key_times(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return peak, onset, onset + tf
 
 
-def key_days(
-    params: np.ndarray, exposure_day: float | np.ndarray, symptomatic: np.ndarray
-) -> np.ndarray:
-    """The key days of episodes ``params`` (rows of :func:`sample_params`)
-    exposed on ``exposure_day``, as a ``(4, k)`` array in the order of
-    ``Population.days[KEY_DAYS]``: the first load day, the first day past the
-    peak, the last load day and the first symptomatic day (NaN where
-    ``symptomatic`` is False).
+def onset_days(params: np.ndarray, exposure_day: float | np.ndarray,
+               symptomatic: np.ndarray) -> np.ndarray:
+    """The first symptomatic day of episodes ``params`` (rows of
+    :func:`sample_params`) exposed on ``exposure_day``, clipped like the key
+    days: exposure day + ceil(onset) (``onset <= tau``), NaN if asymptomatic."""
+    _, onset, _ = key_times(np.asarray(params, dtype=float).reshape(-1, 7).T)
+    days = np.where(symptomatic, exposure_day + np.ceil(onset), np.nan)
+    return np.minimum(days, np.finfo(np.float32).max, out=days)
 
-    For an integer ``tau = day - exposure_day`` they restate ``tau >= t0``,
-    ``tau > peak``, ``tau <= end`` and ``onset <= tau`` exactly. Each is clipped
-    to the largest float32, its storage type, which no day of a run reaches.
-    """
-    columns = np.asarray(params, dtype=float).reshape(-1, 7).T
-    peak, onset, end = key_times(columns)
-    days = np.array([
-        exposure_day + np.ceil(columns[0]),
-        exposure_day + np.floor(peak) + 1.0,
-        exposure_day + np.floor(end),
-        np.where(symptomatic, exposure_day + np.ceil(onset), np.nan),
-    ])
+
+def key_days(columns: np.ndarray, exposure_day: float | np.ndarray, cut: float,
+             first_update: float | np.ndarray) -> np.ndarray:
+    """The key days of episodes ``columns`` (one row per field of
+    ``DISTRIBUTION_FIELDS``) exposed on ``exposure_day``, as a ``(4, k)`` array
+    in the order of ``Population.days[KEY_DAYS]``: the first and the last load
+    day (``tau >= t0`` and ``tau <= end`` for ``tau = day - exposure_day``),
+    and the days on which a status update run every day from ``first_update``
+    moves the episode, to I on a load strictly above ``cut`` (NaN if it
+    recovers first) and to R past the end, or past the peak on a load strictly
+    below ``cut``. Each is clipped to the largest float32, which no day reaches."""
+    t0 = columns[0]
+    peak, _, end = key_times(columns)
+    times = np.array([t0, peak, end])
+    # The log load is linear on [t0, peak) and [peak, end], so a status first
+    # changes on the first whole day from t0, past the peak or past the end,
+    # or on the whole day nearest a crossing of the cut or the day after.
+    # load_array decides each of these candidates, as the daily rule would.
+    rel = np.log10(columns[LOAD_ROWS]) - math.log10(cut)  # log10(load / cut)
+    change, span = rel[1:] - rel[:2], times[1:] - times[:2]
+    # a flat or empty segment divides by infinity: its crossing is its start
+    frac = -rel[:2] / np.where(change != 0.0, change, np.inf)
+    near = np.rint(times[:2] + span * np.clip(frac, 0.0, 1.0))
+    first_load, floors = np.ceil(t0), np.floor(times[1:])
+    first = np.maximum(first_load, first_update - exposure_day)
+    taus = np.maximum(np.concatenate([first[None], floors + 1.0, near, near + 1.0]), first)
+    load = load_array(columns, taus)
+    infectious = taus.min(axis=0, where=load > cut, initial=np.inf)
+    recovery = taus.min(axis=0, where=(taus > peak) & (load < cut), initial=np.inf)
+    infectious[infectious >= recovery] = np.nan
+    days = exposure_day + np.array([first_load, floors[1], infectious, recovery])
     return np.minimum(days, np.finfo(np.float32).max, out=days)
 
 

@@ -4,7 +4,8 @@ sample at a time.
 The package evaluates whole populations at once (``viral_load.load_array``,
 ``viral_load.key_days``, ``testing.pool_positive_prob``). The kernel tests
 check those against the plain rules here: a trajectory's load and status,
-its symptom window, and single and pooled tests.
+the days a daily status update moves it, its symptom window, and single and
+pooled tests.
 """
 
 from __future__ import annotations
@@ -128,6 +129,23 @@ def status_at(
     if tau > profile.peak_time and load < infectious_cut:
         return InfectionStage.RECOVERED, showing
     return InfectionStage.LATENT, showing
+
+
+def transition_taus(
+    profile: ViralLoadProfile, infectious_cut: float, first_tau: int
+) -> tuple[Optional[int], int]:
+    """The days since exposure on which a status update, run on every whole
+    day from ``first_tau`` on, moves an episode from E to I (None if it never
+    does) and to R, stepping :func:`status_at` one day at a time."""
+    infectious = None
+    tau = first_tau
+    while True:
+        stage, _ = status_at(profile, tau, infectious_cut)
+        if stage is InfectionStage.RECOVERED:
+            return infectious, tau
+        if stage is InfectionStage.INFECTIOUS and infectious is None:
+            infectious = tau
+        tau += 1
 
 
 def single_test(viral_load: float, config: ScenarioConfig, rng: np.random.Generator) -> bool:

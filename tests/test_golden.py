@@ -9,7 +9,8 @@ the old one.
 
 Together the configs reach average and exponential pooling, single tests,
 delayed results, the post-isolation holdback, zero-length isolation, fast
-loss of immunity, vaccination, and a run without testing. The output trees
+loss of immunity, vaccination, a run without testing, and trajectories that
+make every status transition, from the exposure day on. The output trees
 cover the aggregate CSV, the summary and cell JSONs, both report files, the
 rebuilt report and the R_t series.
 """
@@ -21,7 +22,7 @@ import pytest
 
 from episim import cli
 from episim.cli import write_run_csv
-from episim.core import default_config
+from episim.core import Constant, Uniform, default_config
 from episim.engine import run
 
 BASE = dict(popSize=500, timeHorizon=50, initialInfected=15, baseSeed=7)
@@ -45,9 +46,19 @@ CONFIGS = {
     "no-testing-vaccination": dict(
         initProportionVaccinated=0.2, vaccinesAvailablePerDay=15, daysTilSusceptible=10,
     ),
+    # loads from the exposure day, above or below the cut from the start, peaks
+    # below V0 and declines that rise again: in run 1 every status transition,
+    # E -> I_s, E -> I_a, E -> R, I_s -> R and I_a -> R, occurs
+    "edge-trajectories": dict(
+        t0=Constant(0.0), V0=Uniform(1e2, 1e5), VP=Uniform(1e1, 1e5), VF=Uniform(1e2, 1e4),
+        tF=Uniform(0.0, 6.0), infectiousViralLoadCut=1e4, selfIsolationOnSymptomsProb=0.3,
+        betaDaily=0.8, daysBetweenTesting=4, firstDayOfTesting=3, poolSize=5,
+        daysDelayTestResults=1,
+    ),
 }
 GOLDEN = {
     "average-5-delay-2": "cfecf1c1ae997d6f3d04102cc8d1dfc395a2d41646c13b23fa81753b97abcc58",
+    "edge-trajectories": "b9fcd9f58c2db2298a1721dfe5cb44fa66eb0bfca50cf4defc739bffaef64378",
     "exponential-10-no-isolation": "2f194a417e25dd0460436703e4e5bd54ad097da8860220b1941695e699424c93",
     "exponential-4-vaccination": "85d5bb08c5cde5a3c4d8b3b19ff9234258b5f2683472485d09190074183f685d",
     "no-testing-vaccination": "ebe9d8f29c7ce310d85a94168ed0ad51b3b91a62426de8565e8ef3e69309ad9f",

@@ -12,12 +12,11 @@ from episim.core import (
 from episim.interventions import (
     apply_positive_results,
     isolation_exit_step,
-    mark_recovered,
     recovered_to_susceptible_step,
     self_isolation_step,
     vaccination_step,
 )
-from episim.transmission import start_episodes
+from episim.transmission import schedule_episodes, start_episodes
 
 from reference import ViralLoadProfile, profile_params
 
@@ -32,12 +31,19 @@ def fresh_population(n=6):
 
 def infect(pop, agent_id, day=0, profile=SYMPTOMATIC_PROFILE,
            compartment=Compartment.INFECTIOUS_SYMPTOMATIC, will_isolate=False):
-    """Start an episode the way an exposure does, then move it to
-    ``compartment``."""
+    """Start an episode the way an exposure does, move it to
+    ``compartment``, then schedule its key days from that day."""
     start_episodes(pop, np.array([agent_id]), day, np.array([profile_params(profile)]),
                    np.array([profile.symptomatic]), np.array([will_isolate]))
     pop.comp[agent_id] = compartment
+    schedule_episodes(pop, day, 1e3)
     return agent_id
+
+
+def recover(pop, agent_id, day):
+    """Move an agent to R on ``day``, as a release from sick isolation does."""
+    pop.comp[agent_id] = Compartment.RECOVERED
+    pop.recovery_day[agent_id] = day
 
 
 def vaccination_config(doses):
@@ -52,6 +58,22 @@ def test_positive_result_isolates_infectious_as_sick():
     assert pop.comp[0] == Compartment.ISOLATED_SICK
     assert pop.iso_exit_day[0] == 15
     assert healthy.tolist() == []
+
+
+def test_an_episode_isolated_before_its_first_load_day_keeps_its_release():
+    # the key days wait for the first load day (day 3) while the agent is in
+    # E, but an isolation sets them at once, so that they cannot later
+    # overwrite the recovery day of its release
+    pop = fresh_population()
+    cfg = default_config(isolationLength=1)
+    infect(pop, 0, compartment=Compartment.EXPOSED)
+    assert np.isnan(pop.last_load_day[0])
+    apply_positive_results(pop, [0], 1, cfg)
+    schedule_episodes(pop, 1, 1e3)
+    assert pop.last_load_day[0] == 13
+    isolation_exit_step(pop, 2, cfg)
+    schedule_episodes(pop, 3, 1e3)
+    assert pop.comp[0] == Compartment.RECOVERED and pop.recovery_day[0] == 2
 
 
 def test_positive_result_isolates_susceptible_as_healthy():
@@ -153,13 +175,13 @@ def test_recovered_returns_to_susceptible_after_immunity_lapses():
     pop = fresh_population()
     cfg = default_config()  # daysTilSusceptible 30
     infect(pop, 0)
-    mark_recovered(pop, [0], 20)
+    recover(pop, 0, 20)
     assert recovered_to_susceptible_step(pop, 49, cfg).tolist() == []
     assert recovered_to_susceptible_step(pop, 50, cfg).tolist() == [0]
     assert pop.comp[0] == Compartment.SUSCEPTIBLE_UNVACCINATED
     assert np.isnan(pop.params[0]).all()
-    for days in (pop.exposure_day, pop.first_load_day, pop.past_peak_day,
-                 pop.last_load_day, pop.onset_day, pop.recovery_day):
+    for days in (pop.exposure_day, pop.first_load_day, pop.last_load_day,
+                 pop.onset_day, pop.infectious_day, pop.recovery_day):
         assert np.isnan(days[0])
 
 
@@ -184,7 +206,7 @@ def test_vaccinated_recovered_returns_to_vaccinated_susceptible():
     cfg = default_config()
     infect(pop, 0)
     pop.vaccinated[0] = True
-    mark_recovered(pop, [0], 0)
+    recover(pop, 0, 0)
     recovered_to_susceptible_step(pop, 30, cfg)
     assert pop.comp[0] == Compartment.SUSCEPTIBLE_VACCINATED
 
@@ -193,7 +215,7 @@ def test_return_beyond_horizon_never_fires():
     pop = fresh_population()
     cfg = default_config(daysTilSusceptible=500, timeHorizon=120)
     infect(pop, 0)
-    mark_recovered(pop, [0], 20)
+    recover(pop, 0, 20)
     for day in range(cfg.timeHorizon):
         assert recovered_to_susceptible_step(pop, day, cfg).tolist() == []
     assert pop.comp[0] == Compartment.RECOVERED

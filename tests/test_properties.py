@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 
 from episim.core import (
     DAY_ROWS,
+    EPISODE_DAYS,
+    KEY_DAYS,
     Compartment,
     Constant,
     GammaShifted,
@@ -26,7 +28,7 @@ from episim.core import (
     validate_config,
 )
 from episim.engine import RECORD_DTYPE, initialize, run, run_replicates, step
-from episim.viral_load import key_days
+from episim.viral_load import key_days, onset_days
 
 C = Compartment
 COUNT_COLUMNS = ("s_u", "s_v", "e", "i_s", "i_a", "r", "iso_healthy", "iso_sick")
@@ -93,26 +95,46 @@ def check_population(pop, day, config):
     episode = infected | (pop.comp == C.ISOLATED_SICK)
     assert np.isnan(pop.exposure_day[~episode]).all(), day
     assert np.isnan(pop.params[~episode]).all(), day
-    # a recovery day is set only from recovery on, and cleared when immunity
-    # is lost
-    assert np.isnan(pop.recovery_day[pop.comp <= C.INFECTIOUS_ASYMPTOMATIC]).all(), day
-    # the key days are those of the episode's trajectory, and NaN outside one;
+    # the onset day is that of the episode's trajectory, and NaN outside one;
     # an episode with no onset day is asymptomatic, so it has no symptom delay
     # and no self-isolation to come
-    stored = (pop.first_load_day, pop.past_peak_day, pop.last_load_day, pop.onset_day)
+    assert np.isnan(pop.days[EPISODE_DAYS][:, ~episode]).all(), day
     symptomatic = np.isfinite(pop.onset_day)
-    want = key_days(pop.params[episode], pop.exposure_day[episode], symptomatic[episode])
-    for days, expected in zip(stored, want):
-        assert np.array_equal(days[episode], expected, equal_nan=True), day
-        assert np.isnan(days[~episode]).all(), day
+    want = onset_days(pop.params[episode], pop.exposure_day[episode], symptomatic[episode])
+    assert np.array_equal(pop.onset_day[episode], want, equal_nan=True), day
+    # the key days are NaN until a status update sets them as the first one,
+    # on the exposure day or the next day, would. It may wait until the first
+    # load day, while the agent stays in E, so at the end of a day only the
+    # day's internal exposures (after initialize, the seeds) and episodes
+    # before their first load day wait. Only the first load and last load days
+    # are the same for either first update; a release from sick isolation
+    # rewrites the recovery day, so an R or isolated agent's is checked below
+    scheduled = episode & np.isfinite(pop.last_load_day)
+    waiting = episode & ~scheduled
+    assert np.isnan(pop.days[KEY_DAYS][:, waiting]).all(), day
+    first_load_day = pop.exposure_day[waiting] + np.ceil(pop.params[waiting, 0])
+    assert np.all((first_load_day > day) | (pop.exposure_day[waiting] == max(day, 0))), day
+    assert np.all(pop.comp[waiting] == C.EXPOSED), day
+    stored = pop.days[KEY_DAYS][:, scheduled]
+    columns, exposed_on = pop.params[scheduled].T, pop.exposure_day[scheduled]
+    # per first update, whether each episode's key days match
+    matches = [(stored == want) | (np.isnan(stored) & np.isnan(want)) for want in (
+        key_days(columns, exposed_on, config.infectiousViralLoadCut, exposed_on + lag)
+        for lag in (0, 1))]
+    assert np.all(matches[0][:2]) and np.all(matches[0][2] | matches[1][2]), day
+    active = (pop.comp >= C.EXPOSED) & (pop.comp <= C.INFECTIOUS_ASYMPTOMATIC)
+    assert np.all(matches[0].all(axis=0) | matches[1].all(axis=0) | ~active[scheduled]), day
     assert np.all(pop.params[episode & ~symptomatic, 4] == 0), day
     assert not np.any(pop.selfiso_candidate & ~symptomatic), day
-    # the status update leaves no E or I agent past its last load day, and no
-    # I agent before its first load day
-    active = (pop.comp >= C.EXPOSED) & (pop.comp <= C.INFECTIOUS_ASYMPTOMATIC)
-    assert np.all(day <= pop.last_load_day[active]), day
+    # the status update leaves no E or I agent past its last load day or its
+    # recovery day, no E agent past its infectious day, no I agent before its
+    # first load day, and no R agent before its recovery day
+    assert np.all(day <= pop.last_load_day[active & scheduled]), day
+    assert not np.any(pop.recovery_day[active] <= day), day
+    assert not np.any(pop.infectious_day[pop.comp == C.EXPOSED] <= day), day
     infectious = (pop.comp == C.INFECTIOUS_SYMPTOMATIC) | (pop.comp == C.INFECTIOUS_ASYMPTOMATIC)
     assert np.all(pop.first_load_day[infectious] <= day), day
+    assert np.all(pop.recovery_day[pop.comp == C.RECOVERED] <= day), day
     assert np.all(pop.vaccinated[pop.comp == C.SUSCEPTIBLE_VACCINATED]), day
     assert not np.any(pop.vaccinated[pop.comp == C.SUSCEPTIBLE_UNVACCINATED]), day
 
@@ -122,7 +144,8 @@ def check_population(pop, day, config):
 def test_daily_invariants(config):
     rng = make_rng(config.baseSeed, 0)
     state = initialize(config, rng)
-    check_population(state.population, 0, config)
+    # the state after initialize is the end of day -1
+    check_population(state.population, -1, config)
     previous = None
     stepped = np.empty(config.timeHorizon, dtype=RECORD_DTYPE)
     cost = 0.0

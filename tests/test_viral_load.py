@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from episim.core import Compartment, Constant, Population, default_config, make_rng
-from episim.engine import RECORD_DTYPE, RunState, _advance_infections, initialize, step
+from episim.engine import _advance_infections, initialize, step
 from episim.interventions import self_isolation_step
-from episim.transmission import start_episodes
-from episim.viral_load import current_loads, key_days, load_array
+from episim.transmission import schedule_episodes, start_episodes
+from episim.viral_load import current_loads, key_days, load_array, onset_days
 
 from reference import (
     InfectionStage,
@@ -17,6 +17,7 @@ from reference import (
     sample_profile,
     status_at,
     symptomatic_now,
+    transition_taus,
 )
 
 C = Compartment
@@ -200,6 +201,7 @@ def stage_profiles():
         dict(VP=cut),  # never above the cut: straight from E to R
         dict(t0=0.0),  # a load on the exposure day itself
         dict(t0=0.0, tP=0.0, tF=0.0),  # t0 and peak on the exposure day, no decline
+        dict(t0=0.0, V0=1e4),  # above the cut from the exposure day on
     ]
     for symptomatic in (False, True):
         for edge in edges:
@@ -214,17 +216,78 @@ def test_key_days_restate_the_key_time_comparisons():
     profiles = stage_profiles()
     params = np.array([profile_params(p) for p in profiles])
     exposure = np.arange(len(profiles)) % 7
-    first_load, past_peak, last_load, onset = key_days(
-        params, exposure, np.array([p.symptomatic for p in profiles])
-    )
+    first_load, last_load, _, _ = key_days(params.T, exposure, 1e3, exposure)
+    onset = onset_days(params, exposure, np.array([p.symptomatic for p in profiles]))
     for i, prof in enumerate(profiles):
         for tau in range(-1, 30):
             day = exposure[i] + tau
             assert (first_load[i] <= day) == (tau >= prof.t0), (i, tau)
-            assert (past_peak[i] <= day) == (tau > prof.peak_time), (i, tau)
             assert (day <= last_load[i]) == (tau <= prof.end_time), (i, tau)
             showing_from = prof.symptomatic and prof.symptom_onset_time <= tau
             assert (onset[i] <= day) == showing_from, (i, tau)
+
+
+def schedule_profiles(cut):
+    """The stage profiles, then profiles with whole-day control times and
+    loads that are powers of ten, whose loads often fall exactly on the cut
+    on a whole day, then hand-picked edges."""
+    rng = make_rng(37)
+    decades = 10.0 ** np.arange(1, 7)
+    whole = [
+        ViralLoadProfile(
+            t0=float(rng.integers(0, 4)), V0=float(rng.choice(decades)),
+            tP=float(rng.integers(0, 4)), VP=float(rng.choice(decades)),
+            tS=float(rng.integers(0, 3)) if symptomatic else 0.0,
+            tF=float(rng.integers(0, 5)), VF=float(rng.choice(decades)),
+            symptomatic=symptomatic,
+        )
+        for symptomatic in rng.random(300) < 0.5
+    ]
+    edges = [
+        # on the cut at tau 3 on the way up and at tau 5 on the way down:
+        # infectious from tau 4, recovered at tau 6
+        ViralLoadProfile(t0=2.0, V0=1e2, tP=2.0, VP=1e4, tS=0.0, tF=2.0, VF=1e2,
+                         symptomatic=False),
+        # above the cut on the exposure day, then a peak below it: infectious
+        # on days 0-2 from tau 0; from tau 1 it stays E and recovers at tau 3
+        ViralLoadProfile(t0=0.0, V0=1e4, tP=2.0, VP=1.0, tS=0.0, tF=3.0, VF=1e2,
+                         symptomatic=False),
+        # peak on the cut, and the default V0, equal to the default cut
+        ViralLoadProfile(t0=1.5, V0=cut, tP=2.0, VP=cut, tS=1.0, tF=4.0, VF=1e5,
+                         symptomatic=True),
+        # everything on the exposure day
+        ViralLoadProfile(t0=0.0, V0=1e5, tP=0.0, VP=1e5, tS=0.0, tF=0.0, VF=1e5,
+                         symptomatic=False),
+    ]
+    return stage_profiles() + whole + edges
+
+
+def test_scheduled_days_equal_the_daily_status_update():
+    # the infectious and recovery days of key_days are the days on which
+    # status_at, stepped day by day from the first update, moves the episode;
+    # the first update is on the exposure day (a seed or an external exposure)
+    # or on the next day (an internal exposure)
+    cut = 1e3
+    profiles = schedule_profiles(cut)
+    columns = np.array([profile_params(p) for p in profiles]).T
+    exposure = np.arange(len(profiles)) % 7
+    on_the_cut, peak_below_v0 = profiles[-4:-2]
+    assert transition_taus(on_the_cut, cut, 0) == (4, 6)
+    assert transition_taus(peak_below_v0, cut, 0) == (0, 3)
+    assert transition_taus(peak_below_v0, cut, 1) == (None, 3)
+    moved = set()
+    for lag in (0, 1):
+        _, _, infectious, recovery = key_days(columns, exposure, cut, exposure + lag)
+        for i, prof in enumerate(profiles):
+            onset, recovered = transition_taus(prof, cut, lag)
+            if onset is None:
+                assert np.isnan(infectious[i]), (i, lag)
+            else:
+                assert infectious[i] == exposure[i] + onset, (i, lag)
+            assert recovery[i] == exposure[i] + recovered, (i, lag)
+            moved.add(onset is None)
+    # some episodes go straight from E to R, and some through I
+    assert moved == {False, True}
 
 
 def test_daily_stages_match_scalar_reference():
@@ -233,7 +296,8 @@ def test_daily_stages_match_scalar_reference():
     # Each episode starts through start_episodes on day i % 7: even ones
     # before the day's status update (an external exposure, first seen at
     # tau 0), odd ones at the end of the day (an internal exposure, first
-    # seen at tau 1).
+    # seen at tau 1). As in the engine, its key days are scheduled right
+    # before its first update.
     cut = 1e3
     profiles = stage_profiles()
     n = len(profiles)
@@ -242,19 +306,19 @@ def test_daily_stages_match_scalar_reference():
     params = np.array([profile_params(p) for p in profiles])
     symptomatic = np.array([p.symptomatic for p in profiles])
     config = default_config(infectiousViralLoadCut=cut)
-    state = RunState(config, Population(n), np.empty(0, RECORD_DTYPE))  # the status update
+    status = Population(n)  # the status update
     windows = Population(n)  # the symptom window, every symptomatic agent willing
     comp = np.full(n, int(C.SUSCEPTIBLE_UNVACCINATED))  # the scalar reference
     transitions = set()
 
     def start(ids, day):
-        for pop in (state.population, windows):
+        for pop in (status, windows):
             start_episodes(pop, ids, day, params[ids], symptomatic[ids], np.ones(len(ids), bool))
         comp[ids] = C.EXPOSED
 
     for day in range(30):
         start((external & (exposure == day)).nonzero()[0], day)
-        started = np.isfinite(state.population.exposure_day)
+        started = np.isfinite(status.exposure_day)
         tau = day - exposure
 
         before = comp.copy()
@@ -264,8 +328,10 @@ def test_daily_stages_match_scalar_reference():
                 comp[i] = C.INFECTIOUS_SYMPTOMATIC if symptomatic[i] else C.INFECTIOUS_ASYMPTOMATIC
             elif stage is InfectionStage.RECOVERED:
                 comp[i] = C.RECOVERED
-        _advance_infections(state, day)
-        assert state.population.comp.tolist() == comp.tolist(), day
+        for pop in (status, windows):
+            schedule_episodes(pop, day, cut)
+        _advance_infections(status, day)
+        assert status.comp.tolist() == comp.tolist(), day
         transitions |= set(zip(before[before != comp].tolist(), comp[before != comp].tolist()))
 
         showing = [i for i in np.flatnonzero(started) if symptomatic_now(profiles[i], tau[i])]
@@ -279,7 +345,7 @@ def test_daily_stages_match_scalar_reference():
         assert (windows.selfiso_candidate & started).tolist() == still_candidate, day
 
         ids = np.arange(n)
-        got = current_loads(state.population, ids, day)
+        got = current_loads(status, ids, day)
         want = np.array([load_at(profiles[i], tau[i]) if started[i] else 0.0 for i in ids])
         assert np.array_equal(got == 0.0, want == 0.0), day
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
@@ -306,6 +372,5 @@ def test_trajectory_times_beyond_float32_range_run_without_overflow(field, dist)
     state = initialize(cfg, rng)
     for day in range(cfg.timeHorizon):
         step(state, day, rng)
-    stored = (state.population.first_load_day, state.population.past_peak_day,
-              state.population.last_load_day, state.population.onset_day)
-    assert not any(np.isinf(days).any() for days in stored)
+    # every stored day, the scheduled infectious and recovery days included
+    assert not np.isinf(state.population.days).any()
