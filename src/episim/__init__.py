@@ -16,6 +16,7 @@ from .core import (
     Population,
     ScenarioConfig,
     SimulationError,
+    Streams,
     Uniform,
     config_from_dict,
     default_config,
@@ -47,6 +48,7 @@ __all__ = [
     "RunSummary",
     "ScenarioConfig",
     "SimulationError",
+    "Streams",
     "Uniform",
     "config_from_dict",
     "default_config",

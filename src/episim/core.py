@@ -1,6 +1,6 @@
 """Core domain types: disease compartments, the array-backed population,
 parameter distributions, the scenario configuration, and the deterministic
-per-run random stream.
+per-run random streams.
 
 :func:`validate_config` is the one check of a config. Every run starts in
 :func:`episim.engine.initialize`, which calls it before any draw, so a run
@@ -389,12 +389,65 @@ def default_config(**overrides: Any) -> ScenarioConfig:
 # ---------------------------------------------------------------------------
 # Random streams
 
-def make_rng(base_seed: int, run_index: int = 0) -> np.random.Generator:
-    """Deterministic stream for one run, derived from (baseSeed, runIndex).
+# The purposes of a run's streams; stream k is child k of the run's seed.
+STREAMS = ("init", "exposure", "episodes", "testing", "vaccination")
 
-    Identical arguments always yield a bit-identical draw sequence.
+
+class Streams:
+    """The random streams of one run, one :class:`numpy.random.Generator` per
+    purpose in ``STREAMS``. Stream ``k`` is seeded by child ``k`` of
+    ``SeedSequence((baseSeed, runIndex))`` (as ``SeedSequence.spawn`` would
+    make it), so a run is a pure function of (config, runIndex), and a stage
+    draws the same values whatever another stage draws. A stream is made on
+    first use.
+
+    Each stream is drawn in this order:
+
+    - ``init`` (:func:`~episim.engine.initialize`): one acceptance
+      probability per agent, the seeds, then the initially vaccinated among
+      the other agents.
+    - ``exposure``, at each exposure stage (external, then internal): one
+      uniform per S_u agent in ascending id order, then one per S_v agent.
+    - ``episodes``: blocks of ``EPISODE_BLOCK`` episodes
+      (:class:`~episim.transmission.EpisodeSource`). A block draws one vector
+      each of: the symptomatic uniforms; t0, V0, tP, VP, tS, tF and VF
+      (``tS`` for every row, then zeroed where asymptomatic); the
+      self-isolation uniforms. Episodes are handed out in draw order: first
+      to the seeds, then to each exposure stage's newly exposed ids in
+      ascending order. Where one batch of exposures ends does not change
+      which episode an exposure gets.
+    - ``testing``, each testing day: one permutation of the eligible ids
+      into pools, one uniform per pool for the stage-1 tests in pool order,
+      then one per member of each positive pool of two or more for the
+      stage-2 tests, in pool order.
+    - ``vaccination``, each day with doses and eligible agents: one uniform
+      per eligible agent in ascending id order, then, when the willing
+      outnumber the doses, one ``choice`` of the recipients.
+
+    Delivered results, isolation, status updates and loss of immunity draw
+    nothing.
     """
-    return np.random.default_rng(np.random.SeedSequence((base_seed, run_index)))
+
+    def __init__(self, base_seed: int, run_index: int = 0):
+        self.entropy = (base_seed, run_index)
+
+    def __getattr__(self, name: str) -> np.random.Generator:
+        # called only until the stream is set as an attribute of its own
+        if name not in STREAMS:
+            raise AttributeError(name)
+        seed = np.random.SeedSequence(self.entropy, spawn_key=(STREAMS.index(name),))
+        rng = np.random.default_rng(seed)
+        setattr(self, name, rng)
+        return rng
+
+
+def make_rng(base_seed: int, run_index: int = 0) -> Streams:
+    """The streams of run ``run_index`` of a config with ``baseSeed``
+    ``base_seed``, as :func:`~episim.engine.initialize` takes them.
+
+    Identical arguments always yield bit-identical draw sequences.
+    """
+    return Streams(base_seed, run_index)
 
 
 # ---------------------------------------------------------------------------

@@ -13,24 +13,15 @@ The records are a run's only accumulator: entry 0 is the state after
 Daily stage order: (1) external exposure, (2) status updates (result
 delivery, isolation exits, key days, status transitions, loss of immunity),
 (3) self-isolation, (4) testing, (5) internal propagation, (6) vaccination.
-Each stage works on whole arrays of agent ids in ascending order, so a run is
-fully determined by (config, runIndex).
+Each stage works on whole arrays of agent ids in ascending order and takes
+its draws from the run's stream for their purpose
+(:class:`~episim.core.Streams`), so a run is fully determined by (config,
+runIndex).
 
 The status update only compares days. Before it, the episodes that reach
 their first load day or leave E get their key days
 (:func:`~episim.transmission.schedule_episodes`), among them the days on which
 each becomes infectious and recovers.
-
-Only the exposure, testing and vaccination stages draw. An exposure stage
-draws one uniform per S_u agent, then one per S_v agent. Over its newly
-exposed ids in ascending order it then draws one vector each for: the
-symptomatic assignment; t0, V0, tP and VP; tS, for the symptomatic subset
-only; tF and VF; and the self-isolation propensity. A testing day draws one permutation of the
-eligible ids into pools, then one vector of stage-1 pool tests in pool order,
-then one vector of stage-2 member tests of the positive pools in pool order.
-Vaccination draws one uniform per eligible agent, then one choice of the
-recipients when the willing outnumber the doses. Delivered positive results
-are applied together and draw nothing.
 """
 
 from __future__ import annotations
@@ -53,6 +44,7 @@ from .core import (
     Population,
     ScenarioConfig,
     SimulationError,
+    Streams,
     make_rng,
     validate_config,
 )
@@ -64,8 +56,8 @@ from .interventions import (
     vaccination_step,
 )
 from .testing import deliver_results, run_testing_day
-from .transmission import (expose, external_exposure_step, internal_propagation_step,
-                           schedule_episodes)
+from .transmission import (EpisodeSource, expose, external_exposure_step,
+                           internal_propagation_step, schedule_episodes)
 
 
 # One daily record; the field names are the run-CSV column names.
@@ -101,25 +93,25 @@ class RunState:
     config: ScenarioConfig
     population: Population
     records: np.ndarray
+    streams: Streams
+    # the episodes drawn from streams.episodes and not yet handed out
+    episodes: EpisodeSource
     # delivery day -> arrays of agent ids whose positive result is due then
     pending: dict[int, list[np.ndarray]] = field(default_factory=dict)
 
 
-def initialize(config: ScenarioConfig, rng: np.random.Generator) -> RunState:
-    """Create the day-0 population: seeds exposed, initial vaccinations set.
+def initialize(config: ScenarioConfig, streams: Streams) -> RunState:
+    """Create the day-0 population of a run with the random ``streams``
+    (:func:`~episim.core.make_rng`): seeds exposed, initial vaccinations set.
+    The initially vaccinated count is taken as a share of the uninfected.
 
     Raises :class:`ConfigError`, before any draw, for any config that
     :func:`~episim.core.validate_config` rejects; no later stage checks it.
-
-    Draw order: acceptance probabilities for all agents, seed selection,
-    initial-vaccination selection, then the seeds' exposure draws as one
-    vector per episode draw over the seed ids in ascending order, exactly as
-    an exposure stage draws them. The initially vaccinated count is taken as
-    a share of the uninfected.
     """
     validate_config(config)
     n = config.popSize
     population = Population(n)
+    rng = streams.init
     np.clip(
         rng.normal(config.vaccineAcceptProbMean, config.vaccineAcceptProbStd, n),
         0.0, 1.0, out=population.willingness,
@@ -136,11 +128,12 @@ def initialize(config: ScenarioConfig, rng: np.random.Generator) -> RunState:
         picked = non_seeds[rng.choice(len(non_seeds), size=n_vaccinated, replace=False)]
         population.vaccinated[picked] = True
         population.comp[picked] = S_V
-    expose(population, seed_ids, 0, config, rng)
+    episodes = EpisodeSource(config, streams.episodes)
+    expose(population, seed_ids, 0, episodes)
 
     records = np.empty(config.timeHorizon + 1, dtype=RECORD_DTYPE)
     records[0] = (-1, *population.counts().tolist(), 0, 0, len(seed_ids), 0, 0, 0.0, n_vaccinated)
-    return RunState(config, population, records)
+    return RunState(config, population, records, streams, episodes)
 
 
 def _advance_infections(population: Population, day: int) -> None:
@@ -154,13 +147,14 @@ def _advance_infections(population: Population, day: int) -> None:
     population.comp[due[(comp >= E) & (comp <= I_A)]] = R
 
 
-def step(state: RunState, day: int, rng: np.random.Generator) -> np.void:
+def step(state: RunState, day: int) -> np.void:
     """Advance day ``day``, in ``[0, timeHorizon)``, through the six stages;
     write its record into ``state.records[day + 1]`` and return that entry."""
     config = state.config
     population = state.population
+    streams, episodes = state.streams, state.episodes
 
-    new_external = external_exposure_step(population, config, day, rng)
+    new_external = external_exposure_step(population, config, day, streams.exposure, episodes)
 
     # stage 2: viral clocks advance implicitly via (day - exposure_day)
     delivered = deliver_results(state.pending, day)
@@ -174,14 +168,15 @@ def step(state: RunState, day: int, rng: np.random.Generator) -> np.void:
 
     tests_today = 0
     if config.is_testing_day(day):
-        tests_today = run_testing_day(population, config, day, state.pending, rng)
+        tests_today = run_testing_day(population, config, day, state.pending, streams.testing)
 
     prev = state.records[day]
     # the day before's s_u ... iso_sick, declared in Compartment order
     prev_counts = np.array(prev.tolist()[1:1 + N_COMPARTMENTS])
-    new_internal = internal_propagation_step(population, config, day, rng, prev_counts)
+    new_internal = internal_propagation_step(population, config, day, streams.exposure, episodes,
+                                             prev_counts)
 
-    vaccinated = vaccination_step(population, day, config, rng)
+    vaccinated = vaccination_step(population, day, config, streams.vaccination)
 
     counts = population.counts()
     if len(counts) != N_COMPARTMENTS:
@@ -213,10 +208,9 @@ def run(config: ScenarioConfig, run_index: int = 0) -> tuple[RunSummary, np.ndar
     Returns the summary and the run's records, one entry of
     :data:`RECORD_DTYPE` per day.
     """
-    rng = make_rng(config.baseSeed, run_index)
-    state = initialize(config, rng)
+    state = initialize(config, make_rng(config.baseSeed, run_index))
     for day in range(config.timeHorizon):
-        step(state, day, rng)
+        step(state, day)
     first, last = state.records[0], state.records[-1]
     summary = RunSummary(
         run_index=run_index,

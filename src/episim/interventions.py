@@ -1,7 +1,8 @@
 """Isolation (test-driven and symptom-driven) and daily vaccine rollout.
 
 Each stage returns the ascending ids of the agents it moved. Only
-vaccination draws; its draws are documented on :func:`vaccination_step`.
+vaccination draws, from the run's ``vaccination`` stream
+(:class:`~episim.core.Streams`).
 """
 
 from __future__ import annotations
@@ -132,9 +133,8 @@ def vaccination_step(
     returns the ids vaccinated.
 
     Every eligible agent is willing today with their personal acceptance
-    probability: one uniform per eligible agent in ascending id order. When
-    demand exceeds the ``vaccinesAvailablePerDay`` doses, one ``rng.choice``
-    without replacement picks the recipients among the willing.
+    probability. When the willing outnumber the ``vaccinesAvailablePerDay``
+    doses, the recipients are a uniform choice among them.
     """
     doses = config.vaccinesAvailablePerDay
     eligible = (population.in_population() & ~population.vaccinated).nonzero()[0]

@@ -67,13 +67,13 @@ def run_testing_day(
 ) -> int:
     """Sample and test every eligible agent; returns tests used today.
 
-    Draw order: one permutation of the eligible ids, which cuts them into
-    pools; one uniform per pool for the stage-1 tests, in pool order; then
-    one uniform per member of each positive pool of two or more for the
-    stage-2 single tests, in pool order. A pool of one is a single test with
-    no stage 2. All outcomes use the sampling-day loads. The positive ids are
-    queued under ``pending[day + daysDelayTestResults]``. The tests used are
-    one per pool plus one per stage-2 member test.
+    A random permutation of the eligible ids cuts them into pools. Each pool
+    is tested, then each member of a positive pool of two or more is tested
+    singly; a pool of one is a single test with no stage 2. ``rng`` is the
+    run's ``testing`` stream (:class:`~episim.core.Streams`). All outcomes use
+    the sampling-day loads. The positive ids are queued under
+    ``pending[day + daysDelayTestResults]``. The tests used are one per pool
+    plus one per stage-2 member test.
     """
     ids = eligible_ids(population, day, config)
     if ids.size == 0:

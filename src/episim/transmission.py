@@ -5,42 +5,72 @@ External exposure has the daily probability gamma
 (``externalExposureProbDaily``), internal propagation the mass-action term
 beta*I/P, where I counts the infectious and P the agents outside isolation.
 A vaccinated susceptible is exposed with alpha (``vaccineInfectionProb``)
-times that probability. Either is clamped into [0, 1].
-
-Both stages draw the same way. One uniform per S_u agent in ascending id
-order decides who is exposed, then one per S_v agent. The newly exposed ids
-of the stage, in ascending order, then get one vector per episode draw (see
-:func:`expose`).
+times that probability. Either is clamped into [0, 1]. Who is exposed is
+drawn from the run's ``exposure`` stream, and each new episode is taken from
+its ``episodes`` stream (:class:`~episim.core.Streams`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import E, I_A, I_S, ISO_HEALTHY, KEY_DAYS, S_U, S_V, Population, ScenarioConfig
+from .core import (DISTRIBUTION_FIELDS, E, I_A, I_S, ISO_HEALTHY, KEY_DAYS, S_U, S_V, Population,
+                   ScenarioConfig)
 from .viral_load import key_days, onset_days, sample_params
 
 
-def expose(
-    population: Population,
-    ids: np.ndarray,
-    day: int,
-    config: ScenarioConfig,
-    rng: np.random.Generator,
-) -> None:
-    """Move the susceptible agents ``ids`` (ascending) to exposed, each with a
-    fresh infection episode.
+# Episodes per draw from a run's episodes stream. A part of the stream
+# contract, not a setting: another size hands out other episodes.
+EPISODE_BLOCK = 256
 
-    One vector each, in order: symptomatic assignment, the trajectory
-    parameters (:func:`~episim.viral_load.sample_params`), then the
-    self-isolation propensity.
+
+class EpisodeSource:
+    """The infection episodes of one run, drawn from its ``episodes`` stream
+    ``rng`` in blocks of ``EPISODE_BLOCK`` and handed out in draw order.
+
+    A block holds, per episode, a trajectory (a row of
+    :func:`~episim.viral_load.sample_params`), its first symptomatic day
+    counted from the exposure day (:func:`~episim.viral_load.onset_days`, NaN
+    if asymptomatic) and whether it will self-isolate (symptomatic and
+    willing). :class:`~episim.core.Streams` gives the draw order.
     """
-    if ids.size == 0:
-        return
-    symptomatic = rng.random(ids.size) < config.fractionSymptomatic
-    params = sample_params(config, symptomatic, rng)
-    will_isolate = rng.random(ids.size) < config.selfIsolationOnSymptomsProb
-    start_episodes(population, ids, day, params, symptomatic, will_isolate)
+
+    def __init__(self, config: ScenarioConfig, rng: np.random.Generator):
+        self.config = config
+        self.rng = rng
+        # the episodes drawn and not yet handed out
+        self.params = np.empty((0, len(DISTRIBUTION_FIELDS)))
+        self.onset = np.empty(0)
+        self.selfiso = np.empty(0, dtype=bool)
+
+    def _draw_block(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        config, rng = self.config, self.rng
+        symptomatic = rng.random(EPISODE_BLOCK) < config.fractionSymptomatic
+        params = sample_params(config, symptomatic, rng)
+        willing = rng.random(EPISODE_BLOCK) < config.selfIsolationOnSymptomsProb
+        return params, onset_days(params, 0, symptomatic), symptomatic & willing
+
+    def take(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The next ``n`` episodes: their trajectories, onset offsets and
+        self-isolation flags."""
+        short = n - len(self.onset)
+        if short > 0:
+            blocks = [self._draw_block() for _ in range(-(-short // EPISODE_BLOCK))]
+            # each field: the episodes held, then the new blocks in draw order
+            self.params, self.onset, self.selfiso = (
+                np.concatenate(parts)
+                for parts in zip((self.params, self.onset, self.selfiso), *blocks)
+            )
+        taken = self.params[:n], self.onset[:n], self.selfiso[:n]
+        self.params, self.onset, self.selfiso = self.params[n:], self.onset[n:], self.selfiso[n:]
+        return taken
+
+
+def expose(population: Population, ids: np.ndarray, day: int, episodes: EpisodeSource) -> None:
+    """Move the susceptible agents ``ids`` (ascending) to exposed on ``day``,
+    with the next episodes of ``episodes`` in id order."""
+    if ids.size:
+        start_episodes(population, ids, day, *episodes.take(ids.size))
 
 
 def start_episodes(
@@ -48,17 +78,19 @@ def start_episodes(
     ids: np.ndarray,
     day: int,
     params: np.ndarray,
-    symptomatic: np.ndarray,
-    will_isolate: np.ndarray,
+    onset: np.ndarray,
+    selfiso: np.ndarray,
 ) -> None:
     """Put agents ``ids`` in E with the episodes ``params`` (rows of
-    :func:`~episim.viral_load.sample_params`) exposed on ``day``; the status
-    update sets their key days (:func:`schedule_episodes`)."""
+    :func:`~episim.viral_load.sample_params`) exposed on ``day``, first
+    symptomatic ``onset`` days later (NaN if asymptomatic) and to self-isolate
+    where ``selfiso``; the status update sets their key days
+    (:func:`schedule_episodes`)."""
     population.params[ids] = params
     population.comp[ids] = E
     population.exposure_day[ids] = day
-    population.onset_day[ids] = onset_days(params, day, symptomatic)
-    population.selfiso_candidate[ids] = symptomatic & will_isolate
+    population.onset_day[ids] = onset + day
+    population.selfiso_candidate[ids] = selfiso
 
 
 def schedule_episodes(population: Population, day: int, cut: float) -> None:
@@ -83,9 +115,10 @@ def _bernoulli_expose(
     day: int,
     config: ScenarioConfig,
     rng: np.random.Generator,
+    episodes: EpisodeSource,
 ) -> np.ndarray:
-    # One draw per candidate keeps stream consumption fixed; a block with
-    # no candidates or a zero probability draws nothing.
+    # One draw per candidate keeps stream consumption fixed; a compartment
+    # with no candidates or a zero probability draws nothing.
     exposed = []
     for comp, prob in ((S_U, p), (S_V, p * config.vaccineInfectionProb)):
         prob = min(max(prob, 0.0), 1.0)
@@ -93,7 +126,7 @@ def _bernoulli_expose(
         if candidates.size and prob > 0.0:
             exposed.append(candidates[rng.random(candidates.size) < prob])
     ids = np.sort(np.concatenate(exposed)) if exposed else np.empty(0, dtype=np.int64)
-    expose(population, ids, day, config, rng)
+    expose(population, ids, day, episodes)
     return ids
 
 
@@ -102,10 +135,12 @@ def external_exposure_step(
     config: ScenarioConfig,
     day: int,
     rng: np.random.Generator,
+    episodes: EpisodeSource,
 ) -> np.ndarray:
     """Expose in-population susceptibles from outside contacts; returns the
     newly exposed ids."""
-    return _bernoulli_expose(population, config.externalExposureProbDaily, day, config, rng)
+    return _bernoulli_expose(population, config.externalExposureProbDaily, day, config, rng,
+                             episodes)
 
 
 def internal_propagation_step(
@@ -113,6 +148,7 @@ def internal_propagation_step(
     config: ScenarioConfig,
     day: int,
     rng: np.random.Generator,
+    episodes: EpisodeSource,
     counts: np.ndarray,
 ) -> np.ndarray:
     """Expose in-population susceptibles via mass action; returns the newly
@@ -130,4 +166,4 @@ def internal_propagation_step(
         return np.empty(0, dtype=np.int64)
     # I is counted in P, so P > 0 here
     p = config.betaDaily * infectious / int(counts[:ISO_HEALTHY].sum())
-    return _bernoulli_expose(population, p, day, config, rng)
+    return _bernoulli_expose(population, p, day, config, rng, episodes)

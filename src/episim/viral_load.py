@@ -27,25 +27,22 @@ import numpy as np
 from .core import DISTRIBUTION_FIELDS, LOAD_FIELDS, Population, ScenarioConfig
 
 LOAD_ROWS = np.array([DISTRIBUTION_FIELDS.index(name) for name in LOAD_FIELDS])  # V0, VP, VF
+TS_COLUMN = DISTRIBUTION_FIELDS.index("tS")
 
 
 def sample_params(
     config: ScenarioConfig, symptomatic: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
     """Draw one trajectory per entry of the boolean ``symptomatic`` vector,
-    one row each with a column per field of ``DISTRIBUTION_FIELDS``.
-
-    One vector per parameter, in the fixed order t0, V0, tP, VP, then tS for
-    the symptomatic entries only (asymptomatic ones get 0), then tF, VF.
+    one row each with a column per field of ``DISTRIBUTION_FIELDS``: one
+    vector per field, in that order. An asymptomatic entry's tS is drawn,
+    then set to 0.
     """
     n = len(symptomatic)
-    params = np.zeros((n, len(DISTRIBUTION_FIELDS)))
+    params = np.empty((n, len(DISTRIBUTION_FIELDS)), order="F")
     for col, name in enumerate(DISTRIBUTION_FIELDS):
-        dist = getattr(config, name)
-        if name == "tS":
-            params[symptomatic, col] = dist.sample_array(rng, int(np.count_nonzero(symptomatic)))
-        else:
-            params[:, col] = dist.sample_array(rng, n)
+        params[:, col] = getattr(config, name).sample_array(rng, n)
+    params[~symptomatic, TS_COLUMN] = 0.0
     return params
 
 

@@ -346,3 +346,18 @@ def test_sweep_rejects_an_out_holding_cells(tmp_path, capsys):
     assert err.startswith("error: ") and "cell_000" in err
     # nothing was written or deleted
     assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
+
+@pytest.mark.parametrize("command", [
+    ["run"],
+    ["sweep", "--spec", "sweep.json"],
+    ["calibrate"],
+])
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_a_job_count_below_one_is_rejected(tmp_path, capsys, command, jobs):
+    out = tmp_path / "out"
+    status = cli.main([*command, "--out", str(out), "--jobs", jobs])
+    err = capsys.readouterr().err
+    assert status == 2
+    assert err == f"error: --jobs must be >= 1, got {jobs}\n"
+    assert not out.exists()

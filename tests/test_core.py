@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from episim.core import (
+    STREAMS,
     Compartment,
     ConfigError,
     Constant,
@@ -82,12 +83,12 @@ def test_validate_flags_bad_pooling_type():
 
 
 def test_constant_sampling_is_degenerate():
-    rng = make_rng(1)
+    rng = np.random.default_rng(1)
     assert Constant(1000.0).sample_array(rng, 3).tolist() == [1000.0] * 3
 
 
 def test_uniform_moment_matches_analytic_mean():
-    rng = make_rng(7)
+    rng = np.random.default_rng(7)
     draws = Uniform(2.5, 3.5).sample_array(rng, 100_000)
     assert abs(draws.mean() - 3.0) < 0.01
     assert draws.min() >= 2.5 and draws.max() <= 3.5
@@ -95,7 +96,7 @@ def test_uniform_moment_matches_analytic_mean():
 
 def test_gamma_shifted_moment_matches_analytic_mean():
     # shifted gamma with shape*scale = 1.5 plus shift 0.5 has mean 2.0
-    rng = make_rng(11)
+    rng = np.random.default_rng(11)
     dist = GammaShifted(1.5, 1.0, 0.5)
     draws = dist.sample_array(rng, 100_000)
     assert abs(draws.mean() - 2.0) < 0.02
@@ -104,7 +105,7 @@ def test_gamma_shifted_moment_matches_analytic_mean():
 
 
 def test_normal_clipped_stays_in_bounds():
-    rng = make_rng(3)
+    rng = np.random.default_rng(3)
     draws = NormalClipped(0.7, 0.5, 0.0, 1.0).sample_array(rng, 50_000)
     assert draws.min() >= 0.0 and draws.max() <= 1.0
 
@@ -204,11 +205,25 @@ def test_validate_holds_time_horizon_to_whole_days_float32_holds_exactly():
 
 
 def test_rng_streams_are_deterministic():
-    a = make_rng(42, 3).random(1_000_000)
-    b = make_rng(42, 3).random(1_000_000)
-    assert np.array_equal(a, b)
-    c = make_rng(42, 4).random(10)
-    assert not np.array_equal(a[:10], c)
+    for name in STREAMS:
+        a = getattr(make_rng(42, 3), name).random(1_000_000)
+        b = getattr(make_rng(42, 3), name).random(1_000_000)
+        assert np.array_equal(a, b)
+        c = getattr(make_rng(42, 4), name).random(10)
+        assert not np.array_equal(a[:10], c)
+
+
+def test_each_stream_is_a_spawned_child_of_the_run_seed():
+    # the contract: stream k is child k of SeedSequence((baseSeed, runIndex)),
+    # whichever streams were made before it
+    children = np.random.SeedSequence((42, 3)).spawn(len(STREAMS))
+    streams = make_rng(42, 3)
+    first = [getattr(streams, name).random(5) for name in reversed(STREAMS)][::-1]
+    for name, child, draws in zip(STREAMS, children, first):
+        assert np.array_equal(draws, np.random.default_rng(child).random(5)), name
+    assert len({draws[0] for draws in first}) == len(STREAMS)
+    with pytest.raises(AttributeError):
+        streams.other
 
 
 def test_population_bookkeeping_moves():

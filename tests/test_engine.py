@@ -9,6 +9,7 @@ import pytest
 from episim import engine
 from episim.cli import write_replicates
 from episim.core import (
+    STREAMS,
     Compartment,
     ConfigError,
     SimulationError,
@@ -17,6 +18,7 @@ from episim.core import (
     make_rng,
 )
 from episim.engine import RECORD_DTYPE, initialize, run, run_replicates, step
+from episim.transmission import EPISODE_BLOCK, EpisodeSource
 
 
 def counts_of(record):
@@ -48,8 +50,7 @@ def test_records_start_after_initialize_and_step_writes_the_next_entry():
     cfg = default_config(popSize=1000, initialInfected=20, timeHorizon=3,
                          initProportionVaccinated=0.5, daysBetweenTesting=1,
                          firstDayOfTesting=0)
-    rng = make_rng(cfg.baseSeed, 0)
-    state = initialize(cfg, rng)
+    state = initialize(cfg, make_rng(cfg.baseSeed, 0))
     assert len(state.records) == 4
     first = state.records[0]
     assert first["day"] == -1
@@ -59,7 +60,7 @@ def test_records_start_after_initialize_and_step_writes_the_next_entry():
     for column in ("new_ext", "new_int", "cum_false_iso", "tests_today", "cum_cost"):
         assert first[column] == 0, column
     for day in range(3):
-        record = step(state, day, rng)
+        record = step(state, day)
         assert record["day"] == day
         assert record == state.records[day + 1]
         # each cumulative column adds the day's events to the entry before
@@ -105,14 +106,87 @@ NO_EXPOSURE = {"initialInfected": 0, "externalExposureProbDaily": 0.0}
 def test_initialize_rejects_an_invalid_config_before_any_draw(field, overrides):
     # every run starts in initialize, so no invalid config reaches a stage
     cfg = default_config(**{"popSize": 50, "timeHorizon": 4, "initialInfected": 3, **overrides})
-    rng = make_rng(cfg.baseSeed, 0)
-    before = rng.bit_generator.state
+    streams = make_rng(cfg.baseSeed, 0)
     with pytest.raises(ConfigError) as exc:
-        initialize(cfg, rng)
+        initialize(cfg, streams)
     assert field in str(exc.value)
-    assert rng.bit_generator.state == before
+    fresh = make_rng(cfg.baseSeed, 0)
+    for name in STREAMS:
+        before = getattr(fresh, name).bit_generator.state
+        assert getattr(streams, name).bit_generator.state == before, name
     with pytest.raises(ConfigError, match=field):
         run(cfg, 0)
+
+
+def test_seeds_take_the_first_episodes_across_two_blocks():
+    cfg = default_config(popSize=1000, initialInfected=EPISODE_BLOCK + 50)
+    state = initialize(cfg, make_rng(cfg.baseSeed, 3))
+    pop = state.population
+    seeds = pop.ids(Compartment.EXPOSED)
+    assert len(seeds) == EPISODE_BLOCK + 50
+    # the same episodes taken in other batches from a fresh episodes stream
+    fresh = EpisodeSource(cfg, make_rng(cfg.baseSeed, 3).episodes)
+    params, onset, selfiso = (np.concatenate(parts) for parts in zip(
+        fresh.take(7), fresh.take(EPISODE_BLOCK), fresh.take(43)))
+    assert pop.params[seeds].tobytes() == params.tobytes()
+    assert pop.onset_day[seeds].tobytes() == onset.astype(np.float32).tobytes()
+    assert pop.selfiso_candidate[seeds].tobytes() == selfiso.tobytes()
+    # the run's next episode is the fresh stream's next one
+    assert state.episodes.take(1)[0].tobytes() == fresh.take(1)[0].tobytes()
+
+
+def test_streams_are_separated_by_purpose(monkeypatch):
+    # two configs that differ only in how they test: the same initial state,
+    # the same j-th episode for every j, and the same days before testing
+    base = dict(popSize=1000, initialInfected=30, timeHorizon=40, firstDayOfTesting=12,
+                daysDelayTestResults=1, baseSeed=9)
+    configs = [default_config(**base, daysBetweenTesting=0, poolSize=1),
+               default_config(**base, daysBetweenTesting=2, poolSize=5)]
+    take = EpisodeSource.take
+    taken = []
+
+    def logged_take(self, n):
+        episodes = take(self, n)
+        taken[-1].append(episodes)
+        return episodes
+
+    monkeypatch.setattr(EpisodeSource, "take", logged_take)
+    initial, records, episodes = [], [], []
+    for cfg in configs:
+        taken.append([])
+        state = initialize(cfg, make_rng(cfg.baseSeed, 2))
+        pop = state.population
+        initial.append([a.tobytes() for a in (pop.comp, pop.vaccinated, pop.willingness,
+                                               pop.days, pop.params, pop.selfiso_candidate)])
+        for day in range(cfg.timeHorizon):
+            step(state, day)
+        records.append(state.records)
+        episodes.append([np.concatenate(parts) for parts in zip(*taken[-1])])
+    assert initial[0] == initial[1]
+    n = min(len(e[1]) for e in episodes)
+    assert n > EPISODE_BLOCK
+    for field_a, field_b in zip(*episodes):
+        assert field_a[:n].tobytes() == field_b[:n].tobytes()
+    # records[d + 1] is day d
+    before = slice(base["firstDayOfTesting"] + 1)
+    assert records[0][before].tobytes() == records[1][before].tobytes()
+    assert records[1]["tests_today"].sum() > 0
+    assert not np.array_equal(records[0], records[1])
+
+
+@pytest.mark.parametrize("run_index", [0, 5])
+def test_stepping_the_set_up_of_a_run_gives_that_run(run_index):
+    # the benchmark times initialize(config, make_rng(baseSeed, i)) as the
+    # set-up of run i; stepping it through the horizon must be that run
+    cfg = default_config(popSize=600, initialInfected=20, timeHorizon=30,
+                         initProportionVaccinated=0.1, vaccinesAvailablePerDay=5,
+                         daysBetweenTesting=2, firstDayOfTesting=3, poolSize=5,
+                         daysDelayTestResults=1)
+    state = initialize(cfg, make_rng(cfg.baseSeed, run_index))
+    for day in range(cfg.timeHorizon):
+        step(state, day)
+    _, records = run(cfg, run_index)
+    assert state.records[1:].tobytes() == records.tobytes()
 
 
 def test_initialize_acceptance_probabilities_in_unit_interval():
@@ -125,9 +199,8 @@ def test_initialize_acceptance_probabilities_in_unit_interval():
 
 def test_day_zero_record_matches_exposure_oracle():
     cfg = default_config(popSize=5000, initialInfected=100, timeHorizon=1)
-    rng = make_rng(cfg.baseSeed, 0)
-    state = initialize(cfg, rng)
-    record = step(state, 0, rng)
+    state = initialize(cfg, make_rng(cfg.baseSeed, 0))
+    record = step(state, 0)
     # external exposures on 4900 susceptibles at gamma 0.005: ~24.5 expected
     assert record["e"] == 100 + record["new_ext"]
     assert record["new_int"] == 0  # seeds are not yet infectious
@@ -151,11 +224,10 @@ def test_conservation_every_day():
 def test_step_rejects_a_compartment_code_out_of_range():
     # a code past the last compartment has no count column to go to
     cfg = default_config(popSize=50, initialInfected=5, timeHorizon=3)
-    rng = make_rng(cfg.baseSeed, 0)
-    state = initialize(cfg, rng)
+    state = initialize(cfg, make_rng(cfg.baseSeed, 0))
     state.population.comp[0] = len(Compartment)
     with pytest.raises(SimulationError, match="day 0"):
-        step(state, 0, rng)
+        step(state, 0)
 
 
 def test_results_move_compartments_only_after_delay():

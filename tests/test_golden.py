@@ -57,12 +57,12 @@ CONFIGS = {
     ),
 }
 GOLDEN = {
-    "average-5-delay-2": "cfecf1c1ae997d6f3d04102cc8d1dfc395a2d41646c13b23fa81753b97abcc58",
-    "edge-trajectories": "b9fcd9f58c2db2298a1721dfe5cb44fa66eb0bfca50cf4defc739bffaef64378",
-    "exponential-10-no-isolation": "2f194a417e25dd0460436703e4e5bd54ad097da8860220b1941695e699424c93",
-    "exponential-4-vaccination": "85d5bb08c5cde5a3c4d8b3b19ff9234258b5f2683472485d09190074183f685d",
-    "no-testing-vaccination": "ebe9d8f29c7ce310d85a94168ed0ad51b3b91a62426de8565e8ef3e69309ad9f",
-    "single-fast-reinfection": "d137a092213f7bb917b9930aa595f0b92c61b19bc70a2217778b13d28d165c2c",
+    "average-5-delay-2": "fb90ef1d066fbe845171fe4c10c22d883e7e0b2e9b4014581f1cfd97e04ef5cd",
+    "edge-trajectories": "e3d985d5e1e241829057da46a98de04a3e372d171c9ed7cf3337b5ff43f104ba",
+    "exponential-10-no-isolation": "6619c5d1f39e7b12649a5b699fbf2c7200713b1a955235353dccb53f2dd32639",
+    "exponential-4-vaccination": "b93848ee461e7b2e57dd6dd82530a50ff42b6b682cfa5dbd0ced32ffffdf4100",
+    "no-testing-vaccination": "4f368e72337e793c059065eb364b54be1bdf81400888ac61189734cf04f2eb3f",
+    "single-fast-reinfection": "4b1c93936946a119850e1b045f98b94af644324092595376f178fdfd2f500c02",
 }
 
 
@@ -132,55 +132,55 @@ def write_outputs(root):
 
 
 GOLDEN_OUTPUTS = {
-    "calibrate/calibration.json": "daec938069cd9036b5d2ca5fe9450958c723c289aab8ebb29c2399b4e06f40dc",
-    "calibrate/rt_series.csv": "e942002b843aff0a2fa0847c1857e7d33e4a0bfa99c8ff1c51a1038ac77956bf",
-    "report_rebuilt.csv": "6d16b2b3459656f8b265b0207227bb3832889504c84878e5d7840178166065c1",
-    "run/aggregate.csv": "e38711b24bf999c92b70ffbe514ea20668c9d5f121920dba0a3eff8c44586517",
+    "calibrate/calibration.json": "bb27945082bbc45647422735e95f83779f85499c6d939cc1134a204edec21632",
+    "calibrate/rt_series.csv": "588a00fc2762027472fa07d149816fbf76a8cc6fb82045f32281f28b44aba7e0",
+    "report_rebuilt.csv": "be524062640c409ea77ebac195886c6d907712c521c52a51a3127d5e82b9db6e",
+    "run/aggregate.csv": "5641bb7a8d6054f2f7f6159e14b999ba3bbc593c485373e126f8de3d02c4f464",
     "run/config.json": "6f9d1bcc80e733ac09e580183f9876ff48d8443bd9b36bd17e37d5eec5579e80",
-    "run/run_000.csv": "5ae74e910a00c5e3f549f49ce9772993bcf55e443e39b913f6eab14ea923935f",
-    "run/run_001.csv": "e005477f275fc62a8990f53fd7d09f2111cc16ddc453395484d345fe1f39f69d",
-    "run/run_002.csv": "a7adab670d444a440c86d12486fe01cf64055fec4a8993478e9fe0d5b16a78f9",
-    "run/summary_000.json": "69b6d30a922f59b2d244ecde985e2b5e15e675d2f385464fd78f4161768a1ed9",
-    "run/summary_001.json": "1d2bcd3a2ca2ee008638a6acbd54c93da0d609b92bbcfb0e1d8a94c83b48486d",
-    "run/summary_002.json": "cc1b4c70e2c060dd8a7b3716bef23cd1150d09f4c44209446fa400256e5ee5bb",
-    "sweep/cell_000/aggregate.csv": "629924ad807b4dda0f1ffcc9ec6e58672116c29a986697a87f1bc0159050eb43",
+    "run/run_000.csv": "db8b1ac59d3f8da1708730adc981d37c75c68c96bdddec559aa10121e5a941ba",
+    "run/run_001.csv": "f4ad9542d0787d23abc74319b79ca61f35a5e872162c976ae756bb7a00489506",
+    "run/run_002.csv": "d2ac7d50339591c803edfe53b5e1c0bf3a5c064d0688aa6921bf34097250d7f2",
+    "run/summary_000.json": "17b8e7f5cec77c2dd6fea47e1656452fe20bac2791cbae6482be46339a8c3ff1",
+    "run/summary_001.json": "521a09cd2fe78abe9e237b9236a504cdb7eb803e38fafdb5184306c677a7fffc",
+    "run/summary_002.json": "7a848069005bcec963b4122b91bc1db174921e9503a2086fb0fc3936fb437d59",
+    "sweep/cell_000/aggregate.csv": "95d7e56b017c3dce4efe7763372a71dbee0e20ac1adbcbef38a8806be54fe8ee",
     "sweep/cell_000/cell.json": "e4fc9bc0b8163e5bed01f31c752cba8b6d3a331d71c37a14594d2c472c15e6f1",
     "sweep/cell_000/config.json": "83d161a9bd78bdd201ace8458063b1f18fc352b10baf05cbee4825390505d6ff",
-    "sweep/cell_000/run_000.csv": "458adc12e7a66cf9280230d6e7889144a997feda0237972d41624c7118f2e627",
-    "sweep/cell_000/run_001.csv": "a65ac99a83c921b334098e7af0e95b7d08470e1f3e8f12b08dced65ccdd038ce",
-    "sweep/cell_000/run_002.csv": "d1b1bfff440c3ad122c925b404d5dc48ae05825a02fa51ae18fd8da5afe2c763",
-    "sweep/cell_000/summary_000.json": "b033f33714c86e68140929336a76bda9eee275cf98c5e9d690191c8e0983c7f8",
-    "sweep/cell_000/summary_001.json": "5930b91b53e7077bb72a8ee5a05b41b80a7fb479b661cebc80436bb9ac7e00bf",
-    "sweep/cell_000/summary_002.json": "442bc9c2a09249b85e05b670fc2c3cef3b9f1889f5263c10ab69e5f2ceea11f5",
-    "sweep/cell_001/aggregate.csv": "439ede4453ac80161b3434d8ffe6153d2efbfc01c8df36a656b5648e293e3a96",
+    "sweep/cell_000/run_000.csv": "ca281a15358e45ccc2270bc5ed761d3e75a6a7201ce793d1f1fa4473f7b918d3",
+    "sweep/cell_000/run_001.csv": "e070721e841efe21ac618805660b35c95a8268e6c2fd3e339efc81829b5fcb40",
+    "sweep/cell_000/run_002.csv": "cd33a63bf2d7263542483cac27177d243ec1214b35966db030bdbdf53a7c4bcd",
+    "sweep/cell_000/summary_000.json": "389d1232ca3c13e29e23997de5cc9013b597b2834c2d3485b27d35218675b101",
+    "sweep/cell_000/summary_001.json": "a9891bc807e94e8bf1a7945fbb9d0f006b04706751647f840ff949e04e5322c8",
+    "sweep/cell_000/summary_002.json": "2e8e9feb4044d5b1497f023261cb44f7de04401f052ba413284267afebc958bf",
+    "sweep/cell_001/aggregate.csv": "d0f9d1074a6c7056ac8ab386d11038f0bb2dae38df0223ca1ef35f1fc1947883",
     "sweep/cell_001/cell.json": "d8477b86fe25f311c2911b82262a35775c2de4153caa486fdc03f88a3c4437de",
     "sweep/cell_001/config.json": "40c3344d292c305d7ebc6ab0c59159c72f80631f07a1dab786d35b927d2e6be9",
-    "sweep/cell_001/run_000.csv": "c9f62578b0532df444e2d91fc25c3b695dddd3d0ff61561690f2c276004e65e0",
-    "sweep/cell_001/run_001.csv": "052c942db97eec3236388edb25522da43ecc81ccb76423e851dd451cd86d75b0",
-    "sweep/cell_001/run_002.csv": "164f430bf0ed2f4de34166277f066361a9dd412ccd247f6e404edab823c6b429",
-    "sweep/cell_001/summary_000.json": "540d51b8c6e37e1a92504ff1eb22b24bfd4f4b9107f3e0b956b59451d38d8fd4",
-    "sweep/cell_001/summary_001.json": "8cb7ac3bb9bb7c53df502ad3618196aaa0e27c11a236f59adbc5c9dbc000f2d3",
-    "sweep/cell_001/summary_002.json": "34f4c8a3f332d66d5b8f82e41ffc5fad62035b19370b051fc31762d2bbbdd67b",
-    "sweep/cell_002/aggregate.csv": "54cc0e6edd0fc5e24063c1a8173bbe5fa5098f3babe6edf6464a470ada631fda",
+    "sweep/cell_001/run_000.csv": "ff6564fddc5dd78fa3b6b11a30bf15f79a6938c5c0632d4a2226b2364380aa1d",
+    "sweep/cell_001/run_001.csv": "98c34a28a3abce85b0a665b80248ef2f15ffe8856f4b23e7bcefd0e17cf7ef05",
+    "sweep/cell_001/run_002.csv": "a78d24c329ad384feb87149bb81e04fb93b7eead17ae939d0871f3d17a01c015",
+    "sweep/cell_001/summary_000.json": "8a4061124863e61b1bc2ce604eb61c5e33e76436478a718ab3339fa5fbc5d1f7",
+    "sweep/cell_001/summary_001.json": "c54102e54ff3ccdcbfe4a6a7e7b5dfb8140f3ed8ca2a67035409d3694a92bed2",
+    "sweep/cell_001/summary_002.json": "5b5be2b56321fd2481312ec22d56bf905b90b9511d97a0ca9b428e55787cde62",
+    "sweep/cell_002/aggregate.csv": "6267a51ee15e7096b53176db46dd0ef9e1e5c8e866aff4b3b24bff8fd9f083a2",
     "sweep/cell_002/cell.json": "25f915ea1d86a8851fc9a98a1939a55a48a074da1e17470e7a1a3d1d1f3876d9",
     "sweep/cell_002/config.json": "7fcfe62738ed39ac4be8a1e7e99f99e2becb928c1788d982389e52a58db6a098",
-    "sweep/cell_002/run_000.csv": "7b44c6f47c555aa585944d32e9c371e1adfe68a465d662cd0146c0d1c49cd462",
-    "sweep/cell_002/run_001.csv": "d5dcd3031e041d6bfe40942fdaa3103ab5f15a67961638826fb6eb490a4e95cf",
-    "sweep/cell_002/run_002.csv": "f4eb5e39025392899754d686e6ce78c296105417d40a8a73023fea049ca84aef",
-    "sweep/cell_002/summary_000.json": "c0d385480faadf2d9b81ee4ea655a72634364a4a5605b170bd3d5e5ce3dbe187",
-    "sweep/cell_002/summary_001.json": "a6f925f038b2d3ec1669f215e02598803f47be04673ef9491fd438e44fabe93e",
-    "sweep/cell_002/summary_002.json": "6b70c6f3d72a6e5599b39d3944ce692ce2c02c963b4f6997e2a1b927d1ec50a4",
-    "sweep/cell_003/aggregate.csv": "f9ccf4ab1f41b9dd22d8fb0b2f789e1f6eb721e4cbdc80654eaf1f58672eeecd",
+    "sweep/cell_002/run_000.csv": "8c54f266997ad55e43d7cd3713daa5fd0821cd427c9b83b3cc5e937e683ed504",
+    "sweep/cell_002/run_001.csv": "dcdfcbf1ac203562c14bfecdd49e7da4404bdad119472a41309db390ffdbcdf0",
+    "sweep/cell_002/run_002.csv": "94c6bad11768637d7d056bc66197aebc62ce2cfeaa92ba45d3c0f90911ebc268",
+    "sweep/cell_002/summary_000.json": "5e9e639e3dca07c712c2c614549697f299d7d2a7bc34883ec0ad5535b5d59630",
+    "sweep/cell_002/summary_001.json": "dcd5d0ae64cf8868a76e43d0ea6ba32a64fc339e7b14a29ac9412791ae0bd74e",
+    "sweep/cell_002/summary_002.json": "9e6652fcda51e373fe97ee8d1c237957b7461467795e50b51f1dfeaa9b6ef805",
+    "sweep/cell_003/aggregate.csv": "c24b5df7eaea5875184b6e277d12dd4ccd8f5592d5b7d4bab4654b5b4203e2d7",
     "sweep/cell_003/cell.json": "c78a2d0f996c5fbbca206935103769fac1499e9a635c8e00646fbf954dcd761b",
     "sweep/cell_003/config.json": "d946ddce9453a5492ddb3fca6f31f34e7c775f7fa3a4e5f0d796c1ccd078b0c1",
-    "sweep/cell_003/run_000.csv": "4a1b119d776e51ee204de4ad62f374a5e8863d75a8cd70e448e1845b44477003",
-    "sweep/cell_003/run_001.csv": "df3c4f5faae6434496ef71b5ea859ca7a663c4f0481ba41245ae752f2f73cb91",
-    "sweep/cell_003/run_002.csv": "822d9e29a6b886a7c8788d7a4162e459b7d609adff49f282338e61a7c9887674",
-    "sweep/cell_003/summary_000.json": "98f0782985ace069dcc2d9b1c236942a55f655ec72140658e8e0302b5126030a",
-    "sweep/cell_003/summary_001.json": "3578864b4435b8603eb43f4896d7bfcfa87088f0c6d445855baf034c9de2a178",
-    "sweep/cell_003/summary_002.json": "f20b144e8a6cf8b5f66726b3115e6949c6769e4d76d19b134de77acb5016e4b8",
-    "sweep/report.csv": "6d16b2b3459656f8b265b0207227bb3832889504c84878e5d7840178166065c1",
-    "sweep/report.json": "cd03399280ccf2b85f3413e2a77e4a21d88087e27d186a446b42eaf5622527e0",
+    "sweep/cell_003/run_000.csv": "7b1258db2fc3f0c5a7e71cca6196ccafa47427b562832414139e78b59b693319",
+    "sweep/cell_003/run_001.csv": "16748353da2f9fb7cffa7e2d85462d26bcca21ab4772bc9078ecf0bce734f100",
+    "sweep/cell_003/run_002.csv": "564bd1a3f500f0ca6c702b81baf004bec105977aca7878da1026963ba90462df",
+    "sweep/cell_003/summary_000.json": "da20d7c3d5232fd4470d7ed812d45dd878f6be80908164bdb71768bb620c56db",
+    "sweep/cell_003/summary_001.json": "550e90391646963860435544787e17371a335e2aa15282e64e3fa07308df5350",
+    "sweep/cell_003/summary_002.json": "928e9f788c0033b749fa11d0c8c6ad9f38b46196068940ca3e2cdeb4e0b4993c",
+    "sweep/report.csv": "be524062640c409ea77ebac195886c6d907712c521c52a51a3127d5e82b9db6e",
+    "sweep/report.json": "d889058e789e963072b88fc9d4ba4100651e7a3ba00ecb8c2df7d5c06a752741",
 }
 
 

@@ -7,7 +7,6 @@ from episim.core import (
     Compartment,
     Population,
     default_config,
-    make_rng,
 )
 from episim.interventions import (
     apply_positive_results,
@@ -17,6 +16,7 @@ from episim.interventions import (
     vaccination_step,
 )
 from episim.transmission import schedule_episodes, start_episodes
+from episim.viral_load import onset_days
 
 from reference import ViralLoadProfile, profile_params
 
@@ -33,8 +33,10 @@ def infect(pop, agent_id, day=0, profile=SYMPTOMATIC_PROFILE,
            compartment=Compartment.INFECTIOUS_SYMPTOMATIC, will_isolate=False):
     """Start an episode the way an exposure does, move it to
     ``compartment``, then schedule its key days from that day."""
-    start_episodes(pop, np.array([agent_id]), day, np.array([profile_params(profile)]),
-                   np.array([profile.symptomatic]), np.array([will_isolate]))
+    params = np.array([profile_params(profile)])
+    symptomatic = np.array([profile.symptomatic])
+    start_episodes(pop, np.array([agent_id]), day, params, onset_days(params, 0, symptomatic),
+                   symptomatic & will_isolate)
     pop.comp[agent_id] = compartment
     schedule_episodes(pop, day, 1e3)
     return agent_id
@@ -223,14 +225,14 @@ def test_return_beyond_horizon_never_fires():
 
 def test_vaccination_with_no_supply():
     pop = fresh_population()
-    moved = vaccination_step(pop, 0, vaccination_config(0), make_rng(1))
+    moved = vaccination_step(pop, 0, vaccination_config(0), np.random.default_rng(1))
     assert moved.tolist() == []
 
 
 def test_vaccination_supply_limited():
     pop = Population(5000)
     pop.willingness[:] = 0.7
-    moved = vaccination_step(pop, 0, vaccination_config(50), make_rng(2))
+    moved = vaccination_step(pop, 0, vaccination_config(50), np.random.default_rng(2))
     assert len(moved) == 50
     assert len(np.unique(moved)) == 50
     assert pop.counts()[Compartment.SUSCEPTIBLE_VACCINATED] == 50
@@ -240,7 +242,7 @@ def test_vaccination_supply_limited():
 def test_vaccination_demand_limited():
     pop = Population(100)
     pop.willingness[:10] = 1.0
-    moved = vaccination_step(pop, 0, vaccination_config(50), make_rng(3))
+    moved = vaccination_step(pop, 0, vaccination_config(50), np.random.default_rng(3))
     assert sorted(moved) == list(range(10))
 
 
@@ -248,7 +250,7 @@ def test_vaccination_flags_infected_without_moving_them():
     pop = fresh_population(3)
     infect(pop, 0)
     pop.willingness[:] = 1.0
-    vaccination_step(pop, 0, vaccination_config(10), make_rng(4))
+    vaccination_step(pop, 0, vaccination_config(10), np.random.default_rng(4))
     assert pop.vaccinated[0]
     assert pop.comp[0] == Compartment.INFECTIOUS_SYMPTOMATIC
     assert pop.comp[1] == Compartment.SUSCEPTIBLE_VACCINATED
@@ -260,5 +262,5 @@ def test_vaccination_skips_isolated_and_already_vaccinated():
     pop.comp[0] = Compartment.ISOLATED_SICK
     pop.vaccinated[1] = True
     pop.comp[1] = Compartment.SUSCEPTIBLE_VACCINATED
-    moved = vaccination_step(pop, 0, vaccination_config(10), make_rng(5))
+    moved = vaccination_step(pop, 0, vaccination_config(10), np.random.default_rng(5))
     assert sorted(moved) == [2, 3]

@@ -142,15 +142,14 @@ def check_population(pop, day, config):
 @settings(PROPERTY_SETTINGS, max_examples=25)
 @given(configs())
 def test_daily_invariants(config):
-    rng = make_rng(config.baseSeed, 0)
-    state = initialize(config, rng)
+    state = initialize(config, make_rng(config.baseSeed, 0))
     # the state after initialize is the end of day -1
     check_population(state.population, -1, config)
     previous = None
     stepped = np.empty(config.timeHorizon, dtype=RECORD_DTYPE)
     cost = 0.0
     for day in range(config.timeHorizon):
-        record = step(state, day, rng)
+        record = step(state, day)
         stepped[day] = record
         counts = [record[col] for col in COUNT_COLUMNS]
         assert sum(counts) == config.popSize, day

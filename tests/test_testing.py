@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from episim.core import Compartment, Population, default_config, make_rng
+from episim.core import Compartment, Population, default_config
 from episim.testing import (
     deliver_results,
     eligible_ids,
@@ -39,26 +39,26 @@ def frequency(fn, n=100_000):
 
 
 def test_single_test_false_positive_rate():
-    rng = make_rng(101)
+    rng = np.random.default_rng(101)
     freq = frequency(lambda: single_test(0.0, TEST_A, rng))
     assert abs(freq - 0.014) < 0.002
 
 
 def test_single_test_detection_rate():
-    rng = make_rng(102)
+    rng = np.random.default_rng(102)
     freq = frequency(lambda: single_test(1e6, TEST_A, rng))
     assert abs(freq - 0.94) < 0.003
 
 
 def test_single_test_below_cut_only_false_positives():
     # 1e5 cp/ml is below the low-sensitivity test's cut
-    rng = make_rng(103)
+    rng = np.random.default_rng(103)
     freq = frequency(lambda: single_test(1e5, TEST_B, rng))
     assert abs(freq - 0.007) < 0.001
 
 
 def pool_sizes(n, pool_size, seed=1):
-    order, starts = partition_into_pools(n, pool_size, make_rng(seed))
+    order, starts = partition_into_pools(n, pool_size, np.random.default_rng(seed))
     assert sorted(order) == list(range(n))
     return np.diff(starts, append=n).tolist()
 
@@ -79,14 +79,14 @@ def test_pool_average_deterministic_threshold_paths():
     pool = (1e6, 0.0, 0.0, 0.0, 0.0)  # mean 2e5
     sure_a = operating_point(100.0, 0.0, 0.0)  # 2e5 > cut: always positive
     sure_b = operating_point(1e6, 0.0, 0.0)    # 2e5 <= cut: never positive
-    rng = make_rng(1)
+    rng = np.random.default_rng(1)
     assert pool_test_average(pool, sure_a, rng) is True
     assert pool_test_average(pool, sure_b, rng) is False
 
 
 def test_pool_average_rates():
     pool = (1e6, 0.0, 0.0, 0.0, 0.0)
-    rng = make_rng(104)
+    rng = np.random.default_rng(104)
     freq_b = frequency(lambda: pool_test_average(pool, TEST_B, rng))
     assert abs(freq_b - 0.007) < 0.001
     freq_a = frequency(lambda: pool_test_average(pool, TEST_A, rng))
@@ -95,7 +95,7 @@ def test_pool_average_rates():
 
 def test_pool_average_all_zero_loads_false_positive_rate():
     pool = (0.0,) * 5
-    rng = make_rng(105)
+    rng = np.random.default_rng(105)
     freq = frequency(lambda: pool_test_average(pool, TEST_A, rng), n=50_000)
     assert abs(freq - 0.014) < 0.003
 
@@ -103,7 +103,7 @@ def test_pool_average_all_zero_loads_false_positive_rate():
 def test_pool_exponential_no_detectable_sample():
     pool = (0.0,) * 5
     spec = operating_point(100.0, 0.014, 0.15)
-    rng = make_rng(106)
+    rng = np.random.default_rng(106)
     freq = frequency(lambda: pool_test_exponential(pool, spec, rng), n=50_000)
     assert abs(freq - 0.014) < 0.003
 
@@ -112,7 +112,7 @@ def test_pool_exponential_two_detectable_samples():
     # positive probability 1 - 0.15^2 = 0.9775
     pool = (1e4, 1e4, 0.0, 0.0, 0.0)
     spec = operating_point(100.0, 0.014, 0.15)
-    rng = make_rng(107)
+    rng = np.random.default_rng(107)
     freq = frequency(lambda: pool_test_exponential(pool, spec, rng))
     assert abs(freq - 0.9775) < 0.002
 
@@ -120,7 +120,7 @@ def test_pool_exponential_two_detectable_samples():
 def test_pool_exponential_single_detectable_matches_single_test():
     pool = (1e4, 0.0, 0.0, 0.0, 0.0)
     spec = operating_point(100.0, 0.014, 0.15)
-    rng = make_rng(108)
+    rng = np.random.default_rng(108)
     freq = frequency(lambda: pool_test_exponential(pool, spec, rng), n=50_000)
     assert abs(freq - 0.85) < 0.006
 
@@ -128,7 +128,7 @@ def test_pool_exponential_single_detectable_matches_single_test():
 def test_pool_positive_prob_matches_scalar_rules():
     # the stage-1 vector, drawn against the same uniforms as the scalar rules
     # applied pool by pool, must give the same outcome for every pool
-    rng = make_rng(109)
+    rng = np.random.default_rng(109)
     spec = operating_point(100.0, 0.2, 0.3)
     n = 4000
     loads = np.where(rng.random(n) < 0.3, 10 ** rng.uniform(0.0, 4.0, n), 0.0)
@@ -137,7 +137,7 @@ def test_pool_positive_prob_matches_scalar_rules():
     ):
         for pool_size in (1, 3, 10):
             starts = np.arange(0, n - 1, pool_size)  # n - 1: a short last pool
-            vector_rng, scalar_rng = make_rng(110), make_rng(110)
+            vector_rng, scalar_rng = np.random.default_rng(110), np.random.default_rng(110)
             config = dataclasses.replace(spec, poolingType=pooling_type)
             prob = pool_positive_prob(loads[:n - 1], starts, config)
             vector = vector_rng.random(len(starts)) < prob
@@ -158,7 +158,7 @@ def hot_population(n=100, hot_ids=(), load=1e8):
     )
     hot = np.array(hot_ids, dtype=np.int64)
     start_episodes(pop, hot, 0, np.tile(profile_params(profile), (len(hot), 1)),
-                   np.zeros(len(hot), bool), np.zeros(len(hot), bool))
+                   np.full(len(hot), np.nan), np.zeros(len(hot), bool))
     pop.comp[hot] = Compartment.INFECTIOUS_ASYMPTOMATIC
     schedule_episodes(pop, 0, 1e3)
     return pop
@@ -174,7 +174,7 @@ def test_run_testing_day_singletons():
     cfg = default_config(daysBetweenTesting=1, firstDayOfTesting=0, poolSize=1,
                          fprSingle=1.0)
     pending = {}
-    used = run_testing_day(pop, cfg, 7, pending, make_rng(1))
+    used = run_testing_day(pop, cfg, 7, pending, np.random.default_rng(1))
     assert used == 100
     assert queued_ids(pending) == list(range(100))
 
@@ -185,7 +185,7 @@ def test_run_testing_day_no_positive_pools():
         daysBetweenTesting=1, firstDayOfTesting=0, poolSize=5, fprSingle=0.0
     )
     pending = {}
-    used = run_testing_day(pop, cfg, 7, pending, make_rng(2))
+    used = run_testing_day(pop, cfg, 7, pending, np.random.default_rng(2))
     assert used == 20
     assert pending == {}  # negative results are not queued
 
@@ -200,7 +200,7 @@ def test_run_testing_day_dorfman_count_three_positive_pools():
         fprSingle=0.0, fnrSingle=0.0, detectionCut=100.0,
     )
     pending = {}
-    used = run_testing_day(pop, cfg, 3, pending, make_rng(0))
+    used = run_testing_day(pop, cfg, 3, pending, np.random.default_rng(0))
     assert deliver_results(pending, 3).tolist() == [10, 40, 70]
     assert used == 35
 
@@ -214,7 +214,7 @@ def test_member_of_negative_pool_never_positive():
         fprSingle=0.0, fnrSingle=1.0,
     )
     pending = {}
-    used = run_testing_day(pop, cfg, 3, pending, make_rng(3))
+    used = run_testing_day(pop, cfg, 3, pending, np.random.default_rng(3))
     assert used == 20
     assert pending == {}
 
@@ -257,7 +257,7 @@ def reference_testing_day(pop, cfg, day, rng):
 def test_run_testing_day_matches_scalar_reference(pooling_type, pool_size):
     # a mixed population: trajectories at every stage, isolated agents, and
     # agents inside and past the post-isolation holdback
-    rng = make_rng(111)
+    rng = np.random.default_rng(111)
     n = 400
     pop = Population(n)
     infected_comps = (
@@ -272,7 +272,7 @@ def test_run_testing_day_matches_scalar_reference(pooling_type, pool_size):
             symptomatic=False,
         ))
         start_episodes(pop, np.array([i]), int(rng.integers(0, 16)), np.array([params]),
-                       np.array([False]), np.array([False]))
+                       np.array([np.nan]), np.array([False]))
         pop.comp[i] = infected_comps[i % 4]
     # the status update of the testing day sets the key days
     schedule_episodes(pop, 15, 1e3)
@@ -288,8 +288,8 @@ def test_run_testing_day_matches_scalar_reference(pooling_type, pool_size):
     n_pools = -(-len(eligible_ids(pop, 15, cfg)) // pool_size)
     for seed in range(5):
         pending = {}
-        used = run_testing_day(pop, cfg, 15, pending, make_rng(seed))
-        expected, expected_tests = reference_testing_day(pop, cfg, 15, make_rng(seed))
+        used = run_testing_day(pop, cfg, 15, pending, np.random.default_rng(seed))
+        expected, expected_tests = reference_testing_day(pop, cfg, 15, np.random.default_rng(seed))
         assert used == expected_tests
         assert deliver_results(pending, 17).tolist() == expected
         assert pending == {}
@@ -303,7 +303,7 @@ def test_delivery_delay():
     cfg = default_config(daysBetweenTesting=1, firstDayOfTesting=0, poolSize=1,
                          fprSingle=1.0, daysDelayTestResults=3)
     pending = {}
-    run_testing_day(pop, cfg, 7, pending, make_rng(8))
+    run_testing_day(pop, cfg, 7, pending, np.random.default_rng(8))
     assert deliver_results(pending, 9).tolist() == []
     assert deliver_results(pending, 10).tolist() == list(range(10))
     assert pending == {}
@@ -314,7 +314,7 @@ def test_delivery_immediate_when_no_delay():
     cfg = default_config(daysBetweenTesting=1, firstDayOfTesting=0, poolSize=1,
                          fprSingle=1.0, daysDelayTestResults=0)
     pending = {}
-    run_testing_day(pop, cfg, 4, pending, make_rng(4))
+    run_testing_day(pop, cfg, 4, pending, np.random.default_rng(4))
     assert len(deliver_results(pending, 4)) == 10
 
 
@@ -327,8 +327,8 @@ def test_agents_with_pending_results_are_retested():
     cfg = default_config(daysBetweenTesting=1, firstDayOfTesting=0, poolSize=1,
                          fprSingle=1.0, daysDelayTestResults=3)
     pending = {}
-    run_testing_day(pop, cfg, 0, pending, make_rng(5))
-    run_testing_day(pop, cfg, 1, pending, make_rng(6))
+    run_testing_day(pop, cfg, 0, pending, np.random.default_rng(5))
+    run_testing_day(pop, cfg, 1, pending, np.random.default_rng(6))
     assert len(queued_ids(pending)) == 20
     assert deliver_results(pending, 3).tolist() == list(range(10))
     assert deliver_results(pending, 4).tolist() == list(range(10))
@@ -349,6 +349,6 @@ def test_isolated_agents_are_not_tested():
     cfg = default_config(daysBetweenTesting=1, firstDayOfTesting=0, poolSize=1,
                          fprSingle=1.0)
     pending = {}
-    used = run_testing_day(pop, cfg, 0, pending, make_rng(7))
+    used = run_testing_day(pop, cfg, 0, pending, np.random.default_rng(7))
     assert used == 8
     assert queued_ids(pending) == list(range(2, 10))

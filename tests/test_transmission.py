@@ -5,8 +5,10 @@ from unittest.mock import MagicMock
 import numpy as np
 import pytest
 
-from episim.core import Compartment, Population, default_config, make_rng
+from episim.core import DISTRIBUTION_FIELDS, Compartment, Population, default_config, make_rng
 from episim.transmission import (
+    EPISODE_BLOCK,
+    EpisodeSource,
     expose,
     external_exposure_step,
     internal_propagation_step,
@@ -32,6 +34,12 @@ def build_population(n_su=0, n_sv=0, n_inf=0, n_rec=0):
     return pop
 
 
+def exposure_streams(config, seed):
+    """The exposure stream and the episodes of run 0 of ``baseSeed`` ``seed``."""
+    streams = make_rng(seed)
+    return streams.exposure, EpisodeSource(config, streams.episodes)
+
+
 def reset_exposed(population, compartment):
     exposed = population.ids(Compartment.EXPOSED)
     population.params[exposed] = np.nan
@@ -47,7 +55,7 @@ def stage_probabilities(stage, config, *counts):
     rng = MagicMock()
     uniforms = rng.random.return_value
     uniforms.__lt__.return_value = np.zeros(1, dtype=bool)  # nobody is exposed
-    assert stage(build_population(n_su=1, n_sv=1), config, 0, rng, *counts).size == 0
+    assert stage(build_population(n_su=1, n_sv=1), config, 0, rng, None, *counts).size == 0
     return tuple(call.args[0] for call in uniforms.__lt__.call_args_list)
 
 
@@ -101,13 +109,13 @@ def test_probability_monotone_in_inputs():
 def test_external_step_zero_rate_exposes_nobody():
     pop = build_population(n_su=50)
     cfg = default_config(externalExposureProbDaily=0.0)
-    assert external_exposure_step(pop, cfg, 0, make_rng(1)).tolist() == []
+    assert external_exposure_step(pop, cfg, 0, *exposure_streams(cfg, 1)).tolist() == []
 
 
 def test_external_step_certain_rate_exposes_everyone():
     pop = build_population(n_su=30, n_sv=10)
     cfg = default_config(externalExposureProbDaily=1.0, vaccineInfectionProb=1.0)
-    exposed = external_exposure_step(pop, cfg, 2, make_rng(1))
+    exposed = external_exposure_step(pop, cfg, 2, *exposure_streams(cfg, 1))
     assert len(exposed) == 40
     for agent_id in exposed:
         assert pop.comp[agent_id] == Compartment.EXPOSED
@@ -119,10 +127,10 @@ def test_external_step_binomial_moment():
     # 9800 susceptibles at gamma 0.005: mean exposures per day is 49
     pop = build_population(n_su=9800)
     cfg = default_config(externalExposureProbDaily=0.005)
-    rng = make_rng(31)
+    rng, episodes = exposure_streams(cfg, 31)
     counts = []
     for _ in range(1000):
-        exposed = external_exposure_step(pop, cfg, 0, rng)
+        exposed = external_exposure_step(pop, cfg, 0, rng, episodes)
         counts.append(len(exposed))
         reset_exposed(pop, Compartment.SUSCEPTIBLE_UNVACCINATED)
     assert abs(np.mean(counts) - 49.0) < 2.0
@@ -131,17 +139,17 @@ def test_external_step_binomial_moment():
 def test_internal_step_empty_without_infectious():
     pop = build_population(n_su=100)
     cfg = default_config()
-    assert internal_propagation_step(pop, cfg, 0, make_rng(1), pop.counts()).tolist() == []
+    assert internal_propagation_step(pop, cfg, 0, *exposure_streams(cfg, 1), pop.counts()).tolist() == []
 
 
 def test_internal_step_binomial_moment():
     # beta I/P = 0.4 * 200/10000 = 0.008 over 9800 candidates: mean 78.4
     pop = build_population(n_su=9800, n_inf=200)
     cfg = default_config(externalExposureProbDaily=0.0)
-    rng = make_rng(37)
+    rng, episodes = exposure_streams(cfg, 37)
     counts = []
     for _ in range(1000):
-        exposed = internal_propagation_step(pop, cfg, 0, rng, pop.counts())
+        exposed = internal_propagation_step(pop, cfg, 0, rng, episodes, pop.counts())
         counts.append(len(exposed))
         reset_exposed(pop, Compartment.SUSCEPTIBLE_UNVACCINATED)
     assert abs(np.mean(counts) - 78.4) < 3.0
@@ -151,10 +159,10 @@ def test_internal_step_vaccinated_moment():
     # vaccinated candidates see 0.3 * 0.008 = 0.0024: mean 2.4 over 1000 reps
     pop = build_population(n_sv=1000, n_inf=200, n_rec=8800)
     cfg = default_config(externalExposureProbDaily=0.0)
-    rng = make_rng(41)
+    rng, episodes = exposure_streams(cfg, 41)
     counts = []
     for _ in range(1000):
-        exposed = internal_propagation_step(pop, cfg, 0, rng, pop.counts())
+        exposed = internal_propagation_step(pop, cfg, 0, rng, episodes, pop.counts())
         counts.append(len(exposed))
         reset_exposed(pop, Compartment.SUSCEPTIBLE_VACCINATED)
     assert abs(np.mean(counts) - 2.4) < 0.5
@@ -167,7 +175,7 @@ def test_internal_step_uses_supplied_counts():
     # no infectious agents in the supplied counts: nothing happens even
     # though the live population would say otherwise
     pop.comp[0] = Compartment.INFECTIOUS_ASYMPTOMATIC
-    assert internal_propagation_step(pop, cfg, 0, make_rng(1), counts=stale).tolist() == []
+    assert internal_propagation_step(pop, cfg, 0, *exposure_streams(cfg, 1), counts=stale).tolist() == []
 
 
 def test_exposure_never_touches_non_susceptibles():
@@ -175,9 +183,9 @@ def test_exposure_never_touches_non_susceptibles():
     cfg = default_config(externalExposureProbDaily=0.5)
     before_inf = pop.ids(Compartment.INFECTIOUS_ASYMPTOMATIC).tolist()
     before_rec = pop.ids(Compartment.RECOVERED).tolist()
-    rng = make_rng(43)
-    external_exposure_step(pop, cfg, 0, rng)
-    internal_propagation_step(pop, cfg, 0, rng, pop.counts())
+    rng, episodes = exposure_streams(cfg, 43)
+    external_exposure_step(pop, cfg, 0, rng, episodes)
+    internal_propagation_step(pop, cfg, 0, rng, episodes, pop.counts())
     assert pop.ids(Compartment.INFECTIOUS_ASYMPTOMATIC).tolist() == before_inf
     assert pop.ids(Compartment.RECOVERED).tolist() == before_rec
 
@@ -196,23 +204,38 @@ def test_snapshot_counts_excludes_isolated():
 
 
 def test_expose_draws_one_vector_per_episode_draw():
-    # the documented order: symptomatic uniforms; t0, V0, tP, VP; tS for the
-    # symptomatic subset; tF, VF; then the self-isolation uniforms
+    # the documented order of a block: symptomatic uniforms; t0, V0, tP, VP,
+    # tS (for every episode, then zeroed where asymptomatic), tF, VF; then the
+    # self-isolation uniforms. The ids, in ascending order, take its first rows.
     cfg = default_config()
     pop = build_population(n_su=50)
     ids = np.arange(0, 50, 2)
-    expose(pop, ids, 4, cfg, make_rng(47))
-    rng = make_rng(47)
-    symptomatic = rng.random(ids.size) < cfg.fractionSymptomatic
-    t0, v0, tp, vp = (getattr(cfg, f).sample_array(rng, ids.size)
-                      for f in ("t0", "V0", "tP", "VP"))
-    ts = np.zeros(ids.size)
-    ts[symptomatic] = cfg.tS.sample_array(rng, int(symptomatic.sum()))
-    tf, vf = cfg.tF.sample_array(rng, ids.size), cfg.VF.sample_array(rng, ids.size)
-    willing = rng.random(ids.size) < cfg.selfIsolationOnSymptomsProb
-    assert np.array_equal(pop.params[ids], np.column_stack([t0, v0, tp, vp, ts, tf, vf]))
-    assert np.array_equal(np.isfinite(pop.onset_day[ids]), symptomatic)
-    assert np.array_equal(pop.selfiso_candidate[ids], symptomatic & willing)
+    expose(pop, ids, 4, EpisodeSource(cfg, np.random.default_rng(47)))
+    rng = np.random.default_rng(47)
+    symptomatic = rng.random(EPISODE_BLOCK) < cfg.fractionSymptomatic
+    params = np.column_stack([getattr(cfg, f).sample_array(rng, EPISODE_BLOCK)
+                              for f in DISTRIBUTION_FIELDS])
+    params[~symptomatic, DISTRIBUTION_FIELDS.index("tS")] = 0.0
+    willing = rng.random(EPISODE_BLOCK) < cfg.selfIsolationOnSymptomsProb
+    first = slice(ids.size)
+    assert np.array_equal(pop.params[ids], params[first])
+    assert np.array_equal(np.isfinite(pop.onset_day[ids]), symptomatic[first])
+    assert np.array_equal(pop.selfiso_candidate[ids], (symptomatic & willing)[first])
     assert pop.ids(Compartment.EXPOSED).tolist() == ids.tolist()
     assert np.all(pop.exposure_day[ids] == 4)
-    assert 0 < symptomatic.sum() < ids.size
+    assert 0 < symptomatic[first].sum() < ids.size
+
+
+@pytest.mark.parametrize("cut", [1, 100, EPISODE_BLOCK - 1, EPISODE_BLOCK, 300])
+def test_batch_boundaries_are_invisible(cut):
+    # ids exposed in one call, or split over two consecutive calls, get the
+    # same episodes, down to the byte; 384 ids span two blocks
+    cfg = default_config()
+    ids = np.arange(0, 3 * EPISODE_BLOCK, 2)
+    whole, split = build_population(n_su=3 * EPISODE_BLOCK), build_population(n_su=3 * EPISODE_BLOCK)
+    expose(whole, ids, 5, EpisodeSource(cfg, np.random.default_rng(53)))
+    episodes = EpisodeSource(cfg, np.random.default_rng(53))
+    for part in np.split(ids, [cut]):
+        expose(split, part, 5, episodes)
+    for name in ("params", "onset_day", "selfiso_candidate"):
+        assert getattr(whole, name).tobytes() == getattr(split, name).tobytes(), name

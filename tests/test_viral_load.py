@@ -44,7 +44,7 @@ def test_symptomatic_profile_adds_symptom_delay():
 
 def test_sampled_profiles_stay_in_configured_ranges():
     cfg = default_config()
-    rng = make_rng(5)
+    rng = np.random.default_rng(5)
     for symptomatic in (False, True):
         for _ in range(200):
             prof = sample_profile(cfg, symptomatic, rng)
@@ -103,7 +103,7 @@ def test_symptom_window():
 
 def test_sampled_trajectories_are_unimodal():
     cfg = default_config()
-    rng = make_rng(17)
+    rng = np.random.default_rng(17)
     for _ in range(300):
         prof = sample_profile(cfg, bool(rng.random() < 0.5), rng)
         rise_taus = np.append(np.linspace(prof.t0, prof.peak_time, 30), prof.peak_time)
@@ -127,7 +127,7 @@ def test_infectious_days_match_open_closed_window():
     # with V0 = VF = cut, daily ticks are infectious exactly on the integer
     # days strictly inside (t0, end_time]
     cfg = default_config()
-    rng = make_rng(23)
+    rng = np.random.default_rng(23)
     cut = 1e3
     for _ in range(200):
         prof = sample_profile(cfg, bool(rng.random() < 0.5), rng)
@@ -147,7 +147,7 @@ def test_infectious_days_match_open_closed_window():
 
 
 def test_load_array_matches_load_at():
-    rng = make_rng(29)
+    rng = np.random.default_rng(29)
     profiles = [
         ViralLoadProfile(
             t0=float(rng.uniform(0, 4)), V0=10 ** float(rng.uniform(-2, 4)),
@@ -180,7 +180,7 @@ def test_load_array_of_no_profiles_is_empty():
 def stage_profiles():
     """The 300 random valid profiles of the status checks, then edge cases
     with integer key times, so that key times fall on whole days."""
-    rng = make_rng(31)
+    rng = np.random.default_rng(31)
     profiles = [
         ViralLoadProfile(
             t0=float(rng.uniform(0, 4)), V0=10 ** float(rng.uniform(0, 4)),
@@ -231,7 +231,7 @@ def schedule_profiles(cut):
     """The stage profiles, then profiles with whole-day control times and
     loads that are powers of ten, whose loads often fall exactly on the cut
     on a whole day, then hand-picked edges."""
-    rng = make_rng(37)
+    rng = np.random.default_rng(37)
     decades = 10.0 ** np.arange(1, 7)
     whole = [
         ViralLoadProfile(
@@ -305,6 +305,7 @@ def test_daily_stages_match_scalar_reference():
     external = np.arange(n) % 2 == 0
     params = np.array([profile_params(p) for p in profiles])
     symptomatic = np.array([p.symptomatic for p in profiles])
+    onset = onset_days(params, 0, symptomatic)
     config = default_config(infectiousViralLoadCut=cut)
     status = Population(n)  # the status update
     windows = Population(n)  # the symptom window, every symptomatic agent willing
@@ -313,7 +314,7 @@ def test_daily_stages_match_scalar_reference():
 
     def start(ids, day):
         for pop in (status, windows):
-            start_episodes(pop, ids, day, params[ids], symptomatic[ids], np.ones(len(ids), bool))
+            start_episodes(pop, ids, day, params[ids], onset[ids], symptomatic[ids])
         comp[ids] = C.EXPOSED
 
     for day in range(30):
@@ -368,9 +369,8 @@ def test_trajectory_times_beyond_float32_range_run_without_overflow(field, dist)
     # the key days are stored as float32; a day beyond its range is never
     # reached, so it is held at the largest float32 instead of overflowing
     cfg = default_config(popSize=200, timeHorizon=20, initialInfected=10, **{field: dist})
-    rng = make_rng(cfg.baseSeed, 0)
-    state = initialize(cfg, rng)
+    state = initialize(cfg, make_rng(cfg.baseSeed, 0))
     for day in range(cfg.timeHorizon):
-        step(state, day, rng)
+        step(state, day)
     # every stored day, the scheduled infectious and recovery days included
     assert not np.isinf(state.population.days).any()
