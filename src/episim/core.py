@@ -454,10 +454,11 @@ def make_rng(base_seed: int, run_index: int = 0) -> Streams:
 # Population state
 
 # The rows of Population.days. An episode's days come first, so that ending
-# one clears days[EPISODE_DAYS]; its first status update sets days[KEY_DAYS].
+# one clears days[EPISODE_DAYS]: its start days, then its transition days.
 DAY_ROWS = ("exposure_day", "onset_day", "first_load_day", "last_load_day",
             "infectious_day", "recovery_day", "iso_exit_day", "last_exit_day")
-KEY_DAYS = slice(2, 6)
+START_DAYS = slice(1, 4)
+TRANSITION_DAYS = slice(4, 6)
 EPISODE_DAYS = slice(0, 6)
 
 
@@ -473,12 +474,13 @@ class Population:
 
     ``params`` holds the episode's trajectory (t0, V0, tP, VP, tS, tF, VF) in
     the order of ``DISTRIBUTION_FIELDS``, column by column, so that the load
-    kernel reads contiguous columns. ``params``, ``exposure_day``,
-    ``onset_day`` and, once :func:`episim.transmission.schedule_episodes` has
-    set them, the key days are set exactly for agents in E, I_s, I_a, R and
-    sick isolation, except that ``onset_day`` is NaN for an asymptomatic
-    episode, which is what marks it, and ``infectious_day`` for one that never
-    becomes infectious. A release from sick isolation rewrites
+    kernel reads contiguous columns. ``params``, ``exposure_day`` and the
+    start days (onset, first and last load day) are set when an episode starts,
+    exactly for agents in E, I_s, I_a, R and sick isolation; ``onset_day`` is
+    NaN for an asymptomatic episode, which is what marks it. The transition
+    days (infectious, recovery) wait, with ``recovery_day`` NaN, until a status
+    update reaches a waiting episode's first load day; ``infectious_day`` stays
+    NaN if it never becomes infectious. A release from sick isolation sets
     ``recovery_day``; it stays until immunity lapses.
     ``iso_exit_day``, the scheduled release, is set exactly for isolated
     agents. ``last_exit_day`` is the day of the latest release and is never

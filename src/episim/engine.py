@@ -11,17 +11,16 @@ The records are a run's only accumulator: entry 0 is the state after
 :func:`run` returns the entries of days 0 to ``timeHorizon - 1``.
 
 Daily stage order: (1) external exposure, (2) status updates (result
-delivery, isolation exits, key days, status transitions, loss of immunity),
-(3) self-isolation, (4) testing, (5) internal propagation, (6) vaccination.
+delivery, isolation exits, status transitions, loss of immunity), (3)
+self-isolation, (4) testing, (5) internal propagation, (6) vaccination.
 Each stage works on whole arrays of agent ids in ascending order and takes
 its draws from the run's stream for their purpose
 (:class:`~episim.core.Streams`), so a run is fully determined by (config,
 runIndex).
 
-The status update only compares days. Before it, the episodes that reach
-their first load day or leave E get their key days
-(:func:`~episim.transmission.schedule_episodes`), among them the days on which
-each becomes infectious and recovers.
+An episode's start days are set when it starts; the status update schedules
+its transition days, the days it becomes infectious and recovers, and compares
+days with them (:func:`_advance_infections`).
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -40,6 +39,7 @@ from .core import (
     N_COMPARTMENTS,
     R,
     S_V,
+    TRANSITION_DAYS,
     ConfigError,
     Population,
     ScenarioConfig,
@@ -56,8 +56,8 @@ from .interventions import (
     vaccination_step,
 )
 from .testing import deliver_results, run_testing_day
-from .transmission import (EpisodeSource, expose, external_exposure_step,
-                           internal_propagation_step, schedule_episodes)
+from .transmission import EpisodeSource, expose, external_exposure_step, internal_propagation_step
+from .viral_load import transition_days
 
 
 # One daily record; the field names are the run-CSV column names.
@@ -136,7 +136,16 @@ def initialize(config: ScenarioConfig, streams: Streams) -> RunState:
     return RunState(config, population, records, streams, episodes)
 
 
-def _advance_infections(population: Population, day: int) -> None:
+def _advance_infections(population: Population, day: int, cut: float) -> None:
+    # An episode waits for its transition days while its recovery day is NaN
+    # (a release sets it). They are the same from its first update up to its
+    # first load day, so all waiting episodes get them once one reaches it.
+    waiting = np.isnan(population.recovery_day)
+    if np.any(waiting & (population.first_load_day <= day)):
+        ids = (waiting & np.isfinite(population.exposure_day)).nonzero()[0]
+        columns = np.take(population.params.T, ids, axis=1)
+        population.days[TRANSITION_DAYS, ids] = transition_days(
+            columns, population.exposure_day[ids], cut, day)
     # E -> I (I_s with an onset day) and E or I -> R on the scheduled days; an
     # isolated agent keeps its compartment until its release
     onset = (population.infectious_day == day).nonzero()[0]
@@ -160,8 +169,7 @@ def step(state: RunState, day: int) -> np.void:
     delivered = deliver_results(state.pending, day)
     false_isolations = apply_positive_results(population, delivered, day, config)
     isolation_exit_step(population, day, config)
-    schedule_episodes(population, day, config.infectiousViralLoadCut)
-    _advance_infections(population, day)
+    _advance_infections(population, day, config.infectiousViralLoadCut)
     recovered_to_susceptible_step(population, day, config)
 
     self_isolation_step(population, day, config)
@@ -237,7 +245,7 @@ class ReplicateResult:
 def run_replicates(
     configs: Sequence[ScenarioConfig],
     n_runs: int,
-    jobs: Optional[int] = None,
+    jobs: int = 1,
 ) -> list[ReplicateResult]:
     """Run replicates 0..n_runs-1 of every config on one process pool.
 
@@ -246,7 +254,8 @@ def run_replicates(
     """
     if n_runs < 1:
         raise ConfigError("n_runs must be >= 1")
-    jobs = jobs or 1
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     task_configs = [config for config in configs for _ in range(n_runs)]
     indices = list(range(n_runs)) * len(configs)
     if jobs > 1 and len(indices) > 1:

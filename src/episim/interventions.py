@@ -68,7 +68,7 @@ def self_isolation_step(
     have not triggered yet. A candidate whose symptom window has passed (for
     example while in test-driven isolation) stops being one. The symptom
     window is [first symptomatic day, last load day], read from the episode's
-    key days without evaluating its trajectory.
+    start days, set when it starts, without evaluating its trajectory.
     """
     candidates = population.selfiso_candidate.nonzero()[0]
     last_day = population.last_load_day[candidates]

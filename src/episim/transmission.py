@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import (DISTRIBUTION_FIELDS, E, I_A, I_S, ISO_HEALTHY, KEY_DAYS, S_U, S_V, Population,
+from .core import (DISTRIBUTION_FIELDS, E, I_A, I_S, ISO_HEALTHY, START_DAYS, S_U, S_V, Population,
                    ScenarioConfig)
-from .viral_load import key_days, onset_days, sample_params
+from .viral_load import sample_params, start_days
 
 
 # Episodes per draw from a run's episodes stream. A part of the stream
@@ -29,10 +29,11 @@ class EpisodeSource:
     ``rng`` in blocks of ``EPISODE_BLOCK`` and handed out in draw order.
 
     A block holds, per episode, a trajectory (a row of
-    :func:`~episim.viral_load.sample_params`), its first symptomatic day
-    counted from the exposure day (:func:`~episim.viral_load.onset_days`, NaN
-    if asymptomatic) and whether it will self-isolate (symptomatic and
-    willing). :class:`~episim.core.Streams` gives the draw order.
+    :func:`~episim.viral_load.sample_params`), its start days counted from the
+    exposure day (:func:`~episim.viral_load.start_days`: the first symptomatic
+    day, NaN if asymptomatic, and the first and last load day) and whether it
+    will self-isolate (symptomatic and willing). :class:`~episim.core.Streams`
+    gives the draw order.
     """
 
     def __init__(self, config: ScenarioConfig, rng: np.random.Generator):
@@ -40,7 +41,7 @@ class EpisodeSource:
         self.rng = rng
         # the episodes drawn and not yet handed out
         self.params = np.empty((0, len(DISTRIBUTION_FIELDS)))
-        self.onset = np.empty(0)
+        self.start = np.empty((0, 3))  # one row of start-day offsets per episode
         self.selfiso = np.empty(0, dtype=bool)
 
     def _draw_block(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -48,21 +49,21 @@ class EpisodeSource:
         symptomatic = rng.random(EPISODE_BLOCK) < config.fractionSymptomatic
         params = sample_params(config, symptomatic, rng)
         willing = rng.random(EPISODE_BLOCK) < config.selfIsolationOnSymptomsProb
-        return params, onset_days(params, 0, symptomatic), symptomatic & willing
+        return params, start_days(params, 0, symptomatic).T, symptomatic & willing
 
     def take(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The next ``n`` episodes: their trajectories, onset offsets and
-        self-isolation flags."""
-        short = n - len(self.onset)
+        """The next ``n`` episodes: their trajectories, start-day offsets (a
+        ``(3, n)`` array) and self-isolation flags."""
+        short = n - len(self.selfiso)
         if short > 0:
             blocks = [self._draw_block() for _ in range(-(-short // EPISODE_BLOCK))]
             # each field: the episodes held, then the new blocks in draw order
-            self.params, self.onset, self.selfiso = (
+            self.params, self.start, self.selfiso = (
                 np.concatenate(parts)
-                for parts in zip((self.params, self.onset, self.selfiso), *blocks)
+                for parts in zip((self.params, self.start, self.selfiso), *blocks)
             )
-        taken = self.params[:n], self.onset[:n], self.selfiso[:n]
-        self.params, self.onset, self.selfiso = self.params[n:], self.onset[n:], self.selfiso[n:]
+        taken = self.params[:n], self.start[:n].T, self.selfiso[:n]
+        self.params, self.start, self.selfiso = self.params[n:], self.start[n:], self.selfiso[n:]
         return taken
 
 
@@ -78,35 +79,19 @@ def start_episodes(
     ids: np.ndarray,
     day: int,
     params: np.ndarray,
-    onset: np.ndarray,
+    start: np.ndarray,
     selfiso: np.ndarray,
 ) -> None:
     """Put agents ``ids`` in E with the episodes ``params`` (rows of
-    :func:`~episim.viral_load.sample_params`) exposed on ``day``, first
-    symptomatic ``onset`` days later (NaN if asymptomatic) and to self-isolate
-    where ``selfiso``; the status update sets their key days
-    (:func:`schedule_episodes`)."""
+    :func:`~episim.viral_load.sample_params`) exposed on ``day``, with their
+    start days ``start`` days later (a ``(3, k)`` array of
+    :func:`~episim.viral_load.start_days` offsets) and to self-isolate where
+    ``selfiso``. Their transition days wait for the status update."""
     population.params[ids] = params
     population.comp[ids] = E
     population.exposure_day[ids] = day
-    population.onset_day[ids] = onset + day
+    population.days[START_DAYS, ids] = start + day
     population.selfiso_candidate[ids] = selfiso
-
-
-def schedule_episodes(population: Population, day: int, cut: float) -> None:
-    """Store the key days (:func:`~episim.viral_load.key_days`) under the load
-    cut ``cut`` of the episodes that have none yet, in a status update on
-    ``day``. An episode's first status update is on its exposure day (a seed
-    or an external exposure) or the next day, but its status and its load
-    cannot change before its first load day, so from any day up to that one
-    its key days are the same. They are set once one of the waiting episodes
-    reaches its first load day or leaves E, for all of them."""
-    ids = (np.isfinite(population.exposure_day) & np.isnan(population.last_load_day)).nonzero()[0]
-    exposure_day = population.exposure_day[ids]
-    first_load_day = exposure_day + np.ceil(population.params[ids, 0])
-    if np.any(first_load_day <= day) or np.any(population.comp[ids] != E):
-        columns = np.take(population.params.T, ids, axis=1)
-        population.days[KEY_DAYS, ids] = key_days(columns, exposure_day, cut, day)
 
 
 def _bernoulli_expose(

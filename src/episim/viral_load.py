@@ -13,9 +13,10 @@ draws trajectories as rows of (t0, V0, tP, VP, tS, tF, VF), the order of
 
 The engine steps in whole days, so the days on which a comparison with an
 episode's trajectory changes are fixed when it is sampled: the first
-symptomatic day (:func:`onset_days`), the first and last load day and the days
-the status update moves it to I and to R (:func:`key_days`). The daily stages
-compare days with them; only testing evaluates loads (:func:`current_loads`).
+symptomatic day and the load window (:func:`start_days`), set when it starts,
+and the days the status update moves it to I and to R (:func:`transition_days`),
+which also depend on the day of its first update. The daily stages compare
+days with them; only testing evaluates loads (:func:`current_loads`).
 """
 
 from __future__ import annotations
@@ -87,26 +88,30 @@ def key_times(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return peak, onset, onset + tf
 
 
-def onset_days(params: np.ndarray, exposure_day: float | np.ndarray,
+def start_days(params: np.ndarray, exposure_day: float | np.ndarray,
                symptomatic: np.ndarray) -> np.ndarray:
-    """The first symptomatic day of episodes ``params`` (rows of
-    :func:`sample_params`) exposed on ``exposure_day``, clipped like the key
-    days: exposure day + ceil(onset) (``onset <= tau``), NaN if asymptomatic."""
-    _, onset, _ = key_times(np.asarray(params, dtype=float).reshape(-1, 7).T)
-    days = np.where(symptomatic, exposure_day + np.ceil(onset), np.nan)
+    """The start days of episodes ``params`` (rows of :func:`sample_params`)
+    exposed on ``exposure_day``, a ``(3, k)`` array in the order of
+    ``Population.days[START_DAYS]``: the first symptomatic day (``onset <=
+    tau``, NaN if asymptomatic) and the first and last load day (``tau >= t0``
+    and ``tau <= end``), clipped like :func:`transition_days`."""
+    columns = np.asarray(params, dtype=float).reshape(-1, 7).T
+    _, onset, end = key_times(columns)
+    days = exposure_day + np.array([np.where(symptomatic, np.ceil(onset), np.nan),
+                                    np.ceil(columns[0]), np.floor(end)])
     return np.minimum(days, np.finfo(np.float32).max, out=days)
 
 
-def key_days(columns: np.ndarray, exposure_day: float | np.ndarray, cut: float,
-             first_update: float | np.ndarray) -> np.ndarray:
-    """The key days of episodes ``columns`` (one row per field of
-    ``DISTRIBUTION_FIELDS``) exposed on ``exposure_day``, as a ``(4, k)`` array
-    in the order of ``Population.days[KEY_DAYS]``: the first and the last load
-    day (``tau >= t0`` and ``tau <= end`` for ``tau = day - exposure_day``),
-    and the days on which a status update run every day from ``first_update``
-    moves the episode, to I on a load strictly above ``cut`` (NaN if it
-    recovers first) and to R past the end, or past the peak on a load strictly
-    below ``cut``. Each is clipped to the largest float32, which no day reaches."""
+def transition_days(columns: np.ndarray, exposure_day: float | np.ndarray, cut: float,
+                    first_update: float | np.ndarray) -> np.ndarray:
+    """The transition days of episodes ``columns`` (one row per field of
+    ``DISTRIBUTION_FIELDS``) exposed on ``exposure_day``, as a ``(2, k)`` array
+    in the order of ``Population.days[TRANSITION_DAYS]``: the days on which a
+    status update run every day from ``first_update`` moves the episode, to I
+    on a load strictly above ``cut`` (NaN if it recovers first) and to R past
+    the end, or past the peak on a load strictly below ``cut``. Each is
+    clipped to the largest float32, which no day reaches, so the recovery day
+    is never NaN."""
     t0 = columns[0]
     peak, _, end = key_times(columns)
     times = np.array([t0, peak, end])
@@ -119,14 +124,13 @@ def key_days(columns: np.ndarray, exposure_day: float | np.ndarray, cut: float,
     # a flat or empty segment divides by infinity: its crossing is its start
     frac = -rel[:2] / np.where(change != 0.0, change, np.inf)
     near = np.rint(times[:2] + span * np.clip(frac, 0.0, 1.0))
-    first_load, floors = np.ceil(t0), np.floor(times[1:])
-    first = np.maximum(first_load, first_update - exposure_day)
-    taus = np.maximum(np.concatenate([first[None], floors + 1.0, near, near + 1.0]), first)
+    first = np.maximum(np.ceil(t0), first_update - exposure_day)
+    taus = np.maximum(np.vstack([first, np.floor(times[1:]) + 1.0, near, near + 1.0]), first)
     load = load_array(columns, taus)
     infectious = taus.min(axis=0, where=load > cut, initial=np.inf)
     recovery = taus.min(axis=0, where=(taus > peak) & (load < cut), initial=np.inf)
     infectious[infectious >= recovery] = np.nan
-    days = exposure_day + np.array([first_load, floors[1], infectious, recovery])
+    days = exposure_day + np.array([infectious, recovery])
     return np.minimum(days, np.finfo(np.float32).max, out=days)
 
 
@@ -134,8 +138,8 @@ def current_loads(population: Population, ids: np.ndarray, day: int) -> np.ndarr
     """Viral load on ``day`` of each agent in ``ids``.
 
     Loads are evaluated only inside an episode's load window, [first load
-    day, last load day]; outside it, and for agents with no episode (whose
-    key days are NaN), the load is exactly 0.
+    day, last load day], set when the episode starts; outside it, and for
+    agents with no episode (whose days are NaN), the load is exactly 0.
     """
     in_window = (population.first_load_day[ids] <= day) & (day <= population.last_load_day[ids])
     carriers = ids[in_window]

@@ -2,7 +2,7 @@
 sample at a time.
 
 The package evaluates whole populations at once (``viral_load.load_array``,
-``viral_load.key_days``, ``testing.pool_positive_prob``). The kernel tests
+``viral_load.transition_days``, ``testing.pool_positive_prob``). The kernel tests
 check those against the plain rules here: a trajectory's load and status,
 the days a daily status update moves it, its symptom window, and single and
 pooled tests.

@@ -9,6 +9,7 @@ import pytest
 from episim import engine
 from episim.cli import write_replicates
 from episim.core import (
+    START_DAYS,
     STREAMS,
     Compartment,
     ConfigError,
@@ -126,10 +127,11 @@ def test_seeds_take_the_first_episodes_across_two_blocks():
     assert len(seeds) == EPISODE_BLOCK + 50
     # the same episodes taken in other batches from a fresh episodes stream
     fresh = EpisodeSource(cfg, make_rng(cfg.baseSeed, 3).episodes)
-    params, onset, selfiso = (np.concatenate(parts) for parts in zip(
-        fresh.take(7), fresh.take(EPISODE_BLOCK), fresh.take(43)))
+    # each field with one row per episode; take returns the start days as columns
+    params, start, selfiso = (np.concatenate(parts) for parts in zip(*(
+        (p, s.T, f) for p, s, f in (fresh.take(7), fresh.take(EPISODE_BLOCK), fresh.take(43)))))
     assert pop.params[seeds].tobytes() == params.tobytes()
-    assert pop.onset_day[seeds].tobytes() == onset.astype(np.float32).tobytes()
+    assert pop.days[START_DAYS, seeds].T.tobytes() == start.astype(np.float32).tobytes()
     assert pop.selfiso_candidate[seeds].tobytes() == selfiso.tobytes()
     # the run's next episode is the fresh stream's next one
     assert state.episodes.take(1)[0].tobytes() == fresh.take(1)[0].tobytes()
@@ -161,7 +163,9 @@ def test_streams_are_separated_by_purpose(monkeypatch):
         for day in range(cfg.timeHorizon):
             step(state, day)
         records.append(state.records)
-        episodes.append([np.concatenate(parts) for parts in zip(*taken[-1])])
+        # each field with one row per episode
+        episodes.append([np.concatenate(parts)
+                         for parts in zip(*((p, s.T, f) for p, s, f in taken[-1]))])
     assert initial[0] == initial[1]
     n = min(len(e[1]) for e in episodes)
     assert n > EPISODE_BLOCK
@@ -303,6 +307,13 @@ def test_replicates_match_serial_and_parallel():
     [parallel] = run_replicates([cfg], 3, jobs=2)
     assert serial.summaries == parallel.summaries
     assert np.array_equal(np.stack(serial.records), np.stack(parallel.records))
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_run_replicates_rejects_a_job_count_below_one(jobs):
+    cfg = default_config(popSize=50, initialInfected=2, timeHorizon=3)
+    with pytest.raises(ConfigError, match=f"jobs must be >= 1, got {jobs}"):
+        run_replicates([cfg], 2, jobs=jobs)
 
 
 def test_replicates_of_several_configs_come_back_per_config():

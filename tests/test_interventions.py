@@ -8,6 +8,7 @@ from episim.core import (
     Population,
     default_config,
 )
+from episim.engine import _advance_infections
 from episim.interventions import (
     apply_positive_results,
     isolation_exit_step,
@@ -15,8 +16,8 @@ from episim.interventions import (
     self_isolation_step,
     vaccination_step,
 )
-from episim.transmission import schedule_episodes, start_episodes
-from episim.viral_load import onset_days
+from episim.transmission import start_episodes
+from episim.viral_load import start_days
 
 from reference import ViralLoadProfile, profile_params
 
@@ -31,14 +32,13 @@ def fresh_population(n=6):
 
 def infect(pop, agent_id, day=0, profile=SYMPTOMATIC_PROFILE,
            compartment=Compartment.INFECTIOUS_SYMPTOMATIC, will_isolate=False):
-    """Start an episode the way an exposure does, move it to
-    ``compartment``, then schedule its key days from that day."""
+    """Start an episode the way an exposure does, then move it to
+    ``compartment``."""
     params = np.array([profile_params(profile)])
     symptomatic = np.array([profile.symptomatic])
-    start_episodes(pop, np.array([agent_id]), day, params, onset_days(params, 0, symptomatic),
+    start_episodes(pop, np.array([agent_id]), day, params, start_days(params, 0, symptomatic),
                    symptomatic & will_isolate)
     pop.comp[agent_id] = compartment
-    schedule_episodes(pop, day, 1e3)
     return agent_id
 
 
@@ -63,18 +63,21 @@ def test_positive_result_isolates_infectious_as_sick():
 
 
 def test_an_episode_isolated_before_its_first_load_day_keeps_its_release():
-    # the key days wait for the first load day (day 3) while the agent is in
-    # E, but an isolation sets them at once, so that they cannot later
-    # overwrite the recovery day of its release
+    # the transition days wait for the first load day (day 3), but the
+    # release on day 2 sets the recovery day, so the status update of day 3,
+    # which schedules agent 1's episode, does not schedule it and overwrite it
     pop = fresh_population()
     cfg = default_config(isolationLength=1)
     infect(pop, 0, compartment=Compartment.EXPOSED)
-    assert np.isnan(pop.last_load_day[0])
-    apply_positive_results(pop, [0], 1, cfg)
-    schedule_episodes(pop, 1, 1e3)
+    infect(pop, 1, compartment=Compartment.EXPOSED)
+    assert np.isnan(pop.recovery_day[0])
     assert pop.last_load_day[0] == 13
+    apply_positive_results(pop, [0], 1, cfg)
+    _advance_infections(pop, 1, 1e3)
+    assert np.isnan(pop.recovery_day[0])
     isolation_exit_step(pop, 2, cfg)
-    schedule_episodes(pop, 3, 1e3)
+    _advance_infections(pop, 3, 1e3)
+    assert np.isfinite(pop.recovery_day[1])
     assert pop.comp[0] == Compartment.RECOVERED and pop.recovery_day[0] == 2
 
 

@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 from episim.core import (
     DAY_ROWS,
     EPISODE_DAYS,
-    KEY_DAYS,
+    START_DAYS,
+    TRANSITION_DAYS,
     Compartment,
     Constant,
     GammaShifted,
@@ -28,7 +29,7 @@ from episim.core import (
     validate_config,
 )
 from episim.engine import RECORD_DTYPE, initialize, run, run_replicates, step
-from episim.viral_load import key_days, onset_days
+from episim.viral_load import start_days, transition_days
 
 C = Compartment
 COUNT_COLUMNS = ("s_u", "s_v", "e", "i_s", "i_a", "r", "iso_healthy", "iso_sick")
@@ -56,6 +57,8 @@ def configs(draw):
         externalExposureProbDaily=draw(st.floats(0.0, 0.2)),
         fractionSymptomatic=draw(unit()),
         infectiousViralLoadCut=draw(st.sampled_from([1e2, 1e3, 1e5])),
+        # a t0 from 0 opens the load window on the exposure day
+        t0=draw(st.sampled_from([Uniform(2.5, 3.5), Constant(0.0), Uniform(0.0, 1.0)])),
         tP=draw(st.sampled_from([GammaShifted(1.5, 1.0, 0.5), Constant(0.0)])),
         tS=draw(st.sampled_from([Uniform(0.0, 3.0), Constant(0.0)])),
         tF=draw(st.sampled_from([Uniform(4.0, 9.0), Uniform(0.0, 1.0)])),
@@ -95,41 +98,42 @@ def check_population(pop, day, config):
     episode = infected | (pop.comp == C.ISOLATED_SICK)
     assert np.isnan(pop.exposure_day[~episode]).all(), day
     assert np.isnan(pop.params[~episode]).all(), day
-    # the onset day is that of the episode's trajectory, and NaN outside one;
-    # an episode with no onset day is asymptomatic, so it has no symptom delay
-    # and no self-isolation to come
+    # the start days are those of the episode's trajectory, and NaN outside
+    # one; an episode with no onset day is asymptomatic, so it has no symptom
+    # delay and no self-isolation to come
     assert np.isnan(pop.days[EPISODE_DAYS][:, ~episode]).all(), day
     symptomatic = np.isfinite(pop.onset_day)
-    want = onset_days(pop.params[episode], pop.exposure_day[episode], symptomatic[episode])
-    assert np.array_equal(pop.onset_day[episode], want, equal_nan=True), day
-    # the key days are NaN until a status update sets them as the first one,
-    # on the exposure day or the next day, would. It may wait until the first
-    # load day, while the agent stays in E, so at the end of a day only the
-    # day's internal exposures (after initialize, the seeds) and episodes
-    # before their first load day wait. Only the first load and last load days
-    # are the same for either first update; a release from sick isolation
-    # rewrites the recovery day, so an R or isolated agent's is checked below
-    scheduled = episode & np.isfinite(pop.last_load_day)
-    waiting = episode & ~scheduled
-    assert np.isnan(pop.days[KEY_DAYS][:, waiting]).all(), day
-    first_load_day = pop.exposure_day[waiting] + np.ceil(pop.params[waiting, 0])
+    want = start_days(pop.params[episode], pop.exposure_day[episode], symptomatic[episode])
+    assert np.array_equal(pop.days[START_DAYS][:, episode], want, equal_nan=True), day
+    # an episode waits for its transition days while its recovery day is NaN.
+    # The status update sets them, as a first update on the exposure day or
+    # the next day would, once a waiting episode reaches its first load day.
+    # So at the end of a day only the day's internal exposures (after
+    # initialize, the seeds) and episodes before their first load day wait,
+    # in E or, if isolated before that day, in sick isolation
+    waiting = episode & np.isnan(pop.recovery_day)
+    assert np.isnan(pop.days[TRANSITION_DAYS][:, waiting]).all(), day
+    first_load_day = pop.first_load_day[waiting]
     assert np.all((first_load_day > day) | (pop.exposure_day[waiting] == max(day, 0))), day
-    assert np.all(pop.comp[waiting] == C.EXPOSED), day
-    stored = pop.days[KEY_DAYS][:, scheduled]
-    columns, exposed_on = pop.params[scheduled].T, pop.exposure_day[scheduled]
-    # per first update, whether each episode's key days match
-    matches = [(stored == want) | (np.isnan(stored) & np.isnan(want)) for want in (
-        key_days(columns, exposed_on, config.infectiousViralLoadCut, exposed_on + lag)
-        for lag in (0, 1))]
-    assert np.all(matches[0][:2]) and np.all(matches[0][2] | matches[1][2]), day
+    assert np.all((pop.comp[waiting] == C.EXPOSED) | (pop.comp[waiting] == C.ISOLATED_SICK)), day
+    # a scheduled E or I episode's transition days are those of a first update
+    # on its exposure day or the next day; a release from sick isolation sets
+    # the recovery day of an R or isolated one
     active = (pop.comp >= C.EXPOSED) & (pop.comp <= C.INFECTIOUS_ASYMPTOMATIC)
-    assert np.all(matches[0].all(axis=0) | matches[1].all(axis=0) | ~active[scheduled]), day
+    scheduled = active & ~waiting
+    stored = pop.days[TRANSITION_DAYS][:, scheduled]
+    columns, exposed_on = pop.params[scheduled].T, pop.exposure_day[scheduled]
+    # per first update, whether each episode's transition days match
+    matches = [((stored == want) | (np.isnan(stored) & np.isnan(want))).all(axis=0) for want in (
+        transition_days(columns, exposed_on, config.infectiousViralLoadCut, exposed_on + lag)
+        for lag in (0, 1))]
+    assert np.all(matches[0] | matches[1]), day
     assert np.all(pop.params[episode & ~symptomatic, 4] == 0), day
     assert not np.any(pop.selfiso_candidate & ~symptomatic), day
     # the status update leaves no E or I agent past its last load day or its
     # recovery day, no E agent past its infectious day, no I agent before its
     # first load day, and no R agent before its recovery day
-    assert np.all(day <= pop.last_load_day[active & scheduled]), day
+    assert np.all(day <= pop.last_load_day[active]), day
     assert not np.any(pop.recovery_day[active] <= day), day
     assert not np.any(pop.infectious_day[pop.comp == C.EXPOSED] <= day), day
     infectious = (pop.comp == C.INFECTIOUS_SYMPTOMATIC) | (pop.comp == C.INFECTIOUS_ASYMPTOMATIC)

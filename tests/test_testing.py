@@ -13,7 +13,8 @@ from episim.testing import (
     pool_positive_prob,
     run_testing_day,
 )
-from episim.transmission import schedule_episodes, start_episodes
+from episim.transmission import start_episodes
+from episim.viral_load import start_days
 
 from reference import (
     ViralLoadProfile,
@@ -157,10 +158,10 @@ def hot_population(n=100, hot_ids=(), load=1e8):
         t0=0.5, V0=load, tP=1.0, VP=load, tS=0.0, tF=50.0, VF=load, symptomatic=False
     )
     hot = np.array(hot_ids, dtype=np.int64)
-    start_episodes(pop, hot, 0, np.tile(profile_params(profile), (len(hot), 1)),
-                   np.full(len(hot), np.nan), np.zeros(len(hot), bool))
+    params = np.tile(profile_params(profile), (len(hot), 1))
+    start_episodes(pop, hot, 0, params, start_days(params, 0, np.zeros(len(hot), bool)),
+                   np.zeros(len(hot), bool))
     pop.comp[hot] = Compartment.INFECTIOUS_ASYMPTOMATIC
-    schedule_episodes(pop, 0, 1e3)
     return pop
 
 
@@ -272,10 +273,8 @@ def test_run_testing_day_matches_scalar_reference(pooling_type, pool_size):
             symptomatic=False,
         ))
         start_episodes(pop, np.array([i]), int(rng.integers(0, 16)), np.array([params]),
-                       np.array([np.nan]), np.array([False]))
+                       start_days(params, 0, np.array([False])), np.array([False]))
         pop.comp[i] = infected_comps[i % 4]
-    # the status update of the testing day sets the key days
-    schedule_episodes(pop, 15, 1e3)
     for i in range(1, n, 11):
         pop.comp[i] = Compartment.ISOLATED_HEALTHY
     for i in range(2, n, 5):

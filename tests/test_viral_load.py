@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from episim.core import Compartment, Constant, Population, default_config, make_rng
+from episim.core import (TRANSITION_DAYS, Compartment, Constant, Population, default_config,
+                         make_rng)
 from episim.engine import _advance_infections, initialize, step
 from episim.interventions import self_isolation_step
-from episim.transmission import schedule_episodes, start_episodes
-from episim.viral_load import current_loads, key_days, load_array, onset_days
+from episim.transmission import start_episodes
+from episim.viral_load import current_loads, load_array, start_days, transition_days
 
 from reference import (
     InfectionStage,
@@ -211,13 +212,13 @@ def stage_profiles():
     return profiles
 
 
-def test_key_days_restate_the_key_time_comparisons():
-    # on every whole day, each key day answers its comparison exactly
+def test_start_days_restate_the_key_time_comparisons():
+    # on every whole day, each start day answers its comparison exactly
     profiles = stage_profiles()
     params = np.array([profile_params(p) for p in profiles])
     exposure = np.arange(len(profiles)) % 7
-    first_load, last_load, _, _ = key_days(params.T, exposure, 1e3, exposure)
-    onset = onset_days(params, exposure, np.array([p.symptomatic for p in profiles]))
+    onset, first_load, last_load = start_days(
+        params, exposure, np.array([p.symptomatic for p in profiles]))
     for i, prof in enumerate(profiles):
         for tau in range(-1, 30):
             day = exposure[i] + tau
@@ -225,6 +226,29 @@ def test_key_days_restate_the_key_time_comparisons():
             assert (day <= last_load[i]) == (tau <= prof.end_time), (i, tau)
             showing_from = prof.symptomatic and prof.symptom_onset_time <= tau
             assert (onset[i] <= day) == showing_from, (i, tau)
+
+
+def test_loads_and_self_isolation_need_no_status_update():
+    # an episode's load window and onset day are set when it starts, so a
+    # testing day's loads and self-isolation read them before any status
+    # update has scheduled its transition days
+    profile = ViralLoadProfile(t0=3.0, V0=1e3, tP=2.0, VP=1e5, tS=1.5, tF=6.5, VF=1e3,
+                               symptomatic=True)
+    params = np.array([profile_params(profile)])
+    symptomatic = np.array([True])
+    pop = Population(2)
+    start_episodes(pop, np.array([1]), 2, params, start_days(params, 0, symptomatic), symptomatic)
+    pop.comp[1] = Compartment.INFECTIOUS_SYMPTOMATIC
+    # day 6 is tau 4, between t0 and the peak
+    loads = current_loads(pop, np.array([0, 1]), 6)
+    assert loads[0] == 0.0 and loads[1] > 0.0
+    np.testing.assert_allclose(loads[1], load_at(profile, 4.0), rtol=1e-12)
+    # symptoms from tau 6.5: the willing agent isolates on day 9
+    config = default_config()
+    assert self_isolation_step(pop, 8, config).tolist() == []
+    assert self_isolation_step(pop, 9, config).tolist() == [1]
+    assert pop.comp[1] == Compartment.ISOLATED_SICK
+    assert np.isnan(pop.days[TRANSITION_DAYS]).all()
 
 
 def schedule_profiles(cut):
@@ -263,7 +287,7 @@ def schedule_profiles(cut):
 
 
 def test_scheduled_days_equal_the_daily_status_update():
-    # the infectious and recovery days of key_days are the days on which
+    # the transition days, infectious and recovery, are the days on which
     # status_at, stepped day by day from the first update, moves the episode;
     # the first update is on the exposure day (a seed or an external exposure)
     # or on the next day (an internal exposure)
@@ -277,7 +301,7 @@ def test_scheduled_days_equal_the_daily_status_update():
     assert transition_taus(peak_below_v0, cut, 1) == (None, 3)
     moved = set()
     for lag in (0, 1):
-        _, _, infectious, recovery = key_days(columns, exposure, cut, exposure + lag)
+        infectious, recovery = transition_days(columns, exposure, cut, exposure + lag)
         for i, prof in enumerate(profiles):
             onset, recovered = transition_taus(prof, cut, lag)
             if onset is None:
@@ -296,8 +320,8 @@ def test_daily_stages_match_scalar_reference():
     # Each episode starts through start_episodes on day i % 7: even ones
     # before the day's status update (an external exposure, first seen at
     # tau 0), odd ones at the end of the day (an internal exposure, first
-    # seen at tau 1). As in the engine, its key days are scheduled right
-    # before its first update.
+    # seen at tau 1). Only the status update schedules transition days; the
+    # symptom window and the loads need none.
     cut = 1e3
     profiles = stage_profiles()
     n = len(profiles)
@@ -305,7 +329,7 @@ def test_daily_stages_match_scalar_reference():
     external = np.arange(n) % 2 == 0
     params = np.array([profile_params(p) for p in profiles])
     symptomatic = np.array([p.symptomatic for p in profiles])
-    onset = onset_days(params, 0, symptomatic)
+    offsets = start_days(params, 0, symptomatic)
     config = default_config(infectiousViralLoadCut=cut)
     status = Population(n)  # the status update
     windows = Population(n)  # the symptom window, every symptomatic agent willing
@@ -314,7 +338,7 @@ def test_daily_stages_match_scalar_reference():
 
     def start(ids, day):
         for pop in (status, windows):
-            start_episodes(pop, ids, day, params[ids], onset[ids], symptomatic[ids])
+            start_episodes(pop, ids, day, params[ids], offsets[:, ids], symptomatic[ids])
         comp[ids] = C.EXPOSED
 
     for day in range(30):
@@ -329,9 +353,7 @@ def test_daily_stages_match_scalar_reference():
                 comp[i] = C.INFECTIOUS_SYMPTOMATIC if symptomatic[i] else C.INFECTIOUS_ASYMPTOMATIC
             elif stage is InfectionStage.RECOVERED:
                 comp[i] = C.RECOVERED
-        for pop in (status, windows):
-            schedule_episodes(pop, day, cut)
-        _advance_infections(status, day)
+        _advance_infections(status, day, cut)
         assert status.comp.tolist() == comp.tolist(), day
         transitions |= set(zip(before[before != comp].tolist(), comp[before != comp].tolist()))
 
@@ -366,11 +388,11 @@ def test_daily_stages_match_scalar_reference():
     ("tP", Constant(1e39)),
 ])
 def test_trajectory_times_beyond_float32_range_run_without_overflow(field, dist):
-    # the key days are stored as float32; a day beyond its range is never
+    # the days are stored as float32; a day beyond its range is never
     # reached, so it is held at the largest float32 instead of overflowing
     cfg = default_config(popSize=200, timeHorizon=20, initialInfected=10, **{field: dist})
     state = initialize(cfg, make_rng(cfg.baseSeed, 0))
     for day in range(cfg.timeHorizon):
         step(state, day)
-    # every stored day, the scheduled infectious and recovery days included
+    # every stored day, the start and the transition days included
     assert not np.isinf(state.population.days).any()
