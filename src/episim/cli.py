@@ -303,6 +303,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, baseSeed=args.seed)
+    validate_config(config)
+    Path(args.out).mkdir(parents=True, exist_ok=True)  # an unusable --out fails before any run
     [result] = run_replicates([config], args.runs, jobs=args.jobs)
     write_replicates(Path(args.out), config, result)
     print(f"wrote {args.runs} run(s) to {args.out}")
@@ -320,8 +322,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             f"{out_dir} already holds sweep cells ({', '.join(stale)}); "
             "choose a new --out"
         )
-    results = run_replicates([cell.config for cell in cells], spec.replicates, jobs=args.jobs)
     out_dir.mkdir(parents=True, exist_ok=True)
+    results = run_replicates([cell.config for cell in cells], spec.replicates, jobs=args.jobs)
     rows = []
     for cell, result in zip(cells, results):
         cell_dir = out_dir / cell.dirname
@@ -347,6 +349,9 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     validate_config(config)
     tau = expected_infectious_duration(config)
     beta = estimate_beta(args.target_r0, config)
+    out_dir = Path(args.out) if args.out else None
+    if out_dir:
+        out_dir.mkdir(parents=True, exist_ok=True)
     print(f"expected infectious duration: {tau:.6g} days")
     print(f"estimated beta for R0={args.target_r0:g}: {beta:.6g}")
     payload: dict[str, Any] = {
@@ -375,9 +380,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         shown = ("undefined (no run has an early window)" if early_mean is None
                  else f"{early_mean:.4g}")
         print(f"validation over {args.runs} baseline run(s): early-window mean R_t = {shown}")
-    if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+    if out_dir:
         write_json(out_dir / "calibration.json", payload)
         if series is not None:
             with (out_dir / "rt_series.csv").open("w", newline="") as fh:
@@ -475,8 +478,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "jobs", 1) < 1:
-            raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
+        for flag in ("jobs", "runs"):
+            if getattr(args, flag, 1) < 1:
+                raise ConfigError(f"--{flag} must be >= 1, got {getattr(args, flag)}")
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

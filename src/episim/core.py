@@ -411,7 +411,7 @@ class Streams:
     - ``episodes``: blocks of ``EPISODE_BLOCK`` episodes
       (:class:`~episim.transmission.EpisodeSource`). A block draws one vector
       each of: the symptomatic uniforms; t0, V0, tP, VP, tS, tF and VF
-      (``tS`` for every row, then zeroed where asymptomatic); the
+      (``tS`` for every episode, then zeroed where asymptomatic); the
       self-isolation uniforms. Episodes are handed out in draw order: first
       to the seeds, then to each exposure stage's newly exposed ids in
       ascending order. Where one batch of exposures ends does not change
@@ -472,9 +472,9 @@ class Population:
     exactly, so ``validate_config`` holds ``timeHorizon`` to at most 2**24; a
     later day rounds to one that is still beyond every day of a run.
 
-    ``params`` holds the episode's trajectory (t0, V0, tP, VP, tS, tF, VF) in
-    the order of ``DISTRIBUTION_FIELDS``, column by column, so that the load
-    kernel reads contiguous columns. ``params``, ``exposure_day`` and the
+    ``params`` holds each agent's episode trajectory, field-major: one row
+    per field of ``DISTRIBUTION_FIELDS`` and one column per agent, read and
+    written as ``params[:, ids]``. ``params``, ``exposure_day`` and the
     start days (onset, first and last load day) are set when an episode starts,
     exactly for agents in E, I_s, I_a, R and sick isolation; ``onset_day`` is
     NaN for an asymptomatic episode, which is what marks it. The transition
@@ -498,7 +498,7 @@ class Population:
             setattr(self, name, row)
         # willing to self-isolate and has not yet decided this episode
         self.selfiso_candidate = np.zeros(n, dtype=bool)
-        self.params = np.full((n, len(DISTRIBUTION_FIELDS)), np.nan, order="F")
+        self.params = np.full((len(DISTRIBUTION_FIELDS), n), np.nan)
 
     def counts(self) -> np.ndarray:
         """Agents per compartment, indexed by :class:`Compartment`."""

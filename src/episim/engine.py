@@ -96,8 +96,8 @@ class RunState:
     streams: Streams
     # the episodes drawn from streams.episodes and not yet handed out
     episodes: EpisodeSource
-    # delivery day -> arrays of agent ids whose positive result is due then
-    pending: dict[int, list[np.ndarray]] = field(default_factory=dict)
+    # delivery day -> the ascending ids whose positive result is due then
+    pending: dict[int, np.ndarray] = field(default_factory=dict)
 
 
 def initialize(config: ScenarioConfig, streams: Streams) -> RunState:
@@ -143,9 +143,8 @@ def _advance_infections(population: Population, day: int, cut: float) -> None:
     waiting = np.isnan(population.recovery_day)
     if np.any(waiting & (population.first_load_day <= day)):
         ids = (waiting & np.isfinite(population.exposure_day)).nonzero()[0]
-        columns = np.take(population.params.T, ids, axis=1)
         population.days[TRANSITION_DAYS, ids] = transition_days(
-            columns, population.exposure_day[ids], cut, day)
+            np.take(population.params, ids, axis=1), population.exposure_day[ids], cut, day)
     # E -> I (I_s with an onset day) and E or I -> R on the scheduled days; an
     # isolated agent keeps its compartment until its release
     onset = (population.infectious_day == day).nonzero()[0]

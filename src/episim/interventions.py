@@ -116,7 +116,7 @@ def recovered_to_susceptible_step(
     # checked too
     returned = (population.recovery_day == day - config.daysTilSusceptible).nonzero()[0]
     returned = returned[population.comp[returned] == R]
-    population.params[returned] = np.nan
+    population.params[:, returned] = np.nan
     population.days[EPISODE_DAYS, returned] = np.nan
     population.selfiso_candidate[returned] = False
     population.comp[returned] = population.susceptible_compartment(returned)

@@ -62,7 +62,7 @@ def run_testing_day(
     population: Population,
     config: ScenarioConfig,
     day: int,
-    pending: dict[int, list[np.ndarray]],
+    pending: dict[int, np.ndarray],
     rng: np.random.Generator,
 ) -> int:
     """Sample and test every eligible agent; returns tests used today.
@@ -71,8 +71,9 @@ def run_testing_day(
     is tested, then each member of a positive pool of two or more is tested
     singly; a pool of one is a single test with no stage 2. ``rng`` is the
     run's ``testing`` stream (:class:`~episim.core.Streams`). All outcomes use
-    the sampling-day loads. The positive ids are queued under
-    ``pending[day + daysDelayTestResults]``. The tests used are one per pool
+    the sampling-day loads. The positive ids are queued, ascending, under
+    ``pending[day + daysDelayTestResults]``; a run tests at most once a day,
+    so no testing day finds that key taken. The tests used are one per pool
     plus one per stage-2 member test.
     """
     ids = eligible_ids(population, day, config)
@@ -91,13 +92,10 @@ def run_testing_day(
     )
     positives = np.concatenate([ids[single_positive], ids[retest][retest_positive]])
     if positives.size:
-        pending.setdefault(day + config.daysDelayTestResults, []).append(positives)
+        pending[day + config.daysDelayTestResults] = np.sort(positives)
     return len(starts) + int(retest_positive.size)
 
 
-def deliver_results(pending: dict[int, list[np.ndarray]], day: int) -> np.ndarray:
+def deliver_results(pending: dict[int, np.ndarray], day: int) -> np.ndarray:
     """Remove today's positive results; returns their ids in ascending order."""
-    due = pending.pop(day, None)
-    if not due:
-        return np.empty(0, dtype=np.int64)
-    return np.sort(np.concatenate(due))
+    return pending.pop(day, np.empty(0, dtype=np.int64))

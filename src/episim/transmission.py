@@ -28,43 +28,38 @@ class EpisodeSource:
     """The infection episodes of one run, drawn from its ``episodes`` stream
     ``rng`` in blocks of ``EPISODE_BLOCK`` and handed out in draw order.
 
-    A block holds, per episode, a trajectory (a row of
-    :func:`~episim.viral_load.sample_params`), its start days counted from the
-    exposure day (:func:`~episim.viral_load.start_days`: the first symptomatic
-    day, NaN if asymptomatic, and the first and last load day) and whether it
-    will self-isolate (symptomatic and willing). :class:`~episim.core.Streams`
-    gives the draw order.
+    The episodes drawn and not yet handed out are the columns of one
+    ``(11, m)`` array, ``held``: the trajectory, field-major (one row per
+    field of ``DISTRIBUTION_FIELDS`` and one column per episode); its start
+    days counted from the exposure day
+    (:func:`~episim.viral_load.start_days`: the first symptomatic day, NaN if
+    asymptomatic, and the first and last load day); and 1 where it will
+    self-isolate (symptomatic and willing), else 0.
+    :class:`~episim.core.Streams` gives the draw order.
     """
 
     def __init__(self, config: ScenarioConfig, rng: np.random.Generator):
         self.config = config
         self.rng = rng
-        # the episodes drawn and not yet handed out
-        self.params = np.empty((0, len(DISTRIBUTION_FIELDS)))
-        self.start = np.empty((0, 3))  # one row of start-day offsets per episode
-        self.selfiso = np.empty(0, dtype=bool)
+        self.held = np.empty((len(DISTRIBUTION_FIELDS) + 3 + 1, 0))
 
-    def _draw_block(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _draw_block(self) -> np.ndarray:
         config, rng = self.config, self.rng
         symptomatic = rng.random(EPISODE_BLOCK) < config.fractionSymptomatic
         params = sample_params(config, symptomatic, rng)
         willing = rng.random(EPISODE_BLOCK) < config.selfIsolationOnSymptomsProb
-        return params, start_days(params, 0, symptomatic).T, symptomatic & willing
+        return np.vstack([params, start_days(params, 0, symptomatic), symptomatic & willing])
 
     def take(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The next ``n`` episodes: their trajectories, start-day offsets (a
         ``(3, n)`` array) and self-isolation flags."""
-        short = n - len(self.selfiso)
+        short = n - self.held.shape[1]
         if short > 0:
             blocks = [self._draw_block() for _ in range(-(-short // EPISODE_BLOCK))]
-            # each field: the episodes held, then the new blocks in draw order
-            self.params, self.start, self.selfiso = (
-                np.concatenate(parts)
-                for parts in zip((self.params, self.start, self.selfiso), *blocks)
-            )
-        taken = self.params[:n], self.start[:n].T, self.selfiso[:n]
-        self.params, self.start, self.selfiso = self.params[n:], self.start[n:], self.selfiso[n:]
-        return taken
+            self.held = np.hstack([self.held, *blocks])
+        taken, self.held = self.held[:, :n], self.held[:, n:]
+        fields = len(DISTRIBUTION_FIELDS)
+        return taken[:fields], taken[fields:-1], taken[-1] == 1.0
 
 
 def expose(population: Population, ids: np.ndarray, day: int, episodes: EpisodeSource) -> None:
@@ -82,12 +77,13 @@ def start_episodes(
     start: np.ndarray,
     selfiso: np.ndarray,
 ) -> None:
-    """Put agents ``ids`` in E with the episodes ``params`` (rows of
-    :func:`~episim.viral_load.sample_params`) exposed on ``day``, with their
-    start days ``start`` days later (a ``(3, k)`` array of
-    :func:`~episim.viral_load.start_days` offsets) and to self-isolate where
-    ``selfiso``. Their transition days wait for the status update."""
-    population.params[ids] = params
+    """Put agents ``ids`` in E with the episodes ``params``, field-major (one
+    row per field of ``DISTRIBUTION_FIELDS`` and one column per episode),
+    exposed on ``day``, with their start days ``start`` days later (a ``(3,
+    k)`` array of :func:`~episim.viral_load.start_days` offsets) and to
+    self-isolate where ``selfiso``. Their transition days wait for the status
+    update."""
+    population.params[:, ids] = params
     population.comp[ids] = E
     population.exposure_day[ids] = day
     population.days[START_DAYS, ids] = start + day

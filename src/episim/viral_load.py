@@ -7,9 +7,11 @@ tS days after the peak. Interpolation is linear in log10(load); outside the
 trajectory the load is 0 (undetectable). This is the control-point family of
 Larremore et al., Sci Adv 7:eabd5393 (2021).
 
-The simulation evaluates whole populations at once: :func:`sample_params`
-draws trajectories as rows of (t0, V0, tP, VP, tS, tF, VF), the order of
-``DISTRIBUTION_FIELDS``, and :func:`load_array` evaluates them.
+The simulation evaluates whole populations at once. Every function here
+takes and returns trajectories field-major: one row per field of
+``DISTRIBUTION_FIELDS`` (t0, V0, tP, VP, tS, tF, VF) and one column per
+episode. :func:`sample_params` draws them and :func:`load_array` evaluates
+them.
 
 The engine steps in whole days, so the days on which a comparison with an
 episode's trajectory changes are fixed when it is sampled: the first
@@ -28,41 +30,39 @@ import numpy as np
 from .core import DISTRIBUTION_FIELDS, LOAD_FIELDS, Population, ScenarioConfig
 
 LOAD_ROWS = np.array([DISTRIBUTION_FIELDS.index(name) for name in LOAD_FIELDS])  # V0, VP, VF
-TS_COLUMN = DISTRIBUTION_FIELDS.index("tS")
+TS_ROW = DISTRIBUTION_FIELDS.index("tS")
 
 
 def sample_params(
     config: ScenarioConfig, symptomatic: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
     """Draw one trajectory per entry of the boolean ``symptomatic`` vector,
-    one row each with a column per field of ``DISTRIBUTION_FIELDS``: one
-    vector per field, in that order. An asymptomatic entry's tS is drawn,
-    then set to 0.
-    """
+    field-major: one row per field of ``DISTRIBUTION_FIELDS`` and one column
+    per episode. Each row is one draw, in that order. An asymptomatic
+    episode's tS is drawn, then set to 0."""
     n = len(symptomatic)
-    params = np.empty((n, len(DISTRIBUTION_FIELDS)), order="F")
-    for col, name in enumerate(DISTRIBUTION_FIELDS):
-        params[:, col] = getattr(config, name).sample_array(rng, n)
-    params[~symptomatic, TS_COLUMN] = 0.0
+    params = np.empty((len(DISTRIBUTION_FIELDS), n))
+    for row, name in zip(params, DISTRIBUTION_FIELDS):
+        row[:] = getattr(config, name).sample_array(rng, n)
+    params[TS_ROW, ~symptomatic] = 0.0
     return params
 
 
-def load_array(columns: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """The viral load (cp/ml) of profile ``i`` at ``tau[..., i]`` days since
-    exposure, where ``columns`` holds one row per field of
-    ``DISTRIBUTION_FIELDS`` and one column per profile (the transpose of
-    :func:`sample_params` rows); ``tau`` may hold several rows of times.
+def load_array(params: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """The viral load (cp/ml) of episode ``i`` at ``tau[..., i]`` days since
+    exposure, where ``params`` is field-major: one row per field of
+    ``DISTRIBUTION_FIELDS`` and one column per episode. ``tau`` may hold
+    several rows of times.
 
     Exactly V0/VP/VF at the control points, 0 before t0 and after the end of
     the trajectory, and log-linear in between. Every entry takes the
-    same pass over contiguous columns: one ``log10`` per load column and one
-    power. Entries outside a segment get a zero-guarded span and a ``frac``
-    clipped into [0, 1], so they stay finite until they are overwritten.
+    same pass: one ``log10`` per load row and one power. Entries outside a
+    segment get a zero-guarded span and a ``frac`` clipped into [0, 1], so
+    they stay finite until they are overwritten.
     """
-    columns = np.ascontiguousarray(columns, dtype=float)
-    t0, v0, _, vp, _, _, vf = columns
+    t0, v0, _, vp, _, _, vf = params
     tau = np.asarray(tau, dtype=float)
-    peak, _, end = key_times(columns)
+    peak, _, end = key_times(params)
     log_v0, log_vp, log_vf = np.log10(v0), np.log10(vp), np.log10(vf)
     rising = tau < peak
     start = np.where(rising, t0, peak)
@@ -78,11 +78,10 @@ def load_array(columns: np.ndarray, tau: np.ndarray) -> np.ndarray:
     return load
 
 
-def key_times(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Peak, symptom-onset and end time of each profile of ``columns`` (one
-    row per field of ``DISTRIBUTION_FIELDS``); tS is 0 for an asymptomatic
-    profile."""
-    t0, _, tp, _, ts, tf, _ = columns
+def key_times(params: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Peak, symptom-onset and end time of each episode of the field-major
+    ``params``; tS is 0 for an asymptomatic episode."""
+    t0, _, tp, _, ts, tf, _ = params
     peak = t0 + tp
     onset = peak + ts
     return peak, onset, onset + tf
@@ -90,43 +89,43 @@ def key_times(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def start_days(params: np.ndarray, exposure_day: float | np.ndarray,
                symptomatic: np.ndarray) -> np.ndarray:
-    """The start days of episodes ``params`` (rows of :func:`sample_params`)
-    exposed on ``exposure_day``, a ``(3, k)`` array in the order of
+    """The start days of the episodes of the field-major ``params`` (one row
+    per field of ``DISTRIBUTION_FIELDS`` and one column per episode) exposed
+    on ``exposure_day``, a ``(3, k)`` array in the order of
     ``Population.days[START_DAYS]``: the first symptomatic day (``onset <=
     tau``, NaN if asymptomatic) and the first and last load day (``tau >= t0``
     and ``tau <= end``), clipped like :func:`transition_days`."""
-    columns = np.asarray(params, dtype=float).reshape(-1, 7).T
-    _, onset, end = key_times(columns)
+    _, onset, end = key_times(params)
     days = exposure_day + np.array([np.where(symptomatic, np.ceil(onset), np.nan),
-                                    np.ceil(columns[0]), np.floor(end)])
+                                    np.ceil(params[0]), np.floor(end)])
     return np.minimum(days, np.finfo(np.float32).max, out=days)
 
 
-def transition_days(columns: np.ndarray, exposure_day: float | np.ndarray, cut: float,
+def transition_days(params: np.ndarray, exposure_day: float | np.ndarray, cut: float,
                     first_update: float | np.ndarray) -> np.ndarray:
-    """The transition days of episodes ``columns`` (one row per field of
-    ``DISTRIBUTION_FIELDS``) exposed on ``exposure_day``, as a ``(2, k)`` array
-    in the order of ``Population.days[TRANSITION_DAYS]``: the days on which a
-    status update run every day from ``first_update`` moves the episode, to I
-    on a load strictly above ``cut`` (NaN if it recovers first) and to R past
-    the end, or past the peak on a load strictly below ``cut``. Each is
-    clipped to the largest float32, which no day reaches, so the recovery day
-    is never NaN."""
-    t0 = columns[0]
-    peak, _, end = key_times(columns)
+    """The transition days of the episodes of the field-major ``params`` (one
+    row per field of ``DISTRIBUTION_FIELDS`` and one column per episode)
+    exposed on ``exposure_day``, a ``(2, k)`` array in the order of
+    ``Population.days[TRANSITION_DAYS]``: the days on which a status update
+    run every day from ``first_update`` moves the episode, to I on a load
+    strictly above ``cut`` (NaN if it recovers first) and to R past the end,
+    or past the peak on a load strictly below ``cut``. Each is clipped to the
+    largest float32, which no day reaches, so recovery is never NaN."""
+    t0 = params[0]
+    peak, _, end = key_times(params)
     times = np.array([t0, peak, end])
     # The log load is linear on [t0, peak) and [peak, end], so a status first
     # changes on the first whole day from t0, past the peak or past the end,
     # or on the whole day nearest a crossing of the cut or the day after.
     # load_array decides each of these candidates, as the daily rule would.
-    rel = np.log10(columns[LOAD_ROWS]) - math.log10(cut)  # log10(load / cut)
+    rel = np.log10(params[LOAD_ROWS]) - math.log10(cut)  # log10(load / cut)
     change, span = rel[1:] - rel[:2], times[1:] - times[:2]
     # a flat or empty segment divides by infinity: its crossing is its start
     frac = -rel[:2] / np.where(change != 0.0, change, np.inf)
     near = np.rint(times[:2] + span * np.clip(frac, 0.0, 1.0))
     first = np.maximum(np.ceil(t0), first_update - exposure_day)
     taus = np.maximum(np.vstack([first, np.floor(times[1:]) + 1.0, near, near + 1.0]), first)
-    load = load_array(columns, taus)
+    load = load_array(params, taus)
     infectious = taus.min(axis=0, where=load > cut, initial=np.inf)
     recovery = taus.min(axis=0, where=(taus > peak) & (load < cut), initial=np.inf)
     infectious[infectious >= recovery] = np.nan
@@ -145,6 +144,6 @@ def current_loads(population: Population, ids: np.ndarray, day: int) -> np.ndarr
     carriers = ids[in_window]
     loads = np.zeros(len(ids))
     loads[in_window] = load_array(
-        np.take(population.params.T, carriers, axis=1), day - population.exposure_day[carriers]
+        np.take(population.params, carriers, axis=1), day - population.exposure_day[carriers]
     )
     return loads

@@ -61,16 +61,16 @@ class ViralLoadProfile:
         return self.t0 + self.tP + self.tS
 
 
-# (t0, V0, tP, VP, tS, tF, VF) of a profile, one row of sample_params
+# (t0, V0, tP, VP, tS, tF, VF) of a profile, one column of sample_params
 profile_params = operator.attrgetter(*DISTRIBUTION_FIELDS)
 
 
 def sample_profile(
     config: ScenarioConfig, symptomatic: bool, rng: np.random.Generator
 ) -> ViralLoadProfile:
-    """Draw one trajectory: one row of ``sample_params``."""
-    row = sample_params(config, np.array([symptomatic]), rng)[0]
-    return ViralLoadProfile(*row.tolist(), symptomatic=symptomatic)
+    """Draw one trajectory: one column of ``sample_params``."""
+    column = sample_params(config, np.array([symptomatic]), rng)[:, 0]
+    return ViralLoadProfile(*column.tolist(), symptomatic=symptomatic)
 
 
 def load_at(profile: ViralLoadProfile, tau: float) -> float:

@@ -361,3 +361,32 @@ def test_a_job_count_below_one_is_rejected(tmp_path, capsys, command, jobs):
     assert status == 2
     assert err == f"error: --jobs must be >= 1, got {jobs}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["run"], ["calibrate", "--validate"]])
+def test_a_run_count_below_one_is_rejected_before_writing(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    status = cli.main([*command, "--out", str(out), "--runs", "0", "--jobs", "1"])
+    assert status == 2
+    assert capsys.readouterr().err == "error: --runs must be >= 1, got 0\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "calibrate"])
+def test_an_out_that_is_a_file_fails_before_any_run(tmp_path, capsys, monkeypatch, command):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("run_replicates was called")
+
+    monkeypatch.setattr(cli, "run_replicates", unreachable)
+    spec = write_spec(tmp_path, {"base": SMALL_BASE,
+                                 "axes": [{"name": "poolSize", "values": [1, 5]}]})
+    args = {"run": ["run", "--runs", "4"],
+            "sweep": ["sweep", "--spec", spec],
+            "calibrate": ["calibrate", "--validate", "--runs", "2"]}[command]
+    out = tmp_path / "afile"
+    out.write_text("kept\n")
+    status = cli.main([*args, "--out", str(out), "--jobs", "1"])
+    err = capsys.readouterr().err
+    assert status == 3
+    assert err.startswith("I/O error: ")
+    assert out.read_text() == "kept\n"

@@ -44,7 +44,7 @@ def test_initialize_seeds_only():
     assert state.records[0]["cum_infections"] == 200
     exposed = pop.ids(Compartment.EXPOSED)
     assert np.all(pop.exposure_day[exposed] == 0)
-    assert not np.isnan(pop.params[exposed]).any()
+    assert not np.isnan(pop.params[:, exposed]).any()
 
 
 def test_records_start_after_initialize_and_step_writes_the_next_entry():
@@ -127,11 +127,11 @@ def test_seeds_take_the_first_episodes_across_two_blocks():
     assert len(seeds) == EPISODE_BLOCK + 50
     # the same episodes taken in other batches from a fresh episodes stream
     fresh = EpisodeSource(cfg, make_rng(cfg.baseSeed, 3).episodes)
-    # each field with one row per episode; take returns the start days as columns
-    params, start, selfiso = (np.concatenate(parts) for parts in zip(*(
-        (p, s.T, f) for p, s, f in (fresh.take(7), fresh.take(EPISODE_BLOCK), fresh.take(43)))))
-    assert pop.params[seeds].tobytes() == params.tobytes()
-    assert pop.days[START_DAYS, seeds].T.tobytes() == start.astype(np.float32).tobytes()
+    # take returns one column per episode
+    params, start, selfiso = (np.concatenate(parts, axis=-1) for parts in zip(
+        fresh.take(7), fresh.take(EPISODE_BLOCK), fresh.take(43)))
+    assert pop.params[:, seeds].tobytes() == params.tobytes()
+    assert pop.days[START_DAYS, seeds].tobytes() == start.astype(np.float32).tobytes()
     assert pop.selfiso_candidate[seeds].tobytes() == selfiso.tobytes()
     # the run's next episode is the fresh stream's next one
     assert state.episodes.take(1)[0].tobytes() == fresh.take(1)[0].tobytes()
@@ -163,14 +163,13 @@ def test_streams_are_separated_by_purpose(monkeypatch):
         for day in range(cfg.timeHorizon):
             step(state, day)
         records.append(state.records)
-        # each field with one row per episode
-        episodes.append([np.concatenate(parts)
-                         for parts in zip(*((p, s.T, f) for p, s, f in taken[-1]))])
+        # each field with one column per episode
+        episodes.append([np.concatenate(parts, axis=-1) for parts in zip(*taken[-1])])
     assert initial[0] == initial[1]
-    n = min(len(e[1]) for e in episodes)
+    n = min(len(e[2]) for e in episodes)
     assert n > EPISODE_BLOCK
     for field_a, field_b in zip(*episodes):
-        assert field_a[:n].tobytes() == field_b[:n].tobytes()
+        assert field_a[..., :n].tobytes() == field_b[..., :n].tobytes()
     # records[d + 1] is day d
     before = slice(base["firstDayOfTesting"] + 1)
     assert records[0][before].tobytes() == records[1][before].tobytes()

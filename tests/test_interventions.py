@@ -34,7 +34,7 @@ def infect(pop, agent_id, day=0, profile=SYMPTOMATIC_PROFILE,
            compartment=Compartment.INFECTIOUS_SYMPTOMATIC, will_isolate=False):
     """Start an episode the way an exposure does, then move it to
     ``compartment``."""
-    params = np.array([profile_params(profile)])
+    params = np.array([profile_params(profile)]).T
     symptomatic = np.array([profile.symptomatic])
     start_episodes(pop, np.array([agent_id]), day, params, start_days(params, 0, symptomatic),
                    symptomatic & will_isolate)
@@ -184,10 +184,28 @@ def test_recovered_returns_to_susceptible_after_immunity_lapses():
     assert recovered_to_susceptible_step(pop, 49, cfg).tolist() == []
     assert recovered_to_susceptible_step(pop, 50, cfg).tolist() == [0]
     assert pop.comp[0] == Compartment.SUSCEPTIBLE_UNVACCINATED
-    assert np.isnan(pop.params[0]).all()
+    assert np.isnan(pop.params[:, 0]).all()
     for days in (pop.exposure_day, pop.first_load_day, pop.last_load_day,
                  pop.onset_day, pop.infectious_day, pop.recovery_day):
         assert np.isnan(days[0])
+
+
+def test_loss_of_immunity_leaves_every_other_agent_untouched():
+    # agent 1 loses immunity; agent 4, with another trajectory and other
+    # days, keeps both to the byte. Both ids are below the number of fields,
+    # so a write along the wrong axis of params would reach agent 4.
+    pop = fresh_population()
+    cfg = default_config()  # daysTilSusceptible 30
+    infect(pop, 1)
+    other = ViralLoadProfile(t0=2.0, V0=1e2, tP=3.0, VP=1e7, tS=0.0, tF=8.0, VF=1e2,
+                             symptomatic=False)
+    infect(pop, 4, day=3, profile=other, compartment=Compartment.INFECTIOUS_ASYMPTOMATIC)
+    recover(pop, 1, 20)
+    recover(pop, 4, 25)
+    before = pop.params[:, 4].tobytes(), pop.days[:, 4].tobytes()
+    assert recovered_to_susceptible_step(pop, 50, cfg).tolist() == [1]
+    assert (pop.params[:, 4].tobytes(), pop.days[:, 4].tobytes()) == before
+    assert pop.comp[4] == Compartment.RECOVERED
 
 
 def test_return_to_susceptible_keeps_the_isolation_days():

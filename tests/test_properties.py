@@ -34,7 +34,7 @@ from episim.viral_load import start_days, transition_days
 C = Compartment
 COUNT_COLUMNS = ("s_u", "s_v", "e", "i_s", "i_a", "r", "iso_healthy", "iso_sick")
 CUMULATIVE_COLUMNS = ("cum_infections", "cum_false_iso", "cum_cost", "vaccinated_total")
-LOAD_COLUMNS = [1, 3, 6]  # V0, VP, VF in a row of Population.params
+LOAD_ROWS = [1, 3, 6]  # V0, VP, VF in Population.params
 PROPERTY_SETTINGS = settings(deadline=None, derandomize=True, database=None)
 
 
@@ -93,17 +93,17 @@ def check_population(pop, day, config):
     assert np.isnan(pop.iso_exit_day[~isolated]).all(), day
     infected = (pop.comp >= C.EXPOSED) & (pop.comp <= C.RECOVERED)
     assert np.isfinite(pop.exposure_day[infected]).all(), day
-    assert np.all(pop.params[np.ix_(infected, LOAD_COLUMNS)] > 0), day
+    assert np.all(pop.params[np.ix_(LOAD_ROWS, infected)] > 0), day
     # no trajectory outside an infection episode
     episode = infected | (pop.comp == C.ISOLATED_SICK)
     assert np.isnan(pop.exposure_day[~episode]).all(), day
-    assert np.isnan(pop.params[~episode]).all(), day
+    assert np.isnan(pop.params[:, ~episode]).all(), day
     # the start days are those of the episode's trajectory, and NaN outside
     # one; an episode with no onset day is asymptomatic, so it has no symptom
     # delay and no self-isolation to come
     assert np.isnan(pop.days[EPISODE_DAYS][:, ~episode]).all(), day
     symptomatic = np.isfinite(pop.onset_day)
-    want = start_days(pop.params[episode], pop.exposure_day[episode], symptomatic[episode])
+    want = start_days(pop.params[:, episode], pop.exposure_day[episode], symptomatic[episode])
     assert np.array_equal(pop.days[START_DAYS][:, episode], want, equal_nan=True), day
     # an episode waits for its transition days while its recovery day is NaN.
     # The status update sets them, as a first update on the exposure day or
@@ -122,13 +122,13 @@ def check_population(pop, day, config):
     active = (pop.comp >= C.EXPOSED) & (pop.comp <= C.INFECTIOUS_ASYMPTOMATIC)
     scheduled = active & ~waiting
     stored = pop.days[TRANSITION_DAYS][:, scheduled]
-    columns, exposed_on = pop.params[scheduled].T, pop.exposure_day[scheduled]
+    params, exposed_on = pop.params[:, scheduled], pop.exposure_day[scheduled]
     # per first update, whether each episode's transition days match
     matches = [((stored == want) | (np.isnan(stored) & np.isnan(want))).all(axis=0) for want in (
-        transition_days(columns, exposed_on, config.infectiousViralLoadCut, exposed_on + lag)
+        transition_days(params, exposed_on, config.infectiousViralLoadCut, exposed_on + lag)
         for lag in (0, 1))]
     assert np.all(matches[0] | matches[1]), day
-    assert np.all(pop.params[episode & ~symptomatic, 4] == 0), day
+    assert np.all(pop.params[4, episode & ~symptomatic] == 0), day
     assert not np.any(pop.selfiso_candidate & ~symptomatic), day
     # the status update leaves no E or I agent past its last load day or its
     # recovery day, no E agent past its infectious day, no I agent before its

@@ -158,7 +158,7 @@ def hot_population(n=100, hot_ids=(), load=1e8):
         t0=0.5, V0=load, tP=1.0, VP=load, tS=0.0, tF=50.0, VF=load, symptomatic=False
     )
     hot = np.array(hot_ids, dtype=np.int64)
-    params = np.tile(profile_params(profile), (len(hot), 1))
+    params = np.tile(profile_params(profile), (len(hot), 1)).T
     start_episodes(pop, hot, 0, params, start_days(params, 0, np.zeros(len(hot), bool)),
                    np.zeros(len(hot), bool))
     pop.comp[hot] = Compartment.INFECTIOUS_ASYMPTOMATIC
@@ -166,7 +166,7 @@ def hot_population(n=100, hot_ids=(), load=1e8):
 
 
 def queued_ids(pending):
-    return sorted(int(i) for arrays in pending.values() for ids in arrays for i in ids)
+    return sorted(int(i) for ids in pending.values() for i in ids)
 
 
 def test_run_testing_day_singletons():
@@ -232,7 +232,7 @@ def reference_testing_day(pop, cfg, day, rng):
             ids.append(i)
     loads = [
         0.0 if np.isnan(pop.exposure_day[i])
-        else load_at(ViralLoadProfile(*pop.params[i], symptomatic=False),
+        else load_at(ViralLoadProfile(*pop.params[:, i], symptomatic=False),
                      day - pop.exposure_day[i])
         for i in ids
     ]
@@ -266,13 +266,13 @@ def test_run_testing_day_matches_scalar_reference(pooling_type, pool_size):
         Compartment.INFECTIOUS_ASYMPTOMATIC, Compartment.RECOVERED,
     )
     for i in range(0, n, 3):
-        params = profile_params(ViralLoadProfile(
+        params = np.array([profile_params(ViralLoadProfile(
             t0=float(rng.uniform(0, 4)), V0=10 ** float(rng.uniform(0, 3)),
             tP=float(rng.uniform(0, 3)), VP=10 ** float(rng.uniform(3, 8)),
             tS=0.0, tF=float(rng.uniform(0, 9)), VF=10 ** float(rng.uniform(0, 3)),
             symptomatic=False,
-        ))
-        start_episodes(pop, np.array([i]), int(rng.integers(0, 16)), np.array([params]),
+        ))]).T
+        start_episodes(pop, np.array([i]), int(rng.integers(0, 16)), params,
                        start_days(params, 0, np.array([False])), np.array([False]))
         pop.comp[i] = infected_comps[i % 4]
     for i in range(1, n, 11):

@@ -42,7 +42,7 @@ def exposure_streams(config, seed):
 
 def reset_exposed(population, compartment):
     exposed = population.ids(Compartment.EXPOSED)
-    population.params[exposed] = np.nan
+    population.params[:, exposed] = np.nan
     population.exposure_day[exposed] = np.nan
     population.comp[exposed] = compartment
     population.selfiso_candidate[:] = False
@@ -120,7 +120,7 @@ def test_external_step_certain_rate_exposes_everyone():
     for agent_id in exposed:
         assert pop.comp[agent_id] == Compartment.EXPOSED
         assert pop.exposure_day[agent_id] == 2
-        assert not np.isnan(pop.params[agent_id]).any()
+        assert not np.isnan(pop.params[:, agent_id]).any()
 
 
 def test_external_step_binomial_moment():
@@ -206,19 +206,20 @@ def test_snapshot_counts_excludes_isolated():
 def test_expose_draws_one_vector_per_episode_draw():
     # the documented order of a block: symptomatic uniforms; t0, V0, tP, VP,
     # tS (for every episode, then zeroed where asymptomatic), tF, VF; then the
-    # self-isolation uniforms. The ids, in ascending order, take its first rows.
+    # self-isolation uniforms. The ids, in ascending order, take its first
+    # episodes.
     cfg = default_config()
     pop = build_population(n_su=50)
     ids = np.arange(0, 50, 2)
     expose(pop, ids, 4, EpisodeSource(cfg, np.random.default_rng(47)))
     rng = np.random.default_rng(47)
     symptomatic = rng.random(EPISODE_BLOCK) < cfg.fractionSymptomatic
-    params = np.column_stack([getattr(cfg, f).sample_array(rng, EPISODE_BLOCK)
-                              for f in DISTRIBUTION_FIELDS])
-    params[~symptomatic, DISTRIBUTION_FIELDS.index("tS")] = 0.0
+    params = np.array([getattr(cfg, f).sample_array(rng, EPISODE_BLOCK)
+                       for f in DISTRIBUTION_FIELDS])
+    params[DISTRIBUTION_FIELDS.index("tS"), ~symptomatic] = 0.0
     willing = rng.random(EPISODE_BLOCK) < cfg.selfIsolationOnSymptomsProb
     first = slice(ids.size)
-    assert np.array_equal(pop.params[ids], params[first])
+    assert np.array_equal(pop.params[:, ids], params[:, first])
     assert np.array_equal(np.isfinite(pop.onset_day[ids]), symptomatic[first])
     assert np.array_equal(pop.selfiso_candidate[ids], (symptomatic & willing)[first])
     assert pop.ids(Compartment.EXPOSED).tolist() == ids.tolist()

@@ -215,7 +215,7 @@ def stage_profiles():
 def test_start_days_restate_the_key_time_comparisons():
     # on every whole day, each start day answers its comparison exactly
     profiles = stage_profiles()
-    params = np.array([profile_params(p) for p in profiles])
+    params = np.array([profile_params(p) for p in profiles]).T
     exposure = np.arange(len(profiles)) % 7
     onset, first_load, last_load = start_days(
         params, exposure, np.array([p.symptomatic for p in profiles]))
@@ -234,7 +234,7 @@ def test_loads_and_self_isolation_need_no_status_update():
     # update has scheduled its transition days
     profile = ViralLoadProfile(t0=3.0, V0=1e3, tP=2.0, VP=1e5, tS=1.5, tF=6.5, VF=1e3,
                                symptomatic=True)
-    params = np.array([profile_params(profile)])
+    params = np.array([profile_params(profile)]).T
     symptomatic = np.array([True])
     pop = Population(2)
     start_episodes(pop, np.array([1]), 2, params, start_days(params, 0, symptomatic), symptomatic)
@@ -293,7 +293,7 @@ def test_scheduled_days_equal_the_daily_status_update():
     # or on the next day (an internal exposure)
     cut = 1e3
     profiles = schedule_profiles(cut)
-    columns = np.array([profile_params(p) for p in profiles]).T
+    params = np.array([profile_params(p) for p in profiles]).T
     exposure = np.arange(len(profiles)) % 7
     on_the_cut, peak_below_v0 = profiles[-4:-2]
     assert transition_taus(on_the_cut, cut, 0) == (4, 6)
@@ -301,7 +301,7 @@ def test_scheduled_days_equal_the_daily_status_update():
     assert transition_taus(peak_below_v0, cut, 1) == (None, 3)
     moved = set()
     for lag in (0, 1):
-        infectious, recovery = transition_days(columns, exposure, cut, exposure + lag)
+        infectious, recovery = transition_days(params, exposure, cut, exposure + lag)
         for i, prof in enumerate(profiles):
             onset, recovered = transition_taus(prof, cut, lag)
             if onset is None:
@@ -327,7 +327,7 @@ def test_daily_stages_match_scalar_reference():
     n = len(profiles)
     exposure = np.arange(n) % 7
     external = np.arange(n) % 2 == 0
-    params = np.array([profile_params(p) for p in profiles])
+    params = np.array([profile_params(p) for p in profiles]).T
     symptomatic = np.array([p.symptomatic for p in profiles])
     offsets = start_days(params, 0, symptomatic)
     config = default_config(infectiousViralLoadCut=cut)
@@ -338,7 +338,7 @@ def test_daily_stages_match_scalar_reference():
 
     def start(ids, day):
         for pop in (status, windows):
-            start_episodes(pop, ids, day, params[ids], offsets[:, ids], symptomatic[ids])
+            start_episodes(pop, ids, day, params[:, ids], offsets[:, ids], symptomatic[ids])
         comp[ids] = C.EXPOSED
 
     for day in range(30):
