@@ -4,6 +4,7 @@ transmission calibration, and report regeneration from saved outputs."""
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import itertools
@@ -323,22 +324,25 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             "choose a new --out"
         )
     out_dir.mkdir(parents=True, exist_ok=True)
-    results = run_replicates([cell.config for cell in cells], spec.replicates, jobs=args.jobs)
     rows = []
-    for cell, result in zip(cells, results):
-        cell_dir = out_dir / cell.dirname
-        write_replicates(cell_dir, cell.config, result)
-        write_json(
-            cell_dir / "cell.json",
-            {
-                "label": cell.label,
-                "overrides": cell.overrides,
-                "replicates": spec.replicates,
-            },
-        )
-        finals = np.concatenate([records[-1:] for records in result.records])
-        rows.append(report_row(cell.label, finals, cell.config))
-        print(f"{cell.label}: done ({spec.replicates} runs)")
+    # each cell is written while the pool runs the later ones; leaving the
+    # block, on an error too, shuts the pool down
+    with contextlib.closing(run_replicates([cell.config for cell in cells], spec.replicates,
+                                           jobs=args.jobs)) as results:
+        for cell, result in zip(cells, results):
+            cell_dir = out_dir / cell.dirname
+            write_replicates(cell_dir, cell.config, result)
+            write_json(
+                cell_dir / "cell.json",
+                {
+                    "label": cell.label,
+                    "overrides": cell.overrides,
+                    "replicates": spec.replicates,
+                },
+            )
+            finals = np.concatenate([records[-1:] for records in result.records])
+            rows.append(report_row(cell.label, finals, cell.config))
+            print(f"{cell.label}: done ({spec.replicates} runs)")
     write_report(out_dir, rows)
     print(f"wrote report for {len(cells)} scenario(s) to {out_dir / 'report.csv'}")
     return 0

@@ -16,7 +16,8 @@ self-isolation, (4) testing, (5) internal propagation, (6) vaccination.
 Each stage works on whole arrays of agent ids in ascending order and takes
 its draws from the run's stream for their purpose
 (:class:`~episim.core.Streams`), so a run is fully determined by (config,
-runIndex).
+runIndex). A stage with nothing due that day returns right after the scan
+that finds nothing, and draws nothing.
 
 An episode's start days are set when it starts; the status update schedules
 its transition days, the days it becomes infectious and recovers, and compares
@@ -25,10 +26,11 @@ days with them (:func:`_advance_infections`).
 
 from __future__ import annotations
 
+import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -141,18 +143,20 @@ def _advance_infections(population: Population, day: int, cut: float) -> None:
     # (a release sets it). They are the same from its first update up to its
     # first load day, so all waiting episodes get them once one reaches it.
     waiting = np.isnan(population.recovery_day)
-    if np.any(waiting & (population.first_load_day <= day)):
+    if (waiting & (population.first_load_day <= day)).any():
         ids = (waiting & np.isfinite(population.exposure_day)).nonzero()[0]
         population.days[TRANSITION_DAYS, ids] = transition_days(
-            np.take(population.params, ids, axis=1), population.exposure_day[ids], cut, day)
+            population.params.take(ids, axis=1), population.exposure_day[ids], cut, day)
     # E -> I (I_s with an onset day) and E or I -> R on the scheduled days; an
     # isolated agent keeps its compartment until its release
     onset = (population.infectious_day == day).nonzero()[0]
-    onset = onset[population.comp[onset] == E]
-    population.comp[onset] = np.where(np.isnan(population.onset_day[onset]), I_A, I_S)
+    if onset.size:
+        onset = onset[population.comp[onset] == E]
+        population.comp[onset] = np.where(np.isnan(population.onset_day[onset]), I_A, I_S)
     due = (population.recovery_day == day).nonzero()[0]
-    comp = population.comp[due]
-    population.comp[due[(comp >= E) & (comp <= I_A)]] = R
+    if due.size:
+        comp = population.comp[due]
+        population.comp[due[(comp >= E) & (comp <= I_A)]] = R
 
 
 def step(state: RunState, day: int) -> np.void:
@@ -177,9 +181,9 @@ def step(state: RunState, day: int) -> np.void:
     if config.is_testing_day(day):
         tests_today = run_testing_day(population, config, day, state.pending, streams.testing)
 
-    prev = state.records[day]
-    # the day before's s_u ... iso_sick, declared in Compartment order
-    prev_counts = np.array(prev.tolist()[1:1 + N_COMPARTMENTS])
+    # the day before's record, its counts s_u ... iso_sick in Compartment order
+    (_, *prev_counts, _, _, cum_infections, cum_false_iso, _, cum_cost,
+     vaccinated_total) = state.records[day].tolist()
     new_internal = internal_propagation_step(population, config, day, streams.exposure, episodes,
                                              prev_counts)
 
@@ -194,11 +198,11 @@ def step(state: RunState, day: int) -> np.void:
         *counts.tolist(),
         len(new_external),
         len(new_internal),
-        prev["cum_infections"] + len(new_external) + len(new_internal),
-        prev["cum_false_iso"] + len(false_isolations),
+        cum_infections + len(new_external) + len(new_internal),
+        cum_false_iso + len(false_isolations),
         tests_today,
-        prev["cum_cost"] + tests_today * config.costPerTest,
-        prev["vaccinated_total"] + len(vaccinated),
+        cum_cost + tests_today * config.costPerTest,
+        vaccinated_total + len(vaccinated),
     )
     return state.records[day + 1]
 
@@ -245,28 +249,39 @@ def run_replicates(
     configs: Sequence[ScenarioConfig],
     n_runs: int,
     jobs: int = 1,
-) -> list[ReplicateResult]:
+) -> Iterator[ReplicateResult]:
     """Run replicates 0..n_runs-1 of every config on one process pool.
 
-    Returns one result per config, in order; results are identical for any
-    job count.
+    Yields one result per config, in config order, as soon as that config's
+    runs have finished, so that the caller can use it while the pool runs
+    the later configs; results are identical for any job count. ``n_runs``
+    and ``jobs`` are checked when this is called, before the first result
+    is asked for. Closing the iterator early cancels the runs not yet
+    started and shuts the pool down.
     """
     if n_runs < 1:
         raise ConfigError("n_runs must be >= 1")
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    return _replicates(configs, n_runs, jobs)
+
+
+def _replicates(configs: Sequence[ScenarioConfig], n_runs: int,
+                jobs: int) -> Iterator[ReplicateResult]:
     task_configs = [config for config in configs for _ in range(n_runs)]
     indices = list(range(n_runs)) * len(configs)
+    pool = None
     if jobs > 1 and len(indices) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(indices))) as pool:
-            results = list(pool.map(run, task_configs, indices))
-    else:
-        results = list(map(run, task_configs, indices))
-    out = []
-    for k in range(0, len(results), n_runs):
-        summaries, records = zip(*results[k:k + n_runs])
-        out.append(ReplicateResult(list(summaries), list(records)))
-    return out
+        pool = ProcessPoolExecutor(max_workers=min(jobs, len(indices)))
+    try:
+        results = (map if pool is None else pool.map)(run, task_configs, indices)
+        # the runs come in task order: n_runs consecutive runs per config
+        for first in results:
+            summaries, records = zip(first, *itertools.islice(results, n_runs - 1))
+            yield ReplicateResult(list(summaries), list(records))
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
 
 def default_jobs() -> int:

@@ -47,6 +47,8 @@ def apply_positive_results(
     put. Returns the ids isolated as healthy.
     """
     ids = np.asarray(ids, dtype=np.int64)
+    if not ids.size:
+        return ids
     comp = population.comp[ids]
     healthy = ids[comp <= S_V]
     _isolate(population, healthy, day, config, ISO_HEALTHY)
@@ -70,11 +72,13 @@ def self_isolation_step(
     window is [first symptomatic day, last load day], read from the episode's
     start days, set when it starts, without evaluating its trajectory.
     """
-    candidates = population.selfiso_candidate.nonzero()[0]
-    last_day = population.last_load_day[candidates]
-    showing = (population.onset_day[candidates] <= day) & (day <= last_day)
-    moved = candidates[showing & (population.comp[candidates] < ISO_HEALTHY)]
-    population.selfiso_candidate[candidates[day > last_day]] = False
+    # a candidate past its window is past its first symptomatic day too
+    started = (population.selfiso_candidate & (population.onset_day <= day)).nonzero()[0]
+    if not started.size:
+        return started
+    last_day = population.last_load_day[started]
+    moved = started[(day <= last_day) & (population.comp[started] < ISO_HEALTHY)]
+    population.selfiso_candidate[started[day > last_day]] = False
     population.selfiso_candidate[moved] = False
     _isolate(population, moved, day, config, ISO_SICK)
     return moved
@@ -91,8 +95,11 @@ def isolation_exit_step(
     returns to the susceptible compartment matching the vaccination flag.
     """
     released = (population.iso_exit_day <= day).nonzero()[0]
-    sick = released[population.comp[released] == ISO_SICK]
-    healthy = released[population.comp[released] == ISO_HEALTHY]
+    if not released.size:
+        return released
+    comp = population.comp[released]
+    sick = released[comp == ISO_SICK]
+    healthy = released[comp == ISO_HEALTHY]
     population.iso_exit_day[released] = np.nan
     population.last_exit_day[released] = day
     population.comp[sick] = R
@@ -115,6 +122,8 @@ def recovered_to_susceptible_step(
     # an agent isolated from R keeps its recovery day, so the compartment is
     # checked too
     returned = (population.recovery_day == day - config.daysTilSusceptible).nonzero()[0]
+    if not returned.size:
+        return returned
     returned = returned[population.comp[returned] == R]
     population.params[:, returned] = np.nan
     population.days[EPISODE_DAYS, returned] = np.nan
@@ -137,12 +146,15 @@ def vaccination_step(
     doses, the recipients are a uniform choice among them.
     """
     doses = config.vaccinesAvailablePerDay
+    if doses <= 0:
+        return np.empty(0, dtype=np.int64)  # no draw
     eligible = (population.in_population() & ~population.vaccinated).nonzero()[0]
-    if doses <= 0 or eligible.size == 0:
-        return eligible[:0]  # no draw
+    if eligible.size == 0:
+        return eligible  # no draw
     willing_idx = (rng.random(eligible.size) < population.willingness[eligible]).nonzero()[0]
     if willing_idx.size > doses:
-        willing_idx = np.sort(rng.choice(willing_idx, size=doses, replace=False))
+        willing_idx = rng.choice(willing_idx, size=doses, replace=False)
+        willing_idx.sort()
     chosen = eligible[willing_idx]
     population.vaccinated[chosen] = True
     unvaccinated = chosen[population.comp[chosen] == S_U]

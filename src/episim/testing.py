@@ -21,14 +21,14 @@ def single_positive_prob(loads: np.ndarray, config: ScenarioConfig) -> np.ndarra
 
 
 def pool_positive_prob(
-    loads: np.ndarray, starts: np.ndarray, config: ScenarioConfig
+    loads: np.ndarray, starts: np.ndarray, sizes: np.ndarray, config: ScenarioConfig
 ) -> np.ndarray:
     """Stage-1 positive probability of each pool under ``config.poolingType``.
 
-    Pool j holds ``loads[starts[j]:starts[j+1]]`` (the last pool runs to the
-    end). A pool of one gets the single-test probability under either rule.
+    Pool j holds the ``sizes[j]`` loads from ``loads[starts[j]]`` on; the
+    pools cover ``loads`` in order. A pool of one gets the single-test
+    probability under either rule.
     """
-    sizes = np.diff(starts, append=len(loads))
     if config.poolingType == "average":
         return single_positive_prob(np.add.reduceat(loads, starts) / sizes, config)
     # exponential, the one other type validate_config admits
@@ -82,17 +82,19 @@ def run_testing_day(
     loads = current_loads(population, ids, day)
     order, starts = partition_into_pools(len(ids), config.poolSize, rng)
     ids, loads = ids[order], loads[order]
-    sizes = np.diff(starts, append=len(ids))
+    # every pool but the last holds poolSize samples
+    sizes = np.full(len(starts), config.poolSize)
+    sizes[-1] = len(ids) - starts[-1]
 
-    pool_positive = rng.random(len(starts)) < pool_positive_prob(loads, starts, config)
-    single_positive = np.repeat(pool_positive & (sizes == 1), sizes)
-    retest = np.repeat(pool_positive & (sizes > 1), sizes)
-    retest_positive = rng.random(np.count_nonzero(retest)) < single_positive_prob(
-        loads[retest], config
-    )
+    pool_positive = rng.random(len(starts)) < pool_positive_prob(loads, starts, sizes, config)
+    single_positive = (pool_positive & (sizes == 1)).repeat(sizes)
+    retest = (pool_positive & (sizes > 1)).repeat(sizes)
+    retest_loads = loads[retest]
+    retest_positive = rng.random(retest_loads.size) < single_positive_prob(retest_loads, config)
     positives = np.concatenate([ids[single_positive], ids[retest][retest_positive]])
     if positives.size:
-        pending[day + config.daysDelayTestResults] = np.sort(positives)
+        positives.sort()
+        pending[day + config.daysDelayTestResults] = positives
     return len(starts) + int(retest_positive.size)
 
 

@@ -12,6 +12,8 @@ its ``episodes`` stream (:class:`~episim.core.Streams`).
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from .core import (DISTRIBUTION_FIELDS, E, I_A, I_S, ISO_HEALTHY, START_DAYS, S_U, S_V, Population,
@@ -106,7 +108,10 @@ def _bernoulli_expose(
         candidates = population.ids(comp)
         if candidates.size and prob > 0.0:
             exposed.append(candidates[rng.random(candidates.size) < prob])
-    ids = np.sort(np.concatenate(exposed)) if exposed else np.empty(0, dtype=np.int64)
+    if not exposed:
+        return np.empty(0, dtype=np.int64)
+    ids = np.concatenate(exposed)
+    ids.sort()
     expose(population, ids, day, episodes)
     return ids
 
@@ -130,7 +135,7 @@ def internal_propagation_step(
     day: int,
     rng: np.random.Generator,
     episodes: EpisodeSource,
-    counts: np.ndarray,
+    counts: Sequence[int],
 ) -> np.ndarray:
     """Expose in-population susceptibles via mass action; returns the newly
     exposed ids.
@@ -146,5 +151,5 @@ def internal_propagation_step(
     if infectious == 0:
         return np.empty(0, dtype=np.int64)
     # I is counted in P, so P > 0 here
-    p = config.betaDaily * infectious / int(counts[:ISO_HEALTHY].sum())
+    p = config.betaDaily * infectious / int(sum(counts[:ISO_HEALTHY]))
     return _bernoulli_expose(population, p, day, config, rng, episodes)

@@ -31,6 +31,8 @@ from .core import DISTRIBUTION_FIELDS, LOAD_FIELDS, Population, ScenarioConfig
 
 LOAD_ROWS = np.array([DISTRIBUTION_FIELDS.index(name) for name in LOAD_FIELDS])  # V0, VP, VF
 TS_ROW = DISTRIBUTION_FIELDS.index("tS")
+# the largest float32, which no day of a run reaches; day rows are float32
+FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 def sample_params(
@@ -69,7 +71,7 @@ def load_array(params: np.ndarray, tau: np.ndarray) -> np.ndarray:
     span = np.where(rising, peak, end) - start
     log_start = np.where(rising, log_v0, log_vp)
     frac = (tau - start) / np.where(span > 0.0, span, 1.0)
-    np.clip(frac, 0.0, 1.0, out=frac)
+    frac.clip(0.0, 1.0, out=frac)
     load = 10.0 ** (log_start + frac * (np.where(rising, log_vp, log_vf) - log_start))
     load[(tau < t0) | (tau > end)] = 0.0
     # control points, lowest precedence first so that t0 wins ties
@@ -98,7 +100,7 @@ def start_days(params: np.ndarray, exposure_day: float | np.ndarray,
     _, onset, end = key_times(params)
     days = exposure_day + np.array([np.where(symptomatic, np.ceil(onset), np.nan),
                                     np.ceil(params[0]), np.floor(end)])
-    return np.minimum(days, np.finfo(np.float32).max, out=days)
+    return np.minimum(days, FLOAT32_MAX, out=days)
 
 
 def transition_days(params: np.ndarray, exposure_day: float | np.ndarray, cut: float,
@@ -122,15 +124,16 @@ def transition_days(params: np.ndarray, exposure_day: float | np.ndarray, cut: f
     change, span = rel[1:] - rel[:2], times[1:] - times[:2]
     # a flat or empty segment divides by infinity: its crossing is its start
     frac = -rel[:2] / np.where(change != 0.0, change, np.inf)
-    near = np.rint(times[:2] + span * np.clip(frac, 0.0, 1.0))
+    near = np.rint(times[:2] + span * frac.clip(0.0, 1.0))
     first = np.maximum(np.ceil(t0), first_update - exposure_day)
-    taus = np.maximum(np.vstack([first, np.floor(times[1:]) + 1.0, near, near + 1.0]), first)
+    taus = np.concatenate([first[np.newaxis], np.floor(times[1:]) + 1.0, near, near + 1.0])
+    np.maximum(taus, first, out=taus)
     load = load_array(params, taus)
-    infectious = taus.min(axis=0, where=load > cut, initial=np.inf)
-    recovery = taus.min(axis=0, where=(taus > peak) & (load < cut), initial=np.inf)
+    infectious = np.minimum.reduce(taus, axis=0, where=load > cut, initial=np.inf)
+    recovery = np.minimum.reduce(taus, axis=0, where=(taus > peak) & (load < cut), initial=np.inf)
     infectious[infectious >= recovery] = np.nan
     days = exposure_day + np.array([infectious, recovery])
-    return np.minimum(days, np.finfo(np.float32).max, out=days)
+    return np.minimum(days, FLOAT32_MAX, out=days)
 
 
 def current_loads(population: Population, ids: np.ndarray, day: int) -> np.ndarray:
@@ -144,6 +147,6 @@ def current_loads(population: Population, ids: np.ndarray, day: int) -> np.ndarr
     carriers = ids[in_window]
     loads = np.zeros(len(ids))
     loads[in_window] = load_array(
-        np.take(population.params, carriers, axis=1), day - population.exposure_day[carriers]
+        population.params.take(carriers, axis=1), day - population.exposure_day[carriers]
     )
     return loads

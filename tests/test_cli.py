@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import multiprocessing
 
 import pytest
 
@@ -158,6 +159,21 @@ def write_spec(tmp_path, spec):
     path = tmp_path / "sweep.json"
     path.write_text(json.dumps(spec))
     return str(path)
+
+
+def test_a_failed_cell_write_shuts_the_sweep_pool_down(tmp_path, capsys, monkeypatch):
+    # the cells are written while the pool runs the later ones; an error in
+    # the first write must not leave the pool's workers running
+    def failing_write(*args):
+        raise OSError("No space left on device")
+
+    monkeypatch.setattr(cli, "write_replicates", failing_write)
+    spec = write_spec(tmp_path, {"base": SMALL_BASE, "replicates": 2,
+                                 "axes": [{"name": "poolSize", "values": [1, 2, 5]}]})
+    status = cli.main(["sweep", "--spec", spec, "--out", str(tmp_path / "out"), "--jobs", "2"])
+    assert status == 3
+    assert capsys.readouterr().err == "I/O error: No space left on device\n"
+    assert multiprocessing.active_children() == []
 
 
 def test_report_stdout_matches_report_csv_with_a_comma_label(tmp_path, capsys):

@@ -2,6 +2,8 @@
 
 import csv
 import dataclasses
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -315,11 +317,37 @@ def test_run_replicates_rejects_a_job_count_below_one(jobs):
         run_replicates([cfg], 2, jobs=jobs)
 
 
+def test_run_replicates_checks_its_arguments_when_called():
+    # not on the first result asked for
+    cfg = default_config(popSize=50, initialInfected=2, timeHorizon=3)
+    with pytest.raises(ConfigError, match="n_runs must be >= 1"):
+        run_replicates([cfg], 0, jobs=2)
+
+
+def test_closing_the_replicates_early_cancels_the_pending_runs(monkeypatch):
+    shutdowns = []
+
+    class Pool(ProcessPoolExecutor):
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            shutdowns.append(cancel_futures)
+            super().shutdown(wait, cancel_futures=cancel_futures)
+
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", Pool)
+    configs = [default_config(popSize=200, initialInfected=10, timeHorizon=15, baseSeed=seed)
+               for seed in range(6)]
+    results = run_replicates(configs, 2, jobs=2)
+    first = next(results)
+    assert first.summaries == [run(configs[0], i)[0] for i in range(2)]
+    results.close()
+    assert shutdowns == [True]
+    assert multiprocessing.active_children() == []
+
+
 def test_replicates_of_several_configs_come_back_per_config():
     # one pool for every (config, run index); results are grouped per config
     configs = [default_config(popSize=200, initialInfected=10, timeHorizon=15, baseSeed=seed)
                for seed in (1, 2, 3)]
-    results = run_replicates(configs, 2, jobs=2)
+    results = list(run_replicates(configs, 2, jobs=2))
     assert len(results) == 3
     for config, result in zip(configs, results):
         assert [s.run_index for s in result.summaries] == [0, 1]

@@ -1,6 +1,7 @@
 """Isolation entry/exit, self-isolation, loss of immunity, vaccination."""
 
 import numpy as np
+import pytest
 
 from episim.core import (
     EPISODE_DAYS,
@@ -285,3 +286,57 @@ def test_vaccination_skips_isolated_and_already_vaccinated():
     pop.comp[1] = Compartment.SUSCEPTIBLE_VACCINATED
     moved = vaccination_step(pop, 0, vaccination_config(10), np.random.default_rng(5))
     assert sorted(moved) == [2, 3]
+
+
+QUIET_DAY = 4
+
+
+def quiet_population():
+    """Agents in each compartment but I_a, none of whom has anything due on
+    ``QUIET_DAY``: no result, release, status change, loss of immunity or
+    first symptomatic day."""
+    pop = fresh_population(8)
+    pop.vaccinated[1] = True
+    pop.comp[1] = Compartment.SUSCEPTIBLE_VACCINATED
+    # exposed the day before, waiting for its first load day (day 6)
+    infect(pop, 2, day=3, compartment=Compartment.EXPOSED, will_isolate=True)
+    # scheduled: infectious from day 2, recovered on day 12
+    infect(pop, 3, compartment=Compartment.INFECTIOUS_SYMPTOMATIC)
+    pop.infectious_day[3], pop.recovery_day[3] = 2, 12
+    pop.comp[4] = Compartment.ISOLATED_HEALTHY
+    pop.iso_exit_day[4] = 9
+    infect(pop, 5, compartment=Compartment.RECOVERED)
+    pop.infectious_day[5], pop.recovery_day[5] = 1, 2
+    infect(pop, 6, compartment=Compartment.ISOLATED_SICK)
+    pop.infectious_day[6], pop.recovery_day[6] = 1, 10
+    pop.iso_exit_day[6] = 11
+    return pop
+
+
+# each stage that returns right after finding nothing due
+QUIET_STAGES = {
+    "apply_positive_results": lambda pop, cfg, rng: apply_positive_results(
+        pop, np.empty(0, dtype=np.int64), QUIET_DAY, cfg),
+    "isolation_exit_step": lambda pop, cfg, rng: isolation_exit_step(pop, QUIET_DAY, cfg),
+    "advance_infections": lambda pop, cfg, rng: _advance_infections(
+        pop, QUIET_DAY, cfg.infectiousViralLoadCut),
+    "recovered_to_susceptible_step": lambda pop, cfg, rng: recovered_to_susceptible_step(
+        pop, QUIET_DAY, cfg),
+    "self_isolation_step": lambda pop, cfg, rng: self_isolation_step(pop, QUIET_DAY, cfg),
+    # five agents are eligible, but there are no doses
+    "vaccination_step": lambda pop, cfg, rng: vaccination_step(pop, QUIET_DAY, cfg, rng),
+}
+
+
+@pytest.mark.parametrize("stage", QUIET_STAGES)
+def test_a_stage_with_nothing_due_changes_and_draws_nothing(stage):
+    pop = quiet_population()
+    cfg = vaccination_config(0)
+    rng = np.random.default_rng(9)
+    arrays = {name: value.tobytes() for name, value in vars(pop).items()}
+    rng_state = rng.bit_generator.state
+    ids = QUIET_STAGES[stage](pop, cfg, rng)
+    if stage != "advance_infections":
+        assert ids.dtype == np.int64 and ids.size == 0
+    assert {name: value.tobytes() for name, value in vars(pop).items()} == arrays
+    assert rng.bit_generator.state == rng_state

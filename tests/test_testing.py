@@ -1,6 +1,7 @@
 """Single and pooled testing and result delays."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -140,9 +141,9 @@ def test_pool_positive_prob_matches_scalar_rules():
             starts = np.arange(0, n - 1, pool_size)  # n - 1: a short last pool
             vector_rng, scalar_rng = np.random.default_rng(110), np.random.default_rng(110)
             config = dataclasses.replace(spec, poolingType=pooling_type)
-            prob = pool_positive_prob(loads[:n - 1], starts, config)
-            vector = vector_rng.random(len(starts)) < prob
             bounds = np.append(starts, n - 1)
+            prob = pool_positive_prob(loads[:n - 1], starts, np.diff(bounds), config)
+            vector = vector_rng.random(len(starts)) < prob
             scalar = [
                 scalar_rule(loads[a:b].tolist(), spec, scalar_rng)
                 for a, b in zip(bounds[:-1], bounds[1:])
@@ -351,3 +352,51 @@ def test_isolated_agents_are_not_tested():
     used = run_testing_day(pop, cfg, 0, pending, np.random.default_rng(7))
     assert used == 8
     assert queued_ids(pending) == list(range(2, 10))
+
+
+def hypergeometric(j, n, m, k):
+    """P(j carriers among k samples drawn from n, of which m are carriers)."""
+    return math.comb(m, j) * math.comb(n - m, k - j) / math.comb(n, k)
+
+
+@pytest.mark.parametrize("pooling_type,load", [
+    ("average", 1e8),
+    ("exponential", 1e8),
+    # dilution: one carrier in a pool of 5 averages 90, below the cut of 100,
+    # and two average 180, above it
+    ("average", 450.0),
+], ids=["average", "exponential", "average-dilution"])
+def test_testing_day_matches_dorfman_closed_form(pooling_type, load):
+    # m carriers among n agents in pools of k: the members of a pool are a
+    # hypergeometric draw, so the tests per day, the sensitivity per carrier
+    # and the false-positive rate per non-carrier have closed forms (Dorfman
+    # 1943) given the stage-1 positive probability p[j] of a pool holding j
+    # carriers. Each day is independent, so the z-bound uses the spread of the
+    # daily values.
+    n, m, k, fpr, fnr, days = 1000, 50, 5, 0.05, 0.2, 1000
+    cfg = default_config(poolingType=pooling_type, poolSize=k, fprSingle=fpr, fnrSingle=fnr,
+                         detectionCut=100.0, daysDelayTestResults=0)
+    carriers = np.arange(0, n, n // m)
+    pop = hot_population(n, hot_ids=carriers, load=load)
+    if pooling_type == "exponential":
+        p = [fpr] + [1.0 - fnr ** j for j in range(1, k + 1)]
+    else:
+        p = [1.0 - fnr if j * load / k > cfg.detectionCut else fpr for j in range(k + 1)]
+    expected = (
+        n / k + n * sum(hypergeometric(j, n, m, k) * p[j] for j in range(k + 1)),
+        (1.0 - fnr) * sum(hypergeometric(j, n - 1, m - 1, k - 1) * p[j + 1] for j in range(k)),
+        fpr * sum(hypergeometric(j, n - 1, m, k - 1) * p[j] for j in range(k)),
+    )
+
+    rng = np.random.default_rng(2024)
+    is_carrier = np.zeros(n, dtype=bool)
+    is_carrier[carriers] = True
+    daily = np.empty((days, 3))
+    for d in range(days):
+        pending = {}
+        tests = run_testing_day(pop, cfg, 7, pending, rng)
+        positive = np.zeros(n, dtype=bool)
+        positive[deliver_results(pending, 7)] = True
+        daily[d] = tests, positive[is_carrier].mean(), positive[~is_carrier].mean()
+    z = (daily.mean(axis=0) - expected) / (daily.std(axis=0, ddof=1) / math.sqrt(days))
+    assert np.all(np.abs(z) < 4.0), (daily.mean(axis=0).tolist(), expected, z.tolist())
