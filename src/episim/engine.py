@@ -12,7 +12,9 @@ The records are a run's only accumulator: entry 0 is the state after
 
 Daily stage order: (1) external exposure, (2) status updates (result
 delivery, isolation exits, status transitions, loss of immunity), (3)
-self-isolation, (4) testing, (5) internal propagation, (6) vaccination.
+self-isolation, (4) testing, then the delivery of the results due that same
+day (a zero ``daysDelayTestResults``), (5) internal propagation, (6)
+vaccination.
 Each stage works on whole arrays of agent ids in ascending order and takes
 its draws from the run's stream for their purpose
 (:class:`~episim.core.Streams`), so a run is fully determined by (config,
@@ -170,7 +172,7 @@ def step(state: RunState, day: int) -> np.void:
 
     # stage 2: viral clocks advance implicitly via (day - exposure_day)
     delivered = deliver_results(state.pending, day)
-    false_isolations = apply_positive_results(population, delivered, day, config)
+    false_isolations = len(apply_positive_results(population, delivered, day, config))
     isolation_exit_step(population, day, config)
     _advance_infections(population, day, config.infectiousViralLoadCut)
     recovered_to_susceptible_step(population, day, config)
@@ -180,6 +182,9 @@ def step(state: RunState, day: int) -> np.void:
     tests_today = 0
     if config.is_testing_day(day):
         tests_today = run_testing_day(population, config, day, state.pending, streams.testing)
+        # results due on their sampling day act before internal propagation
+        delivered = deliver_results(state.pending, day)
+        false_isolations += len(apply_positive_results(population, delivered, day, config))
 
     # the day before's record, its counts s_u ... iso_sick in Compartment order
     (_, *prev_counts, _, _, cum_infections, cum_false_iso, _, cum_cost,
@@ -199,7 +204,7 @@ def step(state: RunState, day: int) -> np.void:
         len(new_external),
         len(new_internal),
         cum_infections + len(new_external) + len(new_internal),
-        cum_false_iso + len(false_isolations),
+        cum_false_iso + false_isolations,
         tests_today,
         cum_cost + tests_today * config.costPerTest,
         vaccinated_total + len(vaccinated),

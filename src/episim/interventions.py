@@ -12,6 +12,7 @@ import numpy as np
 from .core import (
     E,
     EPISODE_DAYS,
+    I_A,
     ISO_HEALTHY,
     ISO_SICK,
     R,
@@ -62,8 +63,8 @@ def self_isolation_step(
     day: int,
     config: ScenarioConfig,
 ) -> np.ndarray:
-    """Move willing, currently symptomatic agents into sick isolation; returns
-    their ids.
+    """Move willing, currently symptomatic agents in E, I_s or I_a into sick
+    isolation; returns their ids.
 
     Each infection episode gets at most one self-isolation decision: the
     candidates are the agents whose propensity draw came up willing and who
@@ -77,7 +78,8 @@ def self_isolation_step(
     if not started.size:
         return started
     last_day = population.last_load_day[started]
-    moved = started[(day <= last_day) & (population.comp[started] < ISO_HEALTHY)]
+    comp = population.comp[started]
+    moved = started[(day <= last_day) & (comp >= E) & (comp <= I_A)]
     population.selfiso_candidate[started[day > last_day]] = False
     population.selfiso_candidate[moved] = False
     _isolate(population, moved, day, config, ISO_SICK)

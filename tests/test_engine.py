@@ -263,7 +263,52 @@ def test_false_isolation_counts_only_healthy_entries():
     _, records = run(cfg, 0)
     final = records[-1]
     assert final["cum_false_iso"] == 0
-    assert final["iso_sick"] + final["r"] > 0  # true positives were isolated
+    assert final["iso_sick"] > 0  # true positives were isolated
+
+
+def test_results_without_delay_isolate_on_the_sampling_day():
+    # every sample is positive, and with no delay each result acts on the
+    # testing day itself: nobody is left in the population, and nothing waits
+    cfg = default_config(
+        popSize=200, initialInfected=10, timeHorizon=3,
+        daysBetweenTesting=1, firstDayOfTesting=0, poolSize=1,
+        fprSingle=1.0, fnrSingle=0.0, daysDelayTestResults=0,
+    )
+    state = initialize(cfg, make_rng(cfg.baseSeed, 0))
+    record = step(state, 0)
+    assert state.pending == {}
+    assert record["iso_healthy"] + record["iso_sick"] == cfg.popSize
+    assert record["iso_sick"] >= cfg.initialInfected
+    assert record["cum_false_iso"] == record["iso_healthy"]
+    assert record["tests_today"] == cfg.popSize
+
+
+def test_no_agent_self_isolates_from_recovered(monkeypatch):
+    # A high cut sends an episode to R while its symptom window is still
+    # open, and so does a release from test isolation. Only E, I_s and I_a
+    # agents may enter sick isolation at the self-isolation stage.
+    cfg = default_config(
+        popSize=2000, initialInfected=40, timeHorizon=60, infectiousViralLoadCut=1e5,
+        daysBetweenTesting=2, firstDayOfTesting=3, poolSize=5, daysDelayTestResults=1,
+        isolationLength=2,
+    )
+    stage = engine.self_isolation_step
+    moved_total = []
+
+    def checked_stage(population, day, config):
+        before = population.comp.copy()
+        moved = stage(population, day, config)
+        entered = (population.comp != before).nonzero()[0]
+        assert entered.tolist() == moved.tolist(), day
+        assert np.all(population.comp[moved] == Compartment.ISOLATED_SICK), day
+        assert np.all((before[moved] >= Compartment.EXPOSED)
+                      & (before[moved] <= Compartment.INFECTIOUS_ASYMPTOMATIC)), day
+        moved_total.append(moved.size)
+        return moved
+
+    monkeypatch.setattr(engine, "self_isolation_step", checked_stage)
+    run(cfg, 0)
+    assert sum(moved_total) > 0
 
 
 def test_run_is_deterministic():

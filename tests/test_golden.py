@@ -5,7 +5,8 @@ A run is a pure function of (config, runIndex), so these hashes change only
 when the model or the order of random draws changes. A change that moves
 them on purpose says so in CHANGES.md and records the new hashes here; the
 statistical-equivalence test shows that the new stream is distributed as
-the old one.
+the old one. ``python tests/test_golden.py`` prints the current ``GOLDEN`` and
+``GOLDEN_OUTPUTS``, ready to paste.
 
 Together the configs reach average and exponential pooling, single tests,
 delayed results, the post-isolation holdback, zero-length isolation, fast
@@ -15,8 +16,12 @@ cover the aggregate CSV, the summary and cell JSONs, both report files, the
 rebuilt report and the R_t series.
 """
 
+import contextlib
 import hashlib
 import json
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -57,12 +62,12 @@ CONFIGS = {
     ),
 }
 GOLDEN = {
-    "average-5-delay-2": "fb90ef1d066fbe845171fe4c10c22d883e7e0b2e9b4014581f1cfd97e04ef5cd",
-    "edge-trajectories": "e3d985d5e1e241829057da46a98de04a3e372d171c9ed7cf3337b5ff43f104ba",
-    "exponential-10-no-isolation": "6619c5d1f39e7b12649a5b699fbf2c7200713b1a955235353dccb53f2dd32639",
-    "exponential-4-vaccination": "b93848ee461e7b2e57dd6dd82530a50ff42b6b682cfa5dbd0ced32ffffdf4100",
+    "average-5-delay-2": "50631b1f1b2e010c934396e807bf7db1a0a3e3c2031acfeebfe22d4985c92aef",
+    "edge-trajectories": "56337b6a32d5c115b21558a75a9bd53b18941aee4f408316303906806c25cf3d",
+    "exponential-10-no-isolation": "8620a7317e39aa295a8812539e78054c6eeedc59bc8e27f8cfa64a857a49c4bd",
+    "exponential-4-vaccination": "0c17acc7d1a56dabb05acf13149c673f2f31b7b94377255b2b0059e7f0089f5b",
     "no-testing-vaccination": "4f368e72337e793c059065eb364b54be1bdf81400888ac61189734cf04f2eb3f",
-    "single-fast-reinfection": "4b1c93936946a119850e1b045f98b94af644324092595376f178fdfd2f500c02",
+    "single-fast-reinfection": "287ecd8fc16542324cfa20cc886d1a59083729e0d0439ed2e845e41e93aea5da",
 }
 
 
@@ -134,53 +139,53 @@ def write_outputs(root):
 GOLDEN_OUTPUTS = {
     "calibrate/calibration.json": "bb27945082bbc45647422735e95f83779f85499c6d939cc1134a204edec21632",
     "calibrate/rt_series.csv": "588a00fc2762027472fa07d149816fbf76a8cc6fb82045f32281f28b44aba7e0",
-    "report_rebuilt.csv": "be524062640c409ea77ebac195886c6d907712c521c52a51a3127d5e82b9db6e",
-    "run/aggregate.csv": "5641bb7a8d6054f2f7f6159e14b999ba3bbc593c485373e126f8de3d02c4f464",
+    "report_rebuilt.csv": "eff2e71dc943e514010cbfde399911c0b60d9e6e00dff45e9fd6cf37ee7b51e9",
+    "run/aggregate.csv": "c44cb2cda0c72b3bc84947fcbc73097e43be755d104aac0db1326be6c0947ef5",
     "run/config.json": "6f9d1bcc80e733ac09e580183f9876ff48d8443bd9b36bd17e37d5eec5579e80",
-    "run/run_000.csv": "db8b1ac59d3f8da1708730adc981d37c75c68c96bdddec559aa10121e5a941ba",
-    "run/run_001.csv": "f4ad9542d0787d23abc74319b79ca61f35a5e872162c976ae756bb7a00489506",
-    "run/run_002.csv": "d2ac7d50339591c803edfe53b5e1c0bf3a5c064d0688aa6921bf34097250d7f2",
-    "run/summary_000.json": "17b8e7f5cec77c2dd6fea47e1656452fe20bac2791cbae6482be46339a8c3ff1",
-    "run/summary_001.json": "521a09cd2fe78abe9e237b9236a504cdb7eb803e38fafdb5184306c677a7fffc",
-    "run/summary_002.json": "7a848069005bcec963b4122b91bc1db174921e9503a2086fb0fc3936fb437d59",
-    "sweep/cell_000/aggregate.csv": "95d7e56b017c3dce4efe7763372a71dbee0e20ac1adbcbef38a8806be54fe8ee",
+    "run/run_000.csv": "91b8c7d89eef016b28c17265955d22948cfd7953b2a76548261fe7605dd266ef",
+    "run/run_001.csv": "d17e3a15597aee5c113f4a85829cbf13cc6a01b7a95901a475239c108bef24c3",
+    "run/run_002.csv": "26a6ab6ee4127f8aed107f4076f4193482eaa35b494c09baa0c16789a68f7c72",
+    "run/summary_000.json": "645535d240d6aaf3e9477ae26099a4cf338bddaf09f2870fbf9fbfa10fd7c678",
+    "run/summary_001.json": "5e0830970d811032bb0e7abf2a27c60920204b062cdcdbb7d0ca14bac8a8af2d",
+    "run/summary_002.json": "bebb9f0792125fae724ff0ca776c0455fbcbae34954fd5ad24653319acf9180c",
+    "sweep/cell_000/aggregate.csv": "2f9b35164f5712f22f6117f929db0900568169f76e6f07356d28859bd7da5ddb",
     "sweep/cell_000/cell.json": "e4fc9bc0b8163e5bed01f31c752cba8b6d3a331d71c37a14594d2c472c15e6f1",
     "sweep/cell_000/config.json": "83d161a9bd78bdd201ace8458063b1f18fc352b10baf05cbee4825390505d6ff",
-    "sweep/cell_000/run_000.csv": "ca281a15358e45ccc2270bc5ed761d3e75a6a7201ce793d1f1fa4473f7b918d3",
+    "sweep/cell_000/run_000.csv": "bb99a47c788317c52950beea178b68090da3a33f0bc590509650ddb306526db9",
     "sweep/cell_000/run_001.csv": "e070721e841efe21ac618805660b35c95a8268e6c2fd3e339efc81829b5fcb40",
-    "sweep/cell_000/run_002.csv": "cd33a63bf2d7263542483cac27177d243ec1214b35966db030bdbdf53a7c4bcd",
-    "sweep/cell_000/summary_000.json": "389d1232ca3c13e29e23997de5cc9013b597b2834c2d3485b27d35218675b101",
+    "sweep/cell_000/run_002.csv": "e5fa3475e62b7d2f8b3e2ae43051c1e0da7b457f512293fc97c79b60a190e8af",
+    "sweep/cell_000/summary_000.json": "e0a7a090606e4512a7c0742a1de5034f3b3bd3504b9f0c50a20ebcced69c2703",
     "sweep/cell_000/summary_001.json": "a9891bc807e94e8bf1a7945fbb9d0f006b04706751647f840ff949e04e5322c8",
-    "sweep/cell_000/summary_002.json": "2e8e9feb4044d5b1497f023261cb44f7de04401f052ba413284267afebc958bf",
-    "sweep/cell_001/aggregate.csv": "d0f9d1074a6c7056ac8ab386d11038f0bb2dae38df0223ca1ef35f1fc1947883",
+    "sweep/cell_000/summary_002.json": "45277f3efc0c19b37fd787668c286e9d9bbd244a3dc709a6dde0fbfdf84caaac",
+    "sweep/cell_001/aggregate.csv": "6c0ebbfb11a9aca7aa6e979731ed1daa02e94399c5ad4f6938de45a140e1c512",
     "sweep/cell_001/cell.json": "d8477b86fe25f311c2911b82262a35775c2de4153caa486fdc03f88a3c4437de",
     "sweep/cell_001/config.json": "40c3344d292c305d7ebc6ab0c59159c72f80631f07a1dab786d35b927d2e6be9",
     "sweep/cell_001/run_000.csv": "ff6564fddc5dd78fa3b6b11a30bf15f79a6938c5c0632d4a2226b2364380aa1d",
-    "sweep/cell_001/run_001.csv": "98c34a28a3abce85b0a665b80248ef2f15ffe8856f4b23e7bcefd0e17cf7ef05",
+    "sweep/cell_001/run_001.csv": "605410f3fd9480b5e3e66e63d34225c0427d664029ed82b29e53fc3d11c75fe6",
     "sweep/cell_001/run_002.csv": "a78d24c329ad384feb87149bb81e04fb93b7eead17ae939d0871f3d17a01c015",
     "sweep/cell_001/summary_000.json": "8a4061124863e61b1bc2ce604eb61c5e33e76436478a718ab3339fa5fbc5d1f7",
     "sweep/cell_001/summary_001.json": "c54102e54ff3ccdcbfe4a6a7e7b5dfb8140f3ed8ca2a67035409d3694a92bed2",
     "sweep/cell_001/summary_002.json": "5b5be2b56321fd2481312ec22d56bf905b90b9511d97a0ca9b428e55787cde62",
-    "sweep/cell_002/aggregate.csv": "6267a51ee15e7096b53176db46dd0ef9e1e5c8e866aff4b3b24bff8fd9f083a2",
+    "sweep/cell_002/aggregate.csv": "510d89911778af337a3051ad2ffaa71caefb9de54eaef3ec658c4ce202bd94e4",
     "sweep/cell_002/cell.json": "25f915ea1d86a8851fc9a98a1939a55a48a074da1e17470e7a1a3d1d1f3876d9",
     "sweep/cell_002/config.json": "7fcfe62738ed39ac4be8a1e7e99f99e2becb928c1788d982389e52a58db6a098",
-    "sweep/cell_002/run_000.csv": "8c54f266997ad55e43d7cd3713daa5fd0821cd427c9b83b3cc5e937e683ed504",
-    "sweep/cell_002/run_001.csv": "dcdfcbf1ac203562c14bfecdd49e7da4404bdad119472a41309db390ffdbcdf0",
-    "sweep/cell_002/run_002.csv": "94c6bad11768637d7d056bc66197aebc62ce2cfeaa92ba45d3c0f90911ebc268",
-    "sweep/cell_002/summary_000.json": "5e9e639e3dca07c712c2c614549697f299d7d2a7bc34883ec0ad5535b5d59630",
+    "sweep/cell_002/run_000.csv": "1c847264d3a4fea0b6765355900be0a15afa9e7a60dc7c1216d2a3d5f6afb2d2",
+    "sweep/cell_002/run_001.csv": "ef3c72446d9bb23cc0fe04fb40f85cf1954367798cc876b25742128f9a276609",
+    "sweep/cell_002/run_002.csv": "c07276863a74e174be6c291339bdd21c516e4aaeaac68ae2386d084dbf91dab5",
+    "sweep/cell_002/summary_000.json": "4301cc61d2ca41af7c381d4c491d1d0bc4f1685b9597ec793605f94e43666b1d",
     "sweep/cell_002/summary_001.json": "dcd5d0ae64cf8868a76e43d0ea6ba32a64fc339e7b14a29ac9412791ae0bd74e",
-    "sweep/cell_002/summary_002.json": "9e6652fcda51e373fe97ee8d1c237957b7461467795e50b51f1dfeaa9b6ef805",
-    "sweep/cell_003/aggregate.csv": "c24b5df7eaea5875184b6e277d12dd4ccd8f5592d5b7d4bab4654b5b4203e2d7",
+    "sweep/cell_002/summary_002.json": "8203dffc9cf49a29f7b939aa59b5ce9b3cf5ee292b637c93b37cc8587685020c",
+    "sweep/cell_003/aggregate.csv": "630a214c36e50804c47208ec3eb487efe30c11347f17c8c9760e97f036964ce5",
     "sweep/cell_003/cell.json": "c78a2d0f996c5fbbca206935103769fac1499e9a635c8e00646fbf954dcd761b",
     "sweep/cell_003/config.json": "d946ddce9453a5492ddb3fca6f31f34e7c775f7fa3a4e5f0d796c1ccd078b0c1",
-    "sweep/cell_003/run_000.csv": "7b1258db2fc3f0c5a7e71cca6196ccafa47427b562832414139e78b59b693319",
+    "sweep/cell_003/run_000.csv": "5a907913781d3b294c21f19f3298bc9c193b1d932a4b1994e9fbde1ac14ce7bf",
     "sweep/cell_003/run_001.csv": "16748353da2f9fb7cffa7e2d85462d26bcca21ab4772bc9078ecf0bce734f100",
     "sweep/cell_003/run_002.csv": "564bd1a3f500f0ca6c702b81baf004bec105977aca7878da1026963ba90462df",
-    "sweep/cell_003/summary_000.json": "da20d7c3d5232fd4470d7ed812d45dd878f6be80908164bdb71768bb620c56db",
+    "sweep/cell_003/summary_000.json": "daf10ae1e597aaff47451d43802501728cad88da433289926b811799d92d3000",
     "sweep/cell_003/summary_001.json": "550e90391646963860435544787e17371a335e2aa15282e64e3fa07308df5350",
     "sweep/cell_003/summary_002.json": "928e9f788c0033b749fa11d0c8c6ad9f38b46196068940ca3e2cdeb4e0b4993c",
-    "sweep/report.csv": "be524062640c409ea77ebac195886c6d907712c521c52a51a3127d5e82b9db6e",
-    "sweep/report.json": "d889058e789e963072b88fc9d4ba4100651e7a3ba00ecb8c2df7d5c06a752741",
+    "sweep/report.csv": "eff2e71dc943e514010cbfde399911c0b60d9e6e00dff45e9fd6cf37ee7b51e9",
+    "sweep/report.json": "5ad9b61456d7209a9b8c6f1c939fd2ec4f223fba1fdd62142818a5066ba902f2",
 }
 
 
@@ -199,3 +204,14 @@ def test_sweep_writes_identical_files_for_any_job_count(tmp_path):
         trees.append(tree_sha256(out))
     assert trees[0] == trees[1]
     assert len(trees[0]) == 4 * 9 + 2
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(sys.stderr):
+        tables = {"GOLDEN": {name: run_csv_sha256(name, Path(tmp)) for name in sorted(CONFIGS)},
+                  "GOLDEN_OUTPUTS": write_outputs(Path(tmp) / "out")}
+    for table, digests in tables.items():
+        print(f"{table} = {{")
+        for key, digest in digests.items():
+            print(f'    "{key}": "{digest}",')
+        print("}")
