@@ -454,12 +454,13 @@ def make_rng(base_seed: int, run_index: int = 0) -> Streams:
 # Population state
 
 # The rows of Population.days. An episode's days come first, so that ending
-# one clears days[EPISODE_DAYS]: its start days, then its transition days.
+# one clears days[EPISODE_DAYS]: its start days, its transition days, then its
+# self-isolation day.
 DAY_ROWS = ("exposure_day", "onset_day", "first_load_day", "last_load_day",
-            "infectious_day", "recovery_day", "iso_exit_day", "last_exit_day")
+            "infectious_day", "recovery_day", "selfiso_day", "iso_exit_day", "last_exit_day")
 START_DAYS = slice(1, 4)
 TRANSITION_DAYS = slice(4, 6)
-EPISODE_DAYS = slice(0, 6)
+EPISODE_DAYS = slice(0, 7)
 
 
 class Population:
@@ -481,7 +482,8 @@ class Population:
     days (infectious, recovery) wait, with ``recovery_day`` NaN, until a status
     update reaches a waiting episode's first load day; ``infectious_day`` stays
     NaN if it never becomes infectious. A release from sick isolation sets
-    ``recovery_day``; it stays until immunity lapses.
+    ``recovery_day``; it stays until immunity lapses. ``selfiso_day``, set
+    when an episode starts, is the one day it self-isolates if then in E or I.
     ``iso_exit_day``, the scheduled release, is set exactly for isolated
     agents. ``last_exit_day`` is the day of the latest release and is never
     cleared.
@@ -496,8 +498,6 @@ class Population:
         self.days = np.full((len(DAY_ROWS), n), np.nan, dtype=np.float32)
         for name, row in zip(DAY_ROWS, self.days):
             setattr(self, name, row)
-        # willing to self-isolate and has not yet decided this episode
-        self.selfiso_candidate = np.zeros(n, dtype=bool)
         self.params = np.full((len(DISTRIBUTION_FIELDS), n), np.nan)
 
     def counts(self) -> np.ndarray:

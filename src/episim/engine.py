@@ -21,9 +21,9 @@ its draws from the run's stream for their purpose
 runIndex). A stage with nothing due that day returns right after the scan
 that finds nothing, and draws nothing.
 
-An episode's start days are set when it starts; the status update schedules
-its transition days, the days it becomes infectious and recovers, and compares
-days with them (:func:`_advance_infections`).
+An episode's start days and self-isolation day are set when it starts; the
+status update schedules its transition days (infectious, recovery) and
+compares days with them (:func:`_advance_infections`).
 """
 
 from __future__ import annotations
@@ -133,7 +133,7 @@ def initialize(config: ScenarioConfig, streams: Streams) -> RunState:
         population.vaccinated[picked] = True
         population.comp[picked] = S_V
     episodes = EpisodeSource(config, streams.episodes)
-    expose(population, seed_ids, 0, episodes)
+    expose(population, seed_ids, 0, 0, episodes)
 
     records = np.empty(config.timeHorizon + 1, dtype=RECORD_DTYPE)
     records[0] = (-1, *population.counts().tolist(), 0, 0, len(seed_ids), 0, 0, 0.0, n_vaccinated)

@@ -9,18 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import (
-    E,
-    EPISODE_DAYS,
-    I_A,
-    ISO_HEALTHY,
-    ISO_SICK,
-    R,
-    S_U,
-    S_V,
-    Population,
-    ScenarioConfig,
-)
+from .core import E, EPISODE_DAYS, ISO_HEALTHY, ISO_SICK, R, S_U, S_V, Population, ScenarioConfig
 
 
 def _isolate(
@@ -58,30 +47,20 @@ def apply_positive_results(
     return healthy
 
 
-def self_isolation_step(
-    population: Population,
-    day: int,
-    config: ScenarioConfig,
-) -> np.ndarray:
-    """Move willing, currently symptomatic agents in E, I_s or I_a into sick
-    isolation; returns their ids.
+def self_isolation_step(population: Population, day: int, config: ScenarioConfig) -> np.ndarray:
+    """Move the agents in E, I_s or I_a whose self-isolation day is today
+    into sick isolation; returns their ids.
 
-    Each infection episode gets at most one self-isolation decision: the
-    candidates are the agents whose propensity draw came up willing and who
-    have not triggered yet. A candidate whose symptom window has passed (for
-    example while in test-driven isolation) stops being one. The symptom
-    window is [first symptomatic day, last load day], read from the episode's
-    start days, set when it starts, without evaluating its trajectory.
+    That day, set when an episode starts, is the first day this stage sees it
+    with symptoms. An agent leaves E and I within an episode only for R or
+    sick isolation, which exits to R, so the episode self-isolates then or
+    never.
     """
-    # a candidate past its window is past its first symptomatic day too
-    started = (population.selfiso_candidate & (population.onset_day <= day)).nonzero()[0]
-    if not started.size:
-        return started
-    last_day = population.last_load_day[started]
-    comp = population.comp[started]
-    moved = started[(day <= last_day) & (comp >= E) & (comp <= I_A)]
-    population.selfiso_candidate[started[day > last_day]] = False
-    population.selfiso_candidate[moved] = False
+    due = (population.selfiso_day == day).nonzero()[0]
+    if not due.size:
+        return due
+    comp = population.comp[due]
+    moved = due[(comp >= E) & (comp < R)]
     _isolate(population, moved, day, config, ISO_SICK)
     return moved
 
@@ -129,7 +108,6 @@ def recovered_to_susceptible_step(
     returned = returned[population.comp[returned] == R]
     population.params[:, returned] = np.nan
     population.days[EPISODE_DAYS, returned] = np.nan
-    population.selfiso_candidate[returned] = False
     population.comp[returned] = population.susceptible_compartment(returned)
     return returned
 

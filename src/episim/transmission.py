@@ -35,8 +35,8 @@ class EpisodeSource:
     field of ``DISTRIBUTION_FIELDS`` and one column per episode); its start
     days counted from the exposure day
     (:func:`~episim.viral_load.start_days`: the first symptomatic day, NaN if
-    asymptomatic, and the first and last load day); and 1 where it will
-    self-isolate (symptomatic and willing), else 0.
+    asymptomatic, and the first and last load day); and 1 where it is willing
+    to self-isolate on symptoms and symptomatic, else 0.
     :class:`~episim.core.Streams` gives the draw order.
     """
 
@@ -54,7 +54,7 @@ class EpisodeSource:
 
     def take(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The next ``n`` episodes: their trajectories, start-day offsets (a
-        ``(3, n)`` array) and self-isolation flags."""
+        ``(3, n)`` array) and flags of the symptomatic and willing."""
         short = n - self.held.shape[1]
         if short > 0:
             blocks = [self._draw_block() for _ in range(-(-short // EPISODE_BLOCK))]
@@ -64,17 +64,21 @@ class EpisodeSource:
         return taken[:fields], taken[fields:-1], taken[-1] == 1.0
 
 
-def expose(population: Population, ids: np.ndarray, day: int, episodes: EpisodeSource) -> None:
+def expose(population: Population, ids: np.ndarray, day: int, first_update: int,
+           episodes: EpisodeSource) -> None:
     """Move the susceptible agents ``ids`` (ascending) to exposed on ``day``,
-    with the next episodes of ``episodes`` in id order."""
+    with the next episodes of ``episodes`` in id order. The first status update
+    to see them is on ``first_update``: ``day`` for a seed or an external
+    exposure, the next day for an internal one."""
     if ids.size:
-        start_episodes(population, ids, day, *episodes.take(ids.size))
+        start_episodes(population, ids, day, first_update, *episodes.take(ids.size))
 
 
 def start_episodes(
     population: Population,
     ids: np.ndarray,
     day: int,
+    first_update: int,
     params: np.ndarray,
     start: np.ndarray,
     selfiso: np.ndarray,
@@ -82,20 +86,24 @@ def start_episodes(
     """Put agents ``ids`` in E with the episodes ``params``, field-major (one
     row per field of ``DISTRIBUTION_FIELDS`` and one column per episode),
     exposed on ``day``, with their start days ``start`` days later (a ``(3,
-    k)`` array of :func:`~episim.viral_load.start_days` offsets) and to
-    self-isolate where ``selfiso``. Their transition days wait for the status
-    update."""
+    k)`` array of :func:`~episim.viral_load.start_days` offsets). Their
+    transition days wait for the status update. Where ``selfiso`` (willing and
+    symptomatic), the self-isolation day is the later of the first symptomatic
+    day and ``first_update`` if no later than the last load day; else NaN."""
     population.params[:, ids] = params
     population.comp[ids] = E
     population.exposure_day[ids] = day
     population.days[START_DAYS, ids] = start + day
-    population.selfiso_candidate[ids] = selfiso
+    selfiso_day = np.maximum(population.onset_day[ids], first_update)
+    selfiso_day[~selfiso | (selfiso_day > population.last_load_day[ids])] = np.nan
+    population.selfiso_day[ids] = selfiso_day
 
 
 def _bernoulli_expose(
     population: Population,
     p: float,
     day: int,
+    first_update: int,
     config: ScenarioConfig,
     rng: np.random.Generator,
     episodes: EpisodeSource,
@@ -112,7 +120,7 @@ def _bernoulli_expose(
         return np.empty(0, dtype=np.int64)
     ids = np.concatenate(exposed)
     ids.sort()
-    expose(population, ids, day, episodes)
+    expose(population, ids, day, first_update, episodes)
     return ids
 
 
@@ -125,8 +133,8 @@ def external_exposure_step(
 ) -> np.ndarray:
     """Expose in-population susceptibles from outside contacts; returns the
     newly exposed ids."""
-    return _bernoulli_expose(population, config.externalExposureProbDaily, day, config, rng,
-                             episodes)
+    return _bernoulli_expose(population, config.externalExposureProbDaily, day, day, config,
+                             rng, episodes)
 
 
 def internal_propagation_step(
@@ -152,4 +160,4 @@ def internal_propagation_step(
         return np.empty(0, dtype=np.int64)
     # I is counted in P, so P > 0 here
     p = config.betaDaily * infectious / int(sum(counts[:ISO_HEALTHY]))
-    return _bernoulli_expose(population, p, day, config, rng, episodes)
+    return _bernoulli_expose(population, p, day, day + 1, config, rng, episodes)

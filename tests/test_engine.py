@@ -15,6 +15,7 @@ from episim.core import (
     STREAMS,
     Compartment,
     ConfigError,
+    Constant,
     SimulationError,
     Uniform,
     default_config,
@@ -134,7 +135,9 @@ def test_seeds_take_the_first_episodes_across_two_blocks():
         fresh.take(7), fresh.take(EPISODE_BLOCK), fresh.take(43)))
     assert pop.params[:, seeds].tobytes() == params.tobytes()
     assert pop.days[START_DAYS, seeds].tobytes() == start.astype(np.float32).tobytes()
-    assert pop.selfiso_candidate[seeds].tobytes() == selfiso.tobytes()
+    # the seeds' first update is on day 0, before every symptom onset
+    assert np.array_equal(pop.selfiso_day[seeds], np.where(selfiso, pop.onset_day[seeds], np.nan),
+                          equal_nan=True)
     # the run's next episode is the fresh stream's next one
     assert state.episodes.take(1)[0].tobytes() == fresh.take(1)[0].tobytes()
 
@@ -161,7 +164,7 @@ def test_streams_are_separated_by_purpose(monkeypatch):
         state = initialize(cfg, make_rng(cfg.baseSeed, 2))
         pop = state.population
         initial.append([a.tobytes() for a in (pop.comp, pop.vaccinated, pop.willingness,
-                                               pop.days, pop.params, pop.selfiso_candidate)])
+                                               pop.days, pop.params)])
         for day in range(cfg.timeHorizon):
             step(state, day)
         records.append(state.records)
@@ -309,6 +312,45 @@ def test_no_agent_self_isolates_from_recovered(monkeypatch):
     monkeypatch.setattr(engine, "self_isolation_step", checked_stage)
     run(cfg, 0)
     assert sum(moved_total) > 0
+
+
+def test_symptoms_from_exposure_self_isolate_at_the_first_update(monkeypatch):
+    # With t0 = tP = tS = 0 an episode has symptoms from its exposure day.
+    # The first self-isolation stage to see it is that day's for a seed or an
+    # external exposure, and the next day's for an internal one.
+    cfg = default_config(
+        popSize=500, initialInfected=10, timeHorizon=25, externalExposureProbDaily=0.01,
+        t0=Constant(0.0), tP=Constant(0.0), tS=Constant(0.0), tF=Constant(5.0),
+        fractionSymptomatic=1.0, selfIsolationOnSymptomsProb=0.5, betaDaily=0.8,
+    )
+    due = {}  # agent -> the day it must self-isolate on, if willing
+    isolated = {"internal": 0, "external": 0}
+
+    def logged(stage, lag, kind):
+        def exposure_stage(population, config, day, *args):
+            exposed = stage(population, config, day, *args)
+            due.update({i: (day + lag, kind) for i in exposed.tolist()})
+            return exposed
+        return exposure_stage
+
+    def self_isolation(population, day, config):
+        moved = engine_self_isolation(population, day, config)
+        for i in moved.tolist():
+            assert due[i][0] == day, (i, day)
+            isolated[due.pop(i)[1]] += 1
+        return moved
+
+    engine_self_isolation = engine.self_isolation_step
+    monkeypatch.setattr(engine, "external_exposure_step",
+                        logged(engine.external_exposure_step, 0, "external"))
+    monkeypatch.setattr(engine, "internal_propagation_step",
+                        logged(engine.internal_propagation_step, 1, "internal"))
+    monkeypatch.setattr(engine, "self_isolation_step", self_isolation)
+    state = initialize(cfg, make_rng(cfg.baseSeed, 0))
+    due.update({i: (0, "external") for i in state.population.ids(Compartment.EXPOSED).tolist()})
+    for day in range(cfg.timeHorizon):
+        step(state, day)
+    assert isolated["internal"] > 0 and isolated["external"] > 0
 
 
 def test_run_is_deterministic():

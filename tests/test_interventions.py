@@ -33,12 +33,12 @@ def fresh_population(n=6):
 
 def infect(pop, agent_id, day=0, profile=SYMPTOMATIC_PROFILE,
            compartment=Compartment.INFECTIOUS_SYMPTOMATIC, will_isolate=False):
-    """Start an episode the way an exposure does, then move it to
+    """Start an episode the way an external exposure does, then move it to
     ``compartment``."""
     params = np.array([profile_params(profile)]).T
     symptomatic = np.array([profile.symptomatic])
-    start_episodes(pop, np.array([agent_id]), day, params, start_days(params, 0, symptomatic),
-                   symptomatic & will_isolate)
+    start_episodes(pop, np.array([agent_id]), day, day, params,
+                   start_days(params, 0, symptomatic), symptomatic & will_isolate)
     pop.comp[agent_id] = compartment
     return agent_id
 
@@ -112,10 +112,10 @@ def test_self_isolation_on_first_symptomatic_day():
     cfg = default_config()
     infect(pop, 0, day=0, will_isolate=True)
     # symptom onset at 6.5 days: nothing on day 6, isolation on day 7
+    assert pop.selfiso_day[0] == 7
     assert self_isolation_step(pop, 6, cfg).tolist() == []
     assert self_isolation_step(pop, 7, cfg).tolist() == [0]
     assert pop.comp[0] == Compartment.ISOLATED_SICK
-    assert not pop.selfiso_candidate[0]  # the episode's decision is taken
 
 
 def test_unwilling_agent_never_self_isolates():
@@ -187,7 +187,7 @@ def test_recovered_returns_to_susceptible_after_immunity_lapses():
     assert pop.comp[0] == Compartment.SUSCEPTIBLE_UNVACCINATED
     assert np.isnan(pop.params[:, 0]).all()
     for days in (pop.exposure_day, pop.first_load_day, pop.last_load_day,
-                 pop.onset_day, pop.infectious_day, pop.recovery_day):
+                 pop.onset_day, pop.infectious_day, pop.recovery_day, pop.selfiso_day):
         assert np.isnan(days[0])
 
 

@@ -129,7 +129,13 @@ def check_population(pop, day, config):
         for lag in (0, 1))]
     assert np.all(matches[0] | matches[1]), day
     assert np.all(pop.params[4, episode & ~symptomatic] == 0), day
-    assert not np.any(pop.selfiso_candidate & ~symptomatic), day
+    # a self-isolation day is set only for a symptomatic episode, inside its
+    # symptom window, on its onset day or its first update
+    selfiso = np.isfinite(pop.selfiso_day)
+    assert not np.any(selfiso & ~symptomatic), day
+    selfiso_day, onset_day = pop.selfiso_day[selfiso], pop.onset_day[selfiso]
+    assert np.all((onset_day <= selfiso_day) & (selfiso_day <= pop.last_load_day[selfiso])), day
+    assert np.all((selfiso_day == onset_day) | (selfiso_day - pop.exposure_day[selfiso] <= 1)), day
     # the status update leaves no E or I agent past its last load day or its
     # recovery day, no E agent past its infectious day, no I agent before its
     # first load day, and no R agent before its recovery day

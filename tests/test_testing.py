@@ -160,7 +160,7 @@ def hot_population(n=100, hot_ids=(), load=1e8):
     )
     hot = np.array(hot_ids, dtype=np.int64)
     params = np.tile(profile_params(profile), (len(hot), 1)).T
-    start_episodes(pop, hot, 0, params, start_days(params, 0, np.zeros(len(hot), bool)),
+    start_episodes(pop, hot, 0, 0, params, start_days(params, 0, np.zeros(len(hot), bool)),
                    np.zeros(len(hot), bool))
     pop.comp[hot] = Compartment.INFECTIOUS_ASYMPTOMATIC
     return pop
@@ -273,7 +273,8 @@ def test_run_testing_day_matches_scalar_reference(pooling_type, pool_size):
             tS=0.0, tF=float(rng.uniform(0, 9)), VF=10 ** float(rng.uniform(0, 3)),
             symptomatic=False,
         ))]).T
-        start_episodes(pop, np.array([i]), int(rng.integers(0, 16)), params,
+        exposure_day = int(rng.integers(0, 16))
+        start_episodes(pop, np.array([i]), exposure_day, exposure_day, params,
                        start_days(params, 0, np.array([False])), np.array([False]))
         pop.comp[i] = infected_comps[i % 4]
     for i in range(1, n, 11):

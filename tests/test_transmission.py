@@ -5,7 +5,8 @@ from unittest.mock import MagicMock
 import numpy as np
 import pytest
 
-from episim.core import DISTRIBUTION_FIELDS, Compartment, Population, default_config, make_rng
+from episim.core import (DISTRIBUTION_FIELDS, EPISODE_DAYS, Compartment, Population, default_config,
+                         make_rng)
 from episim.transmission import (
     EPISODE_BLOCK,
     EpisodeSource,
@@ -43,9 +44,8 @@ def exposure_streams(config, seed):
 def reset_exposed(population, compartment):
     exposed = population.ids(Compartment.EXPOSED)
     population.params[:, exposed] = np.nan
-    population.exposure_day[exposed] = np.nan
+    population.days[EPISODE_DAYS, exposed] = np.nan
     population.comp[exposed] = compartment
-    population.selfiso_candidate[:] = False
 
 
 def stage_probabilities(stage, config, *counts):
@@ -211,7 +211,7 @@ def test_expose_draws_one_vector_per_episode_draw():
     cfg = default_config()
     pop = build_population(n_su=50)
     ids = np.arange(0, 50, 2)
-    expose(pop, ids, 4, EpisodeSource(cfg, np.random.default_rng(47)))
+    expose(pop, ids, 4, 5, EpisodeSource(cfg, np.random.default_rng(47)))
     rng = np.random.default_rng(47)
     symptomatic = rng.random(EPISODE_BLOCK) < cfg.fractionSymptomatic
     params = np.array([getattr(cfg, f).sample_array(rng, EPISODE_BLOCK)
@@ -221,7 +221,9 @@ def test_expose_draws_one_vector_per_episode_draw():
     first = slice(ids.size)
     assert np.array_equal(pop.params[:, ids], params[:, first])
     assert np.array_equal(np.isfinite(pop.onset_day[ids]), symptomatic[first])
-    assert np.array_equal(pop.selfiso_candidate[ids], (symptomatic & willing)[first])
+    # every symptom onset is after the first update, inside the symptom window
+    selfiso_day = np.where((symptomatic & willing)[first], pop.onset_day[ids], np.nan)
+    assert np.array_equal(pop.selfiso_day[ids], selfiso_day, equal_nan=True)
     assert pop.ids(Compartment.EXPOSED).tolist() == ids.tolist()
     assert np.all(pop.exposure_day[ids] == 4)
     assert 0 < symptomatic[first].sum() < ids.size
@@ -234,9 +236,9 @@ def test_batch_boundaries_are_invisible(cut):
     cfg = default_config()
     ids = np.arange(0, 3 * EPISODE_BLOCK, 2)
     whole, split = build_population(n_su=3 * EPISODE_BLOCK), build_population(n_su=3 * EPISODE_BLOCK)
-    expose(whole, ids, 5, EpisodeSource(cfg, np.random.default_rng(53)))
+    expose(whole, ids, 5, 5, EpisodeSource(cfg, np.random.default_rng(53)))
     episodes = EpisodeSource(cfg, np.random.default_rng(53))
     for part in np.split(ids, [cut]):
-        expose(split, part, 5, episodes)
-    for name in ("params", "onset_day", "selfiso_candidate"):
+        expose(split, part, 5, 5, episodes)
+    for name in ("params", "days"):
         assert getattr(whole, name).tobytes() == getattr(split, name).tobytes(), name

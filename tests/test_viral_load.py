@@ -237,7 +237,8 @@ def test_loads_and_self_isolation_need_no_status_update():
     params = np.array([profile_params(profile)]).T
     symptomatic = np.array([True])
     pop = Population(2)
-    start_episodes(pop, np.array([1]), 2, params, start_days(params, 0, symptomatic), symptomatic)
+    start_episodes(pop, np.array([1]), 2, 2, params, start_days(params, 0, symptomatic),
+                   symptomatic)
     pop.comp[1] = Compartment.INFECTIOUS_SYMPTOMATIC
     # day 6 is tau 4, between t0 and the peak
     loads = current_loads(pop, np.array([0, 1]), 6)
@@ -315,13 +316,15 @@ def test_scheduled_days_equal_the_daily_status_update():
 
 
 def test_daily_stages_match_scalar_reference():
-    # The status update, the self-isolation symptom window and the testing
-    # loads, day by day, against status_at, symptomatic_now and load_at.
-    # Each episode starts through start_episodes on day i % 7: even ones
-    # before the day's status update (an external exposure, first seen at
-    # tau 0), odd ones at the end of the day (an internal exposure, first
-    # seen at tau 1). Only the status update schedules transition days; the
-    # symptom window and the loads need none.
+    # The status update, self-isolation and the testing loads, day by day,
+    # against status_at, symptomatic_now and load_at. Each episode starts
+    # through start_episodes on day i % 7: even ones before the day's status
+    # update (an external exposure, first seen at tau 0), odd ones at the end
+    # of the day (an internal exposure, first seen at tau 1). Self-isolation
+    # moves each willing episode on one day: the first day from its first
+    # update on with symptoms while the reference has it in E or I. Only the
+    # status update schedules transition days; self-isolation and the loads
+    # need none.
     cut = 1e3
     profiles = stage_profiles()
     n = len(profiles)
@@ -332,17 +335,20 @@ def test_daily_stages_match_scalar_reference():
     offsets = start_days(params, 0, symptomatic)
     config = default_config(infectiousViralLoadCut=cut)
     status = Population(n)  # the status update
-    windows = Population(n)  # the symptom window, every symptomatic agent willing
+    selfiso = Population(n)  # self-isolation, every symptomatic agent willing
     comp = np.full(n, int(C.SUSCEPTIBLE_UNVACCINATED))  # the scalar reference
+    isolated = np.zeros(n, dtype=bool)
+    recovered_showing = 0  # agent-days in R with symptoms, never isolated
     transitions = set()
 
-    def start(ids, day):
-        for pop in (status, windows):
-            start_episodes(pop, ids, day, params[:, ids], offsets[:, ids], symptomatic[ids])
+    def start(ids, day, first_update):
+        for pop in (status, selfiso):
+            start_episodes(pop, ids, day, first_update, params[:, ids], offsets[:, ids],
+                           symptomatic[ids])
         comp[ids] = C.EXPOSED
 
     for day in range(30):
-        start((external & (exposure == day)).nonzero()[0], day)
+        start((external & (exposure == day)).nonzero()[0], day, day)
         started = np.isfinite(status.exposure_day)
         tau = day - exposure
 
@@ -357,15 +363,16 @@ def test_daily_stages_match_scalar_reference():
         assert status.comp.tolist() == comp.tolist(), day
         transitions |= set(zip(before[before != comp].tolist(), comp[before != comp].tolist()))
 
-        showing = [i for i in np.flatnonzero(started) if symptomatic_now(profiles[i], tau[i])]
-        moved = self_isolation_step(windows, day, config)
-        assert moved.tolist() == showing, day
-        # undo the isolation, so that every day of the window is checked
-        windows.comp[moved] = C.EXPOSED
-        windows.selfiso_candidate[moved] = True
-        still_candidate = [bool(started[i] and symptomatic[i]
-                                and tau[i] <= profiles[i].end_time) for i in range(n)]
-        assert (windows.selfiso_candidate & started).tolist() == still_candidate, day
+        # the stage sees the reference's compartments, so an agent that has
+        # self-isolated is back in E or I, and must not move again
+        selfiso.comp[:] = comp
+        showing = [i for i in np.flatnonzero(started & ~isolated)
+                   if symptomatic_now(profiles[i], tau[i])]
+        active = [i for i in showing if C.EXPOSED <= comp[i] <= C.INFECTIOUS_ASYMPTOMATIC]
+        recovered_showing += len(showing) - len(active)
+        moved = self_isolation_step(selfiso, day, config)
+        assert moved.tolist() == active, day
+        isolated[moved] = True
 
         ids = np.arange(n)
         got = current_loads(status, ids, day)
@@ -373,13 +380,15 @@ def test_daily_stages_match_scalar_reference():
         assert np.array_equal(got == 0.0, want == 0.0), day
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
-        start((~external & (exposure == day)).nonzero()[0], day)
+        start((~external & (exposure == day)).nonzero()[0], day, day + 1)
 
     # every transition occurs, and every episode has ended
     E, I_S, I_A, R = (int(c) for c in (C.EXPOSED, C.INFECTIOUS_SYMPTOMATIC,
                                        C.INFECTIOUS_ASYMPTOMATIC, C.RECOVERED))
     assert transitions == {(E, I_S), (E, I_A), (E, R), (I_S, R), (I_A, R)}
     assert (comp == C.RECOVERED).all()
+    # some episodes self-isolate, and some show symptoms only in R
+    assert isolated.any() and recovered_showing > 0
 
 
 @pytest.mark.parametrize("field,dist", [
