@@ -401,12 +401,17 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _by_index(path: Path) -> tuple[int, str]:
+    """Sort key of a zero-padded index in a name: cell_1000 after cell_999."""
+    return len(path.name), path.name
+
+
 def cmd_report(args: argparse.Namespace) -> int:
     """Rebuild the comparison report from per-run CSVs of a sweep directory."""
     out_dir = Path(args.sweep_dir)
     if not out_dir.is_dir():
         raise ConfigError(f"not a directory: {out_dir}")
-    cell_dirs = sorted(d for d in out_dir.iterdir() if (d / "cell.json").is_file())
+    cell_dirs = sorted((d for d in out_dir.iterdir() if (d / "cell.json").is_file()), key=_by_index)
     if not cell_dirs:
         raise ConfigError(f"no sweep cells found under {out_dir}")
     rows = []
@@ -422,7 +427,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         except ConfigError as exc:
             raise ConfigError(f"{config_path}: {exc}") from None
         finals = []
-        for run_csv in sorted(cell_dir.glob("run_*.csv")):
+        for run_csv in sorted(cell_dir.glob("run_*.csv"), key=_by_index):
             records = read_run_csv(run_csv)
             if not len(records):
                 raise ConfigError(f"{run_csv}: empty run CSV")

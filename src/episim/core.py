@@ -457,7 +457,7 @@ def make_rng(base_seed: int, run_index: int = 0) -> Streams:
 # one clears days[EPISODE_DAYS]: its start days, its transition days, then its
 # self-isolation day.
 DAY_ROWS = ("exposure_day", "onset_day", "first_load_day", "last_load_day",
-            "infectious_day", "recovery_day", "selfiso_day", "iso_exit_day", "last_exit_day")
+            "infectious_day", "recovery_day", "selfiso_day", "release_day")
 START_DAYS = slice(1, 4)
 TRANSITION_DAYS = slice(4, 6)
 EPISODE_DAYS = slice(0, 7)
@@ -481,12 +481,16 @@ class Population:
     NaN for an asymptomatic episode, which is what marks it. The transition
     days (infectious, recovery) wait, with ``recovery_day`` NaN, until a status
     update reaches a waiting episode's first load day; ``infectious_day`` stays
-    NaN if it never becomes infectious. A release from sick isolation sets
-    ``recovery_day``; it stays until immunity lapses. ``selfiso_day``, set
-    when an episode starts, is the one day it self-isolates if then in E or I.
-    ``iso_exit_day``, the scheduled release, is set exactly for isolated
-    agents. ``last_exit_day`` is the day of the latest release and is never
-    cleared.
+    NaN if it never becomes infectious. A sick isolation ends the schedule:
+    it sets ``infectious_day`` to NaN and ``recovery_day`` to the release,
+    which stays until immunity lapses. ``selfiso_day``, set when an episode
+    starts, is the one day it self-isolates if then in E or I. ``release_day``,
+    set by every isolation and never cleared, is the scheduled release of an
+    isolated agent and the latest release of any other.
+
+    ``params`` and ``days`` share one allocation. glibc trims the heap past
+    twice the largest block freed, so what a run frees stays for the next
+    set-up instead of being returned to the system and faulted in again.
 
     Mutable and confined to a single run; never shared across runs.
     """
@@ -495,10 +499,14 @@ class Population:
         self.comp = np.zeros(n, dtype=np.int8)
         self.vaccinated = np.zeros(n, dtype=bool)
         self.willingness = np.zeros(n)
-        self.days = np.full((len(DAY_ROWS), n), np.nan, dtype=np.float32)
+        split = 8 * len(DISTRIBUTION_FIELDS) * n
+        block = np.empty(split + 4 * len(DAY_ROWS) * n, dtype=np.uint8)
+        self.params = block[:split].view(np.float64).reshape(len(DISTRIBUTION_FIELDS), n)
+        self.params.fill(np.nan)
+        self.days = block[split:].view(np.float32).reshape(len(DAY_ROWS), n)
+        self.days.fill(np.nan)
         for name, row in zip(DAY_ROWS, self.days):
             setattr(self, name, row)
-        self.params = np.full((len(DISTRIBUTION_FIELDS), n), np.nan)
 
     def counts(self) -> np.ndarray:
         """Agents per compartment, indexed by :class:`Compartment`."""

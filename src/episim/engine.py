@@ -23,7 +23,8 @@ that finds nothing, and draws nothing.
 
 An episode's start days and self-isolation day are set when it starts; the
 status update schedules its transition days (infectious, recovery) and
-compares days with them (:func:`_advance_infections`).
+compares days with them (:func:`_advance_infections`), until a sick isolation
+ends that schedule with recovery on the release.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .core import (
-    E,
     I_A,
     I_S,
     N_COMPARTMENTS,
@@ -142,23 +142,21 @@ def initialize(config: ScenarioConfig, streams: Streams) -> RunState:
 
 def _advance_infections(population: Population, day: int, cut: float) -> None:
     # An episode waits for its transition days while its recovery day is NaN
-    # (a release sets it). They are the same from its first update up to its
+    # (sick isolation sets it); they are the same from its first update to its
     # first load day, so all waiting episodes get them once one reaches it.
     waiting = np.isnan(population.recovery_day)
     if (waiting & (population.first_load_day <= day)).any():
         ids = (waiting & np.isfinite(population.exposure_day)).nonzero()[0]
         population.days[TRANSITION_DAYS, ids] = transition_days(
             population.params.take(ids, axis=1), population.exposure_day[ids], cut, day)
-    # E -> I (I_s with an onset day) and E or I -> R on the scheduled days; an
-    # isolated agent keeps its compartment until its release
+    # E -> I (I_s with an onset day) and E or I -> R on the scheduled days; a
+    # sick isolation leaves only the recovery on its release, already into R
     onset = (population.infectious_day == day).nonzero()[0]
     if onset.size:
-        onset = onset[population.comp[onset] == E]
         population.comp[onset] = np.where(np.isnan(population.onset_day[onset]), I_A, I_S)
     due = (population.recovery_day == day).nonzero()[0]
     if due.size:
-        comp = population.comp[due]
-        population.comp[due[(comp >= E) & (comp <= I_A)]] = R
+        population.comp[due] = R
 
 
 def step(state: RunState, day: int) -> np.void:
@@ -170,7 +168,7 @@ def step(state: RunState, day: int) -> np.void:
 
     new_external = external_exposure_step(population, config, day, streams.exposure, episodes)
 
-    # stage 2: viral clocks advance implicitly via (day - exposure_day)
+    # stage 2: status updates
     delivered = deliver_results(state.pending, day)
     false_isolations = len(apply_positive_results(population, delivered, day, config))
     isolation_exit_step(population, day, config)

@@ -12,16 +12,15 @@ import numpy as np
 from .core import E, EPISODE_DAYS, ISO_HEALTHY, ISO_SICK, R, S_U, S_V, Population, ScenarioConfig
 
 
-def _isolate(
-    population: Population,
-    ids: np.ndarray,
-    day: int,
-    config: ScenarioConfig,
-    compartment: int,
-) -> None:
+def _isolate(population: Population, ids: np.ndarray, day: int, config: ScenarioConfig,
+             compartment: int) -> None:
     population.comp[ids] = compartment
     # a zero-length isolation still lasts until the next day
-    population.iso_exit_day[ids] = day + max(config.isolationLength, 1)
+    release = day + max(config.isolationLength, 1)
+    population.release_day[ids] = release
+    if compartment == ISO_SICK:
+        population.infectious_day[ids] = np.nan
+        population.recovery_day[ids] = release
 
 
 def apply_positive_results(
@@ -65,47 +64,32 @@ def self_isolation_step(population: Population, day: int, config: ScenarioConfig
     return moved
 
 
-def isolation_exit_step(
-    population: Population,
-    day: int,
-    config: ScenarioConfig,
-) -> np.ndarray:
-    """Release agents whose isolation period is over; returns their ids.
+def isolation_exit_step(population: Population, day: int, config: ScenarioConfig) -> np.ndarray:
+    """Release the agents whose release day is today; returns their ids.
 
-    Sick isolation always exits to recovered as of today; healthy isolation
-    returns to the susceptible compartment matching the vaccination flag.
+    Sick isolation exits to recovered, on the recovery day it set; healthy
+    isolation returns to the susceptible compartment of the vaccination flag.
     """
-    released = (population.iso_exit_day <= day).nonzero()[0]
+    released = (population.release_day == day).nonzero()[0]
     if not released.size:
         return released
-    comp = population.comp[released]
-    sick = released[comp == ISO_SICK]
-    healthy = released[comp == ISO_HEALTHY]
-    population.iso_exit_day[released] = np.nan
-    population.last_exit_day[released] = day
-    population.comp[sick] = R
-    population.recovery_day[sick] = day
-    population.comp[healthy] = population.susceptible_compartment(healthy)
+    sick = population.comp[released] == ISO_SICK
+    population.comp[released] = np.where(sick, R, population.susceptible_compartment(released))
     return released
 
 
-def recovered_to_susceptible_step(
-    population: Population,
-    day: int,
-    config: ScenarioConfig,
-) -> np.ndarray:
+def recovered_to_susceptible_step(population: Population, day: int,
+                                  config: ScenarioConfig) -> np.ndarray:
     """Return recovered agents to susceptibility once immunity has lapsed;
     returns their ids.
 
     Clears the infection bookkeeping so the agent can be re-infected with a
     fresh trajectory.
     """
-    # an agent isolated from R keeps its recovery day, so the compartment is
-    # checked too
+    # only R agents have a past recovery day: sick isolation moves it ahead
     returned = (population.recovery_day == day - config.daysTilSusceptible).nonzero()[0]
     if not returned.size:
         return returned
-    returned = returned[population.comp[returned] == R]
     population.params[:, returned] = np.nan
     population.days[EPISODE_DAYS, returned] = np.nan
     population.comp[returned] = population.susceptible_compartment(returned)

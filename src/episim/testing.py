@@ -53,8 +53,8 @@ def eligible_ids(population: Population, day: int, config: ScenarioConfig) -> np
     eligible = population.in_population()
     holdback = config.noTestingPostIsolationDays
     if holdback > 0:
-        # never released -> NaN, which no comparison holds back
-        eligible &= ~(day - population.last_exit_day < holdback)
+        # never isolated -> NaN, which no comparison holds back
+        eligible &= ~(day - population.release_day < holdback)
     return eligible.nonzero()[0]
 
 

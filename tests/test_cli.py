@@ -197,6 +197,26 @@ def test_report_stdout_matches_report_csv_with_a_comma_label(tmp_path, capsys):
     assert rows[1][0] == "pool 5, 2 days"
 
 
+def test_report_orders_cells_by_index_past_999(tmp_path, capsys):
+    # a sweep writes cell_{index:03d}, so from 1,000 cells on a name is
+    # longer; as text, cell_1000 would sort between cell_100 and cell_101
+    spec = write_spec(tmp_path, {
+        "base": SMALL_BASE,
+        "axes": [{"name": "cells", "values": [
+            {"label": label, "overrides": {}} for label in ("A", "B", "C")]}],
+        "replicates": 1,
+    })
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--spec", spec, "--out", str(out), "--jobs", "1"]) == 0
+    for index, name in enumerate(("cell_100", "cell_101", "cell_1000")):
+        (out / f"cell_{index:03d}").rename(out / name)
+    capsys.readouterr()
+    assert cli.main(["report", str(out)]) == 0
+    stdout = capsys.readouterr().out
+    assert [row[0] for row in csv.reader(io.StringIO(stdout))] == ["label", "A", "B", "C"]
+    assert stdout.encode() == (out / "report.csv").read_bytes()
+
+
 @pytest.mark.parametrize("field,value", [
     ("maxRuns", "x"),
     ("maxRuns", 0),

@@ -233,3 +233,13 @@ def test_population_bookkeeping_moves():
     assert pop.counts()[Compartment.EXPOSED] == 1
     assert pop.ids(Compartment.SUSCEPTIBLE_UNVACCINATED).tolist() == [0, 1, 3]
     assert np.flatnonzero(pop.in_population()).tolist() == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("n", [0, 1, 5])
+def test_population_trajectories_and_days_share_one_allocation(n):
+    # the days start where the trajectories end, and both start unset
+    pop = Population(n)
+    start = pop.params.__array_interface__["data"][0]
+    assert pop.days.__array_interface__["data"][0] == start + pop.params.nbytes
+    assert pop.params.shape == (7, n) and pop.days.shape == (8, n)
+    assert np.isnan(pop.params).all() and np.isnan(pop.days).all()

@@ -44,7 +44,7 @@ def infect(pop, agent_id, day=0, profile=SYMPTOMATIC_PROFILE,
 
 
 def recover(pop, agent_id, day):
-    """Move an agent to R on ``day``, as a release from sick isolation does."""
+    """Move an agent to R on ``day``, as the status update does."""
     pop.comp[agent_id] = Compartment.RECOVERED
     pop.recovery_day[agent_id] = day
 
@@ -59,14 +59,17 @@ def test_positive_result_isolates_infectious_as_sick():
     infect(pop, 0)
     healthy = apply_positive_results(pop, [0], 5, cfg)
     assert pop.comp[0] == Compartment.ISOLATED_SICK
-    assert pop.iso_exit_day[0] == 15
+    assert pop.release_day[0] == 15
     assert healthy.tolist() == []
+    # the isolation ends the episode's schedule: no onset, recovery on release
+    assert np.isnan(pop.infectious_day[0]) and pop.recovery_day[0] == 15
 
 
 def test_an_episode_isolated_before_its_first_load_day_keeps_its_release():
     # the transition days wait for the first load day (day 3), but the
-    # release on day 2 sets the recovery day, so the status update of day 3,
-    # which schedules agent 1's episode, does not schedule it and overwrite it
+    # isolation on day 1 sets the recovery day to the release on day 2, so
+    # the episode no longer waits: the status update of day 3, which
+    # schedules agent 1's episode, does not schedule it and overwrite it
     pop = fresh_population()
     cfg = default_config(isolationLength=1)
     infect(pop, 0, compartment=Compartment.EXPOSED)
@@ -74,12 +77,13 @@ def test_an_episode_isolated_before_its_first_load_day_keeps_its_release():
     assert np.isnan(pop.recovery_day[0])
     assert pop.last_load_day[0] == 13
     apply_positive_results(pop, [0], 1, cfg)
+    assert pop.recovery_day[0] == pop.release_day[0] == 2
     _advance_infections(pop, 1, 1e3)
-    assert np.isnan(pop.recovery_day[0])
     isolation_exit_step(pop, 2, cfg)
     _advance_infections(pop, 3, 1e3)
     assert np.isfinite(pop.recovery_day[1])
     assert pop.comp[0] == Compartment.RECOVERED and pop.recovery_day[0] == 2
+    assert np.isnan(pop.infectious_day[0])
 
 
 def test_positive_result_isolates_susceptible_as_healthy():
@@ -94,7 +98,7 @@ def test_positive_result_leaves_recovered_alone():
     pop.comp[2] = Compartment.RECOVERED
     assert apply_positive_results(pop, [2], 5, default_config()).tolist() == []
     assert pop.comp[2] == Compartment.RECOVERED
-    assert np.isnan(pop.iso_exit_day[2])
+    assert np.isnan(pop.release_day[2])
 
 
 def test_positive_result_on_isolated_agent_is_moot():
@@ -104,7 +108,7 @@ def test_positive_result_on_isolated_agent_is_moot():
     assert apply_positive_results(pop, [0, 1], 6, default_config()).tolist() == []
     assert pop.comp[0] == Compartment.ISOLATED_HEALTHY
     assert pop.comp[1] == Compartment.ISOLATED_SICK
-    assert pop.iso_exit_day[[0, 1]].tolist() == [15, 15]
+    assert pop.release_day[[0, 1]].tolist() == [15, 15]
 
 
 def test_self_isolation_on_first_symptomatic_day():
@@ -143,7 +147,7 @@ def test_self_isolation_happens_once_per_episode():
     cfg = default_config(isolationLength=1)
     infect(pop, 0, day=0, will_isolate=True)
     assert self_isolation_step(pop, 7, cfg).tolist() == [0]
-    isolation_exit_step(pop, 9, cfg)  # back out, still in symptom window
+    isolation_exit_step(pop, 8, cfg)  # back out, still in symptom window
     assert pop.comp[0] == Compartment.RECOVERED
     assert self_isolation_step(pop, 9, cfg).tolist() == []
 
@@ -162,9 +166,12 @@ def test_isolation_exit_timing_and_destinations():
     assert released.tolist() == [0, 1]
     assert pop.comp[0] == Compartment.RECOVERED
     assert pop.comp[1] == Compartment.SUSCEPTIBLE_VACCINATED
+    # a release writes compartments only: the recovery day was set on
+    # isolation, and the release day stays as the latest release
     assert pop.recovery_day[0] == 15
-    assert pop.last_exit_day[0] == 15
-    assert pop.last_exit_day[1] == 15
+    assert np.isnan(pop.recovery_day[1])
+    assert pop.release_day[[0, 1]].tolist() == [15, 15]
+    assert isolation_exit_step(pop, 16, cfg).tolist() == []
 
 
 def test_zero_length_isolation_exits_the_next_day():
@@ -210,19 +217,76 @@ def test_loss_of_immunity_leaves_every_other_agent_untouched():
 
 
 def test_return_to_susceptible_keeps_the_isolation_days():
-    # only the episode's days are cleared: the latest release stays on record,
-    # and so does a scheduled release (set here by hand, since no R agent
-    # has one)
+    # only the episode's days are cleared: the latest release stays on record
     pop = fresh_population()
     cfg = default_config()  # isolationLength 10, daysTilSusceptible 30
     infect(pop, 0)
     apply_positive_results(pop, [0], 5, cfg)
     isolation_exit_step(pop, 15, cfg)
-    pop.iso_exit_day[0] = 99
     assert recovered_to_susceptible_step(pop, 45, cfg).tolist() == [0]
     assert np.isnan(pop.days[EPISODE_DAYS, 0]).all()
-    assert pop.last_exit_day[0] == 15
-    assert pop.iso_exit_day[0] == 99
+    assert pop.release_day[0] == 15
+
+
+def step_stages(pop, cfg, days, isolate=None):
+    """Step ``pop`` through ``days`` with the stages of ``engine.step`` that
+    draw nothing, in its order: isolation exits, the status update, loss of
+    immunity and self-isolation, then the isolation of the ids
+    ``isolate[day]`` on a positive result, as after a testing day. Returns
+    each day's compartments, one row per day."""
+    isolate = isolate or {}
+    comps = []
+    for day in days:
+        isolation_exit_step(pop, day, cfg)
+        _advance_infections(pop, day, cfg.infectiousViralLoadCut)
+        recovered_to_susceptible_step(pop, day, cfg)
+        self_isolation_step(pop, day, cfg)
+        apply_positive_results(pop, isolate.get(day, []), day, cfg)
+        comps.append(pop.comp.copy())
+    return np.array(comps)
+
+
+def test_sick_isolation_past_the_scheduled_loss_of_immunity():
+    # scheduled to recover on day 14, isolated on day 10 until day 20, with
+    # immunity for 3 days: day 17, 3 days after the scheduled recovery, moves
+    # nothing; the agent recovers on its release and is susceptible 3 days on
+    pop = fresh_population()
+    cfg = default_config(isolationLength=10, daysTilSusceptible=3)
+    infect(pop, 0, compartment=Compartment.EXPOSED)
+    comps = step_stages(pop, cfg, range(10))
+    assert comps[-1, 0] == Compartment.INFECTIOUS_SYMPTOMATIC
+    assert pop.recovery_day[0] == 14
+    comps = step_stages(pop, cfg, range(10, 25), {10: [0]})[:, 0].tolist()
+    sick, recovered, susceptible = (Compartment.ISOLATED_SICK, Compartment.RECOVERED,
+                                    Compartment.SUSCEPTIBLE_UNVACCINATED)
+    # days 10-19 isolated, 20-22 recovered, 23 on susceptible
+    assert comps == [sick] * 10 + [recovered] * 3 + [susceptible] * 2
+
+
+def test_exposed_agent_isolated_the_day_before_its_onset_never_becomes_infectious():
+    pop = fresh_population()
+    cfg = default_config(isolationLength=10)
+    infect(pop, 0, compartment=Compartment.EXPOSED)
+    step_stages(pop, cfg, range(3))
+    # the status update of day 3, its first load day, schedules it to be
+    # infectious from day 4; it is isolated later that day
+    comps = step_stages(pop, cfg, range(3, 20), {3: [0]})[:, 0].tolist()
+    # isolated on days 3-12, recovered from its release on day 13
+    assert comps == [Compartment.ISOLATED_SICK] * 10 + [Compartment.RECOVERED] * 7
+
+
+def test_an_episode_that_recovers_before_its_self_isolation_day_stays_in_r():
+    # below the cut throughout: E on days 0-2, R from day 3, past its peak;
+    # symptoms from day 5, before its last load day (11)
+    pop = fresh_population()
+    cfg = default_config()
+    profile = ViralLoadProfile(t0=1.0, V0=1e2, tP=1.0, VP=5e2, tS=3.0, tF=6.0, VF=1e2,
+                               symptomatic=True)
+    infect(pop, 0, profile=profile, compartment=Compartment.EXPOSED, will_isolate=True)
+    assert pop.selfiso_day[0] == 5
+    comps = step_stages(pop, cfg, range(12))[:, 0].tolist()
+    assert comps == [Compartment.EXPOSED] * 3 + [Compartment.RECOVERED] * 9
+    assert self_isolation_step(pop, 5, cfg).tolist() == []
 
 
 def test_vaccinated_recovered_returns_to_vaccinated_susceptible():
@@ -304,12 +368,12 @@ def quiet_population():
     infect(pop, 3, compartment=Compartment.INFECTIOUS_SYMPTOMATIC)
     pop.infectious_day[3], pop.recovery_day[3] = 2, 12
     pop.comp[4] = Compartment.ISOLATED_HEALTHY
-    pop.iso_exit_day[4] = 9
+    pop.release_day[4] = 9
     infect(pop, 5, compartment=Compartment.RECOVERED)
     pop.infectious_day[5], pop.recovery_day[5] = 1, 2
+    # isolated sick on day 1: it recovers on its release, day 11
     infect(pop, 6, compartment=Compartment.ISOLATED_SICK)
-    pop.infectious_day[6], pop.recovery_day[6] = 1, 10
-    pop.iso_exit_day[6] = 11
+    pop.recovery_day[6] = pop.release_day[6] = 11
     return pop
 
 

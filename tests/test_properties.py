@@ -86,11 +86,17 @@ def check_population(pop, day, config):
     for name, row in zip(DAY_ROWS, pop.days):
         assert np.shares_memory(getattr(pop, name), row), name
     # an isolation ends on a later day, at most max(isolationLength, 1) after
-    # the day it began
+    # the day it began. Any other agent's release day, if set, is today or
+    # earlier
     isolated = pop.comp >= C.ISOLATED_HEALTHY
-    exit_day = pop.iso_exit_day[isolated]
-    assert np.all((day < exit_day) & (exit_day <= day + max(config.isolationLength, 1))), day
-    assert np.isnan(pop.iso_exit_day[~isolated]).all(), day
+    release_day = pop.release_day[isolated]
+    assert np.all((day < release_day) & (release_day <= day + max(config.isolationLength, 1))), day
+    assert not np.any(pop.release_day[~isolated] > day), day
+    # a sick isolation ends its episode's schedule: no onset to come, and
+    # recovery on the release
+    sick = pop.comp == C.ISOLATED_SICK
+    assert np.isnan(pop.infectious_day[sick]).all(), day
+    assert np.array_equal(pop.recovery_day[sick], pop.release_day[sick]), day
     infected = (pop.comp >= C.EXPOSED) & (pop.comp <= C.RECOVERED)
     assert np.isfinite(pop.exposure_day[infected]).all(), day
     assert np.all(pop.params[np.ix_(LOAD_ROWS, infected)] > 0), day
@@ -110,15 +116,14 @@ def check_population(pop, day, config):
     # the next day would, once a waiting episode reaches its first load day.
     # So at the end of a day only the day's internal exposures (after
     # initialize, the seeds) and episodes before their first load day wait,
-    # in E or, if isolated before that day, in sick isolation
+    # all in E: a sick isolation sets the recovery day
     waiting = episode & np.isnan(pop.recovery_day)
     assert np.isnan(pop.days[TRANSITION_DAYS][:, waiting]).all(), day
     first_load_day = pop.first_load_day[waiting]
     assert np.all((first_load_day > day) | (pop.exposure_day[waiting] == max(day, 0))), day
-    assert np.all((pop.comp[waiting] == C.EXPOSED) | (pop.comp[waiting] == C.ISOLATED_SICK)), day
+    assert np.all(pop.comp[waiting] == C.EXPOSED), day
     # a scheduled E or I episode's transition days are those of a first update
-    # on its exposure day or the next day; a release from sick isolation sets
-    # the recovery day of an R or isolated one
+    # on its exposure day or the next day
     active = (pop.comp >= C.EXPOSED) & (pop.comp <= C.INFECTIOUS_ASYMPTOMATIC)
     scheduled = active & ~waiting
     stored = pop.days[TRANSITION_DAYS][:, scheduled]
@@ -136,15 +141,15 @@ def check_population(pop, day, config):
     selfiso_day, onset_day = pop.selfiso_day[selfiso], pop.onset_day[selfiso]
     assert np.all((onset_day <= selfiso_day) & (selfiso_day <= pop.last_load_day[selfiso])), day
     assert np.all((selfiso_day == onset_day) | (selfiso_day - pop.exposure_day[selfiso] <= 1)), day
-    # the status update leaves no E or I agent past its last load day or its
-    # recovery day, no E agent past its infectious day, no I agent before its
-    # first load day, and no R agent before its recovery day
+    # the status update leaves no E or I agent past its last load day, no E
+    # agent past its infectious day and no I agent before its first load day
     assert np.all(day <= pop.last_load_day[active]), day
-    assert not np.any(pop.recovery_day[active] <= day), day
     assert not np.any(pop.infectious_day[pop.comp == C.EXPOSED] <= day), day
     infectious = (pop.comp == C.INFECTIOUS_SYMPTOMATIC) | (pop.comp == C.INFECTIOUS_ASYMPTOMATIC)
     assert np.all(pop.first_load_day[infectious] <= day), day
-    assert np.all(pop.recovery_day[pop.comp == C.RECOVERED] <= day), day
+    # an agent is in R exactly when its recovery day is past, so loss of
+    # immunity moves every agent whose day is due
+    assert np.array_equal(pop.recovery_day <= day, pop.comp == C.RECOVERED), day
     assert np.all(pop.vaccinated[pop.comp == C.SUSCEPTIBLE_VACCINATED]), day
     assert not np.any(pop.vaccinated[pop.comp == C.SUSCEPTIBLE_UNVACCINATED]), day
 

@@ -227,8 +227,8 @@ def reference_testing_day(pop, cfg, day, rng):
     isolated = (Compartment.ISOLATED_HEALTHY, Compartment.ISOLATED_SICK)
     ids = []
     for i in range(len(pop.comp)):
-        exit_day = pop.last_exit_day[i]
-        held = not np.isnan(exit_day) and day - exit_day < cfg.noTestingPostIsolationDays
+        release = pop.release_day[i]
+        held = not np.isnan(release) and day - release < cfg.noTestingPostIsolationDays
         if pop.comp[i] not in isolated and not held:
             ids.append(i)
     loads = [
@@ -280,7 +280,7 @@ def test_run_testing_day_matches_scalar_reference(pooling_type, pool_size):
     for i in range(1, n, 11):
         pop.comp[i] = Compartment.ISOLATED_HEALTHY
     for i in range(2, n, 5):
-        pop.last_exit_day[i] = int(rng.integers(0, 16))
+        pop.release_day[i] = int(rng.integers(0, 16))
     cfg = default_config(
         daysBetweenTesting=1, firstDayOfTesting=0, poolSize=pool_size,
         poolingType=pooling_type, fprSingle=0.05, fnrSingle=0.3,
@@ -337,7 +337,7 @@ def test_agents_with_pending_results_are_retested():
 
 def test_post_isolation_holdback():
     pop = hot_population(3)
-    pop.last_exit_day[1] = 10
+    pop.release_day[1] = 10
     cfg = default_config(noTestingPostIsolationDays=4)
     assert eligible_ids(pop, 12, cfg).tolist() == [0, 2]
     assert eligible_ids(pop, 14, cfg).tolist() == [0, 1, 2]

@@ -231,7 +231,8 @@ def test_start_days_restate_the_key_time_comparisons():
 def test_loads_and_self_isolation_need_no_status_update():
     # an episode's load window and onset day are set when it starts, so a
     # testing day's loads and self-isolation read them before any status
-    # update has scheduled its transition days
+    # update has scheduled its transition days; the isolation then ends the
+    # schedule, with no onset and recovery on the release
     profile = ViralLoadProfile(t0=3.0, V0=1e3, tP=2.0, VP=1e5, tS=1.5, tF=6.5, VF=1e3,
                                symptomatic=True)
     params = np.array([profile_params(profile)]).T
@@ -249,7 +250,8 @@ def test_loads_and_self_isolation_need_no_status_update():
     assert self_isolation_step(pop, 8, config).tolist() == []
     assert self_isolation_step(pop, 9, config).tolist() == [1]
     assert pop.comp[1] == Compartment.ISOLATED_SICK
-    assert np.isnan(pop.days[TRANSITION_DAYS]).all()
+    assert np.isnan(pop.days[TRANSITION_DAYS, 0]).all()
+    assert np.isnan(pop.infectious_day[1]) and pop.recovery_day[1] == pop.release_day[1] == 19
 
 
 def schedule_profiles(cut):
