@@ -19,13 +19,11 @@ from .core import (
     Streams,
     Uniform,
     config_from_dict,
-    default_config,
     make_rng,
     validate_config,
 )
 from .engine import (
     RECORD_DTYPE,
-    ReplicateResult,
     RunSummary,
     initialize,
     run,
@@ -43,7 +41,6 @@ __all__ = [
     "NormalClipped",
     "Population",
     "RECORD_DTYPE",
-    "ReplicateResult",
     "ReproductionSeries",
     "RunSummary",
     "ScenarioConfig",
@@ -51,7 +48,6 @@ __all__ = [
     "Streams",
     "Uniform",
     "config_from_dict",
-    "default_config",
     "effective_r_series",
     "estimate_beta",
     "expected_infectious_duration",

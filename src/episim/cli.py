@@ -28,12 +28,11 @@ from .core import (
     SimulationError,
     _as_int,
     config_from_dict,
-    default_config,
     validate_config,
 )
 from .engine import (
     RECORD_DTYPE,
-    ReplicateResult,
+    RunSummary,
     cost_per_person_day,
     default_jobs,
     run_replicates,
@@ -94,15 +93,15 @@ def write_json(path: Path, payload: Any) -> None:
 
 
 def write_replicates(out_dir: Path, config: ScenarioConfig,
-                     result: ReplicateResult) -> None:
+                     runs: list[tuple[RunSummary, np.ndarray]]) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     write_json(out_dir / "config.json", config.to_dict())
-    for summary, records in zip(result.summaries, result.records):
+    for summary, records in runs:
         idx = summary.run_index
         write_run_csv(out_dir / f"run_{idx:03d}.csv", records)
         write_json(out_dir / f"summary_{idx:03d}.json", dataclasses.asdict(summary))
     if config.timeHorizon > 0:
-        write_aggregate_csv(out_dir / "aggregate.csv", result.records)
+        write_aggregate_csv(out_dir / "aggregate.csv", [records for _, records in runs])
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +120,7 @@ def read_json(path: Path) -> Any:
 
 def load_config(path: Optional[str]) -> ScenarioConfig:
     if path is None:
-        return default_config()
+        return ScenarioConfig()
     try:
         doc = read_json(path)
     except FileNotFoundError:
@@ -253,14 +252,6 @@ def load_sweep_spec(path: str) -> SweepSpec:
 # ---------------------------------------------------------------------------
 # Comparison report
 
-REPORT_HEADER = [
-    "label", "runs",
-    "mean_total_infections", "std_total_infections",
-    "mean_false_isolations", "std_false_isolations",
-    "mean_cost_per_person_per_day",
-]
-
-
 def _mean_std(values: np.ndarray) -> tuple[float, float]:
     arr = np.asarray(values, dtype=float)
     std = float(arr.std(ddof=1)) if len(arr) > 1 else 0.0
@@ -285,7 +276,8 @@ def report_row(label: str, finals: np.ndarray, config: ScenarioConfig) -> dict[s
 
 
 def write_report_csv(fh: TextIO, rows: list[dict[str, Any]]) -> None:
-    writer = csv.DictWriter(fh, fieldnames=REPORT_HEADER)
+    """The rows under the keys of the first; every caller has at least one."""
+    writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
     writer.writeheader()
     writer.writerows(rows)
 
@@ -306,8 +298,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         config = dataclasses.replace(config, baseSeed=args.seed)
     validate_config(config)
     Path(args.out).mkdir(parents=True, exist_ok=True)  # an unusable --out fails before any run
-    [result] = run_replicates([config], args.runs, jobs=args.jobs)
-    write_replicates(Path(args.out), config, result)
+    [runs] = run_replicates([config], args.runs, jobs=args.jobs)
+    write_replicates(Path(args.out), config, runs)
     print(f"wrote {args.runs} run(s) to {args.out}")
     return 0
 
@@ -329,9 +321,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # block, on an error too, shuts the pool down
     with contextlib.closing(run_replicates([cell.config for cell in cells], spec.replicates,
                                            jobs=args.jobs)) as results:
-        for cell, result in zip(cells, results):
+        for cell, runs in zip(cells, results):
             cell_dir = out_dir / cell.dirname
-            write_replicates(cell_dir, cell.config, result)
+            write_replicates(cell_dir, cell.config, runs)
             write_json(
                 cell_dir / "cell.json",
                 {
@@ -340,7 +332,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                     "replicates": spec.replicates,
                 },
             )
-            finals = np.concatenate([records[-1:] for records in result.records])
+            finals = np.concatenate([records[-1:] for _, records in runs])
             rows.append(report_row(cell.label, finals, cell.config))
             print(f"{cell.label}: done ({spec.replicates} runs)")
     write_report(out_dir, rows)
@@ -372,8 +364,8 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
             vaccinesAvailablePerDay=0,
             initProportionVaccinated=0.0,
         )
-        [result] = run_replicates([baseline], args.runs, jobs=args.jobs)
-        series = [effective_r_series(records, tau) for records in result.records]
+        [runs] = run_replicates([baseline], args.runs, jobs=args.jobs)
+        series = [effective_r_series(records, tau) for _, records in runs]
         means = np.array([rs.early_mean() for rs in series])
         # null, not NaN, when no run has an early window: JSON has no NaN
         early_mean = None if np.isnan(means).all() else float(np.nanmean(means))

@@ -216,6 +216,9 @@ def _is_number(value: Any) -> bool:
 
 @dataclass
 class ScenarioConfig:
+    """One scenario's parameters. The defaults, ``ScenarioConfig()``, test
+    and vaccinate nobody."""
+
     # run
     popSize: int = 10_000
     timeHorizon: int = 120
@@ -269,7 +272,9 @@ class ScenarioConfig:
         return out
 
 
-DISTRIBUTION_FIELDS = ("t0", "V0", "tP", "VP", "tS", "tF", "VF")
+# the trajectory fields, in declaration order: t0, V0, tP, VP, tS, tF, VF
+DISTRIBUTION_FIELDS = tuple(f.name for f in dataclasses.fields(ScenarioConfig)
+                            if f.type == "DistributionSpec")
 # Loads are interpolated in log10, so every sampled load must be positive;
 # the other fields are times along the trajectory and must not run backwards.
 LOAD_FIELDS = ("V0", "VP", "VF")
@@ -379,11 +384,6 @@ def validate_config(config: ScenarioConfig) -> None:
             bad.append(f"{fld}: times must be >= 0, but samples can reach {low:g}")
     if bad:
         raise ConfigError("invalid config:\n" + "\n".join(bad))
-
-
-def default_config(**overrides: Any) -> ScenarioConfig:
-    """Default parameter set (no testing, no vaccination)."""
-    return dataclasses.replace(ScenarioConfig(), **overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -511,10 +511,6 @@ class Population:
     def counts(self) -> np.ndarray:
         """Agents per compartment, indexed by :class:`Compartment`."""
         return np.bincount(self.comp, minlength=N_COMPARTMENTS)
-
-    def ids(self, compartment: int) -> np.ndarray:
-        """Ascending ids of the agents in ``compartment``."""
-        return (self.comp == compartment).nonzero()[0]
 
     def in_population(self) -> np.ndarray:
         """Mask of the agents outside isolation."""

@@ -240,24 +240,17 @@ def run(config: ScenarioConfig, run_index: int = 0) -> tuple[RunSummary, np.ndar
     return summary, state.records[1:]
 
 
-@dataclass
-class ReplicateResult:
-    """The replicates of one config, in run-index order."""
-
-    summaries: list[RunSummary]
-    records: list[np.ndarray]
-
-
 def run_replicates(
     configs: Sequence[ScenarioConfig],
     n_runs: int,
     jobs: int = 1,
-) -> Iterator[ReplicateResult]:
+) -> Iterator[list[tuple[RunSummary, np.ndarray]]]:
     """Run replicates 0..n_runs-1 of every config on one process pool.
 
-    Yields one result per config, in config order, as soon as that config's
-    runs have finished, so that the caller can use it while the pool runs
-    the later configs; results are identical for any job count. ``n_runs``
+    Yields one list per config, in config order: what :func:`run` returns for
+    each of its runs, in run-index order. A list is yielded as soon as that
+    config's runs have finished, so that the caller can use it while the pool
+    runs the later configs; results are identical for any job count. ``n_runs``
     and ``jobs`` are checked when this is called, before the first result
     is asked for. Closing the iterator early cancels the runs not yet
     started and shuts the pool down.
@@ -270,7 +263,7 @@ def run_replicates(
 
 
 def _replicates(configs: Sequence[ScenarioConfig], n_runs: int,
-                jobs: int) -> Iterator[ReplicateResult]:
+                jobs: int) -> Iterator[list[tuple[RunSummary, np.ndarray]]]:
     task_configs = [config for config in configs for _ in range(n_runs)]
     indices = list(range(n_runs)) * len(configs)
     pool = None
@@ -280,8 +273,7 @@ def _replicates(configs: Sequence[ScenarioConfig], n_runs: int,
         results = (map if pool is None else pool.map)(run, task_configs, indices)
         # the runs come in task order: n_runs consecutive runs per config
         for first in results:
-            summaries, records = zip(first, *itertools.islice(results, n_runs - 1))
-            yield ReplicateResult(list(summaries), list(records))
+            yield [first, *itertools.islice(results, n_runs - 1)]
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)

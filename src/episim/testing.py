@@ -36,18 +36,6 @@ def pool_positive_prob(
     return np.where(k == 0, config.fprSingle, 1.0 - config.fnrSingle ** k)
 
 
-def partition_into_pools(
-    n_samples: int, pool_size: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """A random order of the samples and the start of each pool within it.
-
-    Pools are contiguous runs of ``pool_size`` in the permuted order; the
-    final pool keeps the remainder and may be smaller. ``pool_size >= 1`` is
-    the caller's guarantee (a run's ``poolSize`` passed ``validate_config``).
-    """
-    return rng.permutation(n_samples), np.arange(0, n_samples, pool_size)
-
-
 def eligible_ids(population: Population, day: int, config: ScenarioConfig) -> np.ndarray:
     """Sorted ids in the population and past any post-isolation holdback."""
     eligible = population.in_population()
@@ -67,21 +55,24 @@ def run_testing_day(
 ) -> int:
     """Sample and test every eligible agent; returns tests used today.
 
-    A random permutation of the eligible ids cuts them into pools. Each pool
-    is tested, then each member of a positive pool of two or more is tested
-    singly; a pool of one is a single test with no stage 2. ``rng`` is the
-    run's ``testing`` stream (:class:`~episim.core.Streams`). All outcomes use
-    the sampling-day loads. The positive ids are queued, ascending, under
-    ``pending[day + daysDelayTestResults]``; a run tests at most once a day,
-    so no testing day finds that key taken. The tests used are one per pool
-    plus one per stage-2 member test.
+    A random permutation of the eligible ids cuts them into pools: contiguous
+    runs of ``poolSize`` in the permuted order, the last one holding the
+    remainder, so it may be smaller. Each pool is tested, then each member of
+    a positive pool of two or more is tested singly; a pool of one is a
+    single test with no stage 2. ``rng`` is the run's ``testing`` stream
+    (:class:`~episim.core.Streams`). All outcomes use the sampling-day loads.
+    The positive ids are queued, ascending, under ``pending[day +
+    daysDelayTestResults]``; a run tests at most once a day, so no testing day
+    finds that key taken. The tests used are one per pool plus one per
+    stage-2 member test.
     """
     ids = eligible_ids(population, day, config)
     if ids.size == 0:
         return 0
     loads = current_loads(population, ids, day)
-    order, starts = partition_into_pools(len(ids), config.poolSize, rng)
+    order = rng.permutation(len(ids))
     ids, loads = ids[order], loads[order]
+    starts = np.arange(0, len(ids), config.poolSize)
     # every pool but the last holds poolSize samples
     sizes = np.full(len(starts), config.poolSize)
     sizes[-1] = len(ids) - starts[-1]

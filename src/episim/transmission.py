@@ -113,7 +113,7 @@ def _bernoulli_expose(
     exposed = []
     for comp, prob in ((S_U, p), (S_V, p * config.vaccineInfectionProb)):
         prob = min(max(prob, 0.0), 1.0)
-        candidates = population.ids(comp)
+        candidates = (population.comp == comp).nonzero()[0]
         if candidates.size and prob > 0.0:
             exposed.append(candidates[rng.random(candidates.size) < prob])
     if not exposed:

@@ -10,7 +10,7 @@ from episim.calibration import (
     estimate_beta,
     expected_infectious_duration,
 )
-from episim.core import Constant, ConfigError, NormalClipped, default_config
+from episim.core import Constant, ConfigError, NormalClipped, ScenarioConfig
 from episim.engine import RECORD_DTYPE, run
 
 
@@ -24,15 +24,15 @@ def make_record(day, i=0, new_int=0, s_u=9800, s_v=0, e=0, r=0):
 
 
 def test_expected_duration_on_defaults():
-    assert expected_infectious_duration(default_config()) == 12.25
+    assert expected_infectious_duration(ScenarioConfig()) == 12.25
 
 
 def test_expected_duration_without_symptomatics():
-    assert expected_infectious_duration(default_config(fractionSymptomatic=0.0)) == 11.5
+    assert expected_infectious_duration(ScenarioConfig(fractionSymptomatic=0.0)) == 11.5
 
 
 def test_expected_duration_all_constants():
-    cfg = default_config(
+    cfg = ScenarioConfig(
         fractionSymptomatic=1.0,
         t0=Constant(1.0), tP=Constant(1.0), tS=Constant(1.0), tF=Constant(1.0),
     )
@@ -40,30 +40,30 @@ def test_expected_duration_all_constants():
 
 
 def test_expected_duration_rejects_clipped_normal():
-    cfg = default_config(tP=NormalClipped(2.0, 0.5, 0.0, 5.0))
+    cfg = ScenarioConfig(tP=NormalClipped(2.0, 0.5, 0.0, 5.0))
     with pytest.raises(ConfigError):
         expected_infectious_duration(cfg)
 
 
 def test_estimate_beta_for_target_five():
-    beta = estimate_beta(5.0, default_config())
+    beta = estimate_beta(5.0, ScenarioConfig())
     assert beta == pytest.approx(5.0 / 12.25)
     assert 0.405 <= beta <= 0.412
 
 
 def test_estimate_beta_cancellation():
-    assert estimate_beta(12.25, default_config()) == pytest.approx(1.0)
+    assert estimate_beta(12.25, ScenarioConfig()) == pytest.approx(1.0)
 
 
 def test_estimate_beta_linear_in_target():
-    cfg = default_config()
+    cfg = ScenarioConfig()
     assert estimate_beta(2.5, cfg) == pytest.approx(0.5 * estimate_beta(5.0, cfg))
     assert estimate_beta(2.5, cfg) == pytest.approx(0.20408, rel=1e-4)
 
 
 def test_estimate_beta_rejects_nonpositive_target():
     with pytest.raises(ConfigError):
-        estimate_beta(0.0, default_config())
+        estimate_beta(0.0, ScenarioConfig())
 
 
 def test_r_series_hand_value():
@@ -95,7 +95,7 @@ def test_r_series_window_requires_susceptible_share_and_floor():
 
 
 def test_r_series_zero_after_seeds_recover_without_transmission():
-    cfg = default_config(
+    cfg = ScenarioConfig(
         popSize=300, initialInfected=10, timeHorizon=40,
         betaDaily=0.0, externalExposureProbDaily=0.0,
     )

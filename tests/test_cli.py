@@ -5,10 +5,12 @@ import io
 import json
 import multiprocessing
 
+import numpy as np
 import pytest
 
 from episim import cli
-from episim.core import ConfigError, SimulationError
+from episim.core import ConfigError, ScenarioConfig, SimulationError
+from episim.engine import run
 
 
 @pytest.mark.parametrize("field,value", [
@@ -193,7 +195,7 @@ def test_report_stdout_matches_report_csv_with_a_comma_label(tmp_path, capsys):
     written = (out / "report.csv").read_bytes()
     assert stdout.encode() == written == (tmp_path / "rebuilt.csv").read_bytes()
     rows = list(csv.reader(io.StringIO(stdout)))
-    assert [len(row) for row in rows] == [len(cli.REPORT_HEADER)] * 3
+    assert [len(row) for row in rows] == [len(rows[0])] * 3
     assert rows[1][0] == "pool 5, 2 days"
 
 
@@ -426,3 +428,105 @@ def test_an_out_that_is_a_file_fails_before_any_run(tmp_path, capsys, monkeypatc
     assert status == 3
     assert err.startswith("I/O error: ")
     assert out.read_text() == "kept\n"
+
+
+def test_run_seed_overrides_the_config_base_seed(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(SMALL_BASE))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(config), "--seed", "5", "--out", str(out),
+                     "--jobs", "1"]) == 0
+    assert json.loads((out / "config.json").read_text())["baseSeed"] == 5
+    _, records = run(ScenarioConfig(**SMALL_BASE, baseSeed=5), 0)
+    assert np.array_equal(cli.read_run_csv(out / "run_000.csv"), records)
+
+
+def config_file(tmp_path, doc):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def run_with(**fields):
+    return lambda tmp_path: ["run", "--config", config_file(tmp_path, dict(SMALL_BASE, **fields)),
+                             "--jobs", "1"]
+
+
+def sweep_of(spec):
+    return lambda tmp_path: ["sweep", "--spec", write_spec(tmp_path, spec), "--jobs", "1"]
+
+
+def report_of(damage):
+    """``report`` on a one-cell sweep that ``damage(cell_dir)`` has changed."""
+    def make_args(tmp_path):
+        assert small_sweep(tmp_path, tmp_path / "sweep") == 0
+        damage(tmp_path / "sweep" / "cell_000")
+        return ["report", str(tmp_path / "sweep")]
+    return make_args
+
+
+def clipped(mean, std, low, high):
+    return {"type": "normal_clipped", "mean": mean, "std": std, "low": low, "high": high}
+
+
+def remove_run_csvs(cell_dir):
+    for path in cell_dir.glob("run_*.csv"):
+        path.unlink()
+
+
+def make_empty_dir(tmp_path):
+    (tmp_path / "empty").mkdir()
+    return ["report", str(tmp_path / "empty")]
+
+
+@pytest.mark.parametrize("make_args,message", [
+    (lambda tmp_path: ["run", "--config", str(tmp_path / "absent.json")],
+     "config file not found: "),
+    (lambda tmp_path: ["run", "--config", config_file(tmp_path, [SMALL_BASE])],
+     "config document must be an object, got list"),
+    (run_with(tP={"type": "gamma_shifted", "shape": 1.5, "scale": 0, "shift": 0.5}),
+     "tP: requires scale > 0"),
+    (run_with(t0=clipped(3, -1, 2, 4)), "t0: requires std >= 0"),
+    (run_with(t0=clipped(3, 1, 4, 2)), "t0: requires low <= high"),
+    (run_with(t0=[3]), "t0: expected a number or an object, got [3]"),
+    (lambda tmp_path: ["sweep", "--spec", str(tmp_path / "absent.json")],
+     "sweep spec not found: "),
+    (sweep_of([]), "sweep spec must be an object"),
+    (sweep_of({"bogus": 1}), "unknown sweep spec field(s): bogus"),
+    (sweep_of({"base": 3}), "sweep spec 'base' must be a config object"),
+    (sweep_of({"axes": [3]}), "axes[0]: expected an object with 'name' and 'values'"),
+    (sweep_of({"base": SMALL_BASE, "axes": [{"name": "poolSize", "values": [5, 5]}]}),
+     "sweep produces duplicate scenario labels"),
+    (lambda tmp_path: ["report", config_file(tmp_path, SMALL_BASE)], "not a directory: "),
+    (make_empty_dir, "no sweep cells found under "),
+    (report_of(lambda cell_dir: (cell_dir / "config.json").write_text('{"popSize": -1}')),
+     "cell_000/config.json: "),
+    (report_of(remove_run_csvs), "cell_000: no run CSVs"),
+    (lambda tmp_path: ["calibrate", "--config", config_file(
+        tmp_path, dict(SMALL_BASE, t0=0, tP=0, tS=0, tF=0))],
+     "expected infectious duration is not positive"),
+], ids=["run-config-missing", "run-config-list", "run-gamma-scale-0", "run-clipped-std",
+        "run-clipped-bounds", "run-dist-list", "sweep-spec-missing", "sweep-spec-list",
+        "sweep-spec-unknown", "sweep-spec-base", "sweep-spec-axis", "sweep-duplicate-labels",
+        "report-file", "report-empty-dir", "report-bad-config", "report-no-run-csvs",
+        "calibrate-zero-tau"])
+def test_a_rejected_input_exits_2_with_its_message(tmp_path, capsys, make_args, message):
+    args = make_args(tmp_path)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    status = cli.main([*args, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert status == 2
+    assert err.startswith("error: ")
+    assert message in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_a_scalar_axis_without_a_figure_label_is_named_by_field(tmp_path):
+    spec = write_spec(tmp_path, {"base": SMALL_BASE,
+                                 "axes": [{"name": "betaDaily", "values": [0.3]}]})
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--spec", spec, "--out", str(out), "--jobs", "1"]) == 0
+    with (out / "report.csv").open(newline="") as fh:
+        assert [row["label"] for row in csv.DictReader(fh)] == ["betaDaily=0.3"]

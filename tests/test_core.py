@@ -17,7 +17,6 @@ from episim.core import (
     ScenarioConfig,
     Uniform,
     config_from_dict,
-    default_config,
     dist_from_dict,
     make_rng,
     validate_config,
@@ -40,20 +39,20 @@ def violated_fields(config):
     return [line.split(":", 1)[0] for line in violations(config)]
 
 
-def test_default_config_is_valid():
-    assert violated_fields(default_config()) == []
+def test_the_default_scenario_is_valid():
+    assert violated_fields(ScenarioConfig()) == []
 
 
 def test_validate_flags_fpr_out_of_range():
-    assert "fprSingle" in violated_fields(default_config(fprSingle=1.5))
+    assert "fprSingle" in violated_fields(ScenarioConfig(fprSingle=1.5))
 
 
 def test_validate_flags_zero_pool_size():
-    assert "poolSize" in violated_fields(default_config(poolSize=0))
+    assert "poolSize" in violated_fields(ScenarioConfig(poolSize=0))
 
 
 def test_validate_flags_seed_overflow_and_bad_distribution():
-    cfg = default_config(initialInfected=20_000, t0=Uniform(5.0, 1.0))
+    cfg = ScenarioConfig(initialInfected=20_000, t0=Uniform(5.0, 1.0))
     fields = violated_fields(cfg)
     assert "initialInfected" in fields
     assert "t0" in fields
@@ -69,17 +68,17 @@ def test_validate_flags_seed_overflow_and_bad_distribution():
 ])
 def test_validate_flags_distributions_outside_their_domain(field, dist):
     # loads are interpolated in log10 and must be > 0; times must be >= 0
-    assert violated_fields(default_config(**{field: dist})) == [field]
+    assert violated_fields(ScenarioConfig(**{field: dist})) == [field]
 
 
 def test_validate_accepts_zero_times():
-    cfg = default_config(t0=Constant(0.0), tP=Constant(0.0), tS=Constant(0.0),
+    cfg = ScenarioConfig(t0=Constant(0.0), tP=Constant(0.0), tS=Constant(0.0),
                          tF=Uniform(0.0, 1.0))
     assert violated_fields(cfg) == []
 
 
 def test_validate_flags_bad_pooling_type():
-    assert "poolingType" in violated_fields(default_config(poolingType="median"))
+    assert "poolingType" in violated_fields(ScenarioConfig(poolingType="median"))
 
 
 def test_constant_sampling_is_degenerate():
@@ -111,14 +110,14 @@ def test_normal_clipped_stays_in_bounds():
 
 
 def test_invalid_distribution_parameters_raise():
-    assert violated_fields(default_config(t0=Uniform(3.0, 1.0))) == ["t0"]
-    assert violated_fields(default_config(tP=GammaShifted(-1.0, 1.0))) == ["tP"]
+    assert violated_fields(ScenarioConfig(t0=Uniform(3.0, 1.0))) == ["t0"]
+    assert violated_fields(ScenarioConfig(tP=GammaShifted(-1.0, 1.0))) == ["tP"]
 
 
 def test_config_round_trips_through_json():
     configs = [
-        default_config(),
-        default_config(
+        ScenarioConfig(),
+        ScenarioConfig(
             poolSize=5,
             daysBetweenTesting=4,
             t0=Constant(3.0),
@@ -133,7 +132,7 @@ def test_config_round_trips_through_json():
 
 
 def test_config_rejects_unknown_keys():
-    doc = default_config().to_dict()
+    doc = ScenarioConfig().to_dict()
     doc["popsize"] = 5
     with pytest.raises(ConfigError, match="popsize"):
         config_from_dict(doc)
@@ -182,7 +181,7 @@ def test_dist_from_dict_errors(doc, message):
 
 def test_validate_flags_non_finite_distribution_parameters():
     nan, inf = float("nan"), float("inf")
-    cfg = default_config(t0=Constant(nan), tS=Uniform(0.0, inf),
+    cfg = ScenarioConfig(t0=Constant(nan), tS=Uniform(0.0, inf),
                          tP=GammaShifted(1.0, 1.0, -inf), VP=NormalClipped(1e5, inf, 1.0, 1e7))
     assert violations(cfg) == [
         f"{field}: parameters must be finite" for field in ("t0", "tP", "VP", "tS")
@@ -194,14 +193,14 @@ def test_validate_flags_non_finite_distribution_parameters():
 ])
 def test_validate_flags_integers_beyond_int64(field):
     bound = f"{field}: must be in [0, 2**63 - 1]"
-    assert bound in violations(default_config(**{field: 2**63}))
-    assert bound not in violations(default_config(**{field: 2**63 - 1}))
+    assert bound in violations(ScenarioConfig(**{field: 2**63}))
+    assert bound not in violations(ScenarioConfig(**{field: 2**63 - 1}))
 
 
 def test_validate_holds_time_horizon_to_whole_days_float32_holds_exactly():
     # every per-agent day is stored as float32
-    assert violations(default_config(timeHorizon=2**24 + 1)) == ["timeHorizon: must be <= 2**24"]
-    assert violations(default_config(timeHorizon=2**24)) == []
+    assert violations(ScenarioConfig(timeHorizon=2**24 + 1)) == ["timeHorizon: must be <= 2**24"]
+    assert violations(ScenarioConfig(timeHorizon=2**24)) == []
 
 
 def test_rng_streams_are_deterministic():
@@ -231,7 +230,7 @@ def test_population_bookkeeping_moves():
     assert pop.counts()[Compartment.SUSCEPTIBLE_UNVACCINATED] == 4
     pop.comp[2] = Compartment.EXPOSED
     assert pop.counts()[Compartment.EXPOSED] == 1
-    assert pop.ids(Compartment.SUSCEPTIBLE_UNVACCINATED).tolist() == [0, 1, 3]
+    assert (pop.comp == Compartment.SUSCEPTIBLE_UNVACCINATED).nonzero()[0].tolist() == [0, 1, 3]
     assert np.flatnonzero(pop.in_population()).tolist() == [0, 1, 2, 3]
 
 

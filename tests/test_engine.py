@@ -16,9 +16,9 @@ from episim.core import (
     Compartment,
     ConfigError,
     Constant,
+    ScenarioConfig,
     SimulationError,
     Uniform,
-    default_config,
     make_rng,
 )
 from episim.engine import RECORD_DTYPE, initialize, run, run_replicates, step
@@ -39,19 +39,19 @@ def aggregate_columns(tmp_path, config, result):
 
 
 def test_initialize_seeds_only():
-    cfg = default_config(popSize=10_000, initialInfected=200)
+    cfg = ScenarioConfig(popSize=10_000, initialInfected=200)
     state = initialize(cfg, make_rng(cfg.baseSeed, 0))
     pop = state.population
     assert pop.counts()[Compartment.SUSCEPTIBLE_UNVACCINATED] == 9800
     assert pop.counts()[Compartment.EXPOSED] == 200
     assert state.records[0]["cum_infections"] == 200
-    exposed = pop.ids(Compartment.EXPOSED)
+    exposed = (pop.comp == Compartment.EXPOSED).nonzero()[0]
     assert np.all(pop.exposure_day[exposed] == 0)
     assert not np.isnan(pop.params[:, exposed]).any()
 
 
 def test_records_start_after_initialize_and_step_writes_the_next_entry():
-    cfg = default_config(popSize=1000, initialInfected=20, timeHorizon=3,
+    cfg = ScenarioConfig(popSize=1000, initialInfected=20, timeHorizon=3,
                          initProportionVaccinated=0.5, daysBetweenTesting=1,
                          firstDayOfTesting=0)
     state = initialize(cfg, make_rng(cfg.baseSeed, 0))
@@ -77,7 +77,7 @@ def test_records_start_after_initialize_and_step_writes_the_next_entry():
 
 def test_initialize_half_vaccinated():
     # the initially vaccinated share applies to the uninfected agents
-    cfg = default_config(initProportionVaccinated=0.5)
+    cfg = ScenarioConfig(initProportionVaccinated=0.5)
     state = initialize(cfg, make_rng(1, 0))
     pop = state.population
     assert pop.counts()[Compartment.SUSCEPTIBLE_VACCINATED] == 4900
@@ -87,7 +87,7 @@ def test_initialize_half_vaccinated():
 
 
 def test_initialize_no_seeds():
-    cfg = default_config(initialInfected=0)
+    cfg = ScenarioConfig(initialInfected=0)
     state = initialize(cfg, make_rng(1, 0))
     assert state.population.counts()[Compartment.SUSCEPTIBLE_UNVACCINATED] == 10_000
 
@@ -109,7 +109,7 @@ NO_EXPOSURE = {"initialInfected": 0, "externalExposureProbDaily": 0.0}
         "too-many-seeds"])
 def test_initialize_rejects_an_invalid_config_before_any_draw(field, overrides):
     # every run starts in initialize, so no invalid config reaches a stage
-    cfg = default_config(**{"popSize": 50, "timeHorizon": 4, "initialInfected": 3, **overrides})
+    cfg = ScenarioConfig(**{"popSize": 50, "timeHorizon": 4, "initialInfected": 3, **overrides})
     streams = make_rng(cfg.baseSeed, 0)
     with pytest.raises(ConfigError) as exc:
         initialize(cfg, streams)
@@ -123,10 +123,10 @@ def test_initialize_rejects_an_invalid_config_before_any_draw(field, overrides):
 
 
 def test_seeds_take_the_first_episodes_across_two_blocks():
-    cfg = default_config(popSize=1000, initialInfected=EPISODE_BLOCK + 50)
+    cfg = ScenarioConfig(popSize=1000, initialInfected=EPISODE_BLOCK + 50)
     state = initialize(cfg, make_rng(cfg.baseSeed, 3))
     pop = state.population
-    seeds = pop.ids(Compartment.EXPOSED)
+    seeds = (pop.comp == Compartment.EXPOSED).nonzero()[0]
     assert len(seeds) == EPISODE_BLOCK + 50
     # the same episodes taken in other batches from a fresh episodes stream
     fresh = EpisodeSource(cfg, make_rng(cfg.baseSeed, 3).episodes)
@@ -147,8 +147,8 @@ def test_streams_are_separated_by_purpose(monkeypatch):
     # the same j-th episode for every j, and the same days before testing
     base = dict(popSize=1000, initialInfected=30, timeHorizon=40, firstDayOfTesting=12,
                 daysDelayTestResults=1, baseSeed=9)
-    configs = [default_config(**base, daysBetweenTesting=0, poolSize=1),
-               default_config(**base, daysBetweenTesting=2, poolSize=5)]
+    configs = [ScenarioConfig(**base, daysBetweenTesting=0, poolSize=1),
+               ScenarioConfig(**base, daysBetweenTesting=2, poolSize=5)]
     take = EpisodeSource.take
     taken = []
 
@@ -186,7 +186,7 @@ def test_streams_are_separated_by_purpose(monkeypatch):
 def test_stepping_the_set_up_of_a_run_gives_that_run(run_index):
     # the benchmark times initialize(config, make_rng(baseSeed, i)) as the
     # set-up of run i; stepping it through the horizon must be that run
-    cfg = default_config(popSize=600, initialInfected=20, timeHorizon=30,
+    cfg = ScenarioConfig(popSize=600, initialInfected=20, timeHorizon=30,
                          initProportionVaccinated=0.1, vaccinesAvailablePerDay=5,
                          daysBetweenTesting=2, firstDayOfTesting=3, poolSize=5,
                          daysDelayTestResults=1)
@@ -198,7 +198,7 @@ def test_stepping_the_set_up_of_a_run_gives_that_run(run_index):
 
 
 def test_initialize_acceptance_probabilities_in_unit_interval():
-    cfg = default_config(popSize=2000)
+    cfg = ScenarioConfig(popSize=2000)
     state = initialize(cfg, make_rng(2, 0))
     willingness = state.population.willingness
     assert min(willingness) >= 0.0 and max(willingness) <= 1.0
@@ -206,7 +206,7 @@ def test_initialize_acceptance_probabilities_in_unit_interval():
 
 
 def test_day_zero_record_matches_exposure_oracle():
-    cfg = default_config(popSize=5000, initialInfected=100, timeHorizon=1)
+    cfg = ScenarioConfig(popSize=5000, initialInfected=100, timeHorizon=1)
     state = initialize(cfg, make_rng(cfg.baseSeed, 0))
     record = step(state, 0)
     # external exposures on 4900 susceptibles at gamma 0.005: ~24.5 expected
@@ -219,7 +219,7 @@ def test_day_zero_record_matches_exposure_oracle():
 
 
 def test_conservation_every_day():
-    cfg = default_config(
+    cfg = ScenarioConfig(
         popSize=800, initialInfected=20, timeHorizon=80,
         daysBetweenTesting=4, poolSize=5, vaccinesAvailablePerDay=5,
     )
@@ -231,7 +231,7 @@ def test_conservation_every_day():
 
 def test_step_rejects_a_compartment_code_out_of_range():
     # a code past the last compartment has no count column to go to
-    cfg = default_config(popSize=50, initialInfected=5, timeHorizon=3)
+    cfg = ScenarioConfig(popSize=50, initialInfected=5, timeHorizon=3)
     state = initialize(cfg, make_rng(cfg.baseSeed, 0))
     state.population.comp[0] = len(Compartment)
     with pytest.raises(SimulationError, match="day 0"):
@@ -240,7 +240,7 @@ def test_step_rejects_a_compartment_code_out_of_range():
 
 def test_results_move_compartments_only_after_delay():
     # everyone susceptible, certain false positives, 3-day delay
-    cfg = default_config(
+    cfg = ScenarioConfig(
         popSize=50, initialInfected=0, timeHorizon=6,
         externalExposureProbDaily=0.0,
         daysBetweenTesting=7, firstDayOfTesting=1, poolSize=1,
@@ -256,7 +256,7 @@ def test_results_move_compartments_only_after_delay():
 
 
 def test_false_isolation_counts_only_healthy_entries():
-    cfg = default_config(
+    cfg = ScenarioConfig(
         popSize=60, initialInfected=30, timeHorizon=12,
         externalExposureProbDaily=0.0, betaDaily=0.0,
         daysBetweenTesting=1, firstDayOfTesting=5, poolSize=1,
@@ -272,7 +272,7 @@ def test_false_isolation_counts_only_healthy_entries():
 def test_results_without_delay_isolate_on_the_sampling_day():
     # every sample is positive, and with no delay each result acts on the
     # testing day itself: nobody is left in the population, and nothing waits
-    cfg = default_config(
+    cfg = ScenarioConfig(
         popSize=200, initialInfected=10, timeHorizon=3,
         daysBetweenTesting=1, firstDayOfTesting=0, poolSize=1,
         fprSingle=1.0, fnrSingle=0.0, daysDelayTestResults=0,
@@ -290,7 +290,7 @@ def test_no_agent_self_isolates_from_recovered(monkeypatch):
     # A high cut sends an episode to R while its symptom window is still
     # open, and so does a release from test isolation. Only E, I_s and I_a
     # agents may enter sick isolation at the self-isolation stage.
-    cfg = default_config(
+    cfg = ScenarioConfig(
         popSize=2000, initialInfected=40, timeHorizon=60, infectiousViralLoadCut=1e5,
         daysBetweenTesting=2, firstDayOfTesting=3, poolSize=5, daysDelayTestResults=1,
         isolationLength=2,
@@ -318,7 +318,7 @@ def test_symptoms_from_exposure_self_isolate_at_the_first_update(monkeypatch):
     # With t0 = tP = tS = 0 an episode has symptoms from its exposure day.
     # The first self-isolation stage to see it is that day's for a seed or an
     # external exposure, and the next day's for an internal one.
-    cfg = default_config(
+    cfg = ScenarioConfig(
         popSize=500, initialInfected=10, timeHorizon=25, externalExposureProbDaily=0.01,
         t0=Constant(0.0), tP=Constant(0.0), tS=Constant(0.0), tF=Constant(5.0),
         fractionSymptomatic=1.0, selfIsolationOnSymptomsProb=0.5, betaDaily=0.8,
@@ -347,14 +347,15 @@ def test_symptoms_from_exposure_self_isolate_at_the_first_update(monkeypatch):
                         logged(engine.internal_propagation_step, 1, "internal"))
     monkeypatch.setattr(engine, "self_isolation_step", self_isolation)
     state = initialize(cfg, make_rng(cfg.baseSeed, 0))
-    due.update({i: (0, "external") for i in state.population.ids(Compartment.EXPOSED).tolist()})
+    seeds = (state.population.comp == Compartment.EXPOSED).nonzero()[0]
+    due.update({i: (0, "external") for i in seeds.tolist()})
     for day in range(cfg.timeHorizon):
         step(state, day)
     assert isolated["internal"] > 0 and isolated["external"] > 0
 
 
 def test_run_is_deterministic():
-    cfg = default_config(
+    cfg = ScenarioConfig(
         popSize=400, initialInfected=20, timeHorizon=40,
         daysBetweenTesting=4, poolSize=5, vaccinesAvailablePerDay=10,
     )
@@ -365,14 +366,14 @@ def test_run_is_deterministic():
 
 
 def test_different_run_indices_differ():
-    cfg = default_config(popSize=400, initialInfected=20, timeHorizon=20)
+    cfg = ScenarioConfig(popSize=400, initialInfected=20, timeHorizon=20)
     _, records_a = run(cfg, 0)
     _, records_b = run(cfg, 1)
     assert not np.array_equal(records_a, records_b)
 
 
 def test_zero_horizon_runs():
-    cfg = default_config(popSize=100, initialInfected=5, timeHorizon=0)
+    cfg = ScenarioConfig(popSize=100, initialInfected=5, timeHorizon=0)
     summary, records = run(cfg, 0)
     assert len(records) == 0
     assert summary.total_infections == 5
@@ -380,7 +381,7 @@ def test_zero_horizon_runs():
 
 
 def test_summary_splits_seeded_and_acquired():
-    cfg = default_config(popSize=500, initialInfected=25, timeHorizon=30)
+    cfg = ScenarioConfig(popSize=500, initialInfected=25, timeHorizon=30)
     summary, records = run(cfg, 1)
     assert summary.seeded_infections == 25
     assert summary.total_infections == 25 + summary.acquired_infections
@@ -390,23 +391,24 @@ def test_summary_splits_seeded_and_acquired():
 
 
 def test_replicates_match_serial_and_parallel():
-    cfg = default_config(popSize=300, initialInfected=15, timeHorizon=25)
+    cfg = ScenarioConfig(popSize=300, initialInfected=15, timeHorizon=25)
     [serial] = run_replicates([cfg], 3, jobs=1)
     [parallel] = run_replicates([cfg], 3, jobs=2)
-    assert serial.summaries == parallel.summaries
-    assert np.array_equal(np.stack(serial.records), np.stack(parallel.records))
+    assert [summary for summary, _ in serial] == [summary for summary, _ in parallel]
+    assert np.array_equal(np.stack([records for _, records in serial]),
+                          np.stack([records for _, records in parallel]))
 
 
 @pytest.mark.parametrize("jobs", [0, -3])
 def test_run_replicates_rejects_a_job_count_below_one(jobs):
-    cfg = default_config(popSize=50, initialInfected=2, timeHorizon=3)
+    cfg = ScenarioConfig(popSize=50, initialInfected=2, timeHorizon=3)
     with pytest.raises(ConfigError, match=f"jobs must be >= 1, got {jobs}"):
         run_replicates([cfg], 2, jobs=jobs)
 
 
 def test_run_replicates_checks_its_arguments_when_called():
     # not on the first result asked for
-    cfg = default_config(popSize=50, initialInfected=2, timeHorizon=3)
+    cfg = ScenarioConfig(popSize=50, initialInfected=2, timeHorizon=3)
     with pytest.raises(ConfigError, match="n_runs must be >= 1"):
         run_replicates([cfg], 0, jobs=2)
 
@@ -420,11 +422,11 @@ def test_closing_the_replicates_early_cancels_the_pending_runs(monkeypatch):
             super().shutdown(wait, cancel_futures=cancel_futures)
 
     monkeypatch.setattr(engine, "ProcessPoolExecutor", Pool)
-    configs = [default_config(popSize=200, initialInfected=10, timeHorizon=15, baseSeed=seed)
+    configs = [ScenarioConfig(popSize=200, initialInfected=10, timeHorizon=15, baseSeed=seed)
                for seed in range(6)]
     results = run_replicates(configs, 2, jobs=2)
     first = next(results)
-    assert first.summaries == [run(configs[0], i)[0] for i in range(2)]
+    assert [summary for summary, _ in first] == [run(configs[0], i)[0] for i in range(2)]
     results.close()
     assert shutdowns == [True]
     assert multiprocessing.active_children() == []
@@ -432,20 +434,20 @@ def test_closing_the_replicates_early_cancels_the_pending_runs(monkeypatch):
 
 def test_replicates_of_several_configs_come_back_per_config():
     # one pool for every (config, run index); results are grouped per config
-    configs = [default_config(popSize=200, initialInfected=10, timeHorizon=15, baseSeed=seed)
+    configs = [ScenarioConfig(popSize=200, initialInfected=10, timeHorizon=15, baseSeed=seed)
                for seed in (1, 2, 3)]
     results = list(run_replicates(configs, 2, jobs=2))
     assert len(results) == 3
     for config, result in zip(configs, results):
-        assert [s.run_index for s in result.summaries] == [0, 1]
+        assert [s.run_index for s, _ in result] == [0, 1]
         for i in range(2):
             summary, records = run(config, i)
-            assert result.summaries[i] == summary
-            assert np.array_equal(result.records[i], records)
+            assert result[i][0] == summary
+            assert np.array_equal(result[i][1], records)
 
 
 def test_single_replicate_aggregate_equals_run(tmp_path):
-    cfg = default_config(popSize=300, initialInfected=15, timeHorizon=25)
+    cfg = ScenarioConfig(popSize=300, initialInfected=15, timeHorizon=25)
     [result] = run_replicates([cfg], 1)
     _, records = run(cfg, 0)
     columns = aggregate_columns(tmp_path, cfg, result)
@@ -456,7 +458,7 @@ def test_single_replicate_aggregate_equals_run(tmp_path):
 
 
 def test_aggregate_bands_bracket_the_mean(tmp_path):
-    cfg = default_config(popSize=300, initialInfected=15, timeHorizon=25)
+    cfg = ScenarioConfig(popSize=300, initialInfected=15, timeHorizon=25)
     [result] = run_replicates([cfg], 4)
     columns = aggregate_columns(tmp_path, cfg, result)
     for column in RECORD_DTYPE.names[1:]:
@@ -466,14 +468,14 @@ def test_aggregate_bands_bracket_the_mean(tmp_path):
 
 def test_peak_size_stable_across_base_seeds():
     # Monte Carlo stability of the mean epidemic peak, at reduced scale
-    cfg_a = default_config(popSize=2000, initialInfected=40, timeHorizon=60,
+    cfg_a = ScenarioConfig(popSize=2000, initialInfected=40, timeHorizon=60,
                            baseSeed=111)
-    cfg_b = default_config(popSize=2000, initialInfected=40, timeHorizon=60,
+    cfg_b = ScenarioConfig(popSize=2000, initialInfected=40, timeHorizon=60,
                            baseSeed=222)
     peaks = []
     for cfg in (cfg_a, cfg_b):
         [result] = run_replicates([cfg], 15)
-        curves = np.array([recs["i_s"] + recs["i_a"] for recs in result.records])
+        curves = np.array([recs["i_s"] + recs["i_a"] for _, recs in result])
         peaks.append(curves.mean(axis=0).max())
     assert abs(peaks[0] - peaks[1]) / max(peaks) < 0.10
 

@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 from scipy.stats import mannwhitneyu
 
-from episim.core import default_config
+from episim.core import ScenarioConfig
 from episim.engine import run
 
 REFERENCE_PATH = Path(__file__).parent / "data" / "equivalence_reference.json"
@@ -42,7 +42,7 @@ ALPHA = FAMILY_ALPHA / (len(SCENARIOS) * len(TOTALS))
 
 
 def scenario_config(name):
-    return default_config(
+    return ScenarioConfig(
         popSize=1000, timeHorizon=60, initialInfected=20, baseSeed=2308,
         **SCENARIOS[name],
     )

@@ -27,7 +27,7 @@ import pytest
 
 from episim import cli
 from episim.cli import write_run_csv
-from episim.core import Constant, Uniform, default_config
+from episim.core import Constant, ScenarioConfig, Uniform
 from episim.engine import run
 
 BASE = dict(popSize=500, timeHorizon=50, initialInfected=15, baseSeed=7)
@@ -72,7 +72,7 @@ GOLDEN = {
 
 
 def run_csv_sha256(name, tmp_path):
-    _, records = run(default_config(**BASE, **CONFIGS[name]), 1)
+    _, records = run(ScenarioConfig(**BASE, **CONFIGS[name]), 1)
     path = tmp_path / f"{name}.csv"
     write_run_csv(path, records)
     return hashlib.sha256(path.read_bytes()).hexdigest()

@@ -7,7 +7,7 @@ from episim.core import (
     EPISODE_DAYS,
     Compartment,
     Population,
-    default_config,
+    ScenarioConfig,
 )
 from episim.engine import _advance_infections
 from episim.interventions import (
@@ -50,12 +50,12 @@ def recover(pop, agent_id, day):
 
 
 def vaccination_config(doses):
-    return default_config(vaccinesAvailablePerDay=doses)
+    return ScenarioConfig(vaccinesAvailablePerDay=doses)
 
 
 def test_positive_result_isolates_infectious_as_sick():
     pop = fresh_population()
-    cfg = default_config()  # isolationLength 10
+    cfg = ScenarioConfig()  # isolationLength 10
     infect(pop, 0)
     healthy = apply_positive_results(pop, [0], 5, cfg)
     assert pop.comp[0] == Compartment.ISOLATED_SICK
@@ -71,7 +71,7 @@ def test_an_episode_isolated_before_its_first_load_day_keeps_its_release():
     # the episode no longer waits: the status update of day 3, which
     # schedules agent 1's episode, does not schedule it and overwrite it
     pop = fresh_population()
-    cfg = default_config(isolationLength=1)
+    cfg = ScenarioConfig(isolationLength=1)
     infect(pop, 0, compartment=Compartment.EXPOSED)
     infect(pop, 1, compartment=Compartment.EXPOSED)
     assert np.isnan(pop.recovery_day[0])
@@ -88,7 +88,7 @@ def test_an_episode_isolated_before_its_first_load_day_keeps_its_release():
 
 def test_positive_result_isolates_susceptible_as_healthy():
     pop = fresh_population()
-    healthy = apply_positive_results(pop, [1], 5, default_config())
+    healthy = apply_positive_results(pop, [1], 5, ScenarioConfig())
     assert pop.comp[1] == Compartment.ISOLATED_HEALTHY
     assert healthy.tolist() == [1]
 
@@ -96,7 +96,7 @@ def test_positive_result_isolates_susceptible_as_healthy():
 def test_positive_result_leaves_recovered_alone():
     pop = fresh_population()
     pop.comp[2] = Compartment.RECOVERED
-    assert apply_positive_results(pop, [2], 5, default_config()).tolist() == []
+    assert apply_positive_results(pop, [2], 5, ScenarioConfig()).tolist() == []
     assert pop.comp[2] == Compartment.RECOVERED
     assert np.isnan(pop.release_day[2])
 
@@ -104,8 +104,8 @@ def test_positive_result_leaves_recovered_alone():
 def test_positive_result_on_isolated_agent_is_moot():
     pop = fresh_population()
     infect(pop, 1)
-    apply_positive_results(pop, [0, 1], 5, default_config())
-    assert apply_positive_results(pop, [0, 1], 6, default_config()).tolist() == []
+    apply_positive_results(pop, [0, 1], 5, ScenarioConfig())
+    assert apply_positive_results(pop, [0, 1], 6, ScenarioConfig()).tolist() == []
     assert pop.comp[0] == Compartment.ISOLATED_HEALTHY
     assert pop.comp[1] == Compartment.ISOLATED_SICK
     assert pop.release_day[[0, 1]].tolist() == [15, 15]
@@ -113,7 +113,7 @@ def test_positive_result_on_isolated_agent_is_moot():
 
 def test_self_isolation_on_first_symptomatic_day():
     pop = fresh_population()
-    cfg = default_config()
+    cfg = ScenarioConfig()
     infect(pop, 0, day=0, will_isolate=True)
     # symptom onset at 6.5 days: nothing on day 6, isolation on day 7
     assert pop.selfiso_day[0] == 7
@@ -124,7 +124,7 @@ def test_self_isolation_on_first_symptomatic_day():
 
 def test_unwilling_agent_never_self_isolates():
     pop = fresh_population()
-    cfg = default_config()
+    cfg = ScenarioConfig()
     infect(pop, 0, day=0, will_isolate=False)
     for day in range(20):
         assert self_isolation_step(pop, day, cfg).tolist() == []
@@ -132,7 +132,7 @@ def test_unwilling_agent_never_self_isolates():
 
 def test_asymptomatic_agent_never_self_isolates():
     pop = fresh_population()
-    cfg = default_config()
+    cfg = ScenarioConfig()
     profile = ViralLoadProfile(
         t0=3.0, V0=1e3, tP=2.0, VP=1e5, tS=0.0, tF=6.5, VF=1e3, symptomatic=False
     )
@@ -144,7 +144,7 @@ def test_asymptomatic_agent_never_self_isolates():
 
 def test_self_isolation_happens_once_per_episode():
     pop = fresh_population()
-    cfg = default_config(isolationLength=1)
+    cfg = ScenarioConfig(isolationLength=1)
     infect(pop, 0, day=0, will_isolate=True)
     assert self_isolation_step(pop, 7, cfg).tolist() == [0]
     isolation_exit_step(pop, 8, cfg)  # back out, still in symptom window
@@ -154,7 +154,7 @@ def test_self_isolation_happens_once_per_episode():
 
 def test_isolation_exit_timing_and_destinations():
     pop = fresh_population()
-    cfg = default_config()  # length 10
+    cfg = ScenarioConfig()  # length 10
     infect(pop, 0)
     apply_positive_results(pop, [0], 5, cfg)
     pop.vaccinated[1] = True
@@ -176,7 +176,7 @@ def test_isolation_exit_timing_and_destinations():
 
 def test_zero_length_isolation_exits_the_next_day():
     pop = fresh_population()
-    cfg = default_config(isolationLength=0)
+    cfg = ScenarioConfig(isolationLength=0)
     infect(pop, 0)
     apply_positive_results(pop, [0], 5, cfg)
     assert isolation_exit_step(pop, 5, cfg).tolist() == []
@@ -186,7 +186,7 @@ def test_zero_length_isolation_exits_the_next_day():
 
 def test_recovered_returns_to_susceptible_after_immunity_lapses():
     pop = fresh_population()
-    cfg = default_config()  # daysTilSusceptible 30
+    cfg = ScenarioConfig()  # daysTilSusceptible 30
     infect(pop, 0)
     recover(pop, 0, 20)
     assert recovered_to_susceptible_step(pop, 49, cfg).tolist() == []
@@ -203,7 +203,7 @@ def test_loss_of_immunity_leaves_every_other_agent_untouched():
     # days, keeps both to the byte. Both ids are below the number of fields,
     # so a write along the wrong axis of params would reach agent 4.
     pop = fresh_population()
-    cfg = default_config()  # daysTilSusceptible 30
+    cfg = ScenarioConfig()  # daysTilSusceptible 30
     infect(pop, 1)
     other = ViralLoadProfile(t0=2.0, V0=1e2, tP=3.0, VP=1e7, tS=0.0, tF=8.0, VF=1e2,
                              symptomatic=False)
@@ -219,7 +219,7 @@ def test_loss_of_immunity_leaves_every_other_agent_untouched():
 def test_return_to_susceptible_keeps_the_isolation_days():
     # only the episode's days are cleared: the latest release stays on record
     pop = fresh_population()
-    cfg = default_config()  # isolationLength 10, daysTilSusceptible 30
+    cfg = ScenarioConfig()  # isolationLength 10, daysTilSusceptible 30
     infect(pop, 0)
     apply_positive_results(pop, [0], 5, cfg)
     isolation_exit_step(pop, 15, cfg)
@@ -251,7 +251,7 @@ def test_sick_isolation_past_the_scheduled_loss_of_immunity():
     # immunity for 3 days: day 17, 3 days after the scheduled recovery, moves
     # nothing; the agent recovers on its release and is susceptible 3 days on
     pop = fresh_population()
-    cfg = default_config(isolationLength=10, daysTilSusceptible=3)
+    cfg = ScenarioConfig(isolationLength=10, daysTilSusceptible=3)
     infect(pop, 0, compartment=Compartment.EXPOSED)
     comps = step_stages(pop, cfg, range(10))
     assert comps[-1, 0] == Compartment.INFECTIOUS_SYMPTOMATIC
@@ -265,7 +265,7 @@ def test_sick_isolation_past_the_scheduled_loss_of_immunity():
 
 def test_exposed_agent_isolated_the_day_before_its_onset_never_becomes_infectious():
     pop = fresh_population()
-    cfg = default_config(isolationLength=10)
+    cfg = ScenarioConfig(isolationLength=10)
     infect(pop, 0, compartment=Compartment.EXPOSED)
     step_stages(pop, cfg, range(3))
     # the status update of day 3, its first load day, schedules it to be
@@ -279,7 +279,7 @@ def test_an_episode_that_recovers_before_its_self_isolation_day_stays_in_r():
     # below the cut throughout: E on days 0-2, R from day 3, past its peak;
     # symptoms from day 5, before its last load day (11)
     pop = fresh_population()
-    cfg = default_config()
+    cfg = ScenarioConfig()
     profile = ViralLoadProfile(t0=1.0, V0=1e2, tP=1.0, VP=5e2, tS=3.0, tF=6.0, VF=1e2,
                                symptomatic=True)
     infect(pop, 0, profile=profile, compartment=Compartment.EXPOSED, will_isolate=True)
@@ -291,7 +291,7 @@ def test_an_episode_that_recovers_before_its_self_isolation_day_stays_in_r():
 
 def test_vaccinated_recovered_returns_to_vaccinated_susceptible():
     pop = fresh_population()
-    cfg = default_config()
+    cfg = ScenarioConfig()
     infect(pop, 0)
     pop.vaccinated[0] = True
     recover(pop, 0, 0)
@@ -301,7 +301,7 @@ def test_vaccinated_recovered_returns_to_vaccinated_susceptible():
 
 def test_return_beyond_horizon_never_fires():
     pop = fresh_population()
-    cfg = default_config(daysTilSusceptible=500, timeHorizon=120)
+    cfg = ScenarioConfig(daysTilSusceptible=500, timeHorizon=120)
     infect(pop, 0)
     recover(pop, 0, 20)
     for day in range(cfg.timeHorizon):

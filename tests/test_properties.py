@@ -23,8 +23,8 @@ from episim.core import (
     Compartment,
     Constant,
     GammaShifted,
+    ScenarioConfig,
     Uniform,
-    default_config,
     make_rng,
     validate_config,
 )
@@ -46,7 +46,7 @@ def unit():
 def configs(draw):
     pop_size = draw(st.integers(1, 300))
     testing = draw(st.booleans())
-    config = default_config(
+    config = ScenarioConfig(
         popSize=pop_size,
         timeHorizon=draw(st.integers(0, 40)),
         initialInfected=draw(st.integers(0, pop_size)),
@@ -199,8 +199,9 @@ def test_daily_invariants(config):
 def test_replicates_identical_for_any_job_count(config):
     [serial] = run_replicates([config], 2, jobs=1)
     [parallel] = run_replicates([config], 2, jobs=2)
-    assert serial.summaries == parallel.summaries
-    assert np.array_equal(np.stack(serial.records), np.stack(parallel.records))
+    assert [summary for summary, _ in serial] == [summary for summary, _ in parallel]
+    assert np.array_equal(np.stack([records for _, records in serial]),
+                          np.stack([records for _, records in parallel]))
 
 
 def test_failing_example_does_not_abort_the_session(tmp_path):

@@ -6,11 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from episim.core import Compartment, Population, default_config
+from episim.core import Compartment, Population, ScenarioConfig
 from episim.testing import (
     deliver_results,
     eligible_ids,
-    partition_into_pools,
     pool_positive_prob,
     run_testing_day,
 )
@@ -28,7 +27,7 @@ from reference import (
 
 
 def operating_point(cut, fpr, fnr):
-    return default_config(detectionCut=cut, fprSingle=fpr, fnrSingle=fnr)
+    return ScenarioConfig(detectionCut=cut, fprSingle=fpr, fnrSingle=fnr)
 
 
 # operating points for the two test types compared in the experiments
@@ -57,24 +56,6 @@ def test_single_test_below_cut_only_false_positives():
     rng = np.random.default_rng(103)
     freq = frequency(lambda: single_test(1e5, TEST_B, rng))
     assert abs(freq - 0.007) < 0.001
-
-
-def pool_sizes(n, pool_size, seed=1):
-    order, starts = partition_into_pools(n, pool_size, np.random.default_rng(seed))
-    assert sorted(order) == list(range(n))
-    return np.diff(starts, append=n).tolist()
-
-
-def test_partition_exact_division():
-    assert pool_sizes(10, 5) == [5, 5]
-
-
-def test_partition_remainder_pool_is_smaller():
-    assert pool_sizes(12, 5) == [5, 5, 2]
-
-
-def test_partition_pool_size_one_gives_singletons():
-    assert pool_sizes(7, 1) == [1] * 7
 
 
 def test_pool_average_deterministic_threshold_paths():
@@ -170,10 +151,45 @@ def queued_ids(pending):
     return sorted(int(i) for ids in pending.values() for i in ids)
 
 
+def pool_count(n, pool_size, seed=1):
+    """The pools of a testing day of ``n`` samples: with every load 0 and no
+    false positive, no pool is positive, so the tests used are the pools."""
+    cfg = ScenarioConfig(poolSize=pool_size, fprSingle=0.0)
+    pending = {}
+    used = run_testing_day(hot_population(n), cfg, 7, pending, np.random.default_rng(seed))
+    assert pending == {}
+    return used
+
+
+def test_partition_exact_division():
+    assert pool_count(10, 5) == 2
+
+
+def test_partition_remainder_pool_is_smaller():
+    assert pool_count(11, 5) == 3
+
+
+def test_partition_pool_size_one_gives_singletons():
+    assert pool_count(11, 1) == 11
+
+
+def test_a_testing_day_with_no_eligible_agent_draws_nothing():
+    pop = hot_population(10, hot_ids=(2, 5))
+    pop.comp[:] = Compartment.ISOLATED_HEALTHY
+    pop.comp[[2, 5]] = Compartment.ISOLATED_SICK
+    cfg = ScenarioConfig(daysBetweenTesting=1, firstDayOfTesting=0, fprSingle=1.0)
+    pending = {9: np.array([3])}
+    rng = np.random.default_rng(12)
+    rng_state = rng.bit_generator.state
+    assert run_testing_day(pop, cfg, 7, pending, rng) == 0
+    assert pending.keys() == {9} and pending[9].tolist() == [3]
+    assert rng.bit_generator.state == rng_state
+
+
 def test_run_testing_day_singletons():
     # every sample false-positives, so the queue shows who was sampled
     pop = hot_population(100)
-    cfg = default_config(daysBetweenTesting=1, firstDayOfTesting=0, poolSize=1,
+    cfg = ScenarioConfig(daysBetweenTesting=1, firstDayOfTesting=0, poolSize=1,
                          fprSingle=1.0)
     pending = {}
     used = run_testing_day(pop, cfg, 7, pending, np.random.default_rng(1))
@@ -183,7 +199,7 @@ def test_run_testing_day_singletons():
 
 def test_run_testing_day_no_positive_pools():
     pop = hot_population(100)  # every load is 0
-    cfg = default_config(
+    cfg = ScenarioConfig(
         daysBetweenTesting=1, firstDayOfTesting=0, poolSize=5, fprSingle=0.0
     )
     pending = {}
@@ -197,7 +213,7 @@ def test_run_testing_day_dorfman_count_three_positive_pools():
     # seed 0 scatters them into 3 distinct pools (asserted below), so the
     # day must use 20 stage-1 tests + 3*5 follow-ups.
     pop = hot_population(100, hot_ids=(10, 40, 70))
-    cfg = default_config(
+    cfg = ScenarioConfig(
         daysBetweenTesting=1, firstDayOfTesting=0, poolSize=5,
         fprSingle=0.0, fnrSingle=0.0, detectionCut=100.0,
     )
@@ -211,7 +227,7 @@ def test_member_of_negative_pool_never_positive():
     # force stage 1 negative for every pool: all members must come back
     # negative even though they are detectable
     pop = hot_population(100, hot_ids=tuple(range(0, 100, 7)))
-    cfg = default_config(
+    cfg = ScenarioConfig(
         daysBetweenTesting=1, firstDayOfTesting=0, poolSize=5,
         fprSingle=0.0, fnrSingle=1.0,
     )
@@ -281,7 +297,7 @@ def test_run_testing_day_matches_scalar_reference(pooling_type, pool_size):
         pop.comp[i] = Compartment.ISOLATED_HEALTHY
     for i in range(2, n, 5):
         pop.release_day[i] = int(rng.integers(0, 16))
-    cfg = default_config(
+    cfg = ScenarioConfig(
         daysBetweenTesting=1, firstDayOfTesting=0, poolSize=pool_size,
         poolingType=pooling_type, fprSingle=0.05, fnrSingle=0.3,
         noTestingPostIsolationDays=5, daysDelayTestResults=2,
@@ -301,7 +317,7 @@ def test_run_testing_day_matches_scalar_reference(pooling_type, pool_size):
 
 def test_delivery_delay():
     pop = hot_population(10)
-    cfg = default_config(daysBetweenTesting=1, firstDayOfTesting=0, poolSize=1,
+    cfg = ScenarioConfig(daysBetweenTesting=1, firstDayOfTesting=0, poolSize=1,
                          fprSingle=1.0, daysDelayTestResults=3)
     pending = {}
     run_testing_day(pop, cfg, 7, pending, np.random.default_rng(8))
@@ -312,7 +328,7 @@ def test_delivery_delay():
 
 def test_delivery_immediate_when_no_delay():
     pop = hot_population(10)
-    cfg = default_config(daysBetweenTesting=1, firstDayOfTesting=0, poolSize=1,
+    cfg = ScenarioConfig(daysBetweenTesting=1, firstDayOfTesting=0, poolSize=1,
                          fprSingle=1.0, daysDelayTestResults=0)
     pending = {}
     run_testing_day(pop, cfg, 4, pending, np.random.default_rng(4))
@@ -325,7 +341,7 @@ def test_delivery_empty_queue():
 
 def test_agents_with_pending_results_are_retested():
     pop = hot_population(10)
-    cfg = default_config(daysBetweenTesting=1, firstDayOfTesting=0, poolSize=1,
+    cfg = ScenarioConfig(daysBetweenTesting=1, firstDayOfTesting=0, poolSize=1,
                          fprSingle=1.0, daysDelayTestResults=3)
     pending = {}
     run_testing_day(pop, cfg, 0, pending, np.random.default_rng(5))
@@ -338,7 +354,7 @@ def test_agents_with_pending_results_are_retested():
 def test_post_isolation_holdback():
     pop = hot_population(3)
     pop.release_day[1] = 10
-    cfg = default_config(noTestingPostIsolationDays=4)
+    cfg = ScenarioConfig(noTestingPostIsolationDays=4)
     assert eligible_ids(pop, 12, cfg).tolist() == [0, 2]
     assert eligible_ids(pop, 14, cfg).tolist() == [0, 1, 2]
 
@@ -347,7 +363,7 @@ def test_isolated_agents_are_not_tested():
     pop = hot_population(10)
     pop.comp[0] = Compartment.ISOLATED_SICK
     pop.comp[1] = Compartment.ISOLATED_HEALTHY
-    cfg = default_config(daysBetweenTesting=1, firstDayOfTesting=0, poolSize=1,
+    cfg = ScenarioConfig(daysBetweenTesting=1, firstDayOfTesting=0, poolSize=1,
                          fprSingle=1.0)
     pending = {}
     used = run_testing_day(pop, cfg, 0, pending, np.random.default_rng(7))
@@ -375,7 +391,7 @@ def test_testing_day_matches_dorfman_closed_form(pooling_type, load):
     # carriers. Each day is independent, so the z-bound uses the spread of the
     # daily values.
     n, m, k, fpr, fnr, days = 1000, 50, 5, 0.05, 0.2, 1000
-    cfg = default_config(poolingType=pooling_type, poolSize=k, fprSingle=fpr, fnrSingle=fnr,
+    cfg = ScenarioConfig(poolingType=pooling_type, poolSize=k, fprSingle=fpr, fnrSingle=fnr,
                          detectionCut=100.0, daysDelayTestResults=0)
     carriers = np.arange(0, n, n // m)
     pop = hot_population(n, hot_ids=carriers, load=load)

@@ -5,7 +5,7 @@ from unittest.mock import MagicMock
 import numpy as np
 import pytest
 
-from episim.core import (DISTRIBUTION_FIELDS, EPISODE_DAYS, Compartment, Population, default_config,
+from episim.core import (DISTRIBUTION_FIELDS, EPISODE_DAYS, Compartment, Population, ScenarioConfig,
                          make_rng)
 from episim.transmission import (
     EPISODE_BLOCK,
@@ -42,7 +42,7 @@ def exposure_streams(config, seed):
 
 
 def reset_exposed(population, compartment):
-    exposed = population.ids(Compartment.EXPOSED)
+    exposed = (population.comp == Compartment.EXPOSED).nonzero()[0]
     population.params[:, exposed] = np.nan
     population.days[EPISODE_DAYS, exposed] = np.nan
     population.comp[exposed] = compartment
@@ -60,12 +60,12 @@ def stage_probabilities(stage, config, *counts):
 
 
 def external_probabilities(gamma, alpha=0.3):
-    config = default_config(externalExposureProbDaily=gamma, vaccineInfectionProb=alpha)
+    config = ScenarioConfig(externalExposureProbDaily=gamma, vaccineInfectionProb=alpha)
     return stage_probabilities(external_exposure_step, config)
 
 
 def internal_probabilities(counts, beta=0.4, alpha=0.3):
-    config = default_config(betaDaily=beta, vaccineInfectionProb=alpha)
+    config = ScenarioConfig(betaDaily=beta, vaccineInfectionProb=alpha)
     return stage_probabilities(internal_propagation_step, config, counts)
 
 
@@ -108,13 +108,13 @@ def test_probability_monotone_in_inputs():
 
 def test_external_step_zero_rate_exposes_nobody():
     pop = build_population(n_su=50)
-    cfg = default_config(externalExposureProbDaily=0.0)
+    cfg = ScenarioConfig(externalExposureProbDaily=0.0)
     assert external_exposure_step(pop, cfg, 0, *exposure_streams(cfg, 1)).tolist() == []
 
 
 def test_external_step_certain_rate_exposes_everyone():
     pop = build_population(n_su=30, n_sv=10)
-    cfg = default_config(externalExposureProbDaily=1.0, vaccineInfectionProb=1.0)
+    cfg = ScenarioConfig(externalExposureProbDaily=1.0, vaccineInfectionProb=1.0)
     exposed = external_exposure_step(pop, cfg, 2, *exposure_streams(cfg, 1))
     assert len(exposed) == 40
     for agent_id in exposed:
@@ -126,7 +126,7 @@ def test_external_step_certain_rate_exposes_everyone():
 def test_external_step_binomial_moment():
     # 9800 susceptibles at gamma 0.005: mean exposures per day is 49
     pop = build_population(n_su=9800)
-    cfg = default_config(externalExposureProbDaily=0.005)
+    cfg = ScenarioConfig(externalExposureProbDaily=0.005)
     rng, episodes = exposure_streams(cfg, 31)
     counts = []
     for _ in range(1000):
@@ -138,14 +138,14 @@ def test_external_step_binomial_moment():
 
 def test_internal_step_empty_without_infectious():
     pop = build_population(n_su=100)
-    cfg = default_config()
+    cfg = ScenarioConfig()
     assert internal_propagation_step(pop, cfg, 0, *exposure_streams(cfg, 1), pop.counts()).tolist() == []
 
 
 def test_internal_step_binomial_moment():
     # beta I/P = 0.4 * 200/10000 = 0.008 over 9800 candidates: mean 78.4
     pop = build_population(n_su=9800, n_inf=200)
-    cfg = default_config(externalExposureProbDaily=0.0)
+    cfg = ScenarioConfig(externalExposureProbDaily=0.0)
     rng, episodes = exposure_streams(cfg, 37)
     counts = []
     for _ in range(1000):
@@ -158,7 +158,7 @@ def test_internal_step_binomial_moment():
 def test_internal_step_vaccinated_moment():
     # vaccinated candidates see 0.3 * 0.008 = 0.0024: mean 2.4 over 1000 reps
     pop = build_population(n_sv=1000, n_inf=200, n_rec=8800)
-    cfg = default_config(externalExposureProbDaily=0.0)
+    cfg = ScenarioConfig(externalExposureProbDaily=0.0)
     rng, episodes = exposure_streams(cfg, 41)
     counts = []
     for _ in range(1000):
@@ -170,7 +170,7 @@ def test_internal_step_vaccinated_moment():
 
 def test_internal_step_uses_supplied_counts():
     pop = build_population(n_su=1000)
-    cfg = default_config(betaDaily=1.0, externalExposureProbDaily=0.0)
+    cfg = ScenarioConfig(betaDaily=1.0, externalExposureProbDaily=0.0)
     stale = make_counts(s_u=1000, s_v=0, e=0, i_s=0, i_a=0, r=0)
     # no infectious agents in the supplied counts: nothing happens even
     # though the live population would say otherwise
@@ -180,14 +180,14 @@ def test_internal_step_uses_supplied_counts():
 
 def test_exposure_never_touches_non_susceptibles():
     pop = build_population(n_su=200, n_inf=50, n_rec=100)
-    cfg = default_config(externalExposureProbDaily=0.5)
-    before_inf = pop.ids(Compartment.INFECTIOUS_ASYMPTOMATIC).tolist()
-    before_rec = pop.ids(Compartment.RECOVERED).tolist()
+    cfg = ScenarioConfig(externalExposureProbDaily=0.5)
+    before_inf = (pop.comp == Compartment.INFECTIOUS_ASYMPTOMATIC).nonzero()[0].tolist()
+    before_rec = (pop.comp == Compartment.RECOVERED).nonzero()[0].tolist()
     rng, episodes = exposure_streams(cfg, 43)
     external_exposure_step(pop, cfg, 0, rng, episodes)
     internal_propagation_step(pop, cfg, 0, rng, episodes, pop.counts())
-    assert pop.ids(Compartment.INFECTIOUS_ASYMPTOMATIC).tolist() == before_inf
-    assert pop.ids(Compartment.RECOVERED).tolist() == before_rec
+    assert (pop.comp == Compartment.INFECTIOUS_ASYMPTOMATIC).nonzero()[0].tolist() == before_inf
+    assert (pop.comp == Compartment.RECOVERED).nonzero()[0].tolist() == before_rec
 
 
 def test_snapshot_counts_excludes_isolated():
@@ -208,7 +208,7 @@ def test_expose_draws_one_vector_per_episode_draw():
     # tS (for every episode, then zeroed where asymptomatic), tF, VF; then the
     # self-isolation uniforms. The ids, in ascending order, take its first
     # episodes.
-    cfg = default_config()
+    cfg = ScenarioConfig()
     pop = build_population(n_su=50)
     ids = np.arange(0, 50, 2)
     expose(pop, ids, 4, 5, EpisodeSource(cfg, np.random.default_rng(47)))
@@ -224,7 +224,7 @@ def test_expose_draws_one_vector_per_episode_draw():
     # every symptom onset is after the first update, inside the symptom window
     selfiso_day = np.where((symptomatic & willing)[first], pop.onset_day[ids], np.nan)
     assert np.array_equal(pop.selfiso_day[ids], selfiso_day, equal_nan=True)
-    assert pop.ids(Compartment.EXPOSED).tolist() == ids.tolist()
+    assert (pop.comp == Compartment.EXPOSED).nonzero()[0].tolist() == ids.tolist()
     assert np.all(pop.exposure_day[ids] == 4)
     assert 0 < symptomatic[first].sum() < ids.size
 
@@ -233,7 +233,7 @@ def test_expose_draws_one_vector_per_episode_draw():
 def test_batch_boundaries_are_invisible(cut):
     # ids exposed in one call, or split over two consecutive calls, get the
     # same episodes, down to the byte; 384 ids span two blocks
-    cfg = default_config()
+    cfg = ScenarioConfig()
     ids = np.arange(0, 3 * EPISODE_BLOCK, 2)
     whole, split = build_population(n_su=3 * EPISODE_BLOCK), build_population(n_su=3 * EPISODE_BLOCK)
     expose(whole, ids, 5, 5, EpisodeSource(cfg, np.random.default_rng(53)))

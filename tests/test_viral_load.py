@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from episim.core import (TRANSITION_DAYS, Compartment, Constant, Population, default_config,
+from episim.core import (TRANSITION_DAYS, Compartment, Constant, Population, ScenarioConfig,
                          make_rng)
 from episim.engine import _advance_infections, initialize, step
 from episim.interventions import self_isolation_step
@@ -44,7 +44,7 @@ def test_symptomatic_profile_adds_symptom_delay():
 
 
 def test_sampled_profiles_stay_in_configured_ranges():
-    cfg = default_config()
+    cfg = ScenarioConfig()
     rng = np.random.default_rng(5)
     for symptomatic in (False, True):
         for _ in range(200):
@@ -103,7 +103,7 @@ def test_symptom_window():
 
 
 def test_sampled_trajectories_are_unimodal():
-    cfg = default_config()
+    cfg = ScenarioConfig()
     rng = np.random.default_rng(17)
     for _ in range(300):
         prof = sample_profile(cfg, bool(rng.random() < 0.5), rng)
@@ -127,7 +127,7 @@ def test_symptomatic_flag_alone_does_not_change_loads():
 def test_infectious_days_match_open_closed_window():
     # with V0 = VF = cut, daily ticks are infectious exactly on the integer
     # days strictly inside (t0, end_time]
-    cfg = default_config()
+    cfg = ScenarioConfig()
     rng = np.random.default_rng(23)
     cut = 1e3
     for _ in range(200):
@@ -246,7 +246,7 @@ def test_loads_and_self_isolation_need_no_status_update():
     assert loads[0] == 0.0 and loads[1] > 0.0
     np.testing.assert_allclose(loads[1], load_at(profile, 4.0), rtol=1e-12)
     # symptoms from tau 6.5: the willing agent isolates on day 9
-    config = default_config()
+    config = ScenarioConfig()
     assert self_isolation_step(pop, 8, config).tolist() == []
     assert self_isolation_step(pop, 9, config).tolist() == [1]
     assert pop.comp[1] == Compartment.ISOLATED_SICK
@@ -335,7 +335,7 @@ def test_daily_stages_match_scalar_reference():
     params = np.array([profile_params(p) for p in profiles]).T
     symptomatic = np.array([p.symptomatic for p in profiles])
     offsets = start_days(params, 0, symptomatic)
-    config = default_config(infectiousViralLoadCut=cut)
+    config = ScenarioConfig(infectiousViralLoadCut=cut)
     status = Population(n)  # the status update
     selfiso = Population(n)  # self-isolation, every symptomatic agent willing
     comp = np.full(n, int(C.SUSCEPTIBLE_UNVACCINATED))  # the scalar reference
@@ -401,7 +401,7 @@ def test_daily_stages_match_scalar_reference():
 def test_trajectory_times_beyond_float32_range_run_without_overflow(field, dist):
     # the days are stored as float32; a day beyond its range is never
     # reached, so it is held at the largest float32 instead of overflowing
-    cfg = default_config(popSize=200, timeHorizon=20, initialInfected=10, **{field: dist})
+    cfg = ScenarioConfig(popSize=200, timeHorizon=20, initialInfected=10, **{field: dist})
     state = initialize(cfg, make_rng(cfg.baseSeed, 0))
     for day in range(cfg.timeHorizon):
         step(state, day)
