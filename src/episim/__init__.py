@@ -20,7 +20,6 @@ from .core import (
     Uniform,
     config_from_dict,
     make_rng,
-    validate_config,
 )
 from .engine import (
     RECORD_DTYPE,
@@ -56,5 +55,4 @@ __all__ = [
     "run",
     "run_replicates",
     "step",
-    "validate_config",
 ]

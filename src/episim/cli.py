@@ -28,7 +28,6 @@ from .core import (
     SimulationError,
     _as_int,
     config_from_dict,
-    validate_config,
 )
 from .engine import (
     RECORD_DTYPE,
@@ -100,8 +99,7 @@ def write_replicates(out_dir: Path, config: ScenarioConfig,
         idx = summary.run_index
         write_run_csv(out_dir / f"run_{idx:03d}.csv", records)
         write_json(out_dir / f"summary_{idx:03d}.json", dataclasses.asdict(summary))
-    if config.timeHorizon > 0:
-        write_aggregate_csv(out_dir / "aggregate.csv", [records for _, records in runs])
+    write_aggregate_csv(out_dir / "aggregate.csv", [records for _, records in runs])
 
 
 # ---------------------------------------------------------------------------
@@ -128,12 +126,6 @@ def load_config(path: Optional[str]) -> ScenarioConfig:
     return config_from_dict(doc)
 
 
-def require_person_days(config: ScenarioConfig) -> None:
-    """Reject a config whose cost metric would divide by zero person-days."""
-    if config.timeHorizon <= 0 or config.popSize <= 0:
-        raise ConfigError("the cost metric requires timeHorizon > 0 and popSize > 0")
-
-
 @dataclass(frozen=True)
 class SweepCell:
     index: int
@@ -158,8 +150,8 @@ class SweepSpec:
         """Cartesian product of the axes, applied over the base config.
 
         The run count is checked against the cap before any cell is built.
-        Each cell is then parsed and validated once; an error in it is
-        raised as ``sweep cell '<label>': <message>``.
+        Each cell is then built once; an error in it is raised as ``sweep
+        cell '<label>': <message>``.
         """
         runs = math.prod(len(values) for values in self.axes) * self.replicates
         if runs > self.max_runs:
@@ -172,8 +164,6 @@ class SweepSpec:
             label = "/".join(value_label for value_label, _ in combo) or "base"
             try:
                 config = config_from_dict({**self.base, **overrides})
-                validate_config(config)
-                require_person_days(config)
             except ConfigError as exc:
                 raise ConfigError(f"sweep cell {label!r}: {exc}") from None
             out.append(SweepCell(idx, label, overrides, config))
@@ -296,7 +286,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, baseSeed=args.seed)
-    validate_config(config)
     Path(args.out).mkdir(parents=True, exist_ok=True)  # an unusable --out fails before any run
     [runs] = run_replicates([config], args.runs, jobs=args.jobs)
     write_replicates(Path(args.out), config, runs)
@@ -342,7 +331,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    validate_config(config)
     tau = expected_infectious_duration(config)
     beta = estimate_beta(args.target_r0, config)
     out_dir = Path(args.out) if args.out else None
@@ -415,14 +403,14 @@ def cmd_report(args: argparse.Namespace) -> int:
         doc = read_json(config_path)
         try:
             config = config_from_dict(doc)
-            require_person_days(config)
         except ConfigError as exc:
             raise ConfigError(f"{config_path}: {exc}") from None
         finals = []
         for run_csv in sorted(cell_dir.glob("run_*.csv"), key=_by_index):
             records = read_run_csv(run_csv)
-            if not len(records):
-                raise ConfigError(f"{run_csv}: empty run CSV")
+            if len(records) != config.timeHorizon:
+                raise ConfigError(f"{run_csv}: {len(records)} rows, expected timeHorizon "
+                                  f"{config.timeHorizon}")
             finals.append(records[-1:])
         if not finals:
             raise ConfigError(f"{cell_dir}: no run CSVs")

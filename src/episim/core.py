@@ -2,9 +2,10 @@
 parameter distributions, the scenario configuration, and the deterministic
 per-run random streams.
 
-:func:`validate_config` is the one check of a config. Every run starts in
-:func:`episim.engine.initialize`, which calls it before any draw, so a run
-raises :class:`ConfigError` for any config that ``validate_config`` rejects.
+A :class:`ScenarioConfig` is checked once, when it is built (also by
+``config_from_dict`` and ``dataclasses.replace``), and is frozen, so every
+config that exists is valid and runs to completion; no command, stage or
+helper checks one again.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from typing import Any, ClassVar, Union, get_args
 
@@ -214,10 +215,12 @@ def _is_number(value: Any) -> bool:
 # so documents round-trip unchanged.
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
     """One scenario's parameters. The defaults, ``ScenarioConfig()``, test
-    and vaccinate nobody."""
+    and vaccinate nobody. Building one that breaks a rule raises one
+    :class:`ConfigError`: an ``invalid config:`` line, then one ``field:
+    message`` line per violation."""
 
     # run
     popSize: int = 10_000
@@ -232,13 +235,13 @@ class ScenarioConfig:
     fractionSymptomatic: float = 0.5
     infectiousViralLoadCut: float = 1e3
     # viral-load trajectory parameters (times in days, loads in cp/ml)
-    t0: DistributionSpec = field(default_factory=lambda: Uniform(2.5, 3.5))
-    V0: DistributionSpec = field(default_factory=lambda: Constant(1e3))
-    tP: DistributionSpec = field(default_factory=lambda: GammaShifted(1.5, 1.0, 0.5))
-    VP: DistributionSpec = field(default_factory=lambda: Uniform(1e4, 1e7))
-    tS: DistributionSpec = field(default_factory=lambda: Uniform(0.0, 3.0))
-    tF: DistributionSpec = field(default_factory=lambda: Uniform(4.0, 9.0))
-    VF: DistributionSpec = field(default_factory=lambda: Constant(1e3))
+    t0: DistributionSpec = Uniform(2.5, 3.5)
+    V0: DistributionSpec = Constant(1e3)
+    tP: DistributionSpec = GammaShifted(1.5, 1.0, 0.5)
+    VP: DistributionSpec = Uniform(1e4, 1e7)
+    tS: DistributionSpec = Uniform(0.0, 3.0)
+    tF: DistributionSpec = Uniform(4.0, 9.0)
+    VF: DistributionSpec = Constant(1e3)
     # testing (daysBetweenTesting = 0 disables testing entirely)
     daysBetweenTesting: int = 0
     daysDelayTestResults: int = 0
@@ -258,6 +261,9 @@ class ScenarioConfig:
     vaccineAcceptProbStd: float = 0.05
     vaccinesAvailablePerDay: int = 0
     vaccineInfectionProb: float = 0.3
+
+    def __post_init__(self) -> None:
+        _check(self)
 
     def is_testing_day(self, day: int) -> bool:
         if self.daysBetweenTesting == 0 or day < self.firstDayOfTesting:
@@ -328,10 +334,8 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
     )
 
 
-def validate_config(config: ScenarioConfig) -> None:
-    """Raise one :class:`ConfigError` that lists every violated invariant:
-    an ``invalid config:`` line, then one ``field: message`` line each. Any
-    config that passes runs to completion."""
+def _check(config: ScenarioConfig) -> None:
+    """The rules of :class:`ScenarioConfig`, run as it is built."""
     bad: list[str] = []
 
     def check(cond: bool, fld: str, msg: str) -> None:
@@ -341,7 +345,9 @@ def validate_config(config: ScenarioConfig) -> None:
     c = config
     for fld in _INT_FIELDS:
         check(0 <= getattr(c, fld) <= 2**63 - 1, fld, "must be in [0, 2**63 - 1]")
+    check(c.popSize >= 1, "popSize", "must be >= 1")
     check(c.initialInfected <= c.popSize, "initialInfected", "must be <= popSize")
+    check(c.timeHorizon >= 1, "timeHorizon", "must be >= 1")
     # days are stored as float32 (see Population)
     check(c.timeHorizon <= 2**24, "timeHorizon", "must be <= 2**24")
     # a JSON config may hold Infinity, so the floats with no upper bound are
@@ -470,7 +476,7 @@ class Population:
     of ``DAY_ROWS``, and the attribute of the same name views that row. A day
     is NaN where it is unset. Days are only compared with day numbers and
     subtracted from them, and float32 holds every whole day below 2**24
-    exactly, so ``validate_config`` holds ``timeHorizon`` to at most 2**24; a
+    exactly, so a ``ScenarioConfig`` holds ``timeHorizon`` to at most 2**24; a
     later day rounds to one that is still beyond every day of a run.
 
     ``params`` holds each agent's episode trajectory, field-major: one row

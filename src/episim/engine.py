@@ -50,7 +50,6 @@ from .core import (
     SimulationError,
     Streams,
     make_rng,
-    validate_config,
 )
 from .interventions import (
     apply_positive_results,
@@ -108,11 +107,8 @@ def initialize(config: ScenarioConfig, streams: Streams) -> RunState:
     """Create the day-0 population of a run with the random ``streams``
     (:func:`~episim.core.make_rng`): seeds exposed, initial vaccinations set.
     The initially vaccinated count is taken as a share of the uninfected.
-
-    Raises :class:`ConfigError`, before any draw, for any config that
-    :func:`~episim.core.validate_config` rejects; no later stage checks it.
+    ``config`` was checked when it was built, so nothing here checks it.
     """
-    validate_config(config)
     n = config.popSize
     population = Population(n)
     rng = streams.init
@@ -171,7 +167,7 @@ def step(state: RunState, day: int) -> np.void:
     # stage 2: status updates
     delivered = deliver_results(state.pending, day)
     false_isolations = len(apply_positive_results(population, delivered, day, config))
-    isolation_exit_step(population, day, config)
+    isolation_exit_step(population, day)
     _advance_infections(population, day, config.infectiousViralLoadCut)
     recovered_to_susceptible_step(population, day, config)
 
@@ -211,9 +207,8 @@ def step(state: RunState, day: int) -> np.void:
 
 
 def cost_per_person_day(cost: float | np.ndarray, config: ScenarioConfig) -> float | np.ndarray:
-    """Testing cost per person per simulated day; 0 without person-days."""
-    person_days = config.timeHorizon * config.popSize
-    return cost / person_days if person_days > 0 else 0.0
+    """Testing cost per person per simulated day."""
+    return cost / (config.timeHorizon * config.popSize)
 
 
 def run(config: ScenarioConfig, run_index: int = 0) -> tuple[RunSummary, np.ndarray]:

@@ -64,7 +64,7 @@ def self_isolation_step(population: Population, day: int, config: ScenarioConfig
     return moved
 
 
-def isolation_exit_step(population: Population, day: int, config: ScenarioConfig) -> np.ndarray:
+def isolation_exit_step(population: Population, day: int) -> np.ndarray:
     """Release the agents whose release day is today; returns their ids.
 
     Sick isolation exits to recovered, on the recovery day it set; healthy

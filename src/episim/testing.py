@@ -31,7 +31,7 @@ def pool_positive_prob(
     """
     if config.poolingType == "average":
         return single_positive_prob(np.add.reduceat(loads, starts) / sizes, config)
-    # exponential, the one other type validate_config admits
+    # exponential, the one other type a ScenarioConfig admits
     k = np.add.reduceat(loads > config.detectionCut, starts, dtype=np.int64)
     return np.where(k == 0, config.fprSingle, 1.0 - config.fnrSingle ** k)
 

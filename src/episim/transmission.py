@@ -5,7 +5,7 @@ External exposure has the daily probability gamma
 (``externalExposureProbDaily``), internal propagation the mass-action term
 beta*I/P, where I counts the infectious and P the agents outside isolation.
 A vaccinated susceptible is exposed with alpha (``vaccineInfectionProb``)
-times that probability. Either is clamped into [0, 1]. Who is exposed is
+times that probability. Either is capped at 1. Who is exposed is
 drawn from the run's ``exposure`` stream, and each new episode is taken from
 its ``episodes`` stream (:class:`~episim.core.Streams`).
 """
@@ -112,7 +112,7 @@ def _bernoulli_expose(
     # with no candidates or a zero probability draws nothing.
     exposed = []
     for comp, prob in ((S_U, p), (S_V, p * config.vaccineInfectionProb)):
-        prob = min(max(prob, 0.0), 1.0)
+        prob = min(prob, 1.0)
         candidates = (population.comp == comp).nonzero()[0]
         if candidates.size and prob > 0.0:
             exposed.append(candidates[rng.random(candidates.size) < prob])

@@ -264,7 +264,7 @@ def test_sweep_rejects_empty_cells_before_writing(tmp_path, capsys, field):
     status = cli.main(["sweep", "--spec", spec, "--out", str(out), "--jobs", "1"])
     err = capsys.readouterr().err
     assert status == 2
-    assert "requires timeHorizon > 0 and popSize > 0" in err
+    assert f"{field}: must be >= 1" in err
     assert not out.exists()
 
 
@@ -357,9 +357,10 @@ def edit_csv(edit):
     ("run_000.csv", edit_csv(lambda head, first, *rest: [head, first[:first.rindex(",")], *rest])),
     ("run_000.csv", edit_csv(lambda head, first, *rest: [head, first + ",1", *rest])),
     ("run_000.csv", lambda path: path.write_bytes(b"\xff\xfe" + path.read_bytes())),
+    ("run_000.csv", edit_csv(lambda head, *rows: [head, *rows[:3]])),
 ], ids=["cell-not-json", "cell-without-label", "config-not-json", "csv-non-numeric",
         "csv-wrong-header", "csv-header-only", "csv-missing-field", "csv-extra-field",
-        "csv-not-utf8"])
+        "csv-not-utf8", "csv-truncated"])
 def test_report_on_a_damaged_sweep_names_the_file(tmp_path, capsys, name, damage):
     out = tmp_path / "out"
     assert small_sweep(tmp_path, out) == 0
@@ -469,6 +470,11 @@ def clipped(mean, std, low, high):
     return {"type": "normal_clipped", "mean": mean, "std": std, "low": low, "high": high}
 
 
+def set_pooling_type(cell_dir):
+    path = cell_dir / "config.json"
+    path.write_text(json.dumps(dict(json.loads(path.read_text()), poolingType="bogus")))
+
+
 def remove_run_csvs(cell_dir):
     for path in cell_dir.glob("run_*.csv"):
         path.unlink()
@@ -489,6 +495,7 @@ def make_empty_dir(tmp_path):
     (run_with(t0=clipped(3, -1, 2, 4)), "t0: requires std >= 0"),
     (run_with(t0=clipped(3, 1, 4, 2)), "t0: requires low <= high"),
     (run_with(t0=[3]), "t0: expected a number or an object, got [3]"),
+    (run_with(popSize=0, initialInfected=0), "popSize: must be >= 1"),
     (lambda tmp_path: ["sweep", "--spec", str(tmp_path / "absent.json")],
      "sweep spec not found: "),
     (sweep_of([]), "sweep spec must be an object"),
@@ -501,15 +508,20 @@ def make_empty_dir(tmp_path):
     (make_empty_dir, "no sweep cells found under "),
     (report_of(lambda cell_dir: (cell_dir / "config.json").write_text('{"popSize": -1}')),
      "cell_000/config.json: "),
+    (report_of(set_pooling_type), "cell_000/config.json: invalid config:\npoolingType: "),
     (report_of(remove_run_csvs), "cell_000: no run CSVs"),
     (lambda tmp_path: ["calibrate", "--config", config_file(
         tmp_path, dict(SMALL_BASE, t0=0, tP=0, tS=0, tF=0))],
      "expected infectious duration is not positive"),
+    (lambda tmp_path: ["calibrate", "--config", config_file(
+        tmp_path, dict(SMALL_BASE, timeHorizon=0))],
+     "timeHorizon: must be >= 1"),
 ], ids=["run-config-missing", "run-config-list", "run-gamma-scale-0", "run-clipped-std",
-        "run-clipped-bounds", "run-dist-list", "sweep-spec-missing", "sweep-spec-list",
-        "sweep-spec-unknown", "sweep-spec-base", "sweep-spec-axis", "sweep-duplicate-labels",
-        "report-file", "report-empty-dir", "report-bad-config", "report-no-run-csvs",
-        "calibrate-zero-tau"])
+        "run-clipped-bounds", "run-dist-list", "run-no-agents", "sweep-spec-missing",
+        "sweep-spec-list", "sweep-spec-unknown", "sweep-spec-base", "sweep-spec-axis",
+        "sweep-duplicate-labels", "report-file", "report-empty-dir", "report-bad-config",
+        "report-bogus-pooling-type", "report-no-run-csvs", "calibrate-zero-tau",
+        "calibrate-no-days"])
 def test_a_rejected_input_exits_2_with_its_message(tmp_path, capsys, make_args, message):
     args = make_args(tmp_path)
     capsys.readouterr()

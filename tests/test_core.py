@@ -19,15 +19,14 @@ from episim.core import (
     config_from_dict,
     dist_from_dict,
     make_rng,
-    validate_config,
 )
 
 
-def violations(config):
-    """The ``field: message`` lines of validate_config's error, one per
-    violation, in order; [] when the config is valid."""
+def violations(**fields):
+    """The ``field: message`` lines of the error that building a config of
+    ``fields`` raises, one per violation, in order; [] when it is valid."""
     try:
-        validate_config(config)
+        ScenarioConfig(**fields)
     except ConfigError as exc:
         header, *lines = str(exc).split("\n")
         assert header == "invalid config:"
@@ -35,25 +34,24 @@ def violations(config):
     return []
 
 
-def violated_fields(config):
-    return [line.split(":", 1)[0] for line in violations(config)]
+def violated_fields(**fields):
+    return [line.split(":", 1)[0] for line in violations(**fields)]
 
 
 def test_the_default_scenario_is_valid():
-    assert violated_fields(ScenarioConfig()) == []
+    assert violated_fields() == []
 
 
 def test_validate_flags_fpr_out_of_range():
-    assert "fprSingle" in violated_fields(ScenarioConfig(fprSingle=1.5))
+    assert "fprSingle" in violated_fields(fprSingle=1.5)
 
 
 def test_validate_flags_zero_pool_size():
-    assert "poolSize" in violated_fields(ScenarioConfig(poolSize=0))
+    assert "poolSize" in violated_fields(poolSize=0)
 
 
 def test_validate_flags_seed_overflow_and_bad_distribution():
-    cfg = ScenarioConfig(initialInfected=20_000, t0=Uniform(5.0, 1.0))
-    fields = violated_fields(cfg)
+    fields = violated_fields(initialInfected=20_000, t0=Uniform(5.0, 1.0))
     assert "initialInfected" in fields
     assert "t0" in fields
 
@@ -68,17 +66,40 @@ def test_validate_flags_seed_overflow_and_bad_distribution():
 ])
 def test_validate_flags_distributions_outside_their_domain(field, dist):
     # loads are interpolated in log10 and must be > 0; times must be >= 0
-    assert violated_fields(ScenarioConfig(**{field: dist})) == [field]
+    assert violated_fields(**{field: dist}) == [field]
 
 
 def test_validate_accepts_zero_times():
-    cfg = ScenarioConfig(t0=Constant(0.0), tP=Constant(0.0), tS=Constant(0.0),
-                         tF=Uniform(0.0, 1.0))
-    assert violated_fields(cfg) == []
+    assert violated_fields(t0=Constant(0.0), tP=Constant(0.0), tS=Constant(0.0),
+                           tF=Uniform(0.0, 1.0)) == []
 
 
 def test_validate_flags_bad_pooling_type():
-    assert "poolingType" in violated_fields(ScenarioConfig(poolingType="median"))
+    assert "poolingType" in violated_fields(poolingType="median")
+
+
+def test_every_violation_is_listed_in_one_error():
+    assert violations(popSize=0, timeHorizon=0, fprSingle=2.0) == [
+        "popSize: must be >= 1",
+        "initialInfected: must be <= popSize",
+        "timeHorizon: must be >= 1",
+        "fprSingle: not in [0, 1]",
+    ]
+
+
+def test_a_config_is_checked_however_it_is_built():
+    doc = dict(ScenarioConfig().to_dict(), poolingType="bogus")
+    with pytest.raises(ConfigError, match="poolingType: must be"):
+        config_from_dict(doc)
+    with pytest.raises(ConfigError, match="fprSingle: not in"):
+        dataclasses.replace(ScenarioConfig(), fprSingle=7.0)
+
+
+def test_a_config_is_frozen():
+    cfg = ScenarioConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.popSize = 0
+    assert cfg == ScenarioConfig()
 
 
 def test_constant_sampling_is_degenerate():
@@ -110,8 +131,8 @@ def test_normal_clipped_stays_in_bounds():
 
 
 def test_invalid_distribution_parameters_raise():
-    assert violated_fields(ScenarioConfig(t0=Uniform(3.0, 1.0))) == ["t0"]
-    assert violated_fields(ScenarioConfig(tP=GammaShifted(-1.0, 1.0))) == ["tP"]
+    assert violated_fields(t0=Uniform(3.0, 1.0)) == ["t0"]
+    assert violated_fields(tP=GammaShifted(-1.0, 1.0)) == ["tP"]
 
 
 def test_config_round_trips_through_json():
@@ -181,9 +202,8 @@ def test_dist_from_dict_errors(doc, message):
 
 def test_validate_flags_non_finite_distribution_parameters():
     nan, inf = float("nan"), float("inf")
-    cfg = ScenarioConfig(t0=Constant(nan), tS=Uniform(0.0, inf),
-                         tP=GammaShifted(1.0, 1.0, -inf), VP=NormalClipped(1e5, inf, 1.0, 1e7))
-    assert violations(cfg) == [
+    assert violations(t0=Constant(nan), tS=Uniform(0.0, inf),
+                      tP=GammaShifted(1.0, 1.0, -inf), VP=NormalClipped(1e5, inf, 1.0, 1e7)) == [
         f"{field}: parameters must be finite" for field in ("t0", "tP", "VP", "tS")
     ]
 
@@ -193,14 +213,14 @@ def test_validate_flags_non_finite_distribution_parameters():
 ])
 def test_validate_flags_integers_beyond_int64(field):
     bound = f"{field}: must be in [0, 2**63 - 1]"
-    assert bound in violations(ScenarioConfig(**{field: 2**63}))
-    assert bound not in violations(ScenarioConfig(**{field: 2**63 - 1}))
+    assert bound in violations(**{field: 2**63})
+    assert bound not in violations(**{field: 2**63 - 1})
 
 
 def test_validate_holds_time_horizon_to_whole_days_float32_holds_exactly():
     # every per-agent day is stored as float32
-    assert violations(ScenarioConfig(timeHorizon=2**24 + 1)) == ["timeHorizon: must be <= 2**24"]
-    assert violations(ScenarioConfig(timeHorizon=2**24)) == []
+    assert violations(timeHorizon=2**24 + 1) == ["timeHorizon: must be <= 2**24"]
+    assert violations(timeHorizon=2**24) == []
 
 
 def test_rng_streams_are_deterministic():

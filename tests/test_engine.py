@@ -12,7 +12,6 @@ from episim import engine
 from episim.cli import write_replicates
 from episim.core import (
     START_DAYS,
-    STREAMS,
     Compartment,
     ConfigError,
     Constant,
@@ -108,18 +107,10 @@ NO_EXPOSURE = {"initialInfected": 0, "externalExposureProbDaily": 0.0}
 ], ids=["fpr", "beta", "t0-unseeded", "cost", "pool-size", "pooling-type", "t0-seeded",
         "too-many-seeds"])
 def test_initialize_rejects_an_invalid_config_before_any_draw(field, overrides):
-    # every run starts in initialize, so no invalid config reaches a stage
-    cfg = ScenarioConfig(**{"popSize": 50, "timeHorizon": 4, "initialInfected": 3, **overrides})
-    streams = make_rng(cfg.baseSeed, 0)
+    # an invalid config cannot be built, so none reaches initialize or a stage
     with pytest.raises(ConfigError) as exc:
-        initialize(cfg, streams)
+        ScenarioConfig(**{"popSize": 50, "timeHorizon": 4, "initialInfected": 3, **overrides})
     assert field in str(exc.value)
-    fresh = make_rng(cfg.baseSeed, 0)
-    for name in STREAMS:
-        before = getattr(fresh, name).bit_generator.state
-        assert getattr(streams, name).bit_generator.state == before, name
-    with pytest.raises(ConfigError, match=field):
-        run(cfg, 0)
 
 
 def test_seeds_take_the_first_episodes_across_two_blocks():
@@ -373,11 +364,10 @@ def test_different_run_indices_differ():
 
 
 def test_zero_horizon_runs():
-    cfg = ScenarioConfig(popSize=100, initialInfected=5, timeHorizon=0)
-    summary, records = run(cfg, 0)
-    assert len(records) == 0
-    assert summary.total_infections == 5
-    assert summary.cost_per_person_per_day == 0.0
+    # a run has at least one day and one agent, so no cost divides by zero
+    for field in ("timeHorizon", "popSize"):
+        with pytest.raises(ConfigError, match=f"{field}: must be >= 1"):
+            ScenarioConfig(**{field: 0, "initialInfected": 0})
 
 
 def test_summary_splits_seeded_and_acquired():

@@ -79,7 +79,7 @@ def test_an_episode_isolated_before_its_first_load_day_keeps_its_release():
     apply_positive_results(pop, [0], 1, cfg)
     assert pop.recovery_day[0] == pop.release_day[0] == 2
     _advance_infections(pop, 1, 1e3)
-    isolation_exit_step(pop, 2, cfg)
+    isolation_exit_step(pop, 2)
     _advance_infections(pop, 3, 1e3)
     assert np.isfinite(pop.recovery_day[1])
     assert pop.comp[0] == Compartment.RECOVERED and pop.recovery_day[0] == 2
@@ -147,7 +147,7 @@ def test_self_isolation_happens_once_per_episode():
     cfg = ScenarioConfig(isolationLength=1)
     infect(pop, 0, day=0, will_isolate=True)
     assert self_isolation_step(pop, 7, cfg).tolist() == [0]
-    isolation_exit_step(pop, 8, cfg)  # back out, still in symptom window
+    isolation_exit_step(pop, 8)  # back out, still in symptom window
     assert pop.comp[0] == Compartment.RECOVERED
     assert self_isolation_step(pop, 9, cfg).tolist() == []
 
@@ -161,8 +161,8 @@ def test_isolation_exit_timing_and_destinations():
     pop.comp[1] = Compartment.SUSCEPTIBLE_VACCINATED
     apply_positive_results(pop, [1], 5, cfg)
 
-    assert isolation_exit_step(pop, 14, cfg).tolist() == []
-    released = isolation_exit_step(pop, 15, cfg)
+    assert isolation_exit_step(pop, 14).tolist() == []
+    released = isolation_exit_step(pop, 15)
     assert released.tolist() == [0, 1]
     assert pop.comp[0] == Compartment.RECOVERED
     assert pop.comp[1] == Compartment.SUSCEPTIBLE_VACCINATED
@@ -171,7 +171,7 @@ def test_isolation_exit_timing_and_destinations():
     assert pop.recovery_day[0] == 15
     assert np.isnan(pop.recovery_day[1])
     assert pop.release_day[[0, 1]].tolist() == [15, 15]
-    assert isolation_exit_step(pop, 16, cfg).tolist() == []
+    assert isolation_exit_step(pop, 16).tolist() == []
 
 
 def test_zero_length_isolation_exits_the_next_day():
@@ -179,8 +179,8 @@ def test_zero_length_isolation_exits_the_next_day():
     cfg = ScenarioConfig(isolationLength=0)
     infect(pop, 0)
     apply_positive_results(pop, [0], 5, cfg)
-    assert isolation_exit_step(pop, 5, cfg).tolist() == []
-    assert isolation_exit_step(pop, 6, cfg).tolist() == [0]
+    assert isolation_exit_step(pop, 5).tolist() == []
+    assert isolation_exit_step(pop, 6).tolist() == [0]
     assert pop.comp[0] == Compartment.RECOVERED
 
 
@@ -222,7 +222,7 @@ def test_return_to_susceptible_keeps_the_isolation_days():
     cfg = ScenarioConfig()  # isolationLength 10, daysTilSusceptible 30
     infect(pop, 0)
     apply_positive_results(pop, [0], 5, cfg)
-    isolation_exit_step(pop, 15, cfg)
+    isolation_exit_step(pop, 15)
     assert recovered_to_susceptible_step(pop, 45, cfg).tolist() == [0]
     assert np.isnan(pop.days[EPISODE_DAYS, 0]).all()
     assert pop.release_day[0] == 15
@@ -237,7 +237,7 @@ def step_stages(pop, cfg, days, isolate=None):
     isolate = isolate or {}
     comps = []
     for day in days:
-        isolation_exit_step(pop, day, cfg)
+        isolation_exit_step(pop, day)
         _advance_infections(pop, day, cfg.infectiousViralLoadCut)
         recovered_to_susceptible_step(pop, day, cfg)
         self_isolation_step(pop, day, cfg)
@@ -381,7 +381,7 @@ def quiet_population():
 QUIET_STAGES = {
     "apply_positive_results": lambda pop, cfg, rng: apply_positive_results(
         pop, np.empty(0, dtype=np.int64), QUIET_DAY, cfg),
-    "isolation_exit_step": lambda pop, cfg, rng: isolation_exit_step(pop, QUIET_DAY, cfg),
+    "isolation_exit_step": lambda pop, cfg, rng: isolation_exit_step(pop, QUIET_DAY),
     "advance_infections": lambda pop, cfg, rng: _advance_infections(
         pop, QUIET_DAY, cfg.infectiousViralLoadCut),
     "recovered_to_susceptible_step": lambda pop, cfg, rng: recovered_to_susceptible_step(

@@ -26,7 +26,6 @@ from episim.core import (
     ScenarioConfig,
     Uniform,
     make_rng,
-    validate_config,
 )
 from episim.engine import RECORD_DTYPE, initialize, run, run_replicates, step
 from episim.viral_load import start_days, transition_days
@@ -46,9 +45,9 @@ def unit():
 def configs(draw):
     pop_size = draw(st.integers(1, 300))
     testing = draw(st.booleans())
-    config = ScenarioConfig(
+    return ScenarioConfig(
         popSize=pop_size,
-        timeHorizon=draw(st.integers(0, 40)),
+        timeHorizon=draw(st.integers(1, 40)),
         initialInfected=draw(st.integers(0, pop_size)),
         initProportionVaccinated=draw(unit()),
         baseSeed=draw(st.integers(0, 2**16)),
@@ -75,8 +74,6 @@ def configs(draw):
         vaccinesAvailablePerDay=draw(st.integers(0, 20)),
         vaccineInfectionProb=draw(unit()),
     )
-    validate_config(config)
-    return config
 
 
 def check_population(pop, day, config):
