@@ -1,12 +1,7 @@
 """Agent-based epidemic simulator with single/pooled testing, isolation, and
 vaccination interventions, plus a scenario-comparison CLI."""
 
-from .calibration import (
-    ReproductionSeries,
-    effective_r_series,
-    estimate_beta,
-    expected_infectious_duration,
-)
+from .calibration import estimate_beta, final_size_r0, infectious_days
 from .core import (
     Compartment,
     ConfigError,
@@ -40,16 +35,15 @@ __all__ = [
     "NormalClipped",
     "Population",
     "RECORD_DTYPE",
-    "ReproductionSeries",
     "RunSummary",
     "ScenarioConfig",
     "SimulationError",
     "Streams",
     "Uniform",
     "config_from_dict",
-    "effective_r_series",
     "estimate_beta",
-    "expected_infectious_duration",
+    "final_size_r0",
+    "infectious_days",
     "initialize",
     "make_rng",
     "run",

@@ -1,84 +1,71 @@
-"""Transmission-rate calibration: expected infectious duration, the effective
-reproduction number estimated from run records, and the daily contact rate
-needed to hit a target basic reproduction number."""
+"""Transmission-rate calibration, and its check from a run's final size.
+
+R0 here is the disease's own basic reproduction number: the agents one
+infectious agent exposes in a wholly susceptible population with no testing,
+isolation or vaccination. Internal propagation exposes with the daily
+probability beta*I/P, so R0 = beta * tau, where tau is the mean number of
+end-of-day counts an episode adds to I (:func:`infectious_days`).
+:func:`final_size_r0` estimates R0 back from a run without using tau.
+"""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, ScenarioConfig
+from .core import N_COMPARTMENTS, ConfigError, Population, ScenarioConfig, make_rng
+from .transmission import EpisodeSource, expose
+from .viral_load import transition_days
 
-# The window where the reproduction-number estimate is trusted:
-# the unvaccinated-susceptible share must still be near 1 and the infectious
-# count large enough to keep the ratio estimator stable.
-EARLY_WINDOW_SU_FRACTION = 0.9
-EARLY_WINDOW_MIN_INFECTIOUS = 20
-
-
-def expected_infectious_duration(config: ScenarioConfig) -> float:
-    """Mean days an infection stays infectious, from the trajectory means.
-
-    Sum of the mean onset delay, rise time and decline time, plus the
-    symptomatic fraction's share of the symptom delay. Requires parameter
-    distributions with closed-form means.
-    """
-    try:
-        tau = (
-            config.t0.mean()
-            + config.tP.mean()
-            + config.tF.mean()
-            + config.fractionSymptomatic * config.tS.mean()
-        )
-    except ConfigError as exc:
-        raise ConfigError(f"viral-load parameter distribution unsupported: {exc}") from exc
-    return tau
+# Episodes sampled for tau; at the defaults its standard error is 0.09%.
+EPISODES = 2**16
 
 
-def estimate_beta(target_r0: float, config: ScenarioConfig) -> float:
-    """Daily contact rate that yields ``target_r0`` in a fully susceptible
-    population: beta = R0 / expected infectious duration."""
+def infectious_days(config: ScenarioConfig) -> float:
+    """tau: the mean number of end-of-day counts an episode of ``config`` adds
+    to I, on the engine's own episodes. The first ``EPISODES`` episodes of the
+    ``episodes`` stream of run 0 of ``baseSeed`` start as internal exposures on
+    day 0 (first status update on day 1) and are scheduled as the status update
+    schedules them; tau is the mean of recovery day minus infectious day, 0 for
+    an episode that is never infectious."""
+    population = Population(EPISODES)
+    expose(population, np.arange(EPISODES), 0, 1,
+           EpisodeSource(config, make_rng(config.baseSeed).episodes))
+    infectious, recovery = transition_days(population.params, population.exposure_day,
+                                           config.infectiousViralLoadCut, 1)
+    return float(np.nansum(recovery - infectious)) / EPISODES
+
+
+def estimate_beta(target_r0: float, tau: float) -> float:
+    """Daily contact rate that yields ``target_r0`` for an infectious time of
+    ``tau`` days (:func:`infectious_days`): beta = R0 / tau."""
     if not (math.isfinite(target_r0) and target_r0 > 0):
         raise ConfigError(f"target R0 must be a positive finite number, got {target_r0!r}")
-    tau = expected_infectious_duration(config)
-    if tau <= 0:
-        raise ConfigError("expected infectious duration is not positive")
-    return target_r0 / tau
+    if tau == 0:
+        raise ConfigError("no episode of this config is ever infectious")
+    beta = target_r0 / tau
+    if not math.isfinite(beta):
+        raise ConfigError(f"target R0 {target_r0:g} over {tau:g} infectious days "
+                          "gives a beta that is not finite")
+    return beta
 
 
-@dataclass
-class ReproductionSeries:
-    """Per-day effective reproduction number estimated from one run.
-
-    values[t] is NaN where undefined (day 0, or no infectious agents the day
-    before). early_window flags days where the estimate approximates R0.
+def final_size_r0(records: np.ndarray) -> float:
+    """R0 from the first and last of a run's ``records`` (an array of
+    :data:`~episim.engine.RECORD_DTYPE`), without tau: mass action gives
+    ln(S0/S_end) = R0 * (1 - S_end/N) for any infectious-period distribution
+    (Ma & Earn, Bull Math Biol 68:679, 2006), where N counts the agents, S0
+    the susceptible before day 0 (all but the seeds) and S_end the susceptible
+    at the end. It holds once the outbreak is over, in a run with no
+    importation, loss of immunity, vaccination or isolation; while agents are
+    still in E or I it reads low. NaN where undefined: with no susceptible at
+    the start or at the end, or no seed.
     """
-
-    values: np.ndarray
-    early_window: np.ndarray
-
-    def early_mean(self) -> float:
-        if not self.early_window.any():
-            return float("nan")
-        return float(np.nanmean(self.values[self.early_window]))
-
-
-def effective_r_series(records: np.ndarray, tau_i: float) -> ReproductionSeries:
-    """Estimate R_t = (new internal exposures / previous-day infectious) * tau_i
-    from a run's records (an array of :data:`~episim.engine.RECORD_DTYPE`)."""
-    n = len(records)
-    values = np.full(n, np.nan)
-    window = np.zeros(n, dtype=bool)
-    prev = records[:-1]
-    infectious = prev["i_s"] + prev["i_a"]
-    in_population = prev["s_u"] + prev["s_v"] + prev["e"] + infectious + prev["r"]
-    # R_t is defined on the day after each day with infectious agents
-    before = np.flatnonzero(infectious > 0)
-    values[before + 1] = records["new_int"][before + 1] / infectious[before] * tau_i
-    window[before + 1] = (
-        (prev["s_u"][before] / in_population[before] > EARLY_WINDOW_SU_FRACTION)
-        & (infectious[before] >= EARLY_WINDOW_MIN_INFECTIOUS)
-    )
-    return ReproductionSeries(values=values, early_window=window)
+    first, last = records[0], records[-1]
+    n = sum(last.tolist()[1:1 + N_COMPARTMENTS])  # the counts s_u ... iso_sick
+    s0 = n - int(first["cum_infections"] - first["new_ext"] - first["new_int"])
+    s_end = int(last["s_u"] + last["s_v"])
+    if not 0 < s_end < n:
+        return math.nan
+    return math.log(s0 / s_end) / (1 - s_end / n)

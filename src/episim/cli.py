@@ -17,11 +17,7 @@ from typing import Any, Optional, TextIO
 
 import numpy as np
 
-from .calibration import (
-    effective_r_series,
-    estimate_beta,
-    expected_infectious_duration,
-)
+from .calibration import estimate_beta, final_size_r0, infectious_days
 from .core import (
     ConfigError,
     ScenarioConfig,
@@ -331,53 +327,37 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    tau = expected_infectious_duration(config)
-    beta = estimate_beta(args.target_r0, config)
+    tau = infectious_days(config)
+    beta = estimate_beta(args.target_r0, tau)
     out_dir = Path(args.out) if args.out else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
-    print(f"expected infectious duration: {tau:.6g} days")
-    print(f"estimated beta for R0={args.target_r0:g}: {beta:.6g}")
-    payload: dict[str, Any] = {
-        "target_r0": args.target_r0,
-        "expected_infectious_duration": tau,
-        "beta": beta,
-    }
-    series = None
+    print(f"infectious days per episode: {tau:.6g}")
+    print(f"estimated beta for R0={args.target_r0:g} (the disease's own, with no testing, "
+          f"isolation or vaccination): {beta:.6g}")
+    payload: dict[str, Any] = {"target_r0": args.target_r0, "infectious_days": tau, "beta": beta}
     if args.validate:
+        # the disease alone: no importation, loss of immunity or intervention
         baseline = dataclasses.replace(
-            config,
-            betaDaily=beta,
-            daysBetweenTesting=0,
-            vaccinesAvailablePerDay=0,
-            initProportionVaccinated=0.0,
-        )
+            config, betaDaily=beta, daysBetweenTesting=0, vaccinesAvailablePerDay=0,
+            initProportionVaccinated=0.0, selfIsolationOnSymptomsProb=0.0,
+            externalExposureProbDaily=0.0, daysTilSusceptible=config.timeHorizon)
         [runs] = run_replicates([baseline], args.runs, jobs=args.jobs)
-        series = [effective_r_series(records, tau) for _, records in runs]
-        means = np.array([rs.early_mean() for rs in series])
-        # null, not NaN, when no run has an early window: JSON has no NaN
-        early_mean = None if np.isnan(means).all() else float(np.nanmean(means))
-        payload["validation"] = {
-            "runs": args.runs,
-            "early_window_mean_r": early_mean,
-        }
-        shown = ("undefined (no run has an early window)" if early_mean is None
-                 else f"{early_mean:.4g}")
-        print(f"validation over {args.runs} baseline run(s): early-window mean R_t = {shown}")
+        r0 = float(np.mean([final_size_r0(records) for _, records in runs]))
+        not_over = sum(int(records[-1]["e"] + records[-1]["i_s"] + records[-1]["i_a"] > 0)
+                       for _, records in runs)
+        # null, not NaN, when undefined: JSON has no NaN
+        payload["validation"] = {"runs": args.runs,
+                                 "final_size_r0": None if math.isnan(r0) else r0}
+        shown = ("undefined (no susceptible at the start or the end, or no seed)"
+                 if math.isnan(r0) else f"{r0:.4g}")
+        line = f"validation over {args.runs} baseline run(s): R0 from the final size = {shown}"
+        if not_over:
+            line += (f"; {not_over} run(s) end with agents in E or I, so it reads low: "
+                     "a longer timeHorizon lets the outbreak end")
+        print(line)
     if out_dir:
         write_json(out_dir / "calibration.json", payload)
-        if series is not None:
-            with (out_dir / "rt_series.csv").open("w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["run", "day", "r_t", "early_window"])
-                for run_idx, rs in enumerate(series):
-                    for day, value in enumerate(rs.values):
-                        writer.writerow([
-                            run_idx,
-                            day,
-                            "" if math.isnan(value) else float(value),
-                            int(bool(rs.early_window[day])),
-                        ])
     return 0
 
 
@@ -449,11 +429,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal.add_argument("--config", help="scenario config JSON")
     p_cal.add_argument("--target-r0", type=float, default=5.0, dest="target_r0")
     p_cal.add_argument("--validate", action="store_true",
-                       help="run baseline replicates and report early R_t")
+                       help="run baseline replicates and report R0 from their final size")
     p_cal.add_argument("--runs", type=int, default=20,
                        help="validation replicates (with --validate)")
     p_cal.add_argument("--jobs", type=int, default=default_jobs())
-    p_cal.add_argument("--out", help="directory for calibration.json / rt_series.csv")
+    p_cal.add_argument("--out", help="directory for calibration.json")
     p_cal.set_defaults(func=cmd_calibrate)
 
     p_rep = sub.add_parser("report", help="rebuild a comparison report from run CSVs")

@@ -11,8 +11,8 @@ helper checks one again.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
+import numbers
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Any, ClassVar, Union, get_args
@@ -58,18 +58,12 @@ S_U, S_V, E, I_S, I_A, R, ISO_HEALTHY, ISO_SICK = map(int, Compartment)
 
 class _JsonSpec:
     """A distribution spec's JSON form: ``type`` is the class's ``kind``, and
-    each dataclass field is one key, its name without a trailing underscore
-    (``NormalClipped.mean_`` is ``"mean"``, because ``mean()`` is a method)."""
+    each dataclass field is one key of the same name."""
 
     kind: ClassVar[str]
 
-    @classmethod
-    @functools.cache
-    def _json_fields(cls) -> tuple[tuple[str, dataclasses.Field], ...]:
-        return tuple((f.name.rstrip("_"), f) for f in dataclasses.fields(cls))
-
     def to_dict(self) -> dict:
-        return {"type": self.kind, **{key: getattr(self, f.name) for key, f in self._json_fields()}}
+        return {"type": self.kind, **dataclasses.asdict(self)}
 
 
 @dataclass(frozen=True)
@@ -81,9 +75,6 @@ class Constant(_JsonSpec):
 
     def sample_array(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return np.full(n, float(self.value))
-
-    def mean(self) -> float:
-        return float(self.value)
 
     def lower_bound(self) -> float:
         return self.value
@@ -100,9 +91,6 @@ class Uniform(_JsonSpec):
 
     def sample_array(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.uniform(self.low, self.high, n)
-
-    def mean(self) -> float:
-        return 0.5 * (self.low + self.high)
 
     def lower_bound(self) -> float:
         return self.low
@@ -125,9 +113,6 @@ class GammaShifted(_JsonSpec):
     def sample_array(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.gamma(self.shape, self.scale, n) + self.shift
 
-    def mean(self) -> float:
-        return self.shape * self.scale + self.shift
-
     def lower_bound(self) -> float:
         # a gamma draw can underflow to 0, so the shift itself is attainable
         return self.shift
@@ -143,23 +128,16 @@ class GammaShifted(_JsonSpec):
 
 @dataclass(frozen=True)
 class NormalClipped(_JsonSpec):
-    """Normal(mean, std) with samples clipped into [low, high].
-
-    Clipping has no closed-form mean, so this spec is not usable where an
-    analytic mean is required (see :mod:`episim.calibration`).
-    """
+    """Normal(mean, std) with samples clipped into [low, high]."""
 
     kind = "normal_clipped"
-    mean_: float
+    mean: float
     std: float
     low: float
     high: float
 
     def sample_array(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return np.clip(rng.normal(self.mean_, self.std, n), self.low, self.high)
-
-    def mean(self) -> float:
-        raise ConfigError("normal_clipped has no closed-form mean")
+        return np.clip(rng.normal(self.mean, self.std, n), self.low, self.high)
 
     def lower_bound(self) -> float:
         return self.low
@@ -179,10 +157,9 @@ _DIST_TYPES = {cls.kind: cls for cls in get_args(DistributionSpec)}
 
 def dist_from_dict(obj: Any, path: str = "distribution") -> DistributionSpec:
     """Parse a distribution spec from its JSON form: ``type``, then one number
-    per field of the class it names, keyed by the field's name without a
-    trailing underscore (``mean_`` as ``mean``). A field with a default, such
-    as ``GammaShifted.shift``, may be left out; any other key is an error. A
-    bare number is a constant.
+    per field of the class it names, keyed by the field's name. A field with a
+    default, such as ``GammaShifted.shift``, may be left out; any other key is
+    an error. A bare number is a constant.
     """
     if _is_number(obj):
         return Constant(_as_float(obj, path))
@@ -192,15 +169,16 @@ def dist_from_dict(obj: Any, path: str = "distribution") -> DistributionSpec:
     cls = _DIST_TYPES.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ConfigError(f"{path}: unknown distribution type {kind!r}")
-    unknown = sorted(set(obj) - {"type"} - {key for key, _ in cls._json_fields()})
+    fields = dataclasses.fields(cls)
+    unknown = sorted(set(obj) - {"type"} - {f.name for f in fields})
     if unknown:
         raise ConfigError(f"{path}: unknown field(s) for type {kind!r}: {', '.join(unknown)}")
     params = []
-    for key, f in cls._json_fields():
-        value = obj.get(key, f.default)
+    for f in fields:
+        value = obj.get(f.name, f.default)
         if value is dataclasses.MISSING:
-            raise ConfigError(f"{path}: missing field {key!r} for type {kind!r}")
-        params.append(_as_float(value, f"{path}.{key}"))
+            raise ConfigError(f"{path}: missing field {f.name!r} for type {kind!r}")
+        params.append(_as_float(value, f"{path}.{f.name}"))
     return cls(*params)
 
 
@@ -305,15 +283,17 @@ def _as_float(value: Any, name: str) -> float:
         raise ConfigError(f"{name}: number too large for a float") from None
 
 
-# field name -> parser(value, name), chosen by the field's annotation, which
-# is a string under ``from __future__ import annotations``
-_PARSERS = {
-    "int": _as_int,
-    "float": _as_float,
-    "str": lambda value, name: str(value),
-    "DistributionSpec": dist_from_dict,
+# annotation (a string under ``from __future__ import annotations``) -> the
+# parser(value, name) of a document's value, the types a built config's value
+# may have (never a bool) and their name
+_KINDS = {
+    "int": (_as_int, numbers.Integral, "an integer"),
+    "float": (_as_float, numbers.Real, "a number"),
+    "str": (lambda value, name: str(value), str, "a string"),
+    "DistributionSpec": (dist_from_dict, get_args(DistributionSpec), "a distribution"),
 }
-_FIELD_PARSERS = {f.name: _PARSERS[f.type] for f in dataclasses.fields(ScenarioConfig)}
+_FIELD_KINDS = {f.name: _KINDS[f.type] for f in dataclasses.fields(ScenarioConfig)}
+_DEFAULT_TYPES = tuple(type(f.default) for f in dataclasses.fields(ScenarioConfig))
 # every integer field is a count, a day or a seed, and sizes and days reach
 # NumPy as int64, so each is held to [0, 2**63 - 1]
 _INT_FIELDS = tuple(f.name for f in dataclasses.fields(ScenarioConfig) if f.type == "int")
@@ -326,16 +306,26 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
     """
     if not isinstance(doc, dict):
         raise ConfigError(f"config document must be an object, got {type(doc).__name__}")
-    unknown = sorted(set(doc) - _FIELD_PARSERS.keys())
+    unknown = sorted(set(doc) - _FIELD_KINDS.keys())
     if unknown:
         raise ConfigError(f"unknown config field(s): {', '.join(unknown)}")
     return ScenarioConfig(
-        **{name: _FIELD_PARSERS[name](value, name) for name, value in doc.items()}
+        **{name: _FIELD_KINDS[name][0](value, name) for name, value in doc.items()}
     )
 
 
 def _check(config: ScenarioConfig) -> None:
-    """The rules of :class:`ScenarioConfig`, run as it is built."""
+    """The rules of :class:`ScenarioConfig`, run as it is built, once every
+    field holds a value of its type."""
+    values = vars(config).values()  # set by __init__, in declaration order
+    # most configs hold a value of its default's type in every field
+    if tuple(map(type, values)) != _DEFAULT_TYPES:
+        wrong = [f"{fld}: expected {what}, got {value!r}"
+                 for (fld, (_, types, what)), value in zip(_FIELD_KINDS.items(), values)
+                 if type(value) is bool or not isinstance(value, types)]
+        if wrong:
+            raise ConfigError("invalid config:\n" + "\n".join(wrong))
+
     bad: list[str] = []
 
     def check(cond: bool, fld: str, msg: str) -> None:

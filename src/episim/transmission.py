@@ -8,6 +8,13 @@ A vaccinated susceptible is exposed with alpha (``vaccineInfectionProb``)
 times that probability. Either is capped at 1. Who is exposed is
 drawn from the run's ``exposure`` stream, and each new episode is taken from
 its ``episodes`` stream (:class:`~episim.core.Streams`).
+
+The internal probability is beta*I/P itself, not the escape form
+1 - exp(-beta*I/P), so an outbreak with a large beta*I/P spreads faster than
+R0 = beta*tau (:mod:`episim.calibration`) says. On the default config over
+300 days, 6 runs for each of 4 base seeds, beta calibrated to R0 5 gives a
+final-size R0 of 5.58-5.70 (+12% to +14%); the escape form read 4.87-5.08.
+At targets 0.8, 1.2 and 2 it reads within 2%.
 """
 
 from __future__ import annotations

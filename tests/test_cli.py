@@ -303,21 +303,41 @@ def test_sweep_names_the_cell_with_an_unknown_field(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_calibrate_without_early_window_writes_null(tmp_path, capsys):
-    # with 100 agents, 20 infectious leave under 80% of them susceptible
+def test_calibrate_without_a_final_size_r0_writes_null(tmp_path, capsys):
+    # every agent a seed: no susceptible at the start
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"popSize": 100, "timeHorizon": 20, "initialInfected": 5}))
+    config.write_text(json.dumps({"popSize": 100, "timeHorizon": 20, "initialInfected": 100}))
     out = tmp_path / "out"
     status = cli.main(["calibrate", "--config", str(config), "--validate", "--runs", "2",
                        "--jobs", "1", "--out", str(out)])
     assert status == 0
-    assert "no run has an early window" in capsys.readouterr().out
+    assert "R0 from the final size = undefined" in capsys.readouterr().out
 
     def reject(constant):
         raise ValueError(f"not strict JSON: {constant}")
 
     payload = json.loads((out / "calibration.json").read_text(), parse_constant=reject)
-    assert payload["validation"] == {"runs": 2, "early_window_mean_r": None}
+    assert payload["validation"] == {"runs": 2, "final_size_r0": None}
+
+
+def test_calibrate_says_when_the_outbreak_is_not_over(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"popSize": 1000, "timeHorizon": 30, "initialInfected": 20}))
+    out = tmp_path / "out"
+    status = cli.main(["calibrate", "--config", str(config), "--target-r0", "2", "--validate",
+                       "--runs", "2", "--jobs", "1", "--out", str(out)])
+    assert status == 0
+    assert "2 run(s) end with agents in E or I, so it reads low" in capsys.readouterr().out
+    validation = json.loads((out / "calibration.json").read_text())["validation"]
+    assert 0 < validation["final_size_r0"] < 2
+
+
+def test_calibrate_takes_a_clipped_normal_trajectory(tmp_path, capsys):
+    tp = {"type": "normal_clipped", "mean": 2.0, "std": 0.5, "low": 0.0, "high": 5.0}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"tP": tp}))
+    assert cli.main(["calibrate", "--config", str(config)]) == 0
+    assert "infectious days per episode: 9.2" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("target", ["nan", "inf", "-inf", "0", "-1"])
@@ -512,7 +532,12 @@ def make_empty_dir(tmp_path):
     (report_of(remove_run_csvs), "cell_000: no run CSVs"),
     (lambda tmp_path: ["calibrate", "--config", config_file(
         tmp_path, dict(SMALL_BASE, t0=0, tP=0, tS=0, tF=0))],
-     "expected infectious duration is not positive"),
+     "no episode of this config is ever infectious"),
+    # infectious for one day in about half of the episodes: tau is 0.5
+    (lambda tmp_path: ["calibrate", "--target-r0", "1e308", "--validate", "--config", config_file(
+        tmp_path, dict(SMALL_BASE, t0=0, tP=0, tS=0, V0=1e4, VF=1e4,
+                       tF={"type": "uniform", "low": 0.5, "high": 1.5}))],
+     "target R0 1e+308 over 0.500046 infectious days gives a beta that is not finite"),
     (lambda tmp_path: ["calibrate", "--config", config_file(
         tmp_path, dict(SMALL_BASE, timeHorizon=0))],
      "timeHorizon: must be >= 1"),
@@ -521,7 +546,7 @@ def make_empty_dir(tmp_path):
         "sweep-spec-list", "sweep-spec-unknown", "sweep-spec-base", "sweep-spec-axis",
         "sweep-duplicate-labels", "report-file", "report-empty-dir", "report-bad-config",
         "report-bogus-pooling-type", "report-no-run-csvs", "calibrate-zero-tau",
-        "calibrate-no-days"])
+        "calibrate-infinite-beta", "calibrate-no-days"])
 def test_a_rejected_input_exits_2_with_its_message(tmp_path, capsys, make_args, message):
     args = make_args(tmp_path)
     capsys.readouterr()
