@@ -14,8 +14,8 @@ import math
 
 import numpy as np
 
-from .core import N_COMPARTMENTS, ConfigError, Population, ScenarioConfig, make_rng
-from .transmission import EpisodeSource, expose
+from .core import N_COMPARTMENTS, ConfigError, ScenarioConfig, make_rng
+from .transmission import EpisodeSource
 from .viral_load import transition_days
 
 # Episodes sampled for tau; at the defaults its standard error is 0.09%.
@@ -25,15 +25,13 @@ EPISODES = 2**16
 def infectious_days(config: ScenarioConfig) -> float:
     """tau: the mean number of end-of-day counts an episode of ``config`` adds
     to I, on the engine's own episodes. The first ``EPISODES`` episodes of the
-    ``episodes`` stream of run 0 of ``baseSeed`` start as internal exposures on
-    day 0 (first status update on day 1) and are scheduled as the status update
-    schedules them; tau is the mean of recovery day minus infectious day, 0 for
-    an episode that is never infectious."""
-    population = Population(EPISODES)
-    expose(population, np.arange(EPISODES), 0, 1,
-           EpisodeSource(config, make_rng(config.baseSeed).episodes))
-    infectious, recovery = transition_days(population.params, population.exposure_day,
-                                           config.infectiousViralLoadCut, 1)
+    ``episodes`` stream of run 0 of ``baseSeed`` are scheduled by
+    :func:`~episim.viral_load.transition_days` as internal exposures of day 0,
+    first seen by the status update of day 1, with no population; tau is the
+    mean of recovery day minus infectious day, 0 for an episode that is never
+    infectious."""
+    params = EpisodeSource(config, make_rng(config.baseSeed).episodes).take(EPISODES)[0]
+    infectious, recovery = transition_days(params, 0.0, config.infectiousViralLoadCut, 1)
     return float(np.nansum(recovery - infectious)) / EPISODES
 
 

@@ -68,17 +68,16 @@ def read_run_csv(path: Path) -> np.ndarray:
 def write_aggregate_csv(path: Path, records: list[np.ndarray]) -> None:
     """Per-day mean, min and max over the replicates of every record field
     but the day."""
-    runs = np.stack(records)
     columns = RECORD_DTYPE.names[1:]
     header = ["day"] + [f"{band}_{col}" for col in columns for band in ("mean", "min", "max")]
-    bands = np.column_stack([
-        band(runs[col], axis=0) for col in columns for band in (np.mean, np.min, np.max)
-    ])
+    # (runs, fields, days); every count is below 2**53, so exact as a float
+    values = np.array([[run[col] for col in columns] for run in records], dtype=np.float64)
+    bands = np.stack([values.mean(axis=0), values.min(axis=0), values.max(axis=0)], axis=-1)
+    rows = bands.transpose(1, 0, 2).reshape(values.shape[2], -1).tolist()  # in header order
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for day, row in enumerate(bands.tolist()):
-            writer.writerow([day, *row])
+        writer.writerows([day, *row] for day, row in enumerate(rows))
 
 
 def write_json(path: Path, payload: Any) -> None:
@@ -124,14 +123,9 @@ def load_config(path: Optional[str]) -> ScenarioConfig:
 
 @dataclass(frozen=True)
 class SweepCell:
-    index: int
     label: str
     overrides: dict[str, Any]
     config: ScenarioConfig
-
-    @property
-    def dirname(self) -> str:
-        return f"cell_{self.index:03d}"
 
 
 @dataclass
@@ -153,7 +147,7 @@ class SweepSpec:
         if runs > self.max_runs:
             raise ConfigError(f"sweep needs {runs} runs, over the cap of {self.max_runs}")
         out: list[SweepCell] = []
-        for idx, combo in enumerate(itertools.product(*self.axes)):
+        for combo in itertools.product(*self.axes):
             overrides: dict[str, Any] = {}
             for _, value_overrides in combo:
                 overrides.update(value_overrides)
@@ -162,7 +156,7 @@ class SweepSpec:
                 config = config_from_dict({**self.base, **overrides})
             except ConfigError as exc:
                 raise ConfigError(f"sweep cell {label!r}: {exc}") from None
-            out.append(SweepCell(idx, label, overrides, config))
+            out.append(SweepCell(label, overrides, config))
         labels = [c.label for c in out]
         if len(set(labels)) != len(labels):
             raise ConfigError("sweep produces duplicate scenario labels")
@@ -306,8 +300,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # block, on an error too, shuts the pool down
     with contextlib.closing(run_replicates([cell.config for cell in cells], spec.replicates,
                                            jobs=args.jobs)) as results:
-        for cell, runs in zip(cells, results):
-            cell_dir = out_dir / cell.dirname
+        for i, (cell, runs) in enumerate(zip(cells, results)):
+            cell_dir = out_dir / f"cell_{i:03d}"
             write_replicates(cell_dir, cell.config, runs)
             write_json(
                 cell_dir / "cell.json",

@@ -22,12 +22,12 @@ def make_record(day, seeds=0, new_ext=0, new_int=0, s_u=0, e=0, r=0):
     return record
 
 
-def test_expected_duration_on_defaults():
+def test_infectious_days_on_defaults():
     # the closed-form sum E[t0] + E[tP] + E[tF] + f*E[tS] is 12.25 days
     assert infectious_days(ScenarioConfig()) == pytest.approx(9.28, rel=0.01)
 
 
-def test_expected_duration_is_what_the_engine_counts_in_i():
+def test_infectious_days_is_what_the_engine_counts_in_i():
     # every agent a seed, nothing spreads, and every episode ends in the horizon
     config = ScenarioConfig(popSize=2000, initialInfected=2000, timeHorizon=60, betaDaily=0.0,
                             externalExposureProbDaily=0.0, selfIsolationOnSymptomsProb=0.0,
@@ -45,7 +45,7 @@ def test_expected_duration_is_what_the_engine_counts_in_i():
     assert abs(counted / 2000 - infectious_days(config)) < 4 * se
 
 
-def test_expected_duration_without_symptomatics():
+def test_infectious_days_without_symptomatics():
     # tS is drawn for every episode and then zeroed where asymptomatic, so
     # with no symptomatic episode it does not count at all
     no_symptoms = ScenarioConfig(fractionSymptomatic=0.0)
@@ -54,7 +54,7 @@ def test_expected_duration_without_symptomatics():
     assert 0 < tau < infectious_days(ScenarioConfig())
 
 
-def test_expected_duration_all_constants():
+def test_infectious_days_all_constants():
     # the load exceeds the cut of 1e3 on (1, 4): at the whole days 2, 3 and 4
     # after exposure, and V0 = VF = 1e3 is not above it
     cfg = ScenarioConfig(
@@ -64,7 +64,7 @@ def test_expected_duration_all_constants():
     assert infectious_days(cfg) == 3.0
 
 
-def test_expected_duration_of_clipped_normal():
+def test_infectious_days_of_clipped_normal():
     cfg = ScenarioConfig(tP=NormalClipped(2.0, 0.5, 0.0, 5.0))
     assert infectious_days(cfg) == pytest.approx(9.25, rel=0.01)
 

@@ -451,9 +451,14 @@ def test_aggregate_bands_bracket_the_mean(tmp_path):
     cfg = ScenarioConfig(popSize=300, initialInfected=15, timeHorizon=25)
     [result] = run_replicates([cfg], 4)
     columns = aggregate_columns(tmp_path, cfg, result)
+    runs = np.stack([recs for _, recs in result])
     for column in RECORD_DTYPE.names[1:]:
         assert np.all(columns[f"min_{column}"] <= columns[f"mean_{column}"] + 1e-9), column
         assert np.all(columns[f"mean_{column}"] <= columns[f"max_{column}"] + 1e-9), column
+        # exact: a float's CSV text reads back as the same float
+        for band, reduce in (("mean", np.mean), ("min", np.min), ("max", np.max)):
+            expected = reduce(runs[column], axis=0)
+            assert np.array_equal(columns[f"{band}_{column}"], expected), f"{band}_{column}"
 
 
 def test_peak_size_stable_across_base_seeds():

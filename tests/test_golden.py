@@ -13,7 +13,7 @@ delayed results, the post-isolation holdback, zero-length isolation, fast
 loss of immunity, vaccination, a run without testing, and trajectories that
 make every status transition, from the exposure day on. The output trees
 cover the aggregate CSV, the summary and cell JSONs, both report files, the
-rebuilt report and the R_t series.
+rebuilt report and the calibration JSON.
 """
 
 import contextlib
