@@ -26,12 +26,12 @@ def infectious_days(config: ScenarioConfig) -> float:
     """tau: the mean number of end-of-day counts an episode of ``config`` adds
     to I, on the engine's own episodes. The first ``EPISODES`` episodes of the
     ``episodes`` stream of run 0 of ``baseSeed`` are scheduled by
-    :func:`~episim.viral_load.transition_days` as internal exposures of day 0,
-    first seen by the status update of day 1, with no population; tau is the
-    mean of recovery day minus infectious day, 0 for an episode that is never
-    infectious."""
+    :func:`~episim.viral_load.transition_days` as internal exposures, first
+    seen by the status update one day after exposure (``first_tau`` 1), with
+    no population; tau is the mean of recovery day minus infectious day, 0
+    for an episode that is never infectious."""
     params = EpisodeSource(config, make_rng(config.baseSeed).episodes).take(EPISODES)[0]
-    infectious, recovery = transition_days(params, 0.0, config.infectiousViralLoadCut, 1)
+    infectious, recovery = transition_days(params, config.infectiousViralLoadCut, 1)
     return float(np.nansum(recovery - infectious)) / EPISODES
 
 

@@ -11,6 +11,7 @@ import itertools
 import json
 import math
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Optional, TextIO
@@ -59,9 +60,9 @@ def read_run_csv(path: Path) -> np.ndarray:
         raise ConfigError(f"{path}: unexpected run CSV columns")
     try:
         # a missing or extra field, or a value that does not parse as its
-        # column's type, is a ValueError
+        # column's type, is a ValueError; an integer beyond int64 overflows
         return np.array(rows, dtype=RECORD_DTYPE)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
 
@@ -107,7 +108,8 @@ def read_json(path: Path) -> Any:
     with open(path) as fh:
         try:
             return json.load(fh)
-        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        # JSONDecodeError, bytes that are not UTF-8, or nesting too deep to parse
+        except (ValueError, RecursionError) as exc:
             raise ConfigError(f"{path}: not valid JSON ({exc})") from None
 
 
@@ -448,7 +450,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SimulationError, MemoryError) as exc:
+    except (SimulationError, MemoryError, BrokenProcessPool) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     except OSError as exc:

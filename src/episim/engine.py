@@ -143,8 +143,9 @@ def _advance_infections(population: Population, day: int, cut: float) -> None:
     waiting = np.isnan(population.recovery_day)
     if (waiting & (population.first_load_day <= day)).any():
         ids = (waiting & np.isfinite(population.exposure_day)).nonzero()[0]
-        population.days[TRANSITION_DAYS, ids] = transition_days(
-            population.params.take(ids, axis=1), population.exposure_day[ids], cut, day)
+        exposed = population.exposure_day[ids]
+        population.days[TRANSITION_DAYS, ids] = exposed + transition_days(
+            population.params.take(ids, axis=1), cut, day - exposed)
     # E -> I (I_s with an onset day) and E or I -> R on the scheduled days; a
     # sick isolation leaves only the recovery on its release, already into R
     onset = (population.infectious_day == day).nonzero()[0]

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import Population, ScenarioConfig
-from .viral_load import current_loads
+from .viral_load import load_array
 
 
 def single_positive_prob(loads: np.ndarray, config: ScenarioConfig) -> np.ndarray:
@@ -44,6 +44,22 @@ def eligible_ids(population: Population, day: int, config: ScenarioConfig) -> np
         # never isolated -> NaN, which no comparison holds back
         eligible &= ~(day - population.release_day < holdback)
     return eligible.nonzero()[0]
+
+
+def current_loads(population: Population, ids: np.ndarray, day: int) -> np.ndarray:
+    """Viral load on ``day`` of each agent in ``ids``.
+
+    Loads are evaluated only inside an episode's load window, [first load
+    day, last load day], set when the episode starts; outside it, and for
+    agents with no episode (whose days are NaN), the load is exactly 0.
+    """
+    in_window = (population.first_load_day[ids] <= day) & (day <= population.last_load_day[ids])
+    carriers = ids[in_window]
+    loads = np.zeros(len(ids))
+    loads[in_window] = load_array(
+        population.params.take(carriers, axis=1), day - population.exposure_day[carriers]
+    )
+    return loads
 
 
 def run_testing_day(

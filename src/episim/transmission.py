@@ -57,7 +57,7 @@ class EpisodeSource:
         symptomatic = rng.random(EPISODE_BLOCK) < config.fractionSymptomatic
         params = sample_params(config, symptomatic, rng)
         willing = rng.random(EPISODE_BLOCK) < config.selfIsolationOnSymptomsProb
-        return np.vstack([params, start_days(params, 0, symptomatic), symptomatic & willing])
+        return np.vstack([params, start_days(params, symptomatic), symptomatic & willing])
 
     def take(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The next ``n`` episodes: their trajectories, start-day offsets (a

@@ -13,12 +13,12 @@ takes and returns trajectories field-major: one row per field of
 episode. :func:`sample_params` draws them and :func:`load_array` evaluates
 them.
 
-The engine steps in whole days, so the days on which a comparison with an
-episode's trajectory changes are fixed when it is sampled: the first
-symptomatic day and the load window (:func:`start_days`), set when it starts,
-and the days the status update moves it to I and to R (:func:`transition_days`),
-which also depend on the day of its first update. The daily stages compare
-days with them; only testing evaluates loads (:func:`current_loads`).
+Time here is days since exposure. The engine steps in whole days, so the
+days on which an episode's status changes are fixed when it is sampled, as
+offsets from exposure that the caller adds the exposure day to when it
+stores them: the first symptomatic day and the load window
+(:func:`start_days`), and the days the status update moves it to I and to R
+(:func:`transition_days`), which also depend on the day of its first update.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .core import DISTRIBUTION_FIELDS, LOAD_FIELDS, Population, ScenarioConfig
+from .core import DISTRIBUTION_FIELDS, LOAD_FIELDS, ScenarioConfig
 
 LOAD_ROWS = np.array([DISTRIBUTION_FIELDS.index(name) for name in LOAD_FIELDS])  # V0, VP, VF
 TS_ROW = DISTRIBUTION_FIELDS.index("tS")
@@ -89,30 +89,29 @@ def key_times(params: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return peak, onset, onset + tf
 
 
-def start_days(params: np.ndarray, exposure_day: float | np.ndarray,
-               symptomatic: np.ndarray) -> np.ndarray:
+def start_days(params: np.ndarray, symptomatic: np.ndarray) -> np.ndarray:
     """The start days of the episodes of the field-major ``params`` (one row
-    per field of ``DISTRIBUTION_FIELDS`` and one column per episode) exposed
-    on ``exposure_day``, a ``(3, k)`` array in the order of
-    ``Population.days[START_DAYS]``: the first symptomatic day (``onset <=
+    per field of ``DISTRIBUTION_FIELDS`` and one column per episode), as
+    offsets from exposure: a ``(3, k)`` array in the order of the
+    ``core.START_DAYS`` rows: the first symptomatic day (``onset <=
     tau``, NaN if asymptomatic) and the first and last load day (``tau >= t0``
     and ``tau <= end``), clipped like :func:`transition_days`."""
     _, onset, end = key_times(params)
-    days = exposure_day + np.array([np.where(symptomatic, np.ceil(onset), np.nan),
-                                    np.ceil(params[0]), np.floor(end)])
+    days = np.array([np.where(symptomatic, np.ceil(onset), np.nan),
+                     np.ceil(params[0]), np.floor(end)])
     return np.minimum(days, FLOAT32_MAX, out=days)
 
 
-def transition_days(params: np.ndarray, exposure_day: float | np.ndarray, cut: float,
-                    first_update: float | np.ndarray) -> np.ndarray:
+def transition_days(params: np.ndarray, cut: float, first_tau: float | np.ndarray) -> np.ndarray:
     """The transition days of the episodes of the field-major ``params`` (one
-    row per field of ``DISTRIBUTION_FIELDS`` and one column per episode)
-    exposed on ``exposure_day``, a ``(2, k)`` array in the order of
-    ``Population.days[TRANSITION_DAYS]``: the days on which a status update
-    run every day from ``first_update`` moves the episode, to I on a load
-    strictly above ``cut`` (NaN if it recovers first) and to R past the end,
-    or past the peak on a load strictly below ``cut``. Each is clipped to the
-    largest float32, which no day reaches, so recovery is never NaN."""
+    row per field of ``DISTRIBUTION_FIELDS`` and one column per episode), as
+    offsets from exposure: a ``(2, k)`` array in the order of the
+    ``core.TRANSITION_DAYS`` rows: the days on which a status update
+    run every day from ``first_tau`` (days since exposure) moves the episode,
+    to I on a load strictly above ``cut`` (NaN if it recovers first) and to R
+    past the end, or past the peak on a load strictly below ``cut``. Each is
+    clipped to the largest float32, so recovery is never NaN and exposure
+    day + offset is finite when stored."""
     t0 = params[0]
     peak, _, end = key_times(params)
     times = np.array([t0, peak, end])
@@ -125,28 +124,12 @@ def transition_days(params: np.ndarray, exposure_day: float | np.ndarray, cut: f
     # a flat or empty segment divides by infinity: its crossing is its start
     frac = -rel[:2] / np.where(change != 0.0, change, np.inf)
     near = np.rint(times[:2] + span * frac.clip(0.0, 1.0))
-    first = np.maximum(np.ceil(t0), first_update - exposure_day)
+    first = np.maximum(np.ceil(t0), first_tau)
     taus = np.concatenate([first[np.newaxis], np.floor(times[1:]) + 1.0, near, near + 1.0])
     np.maximum(taus, first, out=taus)
     load = load_array(params, taus)
     infectious = np.minimum.reduce(taus, axis=0, where=load > cut, initial=np.inf)
     recovery = np.minimum.reduce(taus, axis=0, where=(taus > peak) & (load < cut), initial=np.inf)
     infectious[infectious >= recovery] = np.nan
-    days = exposure_day + np.array([infectious, recovery])
+    days = np.array([infectious, recovery])
     return np.minimum(days, FLOAT32_MAX, out=days)
-
-
-def current_loads(population: Population, ids: np.ndarray, day: int) -> np.ndarray:
-    """Viral load on ``day`` of each agent in ``ids``.
-
-    Loads are evaluated only inside an episode's load window, [first load
-    day, last load day], set when the episode starts; outside it, and for
-    agents with no episode (whose days are NaN), the load is exactly 0.
-    """
-    in_window = (population.first_load_day[ids] <= day) & (day <= population.last_load_day[ids])
-    carriers = ids[in_window]
-    loads = np.zeros(len(ids))
-    loads[in_window] = load_array(
-        population.params.take(carriers, axis=1), day - population.exposure_day[carriers]
-    )
-    return loads

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -152,6 +153,23 @@ def test_memory_error_is_reported_without_traceback(tmp_path, capsys, monkeypatc
     err = capsys.readouterr().err
     assert status == 1
     assert err == "error: Unable to allocate 8.00 EiB for an array\n"
+
+
+def killed_run(*args, **kwargs):
+    # a worker ended from outside, as the OOM killer ends one
+    os._exit(9)
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the pool's workers see the patched run only when forked")
+def test_a_dead_pool_worker_is_reported_without_traceback(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("episim.engine.run", killed_run)
+    status = cli.main(["run", "--runs", "2", "--jobs", "2", "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert status == 1
+    assert err.startswith("error: A process in the process pool was terminated abruptly")
+    assert "Traceback" not in err
+    assert multiprocessing.active_children() == []
 
 
 SMALL_BASE = {"popSize": 60, "timeHorizon": 8, "initialInfected": 3}
@@ -378,9 +396,10 @@ def edit_csv(edit):
     ("run_000.csv", edit_csv(lambda head, first, *rest: [head, first + ",1", *rest])),
     ("run_000.csv", lambda path: path.write_bytes(b"\xff\xfe" + path.read_bytes())),
     ("run_000.csv", edit_csv(lambda head, *rows: [head, *rows[:3]])),
+    ("run_000.csv", edit_csv(lambda head, first, *rest: [head, "9" * 30 + first[1:], *rest])),
 ], ids=["cell-not-json", "cell-without-label", "config-not-json", "csv-non-numeric",
         "csv-wrong-header", "csv-header-only", "csv-missing-field", "csv-extra-field",
-        "csv-not-utf8", "csv-truncated"])
+        "csv-not-utf8", "csv-truncated", "csv-int-overflow"])
 def test_report_on_a_damaged_sweep_names_the_file(tmp_path, capsys, name, damage):
     out = tmp_path / "out"
     assert small_sweep(tmp_path, out) == 0
@@ -500,6 +519,12 @@ def remove_run_csvs(cell_dir):
         path.unlink()
 
 
+def too_deep_config(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    return ["run", "--config", str(path), "--jobs", "1"]
+
+
 def make_empty_dir(tmp_path):
     (tmp_path / "empty").mkdir()
     return ["report", str(tmp_path / "empty")]
@@ -510,6 +535,7 @@ def make_empty_dir(tmp_path):
      "config file not found: "),
     (lambda tmp_path: ["run", "--config", config_file(tmp_path, [SMALL_BASE])],
      "config document must be an object, got list"),
+    (too_deep_config, "config.json: not valid JSON ("),
     (run_with(tP={"type": "gamma_shifted", "shape": 1.5, "scale": 0, "shift": 0.5}),
      "tP: requires scale > 0"),
     (run_with(t0=clipped(3, -1, 2, 4)), "t0: requires std >= 0"),
@@ -541,12 +567,12 @@ def make_empty_dir(tmp_path):
     (lambda tmp_path: ["calibrate", "--config", config_file(
         tmp_path, dict(SMALL_BASE, timeHorizon=0))],
      "timeHorizon: must be >= 1"),
-], ids=["run-config-missing", "run-config-list", "run-gamma-scale-0", "run-clipped-std",
-        "run-clipped-bounds", "run-dist-list", "run-no-agents", "sweep-spec-missing",
-        "sweep-spec-list", "sweep-spec-unknown", "sweep-spec-base", "sweep-spec-axis",
-        "sweep-duplicate-labels", "report-file", "report-empty-dir", "report-bad-config",
-        "report-bogus-pooling-type", "report-no-run-csvs", "calibrate-zero-tau",
-        "calibrate-infinite-beta", "calibrate-no-days"])
+], ids=["run-config-missing", "run-config-list", "run-config-too-deep", "run-gamma-scale-0",
+        "run-clipped-std", "run-clipped-bounds", "run-dist-list", "run-no-agents",
+        "sweep-spec-missing", "sweep-spec-list", "sweep-spec-unknown", "sweep-spec-base",
+        "sweep-spec-axis", "sweep-duplicate-labels", "report-file", "report-empty-dir",
+        "report-bad-config", "report-bogus-pooling-type", "report-no-run-csvs",
+        "calibrate-zero-tau", "calibrate-infinite-beta", "calibrate-no-days"])
 def test_a_rejected_input_exits_2_with_its_message(tmp_path, capsys, make_args, message):
     args = make_args(tmp_path)
     capsys.readouterr()

@@ -38,7 +38,7 @@ def infect(pop, agent_id, day=0, profile=SYMPTOMATIC_PROFILE,
     params = np.array([profile_params(profile)]).T
     symptomatic = np.array([profile.symptomatic])
     start_episodes(pop, np.array([agent_id]), day, day, params,
-                   start_days(params, 0, symptomatic), symptomatic & will_isolate)
+                   start_days(params, symptomatic), symptomatic & will_isolate)
     pop.comp[agent_id] = compartment
     return agent_id
 

@@ -106,7 +106,7 @@ def check_population(pop, day, config):
     # delay and no self-isolation to come
     assert np.isnan(pop.days[EPISODE_DAYS][:, ~episode]).all(), day
     symptomatic = np.isfinite(pop.onset_day)
-    want = start_days(pop.params[:, episode], pop.exposure_day[episode], symptomatic[episode])
+    want = pop.exposure_day[episode] + start_days(pop.params[:, episode], symptomatic[episode])
     assert np.array_equal(pop.days[START_DAYS][:, episode], want, equal_nan=True), day
     # an episode waits for its transition days while its recovery day is NaN.
     # The status update sets them, as a first update on the exposure day or
@@ -127,7 +127,7 @@ def check_population(pop, day, config):
     params, exposed_on = pop.params[:, scheduled], pop.exposure_day[scheduled]
     # per first update, whether each episode's transition days match
     matches = [((stored == want) | (np.isnan(stored) & np.isnan(want))).all(axis=0) for want in (
-        transition_days(params, exposed_on, config.infectiousViralLoadCut, exposed_on + lag)
+        exposed_on + transition_days(params, config.infectiousViralLoadCut, lag)
         for lag in (0, 1))]
     assert np.all(matches[0] | matches[1]), day
     assert np.all(pop.params[4, episode & ~symptomatic] == 0), day

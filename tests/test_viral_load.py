@@ -7,8 +7,9 @@ from episim.core import (TRANSITION_DAYS, Compartment, Constant, Population, Sce
                          make_rng)
 from episim.engine import _advance_infections, initialize, step
 from episim.interventions import self_isolation_step
+from episim.testing import current_loads
 from episim.transmission import start_episodes
-from episim.viral_load import current_loads, load_array, start_days, transition_days
+from episim.viral_load import load_array, start_days, transition_days
 
 from reference import (
     InfectionStage,
@@ -216,16 +217,14 @@ def test_start_days_restate_the_key_time_comparisons():
     # on every whole day, each start day answers its comparison exactly
     profiles = stage_profiles()
     params = np.array([profile_params(p) for p in profiles]).T
-    exposure = np.arange(len(profiles)) % 7
     onset, first_load, last_load = start_days(
-        params, exposure, np.array([p.symptomatic for p in profiles]))
+        params, np.array([p.symptomatic for p in profiles]))
     for i, prof in enumerate(profiles):
         for tau in range(-1, 30):
-            day = exposure[i] + tau
-            assert (first_load[i] <= day) == (tau >= prof.t0), (i, tau)
-            assert (day <= last_load[i]) == (tau <= prof.end_time), (i, tau)
+            assert (first_load[i] <= tau) == (tau >= prof.t0), (i, tau)
+            assert (tau <= last_load[i]) == (tau <= prof.end_time), (i, tau)
             showing_from = prof.symptomatic and prof.symptom_onset_time <= tau
-            assert (onset[i] <= day) == showing_from, (i, tau)
+            assert (onset[i] <= tau) == showing_from, (i, tau)
 
 
 def test_loads_and_self_isolation_need_no_status_update():
@@ -238,7 +237,7 @@ def test_loads_and_self_isolation_need_no_status_update():
     params = np.array([profile_params(profile)]).T
     symptomatic = np.array([True])
     pop = Population(2)
-    start_episodes(pop, np.array([1]), 2, 2, params, start_days(params, 0, symptomatic),
+    start_episodes(pop, np.array([1]), 2, 2, params, start_days(params, symptomatic),
                    symptomatic)
     pop.comp[1] = Compartment.INFECTIOUS_SYMPTOMATIC
     # day 6 is tau 4, between t0 and the peak
@@ -290,29 +289,38 @@ def schedule_profiles(cut):
 
 
 def test_scheduled_days_equal_the_daily_status_update():
-    # the transition days, infectious and recovery, are the days on which
-    # status_at, stepped day by day from the first update, moves the episode;
-    # the first update is on the exposure day (a seed or an external exposure)
-    # or on the next day (an internal exposure)
+    # the transition days, infectious and recovery, are the days since
+    # exposure on which status_at, stepped day by day from first_tau, moves
+    # the episode. The first update is at tau 0 (a seed or an external
+    # exposure) or tau 1 (an internal exposure), but the status update
+    # schedules every waiting episode once one reaches its first load day, so
+    # it passes any first_tau from the first update to ceil(t0): the days
+    # must not depend on which
     cut = 1e3
     profiles = schedule_profiles(cut)
     params = np.array([profile_params(p) for p in profiles]).T
-    exposure = np.arange(len(profiles)) % 7
+    first_load = np.ceil(params[0])
     on_the_cut, peak_below_v0 = profiles[-4:-2]
     assert transition_taus(on_the_cut, cut, 0) == (4, 6)
     assert transition_taus(peak_below_v0, cut, 0) == (0, 3)
     assert transition_taus(peak_below_v0, cut, 1) == (None, 3)
+    # the t0 = 0 profiles, whose first update may come after their first load
+    assert (first_load == 0).any()
+    at_first_update = {lag: transition_days(params, cut, lag) for lag in (0, 1)}
     moved = set()
-    for lag in (0, 1):
-        infectious, recovery = transition_days(params, exposure, cut, exposure + lag)
+    for first_tau in range(int(first_load.max()) + 1):
+        infectious, recovery = days = transition_days(params, cut, first_tau)
         for i, prof in enumerate(profiles):
-            onset, recovered = transition_taus(prof, cut, lag)
+            onset, recovered = transition_taus(prof, cut, first_tau)
             if onset is None:
-                assert np.isnan(infectious[i]), (i, lag)
+                assert np.isnan(infectious[i]), (i, first_tau)
             else:
-                assert infectious[i] == exposure[i] + onset, (i, lag)
-            assert recovery[i] == exposure[i] + recovered, (i, lag)
+                assert infectious[i] == onset, (i, first_tau)
+            assert recovery[i] == recovered, (i, first_tau)
             moved.add(onset is None)
+        for lag, want in at_first_update.items():
+            same = (lag <= first_tau) & (first_tau <= first_load)
+            assert np.array_equal(days[:, same], want[:, same], equal_nan=True), (lag, first_tau)
     # some episodes go straight from E to R, and some through I
     assert moved == {False, True}
 
@@ -334,7 +342,7 @@ def test_daily_stages_match_scalar_reference():
     external = np.arange(n) % 2 == 0
     params = np.array([profile_params(p) for p in profiles]).T
     symptomatic = np.array([p.symptomatic for p in profiles])
-    offsets = start_days(params, 0, symptomatic)
+    offsets = start_days(params, symptomatic)
     config = ScenarioConfig(infectiousViralLoadCut=cut)
     status = Population(n)  # the status update
     selfiso = Population(n)  # self-isolation, every symptomatic agent willing
