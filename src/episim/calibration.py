@@ -14,9 +14,8 @@ import math
 
 import numpy as np
 
-from .core import N_COMPARTMENTS, ConfigError, ScenarioConfig, make_rng
+from .core import N_COMPARTMENTS, TRANSITION_DAYS, ConfigError, ScenarioConfig, make_rng
 from .transmission import EpisodeSource
-from .viral_load import transition_days
 
 # Episodes sampled for tau; at the defaults its standard error is 0.09%.
 EPISODES = 2**16
@@ -25,13 +24,13 @@ EPISODES = 2**16
 def infectious_days(config: ScenarioConfig) -> float:
     """tau: the mean number of end-of-day counts an episode of ``config`` adds
     to I, on the engine's own episodes. The first ``EPISODES`` episodes of the
-    ``episodes`` stream of run 0 of ``baseSeed`` are scheduled by
-    :func:`~episim.viral_load.transition_days` as internal exposures, first
-    seen by the status update one day after exposure (``first_tau`` 1), with
-    no population; tau is the mean of recovery day minus infectious day, 0
-    for an episode that is never infectious."""
-    params = EpisodeSource(config, make_rng(config.baseSeed).episodes).take(EPISODES)[0]
-    infectious, recovery = transition_days(params, config.infectiousViralLoadCut, 1)
+    ``episodes`` stream of run 0 of ``baseSeed`` are taken with their
+    schedules as internal exposures, first seen by the status update one day
+    after exposure (``first_tau`` 1), with no population; tau is the mean of
+    recovery day minus infectious day, 0 for an episode that is never
+    infectious."""
+    episodes = EpisodeSource(config, make_rng(config.baseSeed).episodes)
+    infectious, recovery = episodes.take(EPISODES, first_tau=1)[1][TRANSITION_DAYS]
     return float(np.nansum(recovery - infectious)) / EPISODES
 
 

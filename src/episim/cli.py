@@ -75,10 +75,11 @@ def write_aggregate_csv(path: Path, records: list[np.ndarray]) -> None:
     values = np.array([[run[col] for col in columns] for run in records], dtype=np.float64)
     bands = np.stack([values.mean(axis=0), values.min(axis=0), values.max(axis=0)], axis=-1)
     rows = bands.transpose(1, 0, 2).reshape(values.shape[2], -1).tolist()  # in header order
+    # the bytes of csv.writer: no name or number needs quoting, and a float
+    # is written as its repr
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([day, *row] for day, row in enumerate(rows))
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(",".join(map(repr, [day, *row])) + "\r\n" for day, row in enumerate(rows))
 
 
 def write_json(path: Path, payload: Any) -> None:

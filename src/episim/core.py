@@ -402,23 +402,33 @@ class Streams:
     - ``init`` (:func:`~episim.engine.initialize`): one acceptance
       probability per agent, the seeds, then the initially vaccinated among
       the other agents.
-    - ``exposure``, at each exposure stage (external, then internal): one
-      uniform per S_u agent in ascending id order, then one per S_v agent.
+    - ``exposure``, at each exposure stage (external, then internal), for
+      S_u, then for S_v. In a population of fewer than
+      ``SPARSE_EXPOSURE_AGENTS`` (10,000) agents: one uniform per agent of the
+      compartment, in ascending id order. In a larger one: one binomial count
+      k of the |S_c| agents of the compartment, then, if k is at most |S_c|/8,
+      batches of uniform ids over all agents until k distinct ids in S_c are
+      drawn (the first k are exposed), else one ``choice`` of k among the
+      ascending ids in S_c (:func:`~episim.transmission.draw_exposures`).
     - ``episodes``: blocks of ``EPISODE_BLOCK`` episodes
       (:class:`~episim.transmission.EpisodeSource`). A block draws one vector
       each of: the symptomatic uniforms; t0, V0, tP, VP, tS, tF and VF
       (``tS`` for every episode, then zeroed where asymptomatic); the
       self-isolation uniforms. Episodes are handed out in draw order: first
       to the seeds, then to each exposure stage's newly exposed ids in
-      ascending order. Where one batch of exposures ends does not change
-      which episode an exposure gets.
+      ascending order. Where one batch of exposures ends, or how many blocks
+      are drawn ahead, does not change which episode an exposure gets.
     - ``testing``, each testing day: one permutation of the eligible ids
       into pools, one uniform per pool for the stage-1 tests in pool order,
       then one per member of each positive pool of two or more for the
       stage-2 tests, in pool order.
-    - ``vaccination``, each day with doses and eligible agents: one uniform
-      per eligible agent in ascending id order, then, when the willing
-      outnumber the doses, one ``choice`` of the recipients.
+    - ``vaccination``, each day with doses: batches of uniform ids over all
+      agents, each with one uniform, examining each eligible agent at its
+      first draw (willing when its uniform is below its acceptance
+      probability), until the doses are accepted or the draws reach a quarter
+      of the agents; then, if doses are left, one permutation of the
+      eligible agents not yet examined and one uniform for each
+      (:func:`~episim.interventions.vaccination_step`).
 
     Delivered results, isolation, status updates and loss of immunity draw
     nothing.
@@ -435,6 +445,17 @@ class Streams:
         rng = np.random.default_rng(seed)
         setattr(self, name, rng)
         return rng
+
+
+def first_occurrences(ids: np.ndarray) -> np.ndarray:
+    """Mask of the entries of ``ids`` that are the first of their value. A
+    stable sort and a neighbour compare: the first call of ``np.unique``
+    maps about 1.5 MB, which shows in a run's peak memory."""
+    order = np.argsort(ids, kind="stable")
+    ranked = ids[order]
+    first = np.ones(ids.size, dtype=bool)
+    first[order[1:]] = ranked[1:] != ranked[:-1]
+    return first
 
 
 def make_rng(base_seed: int, run_index: int = 0) -> Streams:
@@ -471,18 +492,18 @@ class Population:
 
     ``params`` holds each agent's episode trajectory, field-major: one row
     per field of ``DISTRIBUTION_FIELDS`` and one column per agent, read and
-    written as ``params[:, ids]``. ``params``, ``exposure_day`` and the
-    start days (onset, first and last load day) are set when an episode starts,
-    exactly for agents in E, I_s, I_a, R and sick isolation; ``onset_day`` is
-    NaN for an asymptomatic episode, which is what marks it. The transition
-    days (infectious, recovery) wait, with ``recovery_day`` NaN, until a status
-    update reaches a waiting episode's first load day; ``infectious_day`` stays
+    written as ``params[:, ids]``. ``params`` and the episode's whole
+    schedule, ``days[EPISODE_DAYS]`` (the exposure day, the start days: onset,
+    first and last load day; the transition days: infectious and recovery;
+    and the self-isolation day), are set when an episode starts, exactly for
+    agents in E, I_s, I_a, R and sick isolation; ``onset_day`` is NaN for an
+    asymptomatic episode, which is what marks it, and ``infectious_day`` is
     NaN if it never becomes infectious. A sick isolation ends the schedule:
     it sets ``infectious_day`` to NaN and ``recovery_day`` to the release,
-    which stays until immunity lapses. ``selfiso_day``, set when an episode
-    starts, is the one day it self-isolates if then in E or I. ``release_day``,
-    set by every isolation and never cleared, is the scheduled release of an
-    isolated agent and the latest release of any other.
+    which stays until immunity lapses. ``selfiso_day`` is the one day the
+    episode self-isolates if then in E or I. ``release_day``, set by every
+    isolation and never cleared, is the scheduled release of an isolated
+    agent and the latest release of any other.
 
     ``params`` and ``days`` share one allocation. glibc trims the heap past
     twice the largest block freed, so what a run frees stays for the next

@@ -21,10 +21,10 @@ its draws from the run's stream for their purpose
 runIndex). A stage with nothing due that day returns right after the scan
 that finds nothing, and draws nothing.
 
-An episode's start days and self-isolation day are set when it starts; the
-status update schedules its transition days (infectious, recovery) and
-compares days with them (:func:`_advance_infections`), until a sick isolation
-ends that schedule with recovery on the release.
+An episode's whole schedule, its start days, transition days (infectious,
+recovery) and self-isolation day, is set when it starts; the status update
+only compares the day with its transition days (:func:`_advance_infections`),
+until a sick isolation ends that schedule with recovery on the release.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from .core import (
     N_COMPARTMENTS,
     R,
     S_V,
-    TRANSITION_DAYS,
     ConfigError,
     Population,
     ScenarioConfig,
@@ -60,7 +59,6 @@ from .interventions import (
 )
 from .testing import deliver_results, run_testing_day
 from .transmission import EpisodeSource, expose, external_exposure_step, internal_propagation_step
-from .viral_load import transition_days
 
 
 # One daily record; the field names are the run-CSV column names.
@@ -132,22 +130,17 @@ def initialize(config: ScenarioConfig, streams: Streams) -> RunState:
     expose(population, seed_ids, 0, 0, episodes)
 
     records = np.empty(config.timeHorizon + 1, dtype=RECORD_DTYPE)
-    records[0] = (-1, *population.counts().tolist(), 0, 0, len(seed_ids), 0, 0, 0.0, n_vaccinated)
+    # the others in S_u, the vaccinated in S_v and the seeds in E
+    counts = [n - len(seed_ids) - n_vaccinated, n_vaccinated, len(seed_ids)]
+    counts += [0] * (N_COMPARTMENTS - len(counts))
+    records[0] = (-1, *counts, 0, 0, len(seed_ids), 0, 0, 0.0, n_vaccinated)
     return RunState(config, population, records, streams, episodes)
 
 
-def _advance_infections(population: Population, day: int, cut: float) -> None:
-    # An episode waits for its transition days while its recovery day is NaN
-    # (sick isolation sets it); they are the same from its first update to its
-    # first load day, so all waiting episodes get them once one reaches it.
-    waiting = np.isnan(population.recovery_day)
-    if (waiting & (population.first_load_day <= day)).any():
-        ids = (waiting & np.isfinite(population.exposure_day)).nonzero()[0]
-        exposed = population.exposure_day[ids]
-        population.days[TRANSITION_DAYS, ids] = exposed + transition_days(
-            population.params.take(ids, axis=1), cut, day - exposed)
-    # E -> I (I_s with an onset day) and E or I -> R on the scheduled days; a
-    # sick isolation leaves only the recovery on its release, already into R
+def _advance_infections(population: Population, day: int) -> None:
+    # E -> I (I_s with an onset day) and E or I -> R on the days set when the
+    # episode started; a sick isolation leaves only the recovery on its
+    # release, already into R
     onset = (population.infectious_day == day).nonzero()[0]
     if onset.size:
         population.comp[onset] = np.where(np.isnan(population.onset_day[onset]), I_A, I_S)
@@ -162,14 +155,18 @@ def step(state: RunState, day: int) -> np.void:
     config = state.config
     population = state.population
     streams, episodes = state.streams, state.episodes
+    # the day before's record, its counts s_u ... iso_sick in Compartment order
+    (_, *prev_counts, _, _, cum_infections, cum_false_iso, _, cum_cost,
+     vaccinated_total) = state.records[day].tolist()
 
-    new_external = external_exposure_step(population, config, day, streams.exposure, episodes)
+    new_external = external_exposure_step(population, config, day, streams.exposure, episodes,
+                                          prev_counts)
 
     # stage 2: status updates
     delivered = deliver_results(state.pending, day)
     false_isolations = len(apply_positive_results(population, delivered, day, config))
     isolation_exit_step(population, day)
-    _advance_infections(population, day, config.infectiousViralLoadCut)
+    _advance_infections(population, day)
     recovered_to_susceptible_step(population, day, config)
 
     self_isolation_step(population, day, config)
@@ -181,9 +178,6 @@ def step(state: RunState, day: int) -> np.void:
         delivered = deliver_results(state.pending, day)
         false_isolations += len(apply_positive_results(population, delivered, day, config))
 
-    # the day before's record, its counts s_u ... iso_sick in Compartment order
-    (_, *prev_counts, _, _, cum_infections, cum_false_iso, _, cum_cost,
-     vaccinated_total) = state.records[day].tolist()
     new_internal = internal_propagation_step(population, config, day, streams.exposure, episodes,
                                              prev_counts)
 

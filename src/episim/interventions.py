@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import E, EPISODE_DAYS, ISO_HEALTHY, ISO_SICK, R, S_U, S_V, Population, ScenarioConfig
+from .core import (E, EPISODE_DAYS, ISO_HEALTHY, ISO_SICK, R, S_U, S_V, Population, ScenarioConfig,
+                   first_occurrences)
 
 
 def _isolate(population: Population, ids: np.ndarray, day: int, config: ScenarioConfig,
@@ -105,22 +106,45 @@ def vaccination_step(
     """Distribute today's doses among willing, unvaccinated population members;
     returns the ids vaccinated.
 
-    Every eligible agent is willing today with their personal acceptance
-    probability. When the willing outnumber the ``vaccinesAvailablePerDay``
-    doses, the recipients are a uniform choice among them.
+    The eligible agents are examined in a uniformly random order, each
+    willing today with their personal acceptance probability, until the
+    ``vaccinesAvailablePerDay`` doses are taken. So every eligible agent is
+    willing independently, and when the willing outnumber the doses the
+    recipients are a uniform choice among them, at a cost in proportion to
+    the doses. The order comes from uniform draws over all agents, an
+    eligible agent taking its place at its first draw; when the draws reach
+    a quarter of the agents with doses left, the eligible run short, and the
+    rest of the order is a permutation of those not yet examined.
     """
     doses = config.vaccinesAvailablePerDay
     if doses <= 0:
         return np.empty(0, dtype=np.int64)  # no draw
-    eligible = (population.in_population() & ~population.vaccinated).nonzero()[0]
-    if eligible.size == 0:
-        return eligible  # no draw
-    willing_idx = (rng.random(eligible.size) < population.willingness[eligible]).nonzero()[0]
-    if willing_idx.size > doses:
-        willing_idx = rng.choice(willing_idx, size=doses, replace=False)
-        willing_idx.sort()
-    chosen = eligible[willing_idx]
-    population.vaccinated[chosen] = True
-    unvaccinated = chosen[population.comp[chosen] == S_U]
+    comp, vaccinated, willingness = population.comp, population.vaccinated, population.willingness
+    n = comp.size
+    budget = n // 4
+    # acceptances per draw, first guessed from the share of the unvaccinated
+    rate = config.vaccineAcceptProbMean * (n - np.count_nonzero(vaccinated)) / n
+    drawn, uniforms = np.empty(0, dtype=np.int64), np.empty(0)
+    accepted = drawn
+    while drawn.size < budget:
+        size = min(budget - drawn.size, int(1.25 * (doses - accepted.size) / max(rate, 1 / n)) + 16)
+        drawn = np.concatenate([drawn, rng.integers(n, size=size)])
+        uniforms = np.concatenate([uniforms, rng.random(size)])
+        examined = first_occurrences(drawn) & (comp[drawn] < ISO_HEALTHY) & ~vaccinated[drawn]
+        accepted = drawn[examined & (uniforms < willingness[drawn])]
+        if accepted.size >= doses:
+            return _vaccinate(population, accepted[:doses])
+        rate = max(accepted.size, 1) / drawn.size
+    rest = population.in_population() & ~vaccinated
+    rest[drawn] = False  # every eligible agent drawn was examined
+    order = rng.permutation(rest.nonzero()[0])
+    willing = order[rng.random(order.size) < willingness[order]]
+    return _vaccinate(population, np.concatenate([accepted, willing[:doses - accepted.size]]))
+
+
+def _vaccinate(population: Population, ids: np.ndarray) -> np.ndarray:
+    ids.sort()
+    population.vaccinated[ids] = True
+    unvaccinated = ids[population.comp[ids] == S_U]
     population.comp[unvaccinated] = S_V
-    return chosen
+    return ids

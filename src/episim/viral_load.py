@@ -66,13 +66,26 @@ def load_array(params: np.ndarray, tau: np.ndarray) -> np.ndarray:
     tau = np.asarray(tau, dtype=float)
     peak, _, end = key_times(params)
     log_v0, log_vp, log_vf = np.log10(v0), np.log10(vp), np.log10(vf)
+    # in place where it can be, and each temporary let go once used: a
+    # refill's schedule evaluates thousands of episodes at seven times
     rising = tau < peak
     start = np.where(rising, t0, peak)
-    span = np.where(rising, peak, end) - start
-    log_start = np.where(rising, log_v0, log_vp)
-    frac = (tau - start) / np.where(span > 0.0, span, 1.0)
+    span = np.where(rising, peak, end)
+    span -= start
+    frac = tau - start
+    del start
+    frac /= np.where(span > 0.0, span, 1.0)
+    del span
     frac.clip(0.0, 1.0, out=frac)
-    load = 10.0 ** (log_start + frac * (np.where(rising, log_vp, log_vf) - log_start))
+    log_start = np.where(rising, log_v0, log_vp)
+    load = np.where(rising, log_vp, log_vf)
+    del rising
+    load -= log_start
+    load *= frac
+    del frac
+    load += log_start
+    del log_start
+    np.power(10.0, load, out=load)
     load[(tau < t0) | (tau > end)] = 0.0
     # control points, lowest precedence first so that t0 wins ties
     for point, value in ((end, vf), (peak, vp), (t0, v0)):
@@ -128,8 +141,8 @@ def transition_days(params: np.ndarray, cut: float, first_tau: float | np.ndarra
     taus = np.concatenate([first[np.newaxis], np.floor(times[1:]) + 1.0, near, near + 1.0])
     np.maximum(taus, first, out=taus)
     load = load_array(params, taus)
-    infectious = np.minimum.reduce(taus, axis=0, where=load > cut, initial=np.inf)
-    recovery = np.minimum.reduce(taus, axis=0, where=(taus > peak) & (load < cut), initial=np.inf)
+    infectious = np.where(load > cut, taus, np.inf).min(axis=0)
+    recovery = np.where((taus > peak) & (load < cut), taus, np.inf).min(axis=0)
     infectious[infectious >= recovery] = np.nan
     days = np.array([infectious, recovery])
     return np.minimum(days, FLOAT32_MAX, out=days)

@@ -5,7 +5,9 @@ The package evaluates whole populations at once (``viral_load.load_array``,
 ``viral_load.transition_days``, ``testing.pool_positive_prob``). The kernel tests
 check those against the plain rules here: a trajectory's load and status,
 the days a daily status update moves it, its symptom window, and single and
-pooled tests.
+pooled tests. The inclusion tests check the stages that choose agents
+against the probability with which the plain rule chooses each one: an
+exposure stage's and the daily vaccination's.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from episim.core import DISTRIBUTION_FIELDS, ScenarioConfig
+from episim.core import DISTRIBUTION_FIELDS, Compartment, ScenarioConfig
 from episim.viral_load import sample_params
 
 
@@ -181,3 +183,39 @@ def pool_test_exponential(
     else:
         p_positive = 1.0 - config.fnrSingle ** k
     return bool(rng.random() < p_positive)
+
+
+def exposure_probability(compartment: Compartment, p: float, alpha: float) -> float:
+    """The probability with which an exposure stage of probability ``p``
+    exposes one agent in ``compartment``: ``p`` if unvaccinated susceptible,
+    ``alpha * p`` if vaccinated susceptible, each capped at 1, else 0."""
+    if compartment == Compartment.SUSCEPTIBLE_UNVACCINATED:
+        return min(p, 1.0)
+    if compartment == Compartment.SUSCEPTIBLE_VACCINATED:
+        return min(p * alpha, 1.0)
+    return 0.0
+
+
+def vaccination_inclusion(willingness: Sequence[float], doses: int) -> list[float]:
+    """The probability that each eligible agent, of acceptance probability
+    ``willingness[i]``, is vaccinated under the rule of one draw per eligible
+    agent: each is willing with its probability, and when the willing
+    outnumber the ``doses`` the recipients are a uniform choice of ``doses``
+    among them. Agent i is willing with probability w_i and then vaccinated
+    with probability min(1, doses / (1 + M)), where M, the number of the
+    other agents who are willing, has the distribution built up one agent at
+    a time below."""
+    def others_willing(skip: int) -> list[float]:
+        pmf = [1.0]  # pmf[m]: the probability that m of the agents so far are willing
+        for j, w in enumerate(willingness):
+            if j != skip:
+                pmf = [a * (1.0 - w) + b * w for a, b in zip(pmf + [0.0], [0.0] + pmf)]
+        return pmf
+
+    # agents of equal willingness have others of the same distribution
+    given_willing = {}
+    for i, w in enumerate(willingness):
+        if w not in given_willing:
+            given_willing[w] = sum(q * min(1.0, doses / (1 + m))
+                                   for m, q in enumerate(others_willing(i)))
+    return [w * given_willing[w] for w in willingness]

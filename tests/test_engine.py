@@ -11,6 +11,8 @@ import pytest
 from episim import engine
 from episim.cli import write_replicates
 from episim.core import (
+    DAY_ROWS,
+    EPISODE_DAYS,
     START_DAYS,
     Compartment,
     ConfigError,
@@ -122,11 +124,15 @@ def test_seeds_take_the_first_episodes_across_two_blocks():
     # the same episodes taken in other batches from a fresh episodes stream
     fresh = EpisodeSource(cfg, make_rng(cfg.baseSeed, 3).episodes)
     # take returns one column per episode
-    params, start, selfiso = (np.concatenate(parts, axis=-1) for parts in zip(
+    params, offsets = (np.concatenate(parts, axis=-1) for parts in zip(
         fresh.take(7), fresh.take(EPISODE_BLOCK), fresh.take(43)))
     assert pop.params[:, seeds].tobytes() == params.tobytes()
-    assert pop.days[START_DAYS, seeds].tobytes() == start.astype(np.float32).tobytes()
+    # the seeds are exposed on day 0, so their days are the offsets
+    assert pop.days[START_DAYS, seeds].tobytes() == offsets[START_DAYS].astype(np.float32).tobytes()
+    assert np.array_equal(pop.days[EPISODE_DAYS, seeds], offsets.astype(np.float32),
+                          equal_nan=True)
     # the seeds' first update is on day 0, before every symptom onset
+    selfiso = np.isfinite(offsets[DAY_ROWS.index("selfiso_day")])
     assert np.array_equal(pop.selfiso_day[seeds], np.where(selfiso, pop.onset_day[seeds], np.nan),
                           equal_nan=True)
     # the run's next episode is the fresh stream's next one
@@ -143,8 +149,8 @@ def test_streams_are_separated_by_purpose(monkeypatch):
     take = EpisodeSource.take
     taken = []
 
-    def logged_take(self, n):
-        episodes = take(self, n)
+    def logged_take(self, n, first_tau=0):
+        episodes = take(self, n, first_tau)
         taken[-1].append(episodes)
         return episodes
 
@@ -162,7 +168,7 @@ def test_streams_are_separated_by_purpose(monkeypatch):
         # each field with one column per episode
         episodes.append([np.concatenate(parts, axis=-1) for parts in zip(*taken[-1])])
     assert initial[0] == initial[1]
-    n = min(len(e[2]) for e in episodes)
+    n = min(e[0].shape[-1] for e in episodes)
     assert n > EPISODE_BLOCK
     for field_a, field_b in zip(*episodes):
         assert field_a[..., :n].tobytes() == field_b[..., :n].tobytes()

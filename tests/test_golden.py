@@ -10,8 +10,9 @@ the old one. ``python tests/test_golden.py`` prints the current ``GOLDEN`` and
 
 Together the configs reach average and exponential pooling, single tests,
 delayed results, the post-isolation holdback, zero-length isolation, fast
-loss of immunity, vaccination, a run without testing, and trajectories that
-make every status transition, from the exposure day on. The output trees
+loss of immunity, vaccination, a run without testing, trajectories that make
+every status transition, from the exposure day on, and a population large
+enough for the exposure stages to draw a count and then who. The output trees
 cover the aggregate CSV, the summary and cell JSONs, both report files, the
 rebuilt report and the calibration JSON.
 """
@@ -60,19 +61,27 @@ CONFIGS = {
         betaDaily=0.8, daysBetweenTesting=4, firstDayOfTesting=3, poolSize=5,
         daysDelayTestResults=1,
     ),
+    # above transmission.SPARSE_EXPOSURE_AGENTS: each exposure stage draws a
+    # count and then who, and the doses are many among many willing
+    "sparse-exposure-vaccination": dict(
+        popSize=12_000, timeHorizon=30, initialInfected=100, daysBetweenTesting=3,
+        firstDayOfTesting=5, poolSize=4, daysDelayTestResults=1, vaccinesAvailablePerDay=100,
+        initProportionVaccinated=0.1,
+    ),
 }
 GOLDEN = {
     "average-5-delay-2": "50631b1f1b2e010c934396e807bf7db1a0a3e3c2031acfeebfe22d4985c92aef",
     "edge-trajectories": "56337b6a32d5c115b21558a75a9bd53b18941aee4f408316303906806c25cf3d",
     "exponential-10-no-isolation": "8620a7317e39aa295a8812539e78054c6eeedc59bc8e27f8cfa64a857a49c4bd",
-    "exponential-4-vaccination": "0c17acc7d1a56dabb05acf13149c673f2f31b7b94377255b2b0059e7f0089f5b",
-    "no-testing-vaccination": "4f368e72337e793c059065eb364b54be1bdf81400888ac61189734cf04f2eb3f",
+    "exponential-4-vaccination": "6eaec7bd0d6273f681804ba95a48e7dbc7774acad22a31b3e6e56a282fb792d8",
+    "no-testing-vaccination": "1382bdd0a14562759799dd9363cfece45f2eeb41e5def58e42a5fed15ec88ac4",
     "single-fast-reinfection": "287ecd8fc16542324cfa20cc886d1a59083729e0d0439ed2e845e41e93aea5da",
+    "sparse-exposure-vaccination": "dd3adb725505903b8edc26e6107fa4c0f2474e249cc7c4e5ee0366d0f7359f9f",
 }
 
 
 def run_csv_sha256(name, tmp_path):
-    _, records = run(ScenarioConfig(**BASE, **CONFIGS[name]), 1)
+    _, records = run(ScenarioConfig(**{**BASE, **CONFIGS[name]}), 1)
     path = tmp_path / f"{name}.csv"
     write_run_csv(path, records)
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -139,53 +148,53 @@ def write_outputs(root):
 
 GOLDEN_OUTPUTS = {
     "calibrate/calibration.json": "f08e05eff9322bec5bd6478298506eb410df574044482d9cfeea3cd26b17cd2b",
-    "report_rebuilt.csv": "eff2e71dc943e514010cbfde399911c0b60d9e6e00dff45e9fd6cf37ee7b51e9",
-    "run/aggregate.csv": "c44cb2cda0c72b3bc84947fcbc73097e43be755d104aac0db1326be6c0947ef5",
+    "report_rebuilt.csv": "c00235f79247572613d2d0016978863f396378e8fdc0ed3dd717c4f017927648",
+    "run/aggregate.csv": "6664041b932ae5de88705b973127aefefdf3572caa00033b33301f4fd2750574",
     "run/config.json": "6f9d1bcc80e733ac09e580183f9876ff48d8443bd9b36bd17e37d5eec5579e80",
-    "run/run_000.csv": "91b8c7d89eef016b28c17265955d22948cfd7953b2a76548261fe7605dd266ef",
-    "run/run_001.csv": "d17e3a15597aee5c113f4a85829cbf13cc6a01b7a95901a475239c108bef24c3",
-    "run/run_002.csv": "26a6ab6ee4127f8aed107f4076f4193482eaa35b494c09baa0c16789a68f7c72",
-    "run/summary_000.json": "645535d240d6aaf3e9477ae26099a4cf338bddaf09f2870fbf9fbfa10fd7c678",
-    "run/summary_001.json": "5e0830970d811032bb0e7abf2a27c60920204b062cdcdbb7d0ca14bac8a8af2d",
-    "run/summary_002.json": "bebb9f0792125fae724ff0ca776c0455fbcbae34954fd5ad24653319acf9180c",
-    "sweep/cell_000/aggregate.csv": "2f9b35164f5712f22f6117f929db0900568169f76e6f07356d28859bd7da5ddb",
+    "run/run_000.csv": "ad904150e1cbdbe8303863309d94e8c4732236a1cadcce10993fb4b0ec749914",
+    "run/run_001.csv": "afce980b0328e2a0ebcc49282746afd98e3159d9cf78644878451aa51ea18197",
+    "run/run_002.csv": "f20174cdbdd8307f8411ce16b57e13b877b8f60ed5e1fc46fb24ba897bcaa0f4",
+    "run/summary_000.json": "d3d5fd865be7cde4c3f2eddcefc9310fc94f1de5b2e6c73f192f57fe3b91589a",
+    "run/summary_001.json": "24b16dbab676f9576e089ca4c43e8ece8b2d50507a282f90db7c8f61c18d0e43",
+    "run/summary_002.json": "c8ad896e9ebacdd3f04eccbc61b32d6f5f966bef8d993d2d34297c3eab59d184",
+    "sweep/cell_000/aggregate.csv": "f21f4970501f24b75faf8afb588a139862f625b4e87da061e8c8eb00d1a27bb2",
     "sweep/cell_000/cell.json": "e4fc9bc0b8163e5bed01f31c752cba8b6d3a331d71c37a14594d2c472c15e6f1",
     "sweep/cell_000/config.json": "83d161a9bd78bdd201ace8458063b1f18fc352b10baf05cbee4825390505d6ff",
-    "sweep/cell_000/run_000.csv": "bb99a47c788317c52950beea178b68090da3a33f0bc590509650ddb306526db9",
-    "sweep/cell_000/run_001.csv": "e070721e841efe21ac618805660b35c95a8268e6c2fd3e339efc81829b5fcb40",
-    "sweep/cell_000/run_002.csv": "e5fa3475e62b7d2f8b3e2ae43051c1e0da7b457f512293fc97c79b60a190e8af",
-    "sweep/cell_000/summary_000.json": "e0a7a090606e4512a7c0742a1de5034f3b3bd3504b9f0c50a20ebcced69c2703",
-    "sweep/cell_000/summary_001.json": "a9891bc807e94e8bf1a7945fbb9d0f006b04706751647f840ff949e04e5322c8",
-    "sweep/cell_000/summary_002.json": "45277f3efc0c19b37fd787668c286e9d9bbd244a3dc709a6dde0fbfdf84caaac",
-    "sweep/cell_001/aggregate.csv": "6c0ebbfb11a9aca7aa6e979731ed1daa02e94399c5ad4f6938de45a140e1c512",
+    "sweep/cell_000/run_000.csv": "fa42647c99eb2d5637e85a66b630204593dac4b0eb6ba502c74bbef29b18512f",
+    "sweep/cell_000/run_001.csv": "7cfe2d7f0055e23b76f9dd52e3518a8ed52d289df6070143a25ef109f2dd532b",
+    "sweep/cell_000/run_002.csv": "d6ed409ae78de942e1b9b0ea8e409b6b1f5dc9406210656978b9aa0fae5b32be",
+    "sweep/cell_000/summary_000.json": "1f59f951d1c0ab613e9ecc52ed84120d58f2d23a5ef43a4ab11c2829d5f84bc5",
+    "sweep/cell_000/summary_001.json": "04bf75b220059277eb3a7a5fc486338d8f4f09bc549454a0af01e2d7b80855e5",
+    "sweep/cell_000/summary_002.json": "b16e37760a0778f753a4ab4970a44808d17874380aa52d90a4e465cc4791f4e3",
+    "sweep/cell_001/aggregate.csv": "06ba4fa761949bc2e4324df2877e803842e82f707b850fc1d7d1af3c18f364cf",
     "sweep/cell_001/cell.json": "d8477b86fe25f311c2911b82262a35775c2de4153caa486fdc03f88a3c4437de",
     "sweep/cell_001/config.json": "40c3344d292c305d7ebc6ab0c59159c72f80631f07a1dab786d35b927d2e6be9",
-    "sweep/cell_001/run_000.csv": "ff6564fddc5dd78fa3b6b11a30bf15f79a6938c5c0632d4a2226b2364380aa1d",
-    "sweep/cell_001/run_001.csv": "605410f3fd9480b5e3e66e63d34225c0427d664029ed82b29e53fc3d11c75fe6",
-    "sweep/cell_001/run_002.csv": "a78d24c329ad384feb87149bb81e04fb93b7eead17ae939d0871f3d17a01c015",
-    "sweep/cell_001/summary_000.json": "8a4061124863e61b1bc2ce604eb61c5e33e76436478a718ab3339fa5fbc5d1f7",
-    "sweep/cell_001/summary_001.json": "c54102e54ff3ccdcbfe4a6a7e7b5dfb8140f3ed8ca2a67035409d3694a92bed2",
-    "sweep/cell_001/summary_002.json": "5b5be2b56321fd2481312ec22d56bf905b90b9511d97a0ca9b428e55787cde62",
-    "sweep/cell_002/aggregate.csv": "510d89911778af337a3051ad2ffaa71caefb9de54eaef3ec658c4ce202bd94e4",
+    "sweep/cell_001/run_000.csv": "7c9a6e429f948ad6405d764453e64b9c12b2fa8bdd2456e9184bf86e21bbe89d",
+    "sweep/cell_001/run_001.csv": "dfaff15f684b7b428d900b5d6e2bd27b60e8f6a855573678c4bf026c51dd9001",
+    "sweep/cell_001/run_002.csv": "1884cc0dd32489babcb076412539c08d4e5eeb91e05d0d998f38c028b7323452",
+    "sweep/cell_001/summary_000.json": "de6dde0a5ba5f48b0e37ee3141cc2d8a9c124c2cba27ec65eb777effa1688af9",
+    "sweep/cell_001/summary_001.json": "f18f08a4d8acb8787200ab37d0b88d713c00d3ef29bd339253e2d7c2cd157033",
+    "sweep/cell_001/summary_002.json": "a353283c9e081ec166d9eed5e097468531b25f8448f529f762084095c3cf418c",
+    "sweep/cell_002/aggregate.csv": "948a2c6fba6e75601fc69304afed9bffbe3208e1fd6bfbe3cf03b98bb9631cf7",
     "sweep/cell_002/cell.json": "25f915ea1d86a8851fc9a98a1939a55a48a074da1e17470e7a1a3d1d1f3876d9",
     "sweep/cell_002/config.json": "7fcfe62738ed39ac4be8a1e7e99f99e2becb928c1788d982389e52a58db6a098",
-    "sweep/cell_002/run_000.csv": "1c847264d3a4fea0b6765355900be0a15afa9e7a60dc7c1216d2a3d5f6afb2d2",
-    "sweep/cell_002/run_001.csv": "ef3c72446d9bb23cc0fe04fb40f85cf1954367798cc876b25742128f9a276609",
-    "sweep/cell_002/run_002.csv": "c07276863a74e174be6c291339bdd21c516e4aaeaac68ae2386d084dbf91dab5",
-    "sweep/cell_002/summary_000.json": "4301cc61d2ca41af7c381d4c491d1d0bc4f1685b9597ec793605f94e43666b1d",
-    "sweep/cell_002/summary_001.json": "dcd5d0ae64cf8868a76e43d0ea6ba32a64fc339e7b14a29ac9412791ae0bd74e",
-    "sweep/cell_002/summary_002.json": "8203dffc9cf49a29f7b939aa59b5ce9b3cf5ee292b637c93b37cc8587685020c",
-    "sweep/cell_003/aggregate.csv": "630a214c36e50804c47208ec3eb487efe30c11347f17c8c9760e97f036964ce5",
+    "sweep/cell_002/run_000.csv": "8c8aab224d40699769d10ce3bcd6a93a8856406834cdf8ab04f9c3cc5fdbe725",
+    "sweep/cell_002/run_001.csv": "acf09cec4b5228279ce1881ac0ef20844c979263b9b5b5be76d97be324ea11f1",
+    "sweep/cell_002/run_002.csv": "27bee18b2649d76a5a5ffb22d62089d5e09cee3eb548491ef31e43221db4da72",
+    "sweep/cell_002/summary_000.json": "8c5f216532db0318d4da737d12124527a0615d180c6bc6c2e465e8e8ad9929b0",
+    "sweep/cell_002/summary_001.json": "3b2a5196e728ab76c3347231d8b869b0f5f0f691763a8351175acc9731e7080b",
+    "sweep/cell_002/summary_002.json": "a1b23d82c660f1873eb325cc639857315e497a56f4db90ff4de330e850e4bdb3",
+    "sweep/cell_003/aggregate.csv": "7a63f928a7b90b19e5af474f9b84637d7b263b9ade1c666366efc4909edad0cd",
     "sweep/cell_003/cell.json": "c78a2d0f996c5fbbca206935103769fac1499e9a635c8e00646fbf954dcd761b",
     "sweep/cell_003/config.json": "d946ddce9453a5492ddb3fca6f31f34e7c775f7fa3a4e5f0d796c1ccd078b0c1",
-    "sweep/cell_003/run_000.csv": "5a907913781d3b294c21f19f3298bc9c193b1d932a4b1994e9fbde1ac14ce7bf",
-    "sweep/cell_003/run_001.csv": "16748353da2f9fb7cffa7e2d85462d26bcca21ab4772bc9078ecf0bce734f100",
-    "sweep/cell_003/run_002.csv": "564bd1a3f500f0ca6c702b81baf004bec105977aca7878da1026963ba90462df",
-    "sweep/cell_003/summary_000.json": "daf10ae1e597aaff47451d43802501728cad88da433289926b811799d92d3000",
-    "sweep/cell_003/summary_001.json": "550e90391646963860435544787e17371a335e2aa15282e64e3fa07308df5350",
-    "sweep/cell_003/summary_002.json": "928e9f788c0033b749fa11d0c8c6ad9f38b46196068940ca3e2cdeb4e0b4993c",
-    "sweep/report.csv": "eff2e71dc943e514010cbfde399911c0b60d9e6e00dff45e9fd6cf37ee7b51e9",
-    "sweep/report.json": "5ad9b61456d7209a9b8c6f1c939fd2ec4f223fba1fdd62142818a5066ba902f2",
+    "sweep/cell_003/run_000.csv": "9870b3e124b5c80df313f583849e371d13e2adbeaee885f1319bbf90d593e794",
+    "sweep/cell_003/run_001.csv": "06d352a0493950b4e7a502bdb213162c91df634bdb9796e2a317e0ee4c317d81",
+    "sweep/cell_003/run_002.csv": "45a042ad794932dfc56e43d501fd4e359fc0f3a5b4cda29150e1c624b22b26f8",
+    "sweep/cell_003/summary_000.json": "639a0c0c71a8ebc427265e49cf327d3377c890408c443d83a8114356d35cc163",
+    "sweep/cell_003/summary_001.json": "0e3e14968bc5de7b732d96854da6fa606e40d4d0ae9f5cac8431be1d398f1355",
+    "sweep/cell_003/summary_002.json": "fb89d901293fa0e5d6e6028846ce4d52eec7c1c0d20f31e86fd1baa180e030d3",
+    "sweep/report.csv": "c00235f79247572613d2d0016978863f396378e8fdc0ed3dd717c4f017927648",
+    "sweep/report.json": "2f75601051061dd2e2eecbf543584840db1b132925c3e357a39daccf0a3306f4",
 }
 
 

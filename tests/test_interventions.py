@@ -17,8 +17,7 @@ from episim.interventions import (
     self_isolation_step,
     vaccination_step,
 )
-from episim.transmission import start_episodes
-from episim.viral_load import start_days
+from episim.transmission import episode_schedule, start_episodes
 
 from reference import ViralLoadProfile, profile_params
 
@@ -32,13 +31,14 @@ def fresh_population(n=6):
 
 
 def infect(pop, agent_id, day=0, profile=SYMPTOMATIC_PROFILE,
-           compartment=Compartment.INFECTIOUS_SYMPTOMATIC, will_isolate=False):
-    """Start an episode the way an external exposure does, then move it to
+           compartment=Compartment.INFECTIOUS_SYMPTOMATIC, will_isolate=False, cut=1e3):
+    """Start an episode the way an external exposure does, scheduled for the
+    infectious cut ``cut`` (the default config's), then move it to
     ``compartment``."""
     params = np.array([profile_params(profile)]).T
     symptomatic = np.array([profile.symptomatic])
-    start_episodes(pop, np.array([agent_id]), day, day, params,
-                   start_days(params, symptomatic), symptomatic & will_isolate)
+    start_episodes(pop, np.array([agent_id]), day, params,
+                   episode_schedule(params, symptomatic, symptomatic & will_isolate, cut))
     pop.comp[agent_id] = compartment
     return agent_id
 
@@ -66,21 +66,21 @@ def test_positive_result_isolates_infectious_as_sick():
 
 
 def test_an_episode_isolated_before_its_first_load_day_keeps_its_release():
-    # the transition days wait for the first load day (day 3), but the
-    # isolation on day 1 sets the recovery day to the release on day 2, so
-    # the episode no longer waits: the status update of day 3, which
-    # schedules agent 1's episode, does not schedule it and overwrite it
+    # the transition days are set when the episode starts (recovery on day
+    # 14), and the isolation on day 1, before the first load day (day 3),
+    # sets the recovery day to the release on day 2: no status update, as
+    # the one of agent 1's first load day, overwrites it
     pop = fresh_population()
     cfg = ScenarioConfig(isolationLength=1)
     infect(pop, 0, compartment=Compartment.EXPOSED)
     infect(pop, 1, compartment=Compartment.EXPOSED)
-    assert np.isnan(pop.recovery_day[0])
+    assert pop.recovery_day[0] == 14
     assert pop.last_load_day[0] == 13
     apply_positive_results(pop, [0], 1, cfg)
     assert pop.recovery_day[0] == pop.release_day[0] == 2
-    _advance_infections(pop, 1, 1e3)
+    _advance_infections(pop, 1)
     isolation_exit_step(pop, 2)
-    _advance_infections(pop, 3, 1e3)
+    _advance_infections(pop, 3)
     assert np.isfinite(pop.recovery_day[1])
     assert pop.comp[0] == Compartment.RECOVERED and pop.recovery_day[0] == 2
     assert np.isnan(pop.infectious_day[0])
@@ -238,7 +238,7 @@ def step_stages(pop, cfg, days, isolate=None):
     comps = []
     for day in days:
         isolation_exit_step(pop, day)
-        _advance_infections(pop, day, cfg.infectiousViralLoadCut)
+        _advance_infections(pop, day)
         recovered_to_susceptible_step(pop, day, cfg)
         self_isolation_step(pop, day, cfg)
         apply_positive_results(pop, isolate.get(day, []), day, cfg)
@@ -268,8 +268,8 @@ def test_exposed_agent_isolated_the_day_before_its_onset_never_becomes_infectiou
     cfg = ScenarioConfig(isolationLength=10)
     infect(pop, 0, compartment=Compartment.EXPOSED)
     step_stages(pop, cfg, range(3))
-    # the status update of day 3, its first load day, schedules it to be
-    # infectious from day 4; it is isolated later that day
+    # scheduled when it started to be infectious from day 4, one day after
+    # its first load day; it is isolated on day 3, after the status update
     comps = step_stages(pop, cfg, range(3, 20), {3: [0]})[:, 0].tolist()
     # isolated on days 3-12, recovered from its release on day 13
     assert comps == [Compartment.ISOLATED_SICK] * 10 + [Compartment.RECOVERED] * 7
@@ -362,7 +362,7 @@ def quiet_population():
     pop = fresh_population(8)
     pop.vaccinated[1] = True
     pop.comp[1] = Compartment.SUSCEPTIBLE_VACCINATED
-    # exposed the day before, waiting for its first load day (day 6)
+    # exposed the day before: first load day 6, infectious from day 7
     infect(pop, 2, day=3, compartment=Compartment.EXPOSED, will_isolate=True)
     # scheduled: infectious from day 2, recovered on day 12
     infect(pop, 3, compartment=Compartment.INFECTIOUS_SYMPTOMATIC)
@@ -371,8 +371,10 @@ def quiet_population():
     pop.release_day[4] = 9
     infect(pop, 5, compartment=Compartment.RECOVERED)
     pop.infectious_day[5], pop.recovery_day[5] = 1, 2
-    # isolated sick on day 1: it recovers on its release, day 11
+    # isolated sick on day 1: no onset to come, and it recovers on its
+    # release, day 11
     infect(pop, 6, compartment=Compartment.ISOLATED_SICK)
+    pop.infectious_day[6] = np.nan
     pop.recovery_day[6] = pop.release_day[6] = 11
     return pop
 
@@ -382,8 +384,7 @@ QUIET_STAGES = {
     "apply_positive_results": lambda pop, cfg, rng: apply_positive_results(
         pop, np.empty(0, dtype=np.int64), QUIET_DAY, cfg),
     "isolation_exit_step": lambda pop, cfg, rng: isolation_exit_step(pop, QUIET_DAY),
-    "advance_infections": lambda pop, cfg, rng: _advance_infections(
-        pop, QUIET_DAY, cfg.infectiousViralLoadCut),
+    "advance_infections": lambda pop, cfg, rng: _advance_infections(pop, QUIET_DAY),
     "recovered_to_susceptible_step": lambda pop, cfg, rng: recovered_to_susceptible_step(
         pop, QUIET_DAY, cfg),
     "self_isolation_step": lambda pop, cfg, rng: self_isolation_step(pop, QUIET_DAY, cfg),

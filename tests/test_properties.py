@@ -28,6 +28,7 @@ from episim.core import (
     make_rng,
 )
 from episim.engine import RECORD_DTYPE, initialize, run, run_replicates, step
+from episim.transmission import SPARSE_EXPOSURE_AGENTS
 from episim.viral_load import start_days, transition_days
 
 C = Compartment
@@ -108,23 +109,14 @@ def check_population(pop, day, config):
     symptomatic = np.isfinite(pop.onset_day)
     want = pop.exposure_day[episode] + start_days(pop.params[:, episode], symptomatic[episode])
     assert np.array_equal(pop.days[START_DAYS][:, episode], want, equal_nan=True), day
-    # an episode waits for its transition days while its recovery day is NaN.
-    # The status update sets them, as a first update on the exposure day or
-    # the next day would, once a waiting episode reaches its first load day.
-    # So at the end of a day only the day's internal exposures (after
-    # initialize, the seeds) and episodes before their first load day wait,
-    # all in E: a sick isolation sets the recovery day
-    waiting = episode & np.isnan(pop.recovery_day)
-    assert np.isnan(pop.days[TRANSITION_DAYS][:, waiting]).all(), day
-    first_load_day = pop.first_load_day[waiting]
-    assert np.all((first_load_day > day) | (pop.exposure_day[waiting] == max(day, 0))), day
-    assert np.all(pop.comp[waiting] == C.EXPOSED), day
-    # a scheduled E or I episode's transition days are those of a first update
-    # on its exposure day or the next day
+    # an episode's whole schedule is set when it starts, so no episode is
+    # without a recovery day (a sick isolation moves it to the release)
+    assert np.isfinite(pop.recovery_day[episode]).all(), day
+    # an E or I episode's transition days are those of a first update on its
+    # exposure day or the next day
     active = (pop.comp >= C.EXPOSED) & (pop.comp <= C.INFECTIOUS_ASYMPTOMATIC)
-    scheduled = active & ~waiting
-    stored = pop.days[TRANSITION_DAYS][:, scheduled]
-    params, exposed_on = pop.params[:, scheduled], pop.exposure_day[scheduled]
+    stored = pop.days[TRANSITION_DAYS][:, active]
+    params, exposed_on = pop.params[:, active], pop.exposure_day[active]
     # per first update, whether each episode's transition days match
     matches = [((stored == want) | (np.isnan(stored) & np.isnan(want))).all(axis=0) for want in (
         exposed_on + transition_days(params, config.infectiousViralLoadCut, lag)
@@ -154,6 +146,23 @@ def check_population(pop, day, config):
 @settings(PROPERTY_SETTINGS, max_examples=25)
 @given(configs())
 def test_daily_invariants(config):
+    check_daily_invariants(config)
+
+
+def test_daily_invariants_above_the_exposure_size_rule():
+    # the generated configs stay below it; at this size each exposure stage
+    # draws a count and then who, beside testing, isolation, vaccination,
+    # loss of immunity and internal exposures with a load on their exposure
+    # day (t0 = 0 is among the draws of t0)
+    check_daily_invariants(ScenarioConfig(
+        popSize=SPARSE_EXPOSURE_AGENTS, timeHorizon=40, initialInfected=50, betaDaily=0.8,
+        externalExposureProbDaily=0.01, t0=Uniform(0.0, 1.0), daysTilSusceptible=5,
+        daysBetweenTesting=2, firstDayOfTesting=3, poolSize=4, daysDelayTestResults=1,
+        initProportionVaccinated=0.1, vaccinesAvailablePerDay=300,
+    ))
+
+
+def check_daily_invariants(config):
     state = initialize(config, make_rng(config.baseSeed, 0))
     # the state after initialize is the end of day -1
     check_population(state.population, -1, config)

@@ -13,8 +13,7 @@ from episim.testing import (
     pool_positive_prob,
     run_testing_day,
 )
-from episim.transmission import start_episodes
-from episim.viral_load import start_days
+from episim.transmission import episode_schedule, start_episodes
 
 from reference import (
     ViralLoadProfile,
@@ -141,8 +140,9 @@ def hot_population(n=100, hot_ids=(), load=1e8):
     )
     hot = np.array(hot_ids, dtype=np.int64)
     params = np.tile(profile_params(profile), (len(hot), 1)).T
-    start_episodes(pop, hot, 0, 0, params, start_days(params, np.zeros(len(hot), bool)),
-                   np.zeros(len(hot), bool))
+    asymptomatic = np.zeros(len(hot), bool)
+    start_episodes(pop, hot, 0, params,
+                   episode_schedule(params, asymptomatic, asymptomatic, 1e3))
     pop.comp[hot] = Compartment.INFECTIOUS_ASYMPTOMATIC
     return pop
 
@@ -290,8 +290,9 @@ def test_run_testing_day_matches_scalar_reference(pooling_type, pool_size):
             symptomatic=False,
         ))]).T
         exposure_day = int(rng.integers(0, 16))
-        start_episodes(pop, np.array([i]), exposure_day, exposure_day, params,
-                       start_days(params, np.array([False])), np.array([False]))
+        asymptomatic = np.array([False])
+        start_episodes(pop, np.array([i]), exposure_day, params,
+                       episode_schedule(params, asymptomatic, asymptomatic, 1e3))
         pop.comp[i] = infected_comps[i % 4]
     for i in range(1, n, 11):
         pop.comp[i] = Compartment.ISOLATED_HEALTHY

@@ -5,11 +5,15 @@ from unittest.mock import MagicMock
 import numpy as np
 import pytest
 
-from episim.core import (DISTRIBUTION_FIELDS, EPISODE_DAYS, Compartment, Population, ScenarioConfig,
+from episim.core import (DAY_ROWS, DISTRIBUTION_FIELDS, EPISODE_DAYS, TRANSITION_DAYS, Compartment,
+                         Constant, NormalClipped, Population, ScenarioConfig, Uniform,
                          make_rng)
 from episim.transmission import (
     EPISODE_BLOCK,
+    REFILL_AGENTS,
+    REFILL_BLOCKS,
     EpisodeSource,
+    episode_schedule,
     expose,
     external_exposure_step,
     internal_propagation_step,
@@ -61,7 +65,7 @@ def stage_probabilities(stage, config, *counts):
 
 def external_probabilities(gamma, alpha=0.3):
     config = ScenarioConfig(externalExposureProbDaily=gamma, vaccineInfectionProb=alpha)
-    return stage_probabilities(external_exposure_step, config)
+    return stage_probabilities(external_exposure_step, config, make_counts(s_u=1, s_v=1))
 
 
 def internal_probabilities(counts, beta=0.4, alpha=0.3):
@@ -109,13 +113,13 @@ def test_probability_monotone_in_inputs():
 def test_external_step_zero_rate_exposes_nobody():
     pop = build_population(n_su=50)
     cfg = ScenarioConfig(externalExposureProbDaily=0.0)
-    assert external_exposure_step(pop, cfg, 0, *exposure_streams(cfg, 1)).tolist() == []
+    assert external_exposure_step(pop, cfg, 0, *exposure_streams(cfg, 1), pop.counts()).tolist() == []
 
 
 def test_external_step_certain_rate_exposes_everyone():
     pop = build_population(n_su=30, n_sv=10)
     cfg = ScenarioConfig(externalExposureProbDaily=1.0, vaccineInfectionProb=1.0)
-    exposed = external_exposure_step(pop, cfg, 2, *exposure_streams(cfg, 1))
+    exposed = external_exposure_step(pop, cfg, 2, *exposure_streams(cfg, 1), pop.counts())
     assert len(exposed) == 40
     for agent_id in exposed:
         assert pop.comp[agent_id] == Compartment.EXPOSED
@@ -130,7 +134,7 @@ def test_external_step_binomial_moment():
     rng, episodes = exposure_streams(cfg, 31)
     counts = []
     for _ in range(1000):
-        exposed = external_exposure_step(pop, cfg, 0, rng, episodes)
+        exposed = external_exposure_step(pop, cfg, 0, rng, episodes, pop.counts())
         counts.append(len(exposed))
         reset_exposed(pop, Compartment.SUSCEPTIBLE_UNVACCINATED)
     assert abs(np.mean(counts) - 49.0) < 2.0
@@ -184,7 +188,7 @@ def test_exposure_never_touches_non_susceptibles():
     before_inf = (pop.comp == Compartment.INFECTIOUS_ASYMPTOMATIC).nonzero()[0].tolist()
     before_rec = (pop.comp == Compartment.RECOVERED).nonzero()[0].tolist()
     rng, episodes = exposure_streams(cfg, 43)
-    external_exposure_step(pop, cfg, 0, rng, episodes)
+    external_exposure_step(pop, cfg, 0, rng, episodes, pop.counts())
     internal_propagation_step(pop, cfg, 0, rng, episodes, pop.counts())
     assert (pop.comp == Compartment.INFECTIOUS_ASYMPTOMATIC).nonzero()[0].tolist() == before_inf
     assert (pop.comp == Compartment.RECOVERED).nonzero()[0].tolist() == before_rec
@@ -242,3 +246,49 @@ def test_batch_boundaries_are_invisible(cut):
         expose(split, part, 5, 5, episodes)
     for name in ("params", "days"):
         assert getattr(whole, name).tobytes() == getattr(split, name).tobytes(), name
+
+
+def test_a_later_first_update_reschedules_only_the_episodes_it_follows():
+    # The schedules are derived for a first update on the exposure day. For
+    # one on the next day, as an internal exposure gets, only an episode
+    # with a load on its exposure day (t0 = 0) has other transition days and
+    # a self-isolation day of 1 at the earliest; taking them so is the same
+    # as deriving every schedule for that update.
+    # t0 is 0 for about half of the episodes, with a load above the cut on
+    # the exposure day, and so is the onset when tS is too
+    cfg = ScenarioConfig(t0=NormalClipped(0.0, 1.0, 0.0, 2.0), V0=Constant(1e4), tP=Constant(0.0),
+                         tS=Uniform(0.0, 1.0), fractionSymptomatic=0.8,
+                         selfIsolationOnSymptomsProb=0.8)
+    n = 3 * EPISODE_BLOCK
+    params, at_exposure = EpisodeSource(cfg, np.random.default_rng(61)).take(n)
+    _, next_day = EpisodeSource(cfg, np.random.default_rng(61)).take(n, first_tau=1)
+    onset, selfiso = (at_exposure[DAY_ROWS.index(name)] for name in ("onset_day", "selfiso_day"))
+    want = episode_schedule(params, np.isfinite(onset), np.isfinite(selfiso),
+                            cfg.infectiousViralLoadCut, 1)
+    assert np.array_equal(next_day, want, equal_nan=True)
+    early = params[0] == 0.0
+    assert early.any() and not early.all()
+    assert np.array_equal(next_day[:, ~early], at_exposure[:, ~early], equal_nan=True)
+    assert not np.array_equal(next_day[TRANSITION_DAYS][:, early],
+                              at_exposure[TRANSITION_DAYS][:, early], equal_nan=True)
+
+
+@pytest.mark.parametrize("agents,blocks", [
+    (10_000, [1, 2, 4, REFILL_BLOCKS, REFILL_BLOCKS, REFILL_BLOCKS]),
+    (2 * REFILL_AGENTS, [1, 2, 2, 8, 10, 10]),
+])
+def test_refills_double_up_to_their_cap_and_hand_out_the_same_episodes(agents, blocks):
+    # each refill draws twice the blocks of the one before, up to
+    # REFILL_BLOCKS and one block per REFILL_AGENTS agents, and at least what
+    # is asked for; where the refills fall does not change the episodes
+    cfg = ScenarioConfig(popSize=agents, initialInfected=0)
+    episodes = EpisodeSource(cfg, np.random.default_rng(67))
+    drawn = []
+    taken = []
+    for size in (1, 300, 900, 2000, 2500, 10):
+        taken.append(episodes.take(size))
+        drawn.append(episodes.blocks)
+    assert drawn == blocks
+    whole = EpisodeSource(cfg, np.random.default_rng(67)).take(sum(p.shape[1] for p, _ in taken))
+    for got, want in zip((np.concatenate(parts, axis=1) for parts in zip(*taken)), whole):
+        assert got.tobytes() == want.tobytes()

@@ -8,7 +8,7 @@ from episim.core import (TRANSITION_DAYS, Compartment, Constant, Population, Sce
 from episim.engine import _advance_infections, initialize, step
 from episim.interventions import self_isolation_step
 from episim.testing import current_loads
-from episim.transmission import start_episodes
+from episim.transmission import episode_schedule, start_episodes
 from episim.viral_load import load_array, start_days, transition_days
 
 from reference import (
@@ -229,16 +229,16 @@ def test_start_days_restate_the_key_time_comparisons():
 
 def test_loads_and_self_isolation_need_no_status_update():
     # an episode's load window and onset day are set when it starts, so a
-    # testing day's loads and self-isolation read them before any status
-    # update has scheduled its transition days; the isolation then ends the
-    # schedule, with no onset and recovery on the release
+    # testing day's loads and self-isolation read them with no status update
+    # run; the isolation then ends the schedule, with no onset and recovery
+    # on the release
     profile = ViralLoadProfile(t0=3.0, V0=1e3, tP=2.0, VP=1e5, tS=1.5, tF=6.5, VF=1e3,
                                symptomatic=True)
     params = np.array([profile_params(profile)]).T
     symptomatic = np.array([True])
     pop = Population(2)
-    start_episodes(pop, np.array([1]), 2, 2, params, start_days(params, symptomatic),
-                   symptomatic)
+    start_episodes(pop, np.array([1]), 2, params,
+                   episode_schedule(params, symptomatic, symptomatic, 1e3))
     pop.comp[1] = Compartment.INFECTIOUS_SYMPTOMATIC
     # day 6 is tau 4, between t0 and the peak
     loads = current_loads(pop, np.array([0, 1]), 6)
@@ -292,10 +292,11 @@ def test_scheduled_days_equal_the_daily_status_update():
     # the transition days, infectious and recovery, are the days since
     # exposure on which status_at, stepped day by day from first_tau, moves
     # the episode. The first update is at tau 0 (a seed or an external
-    # exposure) or tau 1 (an internal exposure), but the status update
-    # schedules every waiting episode once one reaches its first load day, so
-    # it passes any first_tau from the first update to ceil(t0): the days
-    # must not depend on which
+    # exposure) or tau 1 (an internal exposure). An episode's days are
+    # derived for tau 0 when it is drawn, and derived again for its first
+    # update only where that comes after its first load day, ceil(t0): so
+    # the days must not depend on any first_tau from the first update to
+    # ceil(t0)
     cut = 1e3
     profiles = schedule_profiles(cut)
     params = np.array([profile_params(p) for p in profiles]).T
@@ -330,11 +331,11 @@ def test_daily_stages_match_scalar_reference():
     # against status_at, symptomatic_now and load_at. Each episode starts
     # through start_episodes on day i % 7: even ones before the day's status
     # update (an external exposure, first seen at tau 0), odd ones at the end
-    # of the day (an internal exposure, first seen at tau 1). Self-isolation
-    # moves each willing episode on one day: the first day from its first
-    # update on with symptoms while the reference has it in E or I. Only the
-    # status update schedules transition days; self-isolation and the loads
-    # need none.
+    # of the day (an internal exposure, first seen at tau 1), with the whole
+    # schedule of such a first update. Self-isolation moves each willing
+    # episode on one day: the first day from its first update on with
+    # symptoms while the reference has it in E or I. The status update only
+    # compares the day with the transition days.
     cut = 1e3
     profiles = stage_profiles()
     n = len(profiles)
@@ -342,7 +343,6 @@ def test_daily_stages_match_scalar_reference():
     external = np.arange(n) % 2 == 0
     params = np.array([profile_params(p) for p in profiles]).T
     symptomatic = np.array([p.symptomatic for p in profiles])
-    offsets = start_days(params, symptomatic)
     config = ScenarioConfig(infectiousViralLoadCut=cut)
     status = Population(n)  # the status update
     selfiso = Population(n)  # self-isolation, every symptomatic agent willing
@@ -352,9 +352,10 @@ def test_daily_stages_match_scalar_reference():
     transitions = set()
 
     def start(ids, day, first_update):
+        offsets = episode_schedule(params[:, ids], symptomatic[ids], symptomatic[ids], cut,
+                                   first_update - day)
         for pop in (status, selfiso):
-            start_episodes(pop, ids, day, first_update, params[:, ids], offsets[:, ids],
-                           symptomatic[ids])
+            start_episodes(pop, ids, day, params[:, ids], offsets)
         comp[ids] = C.EXPOSED
 
     for day in range(30):
@@ -369,7 +370,7 @@ def test_daily_stages_match_scalar_reference():
                 comp[i] = C.INFECTIOUS_SYMPTOMATIC if symptomatic[i] else C.INFECTIOUS_ASYMPTOMATIC
             elif stage is InfectionStage.RECOVERED:
                 comp[i] = C.RECOVERED
-        _advance_infections(status, day, cut)
+        _advance_infections(status, day)
         assert status.comp.tolist() == comp.tolist(), day
         transitions |= set(zip(before[before != comp].tolist(), comp[before != comp].tolist()))
 
