@@ -1,10 +1,16 @@
 """Population testing: single-sample tests and two-stage pooled (Dorfman)
 testing, with delayed result delivery.
 
-A testing day works on whole arrays: the eligible ids, their viral loads,
-one permutation into pools and one Bernoulli vector per test stage. Only
-positive results change an agent's state, so only positive ids are queued,
-bucketed by delivery day.
+A testing day cuts a uniform permutation of the eligible samples into
+pools. Only the carriers, the agents inside their load window, and the
+positives change anything: every other sample has load 0. So a population of
+at least ``transmission.SPARSE_EXPOSURE_AGENTS`` agents draws the same law
+per carrier and per positive: the carriers' pool positions, one stage-1 test
+per pool that holds a carrier, one stage-2 test per carrier of a positive
+pool, and counts for the rest, whose positive ids are a uniform subset of the
+eligible non-carriers. A smaller population permutes every sample and draws
+one Bernoulli vector per test stage. Only positive results change an agent's
+state, so only positive ids are queued, bucketed by delivery day.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import Population, ScenarioConfig
+from .transmission import SPARSE_EXPOSURE_AGENTS, uniform_subset
 from .viral_load import load_array
 
 
@@ -29,21 +36,38 @@ def pool_positive_prob(
     pools cover ``loads`` in order. A pool of one gets the single-test
     probability under either rule.
     """
+    return _pool_prob(np.add.reduceat(_pooled(loads, config), starts, dtype=float), sizes, config)
+
+
+def _pooled(loads: np.ndarray, config: ScenarioConfig) -> np.ndarray:
+    # what a pool's test adds up over its samples: the loads under average
+    # pooling, whether each is detectable under exponential pooling
+    return loads if config.poolingType == "average" else loads > config.detectionCut
+
+
+def _pool_prob(totals: np.ndarray, sizes: np.ndarray, config: ScenarioConfig) -> np.ndarray:
+    # the stage-1 positive probability of pools of sizes ``sizes`` whose
+    # samples add up to ``totals`` (:func:`_pooled`)
     if config.poolingType == "average":
-        return single_positive_prob(np.add.reduceat(loads, starts) / sizes, config)
+        return single_positive_prob(totals / sizes, config)
     # exponential, the one other type a ScenarioConfig admits
-    k = np.add.reduceat(loads > config.detectionCut, starts, dtype=np.int64)
-    return np.where(k == 0, config.fprSingle, 1.0 - config.fnrSingle ** k)
+    return np.where(totals == 0, config.fprSingle, 1.0 - config.fnrSingle ** totals)
+
+
+def eligible(population: Population, day: int, config: ScenarioConfig) -> np.ndarray:
+    """Mask of the agents in the population and past any post-isolation
+    holdback."""
+    mask = population.in_population()
+    holdback = config.noTestingPostIsolationDays
+    if holdback > 0:
+        # never isolated -> NaN, which no comparison holds back
+        mask &= ~(day - population.release_day < holdback)
+    return mask
 
 
 def eligible_ids(population: Population, day: int, config: ScenarioConfig) -> np.ndarray:
     """Sorted ids in the population and past any post-isolation holdback."""
-    eligible = population.in_population()
-    holdback = config.noTestingPostIsolationDays
-    if holdback > 0:
-        # never isolated -> NaN, which no comparison holds back
-        eligible &= ~(day - population.release_day < holdback)
-    return eligible.nonzero()[0]
+    return eligible(population, day, config).nonzero()[0]
 
 
 def current_loads(population: Population, ids: np.ndarray, day: int) -> np.ndarray:
@@ -71,20 +95,33 @@ def run_testing_day(
 ) -> int:
     """Sample and test every eligible agent; returns tests used today.
 
-    A random permutation of the eligible ids cuts them into pools: contiguous
-    runs of ``poolSize`` in the permuted order, the last one holding the
-    remainder, so it may be smaller. Each pool is tested, then each member of
-    a positive pool of two or more is tested singly; a pool of one is a
-    single test with no stage 2. ``rng`` is the run's ``testing`` stream
-    (:class:`~episim.core.Streams`). All outcomes use the sampling-day loads.
-    The positive ids are queued, ascending, under ``pending[day +
-    daysDelayTestResults]``; a run tests at most once a day, so no testing day
-    finds that key taken. The tests used are one per pool plus one per
-    stage-2 member test.
+    A uniform permutation of the eligible samples cuts them into pools:
+    contiguous runs of ``poolSize``, the last one holding the remainder, so it
+    may be smaller. Each pool is tested, then each member of a positive pool
+    of two or more is tested singly; a pool of one is a single test with no
+    stage 2. All outcomes use the sampling-day loads. Below
+    ``SPARSE_EXPOSURE_AGENTS`` agents the permutation is drawn
+    (:func:`_permuted_day`); from it on, only the carriers' places in it
+    (:func:`_carrier_day`). ``rng`` is the run's ``testing`` stream, and
+    :class:`~episim.core.Streams` gives both draw orders. The positive ids are
+    queued, ascending, under ``pending[day + daysDelayTestResults]``; a run
+    tests at most once a day, so no testing day finds that key taken. The
+    tests used are one per pool plus one per stage-2 member test.
     """
+    day_of = _permuted_day if population.comp.size < SPARSE_EXPOSURE_AGENTS else _carrier_day
+    positives, tests = day_of(population, config, day, rng)
+    if positives.size:
+        positives.sort()
+        pending[day + config.daysDelayTestResults] = positives
+    return tests
+
+
+def _permuted_day(population: Population, config: ScenarioConfig, day: int,
+                  rng: np.random.Generator) -> tuple[np.ndarray, int]:
+    # every sample in a permuted order, one Bernoulli vector per test stage
     ids = eligible_ids(population, day, config)
     if ids.size == 0:
-        return 0
+        return ids, 0
     loads = current_loads(population, ids, day)
     order = rng.permutation(len(ids))
     ids, loads = ids[order], loads[order]
@@ -99,10 +136,67 @@ def run_testing_day(
     retest_loads = loads[retest]
     retest_positive = rng.random(retest_loads.size) < single_positive_prob(retest_loads, config)
     positives = np.concatenate([ids[single_positive], ids[retest][retest_positive]])
-    if positives.size:
-        positives.sort()
-        pending[day + config.daysDelayTestResults] = positives
-    return len(starts) + int(retest_positive.size)
+    return positives, len(starts) + int(retest_positive.size)
+
+
+def _carrier_day(population: Population, config: ScenarioConfig, day: int,
+                 rng: np.random.Generator) -> tuple[np.ndarray, int]:
+    # the law of _permuted_day, drawn per carrier and per positive: the
+    # carriers' positions in the permutation, then counts for the samples of
+    # load 0, all of which test as the false-positive rate
+    sampled = eligible(population, day, config)
+    in_window = (population.first_load_day <= day) & (day <= population.last_load_day)
+    carriers = (sampled & in_window).nonzero()[0]
+    m = np.count_nonzero(sampled)
+    if m == 0:
+        return np.empty(0, dtype=np.int64), 0
+    k, fpr = config.poolSize, config.fprSingle
+    pools = -(-m // k)
+    last = m - k * (pools - 1)  # the size of the last pool
+    positives, tests = [np.empty(0, dtype=np.int64)], pools
+    # the members of positive pools of two or more that are not carriers, and
+    # the positive pools of one that hold none
+    retested = alone = 0
+    held = np.empty(0, dtype=np.int64)
+    if carriers.size:
+        pool = rng.choice(m, carriers.size, replace=False) // k
+        counts = np.bincount(pool, minlength=pools)
+        held = counts.nonzero()[0]
+        sizes = np.where(held == pools - 1, last, k)
+        loads = load_array(population.params.take(carriers, axis=1),
+                           day - population.exposure_day[carriers])
+        totals = np.bincount(pool, _pooled(loads, config), pools)[held]
+        positive = np.zeros(pools, dtype=bool)
+        positive[held] = rng.random(held.size) < _pool_prob(totals, sizes, config)
+        # per carrier: in a positive pool, and in a pool of one
+        in_positive = positive[pool]
+        alone_in = ((pool == pools - 1) & (last == 1)) | (k == 1)
+        positives.append(carriers[in_positive & alone_in])
+        retest = in_positive & ~alone_in
+        retest_positive = (rng.random(np.count_nonzero(retest))
+                           < single_positive_prob(loads[retest], config))
+        positives.append(carriers[retest][retest_positive])
+        tests += retest_positive.size
+        retested = int((sizes - counts[held])[positive[held] & (sizes > 1)].sum())
+    # the carrier-free pools, each positive with the false-positive rate: the
+    # full ones as one count, the short last one on its own
+    full = pools - (last < k)
+    short = full < pools and (held.size == 0 or held[-1] != full)
+    free_positive = int(rng.binomial(full - np.count_nonzero(held < full), fpr))
+    if k == 1:
+        alone += free_positive
+    else:
+        retested += k * free_positive
+    if short and rng.random() < fpr:
+        if last == 1:
+            alone += 1
+        else:
+            retested += last
+    tests += retested
+    found = alone + int(rng.binomial(retested, fpr))
+    if found:
+        positives.append(uniform_subset(sampled & ~in_window, True, found, m - carriers.size, rng))
+    return np.concatenate(positives), tests
 
 
 def deliver_results(pending: dict[int, np.ndarray], day: int) -> np.ndarray:

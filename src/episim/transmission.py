@@ -39,8 +39,11 @@ EPISODE_BLOCK = 256
 REFILL_BLOCKS = 8
 REFILL_AGENTS = 1024
 # Populations of at least this many agents draw how many each exposure stage
-# exposes, then who; smaller ones draw one uniform per susceptible agent. A
-# part of the stream contract (:class:`~episim.core.Streams`), not a setting.
+# exposes, then who; smaller ones draw one uniform per susceptible agent. On a
+# testing day, a population this large places its carriers in the pools and
+# counts the positives among the rest (:func:`~episim.testing.run_testing_day`);
+# a smaller one permutes every sample into pools. A part of the stream
+# contract (:class:`~episim.core.Streams`), not a setting.
 SPARSE_EXPOSURE_AGENTS = 10_000
 
 FIELDS = len(DISTRIBUTION_FIELDS)
@@ -155,18 +158,21 @@ def start_episodes(population: Population, ids: np.ndarray, day: int, params: np
     population.days[EPISODE_DAYS, ids] = days
 
 
-def _subset(comp: np.ndarray, c: int, k: int, s: int, rng: np.random.Generator) -> np.ndarray:
-    # A uniform k-subset of the s agents in compartment c: the first k
-    # distinct ids in c among uniform draws from all ids, or, when k is more
-    # than an eighth of s and so would take as many draws as a scan, a choice
-    # among the ascending ids in c
+def uniform_subset(values: np.ndarray, c: int, k: int, s: int,
+                   rng: np.random.Generator) -> np.ndarray:
+    """A uniform ``k``-subset of the ``s`` indices i where ``values[i] == c``:
+    the first ``k`` distinct such indices among batches of uniform draws over
+    all indices, or, when ``k`` is more than an eighth of ``s`` and so would
+    take as many draws as a scan, one ``choice`` among those indices in
+    ascending order. Exposure draws the exposed of one compartment with it
+    and a testing day its positive non-carriers."""
     if 8 * k > s:
-        return rng.choice((comp == c).nonzero()[0], size=k, replace=False)
+        return rng.choice((values == c).nonzero()[0], size=k, replace=False)
     chosen = np.empty(0, dtype=np.int64)
     while chosen.size < k:
         # enough draws to hit the missing members, with a quarter to spare
-        draws = rng.integers(comp.size, size=int(1.25 * (k - chosen.size) * comp.size / s) + 16)
-        hits = np.concatenate([chosen, draws[comp[draws] == c]])
+        draws = rng.integers(values.size, size=int(1.25 * (k - chosen.size) * values.size / s) + 16)
+        hits = np.concatenate([chosen, draws[values[draws] == c]])
         chosen = hits[first_occurrences(hits)][:k]
     return chosen
 
@@ -198,7 +204,7 @@ def draw_exposures(
         if s and prob > 0.0:
             k = int(rng.binomial(s, prob))
             if k:
-                exposed.append(_subset(comp, c, k, s, rng))
+                exposed.append(uniform_subset(comp, c, k, s, rng))
     if not exposed:
         return np.empty(0, dtype=np.int64)
     ids = np.concatenate(exposed)

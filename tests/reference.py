@@ -12,6 +12,7 @@ exposure stage's and the daily vaccination's.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -150,39 +151,52 @@ def transition_taus(
         tau += 1
 
 
-def single_test(viral_load: float, config: ScenarioConfig, rng: np.random.Generator) -> bool:
-    """One test on one sample; True means positive.
+def single_probability(viral_load: float, config: ScenarioConfig) -> float:
+    """The probability that one test on one sample comes back positive.
 
     Samples at or below the detection cut can only false-positive; detectable
     samples miss at the false-negative rate.
     """
     if viral_load <= config.detectionCut:
-        return bool(rng.random() < config.fprSingle)
-    return bool(rng.random() < 1.0 - config.fnrSingle)
+        return config.fprSingle
+    return 1.0 - config.fnrSingle
+
+
+def average_pool_probability(loads: Sequence[float], config: ScenarioConfig) -> float:
+    """The probability that the stage-1 test of a pool whose load is the mean
+    of its samples' comes back positive."""
+    return single_probability(sum(loads) / len(loads), config)
+
+
+def exponential_pool_probability(loads: Sequence[float], config: ScenarioConfig) -> float:
+    """The probability that the stage-1 test of a pool with k detectable
+    samples comes back positive: the false-positive rate if k is 0, else
+    1 - fnr**k, each detectable sample contributing independently."""
+    k = sum(1 for v in loads if v > config.detectionCut)
+    return config.fprSingle if k == 0 else 1.0 - config.fnrSingle ** k
+
+
+POOL_PROBABILITY = {"average": average_pool_probability,
+                    "exponential": exponential_pool_probability}
+
+
+def single_test(viral_load: float, config: ScenarioConfig, rng: np.random.Generator) -> bool:
+    """One test on one sample; True means positive."""
+    return bool(rng.random() < single_probability(viral_load, config))
 
 
 def pool_test_average(
     loads: Sequence[float], config: ScenarioConfig, rng: np.random.Generator
 ) -> bool:
     """Stage-1 pool test where the pool's load is the mean of its samples."""
-    return single_test(sum(loads) / len(loads), config, rng)
+    return bool(rng.random() < average_pool_probability(loads, config))
 
 
 def pool_test_exponential(
     loads: Sequence[float], config: ScenarioConfig, rng: np.random.Generator
 ) -> bool:
-    """Stage-1 pool test driven by the number of detectable samples k.
-
-    With no detectable sample the pool false-positives at the single-test
-    rate; otherwise each detectable sample independently contributes, so the
-    pool is positive with probability 1 - fnr**k.
-    """
-    k = sum(1 for v in loads if v > config.detectionCut)
-    if k == 0:
-        p_positive = config.fprSingle
-    else:
-        p_positive = 1.0 - config.fnrSingle ** k
-    return bool(rng.random() < p_positive)
+    """Stage-1 pool test driven by the number of detectable samples k."""
+    return bool(rng.random() < exponential_pool_probability(loads, config))
 
 
 def exposure_probability(compartment: Compartment, p: float, alpha: float) -> float:
@@ -219,3 +233,85 @@ def vaccination_inclusion(willingness: Sequence[float], doses: int) -> list[floa
             given_willing[w] = sum(q * min(1.0, doses / (1 + m))
                                    for m, q in enumerate(others_willing(i)))
     return [w * given_willing[w] for w in willingness]
+
+
+def _draws(counts: Sequence[int], size: int):
+    """Each way to draw ``size`` of the samples of the classes of ``counts``
+    samples, without replacement: the samples per class drawn, and the
+    probability of that draw (multivariate hypergeometric)."""
+    ways = math.comb(sum(counts), size)
+    for drawn in itertools.product(*(range(min(c, size) + 1) for c in counts)):
+        if sum(drawn) == size:
+            yield drawn, math.prod(map(math.comb, counts, drawn)) / ways
+
+
+def _pools(m: int, pool_size: int) -> list[int]:
+    """The sizes of the pools of ``m`` samples: full ones of ``pool_size``,
+    and the remainder last, if any."""
+    return [min(pool_size, m - start) for start in range(0, m, pool_size)]
+
+
+def testing_inclusion(loads: Sequence[float], config: ScenarioConfig) -> list[float]:
+    """The probability that each of the eligible samples, of viral loads
+    ``loads``, comes back positive on one testing day under the rule of one
+    uniform permutation of the samples into pools of ``config.poolSize``, the
+    last holding the remainder: a positive pool of one is a positive result,
+    and each member of a positive pool of two or more is tested singly.
+
+    Sample i lands in a pool of size s with probability (pools of size s) *
+    s / M, and the other s - 1 members of that pool are a uniform draw from
+    the other M - 1 samples, so the pool's loads have Dorfman's hypergeometric
+    law (Dorfman 1943), here over the classes of equal load."""
+    values = sorted(set(loads))
+    counts = [loads.count(v) for v in values]
+    sizes = _pools(len(loads), config.poolSize)
+    by_value = {}
+    for a, v in enumerate(values):
+        others = counts[:a] + [counts[a] - 1] + counts[a + 1:]
+        p = 0.0
+        for s in set(sizes):
+            in_pool = sizes.count(s) * s / len(loads)
+            retest = 1.0 if s == 1 else single_probability(v, config)
+            for drawn, q in _draws(others, s - 1):
+                pool = [v] + [w for w, d in zip(values, drawn) for _ in range(d)]
+                p += in_pool * q * POOL_PROBABILITY[config.poolingType](pool, config) * retest
+        by_value[v] = p
+    return [by_value[v] for v in loads]
+
+
+def testing_tests_moments(loads: Sequence[float], config: ScenarioConfig) -> tuple[float, float]:
+    """The mean and variance of the tests used on one testing day of the
+    samples of viral loads ``loads``, under the rule of
+    :func:`testing_inclusion`: one per pool, plus the members of each positive
+    pool of two or more. Pool j is positive, X_j, with the stage-1
+    probability of its loads, drawn as in :func:`testing_inclusion`; two
+    distinct pools are a joint draw without replacement, and the two stage-1
+    tests are independent given their loads."""
+    values = sorted(set(loads))
+    counts = [loads.count(v) for v in values]
+    sizes = _pools(len(loads), config.poolSize)
+    pool_probability = POOL_PROBABILITY[config.poolingType]
+
+    def positive(drawn):
+        return pool_probability([w for w, d in zip(values, drawn) for _ in range(d)], config)
+
+    def both_positive(a, b):
+        return sum(q * positive(drawn) * sum(r * positive(other) for other, r in
+                                             _draws([c - d for c, d in zip(counts, drawn)], b))
+                   for drawn, q in _draws(counts, a))
+
+    kinds = sorted(set(sizes))
+    # per pool size: the members retested when the pool is positive, and the
+    # probability that it is
+    retested = {a: a if a > 1 else 0 for a in kinds}
+    rate = {a: sum(q * positive(drawn) for drawn, q in _draws(counts, a)) for a in kinds}
+    mean = len(sizes) + sum(sizes.count(a) * retested[a] * rate[a] for a in kinds)
+    # E[(sum_j w_j X_j)^2]: the pairs of distinct pools, then each pool with itself
+    second = 0.0
+    for a in kinds:
+        for b in kinds:
+            pairs = sizes.count(a) * (sizes.count(b) - (a == b))
+            second += pairs * retested[a] * retested[b] * both_positive(a, b)
+        second += sizes.count(a) * retested[a] ** 2 * rate[a]
+    extra = mean - len(sizes)
+    return mean, second - extra ** 2

@@ -20,9 +20,10 @@ shift in false isolations is out of reach in either pooled scenario: one of
 12% is detected 5-12% of the time. And nothing here sees which agents a
 stage chooses. The 1,000-agent scenarios also stay below
 ``transmission.SPARSE_EXPOSURE_AGENTS``, so they run the exposure stages'
-one-uniform-per-agent draws only: the per-agent inclusion tests of
-``tests/test_inclusion.py`` check the law of the exposure draws above that
-size, and of vaccination at every size.
+one-uniform-per-agent draws and the testing day's permutation of every
+sample only: the per-agent inclusion tests of ``tests/test_inclusion.py``
+check the law of the exposure draws and of a testing day's positives above
+that size, and of vaccination at every size.
 
 Print a fresh reference with ``python tests/test_equivalence.py``; replace the
 stored one only when the model itself changes, never for a stream change.

@@ -76,7 +76,7 @@ GOLDEN = {
     "exponential-4-vaccination": "6eaec7bd0d6273f681804ba95a48e7dbc7774acad22a31b3e6e56a282fb792d8",
     "no-testing-vaccination": "1382bdd0a14562759799dd9363cfece45f2eeb41e5def58e42a5fed15ec88ac4",
     "single-fast-reinfection": "287ecd8fc16542324cfa20cc886d1a59083729e0d0439ed2e845e41e93aea5da",
-    "sparse-exposure-vaccination": "dd3adb725505903b8edc26e6107fa4c0f2474e249cc7c4e5ee0366d0f7359f9f",
+    "sparse-exposure-vaccination": "f25941029188041128bd56b2a0b9111f7c2aebab3dd2678652c02d590085607c",
 }
 
 

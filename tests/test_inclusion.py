@@ -1,5 +1,6 @@
 """Per-agent inclusion frequencies of the stages that choose agents, against
-the plain rules of ``tests/reference.py``.
+the plain rules of ``tests/reference.py``: exposure, vaccination and the
+positive results of a testing day.
 
 A change of a stage's draws that keeps its law keeps the probability with
 which each agent is chosen. Each test runs one stage ``REPS`` times on one
@@ -23,9 +24,11 @@ from scipy.stats import norm
 
 from episim.core import Compartment, Population, ScenarioConfig
 from episim.interventions import vaccination_step
-from episim.transmission import SPARSE_EXPOSURE_AGENTS, draw_exposures
+from episim.testing import current_loads, eligible_ids, run_testing_day
+from episim.transmission import SPARSE_EXPOSURE_AGENTS, draw_exposures, episode_schedule, start_episodes
 
-from reference import exposure_probability, vaccination_inclusion
+import reference as reference_module
+from reference import ViralLoadProfile, exposure_probability, profile_params, vaccination_inclusion
 
 C = Compartment
 REPS = 3000
@@ -47,8 +50,10 @@ def check_inclusion(chosen, reference, classes, reps):
     p = reference[agents]
     z = (chosen[agents] / reps - p) / np.sqrt(p * (1 - p) / reps)
     assert np.abs(z).max() < bound(agents.sum())
-    groups = [ids for c in np.unique(classes[agents])
-              for ids in np.array_split(np.flatnonzero(agents & (classes == c)), GROUPS)]
+    groups = []
+    for c in np.unique(classes[agents]):
+        ids = np.flatnonzero(agents & (classes == c))
+        groups += np.array_split(ids, min(GROUPS, ids.size))
     for ids in groups:
         p = reference[ids]
         z = (chosen[ids].sum() / reps - p.sum()) / np.sqrt((p * (1 - p)).sum() / reps)
@@ -122,3 +127,83 @@ def test_vaccination_chooses_each_eligible_agent_as_the_per_agent_rule(doses, n)
     reference = np.zeros(n)
     reference[eligible] = vaccination_inclusion(pop.willingness[eligible].tolist(), doses)
     check_inclusion(counts, reference, pop.willingness, REPS)
+
+
+def flat_episodes(pop, ids, load, t0=0.5):
+    """Give agents ``ids`` an episode exposed on day 0 whose load is ``load``
+    from ``t0`` days on until day 51."""
+    profile = ViralLoadProfile(t0=t0, V0=load, tP=1.0, VP=load, tS=0.0, tF=50.0 - t0, VF=load,
+                               symptomatic=False)
+    params = np.tile(profile_params(profile), (len(ids), 1)).T
+    asymptomatic = np.zeros(len(ids), bool)
+    start_episodes(pop, ids, 0, params, episode_schedule(params, asymptomatic, asymptomatic, 1e3))
+    pop.comp[ids] = C.INFECTIOUS_ASYMPTOMATIC
+
+
+TESTING_DAY = 7
+# (agents, eligible samples, pooling type). Below the size rule the samples
+# are permuted into pools; above it the carriers are placed and the rest
+# counted. Pools of 5: 1,503 and 9,003 samples leave a remainder pool of 3,
+# and 21 a pool of one, so that about one sample in 21 lands in it
+TESTING_CASES = [(2000, 1503, "average"), (SPARSE_EXPOSURE_AGENTS, 9003, "average"),
+                 (SPARSE_EXPOSURE_AGENTS, 9003, "exponential"), (SPARSE_EXPOSURE_AGENTS, 21, "average")]
+
+
+@pytest.mark.parametrize("n,m,pooling_type", TESTING_CASES)
+def test_testing_day_gives_each_sample_its_dorfman_probability(n, m, pooling_type):
+    # Power, REPS days, average pooling: a bias in one sample's probability of
+    # a positive result is detected at 80% power from 8% of π for a high-load
+    # carrier (π 0.64), 13% for a diluted one (π 0.41) and 54-57% for a
+    # non-carrier (π 0.04) at 1,503 and 9,003 samples; one shared by a group of
+    # a tenth of a class from 1.7%, 2.9% and 4.2% (1,503) and 0.7%, 1.2% and
+    # 1.7% (9,003). With 21 samples every group is one sample, and a
+    # non-carrier's bias is detected from 35% of π. A bias in the mean of the
+    # tests used is detected from 0.3% (1,503), 0.1% (9,003) and 1.9% (21) of
+    # it, and one in their variance from about 11%.
+    rng = np.random.default_rng(1943 + m)
+    pop = Population(n)
+    # a tenth of all agents carry a load far above the cut, a tenth one of
+    # 400, which the average of a pool of 5 dilutes below the cut of 100
+    # unless another carrier joins it, and a tenth have an episode whose load
+    # window is not yet open; then all but m agents are isolated, half of them
+    # with a load, or held back after an isolation
+    high, low, latent, _ = np.split(rng.permutation(n), [n // 10, n // 5, 3 * n // 10])
+    flat_episodes(pop, np.sort(high), 1e8)
+    flat_episodes(pop, np.sort(low), 400.0)
+    flat_episodes(pop, np.sort(latent), 1e8, t0=20.0)
+    ineligible = rng.permutation(n)[m:]
+    isolated, held = ineligible[::2], ineligible[1::2]
+    pop.comp[isolated] = np.where(pop.comp[isolated] == C.INFECTIOUS_ASYMPTOMATIC,
+                                  C.ISOLATED_SICK, C.ISOLATED_HEALTHY)
+    pop.release_day[held] = TESTING_DAY - 1
+    config = ScenarioConfig(poolSize=5, poolingType=pooling_type, fprSingle=0.1, fnrSingle=0.2,
+                            detectionCut=100.0, noTestingPostIsolationDays=5,
+                            daysDelayTestResults=0)
+    ids = eligible_ids(pop, TESTING_DAY, config)
+    assert ids.size == m
+    loads = current_loads(pop, ids, TESTING_DAY)
+    # the classes: 0 for a non-carrier, 1 for a diluted carrier, 2 for another
+    classes = np.full(n, -1)
+    classes[ids] = np.searchsorted([100.0, 1e3], loads)
+    reference = np.zeros(n)
+    reference[ids] = reference_module.testing_inclusion(loads.tolist(), config)
+
+    positive = np.zeros(n, dtype=np.int64)
+    tests = np.empty(REPS)
+    for r in range(REPS):
+        pending = {}
+        tests[r] = run_testing_day(pop, config, TESTING_DAY, pending, rng)
+        found = pending.pop(TESTING_DAY, np.empty(0, dtype=np.int64))
+        assert pending == {} and np.all(np.diff(found) > 0)
+        positive[found] += 1
+    assert np.array_equal(eligible_ids(pop, TESTING_DAY, config), ids)  # testing moves nobody
+    check_inclusion(positive, reference, classes, REPS)
+
+    # the tests used: their mean against the exact mean, with the exact
+    # variance, and their variance against the exact variance, with the
+    # sample's fourth central moment
+    mean, variance = reference_module.testing_tests_moments(loads.tolist(), config)
+    m4 = np.mean((tests - tests.mean()) ** 4)
+    z = [(tests.mean() - mean) / np.sqrt(variance / REPS),
+         (tests.var(ddof=1) - variance) / np.sqrt((m4 - tests.var() ** 2) / REPS)]
+    assert np.all(np.abs(z) < bound(2)), (tests.mean(), mean, tests.var(ddof=1), variance)

@@ -13,7 +13,7 @@ from episim.testing import (
     pool_positive_prob,
     run_testing_day,
 )
-from episim.transmission import episode_schedule, start_episodes
+from episim.transmission import SPARSE_EXPOSURE_AGENTS, episode_schedule, start_episodes
 
 from reference import (
     ViralLoadProfile,
@@ -237,26 +237,37 @@ def test_member_of_negative_pool_never_positive():
     assert pending == {}
 
 
-def reference_testing_day(pop, cfg, day, rng):
-    """The testing day one sample at a time with the scalar rules, drawing
-    in the documented order; returns (sorted positive ids, tests used)."""
+def reference_eligible(pop, cfg, day):
+    """The eligible ids, ascending, one agent at a time."""
     isolated = (Compartment.ISOLATED_HEALTHY, Compartment.ISOLATED_SICK)
     ids = []
-    for i in range(len(pop.comp)):
-        release = pop.release_day[i]
-        held = not np.isnan(release) and day - release < cfg.noTestingPostIsolationDays
-        if pop.comp[i] not in isolated and not held:
+    for i, (comp, release) in enumerate(zip(pop.comp.tolist(), pop.release_day.tolist())):
+        held = not math.isnan(release) and day - release < cfg.noTestingPostIsolationDays
+        if comp not in isolated and not held:
             ids.append(i)
-    loads = [
-        0.0 if np.isnan(pop.exposure_day[i])
-        else load_at(ViralLoadProfile(*pop.params[:, i], symptomatic=False),
-                     day - pop.exposure_day[i])
-        for i in ids
-    ]
+    return ids
+
+
+def reference_load(pop, i, day):
+    """Agent i's viral load on ``day``; 0 without an episode."""
+    if np.isnan(pop.exposure_day[i]):
+        return 0.0
+    profile = ViralLoadProfile(*pop.params[:, i], symptomatic=False)
+    return load_at(profile, day - pop.exposure_day[i])
+
+
+POOL_RULE = {"average": pool_test_average, "exponential": pool_test_exponential}
+
+
+def reference_testing_day(pop, cfg, day, rng):
+    """The testing day below the size rule one sample at a time with the
+    scalar rules, drawing in the documented order; returns (sorted positive
+    ids, tests used)."""
+    ids = reference_eligible(pop, cfg, day)
+    loads = [reference_load(pop, i, day) for i in ids]
     order = rng.permutation(len(ids))
     pools = [order[a:a + cfg.poolSize] for a in range(0, len(ids), cfg.poolSize)]
-    rule = {"average": pool_test_average, "exponential": pool_test_exponential}
-    stage1 = [rule[cfg.poolingType]([loads[j] for j in pool], cfg, rng) for pool in pools]
+    stage1 = [POOL_RULE[cfg.poolingType]([loads[j] for j in pool], cfg, rng) for pool in pools]
     positives, tests = [], len(pools)
     for pool, pool_positive in zip(pools, stage1):
         if pool_positive and len(pool) == 1:
@@ -269,51 +280,145 @@ def reference_testing_day(pop, cfg, day, rng):
     return sorted(positives), tests
 
 
-@pytest.mark.parametrize("pooling_type,pool_size", [
-    ("average", 1), ("average", 4), ("exponential", 4), ("exponential", 10),
-])
-def test_run_testing_day_matches_scalar_reference(pooling_type, pool_size):
-    # a mixed population: trajectories at every stage, isolated agents, and
-    # agents inside and past the post-isolation holdback
-    rng = np.random.default_rng(111)
-    n = 400
+def reference_carrier_day(pop, cfg, day, rng):
+    """The testing day from the size rule on, one sample at a time with the
+    scalar rules, drawing in the documented order; returns (sorted positive
+    ids, tests used). A carrier is an eligible agent inside its load window;
+    every other eligible agent is a sample of load 0."""
+    ids = reference_eligible(pop, cfg, day)
+    carriers = [i for i in ids if pop.first_load_day[i] <= day <= pop.last_load_day[i]]
+    is_carrier = set(carriers)
+    others = [i for i in ids if i not in is_carrier]
+    m, k, fpr = len(ids), cfg.poolSize, cfg.fprSingle
+    sizes = [min(k, m - a) for a in range(0, m, k)]
+    # the carriers, ascending, take the positions drawn, in turn
+    pool_of = {}
+    if carriers:
+        pool_of = {i: int(position) // k for i, position in
+                   zip(carriers, rng.choice(m, len(carriers), replace=False))}
+    members = {}
+    for i in carriers:
+        members.setdefault(pool_of[i], []).append(i)
+    loads = {i: reference_load(pop, i, day) for i in carriers}
+    positive_pool = {
+        j: POOL_RULE[cfg.poolingType](
+            [loads[i] for i in members[j]] + [0.0] * (sizes[j] - len(members[j])), cfg, rng)
+        for j in sorted(members)}
+    positives, tests = [], len(sizes)
+    for i in carriers:
+        j = pool_of[i]
+        if positive_pool[j] and sizes[j] == 1:
+            positives.append(i)
+        elif positive_pool[j]:
+            tests += 1
+            if single_test(loads[i], cfg, rng):
+                positives.append(i)
+    # the samples of load 0: those retested, and those positive in a pool of one
+    retested = sum(sizes[j] - len(members[j]) for j in members if positive_pool[j] and sizes[j] > 1)
+    alone = 0
+    free_full = sum(1 for j, size in enumerate(sizes) if size == k and j not in members)
+    free_positive = int(rng.binomial(free_full, fpr))
+    if k == 1:
+        alone += free_positive
+    else:
+        retested += k * free_positive
+    if sizes[-1] < k and len(sizes) - 1 not in members and rng.random() < fpr:
+        if sizes[-1] == 1:
+            alone += 1
+        else:
+            retested += sizes[-1]
+    tests += retested
+    found = alone + int(rng.binomial(retested, fpr))
+    # which of them: the first distinct eligible non-carrier ids among
+    # batches of uniform ids, or a choice among them all when many
+    chosen = []
+    if 8 * found > len(others):
+        chosen = rng.choice(others, size=found, replace=False).tolist() if found else []
+    unchosen = set(others) - set(chosen)
+    while len(chosen) < found:
+        batch = int(1.25 * (found - len(chosen)) * len(pop.comp) / len(others)) + 16
+        for i in rng.integers(len(pop.comp), size=batch).tolist():
+            if i in unchosen and len(chosen) < found:
+                chosen.append(i)
+                unchosen.remove(i)
+    return sorted(positives + chosen), tests
+
+
+def mixed_testing_population(n, rng):
+    """A mixed population: trajectories at every stage, isolated agents, and
+    agents inside and past the post-isolation holdback."""
     pop = Population(n)
     infected_comps = (
         Compartment.EXPOSED, Compartment.INFECTIOUS_SYMPTOMATIC,
         Compartment.INFECTIOUS_ASYMPTOMATIC, Compartment.RECOVERED,
     )
-    for i in range(0, n, 3):
-        params = np.array([profile_params(ViralLoadProfile(
+    ids = np.arange(0, n, 3)
+    params, exposure_day = np.empty((7, ids.size)), np.empty(ids.size, dtype=np.int64)
+    for j in range(ids.size):
+        params[:, j] = profile_params(ViralLoadProfile(
             t0=float(rng.uniform(0, 4)), V0=10 ** float(rng.uniform(0, 3)),
             tP=float(rng.uniform(0, 3)), VP=10 ** float(rng.uniform(3, 8)),
             tS=0.0, tF=float(rng.uniform(0, 9)), VF=10 ** float(rng.uniform(0, 3)),
             symptomatic=False,
-        ))]).T
-        exposure_day = int(rng.integers(0, 16))
-        asymptomatic = np.array([False])
-        start_episodes(pop, np.array([i]), exposure_day, params,
-                       episode_schedule(params, asymptomatic, asymptomatic, 1e3))
-        pop.comp[i] = infected_comps[i % 4]
+        ))
+        exposure_day[j] = rng.integers(0, 16)
+    asymptomatic = np.zeros(ids.size, dtype=bool)
+    offsets = episode_schedule(params, asymptomatic, asymptomatic, 1e3)
+    for day in np.unique(exposure_day):
+        on = exposure_day == day
+        start_episodes(pop, ids[on], int(day), params[:, on], offsets[:, on])
+    pop.comp[ids] = np.array(infected_comps)[ids % 4]
     for i in range(1, n, 11):
         pop.comp[i] = Compartment.ISOLATED_HEALTHY
     for i in range(2, n, 5):
         pop.release_day[i] = int(rng.integers(0, 16))
+    return pop
+
+
+def check_testing_day(n, pooling_type, pool_size, fpr, reference_day, seeds):
+    """``run_testing_day`` on a mixed population of ``n`` agents against the
+    scalar ``reference_day``, drawn from the same seeds."""
+    rng = np.random.default_rng(111)
+    pop = mixed_testing_population(n, rng)
     cfg = ScenarioConfig(
         daysBetweenTesting=1, firstDayOfTesting=0, poolSize=pool_size,
-        poolingType=pooling_type, fprSingle=0.05, fnrSingle=0.3,
+        poolingType=pooling_type, fprSingle=fpr, fnrSingle=0.3,
         noTestingPostIsolationDays=5, daysDelayTestResults=2,
     )
     n_pools = -(-len(eligible_ids(pop, 15, cfg)) // pool_size)
-    for seed in range(5):
+    for seed in range(seeds):
         pending = {}
         used = run_testing_day(pop, cfg, 15, pending, np.random.default_rng(seed))
-        expected, expected_tests = reference_testing_day(pop, cfg, 15, np.random.default_rng(seed))
+        expected, expected_tests = reference_day(pop, cfg, 15, np.random.default_rng(seed))
         assert used == expected_tests
         assert deliver_results(pending, 17).tolist() == expected
         assert pending == {}
         # the case is not vacuous: results come back and stage 2 runs
         assert expected
         assert pool_size == 1 or used > n_pools
+
+
+@pytest.mark.parametrize("pooling_type,pool_size", [
+    ("average", 1), ("average", 4), ("exponential", 4), ("exponential", 10),
+])
+def test_run_testing_day_matches_scalar_reference(pooling_type, pool_size):
+    # below the size rule: every sample is permuted into pools
+    check_testing_day(400, pooling_type, pool_size, 0.05, reference_testing_day, seeds=5)
+
+
+# (pooling type, pool size, false-positive rate). The positive non-carriers
+# are drawn by rejection, except at a false-positive rate of 0.2 with pools of
+# one, where they are more than an eighth of the non-carriers and so a choice
+# among them all. The eligible count leaves a short last pool for pools of 4
+# and 10
+@pytest.mark.parametrize("pooling_type,pool_size,fpr", [
+    ("average", 1, 0.2), ("average", 4, 0.05), ("exponential", 10, 0.05),
+])
+def test_carrier_testing_day_matches_scalar_reference(pooling_type, pool_size, fpr):
+    # from the size rule on: the carriers are placed in the pools, and the
+    # positives among the rest are counted, then chosen
+    check_testing_day(SPARSE_EXPOSURE_AGENTS, pooling_type, pool_size, fpr,
+                      reference_carrier_day, seeds=2)
 
 
 def test_delivery_delay():
@@ -390,31 +495,33 @@ def test_testing_day_matches_dorfman_closed_form(pooling_type, load):
     # and the false-positive rate per non-carrier have closed forms (Dorfman
     # 1943) given the stage-1 positive probability p[j] of a pool holding j
     # carriers. Each day is independent, so the z-bound uses the spread of the
-    # daily values.
-    n, m, k, fpr, fnr, days = 1000, 50, 5, 0.05, 0.2, 1000
-    cfg = ScenarioConfig(poolingType=pooling_type, poolSize=k, fprSingle=fpr, fnrSingle=fnr,
-                         detectionCut=100.0, daysDelayTestResults=0)
-    carriers = np.arange(0, n, n // m)
-    pop = hot_population(n, hot_ids=carriers, load=load)
-    if pooling_type == "exponential":
-        p = [fpr] + [1.0 - fnr ** j for j in range(1, k + 1)]
-    else:
-        p = [1.0 - fnr if j * load / k > cfg.detectionCut else fpr for j in range(k + 1)]
-    expected = (
-        n / k + n * sum(hypergeometric(j, n, m, k) * p[j] for j in range(k + 1)),
-        (1.0 - fnr) * sum(hypergeometric(j, n - 1, m - 1, k - 1) * p[j + 1] for j in range(k)),
-        fpr * sum(hypergeometric(j, n - 1, m, k - 1) * p[j] for j in range(k)),
-    )
+    # daily values. Both sides of the size rule: 1,000 agents permute every
+    # sample, SPARSE_EXPOSURE_AGENTS place the carriers.
+    for n in (1000, SPARSE_EXPOSURE_AGENTS):
+        m, k, fpr, fnr, days = n // 20, 5, 0.05, 0.2, 1000
+        cfg = ScenarioConfig(poolingType=pooling_type, poolSize=k, fprSingle=fpr, fnrSingle=fnr,
+                             detectionCut=100.0, daysDelayTestResults=0)
+        carriers = np.arange(0, n, n // m)
+        pop = hot_population(n, hot_ids=carriers, load=load)
+        if pooling_type == "exponential":
+            p = [fpr] + [1.0 - fnr ** j for j in range(1, k + 1)]
+        else:
+            p = [1.0 - fnr if j * load / k > cfg.detectionCut else fpr for j in range(k + 1)]
+        expected = (
+            n / k + n * sum(hypergeometric(j, n, m, k) * p[j] for j in range(k + 1)),
+            (1.0 - fnr) * sum(hypergeometric(j, n - 1, m - 1, k - 1) * p[j + 1] for j in range(k)),
+            fpr * sum(hypergeometric(j, n - 1, m, k - 1) * p[j] for j in range(k)),
+        )
 
-    rng = np.random.default_rng(2024)
-    is_carrier = np.zeros(n, dtype=bool)
-    is_carrier[carriers] = True
-    daily = np.empty((days, 3))
-    for d in range(days):
-        pending = {}
-        tests = run_testing_day(pop, cfg, 7, pending, rng)
-        positive = np.zeros(n, dtype=bool)
-        positive[deliver_results(pending, 7)] = True
-        daily[d] = tests, positive[is_carrier].mean(), positive[~is_carrier].mean()
-    z = (daily.mean(axis=0) - expected) / (daily.std(axis=0, ddof=1) / math.sqrt(days))
-    assert np.all(np.abs(z) < 4.0), (daily.mean(axis=0).tolist(), expected, z.tolist())
+        rng = np.random.default_rng(2024)
+        is_carrier = np.zeros(n, dtype=bool)
+        is_carrier[carriers] = True
+        daily = np.empty((days, 3))
+        for d in range(days):
+            pending = {}
+            tests = run_testing_day(pop, cfg, 7, pending, rng)
+            positive = np.zeros(n, dtype=bool)
+            positive[deliver_results(pending, 7)] = True
+            daily[d] = tests, positive[is_carrier].mean(), positive[~is_carrier].mean()
+        z = (daily.mean(axis=0) - expected) / (daily.std(axis=0, ddof=1) / math.sqrt(days))
+        assert np.all(np.abs(z) < 4.0), (n, daily.mean(axis=0).tolist(), expected, z.tolist())
