@@ -14,7 +14,7 @@ import sys
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Optional, TextIO
+from typing import Any, Iterable, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -38,12 +38,17 @@ from .engine import (
 # File emission
 
 
+def write_numeric_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
+    """Rows of numbers under ``header``, in the bytes of ``csv.writer``: no
+    name or number needs quoting, and a float is written as its repr."""
+    with path.open("w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
+
+
 def write_run_csv(path: Path, records: np.ndarray) -> None:
     """One row per entry of a run's records, under the RECORD_DTYPE names."""
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RECORD_DTYPE.names)
-        writer.writerows(records.tolist())
+    write_numeric_csv(path, RECORD_DTYPE.names, records.tolist())
 
 
 def read_run_csv(path: Path) -> np.ndarray:
@@ -75,11 +80,7 @@ def write_aggregate_csv(path: Path, records: list[np.ndarray]) -> None:
     values = np.array([[run[col] for col in columns] for run in records], dtype=np.float64)
     bands = np.stack([values.mean(axis=0), values.min(axis=0), values.max(axis=0)], axis=-1)
     rows = bands.transpose(1, 0, 2).reshape(values.shape[2], -1).tolist()  # in header order
-    # the bytes of csv.writer: no name or number needs quoting, and a float
-    # is written as its repr
-    with path.open("w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        fh.writelines(",".join(map(repr, [day, *row])) + "\r\n" for day, row in enumerate(rows))
+    write_numeric_csv(path, header, ([day, *row] for day, row in enumerate(rows)))
 
 
 def write_json(path: Path, payload: Any) -> None:
