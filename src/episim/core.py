@@ -419,17 +419,13 @@ class Streams:
       ascending order. Where one batch of exposures ends, or how many blocks
       are drawn ahead, does not change which episode an exposure gets.
     - ``testing``, each testing day with M eligible samples, cut into pools
-      of ``poolSize`` in order, the last holding the remainder. In a
-      population of fewer than ``SPARSE_EXPOSURE_AGENTS`` agents: one
-      permutation of the eligible ids into pools, one uniform per pool for
-      the stage-1 tests in pool order, then one per member of each positive
-      pool of two or more for the stage-2 tests, in pool order. In a larger
-      one, where the c carriers are the eligible agents inside their load
-      window: if c > 0, one ``choice`` of c of the M positions, taken by the
-      carriers in ascending id order; one uniform per pool holding a carrier
-      for its stage-1 test, in pool order; one per carrier in a positive pool
-      of two or more for its stage-2 test, in id order; one binomial count of
-      the positive full pools without a carrier; one uniform for a short last
+      of ``poolSize`` in order, the last holding the remainder, where the c
+      carriers are the eligible agents inside their load window: if c > 0,
+      one ``choice`` of c of the M positions, taken by the carriers in
+      ascending id order; one uniform per pool holding a carrier for its
+      stage-1 test, in pool order; one per carrier in a positive pool of two
+      or more for its stage-2 test, in id order; one binomial count of the
+      positive full pools without a carrier; one uniform for a short last
       pool without a carrier; one binomial count of the positives among the
       non-carriers retested; then the positive non-carriers, drawn as
       exposure draws who (batches of uniform ids over all agents, or one

@@ -39,11 +39,13 @@ EPISODE_BLOCK = 256
 REFILL_BLOCKS = 8
 REFILL_AGENTS = 1024
 # Populations of at least this many agents draw how many each exposure stage
-# exposes, then who; smaller ones draw one uniform per susceptible agent. On a
-# testing day, a population this large places its carriers in the pools and
-# counts the positives among the rest (:func:`~episim.testing.run_testing_day`);
-# a smaller one permutes every sample into pools. A part of the stream
-# contract (:class:`~episim.core.Streams`), not a setting.
+# exposes, then who; smaller ones draw one uniform per susceptible agent. The
+# uniforms keep two scenarios' exposures paired by agent, which the count and
+# subset do not: at 2,000 agents the count-and-subset draw more than doubled
+# the SD of the same-run-index difference in infections between two testing
+# schemes. Only exposure has this rule; a testing day draws one law at every
+# size. A part of the stream contract (:class:`~episim.core.Streams`), not a
+# setting.
 SPARSE_EXPOSURE_AGENTS = 10_000
 
 FIELDS = len(DISTRIBUTION_FIELDS)

@@ -2,12 +2,13 @@
 sample at a time.
 
 The package evaluates whole populations at once (``viral_load.load_array``,
-``viral_load.transition_days``, ``testing.pool_positive_prob``). The kernel tests
-check those against the plain rules here: a trajectory's load and status,
-the days a daily status update moves it, its symptom window, and single and
-pooled tests. The inclusion tests check the stages that choose agents
-against the probability with which the plain rule chooses each one: an
-exposure stage's and the daily vaccination's.
+``viral_load.transition_days``, the stage-1 probabilities of a testing day's
+pools). The kernel tests check those against the plain rules here: a
+trajectory's load and status, the days a daily status update moves it, its
+symptom window, and single and pooled tests. The inclusion tests check the
+stages that choose agents against the probability with which the plain rule
+chooses each one: an exposure stage's, the daily vaccination's and a testing
+day's positives.
 """
 
 from __future__ import annotations

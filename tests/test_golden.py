@@ -70,12 +70,12 @@ CONFIGS = {
     ),
 }
 GOLDEN = {
-    "average-5-delay-2": "50631b1f1b2e010c934396e807bf7db1a0a3e3c2031acfeebfe22d4985c92aef",
-    "edge-trajectories": "56337b6a32d5c115b21558a75a9bd53b18941aee4f408316303906806c25cf3d",
-    "exponential-10-no-isolation": "8620a7317e39aa295a8812539e78054c6eeedc59bc8e27f8cfa64a857a49c4bd",
-    "exponential-4-vaccination": "6eaec7bd0d6273f681804ba95a48e7dbc7774acad22a31b3e6e56a282fb792d8",
+    "average-5-delay-2": "0a691fc4e7d8186cb1c4feec866a710c93648253c18290ba9595e85745d67047",
+    "edge-trajectories": "ac42afcb1eea5d5085d3f2f79addc6aff7532fd4a043530a80efbce32d4c24d2",
+    "exponential-10-no-isolation": "f3f576a45dafe208696b14798c194050a8d89659970ca7787ff203a2e34fed8c",
+    "exponential-4-vaccination": "f60909f98142bf728a342f86d457c219680e21c159d020fff19137f43595870d",
     "no-testing-vaccination": "1382bdd0a14562759799dd9363cfece45f2eeb41e5def58e42a5fed15ec88ac4",
-    "single-fast-reinfection": "287ecd8fc16542324cfa20cc886d1a59083729e0d0439ed2e845e41e93aea5da",
+    "single-fast-reinfection": "d9a4fdd9b43af2675bf21c95eb5bd9f240871b32d83b96d965156d43929024a1",
     "sparse-exposure-vaccination": "f25941029188041128bd56b2a0b9111f7c2aebab3dd2678652c02d590085607c",
 }
 
@@ -148,53 +148,53 @@ def write_outputs(root):
 
 GOLDEN_OUTPUTS = {
     "calibrate/calibration.json": "f08e05eff9322bec5bd6478298506eb410df574044482d9cfeea3cd26b17cd2b",
-    "report_rebuilt.csv": "c00235f79247572613d2d0016978863f396378e8fdc0ed3dd717c4f017927648",
-    "run/aggregate.csv": "6664041b932ae5de88705b973127aefefdf3572caa00033b33301f4fd2750574",
+    "report_rebuilt.csv": "13918f877b7662bcea1a70807d11097758d3f80a2c341caee9eafca9e1277dd2",
+    "run/aggregate.csv": "093a9b90873281b6b28481433c760bc64dce5fcb119c39a8fd96eb96cbc2b03c",
     "run/config.json": "6f9d1bcc80e733ac09e580183f9876ff48d8443bd9b36bd17e37d5eec5579e80",
-    "run/run_000.csv": "ad904150e1cbdbe8303863309d94e8c4732236a1cadcce10993fb4b0ec749914",
-    "run/run_001.csv": "afce980b0328e2a0ebcc49282746afd98e3159d9cf78644878451aa51ea18197",
-    "run/run_002.csv": "f20174cdbdd8307f8411ce16b57e13b877b8f60ed5e1fc46fb24ba897bcaa0f4",
-    "run/summary_000.json": "d3d5fd865be7cde4c3f2eddcefc9310fc94f1de5b2e6c73f192f57fe3b91589a",
-    "run/summary_001.json": "24b16dbab676f9576e089ca4c43e8ece8b2d50507a282f90db7c8f61c18d0e43",
-    "run/summary_002.json": "c8ad896e9ebacdd3f04eccbc61b32d6f5f966bef8d993d2d34297c3eab59d184",
-    "sweep/cell_000/aggregate.csv": "f21f4970501f24b75faf8afb588a139862f625b4e87da061e8c8eb00d1a27bb2",
+    "run/run_000.csv": "7f85cc8e54969c5cd4eca59a59a606dd79c9040bb16f459e7607a917ccb88aff",
+    "run/run_001.csv": "79c8cfd40b6a12ee408c63e445ad04fb9a133b12656a3bc96c51e0085d68f6a9",
+    "run/run_002.csv": "be577e5b3b45566c22d62cf0433b3af4d6ef67f3d61852e155a0cf7ea852c945",
+    "run/summary_000.json": "c21f003b681bc454b1298910710979dffddc92988031c93f972786abed968c16",
+    "run/summary_001.json": "64204b2717d977b5afd2645129eb46a4352d7f516439cf0576cc33d351c7f393",
+    "run/summary_002.json": "e28a7be711dd36300a718ed578d10ce915f18dfbe1427fc7450a5db51c92ff6c",
+    "sweep/cell_000/aggregate.csv": "2dc07051232c5895d4b92350b4d85c0092443374c078890f6f8c846770e9f289",
     "sweep/cell_000/cell.json": "e4fc9bc0b8163e5bed01f31c752cba8b6d3a331d71c37a14594d2c472c15e6f1",
     "sweep/cell_000/config.json": "83d161a9bd78bdd201ace8458063b1f18fc352b10baf05cbee4825390505d6ff",
-    "sweep/cell_000/run_000.csv": "fa42647c99eb2d5637e85a66b630204593dac4b0eb6ba502c74bbef29b18512f",
-    "sweep/cell_000/run_001.csv": "7cfe2d7f0055e23b76f9dd52e3518a8ed52d289df6070143a25ef109f2dd532b",
-    "sweep/cell_000/run_002.csv": "d6ed409ae78de942e1b9b0ea8e409b6b1f5dc9406210656978b9aa0fae5b32be",
-    "sweep/cell_000/summary_000.json": "1f59f951d1c0ab613e9ecc52ed84120d58f2d23a5ef43a4ab11c2829d5f84bc5",
-    "sweep/cell_000/summary_001.json": "04bf75b220059277eb3a7a5fc486338d8f4f09bc549454a0af01e2d7b80855e5",
-    "sweep/cell_000/summary_002.json": "b16e37760a0778f753a4ab4970a44808d17874380aa52d90a4e465cc4791f4e3",
-    "sweep/cell_001/aggregate.csv": "06ba4fa761949bc2e4324df2877e803842e82f707b850fc1d7d1af3c18f364cf",
+    "sweep/cell_000/run_000.csv": "1457edff012acce849a44b3c885f00c11e2c86b208911903f4e3349670fea64b",
+    "sweep/cell_000/run_001.csv": "d36a60007b7bac773b659c89f208fd5b1eeaacdde39d69fe3b4215fcdcc843db",
+    "sweep/cell_000/run_002.csv": "55355f90b4129de74e925bdd20a67ed89204c4dd42831a3f607c8d59722a5874",
+    "sweep/cell_000/summary_000.json": "fb9f04de7b904adf7fdcd7e3dc09436f1d9aec11f3bb2b900a5725958d3e0990",
+    "sweep/cell_000/summary_001.json": "e3ea975d5d358ec035560fae01000c9c1f66131477bf70d2905869f2c22acb16",
+    "sweep/cell_000/summary_002.json": "a40819c0b1feb61b60b5e5af03ca4ff91be59921f730cd622f1ba0a433b204f0",
+    "sweep/cell_001/aggregate.csv": "b011e71f740390ff4251fce268499a14803d04be77a1320fb61c26e348294236",
     "sweep/cell_001/cell.json": "d8477b86fe25f311c2911b82262a35775c2de4153caa486fdc03f88a3c4437de",
     "sweep/cell_001/config.json": "40c3344d292c305d7ebc6ab0c59159c72f80631f07a1dab786d35b927d2e6be9",
-    "sweep/cell_001/run_000.csv": "7c9a6e429f948ad6405d764453e64b9c12b2fa8bdd2456e9184bf86e21bbe89d",
-    "sweep/cell_001/run_001.csv": "dfaff15f684b7b428d900b5d6e2bd27b60e8f6a855573678c4bf026c51dd9001",
-    "sweep/cell_001/run_002.csv": "1884cc0dd32489babcb076412539c08d4e5eeb91e05d0d998f38c028b7323452",
-    "sweep/cell_001/summary_000.json": "de6dde0a5ba5f48b0e37ee3141cc2d8a9c124c2cba27ec65eb777effa1688af9",
-    "sweep/cell_001/summary_001.json": "f18f08a4d8acb8787200ab37d0b88d713c00d3ef29bd339253e2d7c2cd157033",
-    "sweep/cell_001/summary_002.json": "a353283c9e081ec166d9eed5e097468531b25f8448f529f762084095c3cf418c",
-    "sweep/cell_002/aggregate.csv": "948a2c6fba6e75601fc69304afed9bffbe3208e1fd6bfbe3cf03b98bb9631cf7",
+    "sweep/cell_001/run_000.csv": "e24e9553148f8e5497e06a368526393c9df79db13f92726d6beb69c55c76f38c",
+    "sweep/cell_001/run_001.csv": "3fa2e56c015bbaec590919f3e16044a03db593c28b85e49bd82a0731303f9f8d",
+    "sweep/cell_001/run_002.csv": "99b80f37194232b8440eb68b688fe33ea497c9269e997c5d4c6b85079bf58213",
+    "sweep/cell_001/summary_000.json": "046799e0b50efe4cddf530ecc99d35d92b0da6ece0d7609b0cc075003cdc80a7",
+    "sweep/cell_001/summary_001.json": "b0176cde40a39423f283daff028861c21676798c1f042ed2b379361abdb3b38c",
+    "sweep/cell_001/summary_002.json": "57e990efe13c6b386ce7f0cd03a0202d607178597bfb64dabb12e6561acfbce5",
+    "sweep/cell_002/aggregate.csv": "db46fbb02257980e08109517fb9cf653d1d3f312e7a999d91828330758dc8ba5",
     "sweep/cell_002/cell.json": "25f915ea1d86a8851fc9a98a1939a55a48a074da1e17470e7a1a3d1d1f3876d9",
     "sweep/cell_002/config.json": "7fcfe62738ed39ac4be8a1e7e99f99e2becb928c1788d982389e52a58db6a098",
-    "sweep/cell_002/run_000.csv": "8c8aab224d40699769d10ce3bcd6a93a8856406834cdf8ab04f9c3cc5fdbe725",
-    "sweep/cell_002/run_001.csv": "acf09cec4b5228279ce1881ac0ef20844c979263b9b5b5be76d97be324ea11f1",
-    "sweep/cell_002/run_002.csv": "27bee18b2649d76a5a5ffb22d62089d5e09cee3eb548491ef31e43221db4da72",
-    "sweep/cell_002/summary_000.json": "8c5f216532db0318d4da737d12124527a0615d180c6bc6c2e465e8e8ad9929b0",
-    "sweep/cell_002/summary_001.json": "3b2a5196e728ab76c3347231d8b869b0f5f0f691763a8351175acc9731e7080b",
-    "sweep/cell_002/summary_002.json": "a1b23d82c660f1873eb325cc639857315e497a56f4db90ff4de330e850e4bdb3",
-    "sweep/cell_003/aggregate.csv": "7a63f928a7b90b19e5af474f9b84637d7b263b9ade1c666366efc4909edad0cd",
+    "sweep/cell_002/run_000.csv": "9ebe3c70eebb28a7802eaecac4d28a8f952b1634cadea6e763233df14b83f5a9",
+    "sweep/cell_002/run_001.csv": "449e59896a83b465209764853ad31c7f445a43113b0c06c83588f63751413ca0",
+    "sweep/cell_002/run_002.csv": "370709a6e07e35542d1aeb6f2726793563f764c844b64ca156775721d3e37286",
+    "sweep/cell_002/summary_000.json": "d17712ef9d12baaca3442c9bb900dbc08a99779a29d008e064c67f4c848b4846",
+    "sweep/cell_002/summary_001.json": "dfecb738accfd54001da2369ede57a02a9332f978fcf726b40839c018c0d0ee2",
+    "sweep/cell_002/summary_002.json": "086b59eb3b28673daffb145335eddec5713c5cd6b84d5edfb824a7a252cdd2b0",
+    "sweep/cell_003/aggregate.csv": "c3cbc2e3363d6fd89f030f0ace696f7d48846466eed0548ab2ae69345de600ba",
     "sweep/cell_003/cell.json": "c78a2d0f996c5fbbca206935103769fac1499e9a635c8e00646fbf954dcd761b",
     "sweep/cell_003/config.json": "d946ddce9453a5492ddb3fca6f31f34e7c775f7fa3a4e5f0d796c1ccd078b0c1",
-    "sweep/cell_003/run_000.csv": "9870b3e124b5c80df313f583849e371d13e2adbeaee885f1319bbf90d593e794",
-    "sweep/cell_003/run_001.csv": "06d352a0493950b4e7a502bdb213162c91df634bdb9796e2a317e0ee4c317d81",
-    "sweep/cell_003/run_002.csv": "45a042ad794932dfc56e43d501fd4e359fc0f3a5b4cda29150e1c624b22b26f8",
-    "sweep/cell_003/summary_000.json": "639a0c0c71a8ebc427265e49cf327d3377c890408c443d83a8114356d35cc163",
-    "sweep/cell_003/summary_001.json": "0e3e14968bc5de7b732d96854da6fa606e40d4d0ae9f5cac8431be1d398f1355",
-    "sweep/cell_003/summary_002.json": "fb89d901293fa0e5d6e6028846ce4d52eec7c1c0d20f31e86fd1baa180e030d3",
-    "sweep/report.csv": "c00235f79247572613d2d0016978863f396378e8fdc0ed3dd717c4f017927648",
-    "sweep/report.json": "2f75601051061dd2e2eecbf543584840db1b132925c3e357a39daccf0a3306f4",
+    "sweep/cell_003/run_000.csv": "2556ef9feff13702ba3aecdd23034395c9e1542d266b397621cb9bee503731cb",
+    "sweep/cell_003/run_001.csv": "feb857403516869ef9f27e613ad4f409fc6c629f694519db25b2a1d149586b2d",
+    "sweep/cell_003/run_002.csv": "8ebbb4e12b1f42e0a2ee4916dc01a242392ece32c60d9cf6e6c894691e80c65a",
+    "sweep/cell_003/summary_000.json": "e498e8739cd672561395b3077f01b20341cecdc5d2cdda43de3382a9c1a3fee4",
+    "sweep/cell_003/summary_001.json": "7ef9a660b35ef5cd261f28bb6573ebcb5cca4c158e60005716998c6418410fb6",
+    "sweep/cell_003/summary_002.json": "fdeedcfbd2545c40ac35c637daca9696f199580a373de9adb6634358a2c0b6c5",
+    "sweep/report.csv": "13918f877b7662bcea1a70807d11097758d3f80a2c341caee9eafca9e1277dd2",
+    "sweep/report.json": "6c3a5ada9796bf0008b7802fb8c45d748aa6ab29a73ff0cdf82e848e7c0ad45e",
 }
 
 

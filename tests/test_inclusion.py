@@ -24,7 +24,7 @@ from scipy.stats import norm
 
 from episim.core import Compartment, Population, ScenarioConfig
 from episim.interventions import vaccination_step
-from episim.testing import current_loads, eligible_ids, run_testing_day
+from episim.testing import eligible, run_testing_day
 from episim.transmission import SPARSE_EXPOSURE_AGENTS, draw_exposures, episode_schedule, start_episodes
 
 import reference as reference_module
@@ -141,12 +141,11 @@ def flat_episodes(pop, ids, load, t0=0.5):
 
 
 TESTING_DAY = 7
-# (agents, eligible samples, pooling type). Below the size rule the samples
-# are permuted into pools; above it the carriers are placed and the rest
-# counted. Pools of 5: 1,503 and 9,003 samples leave a remainder pool of 3,
-# and 21 a pool of one, so that about one sample in 21 lands in it
-TESTING_CASES = [(2000, 1503, "average"), (SPARSE_EXPOSURE_AGENTS, 9003, "average"),
-                 (SPARSE_EXPOSURE_AGENTS, 9003, "exponential"), (SPARSE_EXPOSURE_AGENTS, 21, "average")]
+# (agents, eligible samples, pooling type). Pools of 5: 1,503 and 9,003
+# samples leave a remainder pool of 3, and 21 a pool of one, so that about one
+# sample in 21 lands in it
+TESTING_CASES = [(2000, 1503, "average"), (10_000, 9003, "average"), (10_000, 9003, "exponential"),
+                 (10_000, 21, "average")]
 
 
 @pytest.mark.parametrize("n,m,pooling_type", TESTING_CASES)
@@ -171,6 +170,8 @@ def test_testing_day_gives_each_sample_its_dorfman_probability(n, m, pooling_typ
     flat_episodes(pop, np.sort(high), 1e8)
     flat_episodes(pop, np.sort(low), 400.0)
     flat_episodes(pop, np.sort(latent), 1e8, t0=20.0)
+    load = np.zeros(n)  # on TESTING_DAY
+    load[high], load[low] = 1e8, 400.0
     ineligible = rng.permutation(n)[m:]
     isolated, held = ineligible[::2], ineligible[1::2]
     pop.comp[isolated] = np.where(pop.comp[isolated] == C.INFECTIOUS_ASYMPTOMATIC,
@@ -179,9 +180,9 @@ def test_testing_day_gives_each_sample_its_dorfman_probability(n, m, pooling_typ
     config = ScenarioConfig(poolSize=5, poolingType=pooling_type, fprSingle=0.1, fnrSingle=0.2,
                             detectionCut=100.0, noTestingPostIsolationDays=5,
                             daysDelayTestResults=0)
-    ids = eligible_ids(pop, TESTING_DAY, config)
+    ids = eligible(pop, TESTING_DAY, config).nonzero()[0]
     assert ids.size == m
-    loads = current_loads(pop, ids, TESTING_DAY)
+    loads = load[ids]
     # the classes: 0 for a non-carrier, 1 for a diluted carrier, 2 for another
     classes = np.full(n, -1)
     classes[ids] = np.searchsorted([100.0, 1e3], loads)
@@ -196,7 +197,7 @@ def test_testing_day_gives_each_sample_its_dorfman_probability(n, m, pooling_typ
         found = pending.pop(TESTING_DAY, np.empty(0, dtype=np.int64))
         assert pending == {} and np.all(np.diff(found) > 0)
         positive[found] += 1
-    assert np.array_equal(eligible_ids(pop, TESTING_DAY, config), ids)  # testing moves nobody
+    assert np.array_equal(eligible(pop, TESTING_DAY, config).nonzero()[0], ids)  # testing moves nobody
     check_inclusion(positive, reference, classes, REPS)
 
     # the tests used: their mean against the exact mean, with the exact

@@ -4,8 +4,8 @@ whose effect on the records is known exactly.
 Each relation must hold bit for bit, over the random small configs of
 ``test_properties.configs()`` and over one config above
 ``transmission.SPARSE_EXPOSURE_AGENTS``, where each exposure stage draws a
-count and then who and a testing day places its carriers in the pools. A
-change of the streams that keeps the law keeps every relation: each pins
+count and then who. A testing day places its carriers in the pools at every
+size. A change of the streams that keeps the law keeps every relation: each pins
 that a stream or a column depends on what it should, and on nothing else.
 """
 

@@ -7,13 +7,8 @@ import numpy as np
 import pytest
 
 from episim.core import Compartment, Population, ScenarioConfig
-from episim.testing import (
-    deliver_results,
-    eligible_ids,
-    pool_positive_prob,
-    run_testing_day,
-)
-from episim.transmission import SPARSE_EXPOSURE_AGENTS, episode_schedule, start_episodes
+from episim.testing import _pool_prob, _pooled, deliver_results, eligible, run_testing_day
+from episim.transmission import episode_schedule, start_episodes
 
 from reference import (
     ViralLoadProfile,
@@ -108,8 +103,9 @@ def test_pool_exponential_single_detectable_matches_single_test():
 
 
 def test_pool_positive_prob_matches_scalar_rules():
-    # the stage-1 vector, drawn against the same uniforms as the scalar rules
-    # applied pool by pool, must give the same outcome for every pool
+    # the stage-1 probabilities of the pools, from their per-pool totals and
+    # drawn against the same uniforms as the scalar rules applied pool by
+    # pool, must give the same outcome for every pool
     rng = np.random.default_rng(109)
     spec = operating_point(100.0, 0.2, 0.3)
     n = 4000
@@ -122,7 +118,8 @@ def test_pool_positive_prob_matches_scalar_rules():
             vector_rng, scalar_rng = np.random.default_rng(110), np.random.default_rng(110)
             config = dataclasses.replace(spec, poolingType=pooling_type)
             bounds = np.append(starts, n - 1)
-            prob = pool_positive_prob(loads[:n - 1], starts, np.diff(bounds), config)
+            totals = np.add.reduceat(_pooled(loads[:n - 1], config), starts, dtype=float)
+            prob = _pool_prob(totals, np.diff(bounds), config)
             vector = vector_rng.random(len(starts)) < prob
             scalar = [
                 scalar_rule(loads[a:b].tolist(), spec, scalar_rng)
@@ -259,31 +256,9 @@ def reference_load(pop, i, day):
 POOL_RULE = {"average": pool_test_average, "exponential": pool_test_exponential}
 
 
-def reference_testing_day(pop, cfg, day, rng):
-    """The testing day below the size rule one sample at a time with the
-    scalar rules, drawing in the documented order; returns (sorted positive
-    ids, tests used)."""
-    ids = reference_eligible(pop, cfg, day)
-    loads = [reference_load(pop, i, day) for i in ids]
-    order = rng.permutation(len(ids))
-    pools = [order[a:a + cfg.poolSize] for a in range(0, len(ids), cfg.poolSize)]
-    stage1 = [POOL_RULE[cfg.poolingType]([loads[j] for j in pool], cfg, rng) for pool in pools]
-    positives, tests = [], len(pools)
-    for pool, pool_positive in zip(pools, stage1):
-        if pool_positive and len(pool) == 1:
-            positives.append(ids[pool[0]])
-        elif pool_positive:
-            for j in pool:
-                tests += 1
-                if single_test(loads[j], cfg, rng):
-                    positives.append(ids[j])
-    return sorted(positives), tests
-
-
 def reference_carrier_day(pop, cfg, day, rng):
-    """The testing day from the size rule on, one sample at a time with the
-    scalar rules, drawing in the documented order; returns (sorted positive
-    ids, tests used). A carrier is an eligible agent inside its load window;
+    """The testing day one sample at a time with the scalar rules, drawing in
+    the documented order; returns (sorted positive ids, tests used). A carrier is an eligible agent inside its load window;
     every other eligible agent is a sample of load 0."""
     ids = reference_eligible(pop, cfg, day)
     carriers = [i for i in ids if pop.first_load_day[i] <= day <= pop.last_load_day[i]]
@@ -375,9 +350,9 @@ def mixed_testing_population(n, rng):
     return pop
 
 
-def check_testing_day(n, pooling_type, pool_size, fpr, reference_day, seeds):
-    """``run_testing_day`` on a mixed population of ``n`` agents against the
-    scalar ``reference_day``, drawn from the same seeds."""
+def check_testing_day(n, pooling_type, pool_size, fpr, seeds):
+    """``run_testing_day`` on a mixed population of ``n`` agents against
+    :func:`reference_carrier_day`, drawn from the same seeds."""
     rng = np.random.default_rng(111)
     pop = mixed_testing_population(n, rng)
     cfg = ScenarioConfig(
@@ -385,11 +360,11 @@ def check_testing_day(n, pooling_type, pool_size, fpr, reference_day, seeds):
         poolingType=pooling_type, fprSingle=fpr, fnrSingle=0.3,
         noTestingPostIsolationDays=5, daysDelayTestResults=2,
     )
-    n_pools = -(-len(eligible_ids(pop, 15, cfg)) // pool_size)
+    n_pools = -(-np.count_nonzero(eligible(pop, 15, cfg)) // pool_size)
     for seed in range(seeds):
         pending = {}
         used = run_testing_day(pop, cfg, 15, pending, np.random.default_rng(seed))
-        expected, expected_tests = reference_day(pop, cfg, 15, np.random.default_rng(seed))
+        expected, expected_tests = reference_carrier_day(pop, cfg, 15, np.random.default_rng(seed))
         assert used == expected_tests
         assert deliver_results(pending, 17).tolist() == expected
         assert pending == {}
@@ -398,27 +373,27 @@ def check_testing_day(n, pooling_type, pool_size, fpr, reference_day, seeds):
         assert pool_size == 1 or used > n_pools
 
 
-@pytest.mark.parametrize("pooling_type,pool_size", [
-    ("average", 1), ("average", 4), ("exponential", 4), ("exponential", 10),
-])
-def test_run_testing_day_matches_scalar_reference(pooling_type, pool_size):
-    # below the size rule: every sample is permuted into pools
-    check_testing_day(400, pooling_type, pool_size, 0.05, reference_testing_day, seeds=5)
+# (agents, pooling type, pool size, false-positive rate), with seeds per case.
+# The positive non-carriers are drawn by rejection, except at a false-positive
+# rate of 0.2 with pools of one, where they are more than an eighth of the
+# non-carriers and so a choice among them all. The 337 and 8,519 eligible
+# samples leave a short last pool for pools of 4 and 10, a pool of one for
+# pools of 4 at 400 agents
+CARRIER_DAY_CASES = [
+    (400, "average", 1, 0.05, 5), (400, "average", 4, 0.05, 5),
+    (400, "exponential", 4, 0.05, 5), (400, "exponential", 10, 0.05, 5),
+    (10_000, "average", 1, 0.2, 2), (10_000, "average", 4, 0.05, 2),
+    (10_000, "exponential", 10, 0.05, 2),
+]
 
 
-# (pooling type, pool size, false-positive rate). The positive non-carriers
-# are drawn by rejection, except at a false-positive rate of 0.2 with pools of
-# one, where they are more than an eighth of the non-carriers and so a choice
-# among them all. The eligible count leaves a short last pool for pools of 4
-# and 10
-@pytest.mark.parametrize("pooling_type,pool_size,fpr", [
-    ("average", 1, 0.2), ("average", 4, 0.05), ("exponential", 10, 0.05),
-])
-def test_carrier_testing_day_matches_scalar_reference(pooling_type, pool_size, fpr):
-    # from the size rule on: the carriers are placed in the pools, and the
-    # positives among the rest are counted, then chosen
-    check_testing_day(SPARSE_EXPOSURE_AGENTS, pooling_type, pool_size, fpr,
-                      reference_carrier_day, seeds=2)
+@pytest.mark.parametrize("n,pooling_type,pool_size,fpr,seeds", CARRIER_DAY_CASES, ids=[
+    # the ids of the 10,000-agent cases name no size
+    f"{t}-{k}-{f}" if n == 10_000 else f"{n}-{t}-{k}-{f}" for n, t, k, f, _ in CARRIER_DAY_CASES])
+def test_carrier_testing_day_matches_scalar_reference(n, pooling_type, pool_size, fpr, seeds):
+    # the carriers are placed in the pools, and the positives among the rest
+    # are counted, then chosen
+    check_testing_day(n, pooling_type, pool_size, fpr, seeds)
 
 
 def test_delivery_delay():
@@ -461,8 +436,8 @@ def test_post_isolation_holdback():
     pop = hot_population(3)
     pop.release_day[1] = 10
     cfg = ScenarioConfig(noTestingPostIsolationDays=4)
-    assert eligible_ids(pop, 12, cfg).tolist() == [0, 2]
-    assert eligible_ids(pop, 14, cfg).tolist() == [0, 1, 2]
+    assert eligible(pop, 12, cfg).nonzero()[0].tolist() == [0, 2]
+    assert eligible(pop, 14, cfg).nonzero()[0].tolist() == [0, 1, 2]
 
 
 def test_isolated_agents_are_not_tested():
@@ -495,9 +470,8 @@ def test_testing_day_matches_dorfman_closed_form(pooling_type, load):
     # and the false-positive rate per non-carrier have closed forms (Dorfman
     # 1943) given the stage-1 positive probability p[j] of a pool holding j
     # carriers. Each day is independent, so the z-bound uses the spread of the
-    # daily values. Both sides of the size rule: 1,000 agents permute every
-    # sample, SPARSE_EXPOSURE_AGENTS place the carriers.
-    for n in (1000, SPARSE_EXPOSURE_AGENTS):
+    # daily values. A small and a large population.
+    for n in (1000, 10_000):
         m, k, fpr, fnr, days = n // 20, 5, 0.05, 0.2, 1000
         cfg = ScenarioConfig(poolingType=pooling_type, poolSize=k, fprSingle=fpr, fnrSingle=fnr,
                              detectionCut=100.0, daysDelayTestResults=0)

@@ -7,7 +7,7 @@ from episim.core import (TRANSITION_DAYS, Compartment, Constant, Population, Sce
                          make_rng)
 from episim.engine import _advance_infections, initialize, step
 from episim.interventions import self_isolation_step
-from episim.testing import current_loads
+from episim.testing import run_testing_day
 from episim.transmission import episode_schedule, start_episodes
 from episim.viral_load import load_array, start_days, transition_days
 
@@ -240,10 +240,16 @@ def test_loads_and_self_isolation_need_no_status_update():
     start_episodes(pop, np.array([1]), 2, params,
                    episode_schedule(params, symptomatic, symptomatic, 1e3))
     pop.comp[1] = Compartment.INFECTIOUS_SYMPTOMATIC
-    # day 6 is tau 4, between t0 and the peak
-    loads = current_loads(pop, np.array([0, 1]), 6)
-    assert loads[0] == 0.0 and loads[1] > 0.0
-    np.testing.assert_allclose(loads[1], load_at(profile, 4.0), rtol=1e-12)
+    # day 6 is tau 4, between t0 and the peak: only agent 1 is inside its
+    # load window, and a testing day of exact single tests finds it
+    assert ((pop.first_load_day <= 6) & (6 <= pop.last_load_day)).tolist() == [False, True]
+    np.testing.assert_allclose(load_array(pop.params[:, [1]], 6 - pop.exposure_day[[1]]),
+                               [load_at(profile, 4.0)], rtol=1e-12)
+    testing = ScenarioConfig(poolSize=1, fprSingle=0.0, fnrSingle=0.0, detectionCut=1.0,
+                             daysDelayTestResults=0)
+    pending = {}
+    assert run_testing_day(pop, testing, 6, pending, np.random.default_rng(0)) == 2
+    assert pending.keys() == {6} and pending[6].tolist() == [1]
     # symptoms from tau 6.5: the willing agent isolates on day 9
     config = ScenarioConfig()
     assert self_isolation_step(pop, 8, config).tolist() == []
@@ -385,11 +391,13 @@ def test_daily_stages_match_scalar_reference():
         assert moved.tolist() == active, day
         isolated[moved] = True
 
-        ids = np.arange(n)
-        got = current_loads(status, ids, day)
-        want = np.array([load_at(profiles[i], tau[i]) if started[i] else 0.0 for i in ids])
-        assert np.array_equal(got == 0.0, want == 0.0), day
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        # the testing day's carriers: the agents inside their load window,
+        # where the load is load_array's
+        window = (status.first_load_day <= day) & (day <= status.last_load_day)
+        want = np.array([load_at(profiles[i], tau[i]) if started[i] else 0.0 for i in range(n)])
+        assert np.array_equal(window, want != 0.0), day
+        got = load_array(status.params[:, window], day - status.exposure_day[window])
+        np.testing.assert_allclose(got, want[window], rtol=1e-12, atol=0.0)
 
         start((~external & (exposure == day)).nonzero()[0], day, day + 1)
 
