@@ -89,8 +89,7 @@ def run_testing_day(
     held = np.empty(0, dtype=np.int64)
     if carriers.size:
         pool = rng.choice(m, carriers.size, replace=False) // k
-        counts = np.bincount(pool, minlength=pools)
-        held = counts.nonzero()[0]
+        held = np.bincount(pool, minlength=pools).nonzero()[0]
         sizes = np.where(held == pools - 1, last, k)
         loads = load_array(population.params.take(carriers, axis=1),
                            day - population.exposure_day[carriers])
