@@ -11,10 +11,11 @@ the old one. ``python tests/test_golden.py`` prints the current ``GOLDEN`` and
 Together the configs reach average and exponential pooling, single tests,
 delayed results, the post-isolation holdback, zero-length isolation, fast
 loss of immunity, vaccination, a run without testing, trajectories that make
-every status transition, from the exposure day on, and a population large
-enough for the exposure stages to draw a count and then who. The output trees
-cover the aggregate CSV, the summary and cell JSONs, both report files, the
-rebuilt report and the calibration JSON.
+every status transition, from the exposure day on, and populations large
+enough for the exposure stages to draw a count and then who, one of them
+with every move between compartments. The output trees cover the aggregate
+CSV, the summary and cell JSONs, both report files, the rebuilt report and
+the calibration JSON.
 """
 
 import contextlib
@@ -68,6 +69,14 @@ CONFIGS = {
         firstDayOfTesting=5, poolSize=4, daysDelayTestResults=1, vaccinesAvailablePerDay=100,
         initProportionVaccinated=0.1,
     ),
+    # above the size rule too, with every move between compartments: loss of
+    # immunity, releases into the post-isolation holdback, self-isolation,
+    # isolation on a result delivered two days after its test, and vaccination
+    "sparse-waning-holdback": dict(
+        popSize=10_000, initialInfected=100, daysTilSusceptible=5, isolationLength=5,
+        daysBetweenTesting=2, firstDayOfTesting=3, poolSize=4, daysDelayTestResults=2,
+        noTestingPostIsolationDays=7, initProportionVaccinated=0.1, vaccinesAvailablePerDay=100,
+    ),
 }
 GOLDEN = {
     "average-5-delay-2": "0a691fc4e7d8186cb1c4feec866a710c93648253c18290ba9595e85745d67047",
@@ -77,6 +86,7 @@ GOLDEN = {
     "no-testing-vaccination": "1382bdd0a14562759799dd9363cfece45f2eeb41e5def58e42a5fed15ec88ac4",
     "single-fast-reinfection": "d9a4fdd9b43af2675bf21c95eb5bd9f240871b32d83b96d965156d43929024a1",
     "sparse-exposure-vaccination": "f25941029188041128bd56b2a0b9111f7c2aebab3dd2678652c02d590085607c",
+    "sparse-waning-holdback": "1932b9f640a58e835b41b114e4ff467ae6aa2313a8425db16e1ce23c2b7348ea",
 }
 
 
