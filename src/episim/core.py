@@ -514,6 +514,9 @@ class Population:
     isolation and never cleared, is the scheduled release of an isolated
     agent and the latest release of any other.
 
+    A run's day keeps its counts per compartment as agents move
+    (:func:`count_out`); :meth:`counts`, over every agent, is the tests' reference.
+
     ``params`` and ``days`` share one allocation. glibc trims the heap past
     twice the largest block freed, so what a run frees stays for the next
     set-up instead of being returned to the system and faulted in again.
@@ -545,3 +548,11 @@ class Population:
     def susceptible_compartment(self, ids: np.ndarray) -> np.ndarray:
         """S_v for the vaccinated among ``ids``, S_u for the others."""
         return np.where(self.vaccinated[ids], S_V, S_U)
+
+
+def count_out(counts: list[int], codes: np.ndarray, sources: range = range(N_COMPARTMENTS)) -> None:
+    """Take the agents of compartment ``codes`` in ``sources`` out of ``counts``
+    (indexed by :class:`Compartment`) by one ``bincount``: for mixed sources."""
+    moved = np.bincount(codes, minlength=N_COMPARTMENTS).tolist()
+    for c in sources:
+        counts[c] -= moved[c]

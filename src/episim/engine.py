@@ -8,7 +8,9 @@ external and internal exposures, the cumulative infections and false
 isolations, the day's tests, the cumulative cost and the vaccinated total.
 The records are a run's only accumulator: entry 0 is the state after
 :func:`initialize`, each day's entry adds its events to the one before, and
-:func:`run` returns the entries of days 0 to ``timeHorizon - 1``.
+:func:`run` returns the entries of days 0 to ``timeHorizon - 1``. The counts
+too follow the day's moves: they start as the day before's, and each stage
+updates them for the agents it moves, so no day counts the whole population.
 
 Daily stage order: (1) external exposure, (2) status updates (result
 delivery, isolation exits, status transitions, loss of immunity), (3)
@@ -38,6 +40,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .core import (
+    E,
     I_A,
     I_S,
     N_COMPARTMENTS,
@@ -48,6 +51,7 @@ from .core import (
     ScenarioConfig,
     SimulationError,
     Streams,
+    count_out,
     make_rng,
 )
 from .interventions import (
@@ -137,15 +141,22 @@ def initialize(config: ScenarioConfig, streams: Streams) -> RunState:
     return RunState(config, population, records, streams, episodes)
 
 
-def _advance_infections(population: Population, day: int) -> None:
+def _advance_infections(population: Population, day: int, counts: list[int]) -> None:
     # E -> I (I_s with an onset day) and E or I -> R on the days set when the
     # episode started; a sick isolation leaves only the recovery on its
-    # release, already into R
+    # release, already into R. Each moves in the day's counts too.
     onset = (population.infectious_day == day).nonzero()[0]
     if onset.size:
-        population.comp[onset] = np.where(np.isnan(population.onset_day[onset]), I_A, I_S)
+        asymptomatic = np.isnan(population.onset_day[onset])
+        population.comp[onset] = np.where(asymptomatic, I_A, I_S)
+        k = int(np.count_nonzero(asymptomatic))
+        counts[E] -= onset.size
+        counts[I_A] += k
+        counts[I_S] += onset.size - k
     due = (population.recovery_day == day).nonzero()[0]
     if due.size:
+        count_out(counts, population.comp[due])
+        counts[R] += due.size
         population.comp[due] = R
 
 
@@ -158,38 +169,40 @@ def step(state: RunState, day: int) -> np.void:
     # the day before's record, its counts s_u ... iso_sick in Compartment order
     (_, *prev_counts, _, _, cum_infections, cum_false_iso, _, cum_cost,
      vaccinated_total) = state.records[day].tolist()
+    counts = prev_counts.copy()  # the day's, which each stage moves its agents in
 
     new_external = external_exposure_step(population, config, day, streams.exposure, episodes,
-                                          prev_counts)
+                                          counts)
 
     # stage 2: status updates
     delivered = deliver_results(state.pending, day)
-    false_isolations = len(apply_positive_results(population, delivered, day, config))
-    isolation_exit_step(population, day)
-    _advance_infections(population, day)
-    recovered_to_susceptible_step(population, day, config)
+    false_isolations = len(apply_positive_results(population, delivered, day, config, counts))
+    isolation_exit_step(population, day, counts)
+    _advance_infections(population, day, counts)
+    recovered_to_susceptible_step(population, day, config, counts)
 
-    self_isolation_step(population, day, config)
+    self_isolation_step(population, day, config, counts)
 
     tests_today = 0
     if config.is_testing_day(day):
         tests_today = run_testing_day(population, config, day, state.pending, streams.testing)
         # results due on their sampling day act before internal propagation
         delivered = deliver_results(state.pending, day)
-        false_isolations += len(apply_positive_results(population, delivered, day, config))
+        false_isolations += len(apply_positive_results(population, delivered, day, config, counts))
 
     new_internal = internal_propagation_step(population, config, day, streams.exposure, episodes,
-                                             prev_counts)
+                                             prev_counts, counts)
 
-    vaccinated = vaccination_step(population, day, config, streams.vaccination)
+    vaccinated = vaccination_step(population, day, config, streams.vaccination, vaccinated_total,
+                                  counts)
 
-    counts = population.counts()
-    if len(counts) != N_COMPARTMENTS:
+    # as uint8 a negative code is out of range too
+    if population.comp.view(np.uint8).max() >= N_COMPARTMENTS:
         raise SimulationError(f"day {day}: an agent's compartment code is out of range")
     state.records[day + 1] = (
         day,
         # s_u ... iso_sick, declared in Compartment order
-        *counts.tolist(),
+        *counts,
         len(new_external),
         len(new_internal),
         cum_infections + len(new_external) + len(new_internal),

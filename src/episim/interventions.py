@@ -1,8 +1,10 @@
 """Isolation (test-driven and symptom-driven) and daily vaccine rollout.
 
-Each stage returns the ascending ids of the agents it moved. Only
-vaccination draws, from the run's ``vaccination`` stream
-(:class:`~episim.core.Streams`).
+Each stage returns the ascending ids of the agents it moved, and updates the
+day's ``counts`` per compartment, which the engine keeps in place of counting
+the population, by the sizes it knows or, for agents from mixed compartments,
+by :func:`~episim.core.count_out`. Only vaccination draws, from the run's
+``vaccination`` stream (:class:`~episim.core.Streams`).
 """
 
 from __future__ import annotations
@@ -10,12 +12,13 @@ from __future__ import annotations
 import numpy as np
 
 from .core import (E, EPISODE_DAYS, ISO_HEALTHY, ISO_SICK, R, S_U, S_V, Population, ScenarioConfig,
-                   first_occurrences)
+                   count_out, first_occurrences)
 
 
 def _isolate(population: Population, ids: np.ndarray, day: int, config: ScenarioConfig,
-             compartment: int) -> None:
+             compartment: int, counts: list[int]) -> None:
     population.comp[ids] = compartment
+    counts[compartment] += ids.size
     # a zero-length isolation still lasts until the next day
     release = day + max(config.isolationLength, 1)
     population.release_day[ids] = release
@@ -29,6 +32,7 @@ def apply_positive_results(
     ids: np.ndarray,
     day: int,
     config: ScenarioConfig,
+    counts: list[int],
 ) -> np.ndarray:
     """Isolate agents on a positive result, classified by today's state.
 
@@ -40,14 +44,16 @@ def apply_positive_results(
     if not ids.size:
         return ids
     comp = population.comp[ids]
+    count_out(counts, comp, range(R))
     healthy = ids[comp <= S_V]
-    _isolate(population, healthy, day, config, ISO_HEALTHY)
+    _isolate(population, healthy, day, config, ISO_HEALTHY, counts)
     sick = ids[(comp >= E) & (comp < R)]
-    _isolate(population, sick, day, config, ISO_SICK)
+    _isolate(population, sick, day, config, ISO_SICK, counts)
     return healthy
 
 
-def self_isolation_step(population: Population, day: int, config: ScenarioConfig) -> np.ndarray:
+def self_isolation_step(population: Population, day: int, config: ScenarioConfig,
+                        counts: list[int]) -> np.ndarray:
     """Move the agents in E, I_s or I_a whose self-isolation day is today
     into sick isolation; returns their ids.
 
@@ -60,12 +66,13 @@ def self_isolation_step(population: Population, day: int, config: ScenarioConfig
     if not due.size:
         return due
     comp = population.comp[due]
+    count_out(counts, comp, range(E, R))
     moved = due[(comp >= E) & (comp < R)]
-    _isolate(population, moved, day, config, ISO_SICK)
+    _isolate(population, moved, day, config, ISO_SICK, counts)
     return moved
 
 
-def isolation_exit_step(population: Population, day: int) -> np.ndarray:
+def isolation_exit_step(population: Population, day: int, counts: list[int]) -> np.ndarray:
     """Release the agents whose release day is today; returns their ids.
 
     Sick isolation exits to recovered, on the recovery day it set; healthy
@@ -75,12 +82,18 @@ def isolation_exit_step(population: Population, day: int) -> np.ndarray:
     if not released.size:
         return released
     sick = population.comp[released] == ISO_SICK
-    population.comp[released] = np.where(sick, R, population.susceptible_compartment(released))
+    comp = np.where(sick, R, population.susceptible_compartment(released))
+    population.comp[released] = comp
+    moved = np.bincount(comp, minlength=R + 1).tolist()
+    counts[ISO_SICK] -= moved[R]
+    counts[ISO_HEALTHY] -= released.size - moved[R]
+    for c in (S_U, S_V, R):
+        counts[c] += moved[c]
     return released
 
 
-def recovered_to_susceptible_step(population: Population, day: int,
-                                  config: ScenarioConfig) -> np.ndarray:
+def recovered_to_susceptible_step(population: Population, day: int, config: ScenarioConfig,
+                                  counts: list[int]) -> np.ndarray:
     """Return recovered agents to susceptibility once immunity has lapsed;
     returns their ids.
 
@@ -94,6 +107,10 @@ def recovered_to_susceptible_step(population: Population, day: int,
     population.params[:, returned] = np.nan
     population.days[EPISODE_DAYS, returned] = np.nan
     population.comp[returned] = population.susceptible_compartment(returned)
+    vaccinated = int(np.count_nonzero(population.vaccinated[returned]))
+    counts[R] -= returned.size
+    counts[S_V] += vaccinated
+    counts[S_U] += returned.size - vaccinated
     return returned
 
 
@@ -102,9 +119,12 @@ def vaccination_step(
     day: int,
     config: ScenarioConfig,
     rng: np.random.Generator,
+    vaccinated_total: int,
+    counts: list[int],
 ) -> np.ndarray:
     """Distribute today's doses among willing, unvaccinated population members;
-    returns the ids vaccinated.
+    returns the ids vaccinated. ``vaccinated_total`` is the number of agents
+    vaccinated so far.
 
     The eligible agents are examined in a uniformly random order, each
     willing today with their personal acceptance probability, until the
@@ -123,7 +143,7 @@ def vaccination_step(
     n = comp.size
     budget = n // 4
     # acceptances per draw, first guessed from the share of the unvaccinated
-    rate = config.vaccineAcceptProbMean * (n - np.count_nonzero(vaccinated)) / n
+    rate = config.vaccineAcceptProbMean * (n - vaccinated_total) / n
     drawn, uniforms = np.empty(0, dtype=np.int64), np.empty(0)
     accepted = drawn
     while drawn.size < budget:
@@ -133,18 +153,21 @@ def vaccination_step(
         examined = first_occurrences(drawn) & (comp[drawn] < ISO_HEALTHY) & ~vaccinated[drawn]
         accepted = drawn[examined & (uniforms < willingness[drawn])]
         if accepted.size >= doses:
-            return _vaccinate(population, accepted[:doses])
+            return _vaccinate(population, accepted[:doses], counts)
         rate = max(accepted.size, 1) / drawn.size
     rest = population.in_population() & ~vaccinated
     rest[drawn] = False  # every eligible agent drawn was examined
     order = rng.permutation(rest.nonzero()[0])
     willing = order[rng.random(order.size) < willingness[order]]
-    return _vaccinate(population, np.concatenate([accepted, willing[:doses - accepted.size]]))
+    return _vaccinate(population, np.concatenate([accepted, willing[:doses - accepted.size]]),
+                      counts)
 
 
-def _vaccinate(population: Population, ids: np.ndarray) -> np.ndarray:
+def _vaccinate(population: Population, ids: np.ndarray, counts: list[int]) -> np.ndarray:
     ids.sort()
     population.vaccinated[ids] = True
     unvaccinated = ids[population.comp[ids] == S_U]
     population.comp[unvaccinated] = S_V
+    counts[S_U] -= unvaccinated.size
+    counts[S_V] += unvaccinated.size
     return ids

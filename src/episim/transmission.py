@@ -184,29 +184,29 @@ def draw_exposures(
     p: float,
     config: ScenarioConfig,
     rng: np.random.Generator,
-    susceptible: Sequence[int] | None = None,
+    counts: list[int],
 ) -> np.ndarray:
     """The ascending ids that one exposure stage exposes: each S_u agent with
     probability ``p`` and each S_v agent with ``vaccineInfectionProb`` times
-    that, either capped at 1. ``susceptible``, the agents per compartment
-    indexed by :class:`~episim.core.Compartment`, gives |S_u| and |S_v| where
-    known; else the population is counted. :class:`~episim.core.Streams`
-    gives the draws; a compartment with no candidates or a zero probability
-    draws nothing."""
+    that, either capped at 1. ``counts``, the agents per compartment indexed
+    by :class:`~episim.core.Compartment` as the population is now, gives
+    |S_u| and |S_v|, and the drawn move from there to E in it.
+    :class:`~episim.core.Streams` gives the draws; a compartment with no
+    agents or a zero probability draws nothing."""
     comp = population.comp
     exposed = []
     for c, prob in ((S_U, p), (S_V, p * config.vaccineInfectionProb)):
-        prob = min(prob, 1.0)
+        prob, s = min(prob, 1.0), counts[c]
+        if not s or prob <= 0.0:
+            continue
         if comp.size < SPARSE_EXPOSURE_AGENTS:
             candidates = (comp == c).nonzero()[0]
-            if candidates.size and prob > 0.0:
-                exposed.append(candidates[rng.random(candidates.size) < prob])
-            continue
-        s = int(susceptible[c]) if susceptible is not None else np.count_nonzero(comp == c)
-        if s and prob > 0.0:
-            k = int(rng.binomial(s, prob))
-            if k:
-                exposed.append(uniform_subset(comp, c, k, s, rng))
+            ids = candidates[rng.random(candidates.size) < prob]
+        else:  # k = 0 draws no subset
+            ids = uniform_subset(comp, c, int(rng.binomial(s, prob)), s, rng)
+        counts[c] -= ids.size
+        counts[E] += ids.size
+        exposed.append(ids)
     if not exposed:
         return np.empty(0, dtype=np.int64)
     ids = np.concatenate(exposed)
@@ -220,13 +220,14 @@ def external_exposure_step(
     day: int,
     rng: np.random.Generator,
     episodes: EpisodeSource,
-    counts: Sequence[int],
+    counts: list[int],
 ) -> np.ndarray:
     """Expose in-population susceptibles from outside contacts; returns the
     newly exposed ids. ``counts``, the agents per compartment indexed by
-    :class:`~episim.core.Compartment`, are those of the population as it is:
-    the engine passes the previous day's end-of-day counts, as this stage
-    comes first."""
+    :class:`~episim.core.Compartment`, are those of the population as it is,
+    and the exposed move from S_u or S_v to E in them: the engine passes the
+    day's counts, which this first stage finds equal to the previous day's
+    end-of-day counts."""
     ids = draw_exposures(population, config.externalExposureProbDaily, config, rng, counts)
     expose(population, ids, day, day, episodes)
     return ids
@@ -239,6 +240,7 @@ def internal_propagation_step(
     rng: np.random.Generator,
     episodes: EpisodeSource,
     counts: Sequence[int],
+    current: list[int],
 ) -> np.ndarray:
     """Expose in-population susceptibles via mass action; returns the newly
     exposed ids.
@@ -248,13 +250,14 @@ def internal_propagation_step(
     passes the previous day's end-of-day counts, matching the discrete update
     new_exposures(t) = beta * I(t-1)/P(t-1) * S(t-1). The counts are fixed
     before any exposure happens, so new cases cannot cascade within the same
-    day.
+    day. ``current``, the counts of the population as it is now, gives |S_u|
+    and |S_v|, and the exposed move from there to E in it.
     """
     infectious = int(counts[I_S] + counts[I_A])
     if infectious == 0:
         return np.empty(0, dtype=np.int64)
     # I is counted in P, so P > 0 here
     p = config.betaDaily * infectious / int(sum(counts[:ISO_HEALTHY]))
-    ids = draw_exposures(population, p, config, rng)
+    ids = draw_exposures(population, p, config, rng, current)
     expose(population, ids, day, day + 1, episodes)
     return ids

@@ -17,13 +17,14 @@ from episim.core import (
     Compartment,
     ConfigError,
     Constant,
+    Population,
     ScenarioConfig,
     SimulationError,
     Uniform,
     make_rng,
 )
 from episim.engine import RECORD_DTYPE, initialize, run, run_replicates, step
-from episim.transmission import EPISODE_BLOCK, EpisodeSource
+from episim.transmission import EPISODE_BLOCK, SPARSE_EXPOSURE_AGENTS, EpisodeSource
 
 
 def counts_of(record):
@@ -226,13 +227,33 @@ def test_conservation_every_day():
         assert sum(counts_of(record)) == 800
 
 
-def test_step_rejects_a_compartment_code_out_of_range():
-    # a code past the last compartment has no count column to go to
+@pytest.mark.parametrize("code", [len(Compartment), -1])
+def test_step_rejects_a_compartment_code_out_of_range(code):
+    # a code past the last compartment, or below the first, has no count
+    # column to go to
     cfg = ScenarioConfig(popSize=50, initialInfected=5, timeHorizon=3)
     state = initialize(cfg, make_rng(cfg.baseSeed, 0))
-    state.population.comp[0] = len(Compartment)
+    state.population.comp[0] = code
     with pytest.raises(SimulationError, match="day 0"):
         step(state, 0)
+
+
+@pytest.mark.parametrize("pop_size", [2000, SPARSE_EXPOSURE_AGENTS])
+def test_a_day_never_counts_the_whole_population(monkeypatch, pop_size):
+    # the day's counts follow the agents each stage moves; below and above
+    # the exposure size rule, with every move a day can make
+    def counts(self):
+        raise AssertionError("Population.counts() called")
+
+    monkeypatch.setattr(Population, "counts", counts)
+    cfg = ScenarioConfig(
+        popSize=pop_size, initialInfected=pop_size // 50, timeHorizon=40, daysTilSusceptible=5,
+        isolationLength=5, daysBetweenTesting=2, firstDayOfTesting=3, poolSize=4,
+        daysDelayTestResults=2, noTestingPostIsolationDays=7, initProportionVaccinated=0.1,
+        vaccinesAvailablePerDay=pop_size // 100,
+    )
+    _, records = run(cfg, 0)
+    assert records["iso_sick"].any() and records["vaccinated_total"][-1] > 0
 
 
 def test_results_move_compartments_only_after_delay():
@@ -295,9 +316,9 @@ def test_no_agent_self_isolates_from_recovered(monkeypatch):
     stage = engine.self_isolation_step
     moved_total = []
 
-    def checked_stage(population, day, config):
+    def checked_stage(population, day, config, counts):
         before = population.comp.copy()
-        moved = stage(population, day, config)
+        moved = stage(population, day, config, counts)
         entered = (population.comp != before).nonzero()[0]
         assert entered.tolist() == moved.tolist(), day
         assert np.all(population.comp[moved] == Compartment.ISOLATED_SICK), day
@@ -330,8 +351,8 @@ def test_symptoms_from_exposure_self_isolate_at_the_first_update(monkeypatch):
             return exposed
         return exposure_stage
 
-    def self_isolation(population, day, config):
-        moved = engine_self_isolation(population, day, config)
+    def self_isolation(population, day, config, counts):
+        moved = engine_self_isolation(population, day, config, counts)
         for i in moved.tolist():
             assert due[i][0] == day, (i, day)
             isolated[due.pop(i)[1]] += 1

@@ -86,10 +86,10 @@ def test_exposure_chooses_each_susceptible_with_its_probability(n, p):
     rng = np.random.default_rng(2308 + n)
     pop = mixed_population(n, rng)
     config = ScenarioConfig(vaccineInfectionProb=0.5)
-    susceptible = np.bincount(pop.comp, minlength=len(C))
     comp = pop.comp.copy()
+    # each draw moves its exposed to E in the counts it is given
     chosen = np.bincount(np.concatenate([
-        draw_exposures(pop, p, config, rng, susceptible) for _ in range(REPS)]), minlength=n)
+        draw_exposures(pop, p, config, rng, pop.counts()) for _ in range(REPS)]), minlength=n)
     assert np.array_equal(pop.comp, comp)  # drawing exposes nobody
     reference = np.array([exposure_probability(C(c), p, config.vaccineInfectionProb)
                           for c in comp.tolist()])
@@ -120,7 +120,7 @@ def test_vaccination_chooses_each_eligible_agent_as_the_per_agent_rule(doses, n)
     eligible = (comp < C.ISOLATED_HEALTHY) & ~vaccinated
     counts = np.zeros(n, dtype=np.int64)
     for _ in range(REPS):
-        ids = vaccination_step(pop, 0, config, rng)
+        ids = vaccination_step(pop, 0, config, rng, np.count_nonzero(vaccinated), pop.counts())
         assert len(ids) <= doses and np.all(np.diff(ids) > 0)
         counts[ids] += 1
         pop.comp[:], pop.vaccinated[:] = comp, vaccinated

@@ -49,6 +49,21 @@ def recover(pop, agent_id, day):
     pop.recovery_day[agent_id] = day
 
 
+def counted(stage, pop, *args):
+    """``stage(pop, *args, counts)`` with the population's counts, which every
+    stage takes last, and checks that the stage moved its agents in them."""
+    counts = pop.counts().tolist()
+    moved = stage(pop, *args, counts)
+    assert counts == pop.counts().tolist()
+    return moved
+
+
+def vaccinate(pop, doses, seed):
+    """A day's vaccination of ``doses`` doses, with the stream ``seed``."""
+    return counted(vaccination_step, pop, 0, vaccination_config(doses),
+                   np.random.default_rng(seed), np.count_nonzero(pop.vaccinated))
+
+
 def vaccination_config(doses):
     return ScenarioConfig(vaccinesAvailablePerDay=doses)
 
@@ -57,7 +72,7 @@ def test_positive_result_isolates_infectious_as_sick():
     pop = fresh_population()
     cfg = ScenarioConfig()  # isolationLength 10
     infect(pop, 0)
-    healthy = apply_positive_results(pop, [0], 5, cfg)
+    healthy = counted(apply_positive_results, pop, [0], 5, cfg)
     assert pop.comp[0] == Compartment.ISOLATED_SICK
     assert pop.release_day[0] == 15
     assert healthy.tolist() == []
@@ -76,11 +91,11 @@ def test_an_episode_isolated_before_its_first_load_day_keeps_its_release():
     infect(pop, 1, compartment=Compartment.EXPOSED)
     assert pop.recovery_day[0] == 14
     assert pop.last_load_day[0] == 13
-    apply_positive_results(pop, [0], 1, cfg)
+    counted(apply_positive_results, pop, [0], 1, cfg)
     assert pop.recovery_day[0] == pop.release_day[0] == 2
-    _advance_infections(pop, 1)
-    isolation_exit_step(pop, 2)
-    _advance_infections(pop, 3)
+    counted(_advance_infections, pop, 1)
+    counted(isolation_exit_step, pop, 2)
+    counted(_advance_infections, pop, 3)
     assert np.isfinite(pop.recovery_day[1])
     assert pop.comp[0] == Compartment.RECOVERED and pop.recovery_day[0] == 2
     assert np.isnan(pop.infectious_day[0])
@@ -88,7 +103,7 @@ def test_an_episode_isolated_before_its_first_load_day_keeps_its_release():
 
 def test_positive_result_isolates_susceptible_as_healthy():
     pop = fresh_population()
-    healthy = apply_positive_results(pop, [1], 5, ScenarioConfig())
+    healthy = counted(apply_positive_results, pop, [1], 5, ScenarioConfig())
     assert pop.comp[1] == Compartment.ISOLATED_HEALTHY
     assert healthy.tolist() == [1]
 
@@ -96,7 +111,7 @@ def test_positive_result_isolates_susceptible_as_healthy():
 def test_positive_result_leaves_recovered_alone():
     pop = fresh_population()
     pop.comp[2] = Compartment.RECOVERED
-    assert apply_positive_results(pop, [2], 5, ScenarioConfig()).tolist() == []
+    assert counted(apply_positive_results, pop, [2], 5, ScenarioConfig()).tolist() == []
     assert pop.comp[2] == Compartment.RECOVERED
     assert np.isnan(pop.release_day[2])
 
@@ -104,8 +119,8 @@ def test_positive_result_leaves_recovered_alone():
 def test_positive_result_on_isolated_agent_is_moot():
     pop = fresh_population()
     infect(pop, 1)
-    apply_positive_results(pop, [0, 1], 5, ScenarioConfig())
-    assert apply_positive_results(pop, [0, 1], 6, ScenarioConfig()).tolist() == []
+    counted(apply_positive_results, pop, [0, 1], 5, ScenarioConfig())
+    assert counted(apply_positive_results, pop, [0, 1], 6, ScenarioConfig()).tolist() == []
     assert pop.comp[0] == Compartment.ISOLATED_HEALTHY
     assert pop.comp[1] == Compartment.ISOLATED_SICK
     assert pop.release_day[[0, 1]].tolist() == [15, 15]
@@ -117,8 +132,8 @@ def test_self_isolation_on_first_symptomatic_day():
     infect(pop, 0, day=0, will_isolate=True)
     # symptom onset at 6.5 days: nothing on day 6, isolation on day 7
     assert pop.selfiso_day[0] == 7
-    assert self_isolation_step(pop, 6, cfg).tolist() == []
-    assert self_isolation_step(pop, 7, cfg).tolist() == [0]
+    assert counted(self_isolation_step, pop, 6, cfg).tolist() == []
+    assert counted(self_isolation_step, pop, 7, cfg).tolist() == [0]
     assert pop.comp[0] == Compartment.ISOLATED_SICK
 
 
@@ -127,7 +142,7 @@ def test_unwilling_agent_never_self_isolates():
     cfg = ScenarioConfig()
     infect(pop, 0, day=0, will_isolate=False)
     for day in range(20):
-        assert self_isolation_step(pop, day, cfg).tolist() == []
+        assert counted(self_isolation_step, pop, day, cfg).tolist() == []
 
 
 def test_asymptomatic_agent_never_self_isolates():
@@ -139,30 +154,30 @@ def test_asymptomatic_agent_never_self_isolates():
     infect(pop, 0, profile=profile,
            compartment=Compartment.INFECTIOUS_ASYMPTOMATIC, will_isolate=True)
     for day in range(20):
-        assert self_isolation_step(pop, day, cfg).tolist() == []
+        assert counted(self_isolation_step, pop, day, cfg).tolist() == []
 
 
 def test_self_isolation_happens_once_per_episode():
     pop = fresh_population()
     cfg = ScenarioConfig(isolationLength=1)
     infect(pop, 0, day=0, will_isolate=True)
-    assert self_isolation_step(pop, 7, cfg).tolist() == [0]
-    isolation_exit_step(pop, 8)  # back out, still in symptom window
+    assert counted(self_isolation_step, pop, 7, cfg).tolist() == [0]
+    counted(isolation_exit_step, pop, 8)  # back out, still in symptom window
     assert pop.comp[0] == Compartment.RECOVERED
-    assert self_isolation_step(pop, 9, cfg).tolist() == []
+    assert counted(self_isolation_step, pop, 9, cfg).tolist() == []
 
 
 def test_isolation_exit_timing_and_destinations():
     pop = fresh_population()
     cfg = ScenarioConfig()  # length 10
     infect(pop, 0)
-    apply_positive_results(pop, [0], 5, cfg)
+    counted(apply_positive_results, pop, [0], 5, cfg)
     pop.vaccinated[1] = True
     pop.comp[1] = Compartment.SUSCEPTIBLE_VACCINATED
-    apply_positive_results(pop, [1], 5, cfg)
+    counted(apply_positive_results, pop, [1], 5, cfg)
 
-    assert isolation_exit_step(pop, 14).tolist() == []
-    released = isolation_exit_step(pop, 15)
+    assert counted(isolation_exit_step, pop, 14).tolist() == []
+    released = counted(isolation_exit_step, pop, 15)
     assert released.tolist() == [0, 1]
     assert pop.comp[0] == Compartment.RECOVERED
     assert pop.comp[1] == Compartment.SUSCEPTIBLE_VACCINATED
@@ -171,16 +186,16 @@ def test_isolation_exit_timing_and_destinations():
     assert pop.recovery_day[0] == 15
     assert np.isnan(pop.recovery_day[1])
     assert pop.release_day[[0, 1]].tolist() == [15, 15]
-    assert isolation_exit_step(pop, 16).tolist() == []
+    assert counted(isolation_exit_step, pop, 16).tolist() == []
 
 
 def test_zero_length_isolation_exits_the_next_day():
     pop = fresh_population()
     cfg = ScenarioConfig(isolationLength=0)
     infect(pop, 0)
-    apply_positive_results(pop, [0], 5, cfg)
-    assert isolation_exit_step(pop, 5).tolist() == []
-    assert isolation_exit_step(pop, 6).tolist() == [0]
+    counted(apply_positive_results, pop, [0], 5, cfg)
+    assert counted(isolation_exit_step, pop, 5).tolist() == []
+    assert counted(isolation_exit_step, pop, 6).tolist() == [0]
     assert pop.comp[0] == Compartment.RECOVERED
 
 
@@ -189,8 +204,8 @@ def test_recovered_returns_to_susceptible_after_immunity_lapses():
     cfg = ScenarioConfig()  # daysTilSusceptible 30
     infect(pop, 0)
     recover(pop, 0, 20)
-    assert recovered_to_susceptible_step(pop, 49, cfg).tolist() == []
-    assert recovered_to_susceptible_step(pop, 50, cfg).tolist() == [0]
+    assert counted(recovered_to_susceptible_step, pop, 49, cfg).tolist() == []
+    assert counted(recovered_to_susceptible_step, pop, 50, cfg).tolist() == [0]
     assert pop.comp[0] == Compartment.SUSCEPTIBLE_UNVACCINATED
     assert np.isnan(pop.params[:, 0]).all()
     for days in (pop.exposure_day, pop.first_load_day, pop.last_load_day,
@@ -211,7 +226,7 @@ def test_loss_of_immunity_leaves_every_other_agent_untouched():
     recover(pop, 1, 20)
     recover(pop, 4, 25)
     before = pop.params[:, 4].tobytes(), pop.days[:, 4].tobytes()
-    assert recovered_to_susceptible_step(pop, 50, cfg).tolist() == [1]
+    assert counted(recovered_to_susceptible_step, pop, 50, cfg).tolist() == [1]
     assert (pop.params[:, 4].tobytes(), pop.days[:, 4].tobytes()) == before
     assert pop.comp[4] == Compartment.RECOVERED
 
@@ -221,9 +236,9 @@ def test_return_to_susceptible_keeps_the_isolation_days():
     pop = fresh_population()
     cfg = ScenarioConfig()  # isolationLength 10, daysTilSusceptible 30
     infect(pop, 0)
-    apply_positive_results(pop, [0], 5, cfg)
-    isolation_exit_step(pop, 15)
-    assert recovered_to_susceptible_step(pop, 45, cfg).tolist() == [0]
+    counted(apply_positive_results, pop, [0], 5, cfg)
+    counted(isolation_exit_step, pop, 15)
+    assert counted(recovered_to_susceptible_step, pop, 45, cfg).tolist() == [0]
     assert np.isnan(pop.days[EPISODE_DAYS, 0]).all()
     assert pop.release_day[0] == 15
 
@@ -237,11 +252,11 @@ def step_stages(pop, cfg, days, isolate=None):
     isolate = isolate or {}
     comps = []
     for day in days:
-        isolation_exit_step(pop, day)
-        _advance_infections(pop, day)
-        recovered_to_susceptible_step(pop, day, cfg)
-        self_isolation_step(pop, day, cfg)
-        apply_positive_results(pop, isolate.get(day, []), day, cfg)
+        counted(isolation_exit_step, pop, day)
+        counted(_advance_infections, pop, day)
+        counted(recovered_to_susceptible_step, pop, day, cfg)
+        counted(self_isolation_step, pop, day, cfg)
+        counted(apply_positive_results, pop, isolate.get(day, []), day, cfg)
         comps.append(pop.comp.copy())
     return np.array(comps)
 
@@ -286,7 +301,7 @@ def test_an_episode_that_recovers_before_its_self_isolation_day_stays_in_r():
     assert pop.selfiso_day[0] == 5
     comps = step_stages(pop, cfg, range(12))[:, 0].tolist()
     assert comps == [Compartment.EXPOSED] * 3 + [Compartment.RECOVERED] * 9
-    assert self_isolation_step(pop, 5, cfg).tolist() == []
+    assert counted(self_isolation_step, pop, 5, cfg).tolist() == []
 
 
 def test_vaccinated_recovered_returns_to_vaccinated_susceptible():
@@ -295,7 +310,7 @@ def test_vaccinated_recovered_returns_to_vaccinated_susceptible():
     infect(pop, 0)
     pop.vaccinated[0] = True
     recover(pop, 0, 0)
-    recovered_to_susceptible_step(pop, 30, cfg)
+    counted(recovered_to_susceptible_step, pop, 30, cfg)
     assert pop.comp[0] == Compartment.SUSCEPTIBLE_VACCINATED
 
 
@@ -305,20 +320,20 @@ def test_return_beyond_horizon_never_fires():
     infect(pop, 0)
     recover(pop, 0, 20)
     for day in range(cfg.timeHorizon):
-        assert recovered_to_susceptible_step(pop, day, cfg).tolist() == []
+        assert counted(recovered_to_susceptible_step, pop, day, cfg).tolist() == []
     assert pop.comp[0] == Compartment.RECOVERED
 
 
 def test_vaccination_with_no_supply():
     pop = fresh_population()
-    moved = vaccination_step(pop, 0, vaccination_config(0), np.random.default_rng(1))
+    moved = vaccinate(pop, 0, 1)
     assert moved.tolist() == []
 
 
 def test_vaccination_supply_limited():
     pop = Population(5000)
     pop.willingness[:] = 0.7
-    moved = vaccination_step(pop, 0, vaccination_config(50), np.random.default_rng(2))
+    moved = vaccinate(pop, 50, 2)
     assert len(moved) == 50
     assert len(np.unique(moved)) == 50
     assert pop.counts()[Compartment.SUSCEPTIBLE_VACCINATED] == 50
@@ -328,7 +343,7 @@ def test_vaccination_supply_limited():
 def test_vaccination_demand_limited():
     pop = Population(100)
     pop.willingness[:10] = 1.0
-    moved = vaccination_step(pop, 0, vaccination_config(50), np.random.default_rng(3))
+    moved = vaccinate(pop, 50, 3)
     assert sorted(moved) == list(range(10))
 
 
@@ -336,7 +351,7 @@ def test_vaccination_flags_infected_without_moving_them():
     pop = fresh_population(3)
     infect(pop, 0)
     pop.willingness[:] = 1.0
-    vaccination_step(pop, 0, vaccination_config(10), np.random.default_rng(4))
+    vaccinate(pop, 10, 4)
     assert pop.vaccinated[0]
     assert pop.comp[0] == Compartment.INFECTIOUS_SYMPTOMATIC
     assert pop.comp[1] == Compartment.SUSCEPTIBLE_VACCINATED
@@ -348,7 +363,7 @@ def test_vaccination_skips_isolated_and_already_vaccinated():
     pop.comp[0] = Compartment.ISOLATED_SICK
     pop.vaccinated[1] = True
     pop.comp[1] = Compartment.SUSCEPTIBLE_VACCINATED
-    moved = vaccination_step(pop, 0, vaccination_config(10), np.random.default_rng(5))
+    moved = vaccinate(pop, 10, 5)
     assert sorted(moved) == [2, 3]
 
 
@@ -381,15 +396,16 @@ def quiet_population():
 
 # each stage that returns right after finding nothing due
 QUIET_STAGES = {
-    "apply_positive_results": lambda pop, cfg, rng: apply_positive_results(
-        pop, np.empty(0, dtype=np.int64), QUIET_DAY, cfg),
-    "isolation_exit_step": lambda pop, cfg, rng: isolation_exit_step(pop, QUIET_DAY),
-    "advance_infections": lambda pop, cfg, rng: _advance_infections(pop, QUIET_DAY),
-    "recovered_to_susceptible_step": lambda pop, cfg, rng: recovered_to_susceptible_step(
-        pop, QUIET_DAY, cfg),
-    "self_isolation_step": lambda pop, cfg, rng: self_isolation_step(pop, QUIET_DAY, cfg),
+    "apply_positive_results": lambda pop, cfg, rng: counted(
+        apply_positive_results, pop, np.empty(0, dtype=np.int64), QUIET_DAY, cfg),
+    "isolation_exit_step": lambda pop, cfg, rng: counted(isolation_exit_step, pop, QUIET_DAY),
+    "advance_infections": lambda pop, cfg, rng: counted(_advance_infections, pop, QUIET_DAY),
+    "recovered_to_susceptible_step": lambda pop, cfg, rng: counted(
+        recovered_to_susceptible_step, pop, QUIET_DAY, cfg),
+    "self_isolation_step": lambda pop, cfg, rng: counted(self_isolation_step, pop, QUIET_DAY, cfg),
     # five agents are eligible, but there are no doses
-    "vaccination_step": lambda pop, cfg, rng: vaccination_step(pop, QUIET_DAY, cfg, rng),
+    "vaccination_step": lambda pop, cfg, rng: counted(
+        vaccination_step, pop, QUIET_DAY, cfg, rng, np.count_nonzero(pop.vaccinated)),
 }
 
 

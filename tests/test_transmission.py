@@ -55,17 +55,20 @@ def reset_exposed(population, compartment):
 def stage_probabilities(stage, config, *counts):
     """The probabilities with which ``stage`` exposes an S_u and an S_v
     agent, read from the comparisons with its uniforms; a block with a zero
-    probability draws nothing and is left out."""
+    probability draws nothing and is left out. ``counts`` come before the
+    counts of the population, one agent in S_u and one in S_v, which each
+    stage takes last."""
     rng = MagicMock()
     uniforms = rng.random.return_value
     uniforms.__lt__.return_value = np.zeros(1, dtype=bool)  # nobody is exposed
-    assert stage(build_population(n_su=1, n_sv=1), config, 0, rng, None, *counts).size == 0
+    pop = build_population(n_su=1, n_sv=1)
+    assert stage(pop, config, 0, rng, None, *counts, pop.counts()).size == 0
     return tuple(call.args[0] for call in uniforms.__lt__.call_args_list)
 
 
 def external_probabilities(gamma, alpha=0.3):
     config = ScenarioConfig(externalExposureProbDaily=gamma, vaccineInfectionProb=alpha)
-    return stage_probabilities(external_exposure_step, config, make_counts(s_u=1, s_v=1))
+    return stage_probabilities(external_exposure_step, config)
 
 
 def internal_probabilities(counts, beta=0.4, alpha=0.3):
@@ -143,7 +146,8 @@ def test_external_step_binomial_moment():
 def test_internal_step_empty_without_infectious():
     pop = build_population(n_su=100)
     cfg = ScenarioConfig()
-    assert internal_propagation_step(pop, cfg, 0, *exposure_streams(cfg, 1), pop.counts()).tolist() == []
+    assert internal_propagation_step(pop, cfg, 0, *exposure_streams(cfg, 1), pop.counts(),
+                                     pop.counts()).tolist() == []
 
 
 def test_internal_step_binomial_moment():
@@ -153,7 +157,7 @@ def test_internal_step_binomial_moment():
     rng, episodes = exposure_streams(cfg, 37)
     counts = []
     for _ in range(1000):
-        exposed = internal_propagation_step(pop, cfg, 0, rng, episodes, pop.counts())
+        exposed = internal_propagation_step(pop, cfg, 0, rng, episodes, pop.counts(), pop.counts())
         counts.append(len(exposed))
         reset_exposed(pop, Compartment.SUSCEPTIBLE_UNVACCINATED)
     assert abs(np.mean(counts) - 78.4) < 3.0
@@ -166,7 +170,7 @@ def test_internal_step_vaccinated_moment():
     rng, episodes = exposure_streams(cfg, 41)
     counts = []
     for _ in range(1000):
-        exposed = internal_propagation_step(pop, cfg, 0, rng, episodes, pop.counts())
+        exposed = internal_propagation_step(pop, cfg, 0, rng, episodes, pop.counts(), pop.counts())
         counts.append(len(exposed))
         reset_exposed(pop, Compartment.SUSCEPTIBLE_VACCINATED)
     assert abs(np.mean(counts) - 2.4) < 0.5
@@ -179,7 +183,8 @@ def test_internal_step_uses_supplied_counts():
     # no infectious agents in the supplied counts: nothing happens even
     # though the live population would say otherwise
     pop.comp[0] = Compartment.INFECTIOUS_ASYMPTOMATIC
-    assert internal_propagation_step(pop, cfg, 0, *exposure_streams(cfg, 1), counts=stale).tolist() == []
+    assert internal_propagation_step(pop, cfg, 0, *exposure_streams(cfg, 1), counts=stale,
+                                     current=pop.counts()).tolist() == []
 
 
 def test_exposure_never_touches_non_susceptibles():
@@ -188,8 +193,11 @@ def test_exposure_never_touches_non_susceptibles():
     before_inf = (pop.comp == Compartment.INFECTIOUS_ASYMPTOMATIC).nonzero()[0].tolist()
     before_rec = (pop.comp == Compartment.RECOVERED).nonzero()[0].tolist()
     rng, episodes = exposure_streams(cfg, 43)
-    external_exposure_step(pop, cfg, 0, rng, episodes, pop.counts())
-    internal_propagation_step(pop, cfg, 0, rng, episodes, pop.counts())
+    counts = pop.counts()
+    external_exposure_step(pop, cfg, 0, rng, episodes, counts)
+    internal_propagation_step(pop, cfg, 0, rng, episodes, pop.counts(), counts)
+    # each stage moves its exposed from S_u to E in the counts it is given
+    assert counts.tolist() == pop.counts().tolist()
     assert (pop.comp == Compartment.INFECTIOUS_ASYMPTOMATIC).nonzero()[0].tolist() == before_inf
     assert (pop.comp == Compartment.RECOVERED).nonzero()[0].tolist() == before_rec
 

@@ -252,8 +252,8 @@ def test_loads_and_self_isolation_need_no_status_update():
     assert pending.keys() == {6} and pending[6].tolist() == [1]
     # symptoms from tau 6.5: the willing agent isolates on day 9
     config = ScenarioConfig()
-    assert self_isolation_step(pop, 8, config).tolist() == []
-    assert self_isolation_step(pop, 9, config).tolist() == [1]
+    assert self_isolation_step(pop, 8, config, pop.counts()).tolist() == []
+    assert self_isolation_step(pop, 9, config, pop.counts()).tolist() == [1]
     assert pop.comp[1] == Compartment.ISOLATED_SICK
     assert np.isnan(pop.days[TRANSITION_DAYS, 0]).all()
     assert np.isnan(pop.infectious_day[1]) and pop.recovery_day[1] == pop.release_day[1] == 19
@@ -376,7 +376,7 @@ def test_daily_stages_match_scalar_reference():
                 comp[i] = C.INFECTIOUS_SYMPTOMATIC if symptomatic[i] else C.INFECTIOUS_ASYMPTOMATIC
             elif stage is InfectionStage.RECOVERED:
                 comp[i] = C.RECOVERED
-        _advance_infections(status, day)
+        _advance_infections(status, day, status.counts())
         assert status.comp.tolist() == comp.tolist(), day
         transitions |= set(zip(before[before != comp].tolist(), comp[before != comp].tolist()))
 
@@ -387,7 +387,7 @@ def test_daily_stages_match_scalar_reference():
                    if symptomatic_now(profiles[i], tau[i])]
         active = [i for i in showing if C.EXPOSED <= comp[i] <= C.INFECTIOUS_ASYMPTOMATIC]
         recovered_showing += len(showing) - len(active)
-        moved = self_isolation_step(selfiso, day, config)
+        moved = self_isolation_step(selfiso, day, config, selfiso.counts())
         assert moved.tolist() == active, day
         isolated[moved] = True
 
