@@ -514,8 +514,10 @@ class Population:
     isolation and never cleared, is the scheduled release of an isolated
     agent and the latest release of any other.
 
-    A run's day keeps its counts per compartment as agents move
-    (:func:`count_out`); :meth:`counts`, over every agent, is the tests' reference.
+    :meth:`move` is the only code that changes an agent's compartment, and
+    it keeps ``tally``, the agents per compartment as a list indexed by
+    :class:`Compartment`, as they move; :meth:`counts`, over every agent, is
+    the tests' reference.
 
     ``params`` and ``days`` share one allocation. glibc trims the heap past
     twice the largest block freed, so what a run frees stays for the next
@@ -526,6 +528,7 @@ class Population:
 
     def __init__(self, n: int):
         self.comp = np.zeros(n, dtype=np.int8)
+        self.tally = [n] + [0] * (N_COMPARTMENTS - 1)
         self.vaccinated = np.zeros(n, dtype=bool)
         self.willingness = np.zeros(n)
         split = 8 * len(DISTRIBUTION_FIELDS) * n
@@ -536,6 +539,25 @@ class Population:
         self.days.fill(np.nan)
         for name, row in zip(DAY_ROWS, self.days):
             setattr(self, name, row)
+
+    def move(self, ids: np.ndarray, to: int | np.ndarray, source: int | None = None) -> None:
+        """Move agents ``ids`` to compartment ``to``, one code or one code per
+        id, and keep ``tally``: by sizes when every id is in ``source``, else
+        by one ``bincount`` of the ids' codes."""
+        if not ids.size:
+            return
+        tally = self.tally
+        if source is None:
+            for c, k in enumerate(np.bincount(self.comp[ids]).tolist()):
+                tally[c] -= k
+        else:
+            tally[source] -= ids.size
+        if isinstance(to, np.ndarray):
+            for c, k in enumerate(np.bincount(to).tolist()):
+                tally[c] += k
+        else:
+            tally[to] += ids.size
+        self.comp[ids] = to
 
     def counts(self) -> np.ndarray:
         """Agents per compartment, indexed by :class:`Compartment`."""
@@ -549,10 +571,3 @@ class Population:
         """S_v for the vaccinated among ``ids``, S_u for the others."""
         return np.where(self.vaccinated[ids], S_V, S_U)
 
-
-def count_out(counts: list[int], codes: np.ndarray, sources: range = range(N_COMPARTMENTS)) -> None:
-    """Take the agents of compartment ``codes`` in ``sources`` out of ``counts``
-    (indexed by :class:`Compartment`) by one ``bincount``: for mixed sources."""
-    moved = np.bincount(codes, minlength=N_COMPARTMENTS).tolist()
-    for c in sources:
-        counts[c] -= moved[c]

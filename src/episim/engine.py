@@ -9,8 +9,8 @@ isolations, the day's tests, the cumulative cost and the vaccinated total.
 The records are a run's only accumulator: entry 0 is the state after
 :func:`initialize`, each day's entry adds its events to the one before, and
 :func:`run` returns the entries of days 0 to ``timeHorizon - 1``. The counts
-too follow the day's moves: they start as the day before's, and each stage
-updates them for the agents it moves, so no day counts the whole population.
+are the population's running counts, which :meth:`~episim.core.Population.move`
+keeps as each stage moves its agents, so no day counts the whole population.
 
 Daily stage order: (1) external exposure, (2) status updates (result
 delivery, isolation exits, status transitions, loss of immunity), (3)
@@ -45,13 +45,13 @@ from .core import (
     I_S,
     N_COMPARTMENTS,
     R,
+    S_U,
     S_V,
     ConfigError,
     Population,
     ScenarioConfig,
     SimulationError,
     Streams,
-    count_out,
     make_rng,
 )
 from .interventions import (
@@ -129,35 +129,26 @@ def initialize(config: ScenarioConfig, streams: Streams) -> RunState:
     if n_vaccinated > 0:
         picked = non_seeds[rng.choice(len(non_seeds), size=n_vaccinated, replace=False)]
         population.vaccinated[picked] = True
-        population.comp[picked] = S_V
+        population.move(picked, S_V, S_U)
+    population.move(seed_ids, E, S_U)
     episodes = EpisodeSource(config, streams.episodes)
     expose(population, seed_ids, 0, 0, episodes)
 
     records = np.empty(config.timeHorizon + 1, dtype=RECORD_DTYPE)
-    # the others in S_u, the vaccinated in S_v and the seeds in E
-    counts = [n - len(seed_ids) - n_vaccinated, n_vaccinated, len(seed_ids)]
-    counts += [0] * (N_COMPARTMENTS - len(counts))
-    records[0] = (-1, *counts, 0, 0, len(seed_ids), 0, 0, 0.0, n_vaccinated)
+    records[0] = (-1, *population.tally, 0, 0, len(seed_ids), 0, 0, 0.0, n_vaccinated)
     return RunState(config, population, records, streams, episodes)
 
 
-def _advance_infections(population: Population, day: int, counts: list[int]) -> None:
+def _advance_infections(population: Population, day: int) -> None:
     # E -> I (I_s with an onset day) and E or I -> R on the days set when the
     # episode started; a sick isolation leaves only the recovery on its
-    # release, already into R. Each moves in the day's counts too.
+    # release, already into R
     onset = (population.infectious_day == day).nonzero()[0]
     if onset.size:
         asymptomatic = np.isnan(population.onset_day[onset])
-        population.comp[onset] = np.where(asymptomatic, I_A, I_S)
-        k = int(np.count_nonzero(asymptomatic))
-        counts[E] -= onset.size
-        counts[I_A] += k
-        counts[I_S] += onset.size - k
-    due = (population.recovery_day == day).nonzero()[0]
-    if due.size:
-        count_out(counts, population.comp[due])
-        counts[R] += due.size
-        population.comp[due] = R
+        population.move(onset[asymptomatic], I_A, E)
+        population.move(onset[~asymptomatic], I_S, E)
+    population.move((population.recovery_day == day).nonzero()[0], R)
 
 
 def step(state: RunState, day: int) -> np.void:
@@ -169,32 +160,29 @@ def step(state: RunState, day: int) -> np.void:
     # the day before's record, its counts s_u ... iso_sick in Compartment order
     (_, *prev_counts, _, _, cum_infections, cum_false_iso, _, cum_cost,
      vaccinated_total) = state.records[day].tolist()
-    counts = prev_counts.copy()  # the day's, which each stage moves its agents in
 
-    new_external = external_exposure_step(population, config, day, streams.exposure, episodes,
-                                          counts)
+    new_external = external_exposure_step(population, config, day, streams.exposure, episodes)
 
     # stage 2: status updates
     delivered = deliver_results(state.pending, day)
-    false_isolations = len(apply_positive_results(population, delivered, day, config, counts))
-    isolation_exit_step(population, day, counts)
-    _advance_infections(population, day, counts)
-    recovered_to_susceptible_step(population, day, config, counts)
+    false_isolations = len(apply_positive_results(population, delivered, day, config))
+    isolation_exit_step(population, day)
+    _advance_infections(population, day)
+    recovered_to_susceptible_step(population, day, config)
 
-    self_isolation_step(population, day, config, counts)
+    self_isolation_step(population, day, config)
 
     tests_today = 0
     if config.is_testing_day(day):
         tests_today = run_testing_day(population, config, day, state.pending, streams.testing)
         # results due on their sampling day act before internal propagation
         delivered = deliver_results(state.pending, day)
-        false_isolations += len(apply_positive_results(population, delivered, day, config, counts))
+        false_isolations += len(apply_positive_results(population, delivered, day, config))
 
     new_internal = internal_propagation_step(population, config, day, streams.exposure, episodes,
-                                             prev_counts, counts)
+                                             prev_counts)
 
-    vaccinated = vaccination_step(population, day, config, streams.vaccination, vaccinated_total,
-                                  counts)
+    vaccinated = vaccination_step(population, day, config, streams.vaccination, vaccinated_total)
 
     # as uint8 a negative code is out of range too
     if population.comp.view(np.uint8).max() >= N_COMPARTMENTS:
@@ -202,7 +190,7 @@ def step(state: RunState, day: int) -> np.void:
     state.records[day + 1] = (
         day,
         # s_u ... iso_sick, declared in Compartment order
-        *counts,
+        *population.tally,
         len(new_external),
         len(new_internal),
         cum_infections + len(new_external) + len(new_internal),

@@ -1,10 +1,9 @@
 """Isolation (test-driven and symptom-driven) and daily vaccine rollout.
 
-Each stage returns the ascending ids of the agents it moved, and updates the
-day's ``counts`` per compartment, which the engine keeps in place of counting
-the population, by the sizes it knows or, for agents from mixed compartments,
-by :func:`~episim.core.count_out`. Only vaccination draws, from the run's
-``vaccination`` stream (:class:`~episim.core.Streams`).
+Each stage returns the ascending ids of the agents it moved, and moves them
+by :meth:`~episim.core.Population.move`, which keeps the counts per
+compartment. Only vaccination draws, from the run's ``vaccination`` stream
+(:class:`~episim.core.Streams`).
 """
 
 from __future__ import annotations
@@ -12,13 +11,12 @@ from __future__ import annotations
 import numpy as np
 
 from .core import (E, EPISODE_DAYS, ISO_HEALTHY, ISO_SICK, R, S_U, S_V, Population, ScenarioConfig,
-                   count_out, first_occurrences)
+                   first_occurrences)
 
 
 def _isolate(population: Population, ids: np.ndarray, day: int, config: ScenarioConfig,
-             compartment: int, counts: list[int]) -> None:
-    population.comp[ids] = compartment
-    counts[compartment] += ids.size
+             compartment: int) -> None:
+    population.move(ids, compartment)
     # a zero-length isolation still lasts until the next day
     release = day + max(config.isolationLength, 1)
     population.release_day[ids] = release
@@ -32,7 +30,6 @@ def apply_positive_results(
     ids: np.ndarray,
     day: int,
     config: ScenarioConfig,
-    counts: list[int],
 ) -> np.ndarray:
     """Isolate agents on a positive result, classified by today's state.
 
@@ -44,16 +41,14 @@ def apply_positive_results(
     if not ids.size:
         return ids
     comp = population.comp[ids]
-    count_out(counts, comp, range(R))
     healthy = ids[comp <= S_V]
-    _isolate(population, healthy, day, config, ISO_HEALTHY, counts)
+    _isolate(population, healthy, day, config, ISO_HEALTHY)
     sick = ids[(comp >= E) & (comp < R)]
-    _isolate(population, sick, day, config, ISO_SICK, counts)
+    _isolate(population, sick, day, config, ISO_SICK)
     return healthy
 
 
-def self_isolation_step(population: Population, day: int, config: ScenarioConfig,
-                        counts: list[int]) -> np.ndarray:
+def self_isolation_step(population: Population, day: int, config: ScenarioConfig) -> np.ndarray:
     """Move the agents in E, I_s or I_a whose self-isolation day is today
     into sick isolation; returns their ids.
 
@@ -66,13 +61,12 @@ def self_isolation_step(population: Population, day: int, config: ScenarioConfig
     if not due.size:
         return due
     comp = population.comp[due]
-    count_out(counts, comp, range(E, R))
     moved = due[(comp >= E) & (comp < R)]
-    _isolate(population, moved, day, config, ISO_SICK, counts)
+    _isolate(population, moved, day, config, ISO_SICK)
     return moved
 
 
-def isolation_exit_step(population: Population, day: int, counts: list[int]) -> np.ndarray:
+def isolation_exit_step(population: Population, day: int) -> np.ndarray:
     """Release the agents whose release day is today; returns their ids.
 
     Sick isolation exits to recovered, on the recovery day it set; healthy
@@ -82,18 +76,14 @@ def isolation_exit_step(population: Population, day: int, counts: list[int]) -> 
     if not released.size:
         return released
     sick = population.comp[released] == ISO_SICK
-    comp = np.where(sick, R, population.susceptible_compartment(released))
-    population.comp[released] = comp
-    moved = np.bincount(comp, minlength=R + 1).tolist()
-    counts[ISO_SICK] -= moved[R]
-    counts[ISO_HEALTHY] -= released.size - moved[R]
-    for c in (S_U, S_V, R):
-        counts[c] += moved[c]
+    population.move(released[sick], R, ISO_SICK)
+    healthy = released[~sick]
+    population.move(healthy, population.susceptible_compartment(healthy), ISO_HEALTHY)
     return released
 
 
-def recovered_to_susceptible_step(population: Population, day: int, config: ScenarioConfig,
-                                  counts: list[int]) -> np.ndarray:
+def recovered_to_susceptible_step(population: Population, day: int,
+                                  config: ScenarioConfig) -> np.ndarray:
     """Return recovered agents to susceptibility once immunity has lapsed;
     returns their ids.
 
@@ -106,11 +96,7 @@ def recovered_to_susceptible_step(population: Population, day: int, config: Scen
         return returned
     population.params[:, returned] = np.nan
     population.days[EPISODE_DAYS, returned] = np.nan
-    population.comp[returned] = population.susceptible_compartment(returned)
-    vaccinated = int(np.count_nonzero(population.vaccinated[returned]))
-    counts[R] -= returned.size
-    counts[S_V] += vaccinated
-    counts[S_U] += returned.size - vaccinated
+    population.move(returned, population.susceptible_compartment(returned), R)
     return returned
 
 
@@ -120,7 +106,6 @@ def vaccination_step(
     config: ScenarioConfig,
     rng: np.random.Generator,
     vaccinated_total: int,
-    counts: list[int],
 ) -> np.ndarray:
     """Distribute today's doses among willing, unvaccinated population members;
     returns the ids vaccinated. ``vaccinated_total`` is the number of agents
@@ -153,21 +138,17 @@ def vaccination_step(
         examined = first_occurrences(drawn) & (comp[drawn] < ISO_HEALTHY) & ~vaccinated[drawn]
         accepted = drawn[examined & (uniforms < willingness[drawn])]
         if accepted.size >= doses:
-            return _vaccinate(population, accepted[:doses], counts)
+            return _vaccinate(population, accepted[:doses])
         rate = max(accepted.size, 1) / drawn.size
     rest = population.in_population() & ~vaccinated
     rest[drawn] = False  # every eligible agent drawn was examined
     order = rng.permutation(rest.nonzero()[0])
     willing = order[rng.random(order.size) < willingness[order]]
-    return _vaccinate(population, np.concatenate([accepted, willing[:doses - accepted.size]]),
-                      counts)
+    return _vaccinate(population, np.concatenate([accepted, willing[:doses - accepted.size]]))
 
 
-def _vaccinate(population: Population, ids: np.ndarray, counts: list[int]) -> np.ndarray:
+def _vaccinate(population: Population, ids: np.ndarray) -> np.ndarray:
     ids.sort()
     population.vaccinated[ids] = True
-    unvaccinated = ids[population.comp[ids] == S_U]
-    population.comp[unvaccinated] = S_V
-    counts[S_U] -= unvaccinated.size
-    counts[S_V] += unvaccinated.size
+    population.move(ids[population.comp[ids] == S_U], S_V, S_U)
     return ids

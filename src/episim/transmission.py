@@ -137,24 +137,23 @@ def episode_schedule(params: np.ndarray, symptomatic: np.ndarray, selfiso: np.nd
 
 def expose(population: Population, ids: np.ndarray, day: int, first_update: int,
            episodes: EpisodeSource) -> None:
-    """Move the susceptible agents ``ids`` (ascending) to exposed on ``day``,
-    with the next episodes of ``episodes`` in id order. The first status update
-    to see them is on ``first_update``: ``day`` for a seed or an external
-    exposure, the next day for an internal one."""
+    """Start the episodes of agents ``ids`` (ascending), moved to E on
+    ``day``, with the next episodes of ``episodes`` in id order. The first
+    status update to see them is on ``first_update``: ``day`` for a seed or
+    an external exposure, the next day for an internal one."""
     if ids.size:
         start_episodes(population, ids, day, *episodes.take(ids.size, first_update - day))
 
 
 def start_episodes(population: Population, ids: np.ndarray, day: int, params: np.ndarray,
                    offsets: np.ndarray) -> None:
-    """Put agents ``ids`` in E with the episodes ``params``, field-major (one
+    """Give agents ``ids``, in E, the episodes ``params``, field-major (one
     row per field of ``DISTRIBUTION_FIELDS`` and one column per episode),
     exposed on ``day``, with their whole schedule ``offsets`` days later (a
     ``(7, k)`` array in the order of ``core.EPISODE_DAYS``, as
     :meth:`EpisodeSource.take` gives it). A self-isolation day later than the
     last load day, as stored, is NaN: that episode never self-isolates."""
     population.params[:, ids] = params
-    population.comp[ids] = E
     days = (offsets + day).astype(np.float32)
     days[SELFISO, days[SELFISO] > days[LAST_LOAD]] = np.nan
     population.days[EPISODE_DAYS, ids] = days
@@ -184,19 +183,17 @@ def draw_exposures(
     p: float,
     config: ScenarioConfig,
     rng: np.random.Generator,
-    counts: list[int],
 ) -> np.ndarray:
-    """The ascending ids that one exposure stage exposes: each S_u agent with
-    probability ``p`` and each S_v agent with ``vaccineInfectionProb`` times
-    that, either capped at 1. ``counts``, the agents per compartment indexed
-    by :class:`~episim.core.Compartment` as the population is now, gives
-    |S_u| and |S_v|, and the drawn move from there to E in it.
+    """Move to E the agents that one exposure stage exposes, and return
+    their ascending ids: each S_u agent with probability ``p`` and each S_v
+    agent with ``vaccineInfectionProb`` times that, either capped at 1.
+    The population's running counts give |S_u| and |S_v|.
     :class:`~episim.core.Streams` gives the draws; a compartment with no
     agents or a zero probability draws nothing."""
     comp = population.comp
     exposed = []
     for c, prob in ((S_U, p), (S_V, p * config.vaccineInfectionProb)):
-        prob, s = min(prob, 1.0), counts[c]
+        prob, s = min(prob, 1.0), population.tally[c]
         if not s or prob <= 0.0:
             continue
         if comp.size < SPARSE_EXPOSURE_AGENTS:
@@ -204,8 +201,7 @@ def draw_exposures(
             ids = candidates[rng.random(candidates.size) < prob]
         else:  # k = 0 draws no subset
             ids = uniform_subset(comp, c, int(rng.binomial(s, prob)), s, rng)
-        counts[c] -= ids.size
-        counts[E] += ids.size
+        population.move(ids, E, c)
         exposed.append(ids)
     if not exposed:
         return np.empty(0, dtype=np.int64)
@@ -220,15 +216,10 @@ def external_exposure_step(
     day: int,
     rng: np.random.Generator,
     episodes: EpisodeSource,
-    counts: list[int],
 ) -> np.ndarray:
     """Expose in-population susceptibles from outside contacts; returns the
-    newly exposed ids. ``counts``, the agents per compartment indexed by
-    :class:`~episim.core.Compartment`, are those of the population as it is,
-    and the exposed move from S_u or S_v to E in them: the engine passes the
-    day's counts, which this first stage finds equal to the previous day's
-    end-of-day counts."""
-    ids = draw_exposures(population, config.externalExposureProbDaily, config, rng, counts)
+    newly exposed ids."""
+    ids = draw_exposures(population, config.externalExposureProbDaily, config, rng)
     expose(population, ids, day, day, episodes)
     return ids
 
@@ -240,7 +231,6 @@ def internal_propagation_step(
     rng: np.random.Generator,
     episodes: EpisodeSource,
     counts: Sequence[int],
-    current: list[int],
 ) -> np.ndarray:
     """Expose in-population susceptibles via mass action; returns the newly
     exposed ids.
@@ -250,14 +240,13 @@ def internal_propagation_step(
     passes the previous day's end-of-day counts, matching the discrete update
     new_exposures(t) = beta * I(t-1)/P(t-1) * S(t-1). The counts are fixed
     before any exposure happens, so new cases cannot cascade within the same
-    day. ``current``, the counts of the population as it is now, gives |S_u|
-    and |S_v|, and the exposed move from there to E in it.
+    day. |S_u| and |S_v| are the population's as it is now.
     """
     infectious = int(counts[I_S] + counts[I_A])
     if infectious == 0:
         return np.empty(0, dtype=np.int64)
     # I is counted in P, so P > 0 here
     p = config.betaDaily * infectious / int(sum(counts[:ISO_HEALTHY]))
-    ids = draw_exposures(population, p, config, rng, current)
+    ids = draw_exposures(population, p, config, rng)
     expose(population, ids, day, day + 1, episodes)
     return ids

@@ -1,11 +1,15 @@
-"""Config schema, distribution sampling, and random-stream determinism."""
+"""Config schema, distribution sampling, random-stream determinism and the
+population's compartment moves."""
 
+import ast
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import episim
 from episim.core import (
     STREAMS,
     Compartment,
@@ -255,6 +259,130 @@ def test_population_bookkeeping_moves():
     assert pop.counts()[Compartment.EXPOSED] == 1
     assert (pop.comp == Compartment.SUSCEPTIBLE_UNVACCINATED).nonzero()[0].tolist() == [0, 1, 3]
     assert np.flatnonzero(pop.in_population()).tolist() == [0, 1, 2, 3]
+
+
+def test_population_move_keeps_the_running_counts():
+    C = Compartment
+    pop = Population(10)
+    assert pop.tally == pop.counts().tolist() == [10, 0, 0, 0, 0, 0, 0, 0]
+    # from a known source, to one code
+    pop.move(np.array([1, 2, 3, 4]), C.EXPOSED, C.SUSCEPTIBLE_UNVACCINATED)
+    assert pop.tally == pop.counts().tolist() == [6, 0, 4, 0, 0, 0, 0, 0]
+    # from a known source, to one code per id
+    pop.move(np.array([1, 2, 3]), np.array([C.INFECTIOUS_ASYMPTOMATIC, C.INFECTIOUS_SYMPTOMATIC,
+                                            C.INFECTIOUS_ASYMPTOMATIC]), C.EXPOSED)
+    assert pop.comp[:5].tolist() == [C.SUSCEPTIBLE_UNVACCINATED, C.INFECTIOUS_ASYMPTOMATIC,
+                                     C.INFECTIOUS_SYMPTOMATIC, C.INFECTIOUS_ASYMPTOMATIC, C.EXPOSED]
+    assert pop.tally == pop.counts().tolist()
+    # from mixed sources, to one code
+    pop.move(np.array([0, 2, 3, 4]), C.RECOVERED)
+    assert pop.tally == pop.counts().tolist() == [5, 0, 0, 0, 1, 4, 0, 0]
+    # from mixed sources, to one code per id
+    pop.move(np.array([1, 4, 5, 9]), np.array([C.ISOLATED_SICK, C.SUSCEPTIBLE_VACCINATED,
+                                               C.ISOLATED_HEALTHY, C.ISOLATED_HEALTHY]))
+    assert pop.tally == pop.counts().tolist() == [3, 1, 0, 0, 0, 3, 2, 1]
+    # no ids: nothing moves, whatever the source
+    before = pop.comp.copy()
+    pop.move(np.empty(0, dtype=np.int64), C.EXPOSED)
+    pop.move(np.empty(0, dtype=np.int64), C.EXPOSED, C.RECOVERED)
+    pop.move(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+    assert np.array_equal(pop.comp, before)
+    assert pop.tally == pop.counts().tolist() == [3, 1, 0, 0, 0, 3, 2, 1]
+
+
+class CompartmentWrites(ast.NodeVisitor):
+    """Each write into a ``.comp`` attribute in a module, as (the enclosing
+    class and function, the kind, the line): ``item`` for a store into an
+    item of it, or of a local name bound to it; ``out`` for an ``out=``
+    argument of it; ``attribute`` for a rebinding of the attribute."""
+
+    def __init__(self):
+        self.scope = []
+        self.aliases = [set()]
+        self.writes = []
+
+    def visit_ClassDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.aliases.append(set())
+        self.generic_visit(node)
+        self.aliases.pop()
+        self.scope.pop()
+
+    def is_comp(self, node):
+        return ((isinstance(node, ast.Attribute) and node.attr == "comp")
+                or (isinstance(node, ast.Name) and node.id in self.aliases[-1]))
+
+    def write(self, kind, node):
+        self.writes.append((".".join(self.scope), kind, node.lineno))
+
+    def store(self, target):
+        if isinstance(target, (ast.Tuple, ast.List)):
+            for element in target.elts:
+                self.store(element)
+        elif isinstance(target, ast.Subscript) and self.is_comp(target.value):
+            self.write("item", target)
+        elif isinstance(target, ast.Attribute) and target.attr == "comp":
+            self.write("attribute", target)
+
+    def bind(self, target, value):
+        if isinstance(target, ast.Name) and self.is_comp(value):
+            self.aliases[-1].add(target.id)
+        elif isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple):
+            for t, v in zip(target.elts, value.elts):
+                self.bind(t, v)
+
+    def visit_Assign(self, node):
+        self.generic_visit(node)
+        for target in node.targets:
+            self.store(target)
+            self.bind(target, node.value)
+
+    def visit_AugAssign(self, node):
+        self.generic_visit(node)
+        self.store(node.target)
+
+    def visit_keyword(self, node):
+        self.generic_visit(node)
+        if node.arg == "out" and self.is_comp(node.value):
+            self.write("out", node)
+
+
+def compartment_writes(source):
+    visitor = CompartmentWrites()
+    visitor.visit(ast.parse(source))
+    return visitor.writes
+
+
+def test_the_guard_finds_each_kind_of_compartment_write():
+    source = (
+        "def stage(population, ids):\n"
+        "    population.comp[ids] = 5\n"
+        "    comp, other = population.comp, 1\n"
+        "    comp[ids] += 1\n"
+        "    np.copyto(out=population.comp, src=ids)\n"
+        "    population.comp = ids\n"
+        "    population.comp.view(np.uint8).max()\n"
+    )
+    assert compartment_writes(source) == [
+        ("stage", "item", 2), ("stage", "item", 4), ("stage", "out", 5), ("stage", "attribute", 6)]
+
+
+def test_only_population_move_writes_compartments():
+    # every compartment change goes through Population.move, which keeps the
+    # running counts; __init__ only creates the array
+    package = Path(episim.__file__).parent
+    writes = {path.name: compartment_writes(path.read_text())
+              for path in sorted(package.glob("*.py"))}
+    allowed = {("Population.move", "item"), ("Population.__init__", "attribute")}
+    outside = {name: [w for w in found if w[:2] not in allowed] for name, found in writes.items()}
+    assert outside == {name: [] for name in writes}
+    assert [w[:2] for w in writes["core.py"]] == [("Population.__init__", "attribute"),
+                                                   ("Population.move", "item")]
 
 
 @pytest.mark.parametrize("n", [0, 1, 5])

@@ -316,9 +316,9 @@ def test_no_agent_self_isolates_from_recovered(monkeypatch):
     stage = engine.self_isolation_step
     moved_total = []
 
-    def checked_stage(population, day, config, counts):
+    def checked_stage(population, day, config):
         before = population.comp.copy()
-        moved = stage(population, day, config, counts)
+        moved = stage(population, day, config)
         entered = (population.comp != before).nonzero()[0]
         assert entered.tolist() == moved.tolist(), day
         assert np.all(population.comp[moved] == Compartment.ISOLATED_SICK), day
@@ -351,8 +351,8 @@ def test_symptoms_from_exposure_self_isolate_at_the_first_update(monkeypatch):
             return exposed
         return exposure_stage
 
-    def self_isolation(population, day, config, counts):
-        moved = engine_self_isolation(population, day, config, counts)
+    def self_isolation(population, day, config):
+        moved = engine_self_isolation(population, day, config)
         for i in moved.tolist():
             assert due[i][0] == day, (i, day)
             isolated[due.pop(i)[1]] += 1

@@ -66,6 +66,7 @@ def mixed_population(n, rng):
     pop = Population(n)
     pop.comp[:] = rng.choice(len(C), size=n, p=[0.55, 0.2, 0.05, 0.05, 0.05, 0.05, 0.025, 0.025])
     pop.vaccinated[:] = pop.comp == C.SUSCEPTIBLE_VACCINATED
+    pop.tally = pop.counts().tolist()
     return pop
 
 
@@ -86,11 +87,18 @@ def test_exposure_chooses_each_susceptible_with_its_probability(n, p):
     rng = np.random.default_rng(2308 + n)
     pop = mixed_population(n, rng)
     config = ScenarioConfig(vaccineInfectionProb=0.5)
-    comp = pop.comp.copy()
-    # each draw moves its exposed to E in the counts it is given
-    chosen = np.bincount(np.concatenate([
-        draw_exposures(pop, p, config, rng, pop.counts()) for _ in range(REPS)]), minlength=n)
-    assert np.array_equal(pop.comp, comp)  # drawing exposes nobody
+    comp, tally = pop.comp.copy(), pop.tally.copy()
+
+    def draw():
+        pop.comp[:], pop.tally = comp, tally.copy()
+        ids = draw_exposures(pop, p, config, rng)
+        # the draw moves its exposed, and only them, to E, in the running counts too
+        assert np.array_equal(np.flatnonzero(pop.comp != comp), ids)
+        assert np.all(pop.comp[ids] == C.EXPOSED)
+        assert pop.tally == pop.counts().tolist()
+        return ids
+
+    chosen = np.bincount(np.concatenate([draw() for _ in range(REPS)]), minlength=n)
     reference = np.array([exposure_probability(C(c), p, config.vaccineInfectionProb)
                           for c in comp.tolist()])
     check_inclusion(chosen, reference, comp, REPS)
@@ -116,14 +124,14 @@ def test_vaccination_chooses_each_eligible_agent_as_the_per_agent_rule(doses, n)
     # agents of willingness 0 are never eligible or never willing
     pop.willingness[:] = rng.choice([0.0, 0.1, 0.5, 0.9, 1.0], size=n)
     config = ScenarioConfig(vaccinesAvailablePerDay=doses)
-    comp, vaccinated = pop.comp.copy(), pop.vaccinated.copy()
+    comp, vaccinated, tally = pop.comp.copy(), pop.vaccinated.copy(), pop.tally.copy()
     eligible = (comp < C.ISOLATED_HEALTHY) & ~vaccinated
     counts = np.zeros(n, dtype=np.int64)
     for _ in range(REPS):
-        ids = vaccination_step(pop, 0, config, rng, np.count_nonzero(vaccinated), pop.counts())
+        ids = vaccination_step(pop, 0, config, rng, np.count_nonzero(vaccinated))
         assert len(ids) <= doses and np.all(np.diff(ids) > 0)
         counts[ids] += 1
-        pop.comp[:], pop.vaccinated[:] = comp, vaccinated
+        pop.comp[:], pop.vaccinated[:], pop.tally = comp, vaccinated, tally.copy()
     reference = np.zeros(n)
     reference[eligible] = vaccination_inclusion(pop.willingness[eligible].tolist(), doses)
     check_inclusion(counts, reference, pop.willingness, REPS)
@@ -137,7 +145,7 @@ def flat_episodes(pop, ids, load, t0=0.5):
     params = np.tile(profile_params(profile), (len(ids), 1)).T
     asymptomatic = np.zeros(len(ids), bool)
     start_episodes(pop, ids, 0, params, episode_schedule(params, asymptomatic, asymptomatic, 1e3))
-    pop.comp[ids] = C.INFECTIOUS_ASYMPTOMATIC
+    pop.move(ids, C.INFECTIOUS_ASYMPTOMATIC)
 
 
 TESTING_DAY = 7
@@ -174,8 +182,8 @@ def test_testing_day_gives_each_sample_its_dorfman_probability(n, m, pooling_typ
     load[high], load[low] = 1e8, 400.0
     ineligible = rng.permutation(n)[m:]
     isolated, held = ineligible[::2], ineligible[1::2]
-    pop.comp[isolated] = np.where(pop.comp[isolated] == C.INFECTIOUS_ASYMPTOMATIC,
-                                  C.ISOLATED_SICK, C.ISOLATED_HEALTHY)
+    pop.move(isolated, np.where(pop.comp[isolated] == C.INFECTIOUS_ASYMPTOMATIC,
+                                C.ISOLATED_SICK, C.ISOLATED_HEALTHY))
     pop.release_day[held] = TESTING_DAY - 1
     config = ScenarioConfig(poolSize=5, poolingType=pooling_type, fprSingle=0.1, fnrSingle=0.2,
                             detectionCut=100.0, noTestingPostIsolationDays=5,

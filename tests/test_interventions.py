@@ -39,22 +39,23 @@ def infect(pop, agent_id, day=0, profile=SYMPTOMATIC_PROFILE,
     symptomatic = np.array([profile.symptomatic])
     start_episodes(pop, np.array([agent_id]), day, params,
                    episode_schedule(params, symptomatic, symptomatic & will_isolate, cut))
-    pop.comp[agent_id] = compartment
+    pop.move(np.array([agent_id]), compartment)
     return agent_id
 
 
 def recover(pop, agent_id, day):
     """Move an agent to R on ``day``, as the status update does."""
-    pop.comp[agent_id] = Compartment.RECOVERED
+    pop.move(np.array([agent_id]), Compartment.RECOVERED)
     pop.recovery_day[agent_id] = day
 
 
 def counted(stage, pop, *args):
-    """``stage(pop, *args, counts)`` with the population's counts, which every
-    stage takes last, and checks that the stage moved its agents in them."""
-    counts = pop.counts().tolist()
-    moved = stage(pop, *args, counts)
-    assert counts == pop.counts().tolist()
+    """``stage(pop, *args)`` from running counts synced with the population,
+    which the tests write directly, and checks that the stage moved its
+    agents in them."""
+    pop.tally = pop.counts().tolist()
+    moved = stage(pop, *args)
+    assert pop.tally == pop.counts().tolist()
     return moved
 
 
@@ -391,6 +392,7 @@ def quiet_population():
     infect(pop, 6, compartment=Compartment.ISOLATED_SICK)
     pop.infectious_day[6] = np.nan
     pop.recovery_day[6] = pop.release_day[6] = 11
+    pop.tally = pop.counts().tolist()
     return pop
 
 
@@ -414,10 +416,10 @@ def test_a_stage_with_nothing_due_changes_and_draws_nothing(stage):
     pop = quiet_population()
     cfg = vaccination_config(0)
     rng = np.random.default_rng(9)
-    arrays = {name: value.tobytes() for name, value in vars(pop).items()}
+    arrays = {name: np.asarray(value).tobytes() for name, value in vars(pop).items()}
     rng_state = rng.bit_generator.state
     ids = QUIET_STAGES[stage](pop, cfg, rng)
     if stage != "advance_infections":
         assert ids.dtype == np.int64 and ids.size == 0
-    assert {name: value.tobytes() for name, value in vars(pop).items()} == arrays
+    assert {name: np.asarray(value).tobytes() for name, value in vars(pop).items()} == arrays
     assert rng.bit_generator.state == rng_state

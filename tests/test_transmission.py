@@ -36,6 +36,7 @@ def build_population(n_su=0, n_sv=0, n_inf=0, n_rec=0):
         [n_su, n_sv, n_inf, n_rec],
     )
     pop.vaccinated[n_su:n_su + n_sv] = True
+    pop.tally = pop.counts().tolist()
     return pop
 
 
@@ -50,19 +51,20 @@ def reset_exposed(population, compartment):
     population.params[:, exposed] = np.nan
     population.days[EPISODE_DAYS, exposed] = np.nan
     population.comp[exposed] = compartment
+    population.tally = population.counts().tolist()
 
 
 def stage_probabilities(stage, config, *counts):
     """The probabilities with which ``stage`` exposes an S_u and an S_v
     agent, read from the comparisons with its uniforms; a block with a zero
-    probability draws nothing and is left out. ``counts`` come before the
-    counts of the population, one agent in S_u and one in S_v, which each
-    stage takes last."""
+    probability draws nothing and is left out. The population holds one
+    agent in S_u and one in S_v; ``counts`` are the stage's own arguments
+    after the episodes."""
     rng = MagicMock()
     uniforms = rng.random.return_value
     uniforms.__lt__.return_value = np.zeros(1, dtype=bool)  # nobody is exposed
     pop = build_population(n_su=1, n_sv=1)
-    assert stage(pop, config, 0, rng, None, *counts, pop.counts()).size == 0
+    assert stage(pop, config, 0, rng, None, *counts).size == 0
     return tuple(call.args[0] for call in uniforms.__lt__.call_args_list)
 
 
@@ -116,13 +118,13 @@ def test_probability_monotone_in_inputs():
 def test_external_step_zero_rate_exposes_nobody():
     pop = build_population(n_su=50)
     cfg = ScenarioConfig(externalExposureProbDaily=0.0)
-    assert external_exposure_step(pop, cfg, 0, *exposure_streams(cfg, 1), pop.counts()).tolist() == []
+    assert external_exposure_step(pop, cfg, 0, *exposure_streams(cfg, 1)).tolist() == []
 
 
 def test_external_step_certain_rate_exposes_everyone():
     pop = build_population(n_su=30, n_sv=10)
     cfg = ScenarioConfig(externalExposureProbDaily=1.0, vaccineInfectionProb=1.0)
-    exposed = external_exposure_step(pop, cfg, 2, *exposure_streams(cfg, 1), pop.counts())
+    exposed = external_exposure_step(pop, cfg, 2, *exposure_streams(cfg, 1))
     assert len(exposed) == 40
     for agent_id in exposed:
         assert pop.comp[agent_id] == Compartment.EXPOSED
@@ -137,7 +139,7 @@ def test_external_step_binomial_moment():
     rng, episodes = exposure_streams(cfg, 31)
     counts = []
     for _ in range(1000):
-        exposed = external_exposure_step(pop, cfg, 0, rng, episodes, pop.counts())
+        exposed = external_exposure_step(pop, cfg, 0, rng, episodes)
         counts.append(len(exposed))
         reset_exposed(pop, Compartment.SUSCEPTIBLE_UNVACCINATED)
     assert abs(np.mean(counts) - 49.0) < 2.0
@@ -146,7 +148,7 @@ def test_external_step_binomial_moment():
 def test_internal_step_empty_without_infectious():
     pop = build_population(n_su=100)
     cfg = ScenarioConfig()
-    assert internal_propagation_step(pop, cfg, 0, *exposure_streams(cfg, 1), pop.counts(),
+    assert internal_propagation_step(pop, cfg, 0, *exposure_streams(cfg, 1),
                                      pop.counts()).tolist() == []
 
 
@@ -157,7 +159,7 @@ def test_internal_step_binomial_moment():
     rng, episodes = exposure_streams(cfg, 37)
     counts = []
     for _ in range(1000):
-        exposed = internal_propagation_step(pop, cfg, 0, rng, episodes, pop.counts(), pop.counts())
+        exposed = internal_propagation_step(pop, cfg, 0, rng, episodes, pop.counts())
         counts.append(len(exposed))
         reset_exposed(pop, Compartment.SUSCEPTIBLE_UNVACCINATED)
     assert abs(np.mean(counts) - 78.4) < 3.0
@@ -170,7 +172,7 @@ def test_internal_step_vaccinated_moment():
     rng, episodes = exposure_streams(cfg, 41)
     counts = []
     for _ in range(1000):
-        exposed = internal_propagation_step(pop, cfg, 0, rng, episodes, pop.counts(), pop.counts())
+        exposed = internal_propagation_step(pop, cfg, 0, rng, episodes, pop.counts())
         counts.append(len(exposed))
         reset_exposed(pop, Compartment.SUSCEPTIBLE_VACCINATED)
     assert abs(np.mean(counts) - 2.4) < 0.5
@@ -182,9 +184,9 @@ def test_internal_step_uses_supplied_counts():
     stale = make_counts(s_u=1000, s_v=0, e=0, i_s=0, i_a=0, r=0)
     # no infectious agents in the supplied counts: nothing happens even
     # though the live population would say otherwise
-    pop.comp[0] = Compartment.INFECTIOUS_ASYMPTOMATIC
-    assert internal_propagation_step(pop, cfg, 0, *exposure_streams(cfg, 1), counts=stale,
-                                     current=pop.counts()).tolist() == []
+    pop.move(np.array([0]), Compartment.INFECTIOUS_ASYMPTOMATIC)
+    assert internal_propagation_step(pop, cfg, 0, *exposure_streams(cfg, 1),
+                                     counts=stale).tolist() == []
 
 
 def test_exposure_never_touches_non_susceptibles():
@@ -193,11 +195,10 @@ def test_exposure_never_touches_non_susceptibles():
     before_inf = (pop.comp == Compartment.INFECTIOUS_ASYMPTOMATIC).nonzero()[0].tolist()
     before_rec = (pop.comp == Compartment.RECOVERED).nonzero()[0].tolist()
     rng, episodes = exposure_streams(cfg, 43)
-    counts = pop.counts()
-    external_exposure_step(pop, cfg, 0, rng, episodes, counts)
-    internal_propagation_step(pop, cfg, 0, rng, episodes, pop.counts(), counts)
-    # each stage moves its exposed from S_u to E in the counts it is given
-    assert counts.tolist() == pop.counts().tolist()
+    external_exposure_step(pop, cfg, 0, rng, episodes)
+    internal_propagation_step(pop, cfg, 0, rng, episodes, pop.counts())
+    # each stage moves its exposed from S_u to E in the running counts
+    assert pop.tally == pop.counts().tolist()
     assert (pop.comp == Compartment.INFECTIOUS_ASYMPTOMATIC).nonzero()[0].tolist() == before_inf
     assert (pop.comp == Compartment.RECOVERED).nonzero()[0].tolist() == before_rec
 
@@ -236,7 +237,7 @@ def test_expose_draws_one_vector_per_episode_draw():
     # every symptom onset is after the first update, inside the symptom window
     selfiso_day = np.where((symptomatic & willing)[first], pop.onset_day[ids], np.nan)
     assert np.array_equal(pop.selfiso_day[ids], selfiso_day, equal_nan=True)
-    assert (pop.comp == Compartment.EXPOSED).nonzero()[0].tolist() == ids.tolist()
+    assert not pop.comp.any()  # the caller moves them to E
     assert np.all(pop.exposure_day[ids] == 4)
     assert 0 < symptomatic[first].sum() < ids.size
 

@@ -239,7 +239,7 @@ def test_loads_and_self_isolation_need_no_status_update():
     pop = Population(2)
     start_episodes(pop, np.array([1]), 2, params,
                    episode_schedule(params, symptomatic, symptomatic, 1e3))
-    pop.comp[1] = Compartment.INFECTIOUS_SYMPTOMATIC
+    pop.move(np.array([1]), Compartment.INFECTIOUS_SYMPTOMATIC)
     # day 6 is tau 4, between t0 and the peak: only agent 1 is inside its
     # load window, and a testing day of exact single tests finds it
     assert ((pop.first_load_day <= 6) & (6 <= pop.last_load_day)).tolist() == [False, True]
@@ -252,8 +252,8 @@ def test_loads_and_self_isolation_need_no_status_update():
     assert pending.keys() == {6} and pending[6].tolist() == [1]
     # symptoms from tau 6.5: the willing agent isolates on day 9
     config = ScenarioConfig()
-    assert self_isolation_step(pop, 8, config, pop.counts()).tolist() == []
-    assert self_isolation_step(pop, 9, config, pop.counts()).tolist() == [1]
+    assert self_isolation_step(pop, 8, config).tolist() == []
+    assert self_isolation_step(pop, 9, config).tolist() == [1]
     assert pop.comp[1] == Compartment.ISOLATED_SICK
     assert np.isnan(pop.days[TRANSITION_DAYS, 0]).all()
     assert np.isnan(pop.infectious_day[1]) and pop.recovery_day[1] == pop.release_day[1] == 19
@@ -361,6 +361,7 @@ def test_daily_stages_match_scalar_reference():
         offsets = episode_schedule(params[:, ids], symptomatic[ids], symptomatic[ids], cut,
                                    first_update - day)
         for pop in (status, selfiso):
+            pop.move(ids, C.EXPOSED, C.SUSCEPTIBLE_UNVACCINATED)
             start_episodes(pop, ids, day, params[:, ids], offsets)
         comp[ids] = C.EXPOSED
 
@@ -376,18 +377,20 @@ def test_daily_stages_match_scalar_reference():
                 comp[i] = C.INFECTIOUS_SYMPTOMATIC if symptomatic[i] else C.INFECTIOUS_ASYMPTOMATIC
             elif stage is InfectionStage.RECOVERED:
                 comp[i] = C.RECOVERED
-        _advance_infections(status, day, status.counts())
+        _advance_infections(status, day)
         assert status.comp.tolist() == comp.tolist(), day
+        assert status.tally == status.counts().tolist(), day
         transitions |= set(zip(before[before != comp].tolist(), comp[before != comp].tolist()))
 
         # the stage sees the reference's compartments, so an agent that has
         # self-isolated is back in E or I, and must not move again
         selfiso.comp[:] = comp
+        selfiso.tally = selfiso.counts().tolist()
         showing = [i for i in np.flatnonzero(started & ~isolated)
                    if symptomatic_now(profiles[i], tau[i])]
         active = [i for i in showing if C.EXPOSED <= comp[i] <= C.INFECTIOUS_ASYMPTOMATIC]
         recovered_showing += len(showing) - len(active)
-        moved = self_isolation_step(selfiso, day, config, selfiso.counts())
+        moved = self_isolation_step(selfiso, day, config)
         assert moved.tolist() == active, day
         isolated[moved] = True
 
